@@ -7,6 +7,7 @@ Exit codes are a stable contract: 0 success, 1 compile diagnostics,
 from __future__ import annotations
 
 import argparse
+import copy
 import os
 import sys
 from dataclasses import replace
@@ -113,10 +114,11 @@ def _dump_dir() -> Path:
     return Path(os.environ.get("TILEC_DUMP_DIR", "."))
 
 
-def _compile(fn: KernelFn, args, to_level: str) -> CompileResult:
-    if args.num_warps:
+def _compile(fn: KernelFn, args, target: TargetConfig, to_level: str) -> CompileResult:
+    if args.num_warps is not None:
+        fn = copy.copy(fn)  # shares the body, which passes never mutate
         fn.num_warps = args.num_warps
-    return compile_kernel(fn, target=_load_target(args), to_level=to_level, hints=_parse_hints(args.hint))
+    return compile_kernel(fn, target=target, to_level=to_level, hints=_parse_hints(args.hint))
 
 
 def _memory_for(fn: KernelFn, fx: kernels.Fixture | None, args) -> tuple[DeviceMemory, kernels.Problem | None]:
@@ -156,7 +158,7 @@ def _artifact_text(res: CompileResult, pass_name: str) -> str | None:
 
 def cmd_compile(args) -> int:
     fn, _, stem = _resolve_kernel(args.kernel)
-    res = _compile(fn, args, args.level)
+    res = _compile(fn, args, _load_target(args), args.level)
     wanted = args.dump_after
     if wanted is None:
         names = [p for p, lvl in _PASS_ARTIFACTS if lvl == args.level]
@@ -181,9 +183,8 @@ def cmd_compile(args) -> int:
 
 def cmd_run(args) -> int:
     fn, fx, stem = _resolve_kernel(args.kernel)
-    res = _compile(fn, args, args.level)
-    prog = res.at_level(args.level)
     target = _load_target(args)
+    prog = _compile(fn, args, target, args.level).at_level(args.level)
     mem, _ = _memory_for(fn, fx, args)
     out = run(prog, _launch(fx, args, target), mem)
     out_dir = _dump_dir()
@@ -199,9 +200,8 @@ def cmd_check(args) -> int:
     fn, fx, _ = _resolve_kernel(args.kernel)
     if fx is None:
         raise UsageError("check needs a suite fixture (path kernels have no registered oracle)")
-    res = _compile(fn, args, args.level)
-    prog = res.at_level(args.level)
     target = _load_target(args)
+    prog = _compile(fn, args, target, args.level).at_level(args.level)
     mem, prob = _memory_for(fn, fx, args)
     assert prob is not None
     out = run(prog, _launch(fx, args, target), mem)
@@ -216,7 +216,7 @@ def cmd_check(args) -> int:
 
 def cmd_stats(args) -> int:
     fn, _, _ = _resolve_kernel(args.kernel)
-    res = _compile(fn, args, "visa")
+    res = _compile(fn, args, _load_target(args), "visa")
     st = count_stats(res.vprog)
     for line in st.as_lines():
         print(line)
@@ -227,6 +227,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.num_warps is not None and args.num_warps < 1:
+            raise UsageError(f"--num-warps must be at least 1, got {args.num_warps}")
+        if args.seed is not None and args.seed < 0:
+            raise UsageError(f"--seed must be at least 0, got {args.seed}")
         verb = {"compile": cmd_compile, "run": cmd_run, "check": cmd_check, "stats": cmd_stats}[args.verb]
         return verb(args)
     except UsageError as e:

@@ -63,12 +63,6 @@ class TensorType:
             n *= d
         return n
 
-    def with_encoding(self, encoding: Any) -> "TensorType":
-        return TensorType(self.shape, self.elem, encoding)
-
-    def with_shape(self, shape: Sequence[int]) -> "TensorType":
-        return TensorType(tuple(shape), self.elem, self.encoding)
-
 
 @dataclass(frozen=True, slots=True)
 class PtrType:
@@ -83,6 +77,17 @@ class PtrType:
 
 
 Type = Union[TensorType, PtrType]
+
+
+def tile_type(t: Type) -> Union[TensorType, ElemType]:
+    """The tile a type describes: a pointer's pointee, else the type itself."""
+    return t.pointee if isinstance(t, PtrType) else t
+
+
+def retile(t: Type, shape: Sequence[int], encoding: Any) -> Type:
+    """t with its tile's shape and encoding replaced; a pointer stays one."""
+    nt = TensorType(tuple(shape), tile_type(t).elem, encoding)
+    return PtrType(nt) if isinstance(t, PtrType) else nt
 
 
 def scalar(elem: ElemType) -> TensorType:
@@ -240,6 +245,24 @@ def walk_fn_ops(fn: KernelFn) -> Iterator[Operation]:
     yield from walk_ops(fn.body)
 
 
+def loop_carries(op: Operation) -> list[list[Value]]:
+    """One group per value an scf.for carries: its init operand, body arg and
+    loop result, then its yield operand when the body ends in scf.yield.  The
+    members of a group are one value across iterations.  Other ops carry
+    nothing."""
+    if op.kind != "scf.for":
+        return []
+    body = op.regions[0]
+    yields = body.ops[-1].operands if body.ops and body.ops[-1].kind == "scf.yield" else []
+    groups = []
+    for i, init in enumerate(op.operands[3:]):
+        group = [init, body.args[1 + i], op.results[i]]
+        if i < len(yields):
+            group.append(yields[i])
+        groups.append(group)
+    return groups
+
+
 # --------------------------------------------------------------------------
 # verification
 
@@ -325,7 +348,7 @@ def _verify_fn(fn: KernelFn, diags: list[Diagnostic]) -> None:
 
 
 def _check_type(t: Type, err: Callable[..., None]) -> None:
-    tt = t.pointee if isinstance(t, PtrType) and t.is_block else t
+    tt = tile_type(t)
     if isinstance(tt, TensorType) and tt.encoding is not None:
         enc_rank = tt.encoding.rank
         if enc_rank != tt.rank:
@@ -553,8 +576,7 @@ def _verify_op(fn: KernelFn, op: Operation, err: Callable[..., None], warp_ok: b
         if isinstance(src_t, PtrType) != isinstance(res_t, PtrType):
             err(f"{k}: pointer-ness of source and result must agree", op)
             return
-        src = src_t.pointee if isinstance(src_t, PtrType) else src_t
-        res = res_t.pointee if isinstance(res_t, PtrType) else res_t
+        src, res = tile_type(src_t), tile_type(res_t)
         if not isinstance(src, TensorType) or not isinstance(res, TensorType):
             err(f"{k}: block-typed source required", op)
             return
@@ -715,19 +737,12 @@ class DefUse:
                 for a in sub.args:
                     self._add_value(a, op)
                 self._scan(sub)
-            if op.kind == "scf.for":
-                inits = op.operands[3:]
-                body = op.regions[0]
-                yields = body.ops[-1].operands if body.ops and body.ops[-1].kind == "scf.yield" else []
-                for i, init in enumerate(inits):
-                    members = [init, body.args[1 + i], op.results[i]]
-                    if i < len(yields):
-                        members.append(yields[i])
-                    group = set()
-                    for m in members:
-                        group |= self._chain.get(id(m), {id(m)})
-                    for mid in group:
-                        self._chain[mid] = group
+            for members in loop_carries(op):
+                group: set[int] = set()
+                for m in members:
+                    group |= self._chain.get(id(m), {id(m)})
+                for mid in group:
+                    self._chain[mid] = group
 
     def users_of(self, v: Value) -> list[Operation]:
         return self.users.get(id(v), [])
@@ -751,10 +766,6 @@ def build_defuse(fn: KernelFn) -> DefUse:
 # --------------------------------------------------------------------------
 # structural equality
 
-def _attrs_equal(a: dict[str, Any], b: dict[str, Any]) -> bool:
-    return a == b
-
-
 def fn_equal(f1: KernelFn, f2: KernelFn) -> bool:
     if (f1.name, f1.num_warps, f1.warp_level, f1.level) != (f2.name, f2.num_warps, f2.warp_level, f2.level):
         return False
@@ -770,7 +781,7 @@ def _region_equal(r1: Region, r2: Region, vmap: dict[int, int]) -> bool:
     if len(r1.ops) != len(r2.ops):
         return False
     for o1, o2 in zip(r1.ops, r2.ops):
-        if o1.kind != o2.kind or not _attrs_equal(o1.attrs, o2.attrs):
+        if o1.kind != o2.kind or o1.attrs != o2.attrs:
             return False
         if len(o1.operands) != len(o2.operands) or len(o1.results) != len(o2.results):
             return False
@@ -897,12 +908,7 @@ class FunctionBuilder:
         return self._one("arith.cmpi", [a, b], {"pred": pred}, [I1])
 
     def extract(self, src: Value, index: int, block: Sequence[int]) -> Value:
-        st = src.type
-        if isinstance(st, PtrType):
-            pt = st.pointee
-            rt: Type = PtrType(TensorType(tuple(block), pt.elem, pt.encoding))
-        else:
-            rt = TensorType(tuple(block), st.elem, st.encoding)
+        rt = retile(src.type, block, tile_type(src.type).encoding)
         return self._one("tt.extract", [src], {"index": index}, [rt])
 
     def glue(self, pieces: Sequence[Value], shape: Sequence[int]) -> Value:

@@ -182,11 +182,6 @@ def _equiv(enc: LayoutEncoding, shape: tuple[int, ...]) -> BlockedEncoding:
     raise LayoutError(f"unknown encoding {enc!r}")
 
 
-def warp_grid(enc: LayoutEncoding, shape: Sequence[int]) -> WarpGrid:
-    eq = equivalent_blocked(enc, shape)
-    return WarpGrid(eq.warps_per_cta, eq.order)
-
-
 def warp_coords(warp_id: int, grid: WarpGrid) -> tuple[int, ...]:
     """Decompose a linear warp id over the grid, order[0] varying fastest."""
     if not (0 <= warp_id < grid.num_warps):

@@ -12,28 +12,38 @@ machine-sized ones:
 
 Warp-level source (fn.warp_level) is already written per warp, so the first
 two passes pass it through untouched.
+
+Every pass rebuilds through one skeleton, ``_Rebuild``: it maps each old
+value to its new values, rebuilds scf.for and scf.if, and hands every other
+op to the pass.  One rule, ``_ties``, says which values share a shape, a
+layout and a split: layout assignment propagates along its pairs and target
+matching splits each tied set alike.  Loop-carry groups come from
+``ir.loop_carries`` and tile types from ``ir.tile_type``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Any, Callable
+from itertools import combinations
+from typing import Any, Callable, Iterator, Sequence
 
 from .ir import (
     ELEMENTWISE_FLOAT,
     ELEMENTWISE_INT,
     Diagnostic,
-    ElemType,
     FunctionBuilder,
     KernelFn,
     Operation,
     PtrType,
-    Region,
     TensorType,
     TilingHint,
     Type,
     Value,
     build_defuse,
+    loop_carries,
+    retile,
+    tile_type,
     verify_or_raise,
     walk_fn_ops,
 )
@@ -135,49 +145,88 @@ def classify_workload(fn: KernelFn) -> Workload:
 # --------------------------------------------------------------------------
 # function rebuilding
 
+class _Rebuild:
+    """The one way a pass rebuilds a function.
+
+    Every old value maps to a list of new values: one for a clone or a warp
+    distribution, its target-sized pieces after matching.  scf.for and
+    scf.if are rebuilt here, loop carries flattened piece by piece, with a
+    memo scope per region: a value built inside a region does not dominate
+    uses after it.  Every other op goes to the pass's ``emit`` callback."""
+
+    def __init__(self, fn: KernelFn, level: str, arg_types: Sequence[Type] | None = None):
+        types = [a.type for a in fn.args] if arg_types is None else arg_types
+        self.fn = fn
+        self.fb = FunctionBuilder(
+            fn.name,
+            [(a.name, t) for a, t in zip(fn.args, types)],
+            num_warps=fn.num_warps,
+            warp_level=fn.warp_level,
+            level=level,
+        )
+        self.vals: dict[int, list[Value]] = {id(a): [na] for a, na in zip(fn.args, self.fb.fn.args)}
+        self.scopes: list[dict[Any, Value]] = [{}]
+
+    def one(self, v: Value) -> Value:
+        return self.vals[id(v)][0]
+
+    def copy(self, op: Operation, result_types: Sequence[Type], attrs: dict[str, Any] | None = None) -> None:
+        """Re-emit op on its operands' single new values."""
+        nop = self.fb.op(op.kind, [self.one(v) for v in op.operands], op.attrs if attrs is None else attrs, result_types)
+        for r, nr in zip(op.results, nop.results):
+            self.vals[id(r)] = [nr]
+
+    def memo(self, key: Any, make: Callable[[], Value]) -> Value:
+        """A value made once per key where it dominates, in the innermost scope."""
+        for frame in reversed(self.scopes):
+            if key in frame:
+                return frame[key]
+        self.scopes[-1][key] = got = make()
+        return got
+
+    def run(self, emit: Callable[[Operation], None]) -> KernelFn:
+        self._region(self.fn.body.ops, emit)
+        return self.fb.build()
+
+    def _region(self, ops: Sequence[Operation], emit: Callable[[Operation], None]) -> None:
+        for op in ops:
+            if op.kind == "scf.for":
+                lb, ub, step = (self.one(v) for v in op.operands[:3])
+                inits = [self.vals[id(v)] for v in op.operands[3:]]
+                iv, args = self.fb.begin_for(lb, ub, step, [p for ps in inits for p in ps])
+                body = op.regions[0]
+                self.vals[id(body.args[0])] = [iv]
+                self._unflatten(body.args[1:], args, inits)
+                self.scopes.append({})
+                self._region(body.ops[:-1], emit)
+                yields = [p for v in body.ops[-1].operands for p in self.vals[id(v)]]
+                self.scopes.pop()
+                self._unflatten(op.results, self.fb.end_for(yields), inits)
+            elif op.kind == "scf.if":
+                self.fb.begin_if(self.one(op.operands[0]))
+                self.scopes.append({})
+                self._region(op.regions[0].ops, emit)
+                self.scopes.pop()
+                self.fb.end_if()
+            else:
+                emit(op)
+
+    def _unflatten(self, olds: Sequence[Value], flat: Sequence[Value], like: list[list[Value]]) -> None:
+        at = 0
+        for old, ps in zip(olds, like):
+            self.vals[id(old)] = list(flat[at : at + len(ps)])
+            at += len(ps)
+
+
 def _clone_fn(
     fn: KernelFn,
-    type_of: Callable[[Value], Type] | None = None,
-    attrs_of: Callable[[Operation], dict[str, Any]] | None = None,
     level: str | None = None,
+    type_of: Callable[[Value], Type] = lambda v: v.type,
+    attrs_of: Callable[[Operation], dict[str, Any]] = lambda op: op.attrs,
 ) -> KernelFn:
     """Structure-preserving clone with per-value retyping and attr rewriting."""
-    tmap = type_of or (lambda v: v.type)
-    amap = attrs_of or (lambda op: dict(op.attrs))
-    new = KernelFn(
-        fn.name,
-        [(a.name, tmap(a)) for a in fn.args],
-        num_warps=fn.num_warps,
-        warp_level=fn.warp_level,
-        level=level or fn.level,
-    )
-    vmap: dict[int, Value] = {id(a): na for a, na in zip(fn.args, new.args)}
-
-    def clone_region(old: Region, tgt: Region) -> None:
-        for op in old.ops:
-            regions = []
-            for r in op.regions:
-                nr = Region([Value(tmap(a)) for a in r.args])
-                for a, na in zip(r.args, nr.args):
-                    vmap[id(a)] = na
-                regions.append(nr)
-            nop = Operation(
-                op.kind,
-                [vmap[id(v)] for v in op.operands],
-                amap(op),
-                [tmap(r) for r in op.results],
-                regions,
-            )
-            for a in (a for r in regions for a in r.args):
-                a.producer = nop
-            for r, nr_ in zip(op.results, nop.results):
-                vmap[id(r)] = nr_
-            tgt.ops.append(nop)
-            for r, nr2 in zip(op.regions, regions):
-                clone_region(r, nr2)
-
-    clone_region(fn.body, new.body)
-    return new
+    rb = _Rebuild(fn, level or fn.level, [type_of(a) for a in fn.args])
+    return rb.run(lambda op: rb.copy(op, [type_of(r) for r in op.results], attrs_of(op)))
 
 
 def apply_tiling_hints(fn: KernelFn, hints: dict[int, str]) -> KernelFn:
@@ -213,9 +262,7 @@ def _carries_layout(t: Type) -> bool:
 
 
 def _block_shape(v: Value) -> tuple[int, ...]:
-    t = v.type
-    tt = t.pointee if isinstance(t, PtrType) else t
-    return tt.shape
+    return tile_type(v.type).shape
 
 
 def _insert_dim(enc: BlockedEncoding, axis: int) -> BlockedEncoding:
@@ -225,10 +272,36 @@ def _insert_dim(enc: BlockedEncoding, axis: int) -> BlockedEncoding:
     return BlockedEncoding(size, warps, order)
 
 
+def _ties(op: Operation) -> Iterator[tuple[Value, Value]]:
+    """Pairs of tiles that op ties to one shape, one layout and one split: a
+    load, advance or convert and its source, a store's pointer and value,
+    an elementwise op's operands and result, a dot's accumulator and result,
+    and the members of each loop-carry group.  Layout assignment propagates
+    along these pairs and target matching splits each tied set alike."""
+    k = op.kind
+    if k in ("tt.load", "tt.advance", "tt.convert"):
+        pairs = [(op.operands[0], op.results[0])]
+    elif k == "tt.store":
+        pairs = [(op.operands[0], op.operands[1])]
+    elif k in ELEMENTWISE_FLOAT or k in ELEMENTWISE_INT:
+        pairs = [(v, op.results[0]) for v in op.operands]
+    elif k == "tt.dot":
+        pairs = [(op.results[0], op.operands[2])]
+    else:
+        pairs = [pair for group in loop_carries(op) for pair in combinations(group, 2)]
+    for a, b in pairs:
+        if _carries_layout(a.type) and _carries_layout(b.type):
+            yield a, b
+
+
 _Edge = tuple[Value, Callable[[Any], Any], int, Operation]
 
 
 def _layout_edges(fn: KernelFn) -> dict[int, list[_Edge]]:
+    """Layout propagation edges: the ties, plus the edges only layouts have.
+    Broadcast, extract, glue and a cross-warp reduce keep their operand's
+    layout; dot operands, reduce results and expand_dims results derive
+    theirs structurally."""
     edges: dict[int, list[_Edge]] = {}
 
     def add(src: Value, dst: Value, xf: Callable[[Any], Any], prio: int, op: Operation) -> None:
@@ -242,28 +315,21 @@ def _layout_edges(fn: KernelFn) -> dict[int, list[_Edge]]:
 
     for op in walk_fn_ops(fn):
         k = op.kind
-        if k in ("tt.load", "tt.advance", "tt.convert", "tt.broadcast", "tt.extract", "tt.glue"):
-            if op.results:
-                for v in op.operands:
-                    eq(v, op.results[0], op)
-        elif k == "tt.store":
-            eq(op.operands[0], op.operands[1], op)
+        if k in ("tt.broadcast", "tt.extract", "tt.glue") or (k == "tt.reduce" and op.attrs.get("cross_warp")):
+            for v in op.operands:
+                eq(v, op.results[0], op)
         elif k == "tt.dot":
-            a, b, c = op.operands
+            a, b, _ = op.operands
             r = op.results[0]
             add(r, a, lambda e: DotOperandEncoding(0, e), _STRUCT, op)
             add(r, b, lambda e: DotOperandEncoding(1, e), _STRUCT, op)
-            eq(r, c, op, _STRUCT)
             add(a, r, lambda e: e.parent if isinstance(e, DotOperandEncoding) and e.op_idx == 0 else None, _STRUCT, op)
             add(b, r, lambda e: e.parent if isinstance(e, DotOperandEncoding) and e.op_idx == 1 else None, _STRUCT, op)
         elif k == "tt.reduce":
-            if op.attrs.get("cross_warp"):
-                eq(op.operands[0], op.results[0], op)
-            else:
-                axis = op.attrs["axis"]
-                src, r = op.operands[0], op.results[0]
-                add(src, r, lambda e, d=axis: SliceEncoding(d, e), _STRUCT, op)
-                add(r, src, lambda e, d=axis: e.parent if isinstance(e, SliceEncoding) and e.dim == d else None, _STRUCT, op)
+            axis = op.attrs["axis"]
+            src, r = op.operands[0], op.results[0]
+            add(src, r, lambda e, d=axis: SliceEncoding(d, e), _STRUCT, op)
+            add(r, src, lambda e, d=axis: e.parent if isinstance(e, SliceEncoding) and e.dim == d else None, _STRUCT, op)
         elif k == "tt.expand_dims":
             axis = op.attrs["axis"]
             src, r = op.operands[0], op.results[0]
@@ -277,21 +343,10 @@ def _layout_edges(fn: KernelFn) -> dict[int, list[_Edge]]:
 
             add(src, r, up, _STRUCT, op)
             add(r, src, lambda e, d=axis: SliceEncoding(d, e), _STRUCT, op)
-        elif k in ELEMENTWISE_FLOAT or k in ELEMENTWISE_INT:
-            if op.results and _carries_layout(op.results[0].type):
-                for v in op.operands:
-                    eq(v, op.results[0], op)
-        elif k == "scf.for":
-            body = op.regions[0]
-            yields = body.ops[-1].operands if body.ops and body.ops[-1].kind == "scf.yield" else ()
-            for i, init in enumerate(op.operands[3:]):
-                group = [init, body.args[1 + i], op.results[i]]
-                if i < len(yields):
-                    group.append(yields[i])
-                for x in group:
-                    for y in group:
-                        if x is not y:
-                            add(x, y, lambda e: e, _EQ, op)
+        # the accumulator is structural: it outranks what flows in by equality
+        prio = _STRUCT if k == "tt.dot" else _EQ
+        for a, b in _ties(op):
+            eq(a, b, op, prio)
     return edges
 
 
@@ -404,21 +459,14 @@ def assign_layouts(fn: KernelFn) -> KernelFn:
     # init, region arg, and result share one textual type, so unify on the
     # init's form (outer loops first, since a result can seed a later init)
     for op in walk_fn_ops(fn):
-        if op.kind != "scf.for":
-            continue
-        args = op.regions[0].args[1:]
-        for init, arg, res in zip(op.operands[3:], args, op.results):
+        for init, arg, res, *_ in loop_carries(op):
             if _carries_layout(init.type) and id(init) in state.enc:
                 state.enc[id(arg)] = state.enc[id(res)] = state.enc[id(init)]
 
     def type_of(v: Value) -> Type:
         if not _carries_layout(v.type):
             return v.type
-        enc = state.enc[id(v)][1]
-        if isinstance(v.type, PtrType):
-            pt = v.type.pointee
-            return PtrType(TensorType(pt.shape, pt.elem, enc))
-        return TensorType(v.type.shape, v.type.elem, enc)
+        return retile(v.type, _block_shape(v), state.enc[id(v)][1])
 
     out = _clone_fn(fn, type_of=type_of)
     verify_or_raise(out)
@@ -427,12 +475,6 @@ def assign_layouts(fn: KernelFn) -> KernelFn:
 
 # --------------------------------------------------------------------------
 # warp distribution
-
-def _enc_of(v: Value) -> Any:
-    t = v.type
-    tt = t.pointee if isinstance(t, PtrType) else t
-    return tt.encoding
-
 
 def distribute_to_warps(fn: KernelFn) -> KernelFn:
     """Retype every tile to one warp's share and add the warp's tile origin
@@ -444,14 +486,12 @@ def distribute_to_warps(fn: KernelFn) -> KernelFn:
         raise _fail(fn, f"warp distribution expects workgroup-level input, got {fn.level!r}")
 
     def per_warp(t: Type) -> Type:
-        tt = t.pointee if isinstance(t, PtrType) else t
+        tt = tile_type(t)
         if not isinstance(tt, TensorType) or tt.rank == 0:
             return t
         if tt.encoding is None:
             raise _fail(fn, f"distribution needs encodings; {tt} has none (run layout assignment)")
-        eq = equivalent_blocked(tt.encoding, tt.shape)
-        nt = TensorType(eq.size_per_warp, tt.elem, tt.encoding)
-        return PtrType(nt) if isinstance(t, PtrType) else nt
+        return retile(t, equivalent_blocked(tt.encoding, tt.shape).size_per_warp, tt.encoding)
 
     # dims that need an offset term, keyed by the warp grid that owns them
     grids: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
@@ -464,14 +504,8 @@ def distribute_to_warps(fn: KernelFn) -> KernelFn:
             if eq.warps_per_cta[d] > 1 and pt.shape[d] // eq.size_per_warp[d] > 1:
                 grids.add((eq.warps_per_cta, eq.order))
 
-    fb = FunctionBuilder(
-        fn.name,
-        [(a.name, a.type) for a in fn.args],
-        num_warps=fn.num_warps,
-        warp_level=fn.warp_level,
-        level="warp",
-    )
-    vmap: dict[int, Value] = {id(a): na for a, na in zip(fn.args, fb.fn.args)}
+    rb = _Rebuild(fn, "warp")
+    fb = rb.fb
 
     coords: dict[tuple[tuple[int, ...], tuple[int, ...]], dict[int, Value]] = {}
     if grids:
@@ -486,35 +520,15 @@ def distribute_to_warps(fn: KernelFn) -> KernelFn:
                     rem = fb.binary("arith.divi", rem, fb.constant(wpc[d]))
             coords[(wpc, order)] = per_dim
 
-    def clone(op: Operation) -> None:
+    def emit(op: Operation) -> None:
         k = op.kind
-        if k == "scf.for":
-            lb, ub, step = (vmap[id(v)] for v in op.operands[:3])
-            inits = [vmap[id(v)] for v in op.operands[3:]]
-            iv, args = fb.begin_for(lb, ub, step, inits)
-            body = op.regions[0]
-            vmap[id(body.args[0])] = iv
-            for oa, na in zip(body.args[1:], args):
-                vmap[id(oa)] = na
-            for inner in body.ops[:-1]:
-                clone(inner)
-            results = fb.end_for([vmap[id(v)] for v in body.ops[-1].operands])
-            for orr, nr in zip(op.results, results):
-                vmap[id(orr)] = nr
-            return
-        if k == "scf.if":
-            fb.begin_if(vmap[id(op.operands[0])])
-            for inner in op.regions[0].ops:
-                clone(inner)
-            fb.end_if()
-            return
         if k == "tt.make_tensor_ptr":
             pt = op.results[0].type.pointee
             eq = equivalent_blocked(pt.encoding, pt.shape)
             r = pt.rank
-            base = vmap[id(op.operands[0])]
-            dims = [vmap[id(v)] for v in op.operands[1 : 1 + 2 * r]]
-            offs = [vmap[id(v)] for v in op.operands[1 + 2 * r :]]
+            base = rb.one(op.operands[0])
+            dims = [rb.one(v) for v in op.operands[1 : 1 + 2 * r]]
+            offs = [rb.one(v) for v in op.operands[1 + 2 * r :]]
             for d in range(r):
                 tiles = pt.shape[d] // eq.size_per_warp[d]
                 if eq.warps_per_cta[d] == 1 or tiles == 1:
@@ -524,13 +538,8 @@ def distribute_to_warps(fn: KernelFn) -> KernelFn:
                     c = fb.binary("arith.remi", c, fb.constant(tiles))
                 term = fb.binary("arith.muli", c, fb.constant(eq.size_per_warp[d]))
                 offs[d] = fb.binary("arith.addi", offs[d], term)
-            nop = fb.op(
-                "tt.make_tensor_ptr",
-                [base, *dims, *offs],
-                dict(op.attrs),
-                [per_warp(op.results[0].type)],
-            )
-            vmap[id(op.results[0])] = nop.result
+            nop = fb.op(k, [base, *dims, *offs], op.attrs, [per_warp(op.results[0].type)])
+            rb.vals[id(op.results[0])] = [nop.result]
             return
         if k == "tt.reduce" and not op.attrs.get("cross_warp"):
             st = op.operands[0].type
@@ -543,18 +552,9 @@ def distribute_to_warps(fn: KernelFn) -> KernelFn:
                     f"{eq.size_per_warp[axis]} of {st.shape[axis]} elements",
                     op,
                 )
-        nop = fb.op(
-            k,
-            [vmap[id(v)] for v in op.operands],
-            dict(op.attrs),
-            [per_warp(r.type) for r in op.results],
-        )
-        for orr, nr in zip(op.results, nop.results):
-            vmap[id(orr)] = nr
+        rb.copy(op, [per_warp(r.type) for r in op.results])
 
-    for op in fn.body.ops:
-        clone(op)
-    out = fb.build()
+    out = rb.run(emit)
     verify_or_raise(out)
     return out
 
@@ -586,19 +586,29 @@ def _largest_divisor(n: int, cap: int) -> int:
     return 1
 
 
+def _flat_index(coord: Sequence[int], grid: Sequence[int]) -> int:
+    """Row-major index of coord in grid."""
+    flat = 0
+    for c, g in zip(coord, grid):
+        flat = flat * g + c
+    return flat
+
+
+def _block_index(offset: Sequence[int], block: Sequence[int], whole: Sequence[int]) -> int:
+    """Index of the block at offset among the blocks tiling whole."""
+    return _flat_index([o // b for o, b in zip(offset, block)], [w // b for w, b in zip(whole, block)])
+
+
 def _strip(t: Type) -> Type:
-    tt = t.pointee if isinstance(t, PtrType) else t
-    if not isinstance(tt, TensorType):
-        return t
-    nt = TensorType(tt.shape, tt.elem)
-    return PtrType(nt) if isinstance(t, PtrType) else nt
+    tt = tile_type(t)
+    return retile(t, tt.shape, None) if isinstance(tt, TensorType) else t
 
 
 def match_target_size(fn: KernelFn, target: TargetConfig = PVC) -> KernelFn:
     """Split warp tiles into target-sized pieces.
 
-    Values connected by loads, stores, pointer advances, elementwise math,
-    casts, and loop carries form groups that split together; each group's
+    Values tied by ``_ties`` (loads, stores, pointer advances, elementwise
+    math, casts, dot accumulators, loop carries) split together; each group's
     piece shape is the largest per-dim divisor within every limit imposed on
     it (load/store block caps, dot result caps).  Dots expand into a grid of
     unit dots chained over the contraction dim, pulling operand sub-blocks
@@ -618,32 +628,9 @@ def match_target_size(fn: KernelFn, target: TargetConfig = PVC) -> KernelFn:
         cur = clamps.get(root)
         clamps[root] = [min(a, b) for a, b in zip(cur, dims)] if cur else list(dims)
 
-    def tileish(v: Value) -> bool:
-        return _carries_layout(v.type)
-
     for op in walk_fn_ops(fn):
-        k = op.kind
-        if k in ("tt.load", "tt.advance", "tt.convert"):
-            if op.results and tileish(op.results[0]):
-                uf.union(id(op.operands[0]), id(op.results[0]))
-        elif k == "tt.store":
-            uf.union(id(op.operands[0]), id(op.operands[1]))
-        elif k in ELEMENTWISE_FLOAT or k in ELEMENTWISE_INT:
-            if op.results and tileish(op.results[0]):
-                for v in op.operands:
-                    uf.union(id(v), id(op.results[0]))
-        elif k == "tt.dot":
-            uf.union(id(op.operands[2]), id(op.results[0]))
-        elif k == "scf.for":
-            body = op.regions[0]
-            yields = body.ops[-1].operands if body.ops else ()
-            for i, init in enumerate(op.operands[3:]):
-                if not tileish(init):
-                    continue
-                uf.union(id(init), id(body.args[1 + i]))
-                uf.union(id(init), id(op.results[i]))
-                if i < len(yields):
-                    uf.union(id(init), id(yields[i]))
+        for a, b in _ties(op):
+            uf.union(id(a), id(b))
 
     diags: list[Diagnostic] = []
     for op in walk_fn_ops(fn):
@@ -675,156 +662,59 @@ def match_target_size(fn: KernelFn, target: TargetConfig = PVC) -> KernelFn:
             piece[root] = tuple(_largest_divisor(s, c) for s, c in zip(shape, lim))
         return piece[root]
 
-    fb = FunctionBuilder(
-        fn.name,
-        [(a.name, a.type) for a in fn.args],
-        num_warps=fn.num_warps,
-        warp_level=fn.warp_level,
-        level="intrinsic",
-    )
-    pieces: dict[int, list[Value]] = {id(a): [na] for a, na in zip(fn.args, fb.fn.args)}
-    # glued wholes and extracted sub-blocks are reusable only where they
-    # dominate the use, so memos are scoped to the region nesting
-    scopes: list[dict[Any, Value]] = [{}]
-
-    def memo_get(key: Any) -> Value | None:
-        for frame in reversed(scopes):
-            if key in frame:
-                return frame[key]
-        return None
-
     def grid_of(v: Value) -> tuple[int, ...]:
         return tuple(s // p for s, p in zip(_block_shape(v), piece_of(v)))
+
+    rb = _Rebuild(fn, "intrinsic")
+    fb, pieces = rb.fb, rb.vals
 
     def whole_of(v: Value) -> Value:
         """The value as one piece, gluing if it was split."""
         ps = pieces[id(v)]
         if len(ps) == 1:
             return ps[0]
-        key = ("whole", id(v))
-        got = memo_get(key)
-        if got is None:
-            got = fb.glue(ps, _block_shape(v))
-            scopes[-1][key] = got
-        return got
+        return rb.memo(("whole", id(v)), lambda: fb.glue(ps, _block_shape(v)))
 
     def split_out(v: Value, built: Value) -> None:
         """Register pieces of ``built`` according to v's piece shape."""
         p = piece_of(v)
-        shape = _block_shape(v)
-        if p == shape:
+        if p == _block_shape(v):
             pieces[id(v)] = [built]
-            return
-        count = 1
-        for g in (s // q for s, q in zip(shape, p)):
-            count *= g
-        pieces[id(v)] = [fb.extract(built, i, p) for i in range(count)]
+        else:
+            pieces[id(v)] = [fb.extract(built, i, p) for i in range(math.prod(grid_of(v)))]
 
     def sub_block(v: Value, offset: tuple[int, ...], shape: tuple[int, ...]) -> Value:
         """A sub-block of v: an existing piece when one lines up, an extract
         from the covering piece, or an extract from the glued whole."""
-        key = ("sub", id(v), offset, shape)
-        got = memo_get(key)
-        if got is not None:
-            return got
-        p = piece_of(v)
-        grid = grid_of(v)
-        coord = tuple(o // q for o, q in zip(offset, p))
-        ps = pieces[id(v)]
-        inside = tuple(o - c * q for o, c, q in zip(offset, coord, p))
-        fits = all(i + s <= q for i, s, q in zip(inside, shape, p))
-        if fits and all(i % s == 0 and q % s == 0 for i, s, q in zip(inside, shape, p)):
-            flat = 0
-            for c, g in zip(coord, grid):
-                flat = flat * g + c
-            host = ps[flat]
-            if shape == p:
-                out = host
-            else:
-                sub_grid = tuple(q // s for q, s in zip(p, shape))
-                idx = 0
-                for i, s, g in zip(inside, shape, sub_grid):
-                    idx = idx * g + i // s
-                out = fb.extract(host, idx, shape)
-        else:
-            whole = whole_of(v)
-            full = _block_shape(v)
-            out_grid = tuple(f // s for f, s in zip(full, shape))
-            idx = 0
-            for o, s, g in zip(offset, shape, out_grid):
-                idx = idx * g + o // s
-            out = fb.extract(whole, idx, shape)
-        scopes[-1][key] = out
-        return out
 
-    def clone(op: Operation) -> None:
+        def make() -> Value:
+            p = piece_of(v)
+            coord = tuple(o // q for o, q in zip(offset, p))
+            inside = tuple(o - c * q for o, c, q in zip(offset, coord, p))
+            fits = all(i + s <= q for i, s, q in zip(inside, shape, p))
+            if fits and all(i % s == 0 and q % s == 0 for i, s, q in zip(inside, shape, p)):
+                host = pieces[id(v)][_flat_index(coord, grid_of(v))]
+                if shape == p:
+                    return host
+                return fb.extract(host, _block_index(inside, shape, p), shape)
+            return fb.extract(whole_of(v), _block_index(offset, shape, _block_shape(v)), shape)
+
+        return rb.memo(("sub", id(v), offset, shape), make)
+
+    def emit(op: Operation) -> None:
         k = op.kind
-        if k == "scf.for":
-            lb, ub, step = (pieces[id(v)][0] for v in op.operands[:3])
-            flat_inits: list[Value] = []
-            counts: list[int] = []
-            for init in op.operands[3:]:
-                ps = pieces[id(init)]
-                counts.append(len(ps))
-                flat_inits.extend(ps)
-            iv, args = fb.begin_for(lb, ub, step, flat_inits)
-            body = op.regions[0]
-            pieces[id(body.args[0])] = [iv]
-            at = 0
-            for i, oa in enumerate(body.args[1:]):
-                pieces[id(oa)] = list(args[at : at + counts[i]])
-                at += counts[i]
-            scopes.append({})
-            for inner in body.ops[:-1]:
-                clone(inner)
-            flat_yields = [p for v in body.ops[-1].operands for p in pieces[id(v)]]
-            scopes.pop()
-            results = fb.end_for(flat_yields)
-            at = 0
-            for i, orr in enumerate(op.results):
-                pieces[id(orr)] = list(results[at : at + counts[i]])
-                at += counts[i]
-            return
-        if k == "scf.if":
-            fb.begin_if(pieces[id(op.operands[0])][0])
-            scopes.append({})
-            for inner in op.regions[0].ops:
-                clone(inner)
-            scopes.pop()
-            fb.end_if()
-            return
         if k in ("tt.make_tensor_ptr", "tt.alloc"):
             r = op.results[0]
-            nop = fb.op(
-                k,
-                [pieces[id(v)][0] for v in op.operands],
-                dict(op.attrs),
-                [_strip(r.type)],
-            )
-            p = piece_of(r)
-            shape = _block_shape(r)
-            if p == shape:
-                pieces[id(r)] = [nop.result]
-            else:
-                count = 1
-                for g in (s // q for s, q in zip(shape, p)):
-                    count *= g
-                pieces[id(r)] = [fb.extract(nop.result, i, p) for i in range(count)]
-            return
-        if k == "tt.advance":
-            deltas = [pieces[id(v)][0] for v in op.operands[1:]]
-            pieces[id(op.results[0])] = [
-                fb.advance(pp, deltas) for pp in pieces[id(op.operands[0])]
-            ]
-            return
-        if k == "tt.load":
+            split_out(r, fb.op(k, [rb.one(v) for v in op.operands], op.attrs, [_strip(r.type)]).result)
+        elif k == "tt.advance":
+            deltas = [rb.one(v) for v in op.operands[1:]]
+            pieces[id(op.results[0])] = [fb.advance(pp, deltas) for pp in pieces[id(op.operands[0])]]
+        elif k == "tt.load":
             pieces[id(op.results[0])] = [fb.load(pp) for pp in pieces[id(op.operands[0])]]
-            return
-        if k == "tt.store":
+        elif k == "tt.store":
             for pp, vp in zip(pieces[id(op.operands[0])], pieces[id(op.operands[1])]):
                 fb.store(pp, vp)
-            return
-        if k == "tt.dot":
+        elif k == "tt.dot":
             a, b, c = op.operands
             m, kk = a.type.shape
             n = b.type.shape[1]
@@ -840,60 +730,27 @@ def match_target_size(fn: KernelFn, target: TargetConfig = PVC) -> KernelFn:
                         acc = fb.dot(a_sub, b_sub, acc)
                     out.append(acc)
             pieces[id(op.results[0])] = out
-            return
-        if k == "tt.splat":
+        elif k == "tt.splat":
             r = op.results[0]
-            p = piece_of(r)
-            count = 1
-            for g in (s // q for s, q in zip(_block_shape(r), p)):
-                count *= g
-            src = pieces[id(op.operands[0])][0]
-            pieces[id(r)] = [fb.splat(src, p) for _ in range(count)]
-            return
-        if k in ("tt.reduce", "tt.expand_dims", "tt.broadcast"):
-            built = fb.op(
-                k,
-                [whole_of(v) if tileish(v) else pieces[id(v)][0] for v in op.operands],
-                dict(op.attrs),
-                [_strip(r.type) for r in op.results],
-            )
-            r = op.results[0]
-            if tileish(r):
-                split_out(r, built.result)
-            else:
-                pieces[id(r)] = [built.result]
-            return
-        if k == "tt.convert":
-            r = op.results[0]
-            elem = r.type.elem
-            pieces[id(r)] = [fb.convert(pp, elem) for pp in pieces[id(op.operands[0])]]
-            return
-        if k in ELEMENTWISE_FLOAT or k in ELEMENTWISE_INT or k == "arith.cmpi":
-            r = op.results[0]
-            if not tileish(r):
-                nop = fb.op(k, [pieces[id(v)][0] for v in op.operands], dict(op.attrs), [_strip(r.type)])
-                pieces[id(r)] = [nop.result]
-                return
-            ops_pieces = [pieces[id(v)] for v in op.operands]
-            outs = []
-            for group in zip(*ops_pieces):
-                nop = fb.op(k, list(group), dict(op.attrs), [TensorType(group[0].type.shape, r.type.elem)])
-                outs.append(nop.result)
-            pieces[id(r)] = outs
-            return
-        # scalar producers, barriers, returns
-        nop = fb.op(
-            k,
-            [pieces[id(v)][0] for v in op.operands],
-            dict(op.attrs),
-            [_strip(r.type) for r in op.results],
-        )
-        for orr, nr in zip(op.results, nop.results):
-            pieces[id(orr)] = [nr]
+            src = rb.one(op.operands[0])
+            pieces[id(r)] = [fb.splat(src, piece_of(r)) for _ in range(math.prod(grid_of(r)))]
+        elif k in ("tt.reduce", "tt.expand_dims", "tt.broadcast"):
+            built = fb.op(k, [whole_of(v) for v in op.operands], op.attrs, [_strip(r.type) for r in op.results])
+            split_out(op.results[0], built.result)
+        elif k == "tt.convert":
+            elem = op.results[0].type.elem
+            pieces[id(op.results[0])] = [fb.convert(pp, elem) for pp in pieces[id(op.operands[0])]]
+        elif k in ELEMENTWISE_FLOAT or k in ELEMENTWISE_INT or k == "arith.cmpi":
+            # piece by piece; a scalar is its own single piece
+            elem = op.results[0].type.elem
+            pieces[id(op.results[0])] = [
+                fb.op(k, list(group), op.attrs, [TensorType(group[0].type.shape, elem)]).result
+                for group in zip(*(pieces[id(v)] for v in op.operands))
+            ]
+        else:  # scalar producers, barriers, returns
+            rb.copy(op, [_strip(r.type) for r in op.results])
 
-    for op in fn.body.ops:
-        clone(op)
-    out = fb.build()
+    out = rb.run(emit)
     verify_or_raise(out)
     return out
 

@@ -214,7 +214,6 @@ class _Workgroup:
             name = f"%slm{i}"
             self._names[key] = name
             self.slm[name] = (elem, _coerce(elem, np.zeros(n)))
-        self.slm_bytes_used = used
 
     def handle(self, key: int) -> str:
         return self._names[key]
@@ -611,7 +610,7 @@ def _eval_vm_instr(ins: VInstr, ctx: _Ctx, env: dict) -> None:
 # warp scheduler
 
 
-def _drive_warps(gens: list[Iterator[tuple]], kinds_elem: None, ctx_list: list[_Ctx]) -> None:
+def _drive_warps(gens: list[Iterator[tuple]], ctx_list: list[_Ctx]) -> None:
     n = len(gens)
     pending: list[Any] = [None] * n
     finished = [False] * n
@@ -741,5 +740,5 @@ def run(
                 env = {id(a): a.name for a in prog.args}
                 gens.append(_exec_ir_region(prog.body, ctx, env))
             ctxs.append(ctx)
-        _drive_warps(gens, None, ctxs)
+        _drive_warps(gens, ctxs)
     return out

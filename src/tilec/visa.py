@@ -88,15 +88,6 @@ def parse_target(text: str, name: str = "custom") -> TargetConfig:
     return TargetConfig(name=name, **fields)
 
 
-def load_target(path: str) -> TargetConfig:
-    import os
-
-    with open(path, "r", encoding="utf-8") as f:
-        text = f.read()
-    stem = os.path.splitext(os.path.basename(path))[0]
-    return parse_target(text, name=stem)
-
-
 # --------------------------------------------------------------------------
 # virtual instructions
 
@@ -281,10 +272,6 @@ class _Lowerer:
         return [self.lower_op(op) for op in region.ops]
 
     # helpers -------------------------------------------------------------
-    def _tile(self, v: Value) -> TensorType:
-        t = v.type
-        return t.pointee if isinstance(t, PtrType) else t
-
     def _exec_widths(self, t: TensorType, packed: bool, as_bits: bool):
         return _width(t.numel, t.elem, packed, self.target, as_bits)
 

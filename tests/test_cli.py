@@ -5,11 +5,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tilec.cli import main
+from tilec.cli import _build_parser, _compile, main
 from tilec.ir import ElemType, FunctionBuilder, KernelModule, PtrType
+from tilec.kernels import load_fixture
 from tilec.oracle import philox, rand_f16
 from tilec.sim import dump_tensor, load_tensor
 from tilec.textio import print_module
+from tilec.visa import PVC
 
 F16 = ElemType.f16
 F32 = ElemType.f32
@@ -142,7 +144,17 @@ def test_usage_errors_exit_3(capsys):
     assert main(["run", "gemm_256", "--grid", "zero,one"]) == 3
     assert main(["compile", "gemm_256", "--level", "bogus"]) == 3
     assert main(["compile", "gemm_256", "--dump-after", "frontend"]) == 3
+    assert main(["run", "paged_wg", "--num-warps", "0"]) == 3
+    assert main(["run", "paged_wg", "--num-warps", "-2"]) == 3
+    assert main(["check", "paged_wg", "--seed", "-1"]) == 3
     capsys.readouterr()
+
+
+def test_num_warps_override_leaves_kernel_unchanged():
+    fn = load_fixture("gemm_256")
+    args = _build_parser().parse_args(["compile", "gemm_256", "--num-warps", "16"])
+    res = _compile(fn, args, PVC, "workgroup")
+    assert (fn.num_warps, res.layouts.num_warps) == (32, 16)
 
 
 def test_parse_failure_exits_1(tmp_path, capsys):
