@@ -2,7 +2,17 @@
 
 Executes kernels at any pipeline level: workgroup-level IR runs as one
 logical context per workgroup, warp- and intrinsic-level IR (and lowered
-VPrograms) run one context per warp.  Warps execute serially in ascending
+VPrograms) run one context per warp.
+
+Each run first decodes the program into one step form.  An IR op decodes to
+a step of its own kind; a vISA instruction decodes through one table keyed
+on its opcode and sub-op to the IR kind whose semantics it has, and keeps
+its own name for diagnostics.  One executor then runs the steps: it handles
+loops, branches, return, barriers and cross-warp reductions itself and looks
+every other kind up in one semantics table, so an op and the instruction it
+lowers to run the same code.
+
+Warps execute serially in ascending
 warp-id order between synchronization points; barriers and cross-warp
 reductions are the only places control transfers between warps, which makes
 every run bit-reproducible and independent of workgroup scheduling order.
@@ -17,7 +27,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Callable, Iterator
 
 import numpy as np
 
@@ -29,8 +39,7 @@ from .ir import (
     KernelFn,
     Operation,
     PtrType,
-    Region,
-    walk_fn_ops,
+    tile_type,
 )
 from .visa import TargetConfig, VInstr, VOpcode, VProgram
 
@@ -144,6 +153,8 @@ def load_tensor(path: str) -> tuple[np.ndarray, ElemType]:
     if version != 1 or tag not in _TAG_ELEM:
         raise ValueError(f"{path}: unsupported version/elem tag {version}/{tag}")
     elem = _TAG_ELEM[tag]
+    if len(blob) < 8 + 4 * rank:
+        raise ValueError(f"{path}: header truncated: rank {rank} needs {4 * rank} bytes of dims")
     dims = struct.unpack(f"<{rank}I", blob[8 : 8 + 4 * rank])
     payload = np.frombuffer(blob[8 + 4 * rank :], dtype=_DISK_DTYPE[elem])
     n = int(np.prod(dims)) if rank else 1
@@ -299,18 +310,18 @@ def _do_store(ctx: _Ctx, bp: BlockPointer, value: TileValue, what: str) -> None:
 # shared op math
 
 _BIN_F = {
-    "addf": np.add,
-    "subf": np.subtract,
-    "mulf": np.multiply,
-    "divf": np.divide,
-    "maximumf": np.maximum,
+    "arith.addf": np.add,
+    "arith.subf": np.subtract,
+    "arith.mulf": np.multiply,
+    "arith.divf": np.divide,
+    "arith.maximumf": np.maximum,
 }
 _BIN_I = {
-    "addi": np.add,
-    "subi": np.subtract,
-    "muli": np.multiply,
-    "divi": np.floor_divide,
-    "remi": np.remainder,
+    "arith.addi": np.add,
+    "arith.subi": np.subtract,
+    "arith.muli": np.multiply,
+    "arith.divi": np.floor_divide,
+    "arith.remi": np.remainder,
 }
 _CMP = {
     "eq": np.equal,
@@ -352,258 +363,182 @@ def _reduce(kind: str, data: np.ndarray, axis: int) -> np.ndarray:
 
 
 # --------------------------------------------------------------------------
-# IR interpreter
+# step form: what both program forms decode to
+
+_CROSS = "cross_warp_reduce"  # the one step kind that is not an IR op kind
+
+
+@dataclass(slots=True)
+class _Step:
+    kind: str  # IR op kind whose semantics the step has, or _CROSS
+    name: str  # the op as the program spells it, for diagnostics
+    operands: tuple  # env keys: value ids in IR, register names in vISA
+    results: tuple
+    attrs: dict[str, Any]
+    shape: tuple[int, ...]  # the result's (pointee) block shape
+    elem: ElemType | None
+    is_ptr: bool
+    key: int  # id of the source op or instruction: sync points, SLM sites
+    body: list[_Step] | None
+
+
+def _decode_op(op: Operation) -> _Step:
+    kind = _CROSS if op.kind == "tt.reduce" and op.attrs.get("cross_warp", False) else op.kind
+    attrs, body = op.attrs, None
+    if op.regions:
+        region = op.regions[0]
+        body = [_decode_op(o) for o in region.ops]
+        if region.args:  # scf.for: the induction variable, then the carries
+            attrs = {"iv": id(region.args[0]), "iters": [id(a) for a in region.args[1:]]}
+    rt = op.results[0].type if op.results else None
+    tile = tile_type(rt) if rt is not None else None
+    return _Step(
+        kind, op.kind, tuple(id(v) for v in op.operands), tuple(id(r) for r in op.results), attrs,
+        tile.shape if tile else (), tile.elem if tile else None, isinstance(rt, PtrType), id(op), body,
+    )
+
+
+# IR kind of each vISA instruction, keyed on (opcode, sub-op) or on the
+# opcode alone where the sub-op does not change the semantics
+_VISA_KINDS: dict[Any, str] = {
+    VOpcode.block2d_load: "tt.load",
+    VOpcode.block2d_store: "tt.store",
+    VOpcode.mma: "tt.dot",
+    VOpcode.extract: "tt.extract",
+    VOpcode.glue: "tt.glue",
+    VOpcode.reduce_lane: "tt.reduce",
+    VOpcode.cross_warp_reduce: _CROSS,
+    VOpcode.barrier: "tt.barrier",
+    VOpcode.slm_alloc: "tt.alloc",
+    (VOpcode.mov, "const"): "arith.constant",
+    (VOpcode.mov, "pid"): "tt.get_program_id",
+    (VOpcode.mov, "wid"): "tt.warp_id",
+    (VOpcode.mov, "splat"): "tt.splat",
+    (VOpcode.mov, "expand"): "tt.expand_dims",
+    (VOpcode.mov, "bcast"): "tt.broadcast",
+    (VOpcode.alu, "mkptr"): "tt.make_tensor_ptr",
+    (VOpcode.alu, "advance"): "tt.advance",
+    (VOpcode.alu, "cvt"): "tt.convert",
+    (VOpcode.alu, "cmpi"): "arith.cmpi",
+    **{(VOpcode.alu, k.split(".", 1)[1]): k for k in ELEMENTWISE_FLOAT | ELEMENTWISE_INT},
+    (VOpcode.loop_ctl, "for"): "scf.for",
+    (VOpcode.loop_ctl, "yield"): "scf.yield",
+    (VOpcode.loop_ctl, "if"): "scf.if",
+    (VOpcode.loop_ctl, "ret"): "tt.return",
+}
+_PTR_KINDS = ("tt.make_tensor_ptr", "tt.advance", "tt.alloc")
+
+
+def _decode_vinstr(ins: VInstr) -> _Step:
+    name = ins.opcode.value + (f".{ins.op}" if ins.op else "")
+    kind = _VISA_KINDS.get((ins.opcode, ins.op)) or _VISA_KINDS.get(ins.opcode)
+    if kind is None:
+        raise SimError(f"no semantics for vISA instruction {name!r}")
+    attrs = ins.attrs
+    if kind in ("tt.reduce", _CROSS):  # vISA spells the reduce kind as the sub-op
+        attrs = {**attrs, "kind": ins.op}
+    body = None if ins.body is None else [_decode_vinstr(i) for i in ins.body]
+    is_ptr = kind in _PTR_KINDS or ins.op == "ptr"
+    return _Step(kind, name, ins.operands, ins.results, attrs, ins.shape, ins.elem, is_ptr, id(ins), body)
+
+
+def _walk(steps: list[_Step]) -> Iterator[_Step]:
+    for s in steps:
+        yield s
+        yield from _walk(s.body or [])
+
+
+# --------------------------------------------------------------------------
+# the executor and its semantics table
+
+
+def _make_ptr(s: _Step, ctx: _Ctx, a: list) -> BlockPointer:
+    r = len(s.shape)
+    nums = [x.item() for x in a[1:]]
+    return BlockPointer(
+        base=a[0],
+        global_shape=tuple(nums[:r]),
+        strides=tuple(nums[r : 2 * r]),
+        offsets=tuple(nums[2 * r :]),
+        block_shape=s.shape,
+        order=tuple(s.attrs["order"]),
+    )
+
+
+def _alloc(s: _Step, ctx: _Ctx, a: list) -> BlockPointer:
+    r = len(s.shape)
+    strides = tuple(int(np.prod(s.shape[d + 1 :], dtype=np.int64)) for d in range(r))
+    order = tuple(range(r - 1, -1, -1))
+    return BlockPointer(ctx.wg.handle(s.key), s.shape, strides, (0,) * r, s.shape, order)
+
+
+def _dot(s: _Step, ctx: _Ctx, a: list) -> TileValue:
+    x, y, c = (v.data.astype(np.float32) for v in a)
+    return TileValue(ElemType.f32, x @ y + c)
+
+
+# every step kind but control flow, barriers and cross-warp reduces; each
+# entry maps (step, context, operand values) to the result value
+_SEMANTICS: dict[str, Callable[[_Step, _Ctx, list], Any]] = {
+    "arith.constant": lambda s, ctx, a: TileValue.make(s.elem, s.attrs["value"]),
+    "tt.get_program_id": lambda s, ctx, a: TileValue.make(ElemType.i32, ctx.pid[s.attrs["axis"]]),
+    "tt.warp_id": lambda s, ctx, a: TileValue.make(ElemType.i32, ctx.warp),
+    "tt.make_tensor_ptr": _make_ptr,
+    "tt.advance": lambda s, ctx, a: a[0].advanced([x.item() for x in a[1:]]),
+    "tt.load": lambda s, ctx, a: _do_load(ctx, a[0], s.elem, s.name),
+    "tt.store": lambda s, ctx, a: _do_store(ctx, a[0], a[1], s.name),
+    "tt.dot": _dot,
+    "tt.reduce": lambda s, ctx, a: TileValue.make(a[0].elem, _reduce(s.attrs["kind"], a[0].data, s.attrs["axis"])),
+    "tt.splat": lambda s, ctx, a: TileValue.make(s.elem, np.full(s.shape, a[0].item())),
+    "tt.convert": lambda s, ctx, a: TileValue.make(s.elem, a[0].data),
+    "tt.expand_dims": lambda s, ctx, a: TileValue(a[0].elem, a[0].data.reshape(s.shape)),
+    "tt.broadcast": lambda s, ctx, a: TileValue(a[0].elem, np.broadcast_to(a[0].data, s.shape).copy()),
+    "tt.extract": lambda s, ctx, a: (_extract_ptr if s.is_ptr else _extract_tile)(a[0], s.shape, s.attrs["index"]),
+    "tt.glue": lambda s, ctx, a: _glue_tiles(a, s.shape),
+    "tt.alloc": _alloc,
+    "math.exp": lambda s, ctx, a: TileValue.make(s.elem, np.exp(a[0].data)),
+    **{k: lambda s, ctx, a, f=f: TileValue.make(s.elem, f(a[0].data, a[1].data)) for k, f in _BIN_F.items()},
+    **{k: lambda s, ctx, a, f=f: TileValue.make(ElemType.i32, f(a[0].data, a[1].data)) for k, f in _BIN_I.items()},
+    "arith.cmpi": lambda s, ctx, a: TileValue.make(ElemType.i1, _CMP[s.attrs["pred"]](a[0].data, a[1].data)),
+}
 
 _YIELD = "__yield__"
 
 
-def _exec_ir_region(region: Region, ctx: _Ctx, env: dict) -> Iterator[tuple]:
-    for op in region.ops:
-        k = op.kind
-
-        if k == "scf.for":
-            lb, ub, step = (env[id(v)].item() for v in op.operands[:3])
-            vals = [env[id(v)] for v in op.operands[3:]]
-            body = op.regions[0]
+def _exec(steps: list[_Step], ctx: _Ctx, env: dict) -> Iterator[tuple]:
+    """Run steps in one context; yields at every synchronization point."""
+    for s in steps:
+        sem = _SEMANTICS.get(s.kind)
+        if sem is not None:
+            v = sem(s, ctx, [env[k] for k in s.operands])
+            if s.results:
+                env[s.results[0]] = v
+        elif s.kind == "scf.for":
+            lb, ub, step = (env[k].item() for k in s.operands[:3])
+            if step < 1:
+                raise SimError(ctx.where(f"{s.name}: non-positive loop step {step}"))
+            vals = [env[k] for k in s.operands[3:]]
             for i in range(lb, ub, step):
-                env[id(body.args[0])] = TileValue.make(ElemType.i32, i)
-                for a, v in zip(body.args[1:], vals):
-                    env[id(a)] = v
-                yield from _exec_ir_region(body, ctx, env)
+                env[s.attrs["iv"]] = TileValue.make(ElemType.i32, i)
+                env.update(zip(s.attrs["iters"], vals))
+                yield from _exec(s.body, ctx, env)
                 vals = env.pop(_YIELD)
-            for r, v in zip(op.results, vals):
-                env[id(r)] = v
-            continue
-        if k == "scf.yield":
-            env[_YIELD] = [env[id(v)] for v in op.operands]
-            continue
-        if k == "scf.if":
-            if bool(env[id(op.operands[0])].item()):
-                yield from _exec_ir_region(op.regions[0], ctx, env)
-            continue
-        if k == "tt.return":
+            env.update(zip(s.results, vals))
+        elif s.kind == "scf.yield":
+            env[_YIELD] = [env[k] for k in s.operands]
+        elif s.kind == "scf.if":
+            if bool(env[s.operands[0]].item()):
+                yield from _exec(s.body, ctx, env)
+        elif s.kind == "tt.return":
             return
-        if k == "tt.barrier":
-            yield ("barrier", id(op), None, None, None)
-            continue
-        if k == "tt.reduce" and op.attrs.get("cross_warp", False):
-            src = env[id(op.operands[0])]
-            dst = op.attrs.get("dst_warps")
-            got = yield ("cross", id(op), op.attrs["kind"], tuple(dst) if dst else None, src)
-            env[id(op.result)] = got
-            continue
-
-        env_updates = _eval_ir_op(op, ctx, env)
-        for vid, val in env_updates:
-            env[vid] = val
-
-
-def _eval_ir_op(op: Operation, ctx: _Ctx, env: dict) -> list[tuple[int, Any]]:
-    k = op.kind
-
-    def val(i: int) -> Any:
-        return env[id(op.operands[i])]
-
-    if k == "arith.constant":
-        rt = op.results[0].type
-        return [(id(op.result), TileValue.make(rt.elem, op.attrs["value"]))]
-    if k == "tt.get_program_id":
-        return [(id(op.result), TileValue.make(ElemType.i32, ctx.pid[op.attrs["axis"]]))]
-    if k == "tt.warp_id":
-        return [(id(op.result), TileValue.make(ElemType.i32, ctx.warp))]
-    if k == "tt.make_tensor_ptr":
-        pt = op.results[0].type.pointee
-        r = pt.rank
-        nums = [env[id(v)].item() for v in op.operands[1:]]
-        bp = BlockPointer(
-            base=val(0),
-            global_shape=tuple(nums[:r]),
-            strides=tuple(nums[r : 2 * r]),
-            offsets=tuple(nums[2 * r :]),
-            block_shape=pt.shape,
-            order=tuple(op.attrs["order"]),
-        )
-        return [(id(op.result), bp)]
-    if k == "tt.advance":
-        deltas = [env[id(v)].item() for v in op.operands[1:]]
-        return [(id(op.result), val(0).advanced(deltas))]
-    if k == "tt.load":
-        return [(id(op.result), _do_load(ctx, val(0), op.results[0].type.elem, "tt.load"))]
-    if k == "tt.store":
-        _do_store(ctx, val(0), val(1), "tt.store")
-        return []
-    if k == "tt.dot":
-        a, b, c = (val(i).data.astype(np.float32) for i in range(3))
-        return [(id(op.result), TileValue(ElemType.f32, a @ b + c))]
-    if k == "tt.reduce":
-        src = val(0)
-        out = _reduce(op.attrs["kind"], src.data, op.attrs["axis"])
-        return [(id(op.result), TileValue.make(src.elem, out))]
-    if k == "tt.splat":
-        rt = op.results[0].type
-        return [(id(op.result), TileValue.make(rt.elem, np.full(rt.shape, val(0).item())))]
-    if k == "tt.convert":
-        rt = op.results[0].type
-        return [(id(op.result), TileValue.make(rt.elem, val(0).data))]
-    if k == "tt.expand_dims":
-        rt = op.results[0].type
-        return [(id(op.result), TileValue(val(0).elem, val(0).data.reshape(rt.shape)))]
-    if k == "tt.broadcast":
-        rt = op.results[0].type
-        return [(id(op.result), TileValue(val(0).elem, np.broadcast_to(val(0).data, rt.shape).copy()))]
-    if k == "tt.extract":
-        rt = op.results[0].type
-        if isinstance(rt, PtrType):
-            return [(id(op.result), _extract_ptr(val(0), rt.pointee.shape, op.attrs["index"]))]
-        return [(id(op.result), _extract_tile(val(0), rt.shape, op.attrs["index"]))]
-    if k == "tt.glue":
-        rt = op.results[0].type
-        return [(id(op.result), _glue_tiles([env[id(v)] for v in op.operands], rt.shape))]
-    if k == "tt.alloc":
-        pt = op.results[0].type.pointee
-        r = pt.rank
-        strides = tuple(int(np.prod(pt.shape[d + 1 :], dtype=np.int64)) for d in range(r))
-        order = tuple(range(r - 1, -1, -1))
-        bp = BlockPointer(ctx.wg.handle(id(op)), pt.shape, strides, (0,) * r, pt.shape, order)
-        return [(id(op.result), bp)]
-    if k in ELEMENTWISE_FLOAT:
-        rt = op.results[0].type
-        if k == "math.exp":
-            out = np.exp(val(0).data)
+        elif s.kind == "tt.barrier":
+            yield ("barrier", s.key, None, None, None)
+        elif s.kind == _CROSS:
+            dst = s.attrs.get("dst_warps")
+            src = env[s.operands[0]]
+            env[s.results[0]] = yield ("cross", s.key, s.attrs["kind"], tuple(dst) if dst else None, src)
         else:
-            out = _BIN_F[k.split(".", 1)[1]](val(0).data, val(1).data)
-        return [(id(op.result), TileValue.make(rt.elem, out))]
-    if k in ELEMENTWISE_INT:
-        out = _BIN_I[k.split(".", 1)[1]](val(0).data, val(1).data)
-        return [(id(op.result), TileValue.make(ElemType.i32, out))]
-    if k == "arith.cmpi":
-        out = _CMP[op.attrs["pred"]](val(0).data, val(1).data)
-        return [(id(op.result), TileValue.make(ElemType.i1, out))]
-    raise SimError(ctx.where(f"no interpreter for op {k!r}"))
-
-
-# --------------------------------------------------------------------------
-# VProgram interpreter
-
-
-def _exec_vm_body(instrs: list[VInstr], ctx: _Ctx, env: dict) -> Iterator[tuple]:
-    for ins in instrs:
-        oc = ins.opcode
-
-        if oc == VOpcode.loop_ctl:
-            if ins.op == "for":
-                lb, ub, step = (env[r].item() for r in ins.operands[:3])
-                vals = [env[r] for r in ins.operands[3:]]
-                for i in range(lb, ub, step):
-                    env[ins.attrs["iv"]] = TileValue.make(ElemType.i32, i)
-                    for a, v in zip(ins.attrs["iters"], vals):
-                        env[a] = v
-                    yield from _exec_vm_body(ins.body or [], ctx, env)
-                    vals = env.pop(_YIELD)
-                for r, v in zip(ins.results, vals):
-                    env[r] = v
-            elif ins.op == "yield":
-                env[_YIELD] = [env[r] for r in ins.operands]
-            elif ins.op == "if":
-                if bool(env[ins.operands[0]].item()):
-                    yield from _exec_vm_body(ins.body or [], ctx, env)
-            else:  # ret
-                return
-            continue
-        if oc == VOpcode.barrier:
-            yield ("barrier", id(ins), None, None, None)
-            continue
-        if oc == VOpcode.cross_warp_reduce:
-            dst = ins.attrs.get("dst_warps")
-            got = yield ("cross", id(ins), ins.op, tuple(dst) if dst else None, env[ins.operands[0]])
-            env[ins.results[0]] = got
-            continue
-
-        _eval_vm_instr(ins, ctx, env)
-
-
-def _eval_vm_instr(ins: VInstr, ctx: _Ctx, env: dict) -> None:
-    oc = ins.opcode
-
-    def val(i: int) -> Any:
-        return env[ins.operands[i]]
-
-    def put(v: Any) -> None:
-        env[ins.results[0]] = v
-
-    if oc == VOpcode.mov:
-        if ins.op == "const":
-            put(TileValue.make(ins.elem, ins.attrs["value"]))
-        elif ins.op == "pid":
-            put(TileValue.make(ElemType.i32, ctx.pid[ins.attrs["axis"]]))
-        elif ins.op == "wid":
-            put(TileValue.make(ElemType.i32, ctx.warp))
-        elif ins.op == "splat":
-            put(TileValue.make(ins.elem, np.full(ins.shape, val(0).item())))
-        elif ins.op == "expand":
-            put(TileValue(val(0).elem, val(0).data.reshape(ins.shape)))
-        else:  # bcast
-            put(TileValue(val(0).elem, np.broadcast_to(val(0).data, ins.shape).copy()))
-        return
-    if oc == VOpcode.alu:
-        if ins.op == "mkptr":
-            r = len(ins.shape)
-            nums = [env[x].item() for x in ins.operands[1:]]
-            put(
-                BlockPointer(
-                    base=val(0),
-                    global_shape=tuple(nums[:r]),
-                    strides=tuple(nums[r : 2 * r]),
-                    offsets=tuple(nums[2 * r :]),
-                    block_shape=ins.shape,
-                    order=tuple(ins.attrs["order"]),
-                )
-            )
-        elif ins.op == "advance":
-            put(val(0).advanced([env[x].item() for x in ins.operands[1:]]))
-        elif ins.op == "cvt":
-            put(TileValue.make(ins.elem, val(0).data))
-        elif ins.op == "cmpi":
-            put(TileValue.make(ElemType.i1, _CMP[ins.attrs["pred"]](val(0).data, val(1).data)))
-        elif ins.op == "exp":
-            put(TileValue.make(ins.elem, np.exp(val(0).data)))
-        elif ins.op in _BIN_F:
-            put(TileValue.make(ins.elem, _BIN_F[ins.op](val(0).data, val(1).data)))
-        elif ins.op in _BIN_I:
-            put(TileValue.make(ElemType.i32, _BIN_I[ins.op](val(0).data, val(1).data)))
-        else:
-            raise SimError(ctx.where(f"unknown alu op {ins.op!r}"))
-        return
-    if oc == VOpcode.block2d_load:
-        put(_do_load(ctx, val(0), ins.elem, "block2d_load"))
-        return
-    if oc == VOpcode.block2d_store:
-        _do_store(ctx, val(0), val(1), "block2d_store")
-        return
-    if oc == VOpcode.mma:
-        a, b, c = (val(i).data.astype(np.float32) for i in range(3))
-        put(TileValue(ElemType.f32, a @ b + c))
-        return
-    if oc == VOpcode.extract:
-        if ins.op == "ptr":
-            put(_extract_ptr(val(0), ins.shape, ins.attrs["index"]))
-        else:
-            put(_extract_tile(val(0), ins.shape, ins.attrs["index"]))
-        return
-    if oc == VOpcode.glue:
-        put(_glue_tiles([env[r] for r in ins.operands], ins.shape))
-        return
-    if oc == VOpcode.reduce_lane:
-        src = val(0)
-        put(TileValue.make(src.elem, _reduce(ins.op, src.data, ins.attrs["axis"])))
-        return
-    if oc == VOpcode.slm_alloc:
-        r = len(ins.shape)
-        strides = tuple(int(np.prod(ins.shape[d + 1 :], dtype=np.int64)) for d in range(r))
-        order = tuple(range(r - 1, -1, -1))
-        put(BlockPointer(ctx.wg.handle(id(ins)), ins.shape, strides, (0,) * r, ins.shape, order))
-        return
-    raise SimError(ctx.where(f"no interpreter for opcode {oc.value!r}"))
+            raise SimError(ctx.where(f"no semantics for op {s.name!r}"))
 
 
 # --------------------------------------------------------------------------
@@ -669,19 +604,6 @@ def _drive_warps(gens: list[Iterator[tuple]], ctx_list: list[_Ctx]) -> None:
 # top-level run
 
 
-def _alloc_sites_ir(fn: KernelFn) -> list[tuple[int, tuple[int, ...], ElemType]]:
-    sites = []
-    for op in walk_fn_ops(fn):
-        if op.kind == "tt.alloc":
-            pt = op.results[0].type.pointee
-            sites.append((id(op), pt.shape, pt.elem))
-    return sites
-
-
-def _alloc_sites_vm(prog: VProgram) -> list[tuple[int, tuple[int, ...], ElemType]]:
-    return [(id(i), i.shape, i.elem) for i in prog.walk() if i.opcode == VOpcode.slm_alloc]
-
-
 def _pid_list(grid: tuple[int, int, int]) -> list[tuple[int, int, int]]:
     gx, gy, gz = grid
     return [(x, y, z) for z in range(gz) for y in range(gy) for x in range(gx)]
@@ -695,50 +617,39 @@ def run(
 ) -> DeviceMemory:
     """Execute every workgroup of the launch; returns the mutated memory copy."""
     out = mem.copy()
-    is_vm = isinstance(prog, VProgram)
     name = prog.name
-    prog_warps = prog.num_warps
-    if launch.num_warps is not None and launch.num_warps != prog_warps:
-        raise SimError(f"launch num_warps={launch.num_warps} but @{name} was built for {prog_warps}")
+    if launch.num_warps is not None and launch.num_warps != prog.num_warps:
+        raise SimError(f"launch num_warps={launch.num_warps} but @{name} was built for {prog.num_warps}")
 
-    if is_vm:
+    if isinstance(prog, VProgram):
         per_warp = True
-        bindings = [(n, e) for n, e in prog.args]
-        sites = _alloc_sites_vm(prog)
+        bindings = [(f"%{bname}", bname, belem) for bname, belem in prog.args]
+        steps = [_decode_vinstr(i) for i in prog.body]
     else:
         per_warp = prog.warp_level or prog.level != "workgroup"
         bindings = []
         for a in prog.args:
             if not isinstance(a.type, PtrType) or a.type.is_block:
                 raise SimError(f"@{name}: only buffer pointer arguments are bindable, %{a.name} is {a.type}")
-            bindings.append((a.name, a.type.pointee))
-        sites = _alloc_sites_ir(prog)
+            bindings.append((id(a), a.name, a.type.pointee))
+        steps = [_decode_op(op) for op in prog.body.ops]
 
-    for bname, belem in bindings:
+    for _, bname, belem in bindings:
         if bname not in out:
             raise SimError(f"@{name}: no buffer bound for argument %{bname}")
         if out.elem_of(bname) != belem:
             raise SimError(f"@{name}: buffer {bname} holds {out.elem_of(bname)}, argument wants {belem}")
+    env = {key: bname for key, bname, _ in bindings}
+    sites = [(s.key, s.shape, s.elem) for s in _walk(steps) if s.kind == "tt.alloc"]
 
     pids = _pid_list(launch.grid)
     order = launch.wg_order if launch.wg_order is not None else tuple(range(len(pids)))
     if sorted(order) != list(range(len(pids))):
         raise SimError(f"wg_order must be a permutation of 0..{len(pids) - 1}")
 
-    n_ctx = prog_warps if per_warp else 1
     for wg_index in order:
-        pid = pids[wg_index]
         wg = _Workgroup(sites, launch.slm_budget, f"@{name} wg={wg_index}")
-        gens = []
-        ctxs = []
-        for w in range(n_ctx):
-            ctx = _Ctx(out, wg, pid, w, wg_index, trace, name)
-            if is_vm:
-                env: dict = {f"%{bname}": bname for bname, _ in bindings}
-                gens.append(_exec_vm_body(prog.body, ctx, env))
-            else:
-                env = {id(a): a.name for a in prog.args}
-                gens.append(_exec_ir_region(prog.body, ctx, env))
-            ctxs.append(ctx)
-        _drive_warps(gens, ctxs)
+        ctxs = [_Ctx(out, wg, pids[wg_index], w, wg_index, trace, name)
+                for w in range(prog.num_warps if per_warp else 1)]
+        _drive_warps([_exec(steps, ctx, dict(env)) for ctx in ctxs], ctxs)
     return out

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from tilec.ir import ElemType, FunctionBuilder, PtrType
-from tilec.kernels import build, make_problem, suite
+from tilec.kernels import kernel_text, make_problem, suite
 from tilec.oracle import philox, rand_f16
 from tilec.passes import compile_kernel
 from tilec.sim import (
@@ -18,6 +18,8 @@ from tilec.sim import (
     load_tensor,
     run,
 )
+from tilec.textio import parse_module
+from tilec.visa import VInstr, VOpcode, VProgram
 
 F16 = ElemType.f16
 F32 = ElemType.f32
@@ -54,9 +56,11 @@ def test_tensor_file_roundtrip(tmp_path):
 
 def test_tensor_file_rejects_garbage(tmp_path):
     p = tmp_path / "bad.tnsr"
-    p.write_bytes(b"NOPE" + b"\x00" * 16)
-    with pytest.raises(ValueError):
-        load_tensor(str(p))
+    # wrong magic; then a rank-3 header with no dims after it
+    for blob in (b"NOPE" + b"\x00" * 16, b"TTNS" + bytes([1, 0, 3, 0])):
+        p.write_bytes(blob)
+        with pytest.raises(ValueError):
+            load_tensor(str(p))
 
 
 def test_launch_config_validation():
@@ -153,10 +157,20 @@ def test_trace_records_accesses():
     assert all(s.block == (16, 8) and s.base == "O" for s in trace.stores)
 
 
-def test_visa_program_runs_like_ir():
-    fx = suite()["paged_wg"]
-    prob = make_problem(fx)
-    res = compile_kernel(build("paged_wg"))
-    ir_out = run(res.at_level("intrinsic"), prob.launch, prob.mem)
-    vm_out = run(res.vprog, prob.launch, prob.mem)
-    assert vm_out.equal_bits(ir_out)
+@pytest.mark.parametrize("step", [0, -1])
+@pytest.mark.parametrize("level", ["workgroup", "visa"])
+def test_non_positive_loop_step_rejected(level, step):
+    text = kernel_text("paged_wg").replace(
+        "  %6 = tt.make_tensor_ptr",
+        f"  %step = arith.constant {{value = {step}}} : () -> i32\n  %6 = tt.make_tensor_ptr",
+    ).replace("step %1 iter_args", "step %step iter_args")
+    res = compile_kernel(parse_module(text).get("paged_wg"))
+    prob = make_problem(suite()["paged_wg"])
+    with pytest.raises(SimError, match=rf"@paged_wg wg=0 .*for: non-positive loop step {step}$"):
+        run(res.at_level(level), prob.launch, prob.mem)
+
+
+def test_unmapped_visa_instruction_rejected_at_decode():
+    body = [VInstr(VOpcode.loop_ctl, "ret"), VInstr(VOpcode.alu, "frobnicate", ("%0",))]
+    with pytest.raises(SimError, match="alu.frobnicate"):
+        run(VProgram("bogus", (), 1, "simt", 16, body), LaunchConfig(), DeviceMemory())
