@@ -121,7 +121,7 @@ def _compile(fn: KernelFn, args, target: TargetConfig, to_level: str) -> Compile
     return compile_kernel(fn, target=target, to_level=to_level, hints=_parse_hints(args.hint))
 
 
-def _memory_for(fn: KernelFn, fx: kernels.Fixture | None, args) -> tuple[DeviceMemory, kernels.Problem | None]:
+def _memory_for(fn: KernelFn, fx: kernels.Fixture | None, args) -> DeviceMemory:
     if args.input:
         mem = DeviceMemory()
         for item in args.input:
@@ -133,11 +133,10 @@ def _memory_for(fn: KernelFn, fx: kernels.Fixture | None, args) -> tuple[DeviceM
         missing = [a.name for a in fn.args if isinstance(a.type, PtrType) and a.name not in mem]
         if missing:
             raise UsageError(f"no --input for buffer(s): {', '.join(missing)}")
-        return mem, None
+        return mem
     if fx is None:
         raise UsageError("path kernels need --input NAME=PATH for every buffer")
-    prob = kernels.make_problem(fx, seed=args.seed)
-    return prob.mem, prob
+    return kernels.make_problem(fx, seed=args.seed).mem
 
 
 def _launch(fx: kernels.Fixture | None, args, target: TargetConfig) -> LaunchConfig:
@@ -185,8 +184,7 @@ def cmd_run(args) -> int:
     fn, fx, stem = _resolve_kernel(args.kernel)
     target = _load_target(args)
     prog = _compile(fn, args, target, args.level).at_level(args.level)
-    mem, _ = _memory_for(fn, fx, args)
-    out = run(prog, _launch(fx, args, target), mem)
+    out = run(prog, _launch(fx, args, target), _memory_for(fn, fx, args))
     out_dir = _dump_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in sorted(out.names()):
@@ -200,11 +198,12 @@ def cmd_check(args) -> int:
     fn, fx, _ = _resolve_kernel(args.kernel)
     if fx is None:
         raise UsageError("check needs a suite fixture (path kernels have no registered oracle)")
+    if args.input:
+        raise UsageError("check runs the fixture on its generated inputs, which the oracle knows; --input is for run")
     target = _load_target(args)
     prog = _compile(fn, args, target, args.level).at_level(args.level)
-    mem, prob = _memory_for(fn, fx, args)
-    assert prob is not None
-    out = run(prog, _launch(fx, args, target), mem)
+    prob = kernels.make_problem(fx, seed=args.seed)
+    out = run(prog, _launch(fx, args, target), prob.mem)
     failed = False
     for name, want in prob.expected.items():
         err = rel_max_err(out.tensor(name), want)
@@ -233,10 +232,7 @@ def main(argv: list[str] | None = None) -> int:
             raise UsageError(f"--seed must be at least 0, got {args.seed}")
         verb = {"compile": cmd_compile, "run": cmd_run, "check": cmd_check, "stats": cmd_stats}[args.verb]
         return verb(args)
-    except UsageError as e:
-        print(f"usage error: {e}", file=sys.stderr)
-        return 3
-    except FileNotFoundError as e:
+    except (UsageError, OSError) as e:  # OSError: a path that cannot be read, e.g. a directory
         print(f"usage error: {e}", file=sys.stderr)
         return 3
     except (ParseError, VerifyError, PassError, LayoutError, LoweringError, SimError, ValueError) as e:

@@ -5,12 +5,13 @@ logical context per workgroup, warp- and intrinsic-level IR (and lowered
 VPrograms) run one context per warp.
 
 Each run first decodes the program into one step form.  An IR op decodes to
-a step of its own kind; a vISA instruction decodes through one table keyed
-on its opcode and sub-op to the IR kind whose semantics it has, and keeps
-its own name for diagnostics.  One executor then runs the steps: it handles
-loops, branches, return, barriers and cross-warp reductions itself and looks
-every other kind up in one semantics table, so an op and the instruction it
-lowers to run the same code.
+a step of its own kind; a vISA instruction decodes to the IR kind whose
+semantics it has by reading the lowering table ``visa.LOWERING`` backwards,
+on its opcode and sub-op, and keeps its own name for diagnostics.  One
+executor then runs the steps: it handles loops, branches, return, barriers
+and cross-warp reductions itself and looks every other kind up in one
+semantics table, so an op and the instruction it lowers to run the same
+code.
 
 Warps execute serially in ascending
 warp-id order between synchronization points; barriers and cross-warp
@@ -32,8 +33,6 @@ from typing import Any, Callable, Iterator
 import numpy as np
 
 from .ir import (
-    ELEMENTWISE_FLOAT,
-    ELEMENTWISE_INT,
     BlockPointer,
     ElemType,
     KernelFn,
@@ -41,7 +40,7 @@ from .ir import (
     PtrType,
     tile_type,
 )
-from .visa import TargetConfig, VInstr, VOpcode, VProgram
+from .visa import CROSS_WARP_REDUCE, LOWERING, TargetConfig, VInstr, VProgram
 
 
 class SimError(RuntimeError):
@@ -365,7 +364,7 @@ def _reduce(kind: str, data: np.ndarray, axis: int) -> np.ndarray:
 # --------------------------------------------------------------------------
 # step form: what both program forms decode to
 
-_CROSS = "cross_warp_reduce"  # the one step kind that is not an IR op kind
+_CROSS = CROSS_WARP_REDUCE  # the one step kind that is not an IR op kind
 
 
 @dataclass(slots=True)
@@ -398,35 +397,11 @@ def _decode_op(op: Operation) -> _Step:
     )
 
 
-# IR kind of each vISA instruction, keyed on (opcode, sub-op) or on the
-# opcode alone where the sub-op does not change the semantics
-_VISA_KINDS: dict[Any, str] = {
-    VOpcode.block2d_load: "tt.load",
-    VOpcode.block2d_store: "tt.store",
-    VOpcode.mma: "tt.dot",
-    VOpcode.extract: "tt.extract",
-    VOpcode.glue: "tt.glue",
-    VOpcode.reduce_lane: "tt.reduce",
-    VOpcode.cross_warp_reduce: _CROSS,
-    VOpcode.barrier: "tt.barrier",
-    VOpcode.slm_alloc: "tt.alloc",
-    (VOpcode.mov, "const"): "arith.constant",
-    (VOpcode.mov, "pid"): "tt.get_program_id",
-    (VOpcode.mov, "wid"): "tt.warp_id",
-    (VOpcode.mov, "splat"): "tt.splat",
-    (VOpcode.mov, "expand"): "tt.expand_dims",
-    (VOpcode.mov, "bcast"): "tt.broadcast",
-    (VOpcode.alu, "mkptr"): "tt.make_tensor_ptr",
-    (VOpcode.alu, "advance"): "tt.advance",
-    (VOpcode.alu, "cvt"): "tt.convert",
-    (VOpcode.alu, "cmpi"): "arith.cmpi",
-    **{(VOpcode.alu, k.split(".", 1)[1]): k for k in ELEMENTWISE_FLOAT | ELEMENTWISE_INT},
-    (VOpcode.loop_ctl, "for"): "scf.for",
-    (VOpcode.loop_ctl, "yield"): "scf.yield",
-    (VOpcode.loop_ctl, "if"): "scf.if",
-    (VOpcode.loop_ctl, "ret"): "tt.return",
-}
-_PTR_KINDS = ("tt.make_tensor_ptr", "tt.advance", "tt.alloc")
+# the lowering table read backwards: the IR kind of each vISA instruction,
+# keyed on (opcode, sub-op), or on the opcode alone where the row leaves
+# the sub-op empty
+_VISA_KINDS: dict[Any, str] = {(r.opcode, r.op) if r.op else r.opcode: k for k, r in LOWERING.items()}
+_PTR_KINDS = {k for k, r in LOWERING.items() if r.width == "addr"}
 
 
 def _decode_vinstr(ins: VInstr) -> _Step:

@@ -2,8 +2,11 @@
 
 The mapping is mechanical and 1-to-1: every IR operation becomes exactly one
 virtual instruction (loop control included), so structural counts carry over.
-What the lowering adds is vector-width selection: in SIMT style widths are
-per lane (block elements divided by threadsPerWarp), in SIMD style per warp.
+One table, ``LOWERING``, names for each IR kind the opcode, sub-op, width
+rule and mnemonic; the lowering reads it forwards and the simulator's
+decoder backwards.  What the lowering adds is vector-width selection: in
+SIMT style widths are per lane (block elements divided by threadsPerWarp),
+in SIMD style per warp.
 f16 data is packed two-per-32-bit-unit when the target is SIMD or when the
 value feeds the B side of an MMA, mirroring the hardware's operand formats,
 so displayed widths are in register units (v64i16, v32i32, ...) while the
@@ -15,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any
+from typing import Any, NamedTuple
 
 from .ir import (
     ELEMENTWISE_FLOAT,
@@ -25,8 +28,8 @@ from .ir import (
     Operation,
     PtrType,
     Region,
-    TensorType,
     Value,
+    tile_type,
     walk_fn_ops,
 )
 
@@ -169,7 +172,7 @@ _UNIT_BYTES = {"i16": 2, "i32": 4, "f16": 2, "f32": 4}
 def _unit_name(elem: ElemType, pack: int, as_bits: bool) -> str:
     if pack == 2:
         return "i32"
-    if as_bits:
+    if as_bits or elem == ElemType.i1:  # i1 has no register unit of its own
         return {"f16": "i16", "f32": "i32", "i32": "i32", "i1": "i16"}[elem.value]
     return elem.value
 
@@ -205,6 +208,57 @@ def _view_width(numel: int, elem: ElemType, packed: bool, target: TargetConfig):
 
 # --------------------------------------------------------------------------
 # lowering
+
+CROSS_WARP_REDUCE = "cross_warp_reduce"  # the table key of the cross-warp tt.reduce form
+_IR_ONLY_ATTRS = ("kind", "cross_warp", "tiling")
+
+
+class Lowering(NamedTuple):
+    """One row of the IR-op to vISA table.
+
+    ``width`` names the rule for the register width: ``bits`` and ``typed``
+    are lane-distributed execution over raw bits or typed units, ``view`` a
+    register view, ``addr`` one address register, ``scalar`` one scalar
+    register, ``none`` no register at all.  ``mnemonic`` is one string or a
+    (simt, simd) pair.
+    """
+
+    opcode: VOpcode
+    op: str
+    width: str
+    mnemonic: str | tuple[str, str]
+
+
+# The lowering reads this table forwards and the simulator backwards, so no
+# two rows may share an (opcode, op) pair.  An empty op keys the opcode
+# alone, which leaves the instruction free to fill it (a reduce's kind, a
+# pointer extract's "ptr").
+LOWERING: dict[str, Lowering] = {
+    "tt.load": Lowering(VOpcode.block2d_load, "", "bits", ("2DBlockRead", "load2d.stateless")),
+    "tt.store": Lowering(VOpcode.block2d_store, "", "bits", ("2DBlockWrite", "store2d.stateless")),
+    "tt.dot": Lowering(VOpcode.mma, "", "typed", ("dpas", "dpas2")),  # stem of the composed mnemonic
+    "tt.extract": Lowering(VOpcode.extract, "", "view", "subregister"),
+    "tt.glue": Lowering(VOpcode.glue, "", "view", "subregister"),
+    "tt.reduce": Lowering(VOpcode.reduce_lane, "", "typed", "lane_shuffle_reduce"),
+    CROSS_WARP_REDUCE: Lowering(VOpcode.cross_warp_reduce, "", "view", "slm_reduce"),
+    "tt.barrier": Lowering(VOpcode.barrier, "", "none", "slm_fence"),
+    "tt.alloc": Lowering(VOpcode.slm_alloc, "", "addr", "slm_alloc"),
+    "tt.make_tensor_ptr": Lowering(VOpcode.alu, "mkptr", "addr", "addr"),
+    "tt.advance": Lowering(VOpcode.alu, "advance", "addr", "addr"),
+    "tt.get_program_id": Lowering(VOpcode.mov, "pid", "scalar", "r0_header"),
+    "tt.warp_id": Lowering(VOpcode.mov, "wid", "scalar", "sr0_subgroup"),
+    "arith.constant": Lowering(VOpcode.mov, "const", "scalar", "imm"),
+    "tt.splat": Lowering(VOpcode.mov, "splat", "typed", "broadcast_fill"),
+    "tt.expand_dims": Lowering(VOpcode.mov, "expand", "view", "region_view"),
+    "tt.broadcast": Lowering(VOpcode.mov, "bcast", "view", "region_view"),
+    "tt.convert": Lowering(VOpcode.alu, "cvt", "typed", "mov_rnd"),
+    **{k: Lowering(VOpcode.alu, k.split(".", 1)[1], "typed", "vec_alu") for k in ELEMENTWISE_FLOAT | ELEMENTWISE_INT},
+    "arith.cmpi": Lowering(VOpcode.alu, "cmpi", "scalar", "cmp"),
+    "scf.for": Lowering(VOpcode.loop_ctl, "for", "none", "loop"),
+    "scf.yield": Lowering(VOpcode.loop_ctl, "yield", "none", "loop"),
+    "scf.if": Lowering(VOpcode.loop_ctl, "if", "none", "branch"),
+    "tt.return": Lowering(VOpcode.loop_ctl, "ret", "none", "eot"),
+}
 
 
 def _feeds_dot_b(fn: KernelFn) -> set[int]:
@@ -271,158 +325,69 @@ class _Lowerer:
     def lower_region(self, region: Region) -> list[VInstr]:
         return [self.lower_op(op) for op in region.ops]
 
-    # helpers -------------------------------------------------------------
-    def _exec_widths(self, t: TensorType, packed: bool, as_bits: bool):
-        return _width(t.numel, t.elem, packed, self.target, as_bits)
-
-    def _check_load_shape(self, t: TensorType, what: str) -> None:
-        ml = self.target.max_load
-        lim = ml if t.rank == 2 else (ml[1],)
-        if any(d > m for d, m in zip(t.shape, lim)):
-            raise LoweringError(f"@{self.fn.name}: {what} block {t.shape} exceeds max load {ml}")
+    def _widths(self, op: Operation, rule: str):
+        """(shape, elem, vector_len, unit, unit_bytes, lane_distributed) by a row's width rule."""
+        if rule == "none":
+            return (), None, 0, "", 0, False
+        t = tile_type((op.results[0] if op.results else op.operands[1]).type)  # a store: the stored value
+        if rule == "addr":
+            return t.shape, t.elem, 1, "i32", 4, False
+        if rule == "scalar":
+            unit = _unit_name(t.elem, 1, False)
+            return t.shape, t.elem, 1, unit, _UNIT_BYTES[unit], False
+        src = op.operands[0].type if op.kind == "tt.reduce" else t  # a reduce is as wide as its source
+        # only loads and register views define registers in the MMA B-operand format
+        packed = op.kind in ("tt.load", "tt.extract", "tt.glue") and id(op.results[0]) in self.packed
+        if rule == "view":
+            return (t.shape, t.elem, *_view_width(src.numel, src.elem, packed, self.target))
+        return (t.shape, t.elem, *_width(src.numel, src.elem, packed, self.target, rule == "bits"))
 
     def lower_op(self, op: Operation) -> VInstr:
         k = op.kind
-        t = self.target
-        res = tuple(self.new_reg(r) for r in op.results) if k != "scf.for" else ()
-        # scf.for names its results after the body so iter regs print in order
-        opnd = tuple(self.reg(v) for v in op.operands) if k != "scf.for" else ()
+        row = LOWERING.get(CROSS_WARP_REDUCE if k == "tt.reduce" and op.attrs.get("cross_warp", False) else k)
+        if row is None:
+            raise LoweringError(f"@{self.fn.name}: no lowering for op {k!r}")
+        opcode, sub, rule, mn = row
+        opnd = tuple(self.reg(v) for v in op.operands)
+        attrs = {a: v for a, v in op.attrs.items() if a not in _IR_ONLY_ATTRS}
+        body = None
+        if op.regions:  # body registers before results, so a loop's iter regs print in order
+            region = op.regions[0]
+            if region.args:
+                attrs["iv"] = self.new_reg(region.args[0])
+                attrs["iters"] = [self.new_reg(a) for a in region.args[1:]]
+            body = self.lower_region(region)
+        res = tuple(self.new_reg(r) for r in op.results)
+        if isinstance(mn, tuple):
+            mn = mn[self.target.style == "simd"]
 
-        if k == "tt.load":
-            tt = op.results[0].type
-            self._check_load_shape(tt, "load")
-            vl, unit, ub, lane = self._exec_widths(tt, id(op.results[0]) in self.packed, True)
-            mn = "2DBlockRead" if t.style == "simt" else "load2d.stateless"
-            return VInstr(VOpcode.block2d_load, "", res, opnd, {}, tt.shape, tt.elem, vl, unit, ub, lane, mn)
-        if k == "tt.store":
-            tt = op.operands[1].type
-            self._check_load_shape(tt, "store")
-            vl, unit, ub, lane = self._exec_widths(tt, False, True)
-            mn = "2DBlockWrite" if t.style == "simt" else "store2d.stateless"
-            return VInstr(VOpcode.block2d_store, "", res, opnd, {}, tt.shape, tt.elem, vl, unit, ub, lane, mn)
-        if k == "tt.dot":
-            ta, tb, tc = (v.type for v in op.operands)
-            m, kk = ta.shape
-            n = tb.shape[1]
-            mm, mn_, mk = t.max_dot
+        if k in ("tt.load", "tt.store"):
+            t, ml = (op.results[0] if op.results else op.operands[1]).type, self.target.max_load
+            if any(d > m for d, m in zip(t.shape, ml if t.rank == 2 else ml[1:])):
+                raise LoweringError(f"@{self.fn.name}: {k[3:]} block {t.shape} exceeds max load {ml}")
+        elif k == "tt.reduce":
+            sub = op.attrs["kind"]
+        elif k == "tt.extract" and isinstance(op.results[0].type, PtrType):
+            sub, rule, mn = "ptr", "addr", "subview"
+        elif k == "tt.alloc":
+            tt = op.results[0].type.pointee
+            attrs["bytes"] = tt.numel * tt.elem.nbytes
+            self.slm_used += attrs["bytes"]
+        elif k == "tt.dot":
+            ta, tb = op.operands[0].type, op.operands[1].type
+            (m, kk), n = ta.shape, tb.shape[1]
+            mm, mn_, mk = self.target.max_dot
             if m > mm or n != mn_ or kk != mk:
                 raise LoweringError(
                     f"@{self.fn.name}: mma {m}x{n}x{kk} violates max dot "
                     f"{mm}x{mn_}x{mk} (m may be smaller, n and k must match)"
                 )
-            vl, unit, ub, lane = self._exec_widths(tc, False, False)
-            va, ua, _, _ = self._exec_widths(ta, id(op.operands[0]) in self.packed, True)
-            vb, ubn, _, _ = self._exec_widths(tb, id(op.operands[1]) in self.packed, True)
-            stem = "dpas" if t.style == "simt" else "dpas2"
-            mn = f"{stem}.v{vl}{unit}.v{va}{ua}.v{vb}{ubn}"
-            return VInstr(VOpcode.mma, "", res, opnd, {}, tc.shape, tc.elem, vl, unit, ub, lane, mn)
-        if k == "tt.extract":
-            rt = op.results[0].type
-            if isinstance(rt, PtrType):
-                tt = rt.pointee
-                return VInstr(
-                    VOpcode.extract, "ptr", res, opnd, {"index": op.attrs["index"]},
-                    tt.shape, tt.elem, 1, "i32", 4, False, "subview",
-                )
-            vl, unit, ub, lane = _view_width(rt.numel, rt.elem, id(op.results[0]) in self.packed, t)
-            return VInstr(
-                VOpcode.extract, "", res, opnd, {"index": op.attrs["index"]},
-                rt.shape, rt.elem, vl, unit, ub, lane, "subregister",
-            )
-        if k == "tt.glue":
-            rt = op.results[0].type
-            vl, unit, ub, lane = _view_width(rt.numel, rt.elem, id(op.results[0]) in self.packed, t)
-            return VInstr(VOpcode.glue, "", res, opnd, {}, rt.shape, rt.elem, vl, unit, ub, lane, "subregister")
-        if k == "tt.reduce":
-            st = op.operands[0].type
-            if op.attrs.get("cross_warp", False):
-                vl, unit, ub, _ = _view_width(st.numel, st.elem, False, t)
-                attrs: dict[str, Any] = {}
-                if op.attrs.get("dst_warps") is not None:
-                    attrs["dst_warps"] = list(op.attrs["dst_warps"])
-                return VInstr(
-                    VOpcode.cross_warp_reduce, op.attrs["kind"], res, opnd, attrs,
-                    st.shape, st.elem, vl, unit, ub, False, "slm_reduce",
-                )
-            vl, unit, ub, lane = self._exec_widths(st, False, False)
-            return VInstr(
-                VOpcode.reduce_lane, op.attrs["kind"], res, opnd, {"axis": op.attrs["axis"]},
-                op.results[0].type.shape, st.elem, vl, unit, ub, lane, "lane_shuffle_reduce",
-            )
-        if k == "tt.barrier":
-            return VInstr(VOpcode.barrier, "", res, opnd, {}, (), None, 0, "", 0, False, "slm_fence")
-        if k == "tt.alloc":
-            tt = op.results[0].type.pointee
-            nbytes = tt.numel * tt.elem.nbytes
-            self.slm_used += nbytes
-            return VInstr(
-                VOpcode.slm_alloc, "", res, opnd, {"bytes": nbytes},
-                tt.shape, tt.elem, 1, "i32", 4, False, "slm_alloc",
-            )
-        if k == "tt.make_tensor_ptr":
-            tt = op.results[0].type.pointee
-            return VInstr(
-                VOpcode.alu, "mkptr", res, opnd, {"order": list(op.attrs["order"])},
-                tt.shape, tt.elem, 1, "i32", 4, False, "addr",
-            )
-        if k == "tt.advance":
-            tt = op.results[0].type.pointee
-            return VInstr(VOpcode.alu, "advance", res, opnd, {}, tt.shape, tt.elem, 1, "i32", 4, False, "addr")
-        if k == "tt.get_program_id":
-            return VInstr(
-                VOpcode.mov, "pid", res, opnd, {"axis": op.attrs["axis"]},
-                (), ElemType.i32, 1, "i32", 4, False, "r0_header",
-            )
-        if k == "tt.warp_id":
-            return VInstr(VOpcode.mov, "wid", res, opnd, {}, (), ElemType.i32, 1, "i32", 4, False, "sr0_subgroup")
-        if k == "arith.constant":
-            rt = op.results[0].type
-            return VInstr(
-                VOpcode.mov, "const", res, opnd, {"value": op.attrs["value"]},
-                (), rt.elem, 1, _unit_name(rt.elem, 1, False), rt.elem.nbytes, False, "imm",
-            )
-        if k == "tt.splat":
-            rt = op.results[0].type
-            vl, unit, ub, lane = self._exec_widths(rt, False, False)
-            return VInstr(VOpcode.mov, "splat", res, opnd, {}, rt.shape, rt.elem, vl, unit, ub, lane, "broadcast_fill")
-        if k in ("tt.expand_dims", "tt.broadcast"):
-            rt = op.results[0].type
-            sub = "expand" if k == "tt.expand_dims" else "bcast"
-            vl, unit, ub, lane = _view_width(rt.numel, rt.elem, False, t)
-            attrs = {"axis": op.attrs["axis"]} if k == "tt.expand_dims" else {}
-            return VInstr(VOpcode.mov, sub, res, opnd, attrs, rt.shape, rt.elem, vl, unit, ub, lane, "region_view")
-        if k == "tt.convert":
-            rt = op.results[0].type
-            vl, unit, ub, lane = self._exec_widths(rt, False, False)
-            return VInstr(VOpcode.alu, "cvt", res, opnd, {}, rt.shape, rt.elem, vl, unit, ub, lane, "mov_rnd")
-        if k in ELEMENTWISE_FLOAT or k in ELEMENTWISE_INT:
-            rt = op.results[0].type
-            vl, unit, ub, lane = self._exec_widths(rt, False, False)
-            return VInstr(VOpcode.alu, k.split(".", 1)[1], res, opnd, {}, rt.shape, rt.elem, vl, unit, ub, lane, "vec_alu")
-        if k == "arith.cmpi":
-            return VInstr(
-                VOpcode.alu, "cmpi", res, opnd, {"pred": op.attrs["pred"]},
-                (), ElemType.i1, 1, "i16", 2, False, "cmp",
-            )
-        if k == "scf.for":
-            body_region = op.regions[0]
-            opnd = tuple(self.reg(v) for v in op.operands)
-            iv = self.new_reg(body_region.args[0])
-            iters = tuple(self.new_reg(a) for a in body_region.args[1:])
-            body = self.lower_region(body_region)
-            res = tuple(self.new_reg(r) for r in op.results)
-            return VInstr(
-                VOpcode.loop_ctl, "for", res, opnd, {"iv": iv, "iters": list(iters)},
-                (), None, 0, "", 0, False, "loop", body,
-            )
-        if k == "scf.yield":
-            return VInstr(VOpcode.loop_ctl, "yield", res, opnd, {}, (), None, 0, "", 0, False, "loop")
-        if k == "scf.if":
-            body = self.lower_region(op.regions[0])
-            return VInstr(VOpcode.loop_ctl, "if", res, opnd, {}, (), None, 0, "", 0, False, "branch", body)
-        if k == "tt.return":
-            return VInstr(VOpcode.loop_ctl, "ret", res, opnd, {}, (), None, 0, "", 0, False, "eot")
-        raise LoweringError(f"@{self.fn.name}: no lowering for op {k!r}")
+        widths = self._widths(op, rule)
+        if k == "tt.dot":  # result, a and b widths; a and b as raw bits
+            wa = _width(ta.numel, ta.elem, id(op.operands[0]) in self.packed, self.target, True)
+            wb = _width(tb.numel, tb.elem, id(op.operands[1]) in self.packed, self.target, True)
+            mn = f"{mn}.v{widths[2]}{widths[3]}.v{wa[0]}{wa[1]}.v{wb[0]}{wb[1]}"
+        return VInstr(opcode, sub, res, opnd, attrs, *widths, mn, body)
 
 
 def lower(fn: KernelFn, target: TargetConfig) -> VProgram:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -147,6 +149,15 @@ def test_usage_errors_exit_3(capsys):
     assert main(["run", "paged_wg", "--num-warps", "0"]) == 3
     assert main(["run", "paged_wg", "--num-warps", "-2"]) == 3
     assert main(["check", "paged_wg", "--seed", "-1"]) == 3
+    inputs = []
+    for arg in load_fixture("paged_wg").args:
+        dump_tensor(f"{arg.name}.tnsr", np.zeros((1, 64), np.float32), F16)
+        inputs += ["--input", f"{arg.name}={arg.name}.tnsr"]
+    assert main(["check", "paged_wg", *inputs]) == 3  # the oracle knows only generated inputs
+    Path("adir").mkdir()
+    assert main(["run", "paged_wg", "--input", "Q=adir"]) == 3
+    assert main(["compile", "gemm_256", "--target", "adir"]) == 3
+    assert main(["compile", "adir"]) == 3
     capsys.readouterr()
 
 

@@ -2,9 +2,9 @@
 
 Each config is a suite fixture, a lowering style and at most one tiling
 hint.  For every config that compiles, the sha256 of the printed layouts,
-distribute and match stages and of the disassembled vISA must equal the
-digests in ``snapshots.json``; the configs that do not compile must keep
-raising the same diagnostic.  A change meant to alter the output rewrites
+distribute and match stages, of the disassembled vISA and of every
+``VInstr`` field must equal the digests in ``snapshots.json``; the configs
+that do not compile must keep raising the same diagnostic.  A change meant to alter the output rewrites
 the file with ``PYTHONPATH=src python tests/test_snapshots.py``.
 """
 
@@ -57,6 +57,12 @@ def _digests(config: str) -> dict[str, str]:
     texts = {stage: print_module(KernelModule([getattr(res, stage)]))
              for stage in ("layouts", "distribute", "match")}
     texts["vasm"] = disassemble(res.vprog)
+    # the vasm text omits unit_bytes, lane_distributed and a loop's shape/elem
+    texts["vinstr"] = "\n".join(repr((
+        i.opcode.value, i.op, i.results, i.operands, sorted(i.attrs.items()), i.shape,
+        i.elem and i.elem.value, i.vector_len, i.unit, i.unit_bytes, i.lane_distributed,
+        i.mnemonic, i.body is not None,
+    )) for i in res.vprog.walk())
     return {stage: hashlib.sha256(t.encode()).hexdigest() for stage, t in texts.items()}
 
 

@@ -8,9 +8,11 @@ from importlib.resources import files
 import pytest
 
 from conftest import flat_instrs
+from tilec.ir import FunctionBuilder
 from tilec.kernels import build
 from tilec.passes import compile_kernel
 from tilec.visa import (
+    LOWERING,
     PVC,
     LoweringError,
     Stats,
@@ -61,6 +63,20 @@ def test_lower_requires_intrinsic_level():
     res = compile_kernel(build("gemm_256"), to_level="warp")
     with pytest.raises(LoweringError):
         lower(res.distribute, PVC)
+
+
+def test_lowering_table_inverts():
+    # the simulator decodes an instruction by its (opcode, op) pair
+    pairs = [(row.opcode, row.op) for row in LOWERING.values()]
+    assert len(set(pairs)) == len(pairs)
+
+
+def test_unknown_op_has_no_lowering():
+    fb = FunctionBuilder("bogus", [], level="intrinsic")
+    fb.op("tt.bogus")
+    fb.ret()
+    with pytest.raises(LoweringError, match="@bogus: no lowering for op 'tt.bogus'"):
+        lower(fb.build(), PVC)
 
 
 def test_gemm_mnemonics(gemm_compiled):
