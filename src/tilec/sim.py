@@ -9,9 +9,14 @@ a step of its own kind; a vISA instruction decodes to the IR kind whose
 semantics it has by reading the lowering table ``visa.LOWERING`` backwards,
 on its opcode and sub-op, and keeps its own name for diagnostics.  One
 executor then runs the steps: it handles loops, branches, return, barriers
-and cross-warp reductions itself and looks every other kind up in one
-semantics table, so an op and the instruction it lowers to run the same
-code.
+and cross-warp reductions itself and calls, for every other kind, the
+function of one semantics table, so an op and the instruction it lowers to
+run the same code.  Decoding works out everything that needs no runtime
+value: each step's semantics function, and the slices an extract reads or a glue writes,
+from the operand's static shape (its IR type, or the shape of the
+instruction that defined the vISA register).  Once per run, each distinct
+(block shape, strides) pair gets a grid of flat offsets, so a load or store
+adds its base offset to the grid and bounds-checks the grid's extremes.
 
 Warps execute serially in ascending
 warp-id order between synchronization points; barriers and cross-warp
@@ -20,14 +25,16 @@ every run bit-reproducible and independent of workgroup scheduling order.
 
 Tile data lives in numpy arrays: f16 tiles are stored as f32 values rounded
 to f16 precision after every producing operation, f32 as f32, i32/i1 as
-int32/bool.  Block pointers address flat buffers through explicit strides,
+int32/bool.  Tiles are never written in place, so an extract is a view of
+its operand; only device and SLM buffers, and a glue's fresh result, are
+written.  Block pointers address flat buffers through explicit strides,
 and every access is bounds-checked.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Any, Callable, Iterator
 
 import numpy as np
@@ -238,6 +245,7 @@ class _Ctx:
     wg_index: int
     trace: RunTrace | None
     fn_name: str
+    grids: dict[tuple, tuple[np.ndarray, int, int]]  # _relative_grid by (block_shape, strides), for one run()
 
     def where(self, what: str) -> str:
         return f"@{self.fn_name} wg={self.wg_index} pid={self.pid} warp={self.warp} {what}"
@@ -247,60 +255,62 @@ class _Ctx:
 # block pointer access
 
 
-def _resolve_base(ctx: _Ctx, base: Any, where: str) -> tuple[ElemType, np.ndarray]:
+def _resolve_base(ctx: _Ctx, base: Any, what: str) -> tuple[ElemType, np.ndarray]:
     if isinstance(base, str):
         if base in ctx.wg.slm:
             return ctx.wg.slm[base]
         if base in ctx.mem:
             return ctx.mem.elem_of(base), ctx.mem.raw(base)
-    raise SimError(f"unknown buffer {base!r} ({where})")
+    raise SimError(f"unknown buffer {base!r} ({ctx.where(what)})")
 
 
-def _flat_indices(bp: BlockPointer) -> np.ndarray:
-    r = len(bp.block_shape)
-    idx = np.zeros(bp.block_shape, dtype=np.int64)
-    for d in range(r):
-        ar = (bp.offsets[d] + np.arange(bp.block_shape[d], dtype=np.int64)) * bp.strides[d]
-        shape = [1] * r
-        shape[d] = bp.block_shape[d]
-        idx = idx + ar.reshape(shape)
-    return idx
+def _relative_grid(block: tuple[int, ...], strides: tuple[int, ...]) -> tuple[np.ndarray, int, int]:
+    """Flat offsets of a block's elements from its first one, and their min and max."""
+    rel = np.zeros(block, dtype=np.int64)
+    for d, (b, st) in enumerate(zip(block, strides)):
+        shape = [1] * len(block)
+        shape[d] = b
+        rel = rel + (np.arange(b, dtype=np.int64) * st).reshape(shape)
+    return (rel, int(rel.min()), int(rel.max())) if rel.size else (rel, 0, 0)
 
 
-def _check_bounds(bp: BlockPointer, buf_len: int, where: str) -> np.ndarray:
-    for d in range(len(bp.block_shape)):
-        if bp.offsets[d] < 0 or bp.offsets[d] + bp.block_shape[d] > bp.global_shape[d]:
+def _indices(ctx: _Ctx, bp: BlockPointer, buf_len: int, what: str) -> np.ndarray:
+    """The flat buffer indices of the block, once its window and reach are checked."""
+    for d, (o, b, g) in enumerate(zip(bp.offsets, bp.block_shape, bp.global_shape)):
+        if o < 0 or o + b > g:
             raise SimError(
-                f"out-of-bounds block access: dim {d} window "
-                f"[{bp.offsets[d]}, {bp.offsets[d] + bp.block_shape[d]}) outside "
-                f"[0, {bp.global_shape[d]}) ({where})"
+                f"out-of-bounds block access: dim {d} window [{o}, {o + b}) outside [0, {g}) ({ctx.where(what)})"
             )
-    idx = _flat_indices(bp)
-    if idx.size and (idx.min() < 0 or idx.max() >= buf_len):
-        raise SimError(f"out-of-bounds block access: flat index beyond buffer of {buf_len} ({where})")
-    return idx
+    key = (bp.block_shape, bp.strides)
+    if key not in ctx.grids:
+        ctx.grids[key] = _relative_grid(*key)
+    rel, lo, hi = ctx.grids[key]
+    base = sum(o * st for o, st in zip(bp.offsets, bp.strides))
+    if rel.size and (base + lo < 0 or base + hi >= buf_len):
+        raise SimError(f"out-of-bounds block access: flat index beyond buffer of {buf_len} ({ctx.where(what)})")
+    return rel + base
 
 
+# buffers hold coerced values and tiles are never written in place, so a
+# load copies out of its buffer (fancy indexing never returns a view) without
+# coercing again, and a store writes the tile's values as they are
 def _do_load(ctx: _Ctx, bp: BlockPointer, elem: ElemType, what: str) -> TileValue:
-    where = ctx.where(what)
-    base_elem, buf = _resolve_base(ctx, bp.base, where)
+    base_elem, buf = _resolve_base(ctx, bp.base, what)
     if base_elem != elem:
-        raise SimError(f"buffer {bp.base!r} holds {base_elem}, access expects {elem} ({where})")
-    idx = _check_bounds(bp, buf.size, where)
+        raise SimError(f"buffer {bp.base!r} holds {base_elem}, access expects {elem} ({ctx.where(what)})")
+    idx = _indices(ctx, bp, buf.size, what)
     if ctx.trace is not None:
         ctx.trace.loads.append(TraceAccess(ctx.wg_index, ctx.warp, str(bp.base), bp.offsets, bp.block_shape))
-    return TileValue.make(elem, buf[idx])
+    return TileValue(elem, buf[idx])
 
 
 def _do_store(ctx: _Ctx, bp: BlockPointer, value: TileValue, what: str) -> None:
-    where = ctx.where(what)
-    base_elem, buf = _resolve_base(ctx, bp.base, where)
+    base_elem, buf = _resolve_base(ctx, bp.base, what)
     if base_elem != value.elem:
-        raise SimError(f"buffer {bp.base!r} holds {base_elem}, store provides {value.elem} ({where})")
+        raise SimError(f"buffer {bp.base!r} holds {base_elem}, store provides {value.elem} ({ctx.where(what)})")
     if value.shape != bp.block_shape:
-        raise SimError(f"store value shape {value.shape} != block shape {bp.block_shape} ({where})")
-    idx = _check_bounds(bp, buf.size, where)
-    buf[idx] = _coerce(base_elem, value.data)
+        raise SimError(f"store value shape {value.shape} != block shape {bp.block_shape} ({ctx.where(what)})")
+    buf[_indices(ctx, bp, buf.size, what)] = value.data
     if ctx.trace is not None:
         ctx.trace.stores.append(TraceAccess(ctx.wg_index, ctx.warp, str(bp.base), bp.offsets, bp.block_shape))
 
@@ -332,29 +342,10 @@ _CMP = {
 }
 
 
-def _extract_tile(src: TileValue, out_shape: tuple[int, ...], index: int) -> TileValue:
-    grid = tuple(s // o for s, o in zip(src.shape, out_shape))
-    coord = np.unravel_index(index, grid)
-    sl = tuple(slice(c * o, (c + 1) * o) for c, o in zip(coord, out_shape))
-    return TileValue(src.elem, src.data[sl].copy())
-
-
-def _extract_ptr(src: BlockPointer, out_block: tuple[int, ...], index: int) -> BlockPointer:
-    grid = tuple(s // o for s, o in zip(src.block_shape, out_block))
-    coord = np.unravel_index(index, grid)
-    offs = tuple(src.offsets[d] + int(coord[d]) * out_block[d] for d in range(len(out_block)))
-    return BlockPointer(src.base, src.global_shape, src.strides, offs, tuple(out_block), src.order)
-
-
-def _glue_tiles(pieces: list[TileValue], out_shape: tuple[int, ...]) -> TileValue:
-    piece = pieces[0]
-    grid = tuple(o // p for o, p in zip(out_shape, piece.shape))
-    out = np.empty(out_shape, dtype=piece.data.dtype)
-    for i, pc in enumerate(pieces):
-        coord = np.unravel_index(i, grid)
-        sl = tuple(slice(c * p, (c + 1) * p) for c, p in zip(coord, piece.shape))
-        out[sl] = pc.data
-    return TileValue(piece.elem, out)
+def _piece(whole: tuple[int, ...], piece: tuple[int, ...], index: int) -> tuple[slice, ...]:
+    """The slices of `whole` that hold piece `index`, pieces numbered row-major."""
+    coord = np.unravel_index(index, tuple(w // p for w, p in zip(whole, piece)))
+    return tuple(slice(int(c) * p, (int(c) + 1) * p) for c, p in zip(coord, piece))
 
 
 def _reduce(kind: str, data: np.ndarray, axis: int) -> np.ndarray:
@@ -379,6 +370,20 @@ class _Step:
     is_ptr: bool
     key: int  # id of the source op or instruction: sync points, SLM sites
     body: list[_Step] | None
+    src: InitVar[tuple[int, ...] | None]  # static shape of an extract's or glue's first operand
+    # computed once at decode, from the fields above:
+    sem: Callable[[_Step, _Ctx, list], Any] | None = field(init=False)  # None: the executor's own kinds
+    # an extract's slices of its operand (for a pointer, their starts offset
+    # the block); a glue's slices of its result, one per piece
+    slices: tuple = field(init=False)
+
+    def __post_init__(self, src: tuple[int, ...] | None) -> None:
+        self.sem = _SEMANTICS.get(self.kind)
+        self.slices = ()
+        if self.kind == "tt.extract":
+            self.slices = _piece(src, self.shape, self.attrs["index"])
+        elif self.kind == "tt.glue":
+            self.slices = tuple(_piece(self.shape, src, i) for i in range(len(self.operands)))
 
 
 def _decode_op(op: Operation) -> _Step:
@@ -391,9 +396,10 @@ def _decode_op(op: Operation) -> _Step:
             attrs = {"iv": id(region.args[0]), "iters": [id(a) for a in region.args[1:]]}
     rt = op.results[0].type if op.results else None
     tile = tile_type(rt) if rt is not None else None
+    src = tile_type(op.operands[0].type).shape if kind in ("tt.extract", "tt.glue") else None
     return _Step(
         kind, op.kind, tuple(id(v) for v in op.operands), tuple(id(r) for r in op.results), attrs,
-        tile.shape if tile else (), tile.elem if tile else None, isinstance(rt, PtrType), id(op), body,
+        tile.shape if tile else (), tile.elem if tile else None, isinstance(rt, PtrType), id(op), body, src,
     )
 
 
@@ -404,7 +410,9 @@ _VISA_KINDS: dict[Any, str] = {(r.opcode, r.op) if r.op else r.opcode: k for k, 
 _PTR_KINDS = {k for k, r in LOWERING.items() if r.width == "addr"}
 
 
-def _decode_vinstr(ins: VInstr) -> _Step:
+def _decode_vinstr(ins: VInstr, shapes: dict[str, tuple[int, ...]]) -> _Step:
+    """Decode one instruction; `shapes` maps every register defined so far to
+    its (pointee) block shape and gains the instruction's results."""
     name = ins.opcode.value + (f".{ins.op}" if ins.op else "")
     kind = _VISA_KINDS.get((ins.opcode, ins.op)) or _VISA_KINDS.get(ins.opcode)
     if kind is None:
@@ -412,9 +420,16 @@ def _decode_vinstr(ins: VInstr) -> _Step:
     attrs = ins.attrs
     if kind in ("tt.reduce", _CROSS):  # vISA spells the reduce kind as the sub-op
         attrs = {**attrs, "kind": ins.op}
-    body = None if ins.body is None else [_decode_vinstr(i) for i in ins.body]
+    src = shapes[ins.operands[0]] if kind in ("tt.extract", "tt.glue") else None
+    if kind == "scf.for":  # a carry and the loop's result are shaped like the init
+        carried = [shapes.get(r) for r in ins.operands[3:]]
+        shapes.update(zip(attrs["iters"], carried))
+        shapes.update(zip(ins.results, carried))
+    elif ins.results:
+        shapes[ins.results[0]] = ins.shape
+    body = None if ins.body is None else [_decode_vinstr(i, shapes) for i in ins.body]
     is_ptr = kind in _PTR_KINDS or ins.op == "ptr"
-    return _Step(kind, name, ins.operands, ins.results, attrs, ins.shape, ins.elem, is_ptr, id(ins), body)
+    return _Step(kind, name, ins.operands, ins.results, attrs, ins.shape, ins.elem, is_ptr, id(ins), body, src)
 
 
 def _walk(steps: list[_Step]) -> Iterator[_Step]:
@@ -447,9 +462,24 @@ def _alloc(s: _Step, ctx: _Ctx, a: list) -> BlockPointer:
     return BlockPointer(ctx.wg.handle(s.key), s.shape, strides, (0,) * r, s.shape, order)
 
 
+def _extract(s: _Step, ctx: _Ctx, a: list) -> TileValue | BlockPointer:
+    src = a[0]
+    if s.is_ptr:
+        offs = tuple(o + sl.start for o, sl in zip(src.offsets, s.slices))
+        return BlockPointer(src.base, src.global_shape, src.strides, offs, s.shape, src.order)
+    return TileValue(src.elem, src.data[s.slices])  # a view: tiles are never written in place
+
+
+def _glue(s: _Step, ctx: _Ctx, a: list) -> TileValue:
+    out = np.empty(s.shape, dtype=a[0].data.dtype)
+    for sl, piece in zip(s.slices, a):
+        out[sl] = piece.data
+    return TileValue(a[0].elem, out)
+
+
 def _dot(s: _Step, ctx: _Ctx, a: list) -> TileValue:
-    x, y, c = (v.data.astype(np.float32) for v in a)
-    return TileValue(ElemType.f32, x @ y + c)
+    # f16 and f32 tiles both hold float32 data, so this is an f32 matmul
+    return TileValue(ElemType.f32, a[0].data @ a[1].data + a[2].data)
 
 
 # every step kind but control flow, barriers and cross-warp reduces; each
@@ -468,8 +498,8 @@ _SEMANTICS: dict[str, Callable[[_Step, _Ctx, list], Any]] = {
     "tt.convert": lambda s, ctx, a: TileValue.make(s.elem, a[0].data),
     "tt.expand_dims": lambda s, ctx, a: TileValue(a[0].elem, a[0].data.reshape(s.shape)),
     "tt.broadcast": lambda s, ctx, a: TileValue(a[0].elem, np.broadcast_to(a[0].data, s.shape).copy()),
-    "tt.extract": lambda s, ctx, a: (_extract_ptr if s.is_ptr else _extract_tile)(a[0], s.shape, s.attrs["index"]),
-    "tt.glue": lambda s, ctx, a: _glue_tiles(a, s.shape),
+    "tt.extract": _extract,
+    "tt.glue": _glue,
     "tt.alloc": _alloc,
     "math.exp": lambda s, ctx, a: TileValue.make(s.elem, np.exp(a[0].data)),
     **{k: lambda s, ctx, a, f=f: TileValue.make(s.elem, f(a[0].data, a[1].data)) for k, f in _BIN_F.items()},
@@ -483,9 +513,8 @@ _YIELD = "__yield__"
 def _exec(steps: list[_Step], ctx: _Ctx, env: dict) -> Iterator[tuple]:
     """Run steps in one context; yields at every synchronization point."""
     for s in steps:
-        sem = _SEMANTICS.get(s.kind)
-        if sem is not None:
-            v = sem(s, ctx, [env[k] for k in s.operands])
+        if s.sem is not None:
+            v = s.sem(s, ctx, [env[k] for k in s.operands])
             if s.results:
                 env[s.results[0]] = v
         elif s.kind == "scf.for":
@@ -599,7 +628,8 @@ def run(
     if isinstance(prog, VProgram):
         per_warp = True
         bindings = [(f"%{bname}", bname, belem) for bname, belem in prog.args]
-        steps = [_decode_vinstr(i) for i in prog.body]
+        shapes: dict[str, tuple[int, ...]] = {}
+        steps = [_decode_vinstr(i, shapes) for i in prog.body]
     else:
         per_warp = prog.warp_level or prog.level != "workgroup"
         bindings = []
@@ -622,9 +652,10 @@ def run(
     if sorted(order) != list(range(len(pids))):
         raise SimError(f"wg_order must be a permutation of 0..{len(pids) - 1}")
 
+    grids: dict[tuple, tuple[np.ndarray, int, int]] = {}
     for wg_index in order:
         wg = _Workgroup(sites, launch.slm_budget, f"@{name} wg={wg_index}")
-        ctxs = [_Ctx(out, wg, pids[wg_index], w, wg_index, trace, name)
+        ctxs = [_Ctx(out, wg, pids[wg_index], w, wg_index, trace, name, grids)
                 for w in range(prog.num_warps if per_warp else 1)]
         _drive_warps([_exec(steps, ctx, dict(env)) for ctx in ctxs], ctxs)
     return out

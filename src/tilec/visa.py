@@ -262,7 +262,10 @@ LOWERING: dict[str, Lowering] = {
 
 
 def _feeds_dot_b(fn: KernelFn) -> set[int]:
-    """ids of values that reach some dot's B operand through extract/glue."""
+    """ids of the values held in the MMA B-operand (packed f16) format: the
+    loads and register views that reach some dot's B operand through
+    extract/glue.  Other producers (a splat, a convert) define plain
+    registers, and a dot reading one of them reads it unpacked."""
     packed: set[int] = set()
     producers: dict[int, Operation] = {}
     for op in walk_fn_ops(fn):
@@ -271,11 +274,11 @@ def _feeds_dot_b(fn: KernelFn) -> set[int]:
     work: list[Value] = [op.operands[1] for op in walk_fn_ops(fn) if op.kind == "tt.dot"]
     while work:
         v = work.pop()
-        if id(v) in packed:
+        p = producers.get(id(v))
+        if id(v) in packed or p is None or p.kind not in ("tt.load", "tt.extract", "tt.glue"):
             continue
         packed.add(id(v))
-        p = producers.get(id(v))
-        if p is not None and p.kind in ("tt.extract", "tt.glue"):
+        if p.kind != "tt.load":
             work.extend(p.operands)
     return packed
 
@@ -336,8 +339,7 @@ class _Lowerer:
             unit = _unit_name(t.elem, 1, False)
             return t.shape, t.elem, 1, unit, _UNIT_BYTES[unit], False
         src = op.operands[0].type if op.kind == "tt.reduce" else t  # a reduce is as wide as its source
-        # only loads and register views define registers in the MMA B-operand format
-        packed = op.kind in ("tt.load", "tt.extract", "tt.glue") and id(op.results[0]) in self.packed
+        packed = bool(op.results) and id(op.results[0]) in self.packed
         if rule == "view":
             return (t.shape, t.elem, *_view_width(src.numel, src.elem, packed, self.target))
         return (t.shape, t.elem, *_width(src.numel, src.elem, packed, self.target, rule == "bits"))

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tilec.ir import ElemType, FunctionBuilder, PtrType
+from tilec.ir import ElemType, FunctionBuilder, KernelFn, PtrType, retile
 from tilec.kernels import kernel_text, make_problem, suite
 from tilec.oracle import philox, rand_f16
 from tilec.passes import compile_kernel
@@ -19,7 +19,7 @@ from tilec.sim import (
     run,
 )
 from tilec.textio import parse_module
-from tilec.visa import VInstr, VOpcode, VProgram
+from tilec.visa import PVC, VInstr, VOpcode, VProgram, lower
 
 F16 = ElemType.f16
 F32 = ElemType.f32
@@ -174,3 +174,105 @@ def test_unmapped_visa_instruction_rejected_at_decode():
     body = [VInstr(VOpcode.loop_ctl, "ret"), VInstr(VOpcode.alu, "frobnicate", ("%0",))]
     with pytest.raises(SimError, match="alu.frobnicate"):
         run(VProgram("bogus", (), 1, "simt", 16, body), LaunchConfig(), DeviceMemory())
+
+
+# copies the 8x16 block at row `off` of X, seen as `rows` rows of 16 with row
+# stride 16, to the top of Y; X and Y hold 16x16 f32
+_COPY = """tt.func public @copy(%X: !tt.ptr<f32>, %Y: !tt.ptr<f32>) attributes {{num_warps = 1}} {{
+  %0 = arith.constant {{value = 0}} : () -> i32
+  %1 = arith.constant {{value = 1}} : () -> i32
+  %2 = arith.constant {{value = 16}} : () -> i32
+  %3 = arith.constant {{value = {rows}}} : () -> i32
+  %4 = arith.constant {{value = {off}}} : () -> i32
+  %5 = tt.make_tensor_ptr %X, %3, %2, %2, %1, %4, %0 {{order = [1, 0]}} : (!tt.ptr<f32>, i32, i32, i32, i32, i32, i32) -> !tt.ptr<tensor<8x16xf32>>
+  %6 = tt.load %5 : (!tt.ptr<tensor<8x16xf32>>) -> tensor<8x16xf32>
+  %7 = tt.make_tensor_ptr %Y, %2, %2, %2, %1, %0, %0 {{order = [1, 0]}} : (!tt.ptr<f32>, i32, i32, i32, i32, i32, i32) -> !tt.ptr<tensor<8x16xf32>>
+  tt.store %7, %6 : (!tt.ptr<tensor<8x16xf32>>, tensor<8x16xf32>) -> ()
+  tt.return
+}}
+"""
+
+
+def _copy_at(level: str, rows: int = 16, off: int = 0):
+    return compile_kernel(parse_module(_COPY.format(rows=rows, off=off)).get("copy")).at_level(level)
+
+
+def _copy_mem(x: ElemType = F32, y: ElemType = F32) -> DeviceMemory:
+    mem = DeviceMemory()
+    mem.set_tensor("X", np.arange(256).reshape(16, 16), x)
+    mem.set_tensor("Y", np.zeros((16, 16)), y)
+    return mem
+
+
+def _declare(prog, buf: str, elem: ElemType) -> None:
+    """Declare buffer argument `buf` as `elem`; the accesses keep their types."""
+    if isinstance(prog, VProgram):
+        prog.args = tuple((n, elem if n == buf else e) for n, e in prog.args)
+    else:
+        prog.arg(buf).type = PtrType(elem)
+
+
+def _narrow_y_block(prog) -> None:
+    """Make the pointer to Y address an 8x8 block; the stored value stays 8x16."""
+    if isinstance(prog, VProgram):
+        next(i for i in prog.body if i.operands[:1] == ("%Y",)).shape = (8, 8)
+    else:
+        y = prog.arg("Y")
+        res = next(o for o in prog.body.ops if o.operands[:1] == [y]).results[0]
+        res.type = retile(res.type, (8, 8), None)
+
+
+@pytest.mark.parametrize("level", ["workgroup", "visa"])
+def test_memory_access_errors(level):
+    load, store = ("tt.load", "tt.store") if level == "workgroup" else ("block2d_load", "block2d_store")
+    at = "@copy wg=0 pid=(0, 0, 0) warp=0"
+
+    def fails(prog, mem, msg):
+        with pytest.raises(SimError) as exc:
+            run(prog, LaunchConfig(), mem)
+        assert str(exc.value) == msg
+
+    fails(_copy_at(level, off=12), _copy_mem(),
+          f"out-of-bounds block access: dim 0 window [12, 20) outside [0, 16) ({at} {load})")
+    fails(_copy_at(level, rows=32, off=16), _copy_mem(),
+          f"out-of-bounds block access: flat index beyond buffer of 256 ({at} {load})")
+    prog = _copy_at(level)
+    _declare(prog, "X", F16)
+    fails(prog, _copy_mem(x=F16), f"buffer 'X' holds ElemType.f16, access expects ElemType.f32 ({at} {load})")
+    prog = _copy_at(level)
+    _declare(prog, "Y", F16)
+    fails(prog, _copy_mem(y=F16), f"buffer 'Y' holds ElemType.f16, store provides ElemType.f32 ({at} {store})")
+    prog = _copy_at(level)
+    _narrow_y_block(prog)
+    fails(prog, _copy_mem(), f"store value shape (8, 16) != block shape (8, 8) ({at} {store})")
+    out = run(_copy_at(level), LaunchConfig(), _copy_mem())
+    assert np.array_equal(out.tensor("Y")[:8], np.arange(128).reshape(8, 16))
+
+
+def _overwrite_after_load() -> KernelFn:
+    """Load X's 16x32 block and take its second 8x16 piece, overwrite the block
+    with -1, then store the load to the top of Y and the piece below it."""
+    fb = FunctionBuilder("alias", [("X", PtrType(F32)), ("Y", PtrType(F32))], level="intrinsic")
+    x, y = fb.fn.args
+    c0, c1, c16, c32 = (fb.constant(v) for v in (0, 1, 16, 32))
+    px = fb.make_tensor_ptr(x, [c32, c32], [c32, c1], [c0, c0], (16, 32), (1, 0))
+    tile = fb.load(px)
+    piece = fb.extract(tile, 1, (8, 16))
+    fb.store(px, fb.splat(fb.constant(-1.0), (16, 32)))
+    fb.store(fb.make_tensor_ptr(y, [c32, c32], [c32, c1], [c0, c0], (16, 32), (1, 0)), tile)
+    fb.store(fb.make_tensor_ptr(y, [c32, c32], [c32, c1], [c16, c0], (8, 16), (1, 0)), piece)
+    fb.ret()
+    return fb.build()
+
+
+@pytest.mark.parametrize("level", ["intrinsic", "visa"])
+def test_loaded_tile_does_not_alias_its_buffer(level):
+    fn = _overwrite_after_load()
+    x = np.arange(1024).reshape(32, 32)
+    mem = DeviceMemory()
+    mem.set_tensor("X", x, F32)
+    mem.set_tensor("Y", np.zeros((32, 32)), F32)
+    out = run(fn if level == "intrinsic" else lower(fn, PVC), LaunchConfig(), mem)
+    assert np.all(out.tensor("X")[:16] == -1.0) and np.array_equal(out.tensor("X")[16:], x[16:])
+    assert np.array_equal(out.tensor("Y")[:16], x[:16])
+    assert np.array_equal(out.tensor("Y")[16:24, :16], x[:8, 16:])

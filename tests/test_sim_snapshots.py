@@ -1,12 +1,11 @@
 """Bit-level snapshot of the simulator on the suite.
 
 Each run is a suite fixture at one pipeline level with one seed, compiled
-for the default PVC target: the manifest seed for every fixture, plus seed 7
-for gemm_256, paged_wg and paged_warp.  For every run the sha256 of each
-buffer's bytes after the launch, and of the traced loads, stores and
-cross-warp reductions (inputs and delivered tiles), must equal the digests
-in ``sim_snapshots.json``.  A change meant to alter what the simulator
-computes or records rewrites the file with
+for the default PVC target, at the manifest seed and at seed 7.  For every
+run the sha256 of each buffer's bytes after the launch, and of the traced
+loads, stores and cross-warp reductions (inputs and delivered tiles), must
+equal the digests in ``sim_snapshots.json``.  A change meant to alter what
+the simulator computes or records rewrites the file with
 ``PYTHONPATH=src python tests/test_sim_snapshots.py``.
 
 The same runs also check that adjacent levels agree in bits and that the
@@ -31,13 +30,7 @@ from tilec.visa import VOpcode, count_stats
 
 SNAPSHOTS = Path(__file__).with_name("sim_snapshots.json")
 LEVELS = ("workgroup", "warp", "intrinsic", "visa")
-SEED_7 = ("gemm_256", "paged_wg", "paged_warp")
-RUNS = [
-    f"{name}/{level}/{seed}"
-    for name in FIXTURE_NAMES
-    for seed in (suite()[name].seed, *((7,) if name in SEED_7 else ()))
-    for level in LEVELS
-]
+RUNS = [f"{name}/{level}/{seed}" for name in FIXTURE_NAMES for seed in (suite()[name].seed, 7) for level in LEVELS]
 
 
 @functools.cache

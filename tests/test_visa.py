@@ -8,7 +8,7 @@ from importlib.resources import files
 import pytest
 
 from conftest import flat_instrs
-from tilec.ir import FunctionBuilder
+from tilec.ir import ElemType, FunctionBuilder, PtrType
 from tilec.kernels import build
 from tilec.passes import compile_kernel
 from tilec.visa import (
@@ -85,6 +85,19 @@ def test_gemm_mnemonics(gemm_compiled):
     assert "block2d_load.v32i32" in text  # B tile, f16 pair packed per unit
     assert "dpas.v8f32.v8i16.v8i32" in text
     assert "block2d_store.v8i32" in text
+
+
+def test_dot_reads_b_in_the_format_its_producer_wrote():
+    # a splat defines a plain f16 register: the dpas must not read it packed
+    fb = FunctionBuilder("splat_dot", [("O", PtrType(ElemType.f32))], level="intrinsic")
+    one, zero = fb.constant(1.0, ElemType.f16), fb.constant(0.0)
+    d = fb.dot(fb.splat(one, (8, 16)), fb.splat(one, (16, 16)), fb.splat(zero, (8, 16)))
+    c0, c1, c16 = fb.constant(0), fb.constant(1), fb.constant(16)
+    fb.store(fb.make_tensor_ptr(fb.fn.args[0], [c16, c16], [c16, c1], [c0, c0], (8, 16), (1, 0)), d)
+    fb.ret()
+    text = disassemble(lower(fb.build(), PVC))
+    assert "%3 = mov.splat.v16f16 %0" in text
+    assert "dpas.v8f32.v8i16.v16i16" in text
 
 
 def test_simd_style_widths(gemm_compiled):
