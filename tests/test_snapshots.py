@@ -3,8 +3,9 @@
 Each config is a suite fixture, a lowering style and at most one tiling
 hint.  For every config that compiles, the sha256 of the printed layouts,
 distribute and match stages, of the disassembled vISA and of every
-``VInstr`` field must equal the digests in ``snapshots.json``; the configs
-that do not compile must keep raising the same diagnostic.  A change meant to alter the output rewrites
+``VInstr`` field must equal the digests in ``snapshots.json``, and every
+printed stage must parse back to an equal module; the configs that do not
+compile must keep raising the same diagnostic.  A change meant to alter the output rewrites
 the file with ``PYTHONPATH=src python tests/test_snapshots.py``.
 """
 
@@ -17,10 +18,10 @@ from pathlib import Path
 
 import pytest
 
-from tilec.ir import KernelModule, walk_fn_ops
+from tilec.ir import KernelModule, module_equal, walk_fn_ops
 from tilec.kernels import FIXTURE_NAMES, load_fixture
 from tilec.passes import PassError, compile_kernel
-from tilec.textio import print_module
+from tilec.textio import parse_module, print_module
 from tilec.visa import PVC, disassemble
 
 SNAPSHOTS = Path(__file__).with_name("snapshots.json")
@@ -79,6 +80,14 @@ def test_config_sweep_shape():
 @pytest.mark.parametrize("config", COMPILING)
 def test_stage_output_is_pinned(config):
     assert _digests(config) == json.loads(SNAPSHOTS.read_text())[config]
+
+
+@pytest.mark.parametrize("config", COMPILING)
+def test_printed_stages_parse_back_equal(config):
+    res = _compile(config)
+    for stage in ("layouts", "distribute", "match"):
+        module = KernelModule([getattr(res, stage)])
+        assert module_equal(parse_module(print_module(module)), module), stage
 
 
 @pytest.mark.parametrize("config", sorted(KNOWN_FAILURES))

@@ -81,6 +81,55 @@ def test_parse_error_reports_location():
     assert "line 2" in str(exc.value)
 
 
+_HEAD = "tt.func public @f(%X: !tt.ptr<f16>) attributes {num_warps = 1} {\n"
+_C0 = "  %0 = arith.constant {value = 0.0} : () -> f32\n"
+_BLOCKED = "#blocked = #triton_gpu.blocked<{sizePerWarp = [4, 4], warpsPerCTA = [1, 1], order = [1, 0]}>\n"
+
+
+def _fn(body: str, head: str = _HEAD) -> str:
+    return head + body + "  tt.return\n}\n"
+
+
+def _splat_to(type_text: str) -> str:
+    return _fn(_C0 + f"  %1 = tt.splat %0 : (f32) -> {type_text}\n")
+
+
+# input -> exact ParseError text, or None where the input parses
+PARSE_CASES = {
+    "unexpected_char": (_fn("  %0 = ???\n"), "line 2, col 8: unexpected character '?'"),
+    "unexpected_char_after_tab": (_fn("\t%0 = $\n"), "line 2, col 7: unexpected character '$'"),
+    "unknown_elem_in_dim_run": (_splat_to("tensor<4x4xf99>"), "line 3, col 39: unknown element type f99"),
+    "truncated_tensor": (_HEAD + _C0 + "  %1 = tt.splat %0 : (f32) -> tensor<4x4",
+                         "line 3, col 41: expected x (got '<eof>')"),
+    "truncated_ptr": (_HEAD + "  %0 = arith.constant {value = 0} : () -> !tt.ptr",
+                      "line 2, col 50: expected < (got '<eof>')"),
+    "truncated_block_ptr": (_HEAD + "  %0 = arith.constant {value = 0} : () -> !tt.ptr<tensor<4xf32>",
+                            "line 2, col 64: expected > (got '<eof>')"),
+    "unknown_alias": (_splat_to("tensor<4x4xf32, #nope>"), "line 3, col 47: unknown encoding alias #nope"),
+    "redefinition": (_fn(_C0 + "  %0 = arith.constant {value = 1.0} : () -> f32\n"),
+                     "line 3, col 3: redefinition of %0"),
+    "undefined_value": (_fn("  %1 = arith.addi %0, %0 : (i32, i32) -> i32\n"),
+                        "line 2, col 19: use of undefined value %0"),
+    "operand_type_mismatch": (
+        _fn("  %0 = arith.constant {value = 0} : () -> i32\n  %1 = arith.addi %0, %0 : (i32, f32) -> i32\n"),
+        "line 3, col 23: %0 has type i32, clause says f32"),
+    "space_before_dim_x": (_splat_to("tensor<4 x4xf32>"), None),
+    "space_after_dim_x": (_splat_to("tensor<4x 4xf32>"), "line 3, col 39: expected x (got 'x')"),
+    "comment_in_type": (_splat_to("tensor<4x4xf32 // four by four\n  >"), None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PARSE_CASES))
+def test_parse_error_table(case):
+    text, expected = PARSE_CASES[case]
+    if expected is None:
+        assert module_equal(parse_module(text), parse_module(_splat_to("tensor<4x4xf32>")))
+        return
+    with pytest.raises(ParseError) as exc:
+        parse_module(text)
+    assert str(exc.value) == expected
+
+
 def test_parse_error_on_operand_type_mismatch():
     bad = (
         "tt.func public @f(%X: !tt.ptr<f16>) attributes {num_warps = 1} {\n"
@@ -132,3 +181,13 @@ def test_parse_is_syntactic_and_verify_catches_type_errors():
     assert verify(fn)  # the element mismatch is a verification diagnostic
     with pytest.raises(ValueError):
         compile_kernel(fn)  # and the pipeline refuses the input
+
+
+def test_alias_redefined_between_functions():
+    f = _fn(_C0 + "  %1 = tt.splat %0 : (f32) -> tensor<4x4xf32, #blocked>\n")
+    text = (_BLOCKED + f + _BLOCKED.replace("warpsPerCTA = [1, 1]", "warpsPerCTA = [2, 1]")
+            + f.replace("@f", "@g"))
+    first, second = (fn.body.ops[1].result.type.encoding for fn in parse_module(text).functions)
+    assert first.warps_per_cta == (1, 1)
+    assert second.warps_per_cta == (2, 1)
+
