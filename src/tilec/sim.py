@@ -297,7 +297,7 @@ def _indices(ctx: _Ctx, bp: BlockPointer, buf_len: int, what: str) -> np.ndarray
 def _do_load(ctx: _Ctx, bp: BlockPointer, elem: ElemType, what: str) -> TileValue:
     base_elem, buf = _resolve_base(ctx, bp.base, what)
     if base_elem != elem:
-        raise SimError(f"buffer {bp.base!r} holds {base_elem}, access expects {elem} ({ctx.where(what)})")
+        raise SimError(f"buffer {bp.base!r} holds {base_elem.value}, access expects {elem.value} ({ctx.where(what)})")
     idx = _indices(ctx, bp, buf.size, what)
     if ctx.trace is not None:
         ctx.trace.loads.append(TraceAccess(ctx.wg_index, ctx.warp, str(bp.base), bp.offsets, bp.block_shape))
@@ -307,7 +307,7 @@ def _do_load(ctx: _Ctx, bp: BlockPointer, elem: ElemType, what: str) -> TileValu
 def _do_store(ctx: _Ctx, bp: BlockPointer, value: TileValue, what: str) -> None:
     base_elem, buf = _resolve_base(ctx, bp.base, what)
     if base_elem != value.elem:
-        raise SimError(f"buffer {bp.base!r} holds {base_elem}, store provides {value.elem} ({ctx.where(what)})")
+        raise SimError(f"buffer {bp.base!r} holds {base_elem.value}, store provides {value.elem.value} ({ctx.where(what)})")
     if value.shape != bp.block_shape:
         raise SimError(f"store value shape {value.shape} != block shape {bp.block_shape} ({ctx.where(what)})")
     buf[_indices(ctx, bp, buf.size, what)] = value.data
@@ -643,7 +643,7 @@ def run(
         if bname not in out:
             raise SimError(f"@{name}: no buffer bound for argument %{bname}")
         if out.elem_of(bname) != belem:
-            raise SimError(f"@{name}: buffer {bname} holds {out.elem_of(bname)}, argument wants {belem}")
+            raise SimError(f"@{name}: buffer {bname} holds {out.elem_of(bname).value}, argument wants {belem.value}")
     env = {key: bname for key, bname, _ in bindings}
     sites = [(s.key, s.shape, s.elem) for s in _walk(steps) if s.kind == "tt.alloc"]
 

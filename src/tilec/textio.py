@@ -6,12 +6,17 @@ function and argument names are preserved, attrs print in sorted key order,
 and layout encodings are hash-consed into alias definitions (#blocked, #dot0,
 ...) emitted parent-first in first-use order.  print(parse(print(m))) ==
 print(m) for any verified module.  The grammar ships in docs/grammar.md.
+
+The parser lexes the whole text in one regex pass into (kind, text, offset)
+tokens; a ParseError turns its offset into a line and column only when it
+is raised.  Within one parse_module call, each distinct spelling of a tensor
+or pointer type is parsed once and the (immutable) type is shared by every
+later use of that spelling; an alias definition empties this memo.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Any
 
 from .ir import (
@@ -26,22 +31,17 @@ from .ir import (
     Value,
     scalar,
 )
-from .layouts import BlockedEncoding, DotOperandEncoding, LayoutEncoding, SliceEncoding
-
-
-@dataclass(frozen=True, slots=True)
-class SourceSpan:
-    line: int
-    col: int
-
-    def __str__(self) -> str:
-        return f"line {self.line}, col {self.col}"
+from .layouts import BlockedEncoding, DotOperandEncoding, LayoutEncoding, LayoutError, SliceEncoding
 
 
 class ParseError(ValueError):
-    def __init__(self, message: str, span: SourceSpan):
-        self.span = span
-        super().__init__(f"{span}: {message}")
+    """A syntax error at an offset into the source text; its line and column
+    are counted only when the error is raised."""
+
+    def __init__(self, message: str, text: str, offset: int):
+        self.line = text.count("\n", 0, offset) + 1
+        self.col = offset - text.rfind("\n", 0, offset)
+        super().__init__(f"line {self.line}, col {self.col}: {message}")
 
 
 # --------------------------------------------------------------------------
@@ -223,72 +223,38 @@ def print_module(m: KernelModule) -> str:
 # --------------------------------------------------------------------------
 # lexing
 
-
+# Whitespace and comments are folded into the match of the token after them.
+# A `dim` is an integer with the `x` that follows it: `256x32xf16` lexes as
+# dim 256, dim 32, ident f16.
+_SKIP = r"(?:[ \t\n]|//[^\n]*)*"
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>[ \t]+)
-  | (?P<comment>//[^\n]*)
-  | (?P<nl>\n)
-  | (?P<arrow>->)
-  | (?P<number>-?\d+(\.\d*)?([eE][+-]?\d+)?)
-  | (?P<string>"[^"\n]*")
-  | (?P<value>%[A-Za-z0-9_]+)
-  | (?P<alias>\#[A-Za-z0-9_.]+)
-  | (?P<symbol>@[A-Za-z0-9_]+)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_.]*)
-  | (?P<punct>[()\[\]{}<>,=:!])
-    """,
+    rf"""{_SKIP}(?:
+        (?P<punct>[()\[\]{{}}<>,=:!])
+      | (?P<ident>[A-Za-z_][A-Za-z0-9_.]*)
+      | (?P<dim>-?\d+){_SKIP}x(?=[A-Za-z0-9_.])
+      | (?P<value>%[A-Za-z0-9_]+)
+      | (?P<number>-?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)
+      | (?P<arrow>->)
+      | (?P<alias>\#[A-Za-z0-9_.]+)
+      | (?P<string>"[^"\n]*")
+      | (?P<symbol>@[A-Za-z0-9_]+)
+      | (?P<eof>\Z)
+      | (?P<bad>.)
+    )""",
     re.VERBOSE,
 )
+# The source slice of a tensor or pointer type, the key of the type memo.
+_TYPE_SLICE = re.compile(r"tensor<[^<>/]*>|!tt\.ptr<(?:tensor<[^<>/]*>|[^<>/]*)>")
 
-
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str
-    text: str
-    span: SourceSpan
+_Token = tuple[str, str, int]  # kind, text, offset into the source
 
 
 def _lex(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col, pos = 1, 1, 0
-    prev_kind = ""
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", SourceSpan(line, col))
-        kind = m.lastgroup or ""
-        tok = m.group()
-        if kind == "nl":
-            line += 1
-            col = 1
-            pos = m.end()
-            continue
-        if kind not in ("ws", "comment"):
-            # split dim separators: `256x32xf16` lexes as 256, x, 32, x, f16
-            if kind == "ident" and prev_kind == "number" and tok.startswith("x") and tok != "x":
-                tokens.append(_Token("punct", "x", SourceSpan(line, col)))
-                rest = tok[1:]
-                sub = re.match(r"\d+", rest)
-                while sub:
-                    tokens.append(_Token("number", sub.group(), SourceSpan(line, col)))
-                    rest = rest[sub.end():]
-                    if rest.startswith("x"):
-                        tokens.append(_Token("punct", "x", SourceSpan(line, col)))
-                        rest = rest[1:]
-                        sub = re.match(r"\d+", rest)
-                    else:
-                        sub = None
-                if rest:
-                    tokens.append(_Token("ident", rest, SourceSpan(line, col)))
-                prev_kind = tokens[-1].kind
-            else:
-                tokens.append(_Token(kind, tok, SourceSpan(line, col)))
-                prev_kind = kind
-        col += m.end() - pos
-        pos = m.end()
-    tokens.append(_Token("eof", "", SourceSpan(line, col)))
-    return tokens
+    toks = [(k, m[k], m.start(k)) for m in _TOKEN_RE.finditer(text) for k in (m.lastgroup,)]
+    for kind, tok, off in toks:
+        if kind == "bad":
+            raise ParseError(f"unexpected character {tok!r}", text, off)
+    return toks
 
 
 # --------------------------------------------------------------------------
@@ -296,182 +262,210 @@ def _lex(text: str) -> list[_Token]:
 
 
 _ELEMS = {e.value: e for e in ElemType}
+_KIND_NAMES = {int: "an integer", list: "a list of integers", str: "an alias"}
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.toks = _lex(text)
         self.pos = 0
         self.aliases: dict[str, LayoutEncoding] = {}
+        # exact source slice of a type -> (type, its token count); emptied by an alias definition
+        self.types: dict[str, tuple[Type, int]] = {}
 
     # token plumbing ------------------------------------------------------
-    @property
-    def cur(self) -> _Token:
-        return self.toks[self.pos]
-
     def bump(self) -> _Token:
-        t = self.cur
+        self.pos += 1
+        return self.toks[self.pos - 1]
+
+    def fail(self, msg: str, tok: _Token) -> ParseError:
+        return ParseError(msg, self.text, tok[2])
+
+    def error(self, msg: str) -> ParseError:
+        t = self.toks[self.pos]
+        return self.fail(f"{msg} (got {t[1] or '<eof>'!r})", t)
+
+    def expect(self, kind: str, text: str | None = None) -> _Token:
+        t = self.toks[self.pos]
+        if t[0] != kind or (text is not None and t[1] != text):
+            raise self.error(f"expected {text or kind}")
         self.pos += 1
         return t
 
-    def error(self, msg: str) -> ParseError:
-        got = self.cur.text or "<eof>"
-        return ParseError(f"{msg} (got {got!r})", self.cur.span)
-
-    def expect(self, kind: str, text: str | None = None) -> _Token:
-        t = self.cur
-        if t.kind != kind or (text is not None and t.text != text):
-            raise self.error(f"expected {text or kind}")
-        return self.bump()
-
     def accept(self, kind: str, text: str | None = None) -> _Token | None:
-        t = self.cur
-        if t.kind == kind and (text is None or t.text == text):
-            return self.bump()
+        t = self.toks[self.pos]
+        if t[0] == kind and (text is None or t[1] == text):
+            self.pos += 1
+            return t
         return None
 
     def _at_results_header(self) -> bool:
         """True if the tokens ahead read `%a (, %b)* =`, i.e. the next op's
         result list rather than operands of the op being parsed."""
-        i = self.pos
-        if self.toks[i].kind != "value":
-            return False
-        i += 1
-        while self.toks[i].kind == "punct" and self.toks[i].text == ",":
-            if self.toks[i + 1].kind != "value":
+        toks, i = self.toks, self.pos + 1
+        while toks[i][1] == ",":
+            if toks[i + 1][0] != "value":
                 return False
             i += 2
-        return self.toks[i].kind == "punct" and self.toks[i].text == "="
+        return toks[i][1] == "="
 
     # module --------------------------------------------------------------
     def parse_module(self) -> KernelModule:
         fns: list[KernelFn] = []
-        while self.cur.kind != "eof":
-            if self.cur.kind == "alias":
+        while (t := self.toks[self.pos])[0] != "eof":
+            if t[0] == "alias":
                 self.parse_alias_def()
-            elif self.cur.kind == "ident" and self.cur.text == "tt.func":
+            elif t[1] == "tt.func":
                 fns.append(self.parse_fn())
             else:
                 raise self.error("expected encoding alias or tt.func")
         return KernelModule(fns)
 
     def parse_alias_def(self) -> None:
-        name = self.bump().text[1:]
+        name = self.bump()[1][1:]
         self.expect("punct", "=")
         head = self.expect("alias")
         self.expect("punct", "<")
-        self.expect("punct", "{")
-        params: dict[str, Any] = {}
-        while not self.accept("punct", "}"):
-            key = self.expect("ident").text
-            self.expect("punct", "=")
-            params[key] = self.parse_attr_value()
-            self.accept("punct", ",")
+        where: dict[str, _Token] = {}
+        params = self.parse_attr_dict(where)
         self.expect("punct", ">")
-        if head.text == "#triton_gpu.blocked":
-            enc: LayoutEncoding = BlockedEncoding(
-                tuple(params["sizePerWarp"]), tuple(params["warpsPerCTA"]), tuple(params["order"])
-            )
-        elif head.text == "#triton_gpu.dot_op":
-            enc = DotOperandEncoding(params["opIdx"], self.resolve_alias(params["parent"], head.span))
-        elif head.text == "#triton_gpu.slice":
-            enc = SliceEncoding(params["dim"], self.resolve_alias(params["parent"], head.span))
-        else:
-            raise ParseError(f"unknown encoding {head.text}", head.span)
-        self.aliases[name] = enc
 
-    def resolve_alias(self, name: Any, span: SourceSpan) -> LayoutEncoding:
-        if not isinstance(name, str) or name not in self.aliases:
-            raise ParseError(f"unknown encoding alias #{name}", span)
+        def param(key: str, kind: type) -> Any:
+            if key not in params:
+                raise self.fail(f"{head[1]} needs {key}", head)
+            if type(params[key]) is not kind:
+                raise self.fail(f"{key} must be {_KIND_NAMES[kind]}", where[key])
+            return params[key]
+
+        try:
+            if head[1] == "#triton_gpu.blocked":
+                enc: LayoutEncoding = BlockedEncoding(
+                    tuple(param("sizePerWarp", list)), tuple(param("warpsPerCTA", list)), tuple(param("order", list))
+                )
+            elif head[1] == "#triton_gpu.dot_op":
+                enc = DotOperandEncoding(param("opIdx", int), self.resolve_alias(param("parent", str), head))
+            elif head[1] == "#triton_gpu.slice":
+                enc = SliceEncoding(param("dim", int), self.resolve_alias(param("parent", str), head))
+            else:
+                raise self.fail(f"unknown encoding {head[1]}", head)
+        except LayoutError as e:
+            raise self.fail(str(e), head) from None
+        self.aliases[name] = enc
+        self.types.clear()
+
+    def resolve_alias(self, name: str, tok: _Token) -> LayoutEncoding:
+        if name not in self.aliases:
+            raise self.fail(f"unknown encoding alias #{name}", tok)
         return self.aliases[name]
 
     def parse_attr_value(self) -> Any:
-        t = self.cur
-        if t.kind == "number":
-            self.bump()
-            return self._num(t)
-        if t.kind == "string":
-            self.bump()
-            return t.text[1:-1]
-        if t.kind == "alias":
-            self.bump()
-            return t.text[1:]
-        if t.kind == "ident" and t.text in ("true", "false"):
-            self.bump()
-            return t.text == "true"
-        if self.accept("punct", "["):
+        kind, text, _ = self.bump()
+        if kind == "number":
+            return int(text) if text.lstrip("-").isdigit() else float(text)
+        if kind == "string":
+            return text[1:-1]
+        if kind == "alias":
+            return text[1:]
+        if text in ("true", "false") and kind == "ident":
+            return text == "true"
+        if text == "[":
             items: list[int] = []
             while not self.accept("punct", "]"):
                 n = self.expect("number")
-                items.append(int(n.text))
+                if not n[1].lstrip("-").isdigit():
+                    raise self.fail(f"expected an integer, got {n[1]}", n)
+                items.append(int(n[1]))
                 self.accept("punct", ",")
             return items
+        self.pos -= 1
         raise self.error("expected attribute value")
-
-    @staticmethod
-    def _num(t: _Token) -> int | float:
-        if re.fullmatch(r"-?\d+", t.text):
-            return int(t.text)
-        return float(t.text)
 
     # types ---------------------------------------------------------------
     def parse_type(self) -> Type:
-        t = self.cur
-        if t.kind == "punct" and t.text == "!":
-            self.bump()
+        """A type.  A tensor or pointer type whose exact text was parsed
+        before in this module, since the last alias definition, is reused."""
+        m = _TYPE_SLICE.match(self.text, self.toks[self.pos][2])
+        if m is None:
+            return self._type()
+        hit = self.types.get(m[0])
+        if hit is None:
+            start = self.pos
+            hit = self._type(), self.pos - start
+            self.types[m[0]] = hit
+        else:
+            self.pos += hit[1]
+        return hit[0]
+
+    def parse_types(self) -> list[Type]:
+        self.expect("punct", "(")
+        types: list[Type] = []
+        while not self.accept("punct", ")"):
+            types.append(self.parse_type())
+            self.accept("punct", ",")
+        return types
+
+    def _type(self) -> Type:
+        t = self.toks[self.pos]
+        if self.accept("punct", "!"):
             head = self.expect("ident")
-            if head.text != "tt.ptr":
-                raise ParseError(f"unknown type !{head.text}", head.span)
+            if head[1] != "tt.ptr":
+                raise self.fail(f"unknown type !{head[1]}", head)
             self.expect("punct", "<")
             inner: Any
-            if self.cur.kind == "ident" and self.cur.text in _ELEMS:
-                inner = _ELEMS[self.bump().text]
+            if self.toks[self.pos][1] in _ELEMS:
+                inner = _ELEMS[self.bump()[1]]
             else:
                 inner = self.parse_type()
                 if not isinstance(inner, TensorType) or inner.rank == 0:
-                    raise ParseError("pointer pointee must be an element type or ranked tensor", t.span)
+                    raise self.fail("pointer pointee must be an element type or ranked tensor", t)
             self.expect("punct", ">")
             return PtrType(inner)
-        if t.kind == "ident" and t.text == "tensor":
-            self.bump()
+        if self.accept("ident", "tensor"):
             self.expect("punct", "<")
             dims: list[int] = []
-            while self.cur.kind == "number":
-                dims.append(int(self.bump().text))
-                self.expect("punct", "x")
+            while self.toks[self.pos][0] == "dim":
+                dims.append(int(self.bump()[1]))
+            if self.accept("number"):
+                raise self.error("expected x")
             elem_tok = self.expect("ident")
-            if elem_tok.text not in _ELEMS:
-                raise ParseError(f"unknown element type {elem_tok.text}", elem_tok.span)
+            if elem_tok[1] not in _ELEMS:
+                raise self.fail(f"unknown element type {elem_tok[1]}", elem_tok)
             encoding = None
             if self.accept("punct", ","):
                 al = self.expect("alias")
-                encoding = self.resolve_alias(al.text[1:], al.span)
+                encoding = self.resolve_alias(al[1][1:], al)
             self.expect("punct", ">")
-            return TensorType(tuple(dims), _ELEMS[elem_tok.text], encoding)
-        if t.kind == "ident" and t.text in _ELEMS:
-            self.bump()
-            return scalar(_ELEMS[t.text])
+            try:
+                return TensorType(tuple(dims), _ELEMS[elem_tok[1]], encoding)
+            except ValueError as e:
+                raise self.fail(str(e), t) from None
+        if t[0] == "ident" and t[1] in _ELEMS:
+            self.pos += 1
+            return scalar(_ELEMS[t[1]])
         raise self.error("expected a type")
 
     # functions -----------------------------------------------------------
     def parse_fn(self) -> KernelFn:
         self.expect("ident", "tt.func")
         self.expect("ident", "public")
-        name = self.expect("symbol").text[1:]
+        name = self.expect("symbol")[1][1:]
         self.expect("punct", "(")
         args: list[tuple[str, Type]] = []
         while not self.accept("punct", ")"):
             v = self.expect("value")
             self.expect("punct", ":")
-            args.append((v.text[1:], self.parse_type()))
+            args.append((v[1][1:], self.parse_type()))
             self.accept("punct", ",")
-        attrs: dict[str, Any] = {}
-        if self.accept("ident", "attributes"):
-            attrs = self.parse_attr_dict()
+        where: dict[str, _Token] = {}
+        attrs = self.parse_attr_dict(where) if self.accept("ident", "attributes") else {}
+        num_warps = attrs.get("num_warps", 1)
+        if type(num_warps) is not int:
+            raise self.fail("num_warps must be an integer", where["num_warps"])
         fn = KernelFn(
             name,
             args,
-            num_warps=attrs.get("num_warps", 1),
+            num_warps=num_warps,
             warp_level=bool(attrs.get("warp_level", False)),
             level=attrs.get("level", "workgroup"),
         )
@@ -481,48 +475,52 @@ class _Parser:
         self.expect("punct", "}")
         return fn
 
-    def parse_attr_dict(self) -> dict[str, Any]:
+    def parse_attr_dict(self, where: dict[str, _Token] | None = None) -> dict[str, Any]:
+        """An attribute dict; `where`, when given, gets each value's first token."""
         self.expect("punct", "{")
         attrs: dict[str, Any] = {}
         while not self.accept("punct", "}"):
-            key = self.expect("ident").text
+            key = self.expect("ident")[1]
             self.expect("punct", "=")
+            if where is not None:
+                where[key] = self.toks[self.pos]
             attrs[key] = self.parse_attr_value()
             self.accept("punct", ",")
         return attrs
 
     def define(self, env: dict[str, Value], name_tok: _Token, value: Value) -> None:
-        name = name_tok.text[1:]
+        name = name_tok[1][1:]
         if name in env:
-            raise ParseError(f"redefinition of %{name}", name_tok.span)
+            raise self.fail(f"redefinition of %{name}", name_tok)
         value.name = name
         env[name] = value
 
     def lookup(self, env: dict[str, Value], tok: _Token) -> Value:
-        name = tok.text[1:]
-        if name not in env:
-            raise ParseError(f"use of undefined value %{name}", tok.span)
-        return env[name]
+        v = env.get(tok[1][1:])
+        if v is None:
+            raise self.fail(f"use of undefined value {tok[1]}", tok)
+        return v
 
     def parse_region_ops(self, region: Region, env: dict[str, Value]) -> None:
-        while self.cur.kind != "eof" and not (self.cur.kind == "punct" and self.cur.text == "}"):
+        while (t := self.toks[self.pos])[1] != "}" and t[0] != "eof":
             self.parse_op(region, env)
 
     def parse_op(self, region: Region, env: dict[str, Value]) -> None:
+        toks = self.toks
         result_toks: list[_Token] = []
-        if self.cur.kind == "value":
+        if toks[self.pos][0] == "value":
             result_toks.append(self.bump())
             while self.accept("punct", ","):
                 result_toks.append(self.expect("value"))
             self.expect("punct", "=")
         kind_tok = self.expect("ident")
-        kind = kind_tok.text
+        kind = kind_tok[1]
         if kind == "scf.for":
             self.parse_for(region, env, result_toks)
             return
         if kind == "scf.if":
             if result_toks:
-                raise ParseError("scf.if has no results", kind_tok.span)
+                raise self.fail("scf.if has no results", kind_tok)
             cond = self.lookup(env, self.expect("value"))
             body = Region()
             op = Operation("scf.if", [cond], {}, [], [body])
@@ -531,49 +529,32 @@ class _Parser:
             self.parse_region_ops(body, dict(env))
             self.expect("punct", "}")
             return
-        if kind == "scf.yield":
-            operands = []
-            while self.cur.kind == "value" and not self._at_results_header():
-                operands.append(self.lookup(env, self.bump()))
-                if not self.accept("punct", ","):
-                    break
-            region.ops.append(Operation("scf.yield", operands))
-            return
 
-        operands_toks: list[_Token] = []
-        while self.cur.kind == "value" and not self._at_results_header():
-            operands_toks.append(self.bump())
+        operand_toks: list[_Token] = []
+        while toks[self.pos][0] == "value" and not self._at_results_header():
+            operand_toks.append(self.bump())
             if not self.accept("punct", ","):
                 break
+        if kind == "scf.yield":
+            region.ops.append(Operation("scf.yield", [self.lookup(env, t) for t in operand_toks]))
+            return
         attrs: dict[str, Any] = {}
-        if self.cur.kind == "punct" and self.cur.text == "{":
+        if toks[self.pos][1] == "{":
             attrs = self.parse_attr_dict()
         in_types: list[Type] = []
         out_types: list[Type] = []
         if self.accept("punct", ":"):
-            self.expect("punct", "(")
-            while not self.accept("punct", ")"):
-                in_types.append(self.parse_type())
-                self.accept("punct", ",")
+            in_types = self.parse_types()
             self.expect("arrow")
-            if self.accept("punct", "("):
-                while not self.accept("punct", ")"):
-                    out_types.append(self.parse_type())
-                    self.accept("punct", ",")
-            else:
-                out_types.append(self.parse_type())
-        operands = [self.lookup(env, t) for t in operands_toks]
+            out_types = self.parse_types() if toks[self.pos][1] == "(" else [self.parse_type()]
+        operands = [self.lookup(env, t) for t in operand_toks]
         if len(in_types) != len(operands):
-            raise ParseError(
-                f"{kind}: {len(operands)} operands but {len(in_types)} operand types", kind_tok.span
-            )
-        for tok, v, t in zip(operands_toks, operands, in_types):
+            raise self.fail(f"{kind}: {len(operands)} operands but {len(in_types)} operand types", kind_tok)
+        for tok, v, t in zip(operand_toks, operands, in_types):
             if v.type != t:
-                raise ParseError(f"%{tok.text[1:]} has type {_type_desc(v.type)}, clause says {_type_desc(t)}", tok.span)
+                raise self.fail(f"{tok[1]} has type {_type_desc(v.type)}, clause says {_type_desc(t)}", tok)
         if len(result_toks) != len(out_types):
-            raise ParseError(
-                f"{kind}: {len(result_toks)} results named but {len(out_types)} result types", kind_tok.span
-            )
+            raise self.fail(f"{kind}: {len(result_toks)} results named but {len(out_types)} result types", kind_tok)
         op = Operation(kind, operands, attrs, out_types)
         region.ops.append(op)
         for tok, r in zip(result_toks, op.results):
@@ -598,12 +579,9 @@ class _Parser:
                 inits.append(self.lookup(env, self.expect("value")))
                 self.accept("punct", ",")
             self.expect("arrow")
-            self.expect("punct", "(")
-            while not self.accept("punct", ")"):
-                res_types.append(self.parse_type())
-                self.accept("punct", ",")
+            res_types = self.parse_types()
         if len(res_types) != len(inits):
-            raise ParseError("iter_args and result types disagree", iv_tok.span)
+            raise self.fail("iter_args and result types disagree", iv_tok)
         body = Region([Value(scalar(ElemType.i32))] + [Value(t) for t in res_types])
         op = Operation("scf.for", [lb, ub, step, *inits], {}, res_types, [body])
         for a in body.args:
@@ -619,7 +597,7 @@ class _Parser:
         for tok, r in zip(result_toks, op.results):
             self.define(env, tok, r)
         if len(result_toks) != len(op.results):
-            raise ParseError("loop result names and iter args disagree", iv_tok.span)
+            raise self.fail("loop result names and iter args disagree", iv_tok)
 
 
 def _type_desc(t: Type) -> str:

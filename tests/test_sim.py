@@ -238,15 +238,22 @@ def test_memory_access_errors(level):
           f"out-of-bounds block access: flat index beyond buffer of 256 ({at} {load})")
     prog = _copy_at(level)
     _declare(prog, "X", F16)
-    fails(prog, _copy_mem(x=F16), f"buffer 'X' holds ElemType.f16, access expects ElemType.f32 ({at} {load})")
+    fails(prog, _copy_mem(x=F16), f"buffer 'X' holds f16, access expects f32 ({at} {load})")
     prog = _copy_at(level)
     _declare(prog, "Y", F16)
-    fails(prog, _copy_mem(y=F16), f"buffer 'Y' holds ElemType.f16, store provides ElemType.f32 ({at} {store})")
+    fails(prog, _copy_mem(y=F16), f"buffer 'Y' holds f16, store provides f32 ({at} {store})")
     prog = _copy_at(level)
     _narrow_y_block(prog)
     fails(prog, _copy_mem(), f"store value shape (8, 16) != block shape (8, 8) ({at} {store})")
     out = run(_copy_at(level), LaunchConfig(), _copy_mem())
     assert np.array_equal(out.tensor("Y")[:8], np.arange(128).reshape(8, 16))
+
+
+@pytest.mark.parametrize("level", ["workgroup", "visa"])
+def test_binding_elem_mismatch(level):
+    with pytest.raises(SimError) as exc:
+        run(_copy_at(level), LaunchConfig(), _copy_mem(x=F16))
+    assert str(exc.value) == "@copy: buffer X holds f16, argument wants f32"
 
 
 def _overwrite_after_load() -> KernelFn:

@@ -98,7 +98,7 @@ def _splat_to(type_text: str) -> str:
 PARSE_CASES = {
     "unexpected_char": (_fn("  %0 = ???\n"), "line 2, col 8: unexpected character '?'"),
     "unexpected_char_after_tab": (_fn("\t%0 = $\n"), "line 2, col 7: unexpected character '$'"),
-    "unknown_elem_in_dim_run": (_splat_to("tensor<4x4xf99>"), "line 3, col 39: unknown element type f99"),
+    "unknown_elem_in_dim_run": (_splat_to("tensor<4x4xf99>"), "line 3, col 42: unknown element type f99"),
     "truncated_tensor": (_HEAD + _C0 + "  %1 = tt.splat %0 : (f32) -> tensor<4x4",
                          "line 3, col 41: expected x (got '<eof>')"),
     "truncated_ptr": (_HEAD + "  %0 = arith.constant {value = 0} : () -> !tt.ptr",
@@ -116,6 +116,15 @@ PARSE_CASES = {
     "space_before_dim_x": (_splat_to("tensor<4 x4xf32>"), None),
     "space_after_dim_x": (_splat_to("tensor<4x 4xf32>"), "line 3, col 39: expected x (got 'x')"),
     "comment_in_type": (_splat_to("tensor<4x4xf32 // four by four\n  >"), None),
+    "dot_op_without_parent": (_BLOCKED + "#dot0 = #triton_gpu.dot_op<{opIdx = 0}>\n" + _fn(""),
+                              "line 2, col 9: #triton_gpu.dot_op needs parent"),
+    "warps_not_a_list": (_BLOCKED.replace("[1, 1]", "2") + _fn(""), "line 1, col 69: warpsPerCTA must be a list of integers"),
+    "num_warps_string": (_fn("", _HEAD.replace("= 1", '= "a"')), "line 1, col 61: num_warps must be an integer"),
+    "num_warps_float": (_fn("", _HEAD.replace("= 1", "= 2.5")), "line 1, col 61: num_warps must be an integer"),
+    "float_in_int_list": (_BLOCKED.replace("order = [1, 0]", "order = [1.5, 0]") + _fn(""),
+                          "line 1, col 86: expected an integer, got 1.5"),
+    "zero_dim": (_splat_to("tensor<0x4xf32>"), "line 3, col 31: non-positive dim in shape (0, 4)"),
+    "rank_3": (_splat_to("tensor<2x2x2xf32>"), "line 3, col 31: rank 3 tensor not supported (max 2)"),
 }
 
 
@@ -128,6 +137,16 @@ def test_parse_error_table(case):
     with pytest.raises(ParseError) as exc:
         parse_module(text)
     assert str(exc.value) == expected
+
+
+@pytest.mark.parametrize("case", sorted(c for c, (_, expected) in PARSE_CASES.items() if expected))
+def test_cli_reports_parse_error_in_one_line(case, tmp_path, capsys):
+    from tilec.cli import main
+
+    text, expected = PARSE_CASES[case]
+    (tmp_path / "k.ttir").write_text(text)
+    assert main(["stats", str(tmp_path / "k.ttir")]) == 1
+    assert capsys.readouterr().err == f"error: {expected}\n"
 
 
 def test_parse_error_on_operand_type_mismatch():
