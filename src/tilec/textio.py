@@ -225,13 +225,14 @@ def print_module(m: KernelModule) -> str:
 
 # Whitespace and comments are folded into the match of the token after them.
 # A `dim` is an integer with the `x` that follows it: `256x32xf16` lexes as
-# dim 256, dim 32, ident f16.
+# dim 256, dim 32, ident f16.  The `x` must touch an identifier character,
+# except where the integer itself directly follows a dim's `x`.
 _SKIP = r"(?:[ \t\n]|//[^\n]*)*"
 _TOKEN_RE = re.compile(
     rf"""{_SKIP}(?:
         (?P<punct>[()\[\]{{}}<>,=:!])
       | (?P<ident>[A-Za-z_][A-Za-z0-9_.]*)
-      | (?P<dim>-?\d+){_SKIP}x(?=[A-Za-z0-9_.])
+      | (?P<dim>-?\d+(?={_SKIP}x[A-Za-z0-9_.])|(?<=x)\d+(?=x)){_SKIP}x
       | (?P<value>%[A-Za-z0-9_]+)
       | (?P<number>-?\d+(?:\.\d*)?(?:[eE][+-]?\d+)?)
       | (?P<arrow>->)
@@ -426,7 +427,7 @@ class _Parser:
             dims: list[int] = []
             while self.toks[self.pos][0] == "dim":
                 dims.append(int(self.bump()[1]))
-            if self.accept("number"):
+            if self.accept("number"):  # a dimension without its x
                 raise self.error("expected x")
             elem_tok = self.expect("ident")
             if elem_tok[1] not in _ELEMS:
@@ -601,8 +602,7 @@ class _Parser:
 
 
 def _type_desc(t: Type) -> str:
-    p = _Printer()
-    return p.type_str(t)
+    return _Printer().type_str(t)
 
 
 def parse_module(text: str) -> KernelModule:

@@ -101,6 +101,9 @@ PARSE_CASES = {
     "unknown_elem_in_dim_run": (_splat_to("tensor<4x4xf99>"), "line 3, col 42: unknown element type f99"),
     "truncated_tensor": (_HEAD + _C0 + "  %1 = tt.splat %0 : (f32) -> tensor<4x4",
                          "line 3, col 41: expected x (got '<eof>')"),
+    "truncated_dim_run": (_HEAD + _C0 + "  %1 = tt.splat %0 : (f32) -> tensor<4x4x",
+                          "line 3, col 42: expected ident (got '<eof>')"),
+    "dim_run_without_elem": (_splat_to("tensor<1x64x>"), "line 3, col 43: expected ident (got '>')"),
     "truncated_ptr": (_HEAD + "  %0 = arith.constant {value = 0} : () -> !tt.ptr",
                       "line 2, col 50: expected < (got '<eof>')"),
     "truncated_block_ptr": (_HEAD + "  %0 = arith.constant {value = 0} : () -> !tt.ptr<tensor<4xf32>",
