@@ -4,20 +4,20 @@ Five fixtures cover the pipeline end to end: a dense matmul, fused
 attention at two head sizes, and two paged-attention variants (one
 workgroup-level, one warp-level with a cross-warp epilogue).  Each
 fixture ships as a .ttir file plus a manifest entry naming its launch
-shape, RNG seed, reference oracle, and tolerance; `make_problem` turns
-that entry into device buffers and expected outputs.
+grid, RNG seed, reference oracle, and tolerance; those files are the only
+source of the suite, and a fixture changes by editing them.  The warp
+count is the kernel's own `num_warps` attribute.  `make_problem` turns a
+manifest entry into device buffers and expected outputs.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from importlib.resources import files
-from pathlib import Path
-from typing import Any, Callable
 
 import numpy as np
 
-from .ir import ElemType, FunctionBuilder, KernelFn, KernelModule, PtrType, Value, verify_or_raise
+from .ir import ElemType, KernelFn, verify_or_raise
 from .oracle import (
     AttentionProblem,
     PagedKV,
@@ -29,7 +29,7 @@ from .oracle import (
     rand_f16,
 )
 from .sim import DeviceMemory, LaunchConfig
-from .textio import parse_module, print_module
+from .textio import parse_module
 
 F16 = ElemType.f16
 F32 = ElemType.f32
@@ -42,7 +42,6 @@ class Fixture:
 
     name: str
     grid: tuple[int, int, int]
-    num_warps: int
     oracle: str
     tolerance: float
     seed: int
@@ -60,228 +59,6 @@ class Problem:
     launch: LaunchConfig
 
 
-# --------------------------------------------------------------------------
-# kernel builders
-
-
-def _gemm_256() -> KernelFn:
-    """C = A @ B over 256x256x256 f16 inputs, one workgroup of 32 warps."""
-    fb = FunctionBuilder(
-        "gemm_256",
-        [("A", PtrType(F16)), ("B", PtrType(F16)), ("C", PtrType(F32))],
-        num_warps=32,
-    )
-    c0 = fb.constant(0)
-    c1 = fb.constant(1)
-    c32 = fb.constant(32)
-    c256 = fb.constant(256)
-    off_m = fb.binary("arith.muli", fb.program_id(0), c256)
-    off_n = fb.binary("arith.muli", fb.program_id(1), c256)
-    a_ptr = fb.make_tensor_ptr(fb.fn.arg("A"), [c256, c256], [c256, c1], [off_m, c0], (256, 32), (1, 0))
-    b_ptr = fb.make_tensor_ptr(fb.fn.arg("B"), [c256, c256], [c256, c1], [c0, off_n], (32, 256), (1, 0))
-    acc0 = fb.splat(fb.constant(0.0), (256, 256))
-    _, (acc, ap, bp) = fb.begin_for(c0, c256, c32, [acc0, a_ptr, b_ptr])
-    acc_n = fb.dot(fb.load(ap), fb.load(bp), acc)
-    ap_n = fb.advance(ap, [c0, c32])
-    bp_n = fb.advance(bp, [c32, c0])
-    acc_f, _, _ = fb.end_for([acc_n, ap_n, bp_n])
-    c_ptr = fb.make_tensor_ptr(fb.fn.arg("C"), [c256, c256], [c256, c1], [off_m, off_n], (256, 256), (1, 0))
-    fb.store(c_ptr, acc_f)
-    fb.ret()
-    return fb.build()
-
-
-def _fa2(d: int) -> KernelFn:
-    """Fused attention forward: 128 query rows per workgroup, online
-    softmax over 64-row key/value blocks, K read through a transposed
-    block pointer."""
-    fb = FunctionBuilder(
-        f"fa2_d{d}",
-        [("Q", PtrType(F16)), ("K", PtrType(F16)), ("V", PtrType(F16)), ("O", PtrType(F16))],
-        num_warps=8,
-    )
-    c0 = fb.constant(0)
-    c1 = fb.constant(1)
-    c64 = fb.constant(64)
-    c128 = fb.constant(128)
-    c512 = fb.constant(512)
-    cd = fb.constant(d)
-    zf = fb.constant(0.0)
-    off_m = fb.binary("arith.muli", fb.program_id(0), c128)
-    q_ptr = fb.make_tensor_ptr(fb.fn.arg("Q"), [c512, cd], [cd, c1], [off_m, c0], (128, d), (1, 0))
-    q = fb.load(q_ptr)
-    kt_ptr = fb.make_tensor_ptr(fb.fn.arg("K"), [cd, c512], [c1, cd], [c0, c0], (d, 64), (0, 1))
-    v_ptr = fb.make_tensor_ptr(fb.fn.arg("V"), [c512, cd], [cd, c1], [c0, c0], (64, d), (1, 0))
-    m0 = fb.splat(fb.constant(-1e30), (128,))
-    l0 = fb.splat(zf, (128,))
-    acc0 = fb.splat(zf, (128, d))
-    _, (m, l, acc, kp, vp) = fb.begin_for(c0, c512, c64, [m0, l0, acc0, kt_ptr, v_ptr])
-    qk = fb.dot(q, fb.load(kp), fb.splat(zf, (128, 64)))
-    m_new = fb.binary("arith.maximumf", m, fb.reduce(qk, "max", 1))
-    alpha = fb.exp(fb.binary("arith.subf", m, m_new))
-    p = fb.exp(fb.binary("arith.subf", qk, fb.broadcast(fb.expand_dims(m_new, 1), (128, 64))))
-    l_new = fb.binary("arith.addf", fb.binary("arith.mulf", l, alpha), fb.reduce(p, "sum", 1))
-    acc_s = fb.binary("arith.mulf", acc, fb.broadcast(fb.expand_dims(alpha, 1), (128, d)))
-    acc_n = fb.dot(fb.convert(p, F16), fb.load(vp), acc_s, tiling="horizontal")
-    kp_n = fb.advance(kp, [c0, c64])
-    vp_n = fb.advance(vp, [c64, c0])
-    _, l_f, acc_f, _, _ = fb.end_for([m_new, l_new, acc_n, kp_n, vp_n])
-    o = fb.binary("arith.divf", acc_f, fb.broadcast(fb.expand_dims(l_f, 1), (128, d)))
-    o_ptr = fb.make_tensor_ptr(fb.fn.arg("O"), [c512, cd], [cd, c1], [off_m, c0], (128, d), (1, 0))
-    fb.store(o_ptr, fb.convert(o, F16))
-    fb.ret()
-    return fb.build()
-
-
-_PAGED_ARGS = [
-    ("Q", PtrType(F16)),
-    ("KB", PtrType(F16)),
-    ("VB", PtrType(F16)),
-    ("BT", PtrType(I32)),
-    ("O", PtrType(F32)),
-]
-
-
-def _paged_block(fb: FunctionBuilder, q: Value, row: Value, zf: Value, rows: Value):
-    """Shared per-block body: gather one K/V block by physical row and
-    return (qk scores, loaded V block)."""
-    c0 = fb.constant(0)
-    c1 = fb.constant(1)
-    c64 = fb.constant(64)
-    kt_ptr = fb.make_tensor_ptr(fb.fn.arg("KB"), [c64, rows], [c1, c64], [c0, row], (64, 64), (0, 1))
-    qk = fb.dot(q, fb.load(kt_ptr), fb.splat(zf, (1, 64)))
-    v_ptr = fb.make_tensor_ptr(fb.fn.arg("VB"), [rows, c64], [c64, c1], [row, c0], (64, 64), (1, 0))
-    return qk, fb.load(v_ptr)
-
-
-def _paged_wg() -> KernelFn:
-    """Single-query paged attention, one warp: each logical block is
-    softmax-normalized on its own and the block outputs are summed."""
-    fb = FunctionBuilder("paged_wg", _PAGED_ARGS, num_warps=1)
-    c0 = fb.constant(0)
-    c1 = fb.constant(1)
-    c8 = fb.constant(8)
-    c64 = fb.constant(64)
-    rows = fb.constant(40 * 64)
-    zf = fb.constant(0.0)
-    q_ptr = fb.make_tensor_ptr(fb.fn.arg("Q"), [c1, c64], [c64, c1], [c0, c0], (1, 64), (1, 0))
-    q = fb.load(q_ptr)
-    acc0 = fb.splat(zf, (1, 64))
-    i, (acc,) = fb.begin_for(c0, c8, c1, [acc0])
-    bt_ptr = fb.make_tensor_ptr(fb.fn.arg("BT"), [c8], [c1], [i], (1,), (0,))
-    row = fb.binary("arith.muli", fb.reduce(fb.load(bt_ptr), "max", 0), c64)
-    qk, v = _paged_block(fb, q, row, zf, rows)
-    p = fb.exp(fb.binary("arith.subf", qk, fb.broadcast(fb.expand_dims(fb.reduce(qk, "max", 1), 1), (1, 64))))
-    p = fb.binary("arith.divf", p, fb.broadcast(fb.expand_dims(fb.reduce(p, "sum", 1), 1), (1, 64)))
-    acc_n = fb.dot(fb.convert(p, F16), v, acc)
-    (acc_f,) = fb.end_for([acc_n])
-    o_ptr = fb.make_tensor_ptr(fb.fn.arg("O"), [c1, c64], [c64, c1], [c0, c0], (1, 64), (1, 0))
-    fb.store(o_ptr, acc_f)
-    fb.ret()
-    return fb.build()
-
-
-def _paged_warp() -> KernelFn:
-    """Single-query paged attention split across 8 warps.
-
-    Warp 0 stages Q in shared local memory; each warp then runs an online
-    softmax over its 4 logical blocks and the partial (m, l, acc) states
-    are merged with cross-warp reductions, the final sum delivered to
-    warp 0 only, which normalizes and stores O.
-    """
-    fb = FunctionBuilder("paged_warp", _PAGED_ARGS, num_warps=8, warp_level=True)
-    c0 = fb.constant(0)
-    c1 = fb.constant(1)
-    c4 = fb.constant(4)
-    c32 = fb.constant(32)
-    c64 = fb.constant(64)
-    rows = fb.constant(40 * 64)
-    zf = fb.constant(0.0)
-    wid = fb.warp_id()
-    q_slm = fb.alloc((1, 64), F16)
-    is_w0 = fb.cmpi("eq", wid, c0)
-    fb.begin_if(is_w0)
-    q_ptr = fb.make_tensor_ptr(fb.fn.arg("Q"), [c1, c64], [c64, c1], [c0, c0], (1, 64), (1, 0))
-    fb.store(q_slm, fb.load(q_ptr))
-    fb.end_if()
-    fb.barrier()
-    q = fb.load(q_slm)
-    m0 = fb.splat(fb.constant(-1e30), (1,))
-    l0 = fb.splat(zf, (1,))
-    acc0 = fb.splat(zf, (1, 64))
-    start = fb.binary("arith.muli", wid, c4)
-    i, (m, l, acc) = fb.begin_for(c0, c4, c1, [m0, l0, acc0])
-    bt_ptr = fb.make_tensor_ptr(fb.fn.arg("BT"), [c32], [c1], [fb.binary("arith.addi", start, i)], (1,), (0,))
-    row = fb.binary("arith.muli", fb.reduce(fb.load(bt_ptr), "max", 0), c64)
-    qk, v = _paged_block(fb, q, row, zf, rows)
-    m_new = fb.binary("arith.maximumf", m, fb.reduce(qk, "max", 1))
-    alpha = fb.exp(fb.binary("arith.subf", m, m_new))
-    p = fb.exp(fb.binary("arith.subf", qk, fb.broadcast(fb.expand_dims(m_new, 1), (1, 64))))
-    l_new = fb.binary("arith.addf", fb.binary("arith.mulf", l, alpha), fb.reduce(p, "sum", 1))
-    acc_s = fb.binary("arith.mulf", acc, fb.broadcast(fb.expand_dims(alpha, 1), (1, 64)))
-    acc_n = fb.dot(fb.convert(p, F16), v, acc_s)
-    m_f, l_f, acc_f = fb.end_for([m_new, l_new, acc_n])
-    g_m = fb.cross_warp_reduce(m_f, "max")
-    scale = fb.exp(fb.binary("arith.subf", m_f, g_m))
-    l_tot = fb.cross_warp_reduce(fb.binary("arith.mulf", l_f, scale), "sum")
-    acc_adj = fb.binary("arith.mulf", acc_f, fb.broadcast(fb.expand_dims(scale, 1), (1, 64)))
-    acc_tot = fb.cross_warp_reduce(acc_adj, "sum", dst_warps=[0])
-    fb.begin_if(is_w0)
-    o = fb.binary("arith.divf", acc_tot, fb.broadcast(fb.expand_dims(l_tot, 1), (1, 64)))
-    o_ptr = fb.make_tensor_ptr(fb.fn.arg("O"), [c1, c64], [c64, c1], [c0, c0], (1, 64), (1, 0))
-    fb.store(o_ptr, o)
-    fb.end_if()
-    fb.ret()
-    return fb.build()
-
-
-_BUILDERS: dict[str, Callable[[], KernelFn]] = {
-    "gemm_256": _gemm_256,
-    "fa2_d64": lambda: _fa2(64),
-    "fa2_d128": lambda: _fa2(128),
-    "paged_wg": _paged_wg,
-    "paged_warp": _paged_warp,
-}
-
-_FIXTURES: dict[str, Fixture] = {
-    "gemm_256": Fixture(
-        "gemm_256", (1, 1, 1), 32, "gemm", 1e-4, 2001,
-        {"m": 256, "n": 256, "k": 256, "k_step": 32},
-        "dense f16 matmul with f32 accumulation",
-    ),
-    "fa2_d64": Fixture(
-        "fa2_d64", (4, 1, 1), 8, "attention", 1e-2, 2002,
-        {"n": 512, "d": 64, "kv_block": 64, "rows_per_wg": 128},
-        "fused attention forward, head dim 64",
-    ),
-    "fa2_d128": Fixture(
-        "fa2_d128", (4, 1, 1), 8, "attention", 1e-2, 2003,
-        {"n": 512, "d": 128, "kv_block": 64, "rows_per_wg": 128},
-        "fused attention forward, head dim 128",
-    ),
-    "paged_wg": Fixture(
-        "paged_wg", (1, 1, 1), 1, "paged_blockwise", 1e-2, 2004,
-        {"logical_blocks": 8, "block_len": 64, "d": 64, "physical_blocks": 40},
-        "paged attention, per-block softmax summed without rescaling",
-    ),
-    "paged_warp": Fixture(
-        "paged_warp", (1, 1, 1), 8, "paged", 1e-2, 2005,
-        {"logical_blocks": 32, "block_len": 64, "d": 64, "physical_blocks": 40},
-        "paged attention split over warps with a cross-warp merge",
-    ),
-}
-
-FIXTURE_NAMES = tuple(_FIXTURES)
-
-
-def build(name: str) -> KernelFn:
-    """Construct a suite kernel from scratch (no file I/O)."""
-    try:
-        return _BUILDERS[name]()
-    except KeyError:
-        raise KeyError(f"unknown fixture {name!r}; have {', '.join(FIXTURE_NAMES)}") from None
-
-
 def _data_dir():
     return files("tilec").joinpath("kernels")
 
@@ -289,24 +66,15 @@ def _data_dir():
 def suite() -> dict[str, Fixture]:
     """Fixture records from the shipped manifest, in manifest order."""
     doc = json.loads(_data_dir().joinpath("manifest.json").read_text())
-    out: dict[str, Fixture] = {}
-    for e in doc["fixtures"]:
-        out[e["name"]] = Fixture(
-            name=e["name"],
-            grid=tuple(e["grid"]),
-            num_warps=e["num_warps"],
-            oracle=e["oracle"],
-            tolerance=e["tolerance"],
-            seed=e["seed"],
-            params=dict(e["params"]),
-            note=e.get("note", ""),
-        )
-    return out
+    return {e["name"]: Fixture(**{**e, "grid": tuple(e["grid"])}) for e in doc["fixtures"]}
+
+
+FIXTURE_NAMES = tuple(suite())
 
 
 def kernel_text(name: str) -> str:
     """Shipped .ttir source for a suite kernel."""
-    if name not in _FIXTURES:
+    if name not in FIXTURE_NAMES:
         raise KeyError(f"unknown fixture {name!r}; have {', '.join(FIXTURE_NAMES)}")
     return _data_dir().joinpath(f"{name}.ttir").read_text()
 
@@ -364,26 +132,3 @@ def make_problem(fx: Fixture, seed: int | None = None) -> Problem:
     else:
         raise ValueError(f"fixture {fx.name!r} names unknown oracle {fx.oracle!r}")
     return Problem(mem, expected, fx.tolerance, LaunchConfig(grid=fx.grid))
-
-
-def write_suite(out_dir: str | Path) -> None:
-    """Regenerate the shipped .ttir files and manifest from the builders."""
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for name, fx in _FIXTURES.items():
-        fn = build(name)
-        (out / f"{name}.ttir").write_text(print_module(KernelModule([fn])))
-        entries.append(
-            {
-                "name": fx.name,
-                "grid": list(fx.grid),
-                "num_warps": fx.num_warps,
-                "oracle": fx.oracle,
-                "tolerance": fx.tolerance,
-                "seed": fx.seed,
-                "params": fx.params,
-                "note": fx.note,
-            }
-        )
-    (out / "manifest.json").write_text(json.dumps({"fixtures": entries}, indent=2) + "\n")

@@ -47,6 +47,7 @@ from .ir import (
     PtrType,
     tile_type,
 )
+from .textio import _type_desc
 from .visa import CROSS_WARP_REDUCE, LOWERING, TargetConfig, VInstr, VProgram
 
 
@@ -635,7 +636,7 @@ def run(
         bindings = []
         for a in prog.args:
             if not isinstance(a.type, PtrType) or a.type.is_block:
-                raise SimError(f"@{name}: only buffer pointer arguments are bindable, %{a.name} is {a.type}")
+                raise SimError(f"@{name}: only buffer pointer arguments are bindable, %{a.name} is {_type_desc(a.type)}")
             bindings.append((id(a), a.name, a.type.pointee))
         steps = [_decode_op(op) for op in prog.body.ops]
 

@@ -17,7 +17,7 @@ later use of that spelling; an alias definition empties this memo.
 from __future__ import annotations
 
 import re
-from typing import Any
+from typing import Any, Callable, TypeVar
 
 from .ir import (
     ElemType,
@@ -263,6 +263,7 @@ def _lex(text: str) -> list[_Token]:
 
 
 _ELEMS = {e.value: e for e in ElemType}
+_T = TypeVar("_T")
 _KIND_NAMES = {int: "an integer", list: "a list of integers", str: "an alias"}
 
 
@@ -300,6 +301,18 @@ class _Parser:
             self.pos += 1
             return t
         return None
+
+    def parse_list(self, close: str, item: Callable[[], _T]) -> list[_T]:
+        """Items up to the `close` punct, a comma between each two; the
+        opening punct is already consumed."""
+        items: list[_T] = []
+        if not self.accept("punct", close):
+            items.append(item())
+            while not self.accept("punct", close):
+                if not self.accept("punct", ","):
+                    raise self.error(f"expected , or {close}")
+                items.append(item())
+        return items
 
     def _at_results_header(self) -> bool:
         """True if the tokens ahead read `%a (, %b)* =`, i.e. the next op's
@@ -371,16 +384,15 @@ class _Parser:
         if text in ("true", "false") and kind == "ident":
             return text == "true"
         if text == "[":
-            items: list[int] = []
-            while not self.accept("punct", "]"):
-                n = self.expect("number")
-                if not n[1].lstrip("-").isdigit():
-                    raise self.fail(f"expected an integer, got {n[1]}", n)
-                items.append(int(n[1]))
-                self.accept("punct", ",")
-            return items
+            return self.parse_list("]", self.parse_int)
         self.pos -= 1
         raise self.error("expected attribute value")
+
+    def parse_int(self) -> int:
+        n = self.expect("number")
+        if not n[1].lstrip("-").isdigit():
+            raise self.fail(f"expected an integer, got {n[1]}", n)
+        return int(n[1])
 
     # types ---------------------------------------------------------------
     def parse_type(self) -> Type:
@@ -400,11 +412,7 @@ class _Parser:
 
     def parse_types(self) -> list[Type]:
         self.expect("punct", "(")
-        types: list[Type] = []
-        while not self.accept("punct", ")"):
-            types.append(self.parse_type())
-            self.accept("punct", ",")
-        return types
+        return self.parse_list(")", self.parse_type)
 
     def _type(self) -> Type:
         t = self.toks[self.pos]
@@ -452,24 +460,22 @@ class _Parser:
         self.expect("ident", "public")
         name = self.expect("symbol")[1][1:]
         self.expect("punct", "(")
-        args: list[tuple[str, Type]] = []
-        while not self.accept("punct", ")"):
+
+        def arg() -> tuple[str, Type]:
             v = self.expect("value")
             self.expect("punct", ":")
-            args.append((v[1][1:], self.parse_type()))
-            self.accept("punct", ",")
+            return v[1][1:], self.parse_type()
+
+        args = self.parse_list(")", arg)
         where: dict[str, _Token] = {}
         attrs = self.parse_attr_dict(where) if self.accept("ident", "attributes") else {}
         num_warps = attrs.get("num_warps", 1)
         if type(num_warps) is not int:
             raise self.fail("num_warps must be an integer", where["num_warps"])
-        fn = KernelFn(
-            name,
-            args,
-            num_warps=num_warps,
-            warp_level=bool(attrs.get("warp_level", False)),
-            level=attrs.get("level", "workgroup"),
-        )
+        warp_level = attrs.get("warp_level", False)
+        if type(warp_level) is not bool:
+            raise self.fail("warp_level must be true or false", where["warp_level"])
+        fn = KernelFn(name, args, num_warps=num_warps, warp_level=warp_level, level=attrs.get("level", "workgroup"))
         env: dict[str, Value] = {a.name: a for a in fn.args}
         self.expect("punct", "{")
         self.parse_region_ops(fn.body, env)
@@ -479,15 +485,15 @@ class _Parser:
     def parse_attr_dict(self, where: dict[str, _Token] | None = None) -> dict[str, Any]:
         """An attribute dict; `where`, when given, gets each value's first token."""
         self.expect("punct", "{")
-        attrs: dict[str, Any] = {}
-        while not self.accept("punct", "}"):
+
+        def item() -> tuple[str, Any]:
             key = self.expect("ident")[1]
             self.expect("punct", "=")
             if where is not None:
                 where[key] = self.toks[self.pos]
-            attrs[key] = self.parse_attr_value()
-            self.accept("punct", ",")
-        return attrs
+            return key, self.parse_attr_value()
+
+        return dict(self.parse_list("}", item))
 
     def define(self, env: dict[str, Value], name_tok: _Token, value: Value) -> None:
         name = name_tok[1][1:]
@@ -532,10 +538,10 @@ class _Parser:
             return
 
         operand_toks: list[_Token] = []
-        while toks[self.pos][0] == "value" and not self._at_results_header():
+        if toks[self.pos][0] == "value" and not self._at_results_header():
             operand_toks.append(self.bump())
-            if not self.accept("punct", ","):
-                break
+            while self.accept("punct", ","):
+                operand_toks.append(self.expect("value"))
         if kind == "scf.yield":
             region.ops.append(Operation("scf.yield", [self.lookup(env, t) for t in operand_toks]))
             return
@@ -574,11 +580,13 @@ class _Parser:
         res_types: list[Type] = []
         if self.accept("ident", "iter_args"):
             self.expect("punct", "(")
-            while not self.accept("punct", ")"):
+
+            def init() -> Value:
                 arg_toks.append(self.expect("value"))
                 self.expect("punct", "=")
-                inits.append(self.lookup(env, self.expect("value")))
-                self.accept("punct", ",")
+                return self.lookup(env, self.expect("value"))
+
+            inits = self.parse_list(")", init)
             self.expect("arrow")
             res_types = self.parse_types()
         if len(res_types) != len(inits):

@@ -32,6 +32,7 @@ from .ir import (
     tile_type,
     walk_fn_ops,
 )
+from .textio import _type_desc
 
 
 class LoweringError(ValueError):
@@ -307,7 +308,7 @@ class _Lowerer:
         args: list[tuple[str, ElemType]] = []
         for a in self.fn.args:
             if not isinstance(a.type, PtrType) or a.type.is_block:
-                raise LoweringError(f"@{self.fn.name}: only buffer pointer arguments lower, %{a.name} is {a.type}")
+                raise LoweringError(f"@{self.fn.name}: only buffer pointer arguments lower, %{a.name} is {_type_desc(a.type)}")
             self.regs[id(a)] = f"%{a.name}"
             args.append((a.name, a.type.pointee))
         body = self.lower_region(self.fn.body)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from tilec.ir import KernelFn, KernelModule, Operation, walk_fn_ops
-from tilec.kernels import build, make_problem, suite
+from tilec.kernels import load_fixture, make_problem, suite
 from tilec.passes import CompileResult, compile_kernel
 from tilec.sim import DeviceMemory, RunTrace, run
 from tilec.textio import print_module
@@ -14,12 +14,12 @@ from tilec.visa import VInstr, VOpcode, VProgram
 
 @pytest.fixture(scope="session")
 def gemm_compiled() -> CompileResult:
-    return compile_kernel(build("gemm_256"))
+    return compile_kernel(load_fixture("gemm_256"))
 
 
 @pytest.fixture(scope="session")
 def fa2_compiled() -> CompileResult:
-    return compile_kernel(build("fa2_d64"))
+    return compile_kernel(load_fixture("fa2_d64"))
 
 
 @pytest.fixture(scope="session")
@@ -82,7 +82,7 @@ def run_fixture(name: str, level: str, seed: int | None = None,
                 wg_order: tuple[int, ...] | None = None) -> tuple[DeviceMemory, object]:
     fx = suite()[name]
     prob = make_problem(fx, seed)
-    res = compile_kernel(build(name), to_level=level)
+    res = compile_kernel(load_fixture(name), to_level=level)
     launch = prob.launch
     if wg_order is not None:
         from dataclasses import replace

@@ -12,7 +12,7 @@ from dataclasses import replace
 import numpy as np
 
 from conftest import exec_widths, flat_instrs, fn_text, load_base, ops_of, run_fixture
-from tilec.kernels import FIXTURE_NAMES, build, kernel_text
+from tilec.kernels import FIXTURE_NAMES, kernel_text, load_fixture
 from tilec.layouts import BlockedEncoding, DotOperandEncoding, SliceEncoding
 from tilec.oracle import rel_max_err
 from tilec.sim import RunTrace
@@ -294,7 +294,7 @@ def test_criterion_10_roundtrip():
         reprinted = print_module(parse_module(shipped))
         _check(failures, reprinted == shipped, f"{name}: shipped text not a fixpoint")
 
-        res = compile_kernel(build(name), to_level="intrinsic")
+        res = compile_kernel(load_fixture(name), to_level="intrinsic")
         for stage in ("source", "layouts", "distribute", "match"):
             text = fn_text(getattr(res, stage) if stage != "source" else res.source)
             again = print_module(parse_module(text))

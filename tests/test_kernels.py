@@ -1,51 +1,35 @@
-"""Built-in kernel suite: builders, shipped files, manifest, problems."""
+"""Built-in kernel suite: shipped files, manifest, problems."""
 
 from __future__ import annotations
 
-import json
-from pathlib import Path
+from importlib.resources import files
 
 import numpy as np
 import pytest
 
-from tilec.ir import KernelModule, fn_equal, verify, walk_fn_ops
-from tilec.kernels import (
-    FIXTURE_NAMES,
-    build,
-    kernel_text,
-    load_fixture,
-    make_problem,
-    suite,
-    write_suite,
-)
+from tilec.ir import walk_fn_ops
+from tilec.kernels import FIXTURE_NAMES, kernel_text, load_fixture, make_problem, suite
 from tilec.oracle import rel_max_err
 from tilec.passes import compile_kernel
 from tilec.sim import run
-from tilec.textio import print_module
+from tilec.textio import parse_module
 
 
 def test_fixture_names():
     assert set(FIXTURE_NAMES) == {"gemm_256", "fa2_d64", "fa2_d128", "paged_wg", "paged_warp"}
 
 
-@pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_builders_verify(name):
-    assert verify(build(name)) == []
-
-
-@pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_shipped_text_matches_builder(name):
-    assert kernel_text(name) == print_module(KernelModule((build(name),)))
-
-
-@pytest.mark.parametrize("name", FIXTURE_NAMES)
-def test_load_fixture_equals_builder(name):
-    assert fn_equal(load_fixture(name), build(name))
+def test_shipped_files_match_manifest():
+    shipped = {p.name.removesuffix(".ttir") for p in files("tilec").joinpath("kernels").iterdir()
+               if p.name.endswith(".ttir")}
+    assert shipped == set(suite())
+    for name in shipped:
+        assert [fn.name for fn in parse_module(kernel_text(name)).functions] == [name]
 
 
 def test_unknown_fixture():
     with pytest.raises(KeyError):
-        build("gemm_257")
+        load_fixture("gemm_257")
     with pytest.raises(KeyError):
         kernel_text("gemm_257")
 
@@ -54,21 +38,15 @@ def test_manifest_records():
     fx = suite()
     assert list(fx) == list(FIXTURE_NAMES)
     g = fx["gemm_256"]
-    assert (g.grid, g.num_warps, g.oracle, g.tolerance) == ((1, 1, 1), 32, "gemm", 1e-4)
+    assert (g.grid, g.oracle, g.tolerance) == ((1, 1, 1), "gemm", 1e-4)
+    assert load_fixture("gemm_256").num_warps == 32
     f = fx["fa2_d64"]
-    assert (f.grid, f.num_warps, f.oracle, f.tolerance) == ((4, 1, 1), 8, "attention", 1e-2)
+    assert (f.grid, f.oracle, f.tolerance) == ((4, 1, 1), "attention", 1e-2)
+    assert load_fixture("fa2_d64").num_warps == 8
     assert fx["fa2_d128"].params["d"] == 128
     assert fx["paged_wg"].oracle == "paged_blockwise"
     assert fx["paged_warp"].oracle == "paged"
     assert fx["paged_warp"].params["logical_blocks"] == 32
-
-
-def test_write_suite_is_reproducible(tmp_path):
-    write_suite(tmp_path)
-    for name in FIXTURE_NAMES:
-        assert (tmp_path / f"{name}.ttir").read_text() == kernel_text(name)
-    doc = json.loads((tmp_path / "manifest.json").read_text())
-    assert [e["name"] for e in doc["fixtures"]] == list(FIXTURE_NAMES)
 
 
 def test_make_problem_gemm():
@@ -98,7 +76,7 @@ def test_make_problem_paged():
 def test_every_fixture_checks_at_every_level(name, level):
     fx = suite()[name]
     prob = make_problem(fx)
-    res = compile_kernel(build(name), to_level=level)
+    res = compile_kernel(load_fixture(name), to_level=level)
     got = run(res.at_level(level), prob.launch, prob.mem)
     for buf, want in prob.expected.items():
         err = rel_max_err(got.tensor(buf), want)
@@ -106,8 +84,8 @@ def test_every_fixture_checks_at_every_level(name, level):
 
 
 def test_paged_warp_covers_all_extensions():
-    kinds = [op.kind for op in walk_fn_ops(build("paged_warp"))]
-    fn = build("paged_warp")
+    fn = load_fixture("paged_warp")
+    kinds = [op.kind for op in walk_fn_ops(fn)]
     assert fn.warp_level
     assert "tt.warp_id" in kinds
     assert "tt.alloc" in kinds

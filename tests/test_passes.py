@@ -6,7 +6,7 @@ import pytest
 
 from conftest import ops_of
 from tilec.ir import ElemType, FunctionBuilder, PtrType, fn_equal, walk_fn_ops
-from tilec.kernels import build
+from tilec.kernels import load_fixture
 from tilec.layouts import BlockedEncoding, DotOperandEncoding
 from tilec.passes import (
     PassError,
@@ -35,18 +35,18 @@ def test_compile_levels(gemm_compiled):
 
 
 def test_at_level_unreached():
-    res = compile_kernel(build("gemm_256"), to_level="workgroup")
+    res = compile_kernel(load_fixture("gemm_256"), to_level="workgroup")
     with pytest.raises(ValueError):
         res.at_level("visa")
 
 
 def test_classify_workloads():
-    assert classify_workload(build("gemm_256")).kind == "gemm"
-    assert classify_workload(build("fa2_d64")).kind == "attention"
+    assert classify_workload(load_fixture("gemm_256")).kind == "gemm"
+    assert classify_workload(load_fixture("fa2_d64")).kind == "attention"
 
 
 def test_source_is_not_mutated():
-    fn = build("gemm_256")
+    fn = load_fixture("gemm_256")
     before = [op.kind for op in walk_fn_ops(fn)]
     compile_kernel(fn)
     assert [op.kind for op in walk_fn_ops(fn)] == before
@@ -55,7 +55,7 @@ def test_source_is_not_mutated():
 
 
 def test_warp_level_source_passes_through_layouts():
-    fn = build("paged_warp")
+    fn = load_fixture("paged_warp")
     assert fn.warp_level
     out = assign_layouts(fn)
     assert out is not fn
@@ -66,7 +66,7 @@ def test_warp_level_source_passes_through_layouts():
 
 
 def test_tiling_hint_overrides_root():
-    res = compile_kernel(build("gemm_256"), to_level="workgroup", hints={0: "horizontal"})
+    res = compile_kernel(load_fixture("gemm_256"), to_level="workgroup", hints={0: "horizontal"})
     store = ops_of(res.layouts, "tt.store")[0]
     enc = store.operands[1].type.encoding
     assert enc == BlockedEncoding((8, 256), (32, 1), (1, 0))
@@ -74,7 +74,7 @@ def test_tiling_hint_overrides_root():
 
 def test_apply_tiling_hints_validates_index():
     with pytest.raises(PassError):
-        apply_tiling_hints(build("gemm_256"), {3: "horizontal"})
+        apply_tiling_hints(load_fixture("gemm_256"), {3: "horizontal"})
 
 
 def test_layout_conflict_is_reported():
@@ -131,9 +131,9 @@ def test_match_introduces_extract_glue(gemm_compiled, fa2_compiled):
 
 def test_match_requires_warp_level_input():
     with pytest.raises(PassError):
-        match_target_size(build("gemm_256"), PVC)
+        match_target_size(load_fixture("gemm_256"), PVC)
 
 
 def test_pipeline_rejects_unknown_level():
     with pytest.raises(ValueError):
-        compile_kernel(build("gemm_256"), to_level="nope")
+        compile_kernel(load_fixture("gemm_256"), to_level="nope")

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from tilec.ir import ElemType, FunctionBuilder, KernelFn, PtrType, retile
+from tilec.ir import ElemType, FunctionBuilder, KernelFn, PtrType, retile, scalar
 from tilec.kernels import kernel_text, make_problem, suite
 from tilec.oracle import philox, rand_f16
 from tilec.passes import compile_kernel
@@ -254,6 +254,14 @@ def test_binding_elem_mismatch(level):
     with pytest.raises(SimError) as exc:
         run(_copy_at(level), LaunchConfig(), _copy_mem(x=F16))
     assert str(exc.value) == "@copy: buffer X holds f16, argument wants f32"
+
+
+def test_non_pointer_argument_is_spelled_as_ir():
+    fb = FunctionBuilder("f", [("X", scalar(F32))])
+    fb.ret()
+    with pytest.raises(SimError) as exc:
+        run(fb.build(), LaunchConfig(), DeviceMemory())
+    assert str(exc.value) == "@f: only buffer pointer arguments are bindable, %X is f32"
 
 
 def _overwrite_after_load() -> KernelFn:

@@ -6,9 +6,10 @@ import re
 
 import pytest
 
-from tilec.ir import ElemType, FunctionBuilder, KernelModule, PtrType, module_equal
-from tilec.kernels import build
+from tilec.ir import ElemType, FunctionBuilder, KernelModule, PtrType, module_equal, verify, walk_fn_ops
+from tilec.kernels import load_fixture
 from tilec.textio import ParseError, parse_module, print_module
+from tilec.visa import CROSS_WARP_REDUCE, LOWERING
 
 F16 = ElemType.f16
 F32 = ElemType.f32
@@ -27,6 +28,56 @@ def _small_module() -> KernelModule:
     fb.store(yp, y)
     fb.ret()
     return KernelModule((fb.build(),))
+
+
+def _every_builder_method() -> KernelModule:
+    """Warp-level kernel calling every FunctionBuilder method: warp 0 stages
+    a 16x16 tile of X in SLM, each warp multiplies it (halves swapped) into
+    a strip of X, softmax-normalizes the rows across warps, and warp 0
+    stores Y."""
+    fb = FunctionBuilder("tour", [("X", PtrType(F16)), ("Y", PtrType(F16))], num_warps=2, warp_level=True)
+    x_arg, y_arg = fb.fn.args
+    c0, c1, c2, c16, c64 = (fb.constant(v) for v in (0, 1, 2, 16, 64))
+    wid = fb.warp_id()
+    row = fb.binary("arith.muli", fb.binary("arith.addi", fb.program_id(0), wid), c16)
+    row = fb.binary("arith.remi", fb.binary("arith.divi", fb.binary("arith.subi", row, c0), c1), c64)
+    slm = fb.alloc((16, 16), F16)
+    is_w0 = fb.cmpi("eq", wid, c0)
+    fb.begin_if(is_w0)
+    fb.store(slm, fb.load(fb.make_tensor_ptr(x_arg, [c64, c16], [c16, c1], [c0, c0], (16, 16), (1, 0))))
+    fb.end_if()
+    fb.barrier()
+    x = fb.load(slm)
+    b = fb.glue([fb.extract(x, 1, (8, 16)), fb.extract(x, 0, (8, 16))], (16, 16))
+    xp = fb.make_tensor_ptr(x_arg, [c64, c16], [c16, c1], [row, c0], (16, 16), (1, 0))
+    zf = fb.constant(0.0)
+    _, (acc, p) = fb.begin_for(c0, c2, c1, [fb.splat(zf, (16, 16)), xp])
+    acc_n = fb.dot(fb.load(p), b, acc, tiling="horizontal")
+    acc_f, _ = fb.end_for([acc_n, fb.advance(p, [c16, c0])])
+    m = fb.cross_warp_reduce(fb.reduce(acc_f, "max", 1), "max")
+    e = fb.exp(fb.binary("arith.subf", acc_f, fb.broadcast(fb.expand_dims(m, 1), (16, 16))))
+    s = fb.cross_warp_reduce(fb.reduce(e, "sum", 1), "sum", dst_warps=[0])
+    y = fb.binary("arith.divf", e, fb.broadcast(fb.expand_dims(s, 1), (16, 16)))
+    y = fb.binary("arith.maximumf", fb.binary("arith.mulf", y, fb.splat(fb.constant(2.0, F32), (16, 16))),
+                  fb.binary("arith.addf", fb.splat(zf, (16, 16)), fb.splat(fb.constant(0.5), (16, 16))))
+    fb.begin_if(is_w0)
+    fb.store(fb.make_tensor_ptr(y_arg, [c64, c16], [c16, c1], [c0, c0], (16, 16), (1, 0)), fb.convert(y, F16))
+    fb.end_if()
+    fb.ret()
+    return KernelModule((fb.build(),))
+
+
+def test_builder_output_roundtrips_and_covers_lowering():
+    m = _every_builder_method()
+    (fn,) = m.functions
+    assert verify(fn) == []
+    assert module_equal(parse_module(print_module(m)), m)
+    ops = list(walk_fn_ops(fn))
+    crosses = [op for op in ops if op.attrs.get("cross_warp")]
+    assert sorted("dst_warps" in op.attrs for op in crosses) == [False, True]
+    assert any(op.attrs.get("tiling") for op in ops)
+    kinds = {CROSS_WARP_REDUCE if op.attrs.get("cross_warp") else op.kind for op in ops}
+    assert set(LOWERING) - kinds == set()
 
 
 def test_roundtrip_preserves_structure():
@@ -53,7 +104,7 @@ def test_comments_and_blank_lines_ignored():
 
 
 def test_gemm_fixture_aliases_print_once():
-    text = print_module(KernelModule((build("gemm_256"),)))
+    text = print_module(KernelModule((load_fixture("gemm_256"),)))
     # source carries no encodings; compile output does (covered elsewhere)
     assert "#triton_gpu" not in text
     assert text.startswith("tt.func public @gemm_256")
@@ -68,7 +119,7 @@ def test_fa2_exponent_literal_roundtrip():
 
 
 def test_loop_prints_iter_args_and_result_types():
-    text = print_module(KernelModule((build("gemm_256"),)))
+    text = print_module(KernelModule((load_fixture("gemm_256"),)))
     m = re.search(r"scf\.for .* iter_args\((.*)\) -> \((.*)\) \{", text)
     assert m, "loop header missing"
     assert m.group(1).count("=") == 3  # acc and two pointers
@@ -83,6 +134,7 @@ def test_parse_error_reports_location():
 
 _HEAD = "tt.func public @f(%X: !tt.ptr<f16>) attributes {num_warps = 1} {\n"
 _C0 = "  %0 = arith.constant {value = 0.0} : () -> f32\n"
+_I0 = "  %0 = arith.constant {value = 0} : () -> i32\n"
 _BLOCKED = "#blocked = #triton_gpu.blocked<{sizePerWarp = [4, 4], warpsPerCTA = [1, 1], order = [1, 0]}>\n"
 
 
@@ -126,6 +178,24 @@ PARSE_CASES = {
     "num_warps_float": (_fn("", _HEAD.replace("= 1", "= 2.5")), "line 1, col 61: num_warps must be an integer"),
     "float_in_int_list": (_BLOCKED.replace("order = [1, 0]", "order = [1.5, 0]") + _fn(""),
                           "line 1, col 86: expected an integer, got 1.5"),
+    "args_without_comma": (_fn("", _HEAD.replace("%X: !tt.ptr<f16>", "%X: !tt.ptr<f16> %Y: !tt.ptr<f16>")),
+                           "line 1, col 36: expected , or ) (got '%Y')"),
+    "attrs_without_comma": (_fn("", _HEAD.replace("= 1", "= 1 warp_level = true")),
+                            "line 1, col 63: expected , or } (got 'warp_level')"),
+    "warp_level_int": (_fn("", _HEAD.replace("= 1", "= 1, warp_level = 7")),
+                       "line 1, col 77: warp_level must be true or false"),
+    "types_without_comma": (_fn(_I0 + "  %1 = arith.addi %0, %0 : (i32 i32) -> i32\n"),
+                            "line 3, col 33: expected , or ) (got 'i32')"),
+    "trailing_comma_in_types": (_fn(_I0 + "  %1 = arith.addi %0, %0 : (i32, i32,) -> i32\n"),
+                                "line 3, col 38: expected a type (got ')')"),
+    "trailing_comma_in_operands": (_fn(_I0 + "  %1 = arith.addi %0, %0, : (i32, i32) -> i32\n"),
+                                   "line 3, col 27: expected value (got ':')"),
+    "int_list_without_comma": (_BLOCKED.replace("order = [1, 0]", "order = [1 0]") + _fn(""),
+                               "line 1, col 88: expected , or ] (got '0')"),
+    "iter_args_without_comma": (
+        _fn(_I0 + "  %1, %2 = scf.for %3 = %0 to %0 step %0 iter_args(%4 = %0 %5 = %0) -> (i32, i32) {\n"
+            "    scf.yield %4, %5\n  }\n"),
+        "line 3, col 60: expected , or ) (got '%5')"),
     "zero_dim": (_splat_to("tensor<0x4xf32>"), "line 3, col 31: non-positive dim in shape (0, 4)"),
     "rank_3": (_splat_to("tensor<2x2x2xf32>"), "line 3, col 31: rank 3 tensor not supported (max 2)"),
 }
@@ -189,7 +259,6 @@ def test_parse_rejects_unknown_encoding_alias():
 
 
 def test_parse_is_syntactic_and_verify_catches_type_errors():
-    from tilec.ir import verify
     from tilec.passes import compile_kernel
 
     bad = (

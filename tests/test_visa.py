@@ -8,8 +8,8 @@ from importlib.resources import files
 import pytest
 
 from conftest import flat_instrs
-from tilec.ir import ElemType, FunctionBuilder, PtrType
-from tilec.kernels import build
+from tilec.ir import ElemType, FunctionBuilder, PtrType, scalar
+from tilec.kernels import load_fixture
 from tilec.passes import compile_kernel
 from tilec.visa import (
     LOWERING,
@@ -60,7 +60,7 @@ def test_parse_target_errors():
 
 
 def test_lower_requires_intrinsic_level():
-    res = compile_kernel(build("gemm_256"), to_level="warp")
+    res = compile_kernel(load_fixture("gemm_256"), to_level="warp")
     with pytest.raises(LoweringError):
         lower(res.distribute, PVC)
 
@@ -77,6 +77,14 @@ def test_unknown_op_has_no_lowering():
     fb.ret()
     with pytest.raises(LoweringError, match="@bogus: no lowering for op 'tt.bogus'"):
         lower(fb.build(), PVC)
+
+
+def test_non_pointer_argument_is_spelled_as_ir():
+    fb = FunctionBuilder("f", [("X", scalar(ElemType.f32))], level="intrinsic")
+    fb.ret()
+    with pytest.raises(LoweringError) as exc:
+        lower(fb.build(), PVC)
+    assert str(exc.value) == "@f: only buffer pointer arguments lower, %X is f32"
 
 
 def test_gemm_mnemonics(gemm_compiled):
@@ -122,7 +130,7 @@ def test_stats_count_loop_trips(gemm_compiled):
 
 
 def test_paged_warp_uses_slm_and_barrier():
-    res = compile_kernel(build("paged_warp"))
+    res = compile_kernel(load_fixture("paged_warp"))
     stats = count_stats(res.vprog)
     assert stats.slm_bytes_used == 64 * 2  # one (1, 64) f16 staging tile
     assert stats.barriers >= 1
