@@ -100,34 +100,6 @@ F32 = scalar(ElemType.f32)
 F16 = scalar(ElemType.f16)
 
 
-@dataclass(frozen=True, slots=True)
-class BlockPointer:
-    """Runtime descriptor for a block pointer.
-
-    ``base`` names a device buffer or an SLM allocation; ``offsets`` index
-    element space, ``strides`` are in elements.  Loads/stores move the
-    ``block_shape`` window at ``offsets`` within ``global_shape``.
-    """
-
-    base: Any
-    global_shape: tuple[int, ...]
-    strides: tuple[int, ...]
-    offsets: tuple[int, ...]
-    block_shape: tuple[int, ...]
-    order: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        r = len(self.global_shape)
-        if not (len(self.strides) == len(self.offsets) == len(self.block_shape) == len(self.order) == r):
-            raise ValueError("block pointer field ranks disagree")
-        if sorted(self.order) != list(range(r)):
-            raise ValueError(f"order {self.order} is not a permutation of dims")
-
-    def advanced(self, deltas: Sequence[int]) -> "BlockPointer":
-        offs = tuple(o + d for o, d in zip(self.offsets, deltas))
-        return BlockPointer(self.base, self.global_shape, self.strides, offs, self.block_shape, self.order)
-
-
 class Value:
     """SSA value.  Identity-based; the printer assigns canonical names."""
 

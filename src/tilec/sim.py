@@ -1,52 +1,47 @@
-"""Deterministic virtual GPU.
-
-Executes kernels at any pipeline level: workgroup-level IR runs as one
-logical context per workgroup, warp- and intrinsic-level IR (and lowered
-VPrograms) run one context per warp.
+"""Deterministic virtual GPU: runs a kernel at any pipeline level.
 
 Each run first decodes the program into one step form.  An IR op decodes to
 a step of its own kind; a vISA instruction decodes to the IR kind whose
-semantics it has by reading the lowering table ``visa.LOWERING`` backwards,
-on its opcode and sub-op, and keeps its own name for diagnostics.  One
-executor then runs the steps: it handles loops, branches, return, barriers
-and cross-warp reductions itself and calls, for every other kind, the
+semantics it has, by reading the lowering table ``visa.LOWERING`` backwards,
+and keeps its own name for diagnostics.  One executor runs the steps: it
+handles loops and branches itself and calls, for every other kind, the
 function of one semantics table, so an op and the instruction it lowers to
-run the same code.  Decoding works out everything that needs no runtime
-value: each step's semantics function, and the slices an extract reads or a glue writes,
-from the operand's static shape (its IR type, or the shape of the
-instruction that defined the vISA register).  Once per run, each distinct
-(block shape, strides) pair gets a grid of flat offsets, so a load or store
-adds its base offset to the grid and bounds-checks the grid's extremes.
+run the same code.  Decoding works out all that needs no runtime value:
+each step's function and element type, and the slices an extract reads or a
+glue writes, from the operand's static shape.
 
-Warps execute serially in ascending
-warp-id order between synchronization points; barriers and cross-warp
-reductions are the only places control transfers between warps, which makes
-every run bit-reproducible and independent of workgroup scheduling order.
+A workgroup's warps run in lockstep, as one batch (a workgroup-level
+program is a batch of one warp).  Every value has a leading warp axis: a
+scalar is a per-warp vector, a block pointer holds per-warp offsets, a load
+is one gather, a store one scatter and ``tt.dot`` one batched matmul.  A
+warp-dependent ``scf.if``, or a loop whose trip count differs by warp, runs
+under an active mask; masked-off warps neither load nor store.  A barrier or
+cross-warp reduction is a synchronization point that all warps must reach
+together; the reduction combines warps in id order.
 
-Tile data lives in numpy arrays: f16 tiles are stored as f32 values rounded
-to f16 precision after every producing operation, f32 as f32, i32/i1 as
-int32/bool.  Tiles are never written in place, so an extract is a view of
-its operand; only device and SLM buffers, and a glue's fresh result, are
-written.  Block pointers address flat buffers through explicit strides,
-and every access is bounds-checked.
+Between two synchronization points (or the end), two warps must not touch
+one element of a device or SLM buffer when either writes it, unless both
+store the same bits; a run that does fails with a race error.  Only buffers
+some store can reach are checked.  A run that completes thus gives the bits
+of running the warps one after another in id order between synchronization
+points, and ``RunTrace`` records its accesses in that order.
+
+f16 tiles are f32 arrays rounded to f16 after every producing step.  Tiles
+are never written in place, so an extract or broadcast is a view.  Each
+distinct (block shape, strides) pair gets one grid of flat offsets per run;
+an access adds each warp's base offset and bounds-checks the grid's ends.
 """
 
 from __future__ import annotations
 
+import functools
 import struct
 from dataclasses import InitVar, dataclass, field
 from typing import Any, Callable, Iterator
 
 import numpy as np
 
-from .ir import (
-    BlockPointer,
-    ElemType,
-    KernelFn,
-    Operation,
-    PtrType,
-    tile_type,
-)
+from .ir import CMP_PREDS, ElemType, KernelFn, Operation, PtrType, tile_type
 from .textio import _type_desc
 from .visa import CROSS_WARP_REDUCE, LOWERING, TargetConfig, VInstr, VProgram
 
@@ -58,34 +53,24 @@ class SimError(RuntimeError):
 # --------------------------------------------------------------------------
 # tiles and memory
 
+_DTYPE = {ElemType.f32: np.float32, ElemType.i32: np.int32, ElemType.i1: np.bool_}
+
 
 def _coerce(elem: ElemType, data: Any) -> np.ndarray:
     arr = np.asarray(data)
     if elem == ElemType.f16:
         return arr.astype(np.float16).astype(np.float32)
-    if elem == ElemType.f32:
-        return arr.astype(np.float32)
-    if elem == ElemType.i32:
-        return arr.astype(np.int32)
-    return arr.astype(np.bool_)
+    return arr.astype(_DTYPE[elem], copy=False)
 
 
-@dataclass
-class TileValue:
-    elem: ElemType
-    data: np.ndarray
+@dataclass(frozen=True, slots=True)
+class BlockPointer:
+    """One block pointer per warp into one buffer.  ``dims[w]`` holds warp
+    w's global shape, strides and offsets, in elements, as three rows."""
 
-    @staticmethod
-    def make(elem: ElemType, data: Any) -> "TileValue":
-        return TileValue(elem, _coerce(elem, data))
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    def item(self) -> Any:
-        v = self.data.item()
-        return int(v) if self.elem == ElemType.i32 else v
+    base: Any  # a device buffer or SLM allocation name
+    dims: np.ndarray
+    block_shape: tuple[int, ...]
 
 
 class DeviceMemory:
@@ -167,7 +152,8 @@ def load_tensor(path: str) -> tuple[np.ndarray, ElemType]:
     n = int(np.prod(dims)) if rank else 1
     if payload.size != n:
         raise ValueError(f"{path}: payload holds {payload.size} elements, header says {n}")
-    return _coerce(elem, payload.reshape(dims)), elem
+    # the payload is a read-only view of the file bytes; the caller gets its own array
+    return _coerce(elem, payload.reshape(dims).copy()), elem
 
 
 # --------------------------------------------------------------------------
@@ -215,142 +201,163 @@ class RunTrace:
     cross: list[CrossRecord] = field(default_factory=list)
 
 
-class _Workgroup:
-    """Per-workgroup state: the SLM allocations shared by all warps."""
-
-    def __init__(self, alloc_sites: list[tuple[int, tuple[int, ...], ElemType]], budget: int, where: str):
-        self.slm: dict[str, tuple[ElemType, np.ndarray]] = {}
-        self._names: dict[int, str] = {}
-        used = 0
-        for i, (key, shape, elem) in enumerate(alloc_sites):
-            n = 1
-            for d in shape:
-                n *= d
-            used += n * elem.nbytes
-            if used > budget:
-                raise SimError(f"SLM overflow: {used} bytes exceeds budget {budget} ({where})")
-            name = f"%slm{i}"
-            self._names[key] = name
-            self.slm[name] = (elem, _coerce(elem, np.zeros(n)))
-
-    def handle(self, key: int) -> str:
-        return self._names[key]
-
-
 @dataclass
 class _Ctx:
-    mem: DeviceMemory
-    wg: _Workgroup
+    """One workgroup's run: its buffers, and the warps active at this step."""
+
+    bufs: dict[str, tuple[ElemType, np.ndarray]]  # device buffers and this workgroup's SLM, by name
     pid: tuple[int, int, int]
-    warp: int
     wg_index: int
     trace: RunTrace | None
     fn_name: str
-    grids: dict[tuple, tuple[np.ndarray, int, int]]  # _relative_grid by (block_shape, strides), for one run()
+    grids: dict[tuple, tuple]  # offset grids by (block shape, base, global shapes and strides), for one run()
+    nw: int  # warps in the batch
+    checked: set[str]  # buffers a store can reach: their accesses are race-checked
+    # this epoch (since the last synchronization point): the marks of checked
+    # buffers (see _touch), and the trace of every access in step order
+    marks: dict[str, np.ndarray] = field(default_factory=dict)
+    loads: list[TraceAccess] = field(default_factory=list)
+    stores: list[TraceAccess] = field(default_factory=list)
 
-    def where(self, what: str) -> str:
-        return f"@{self.fn_name} wg={self.wg_index} pid={self.pid} warp={self.warp} {what}"
+    def __post_init__(self) -> None:
+        self.mask(np.ones(self.nw, dtype=np.bool_))
+
+    def mask(self, act: np.ndarray) -> None:
+        self.act, self.ids = act, np.flatnonzero(act)
+        self.full = len(self.ids) == self.nw
+
+    def where(self, what: str, warp: Any = None) -> str:
+        return f"@{self.fn_name} wg={self.wg_index} pid={self.pid} warp={self.ids[0] if warp is None else warp} {what}"
 
 
 # --------------------------------------------------------------------------
 # block pointer access
 
 
-def _resolve_base(ctx: _Ctx, base: Any, what: str) -> tuple[ElemType, np.ndarray]:
-    if isinstance(base, str):
-        if base in ctx.wg.slm:
-            return ctx.wg.slm[base]
-        if base in ctx.mem:
-            return ctx.mem.elem_of(base), ctx.mem.raw(base)
-    raise SimError(f"unknown buffer {base!r} ({ctx.where(what)})")
+def _access(ctx: _Ctx, s: _Step, bp: BlockPointer, value: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """For a load, or a store of `value`: the buffer, and the flat indices of
+    the active warps' blocks (one row per active warp), once the access is
+    checked; the access joins the epoch's trace."""
+    verb, log = ("access expects", ctx.loads) if value is None else ("store provides", ctx.stores)
+    if bp.base not in ctx.bufs:
+        raise SimError(f"unknown buffer {bp.base!r} ({ctx.where(s.name)})")
+    base_elem, buf = ctx.bufs[bp.base]
+    if base_elem != s.elem:
+        raise SimError(f"buffer {bp.base!r} holds {base_elem.value}, {verb} {s.elem.value} ({ctx.where(s.name)})")
+    if value is not None and value.shape[1:] != bp.block_shape:
+        raise SimError(f"store value shape {value.shape[1:]} != block shape {bp.block_shape} ({ctx.where(s.name)})")
+    glob, strides, offs = bp.dims[:, 0], bp.dims[:, 1], bp.dims[:, 2]
+    if (key := (bp.block_shape, bp.base, bp.dims[:, :2].tobytes())) not in ctx.grids:
+        # per warp, each element's flat offset from the block's first one, and
+        # their extremes; an in-window block needs no flat check when every
+        # warp's whole global tensor lies in the buffer
+        rel = np.tensordot(strides, np.indices(bp.block_shape, dtype=np.int64), axes=1)
+        flat, span = rel.reshape(ctx.nw, -1), np.maximum(glob - 1, 0) * strides
+        ext = (flat.min(axis=1), flat.max(axis=1)) if rel.size else (0, 0)
+        fits = np.all((np.minimum(span, 0).sum(axis=1) >= 0) & (np.maximum(span, 0).sum(axis=1) < buf.size))
+        ctx.grids[key] = (rel, *ext, np.array(bp.block_shape), (-1, *[1] * len(bp.block_shape)), fits)
+    rel, lo, hi, block, col, fits = ctx.grids[key]
+    bad = (offs < 0) | (offs + block > glob)
+    if bad.any() and (bad := bad & ctx.act[:, None]).any():
+        w, d = np.argwhere(bad)[0]
+        o, b, g = offs[w, d], bp.block_shape[d], glob[w, d]
+        raise SimError(
+            f"out-of-bounds block access: dim {d} window [{o}, {o + b}) outside [0, {g}) ({ctx.where(s.name, w)})"
+        )
+    first = (offs * strides).sum(axis=1)
+    if not fits and rel.size:
+        if (bad := (first + lo < 0) | (first + hi >= buf.size)).any() and (bad := bad & ctx.act).any():
+            at = ctx.where(s.name, np.argmax(bad))
+            raise SimError(f"out-of-bounds block access: flat index beyond buffer of {buf.size} ({at})")
+    if ctx.trace is not None:
+        log.extend(TraceAccess(ctx.wg_index, w, bp.base, tuple(o), bp.block_shape)
+                   for w, o in zip(ctx.ids.tolist(), offs[ctx.ids].tolist()))
+    idx = rel + first.reshape(col)
+    return buf, idx if ctx.full else idx[ctx.ids]
 
 
-def _relative_grid(block: tuple[int, ...], strides: tuple[int, ...]) -> tuple[np.ndarray, int, int]:
-    """Flat offsets of a block's elements from its first one, and their min and max."""
-    rel = np.zeros(block, dtype=np.int64)
-    for d, (b, st) in enumerate(zip(block, strides)):
-        shape = [1] * len(block)
-        shape[d] = b
-        rel = rel + (np.arange(b, dtype=np.int64) * st).reshape(shape)
-    return (rel, int(rel.min()), int(rel.max())) if rel.size else (rel, 0, 0)
-
-
-def _indices(ctx: _Ctx, bp: BlockPointer, buf_len: int, what: str) -> np.ndarray:
-    """The flat buffer indices of the block, once its window and reach are checked."""
-    for d, (o, b, g) in enumerate(zip(bp.offsets, bp.block_shape, bp.global_shape)):
-        if o < 0 or o + b > g:
-            raise SimError(
-                f"out-of-bounds block access: dim {d} window [{o}, {o + b}) outside [0, {g}) ({ctx.where(what)})"
-            )
-    key = (bp.block_shape, bp.strides)
-    if key not in ctx.grids:
-        ctx.grids[key] = _relative_grid(*key)
-    rel, lo, hi = ctx.grids[key]
-    base = sum(o * st for o, st in zip(bp.offsets, bp.strides))
-    if rel.size and (base + lo < 0 or base + hi >= buf_len):
-        raise SimError(f"out-of-bounds block access: flat index beyond buffer of {buf_len} ({ctx.where(what)})")
-    return rel + base
+def _touch(ctx: _Ctx, base: str, what: str, buf: np.ndarray, idx: np.ndarray, vals: np.ndarray | None) -> None:
+    """Check the active warps' access of a checked buffer against the epoch's
+    earlier ones and mark it; a store (`vals` given) also writes.  The marks
+    hold, per element, the lowest and highest warp that touched it, and
+    whether any warp read or wrote it.  Of the warps touching one element in
+    one step the highest assigns last, so assigning in reverse gives the lowest."""
+    ws, i = ctx.ids[:, None], idx.reshape(len(ctx.ids), -1)
+    bits = lambda a: a.view(f"u{a.itemsize}")  # noqa: E731
+    if (m := ctx.marks.get(base)) is None:
+        m = ctx.marks[base] = np.repeat(np.array([[ctx.nw], [-1], [0], [0]], dtype=np.int32), buf.size, axis=1)
+    lo_m, hi_m, rd_m, wr_m = m
+    lo, hi = lo_m[i], hi_m[i]
+    new_lo = new_hi = ws
+    if (bad := (lo < ws) | (hi > ws)).any():  # another warp touched the element earlier,
+        bad &= (wr_m[i] != 0) if vals is None else (rd_m[i] != 0) | (bits(vals) != bits(buf[i]))
+        new_lo, new_hi = np.minimum(lo, ws), np.maximum(hi, ws)  # and one of the two writes other bits
+    lo_m[i[::-1]], hi_m[i] = new_lo[::-1], new_hi
+    (rd_m if vals is None else wr_m)[i] = 1
+    later: Any = False
+    if vals is not None:
+        buf[i] = vals
+        if (later := hi_m[i] != new_hi).any():  # a higher warp stores the element in this same step
+            later &= bits(vals) != bits(buf[i])
+    if (bad := bad | later).any():
+        e = i[bad].min()
+        r, c = np.argwhere(bad & (i == e))[0]
+        w = ctx.ids[r]
+        other = hi_m[e] if np.any(later) and later[r, c] else lo[r, c] if lo[r, c] != w else hi[r, c]
+        raise SimError(
+            f"race on buffer {base!r} element {e}: warps {min(w, other)} and {max(w, other)} touch it between two "
+            f"synchronization points, not only reading it or storing the same bits ({ctx.where(what, w)})"
+        )
 
 
 # buffers hold coerced values and tiles are never written in place, so a
 # load copies out of its buffer (fancy indexing never returns a view) without
 # coercing again, and a store writes the tile's values as they are
-def _do_load(ctx: _Ctx, bp: BlockPointer, elem: ElemType, what: str) -> TileValue:
-    base_elem, buf = _resolve_base(ctx, bp.base, what)
-    if base_elem != elem:
-        raise SimError(f"buffer {bp.base!r} holds {base_elem.value}, access expects {elem.value} ({ctx.where(what)})")
-    idx = _indices(ctx, bp, buf.size, what)
-    if ctx.trace is not None:
-        ctx.trace.loads.append(TraceAccess(ctx.wg_index, ctx.warp, str(bp.base), bp.offsets, bp.block_shape))
-    return TileValue(elem, buf[idx])
+def _load(s: _Step, ctx: _Ctx, a: list) -> np.ndarray:
+    buf, idx = _access(ctx, s, a[0])
+    if a[0].base in ctx.checked:
+        _touch(ctx, a[0].base, s.name, buf, idx, None)
+    if ctx.full:
+        return buf[idx]
+    data = np.zeros((ctx.nw, *a[0].block_shape), dtype=buf.dtype)
+    data[ctx.ids] = buf[idx]
+    return data
 
 
-def _do_store(ctx: _Ctx, bp: BlockPointer, value: TileValue, what: str) -> None:
-    base_elem, buf = _resolve_base(ctx, bp.base, what)
-    if base_elem != value.elem:
-        raise SimError(f"buffer {bp.base!r} holds {base_elem.value}, store provides {value.elem.value} ({ctx.where(what)})")
-    if value.shape != bp.block_shape:
-        raise SimError(f"store value shape {value.shape} != block shape {bp.block_shape} ({ctx.where(what)})")
-    buf[_indices(ctx, bp, buf.size, what)] = value.data
-    if ctx.trace is not None:
-        ctx.trace.stores.append(TraceAccess(ctx.wg_index, ctx.warp, str(bp.base), bp.offsets, bp.block_shape))
+def _store(s: _Step, ctx: _Ctx, a: list) -> None:
+    bp, value = a
+    buf, idx = _access(ctx, s, bp, value)
+    vals = value if ctx.full else value[ctx.ids]
+    if bp.base in ctx.checked:
+        _touch(ctx, bp.base, s.name, buf, idx, vals.reshape(len(idx), -1))
+    else:
+        buf[idx] = vals
 
 
 # --------------------------------------------------------------------------
 # shared op math
 
-_BIN_F = {
+_BINARY = {
     "arith.addf": np.add,
     "arith.subf": np.subtract,
     "arith.mulf": np.multiply,
     "arith.divf": np.divide,
     "arith.maximumf": np.maximum,
-}
-_BIN_I = {
     "arith.addi": np.add,
     "arith.subi": np.subtract,
     "arith.muli": np.multiply,
     "arith.divi": np.floor_divide,
     "arith.remi": np.remainder,
 }
-_CMP = {
-    "eq": np.equal,
-    "ne": np.not_equal,
-    "slt": np.less,
-    "sle": np.less_equal,
-    "sgt": np.greater,
-    "sge": np.greater_equal,
-}
+_CMP = dict(zip(CMP_PREDS, (np.equal, np.not_equal, np.less, np.less_equal, np.greater, np.greater_equal)))
+_REDUCE = {"max": np.max, "sum": np.sum}
 
 
 def _piece(whole: tuple[int, ...], piece: tuple[int, ...], index: int) -> tuple[slice, ...]:
-    """The slices of `whole` that hold piece `index`, pieces numbered row-major."""
+    """The slices of a batch of `whole` tiles that hold piece `index` of each,
+    pieces numbered row-major."""
     coord = np.unravel_index(index, tuple(w // p for w, p in zip(whole, piece)))
-    return tuple(slice(int(c) * p, (int(c) + 1) * p) for c, p in zip(coord, piece))
-
-
-def _reduce(kind: str, data: np.ndarray, axis: int) -> np.ndarray:
-    return np.max(data, axis=axis) if kind == "max" else np.sum(data, axis=axis)
+    return (slice(None), *(slice(int(c) * p, (int(c) + 1) * p) for c, p in zip(coord, piece)))
 
 
 # --------------------------------------------------------------------------
@@ -366,10 +373,9 @@ class _Step:
     operands: tuple  # env keys: value ids in IR, register names in vISA
     results: tuple
     attrs: dict[str, Any]
-    shape: tuple[int, ...]  # the result's (pointee) block shape
-    elem: ElemType | None
+    shape: tuple[int, ...]  # the (pointee) block shape of the result, or of a store's value
+    elem: ElemType | None  # the element type of the same
     is_ptr: bool
-    key: int  # id of the source op or instruction: sync points, SLM sites
     body: list[_Step] | None
     src: InitVar[tuple[int, ...] | None]  # static shape of an extract's or glue's first operand
     # computed once at decode, from the fields above:
@@ -395,12 +401,12 @@ def _decode_op(op: Operation) -> _Step:
         body = [_decode_op(o) for o in region.ops]
         if region.args:  # scf.for: the induction variable, then the carries
             attrs = {"iv": id(region.args[0]), "iters": [id(a) for a in region.args[1:]]}
-    rt = op.results[0].type if op.results else None
+    rt = op.results[0].type if op.results else op.operands[1].type if kind == "tt.store" else None
     tile = tile_type(rt) if rt is not None else None
     src = tile_type(op.operands[0].type).shape if kind in ("tt.extract", "tt.glue") else None
     return _Step(
         kind, op.kind, tuple(id(v) for v in op.operands), tuple(id(r) for r in op.results), attrs,
-        tile.shape if tile else (), tile.elem if tile else None, isinstance(rt, PtrType), id(op), body, src,
+        tile.shape if tile else (), tile.elem if tile else None, isinstance(rt, PtrType), body, src,
     )
 
 
@@ -430,7 +436,7 @@ def _decode_vinstr(ins: VInstr, shapes: dict[str, tuple[int, ...]]) -> _Step:
         shapes[ins.results[0]] = ins.shape
     body = None if ins.body is None else [_decode_vinstr(i, shapes) for i in ins.body]
     is_ptr = kind in _PTR_KINDS or ins.op == "ptr"
-    return _Step(kind, name, ins.operands, ins.results, attrs, ins.shape, ins.elem, is_ptr, id(ins), body, src)
+    return _Step(kind, name, ins.operands, ins.results, attrs, ins.shape, ins.elem, is_ptr, body, src)
 
 
 def _walk(steps: list[_Step]) -> Iterator[_Step]:
@@ -439,179 +445,159 @@ def _walk(steps: list[_Step]) -> Iterator[_Step]:
         yield from _walk(s.body or [])
 
 
+def _stored_bases(steps: list[_Step], roots: dict[Any, str]) -> set[str]:
+    """The buffers of `roots` (bound arguments and SLM allocations) that a
+    store can reach through pointer steps and loop carries."""
+    src: dict[Any, tuple] = {}
+    for s in _walk(steps):
+        if s.kind == "scf.for":
+            for j, (it, r) in enumerate(zip(s.attrs["iters"], s.results)):
+                src[it], src[r] = (s.operands[3 + j], s.body[-1].operands[j]), (it,)
+        elif s.is_ptr:
+            src[s.results[0]] = s.operands[:1]
+    todo, seen = [s.operands[0] for s in _walk(steps) if s.kind == "tt.store"], set()
+    while todo:
+        if (k := todo.pop()) not in seen:
+            seen.add(k)
+            todo.extend(src.get(k, ()))
+    return {roots[k] for k in seen if k in roots}
+
+
 # --------------------------------------------------------------------------
 # the executor and its semantics table
 
 
-def _make_ptr(s: _Step, ctx: _Ctx, a: list) -> BlockPointer:
-    r = len(s.shape)
-    nums = [x.item() for x in a[1:]]
-    return BlockPointer(
-        base=a[0],
-        global_shape=tuple(nums[:r]),
-        strides=tuple(nums[r : 2 * r]),
-        offsets=tuple(nums[2 * r :]),
-        block_shape=s.shape,
-        order=tuple(s.attrs["order"]),
-    )
+def _rows(vals: list) -> np.ndarray:
+    """Scalar operands as one row of int64 values per warp."""
+    return np.stack(vals, axis=1, dtype=np.int64)
 
 
-def _alloc(s: _Step, ctx: _Ctx, a: list) -> BlockPointer:
-    r = len(s.shape)
-    strides = tuple(int(np.prod(s.shape[d + 1 :], dtype=np.int64)) for d in range(r))
-    order = tuple(range(r - 1, -1, -1))
-    return BlockPointer(ctx.wg.handle(s.key), s.shape, strides, (0,) * r, s.shape, order)
+def _moved(p: BlockPointer, by: Any, block: tuple[int, ...]) -> BlockPointer:
+    """`p` with every warp's offsets moved `by`, addressing `block`."""
+    dims = p.dims.copy()
+    dims[:, 2] += by
+    return BlockPointer(p.base, dims, block)
 
 
-def _extract(s: _Step, ctx: _Ctx, a: list) -> TileValue | BlockPointer:
-    src = a[0]
+def _extract(s: _Step, ctx: _Ctx, a: list) -> np.ndarray | BlockPointer:
     if s.is_ptr:
-        offs = tuple(o + sl.start for o, sl in zip(src.offsets, s.slices))
-        return BlockPointer(src.base, src.global_shape, src.strides, offs, s.shape, src.order)
-    return TileValue(src.elem, src.data[s.slices])  # a view: tiles are never written in place
+        return _moved(a[0], [sl.start for sl in s.slices[1:]], s.shape)
+    return a[0][s.slices]  # a view: tiles are never written in place
 
 
-def _glue(s: _Step, ctx: _Ctx, a: list) -> TileValue:
-    out = np.empty(s.shape, dtype=a[0].data.dtype)
+def _glue(s: _Step, ctx: _Ctx, a: list) -> np.ndarray:
+    out = np.empty((ctx.nw, *s.shape), dtype=a[0].dtype)
     for sl, piece in zip(s.slices, a):
-        out[sl] = piece.data
-    return TileValue(a[0].elem, out)
+        out[sl] = piece
+    return out
 
 
-def _dot(s: _Step, ctx: _Ctx, a: list) -> TileValue:
-    # f16 and f32 tiles both hold float32 data, so this is an f32 matmul
-    return TileValue(ElemType.f32, a[0].data @ a[1].data + a[2].data)
+def _sync(ctx: _Ctx, what: str) -> None:
+    """A synchronization point, which every warp must reach: ends the epoch."""
+    if not ctx.full:
+        idle = np.flatnonzero(~ctx.act).tolist()
+        raise SimError(f"barrier divergence: warps {idle} do not reach {what} with the others ({ctx.where(what)})")
+    ctx.marks.clear()
+    if ctx.trace is not None:  # in serial order: warp by warp, each in step order
+        for mine, out in ((ctx.loads, ctx.trace.loads), (ctx.stores, ctx.trace.stores)):
+            out.extend(sorted(mine, key=lambda acc: acc.warp))
+            mine.clear()
 
 
-# every step kind but control flow, barriers and cross-warp reduces; each
-# entry maps (step, context, operand values) to the result value
+def _cross(s: _Step, ctx: _Ctx, a: list) -> np.ndarray:
+    _sync(ctx, s.name)
+    kind, dst, x = s.attrs["kind"], s.attrs.get("dst_warps"), a[0]
+    acc = functools.reduce(np.maximum if kind == "max" else np.add, x)  # in warp-id order, as a serial run adds
+    to = np.isin(np.arange(ctx.nw), dst) if dst else np.ones(ctx.nw, dtype=np.bool_)
+    out = np.where(to.reshape(-1, *[1] * (x.ndim - 1)), _coerce(s.elem, acc), x)
+    if ctx.trace is not None:  # row views: tiles are never written in place
+        ctx.trace.cross.append(CrossRecord(ctx.wg_index, kind, tuple(dst) if dst else None, tuple(x), tuple(out)))
+    return out
+
+
+# every step kind but loops and branches; each entry maps (step,
+# context, operand values) to the result value
 _SEMANTICS: dict[str, Callable[[_Step, _Ctx, list], Any]] = {
-    "arith.constant": lambda s, ctx, a: TileValue.make(s.elem, s.attrs["value"]),
-    "tt.get_program_id": lambda s, ctx, a: TileValue.make(ElemType.i32, ctx.pid[s.attrs["axis"]]),
-    "tt.warp_id": lambda s, ctx, a: TileValue.make(ElemType.i32, ctx.warp),
-    "tt.make_tensor_ptr": _make_ptr,
-    "tt.advance": lambda s, ctx, a: a[0].advanced([x.item() for x in a[1:]]),
-    "tt.load": lambda s, ctx, a: _do_load(ctx, a[0], s.elem, s.name),
-    "tt.store": lambda s, ctx, a: _do_store(ctx, a[0], a[1], s.name),
-    "tt.dot": _dot,
-    "tt.reduce": lambda s, ctx, a: TileValue.make(a[0].elem, _reduce(s.attrs["kind"], a[0].data, s.attrs["axis"])),
-    "tt.splat": lambda s, ctx, a: TileValue.make(s.elem, np.full(s.shape, a[0].item())),
-    "tt.convert": lambda s, ctx, a: TileValue.make(s.elem, a[0].data),
-    "tt.expand_dims": lambda s, ctx, a: TileValue(a[0].elem, a[0].data.reshape(s.shape)),
-    "tt.broadcast": lambda s, ctx, a: TileValue(a[0].elem, np.broadcast_to(a[0].data, s.shape).copy()),
+    "arith.constant": lambda s, ctx, a: _coerce(s.elem, np.full((ctx.nw, *s.shape), s.attrs["value"])),
+    "tt.get_program_id": lambda s, ctx, a: np.full(ctx.nw, ctx.pid[s.attrs["axis"]], dtype=np.int32),
+    "tt.warp_id": lambda s, ctx, a: np.arange(ctx.nw, dtype=np.int32),
+    "tt.make_tensor_ptr": lambda s, ctx, a: BlockPointer(a[0], _rows(a[1:]).reshape(ctx.nw, 3, -1), s.shape),
+    "tt.advance": lambda s, ctx, a: _moved(a[0], _rows(a[1:]), a[0].block_shape),
+    "tt.load": _load,
+    "tt.store": _store,
+    # f16 and f32 tiles both hold float32 data, so this is an f32 matmul
+    "tt.dot": lambda s, ctx, a: a[0] @ a[1] + a[2],
+    "tt.reduce": lambda s, ctx, a: _coerce(s.elem, _REDUCE[s.attrs["kind"]](a[0], axis=s.attrs["axis"] + 1)),
+    "tt.splat": lambda s, ctx, a: np.repeat(a[0], int(np.prod(s.shape))).reshape(ctx.nw, *s.shape),
+    "tt.convert": lambda s, ctx, a: _coerce(s.elem, a[0]),
+    "tt.expand_dims": lambda s, ctx, a: a[0].reshape(ctx.nw, *s.shape),
+    "tt.broadcast": lambda s, ctx, a: np.broadcast_to(a[0], (ctx.nw, *s.shape)),
     "tt.extract": _extract,
     "tt.glue": _glue,
-    "tt.alloc": _alloc,
-    "math.exp": lambda s, ctx, a: TileValue.make(s.elem, np.exp(a[0].data)),
-    **{k: lambda s, ctx, a, f=f: TileValue.make(s.elem, f(a[0].data, a[1].data)) for k, f in _BIN_F.items()},
-    **{k: lambda s, ctx, a, f=f: TileValue.make(ElemType.i32, f(a[0].data, a[1].data)) for k, f in _BIN_I.items()},
-    "arith.cmpi": lambda s, ctx, a: TileValue.make(ElemType.i1, _CMP[s.attrs["pred"]](a[0].data, a[1].data)),
+    "tt.alloc": lambda s, ctx, a: s.attrs["ptr"],
+    "tt.barrier": lambda s, ctx, a: _sync(ctx, s.name),
+    **dict.fromkeys(("scf.yield", "tt.return"), lambda s, ctx, a: None),  # each ends its body
+    _CROSS: _cross,
+    "math.exp": lambda s, ctx, a: _coerce(s.elem, np.exp(a[0])),
+    **{k: lambda s, ctx, a, f=f: _coerce(s.elem, f(a[0], a[1])) for k, f in _BINARY.items()},
+    "arith.cmpi": lambda s, ctx, a: _CMP[s.attrs["pred"]](a[0], a[1]),
 }
 
-_YIELD = "__yield__"
+
+def _select(live: np.ndarray, new: Any, old: Any) -> Any:
+    """Per warp, `new` where `live`, else `old`."""
+    if isinstance(new, BlockPointer):
+        if new.base != old.base:
+            raise SimError(f"warps leave a loop holding pointers into different buffers {old.base!r} and {new.base!r}")
+        return BlockPointer(new.base, _select(live, new.dims, old.dims), new.block_shape)
+    return np.where(live.reshape(-1, *[1] * (new.ndim - 1)), new, old)
 
 
-def _exec(steps: list[_Step], ctx: _Ctx, env: dict) -> Iterator[tuple]:
-    """Run steps in one context; yields at every synchronization point."""
+def _loop(s: _Step, ctx: _Ctx, env: dict) -> None:
+    """Run an scf.for; a warp whose trip count is spent sits out, masked and
+    keeping its carries, while others still iterate."""
+    lb, ub, step = _rows([env[k] for k in s.operands[:3]]).T
+    outer = ctx.act
+    if (bad := outer & (step < 1)).any():
+        w = np.argmax(bad)
+        raise SimError(ctx.where(f"{s.name}: non-positive loop step {step[w]}", w))
+    trips = np.where(outer, -((lb - ub) // np.maximum(step, 1)), 0).clip(0)
+    n = int(trips.max())
+    uniform = bool((trips[outer] == n).all())
+    vals = [env[k] for k in s.operands[3:]]
+    for k in range(n):
+        if not uniform:
+            ctx.mask(trips > k)
+        env[s.attrs["iv"]] = (lb + k * step).astype(np.int32)
+        env.update(zip(s.attrs["iters"], vals))
+        _exec(s.body, ctx, env)
+        new = [env[k] for k in s.body[-1].operands]  # the body ends in scf.yield
+        vals = new if uniform else [_select(ctx.act, x, y) for x, y in zip(new, vals)]
+    ctx.mask(outer)
+    env.update(zip(s.results, vals))
+
+
+def _exec(steps: list[_Step], ctx: _Ctx, env: dict) -> None:
+    """Run steps for the active warps of one workgroup."""
     for s in steps:
         if s.sem is not None:
             v = s.sem(s, ctx, [env[k] for k in s.operands])
             if s.results:
                 env[s.results[0]] = v
         elif s.kind == "scf.for":
-            lb, ub, step = (env[k].item() for k in s.operands[:3])
-            if step < 1:
-                raise SimError(ctx.where(f"{s.name}: non-positive loop step {step}"))
-            vals = [env[k] for k in s.operands[3:]]
-            for i in range(lb, ub, step):
-                env[s.attrs["iv"]] = TileValue.make(ElemType.i32, i)
-                env.update(zip(s.attrs["iters"], vals))
-                yield from _exec(s.body, ctx, env)
-                vals = env.pop(_YIELD)
-            env.update(zip(s.results, vals))
-        elif s.kind == "scf.yield":
-            env[_YIELD] = [env[k] for k in s.operands]
+            _loop(s, ctx, env)
         elif s.kind == "scf.if":
-            if bool(env[s.operands[0]].item()):
-                yield from _exec(s.body, ctx, env)
-        elif s.kind == "tt.return":
-            return
-        elif s.kind == "tt.barrier":
-            yield ("barrier", s.key, None, None, None)
-        elif s.kind == _CROSS:
-            dst = s.attrs.get("dst_warps")
-            src = env[s.operands[0]]
-            env[s.results[0]] = yield ("cross", s.key, s.attrs["kind"], tuple(dst) if dst else None, src)
+            outer, taken = ctx.act, env[s.operands[0]] & ctx.act
+            if taken.any():
+                ctx.mask(taken)
+                _exec(s.body, ctx, env)
+                ctx.mask(outer)
         else:
             raise SimError(ctx.where(f"no semantics for op {s.name!r}"))
 
 
 # --------------------------------------------------------------------------
-# warp scheduler
-
-
-def _drive_warps(gens: list[Iterator[tuple]], ctx_list: list[_Ctx]) -> None:
-    n = len(gens)
-    pending: list[Any] = [None] * n
-    finished = [False] * n
-    while True:
-        events: list[tuple | None] = [None] * n
-        for w in range(n):
-            if finished[w]:
-                continue
-            try:
-                events[w] = gens[w].send(pending[w])
-            except StopIteration:
-                finished[w] = True
-        if all(finished):
-            return
-        if any(finished):
-            lag = [w for w in range(n) if finished[w]]
-            raise SimError(
-                f"barrier divergence: warps {lag} finished while others wait at a synchronization point"
-            )
-        keys = {(e[0], e[1]) for e in events if e is not None}
-        if len(keys) != 1:
-            raise SimError("barrier divergence: warps reached different synchronization points")
-        kind = events[0][0]
-        if kind == "barrier":
-            pending = [None] * n
-            continue
-        _, _, red_kind, dst, _ = events[0]
-        tiles: list[TileValue] = [e[4] for e in events]  # type: ignore[index]
-        shape0, elem0 = tiles[0].shape, tiles[0].elem
-        if any(t.shape != shape0 or t.elem != elem0 for t in tiles):
-            raise SimError("cross-warp reduce: warps present mismatched tile shapes")
-        acc = tiles[0].data.copy()
-        for w in range(1, n):
-            acc = np.maximum(acc, tiles[w].data) if red_kind == "max" else acc + tiles[w].data
-        combined = TileValue.make(elem0, acc)
-        delivered: list[TileValue] = []
-        for w in range(n):
-            if dst is None or w in dst:
-                delivered.append(combined)
-            else:
-                delivered.append(tiles[w])
-        if ctx_list[0].trace is not None:
-            ctx_list[0].trace.cross.append(
-                CrossRecord(
-                    ctx_list[0].wg_index,
-                    red_kind,
-                    dst,
-                    tuple(t.data.copy() for t in tiles),
-                    tuple(t.data.copy() for t in delivered),
-                )
-            )
-        pending = delivered  # type: ignore[assignment]
-
-
-# --------------------------------------------------------------------------
 # top-level run
-
-
-def _pid_list(grid: tuple[int, int, int]) -> list[tuple[int, int, int]]:
-    gx, gy, gz = grid
-    return [(x, y, z) for z in range(gz) for y in range(gy) for x in range(gx)]
 
 
 def run(
@@ -627,12 +613,12 @@ def run(
         raise SimError(f"launch num_warps={launch.num_warps} but @{name} was built for {prog.num_warps}")
 
     if isinstance(prog, VProgram):
-        per_warp = True
+        nw = prog.num_warps
         bindings = [(f"%{bname}", bname, belem) for bname, belem in prog.args]
         shapes: dict[str, tuple[int, ...]] = {}
         steps = [_decode_vinstr(i, shapes) for i in prog.body]
     else:
-        per_warp = prog.warp_level or prog.level != "workgroup"
+        nw = prog.num_warps if prog.warp_level or prog.level != "workgroup" else 1
         bindings = []
         for a in prog.args:
             if not isinstance(a.type, PtrType) or a.type.is_block:
@@ -646,17 +632,29 @@ def run(
         if out.elem_of(bname) != belem:
             raise SimError(f"@{name}: buffer {bname} holds {out.elem_of(bname).value}, argument wants {belem.value}")
     env = {key: bname for key, bname, _ in bindings}
-    sites = [(s.key, s.shape, s.elem) for s in _walk(steps) if s.kind == "tt.alloc"]
+    allocs = [s for s in _walk(steps) if s.kind == "tt.alloc"]
+    for i, s in enumerate(allocs):  # a row-major block over the whole allocation
+        dims = [s.shape, [int(np.prod(s.shape[d + 1 :])) for d in range(len(s.shape))], [0] * len(s.shape)]
+        s.attrs = {**s.attrs, "slm": f"%slm{i}", "ptr": BlockPointer(f"%slm{i}", np.tile(dims, (nw, 1, 1)), s.shape)}
+    roots = {**env, **{s.results[0]: s.attrs["slm"] for s in allocs}}
+    checked = _stored_bases(steps, roots) if nw > 1 else set()  # one warp cannot race
 
-    pids = _pid_list(launch.grid)
+    gx, gy, gz = launch.grid
+    pids = [(x, y, z) for z in range(gz) for y in range(gy) for x in range(gx)]
     order = launch.wg_order if launch.wg_order is not None else tuple(range(len(pids)))
     if sorted(order) != list(range(len(pids))):
         raise SimError(f"wg_order must be a permutation of 0..{len(pids) - 1}")
+    used = np.cumsum([int(np.prod(s.shape)) * s.elem.nbytes for s in allocs], dtype=np.int64)
+    if (over := used[used > launch.slm_budget]).size:  # every workgroup allocates the same
+        raise SimError(f"SLM overflow: {over[0]} bytes exceeds budget {launch.slm_budget} (@{name} wg={order[0]})")
 
-    grids: dict[tuple, tuple[np.ndarray, int, int]] = {}
-    for wg_index in order:
-        wg = _Workgroup(sites, launch.slm_budget, f"@{name} wg={wg_index}")
-        ctxs = [_Ctx(out, wg, pids[wg_index], w, wg_index, trace, name, grids)
-                for w in range(prog.num_warps if per_warp else 1)]
-        _drive_warps([_exec(steps, ctx, dict(env)) for ctx in ctxs], ctxs)
+    device = {b: (out.elem_of(b), out.raw(b)) for b in out.names()}
+    grids: dict = {}
+    # masked-off warps compute values nobody reads, and may divide by zero or overflow
+    with np.errstate(all="ignore"):
+        for wg_index in order:
+            slm = {s.attrs["slm"]: (s.elem, _coerce(s.elem, np.zeros(s.shape).reshape(-1))) for s in allocs}
+            ctx = _Ctx({**device, **slm}, pids[wg_index], wg_index, trace, name, grids, nw, checked)
+            _exec(steps, ctx, dict(env))
+            _sync(ctx, "the end")
     return out

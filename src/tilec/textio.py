@@ -485,9 +485,14 @@ class _Parser:
     def parse_attr_dict(self, where: dict[str, _Token] | None = None) -> dict[str, Any]:
         """An attribute dict; `where`, when given, gets each value's first token."""
         self.expect("punct", "{")
+        seen: set[str] = set()
 
         def item() -> tuple[str, Any]:
-            key = self.expect("ident")[1]
+            key_tok = self.expect("ident")
+            key = key_tok[1]
+            if key in seen:
+                raise self.fail(f"repeated attribute {key}", key_tok)
+            seen.add(key)
             self.expect("punct", "=")
             if where is not None:
                 where[key] = self.toks[self.pos]
@@ -542,6 +547,8 @@ class _Parser:
             operand_toks.append(self.bump())
             while self.accept("punct", ","):
                 operand_toks.append(self.expect("value"))
+            if toks[self.pos][0] == "value" and not self._at_results_header():
+                raise self.error("expected , between operands")
         if kind == "scf.yield":
             region.ops.append(Operation("scf.yield", [self.lookup(env, t) for t in operand_toks]))
             return

@@ -52,6 +52,8 @@ def test_tensor_file_roundtrip(tmp_path):
         back, back_elem = load_tensor(str(p))
         assert back_elem == elem
         assert np.array_equal(back, np.asarray(data, dtype=back.dtype))
+        # the caller owns the array: it is writable and no view of the file's bytes
+        assert back.flags.writeable and back.flags.owndata
 
 
 def test_tensor_file_rejects_garbage(tmp_path):
@@ -291,3 +293,94 @@ def test_loaded_tile_does_not_alias_its_buffer(level):
     assert np.all(out.tensor("X")[:16] == -1.0) and np.array_equal(out.tensor("X")[16:], x[16:])
     assert np.array_equal(out.tensor("Y")[:16], x[:16])
     assert np.array_equal(out.tensor("Y")[16:24, :16], x[:8, 16:])
+
+
+@pytest.mark.parametrize("level", ["workgroup", "warp", "intrinsic", "visa"])
+def test_missing_barrier_is_a_race(level):
+    # without its barrier, warps 1-7 read the SLM row that warp 0 stores
+    # before any synchronization point
+    text = kernel_text("paged_warp").replace("  tt.barrier\n", "")
+    prog = compile_kernel(parse_module(text).get("paged_warp")).at_level(level)
+    prob = make_problem(suite()["paged_warp"])
+    with pytest.raises(SimError, match=r"^race on buffer '%slm0' element 0: warps 0 and 1 touch it between two "
+                                       r"synchronization points, .* \(@paged_warp wg=0 pid=\(0, 0, 0\) warp=1 "):
+        run(prog, prob.launch, prob.mem)
+
+
+def _overlapping_stores(per_warp: bool) -> KernelFn:
+    """Both warps store a 4x4 block to the top of O: their warp id where
+    `per_warp`, else 1."""
+    fb = FunctionBuilder("overlap", [("O", PtrType(F32))], num_warps=2, warp_level=True)
+    (o,) = fb.fn.args
+    c0, c1, c4 = (fb.constant(v) for v in (0, 1, 4))
+    ptr = fb.make_tensor_ptr(o, [c4, c4], [c4, c1], [c0, c0], (4, 4), (1, 0))
+    fb.store(ptr, fb.convert(fb.splat(fb.warp_id() if per_warp else c1, (4, 4)), F32))
+    fb.ret()
+    return fb.build()
+
+
+def test_replicated_stores_of_equal_bits_pass():
+    mem = DeviceMemory()
+    mem.set_tensor("O", np.zeros((8, 4)), F32)
+    trace = RunTrace()
+    out = run(_overlapping_stores(per_warp=False), LaunchConfig(), mem, trace=trace)
+    assert np.array_equal(out.tensor("O"), np.repeat([[1.0], [0.0]], 4, axis=0) * np.ones((8, 4)))
+    assert [s.warp for s in trace.stores] == [0, 1]
+
+
+def test_overlapping_stores_of_other_bits_race():
+    mem = DeviceMemory()
+    mem.set_tensor("O", np.zeros((8, 4)), F32)
+    with pytest.raises(SimError) as exc:
+        run(_overlapping_stores(per_warp=True), LaunchConfig(), mem)
+    assert str(exc.value) == (
+        "race on buffer 'O' element 0: warps 0 and 1 touch it between two synchronization points, "
+        "not only reading it or storing the same bits (@overlap wg=0 pid=(0, 0, 0) warp=0 tt.store)"
+    )
+
+
+def _suffix_sums(rows: int, warps: int) -> KernelFn:
+    """Warp w adds rows w..rows-1 of X, one per loop trip, reading through a
+    carried pointer, while a second carried pointer moves down O one row per
+    trip; the sum goes where that pointer ends, row rows - w of O.  The trip
+    count is rows - w, and a warp that is done would read past X's end."""
+    fb = FunctionBuilder("suffix", [("X", PtrType(F32)), ("O", PtrType(F32))], num_warps=warps, warp_level=True)
+    x, o = fb.fn.args
+    c0, c1, c4, cr = (fb.constant(v) for v in (0, 1, 4, rows))
+    wid = fb.warp_id()
+    px = fb.make_tensor_ptr(x, [cr, c4], [c4, c1], [wid, c0], (1, 4), (1, 0))
+    po = fb.make_tensor_ptr(o, [fb.constant(rows + 1), c4], [c4, c1], [c0, c0], (1, 4), (1, 0))
+    _, (acc, px, po) = fb.begin_for(wid, cr, c1, [fb.splat(fb.constant(0.0), (1, 4)), px, po])
+    acc = fb.binary("arith.addf", acc, fb.load(px))
+    acc, _, po = fb.end_for([acc, fb.advance(px, [c1, c0]), fb.advance(po, [c1, c0])])
+    fb.store(po, acc)
+    fb.ret()
+    return fb.build()
+
+
+def test_loop_trip_count_may_differ_by_warp():
+    x = philox(5).random((6, 4)).astype(np.float32)
+    mem = DeviceMemory()
+    mem.set_tensor("X", x, F32)
+    mem.set_tensor("O", np.zeros((7, 4)), F32)
+    out = run(_suffix_sums(rows=6, warps=4), LaunchConfig(), mem)
+    want = np.zeros((7, 4), dtype=np.float32)
+    for w in range(4):
+        want[6 - w] = np.add.reduce(x[w:], axis=0, dtype=np.float32)
+    assert np.array_equal(out.tensor("O"), want)
+
+
+def test_fault_names_the_lowest_faulting_warp():
+    # warp w loads rows 4w..4w+3 of an 8-row X: warps 2 and 3 are out of bounds
+    fb = FunctionBuilder("rows", [("X", PtrType(F32))], num_warps=4, warp_level=True)
+    (x,) = fb.fn.args
+    c0, c1, c4, c8 = (fb.constant(v) for v in (0, 1, 4, 8))
+    fb.load(fb.make_tensor_ptr(x, [c8, c4], [c4, c1], [fb.binary("arith.muli", fb.warp_id(), c4), c0], (4, 4), (1, 0)))
+    fb.ret()
+    mem = DeviceMemory()
+    mem.set_tensor("X", np.zeros((8, 4)), F32)
+    with pytest.raises(SimError) as exc:
+        run(fb.build(), LaunchConfig(), mem)
+    assert str(exc.value) == (
+        "out-of-bounds block access: dim 0 window [8, 12) outside [0, 8) (@rows wg=0 pid=(0, 0, 0) warp=2 tt.load)"
+    )

@@ -190,6 +190,10 @@ PARSE_CASES = {
                                 "line 3, col 38: expected a type (got ')')"),
     "trailing_comma_in_operands": (_fn(_I0 + "  %1 = arith.addi %0, %0, : (i32, i32) -> i32\n"),
                                    "line 3, col 27: expected value (got ':')"),
+    "operands_without_comma": (_fn(_I0 + "  %1 = arith.addi %0 %0 : (i32, i32) -> i32\n"),
+                               "line 3, col 22: expected , between operands (got '%0')"),
+    "repeated_attr_key": (_fn("", _HEAD.replace("= 1", "= 1, num_warps = 4")),
+                          "line 1, col 64: repeated attribute num_warps"),
     "int_list_without_comma": (_BLOCKED.replace("order = [1, 0]", "order = [1 0]") + _fn(""),
                                "line 1, col 88: expected , or ] (got '0')"),
     "iter_args_without_comma": (
