@@ -34,7 +34,9 @@ an access adds each warp's base offset and bounds-checks the grid's ends.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import itertools
 import struct
 from dataclasses import InitVar, dataclass, field
 from typing import Any, Callable, Iterator
@@ -213,9 +215,10 @@ class _Ctx:
     grids: dict[tuple, tuple]  # offset grids by (block shape, base, global shapes and strides), for one run()
     nw: int  # warps in the batch
     checked: set[str]  # buffers a store can reach: their accesses are race-checked
-    # this epoch (since the last synchronization point): the marks of checked
-    # buffers (see _touch), and the trace of every access in step order
-    marks: dict[str, np.ndarray] = field(default_factory=dict)
+    marks: dict[str, tuple[np.ndarray, np.ndarray]]  # race marks of checked buffers (see _touch), for one run()
+    # this epoch (since the last synchronization point): the marks it set,
+    # and the trace of every access in step order
+    touched: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = field(default_factory=list)
     loads: list[TraceAccess] = field(default_factory=list)
     stores: list[TraceAccess] = field(default_factory=list)
 
@@ -249,15 +252,12 @@ def _access(ctx: _Ctx, s: _Step, bp: BlockPointer, value: np.ndarray | None = No
     glob, strides, offs = bp.dims[:, 0], bp.dims[:, 1], bp.dims[:, 2]
     if (key := (bp.block_shape, bp.base, bp.dims[:, :2].tobytes())) not in ctx.grids:
         # per warp, each element's flat offset from the block's first one, and
-        # their extremes; an in-window block needs no flat check when every
-        # warp's whole global tensor lies in the buffer
+        # the range of first offsets that keeps every element in the buffer
         rel = np.tensordot(strides, np.indices(bp.block_shape, dtype=np.int64), axes=1)
-        flat, span = rel.reshape(ctx.nw, -1), np.maximum(glob - 1, 0) * strides
-        ext = (flat.min(axis=1), flat.max(axis=1)) if rel.size else (0, 0)
-        fits = np.all((np.minimum(span, 0).sum(axis=1) >= 0) & (np.maximum(span, 0).sum(axis=1) < buf.size))
-        ctx.grids[key] = (rel, *ext, np.array(bp.block_shape), (-1, *[1] * len(bp.block_shape)), fits)
-    rel, lo, hi, block, col, fits = ctx.grids[key]
-    bad = (offs < 0) | (offs + block > glob)
+        flat = rel.reshape(ctx.nw, -1)
+        ctx.grids[key] = (rel, -flat.min(axis=1), buf.size - 1 - flat.max(axis=1))
+    rel, lo, hi = ctx.grids[key]
+    bad = (offs < 0) | (offs + bp.block_shape > glob)
     if bad.any() and (bad := bad & ctx.act[:, None]).any():
         w, d = np.argwhere(bad)[0]
         o, b, g = offs[w, d], bp.block_shape[d], glob[w, d]
@@ -265,49 +265,71 @@ def _access(ctx: _Ctx, s: _Step, bp: BlockPointer, value: np.ndarray | None = No
             f"out-of-bounds block access: dim {d} window [{o}, {o + b}) outside [0, {g}) ({ctx.where(s.name, w)})"
         )
     first = (offs * strides).sum(axis=1)
-    if not fits and rel.size:
-        if (bad := (first + lo < 0) | (first + hi >= buf.size)).any() and (bad := bad & ctx.act).any():
-            at = ctx.where(s.name, np.argmax(bad))
-            raise SimError(f"out-of-bounds block access: flat index beyond buffer of {buf.size} ({at})")
+    bad = (first < lo) | (first > hi)
+    if bad.any() and (bad := bad & ctx.act).any():
+        at = ctx.where(s.name, np.argmax(bad))
+        raise SimError(f"out-of-bounds block access: flat index beyond buffer of {buf.size} ({at})")
     if ctx.trace is not None:
         log.extend(TraceAccess(ctx.wg_index, w, bp.base, tuple(o), bp.block_shape)
                    for w, o in zip(ctx.ids.tolist(), offs[ctx.ids].tolist()))
-    idx = rel + first.reshape(col)
+    idx = rel + first.reshape(-1, *[1] * len(bp.block_shape))
     return buf, idx if ctx.full else idx[ctx.ids]
 
 
 def _touch(ctx: _Ctx, base: str, what: str, buf: np.ndarray, idx: np.ndarray, vals: np.ndarray | None) -> None:
     """Check the active warps' access of a checked buffer against the epoch's
-    earlier ones and mark it; a store (`vals` given) also writes.  The marks
-    hold, per element, the lowest and highest warp that touched it, and
-    whether any warp read or wrote it.  Of the warps touching one element in
-    one step the highest assigns last, so assigning in reverse gives the lowest."""
-    ws, i = ctx.ids[:, None], idx.reshape(len(ctx.ids), -1)
+    earlier ones and mark it; a store (`vals` given) also writes.  An
+    element's marks are the lowest and highest warp that read it in the epoch
+    (row 0 of `lo` and `hi`) and that wrote it (row 1)."""
+    ws, i = ctx.ids.astype(np.int32)[:, None], idx.reshape(len(ctx.ids), -1)  # int32, like the marks
     bits = lambda a: a.view(f"u{a.itemsize}")  # noqa: E731
-    if (m := ctx.marks.get(base)) is None:
-        m = ctx.marks[base] = np.repeat(np.array([[ctx.nw], [-1], [0], [0]], dtype=np.int32), buf.size, axis=1)
-    lo_m, hi_m, rd_m, wr_m = m
-    lo, hi = lo_m[i], hi_m[i]
-    new_lo = new_hi = ws
-    if (bad := (lo < ws) | (hi > ws)).any():  # another warp touched the element earlier,
-        bad &= (wr_m[i] != 0) if vals is None else (rd_m[i] != 0) | (bits(vals) != bits(buf[i]))
-        new_lo, new_hi = np.minimum(lo, ws), np.maximum(hi, ws)  # and one of the two writes other bits
-    lo_m[i[::-1]], hi_m[i] = new_lo[::-1], new_hi
-    (rd_m if vals is None else wr_m)[i] = 1
-    later: Any = False
-    if vals is not None:
-        buf[i] = vals
-        if (later := hi_m[i] != new_hi).any():  # a higher warp stores the element in this same step
-            later &= bits(vals) != bits(buf[i])
-    if (bad := bad | later).any():
-        e = i[bad].min()
-        r, c = np.argwhere(bad & (i == e))[0]
-        w = ctx.ids[r]
-        other = hi_m[e] if np.any(later) and later[r, c] else lo[r, c] if lo[r, c] != w else hi[r, c]
-        raise SimError(
-            f"race on buffer {base!r} element {e}: warps {min(w, other)} and {max(w, other)} touch it between two "
-            f"synchronization points, not only reading it or storing the same bits ({ctx.where(what, w)})"
-        )
+    if base not in ctx.marks:
+        ctx.marks[base] = np.full((2, buf.size), ctx.nw, dtype=np.int32), np.full((2, buf.size), -1, dtype=np.int32)
+    lo, hi = ctx.marks[base]
+
+    def by_others(k: int) -> np.ndarray:  # per element, whether another warp read (0) or wrote (1) it
+        return (lo[k][i] < ws) | (hi[k][i] > ws)
+
+    # a load clashes with another warp's write; a store with another warp's
+    # read, or with its write of other bits
+    if vals is None:
+        clash = by_others(1)
+    else:
+        read, written = by_others(0), by_others(1)
+        if written.any():
+            written &= bits(vals) != bits(buf[i])
+        clash = read | written
+    if clash.any():
+        e = i[clash].min()
+        r, c = np.argwhere(clash & (i == e))[0]
+        w, k = ctx.ids[r], 0 if vals is not None and read[r, c] else 1
+        _race(ctx, base, what, e, w, lo[k][e] if lo[k][e] < w else hi[k][e])
+    k, flat, who = int(vals is not None), i.ravel(), np.repeat(ws, i.shape[1])
+    np.minimum.at(lo[k], flat, who)
+    np.maximum.at(hi[k], flat, who)
+    ctx.touched.append((lo[k], hi[k], flat))
+    if vals is None:
+        return
+    buf[i] = vals
+    # where warps of this step store other bits to one element, some bits do
+    # not land; that is a race when two warps wrote the element
+    mixed = bits(vals) != bits(buf[i])
+    if mixed.any():
+        mixed &= lo[1][i] != hi[1][i]
+    if mixed.any():
+        e = i[mixed].min()
+        rows, cols = np.nonzero(i == e)
+        wid, v = ctx.ids[rows], bits(vals)[rows, cols]
+        pairs = itertools.combinations(range(len(rows)), 2)  # name the first two warps that store other bits
+        _race(ctx, base, what, e, *next((wid[x], wid[y]) for x, y in pairs if wid[x] != wid[y] and v[x] != v[y]))
+
+
+def _race(ctx: _Ctx, base: str, what: str, e: int, w: int, other: int) -> None:
+    """Report that warp `w` and warp `other` race on element `e` of `base`."""
+    raise SimError(
+        f"race on buffer {base!r} element {e}: warps {min(w, other)} and {max(w, other)} touch it between two "
+        f"synchronization points, not only reading it or storing the same bits ({ctx.where(what, w)})"
+    )
 
 
 # buffers hold coerced values and tiles are never written in place, so a
@@ -497,7 +519,9 @@ def _sync(ctx: _Ctx, what: str) -> None:
     if not ctx.full:
         idle = np.flatnonzero(~ctx.act).tolist()
         raise SimError(f"barrier divergence: warps {idle} do not reach {what} with the others ({ctx.where(what)})")
-    ctx.marks.clear()
+    for lo, hi, i in ctx.touched:
+        lo[i], hi[i] = ctx.nw, -1
+    ctx.touched.clear()
     if ctx.trace is not None:  # in serial order: warp by warp, each in step order
         for mine, out in ((ctx.loads, ctx.trace.loads), (ctx.stores, ctx.trace.stores)):
             out.extend(sorted(mine, key=lambda acc: acc.warp))
@@ -553,6 +577,12 @@ def _select(live: np.ndarray, new: Any, old: Any) -> Any:
     return np.where(live.reshape(-1, *[1] * (new.ndim - 1)), new, old)
 
 
+def _quiet(ctx: _Ctx) -> contextlib.AbstractContextManager:
+    """Under a partial mask, masked-off warps compute values that nobody reads,
+    and may divide by zero or overflow: keep numpy quiet about them."""
+    return contextlib.nullcontext() if ctx.full else np.errstate(all="ignore")
+
+
 def _loop(s: _Step, ctx: _Ctx, env: dict) -> None:
     """Run an scf.for; a warp whose trip count is spent sits out, masked and
     keeping its carries, while others still iterate."""
@@ -562,17 +592,15 @@ def _loop(s: _Step, ctx: _Ctx, env: dict) -> None:
         w = np.argmax(bad)
         raise SimError(ctx.where(f"{s.name}: non-positive loop step {step[w]}", w))
     trips = np.where(outer, -((lb - ub) // np.maximum(step, 1)), 0).clip(0)
-    n = int(trips.max())
-    uniform = bool((trips[outer] == n).all())
     vals = [env[k] for k in s.operands[3:]]
-    for k in range(n):
-        if not uniform:
-            ctx.mask(trips > k)
+    for k in range(int(trips.max())):
+        ctx.mask(trips > k)
         env[s.attrs["iv"]] = (lb + k * step).astype(np.int32)
         env.update(zip(s.attrs["iters"], vals))
-        _exec(s.body, ctx, env)
+        with _quiet(ctx):
+            _exec(s.body, ctx, env)
         new = [env[k] for k in s.body[-1].operands]  # the body ends in scf.yield
-        vals = new if uniform else [_select(ctx.act, x, y) for x, y in zip(new, vals)]
+        vals = new if ctx.full else [_select(ctx.act, x, y) for x, y in zip(new, vals)]
     ctx.mask(outer)
     env.update(zip(s.results, vals))
 
@@ -590,7 +618,8 @@ def _exec(steps: list[_Step], ctx: _Ctx, env: dict) -> None:
             outer, taken = ctx.act, env[s.operands[0]] & ctx.act
             if taken.any():
                 ctx.mask(taken)
-                _exec(s.body, ctx, env)
+                with _quiet(ctx):
+                    _exec(s.body, ctx, env)
                 ctx.mask(outer)
         else:
             raise SimError(ctx.where(f"no semantics for op {s.name!r}"))
@@ -650,11 +679,10 @@ def run(
 
     device = {b: (out.elem_of(b), out.raw(b)) for b in out.names()}
     grids: dict = {}
-    # masked-off warps compute values nobody reads, and may divide by zero or overflow
-    with np.errstate(all="ignore"):
-        for wg_index in order:
-            slm = {s.attrs["slm"]: (s.elem, _coerce(s.elem, np.zeros(s.shape).reshape(-1))) for s in allocs}
-            ctx = _Ctx({**device, **slm}, pids[wg_index], wg_index, trace, name, grids, nw, checked)
-            _exec(steps, ctx, dict(env))
-            _sync(ctx, "the end")
+    marks: dict = {}
+    for wg_index in order:
+        slm = {s.attrs["slm"]: (s.elem, _coerce(s.elem, np.zeros(s.shape).reshape(-1))) for s in allocs}
+        ctx = _Ctx({**device, **slm}, pids[wg_index], wg_index, trace, name, grids, nw, checked, marks)
+        _exec(steps, ctx, dict(env))
+        _sync(ctx, "the end")
     return out

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -337,6 +339,84 @@ def test_overlapping_stores_of_other_bits_race():
         "race on buffer 'O' element 0: warps 0 and 1 touch it between two synchronization points, "
         "not only reading it or storing the same bits (@overlap wg=0 pid=(0, 0, 0) warp=0 tt.store)"
     )
+
+
+def test_store_after_loads_by_two_warps_races():
+    # warps 0 and 1 both load the top of O in one step; then warp 1 alone
+    # stores other bits there
+    fb = FunctionBuilder("reload", [("O", PtrType(F32))], num_warps=2, warp_level=True)
+    (o,) = fb.fn.args
+    c0, c1, c4 = (fb.constant(v) for v in (0, 1, 4))
+    ptr = fb.make_tensor_ptr(o, [c4, c4], [c4, c1], [c0, c0], (4, 4), (1, 0))
+    tile = fb.load(ptr)
+    fb.begin_if(fb.cmpi("eq", fb.warp_id(), c1))
+    fb.store(ptr, fb.binary("arith.addf", tile, fb.splat(fb.constant(1.0), (4, 4))))
+    fb.end_if()
+    fb.ret()
+    mem = DeviceMemory()
+    mem.set_tensor("O", np.zeros((4, 4)), F32)
+    with pytest.raises(SimError) as exc:
+        run(fb.build(), LaunchConfig(), mem)
+    assert str(exc.value) == (
+        "race on buffer 'O' element 0: warps 0 and 1 touch it between two synchronization points, "
+        "not only reading it or storing the same bits (@reload wg=0 pid=(0, 0, 0) warp=1 tt.store)"
+    )
+
+
+def test_a_warp_storing_one_element_twice_does_not_race():
+    # a row stride of 0 maps each column of a warp's 4x4 block to one element
+    # of O, so each warp stores four rows of X over its own four elements
+    fb = FunctionBuilder("alias", [("X", PtrType(F32)), ("O", PtrType(F32))], num_warps=2, warp_level=True)
+    x, o = fb.fn.args
+    c0, c1, c4, c8 = (fb.constant(v) for v in (0, 1, 4, 8))
+    tile = fb.load(fb.make_tensor_ptr(x, [c4, c4], [c4, c1], [c0, c0], (4, 4), (1, 0)))
+    col = fb.binary("arith.muli", fb.warp_id(), c4)
+    fb.store(fb.make_tensor_ptr(o, [c4, c8], [c0, c1], [c0, col], (4, 4), (1, 0)), tile)
+    fb.ret()
+    x_val = philox(6).random((4, 4)).astype(np.float32)
+    mem = DeviceMemory()
+    mem.set_tensor("X", x_val, F32)
+    mem.set_tensor("O", np.zeros((2, 4)), F32)
+    out = run(fb.build(), LaunchConfig(), mem)
+    o_val = out.tensor("O")
+    assert all(o_val[w, c] in x_val[:, c] for w in range(2) for c in range(4))
+
+
+def _reciprocals(pred: str, bound: int) -> KernelFn:
+    """Warp w stores 1/x of row block w (4x4) of X to O, inside an scf.if
+    that the warps with `warp_id pred bound` take."""
+    fb = FunctionBuilder("recip", [("X", PtrType(F32)), ("O", PtrType(F32))], num_warps=2, warp_level=True)
+    x, o = fb.fn.args
+    c0, c1, c4, c8 = (fb.constant(v) for v in (0, 1, 4, 8))
+    row = fb.binary("arith.muli", fb.warp_id(), c4)
+    fb.begin_if(fb.cmpi(pred, fb.warp_id(), fb.constant(bound)))
+    tile = fb.load(fb.make_tensor_ptr(x, [c8, c4], [c4, c1], [row, c0], (4, 4), (1, 0)))
+    recip = fb.binary("arith.divf", fb.splat(fb.constant(1.0), (4, 4)), tile)
+    fb.store(fb.make_tensor_ptr(o, [c8, c4], [c4, c1], [row, c0], (4, 4), (1, 0)), recip)
+    fb.end_if()
+    fb.ret()
+    return fb.build()
+
+
+def test_a_kernels_own_division_by_zero_warns():
+    # both warps take the scf.if, and both divide by zero
+    mem = DeviceMemory()
+    mem.set_tensor("X", np.zeros((8, 4)), F32)
+    mem.set_tensor("O", np.zeros((8, 4)), F32)
+    with pytest.warns(RuntimeWarning, match="divide by zero"):
+        out = run(_reciprocals("slt", 2), LaunchConfig(), mem)
+    assert np.all(np.isposinf(out.tensor("O")))
+
+
+def test_masked_off_warps_compute_quietly():
+    # warp 0 sits out the scf.if, so its load yields zeros that it divides by
+    mem = DeviceMemory()
+    mem.set_tensor("X", np.ones((8, 4)), F32)
+    mem.set_tensor("O", np.zeros((8, 4)), F32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = run(_reciprocals("sge", 1), LaunchConfig(), mem)
+    assert np.array_equal(out.tensor("O"), np.repeat([[0.0], [1.0]], 4, axis=0) * np.ones((8, 4)))
 
 
 def _suffix_sums(rows: int, warps: int) -> KernelFn:
