@@ -10,26 +10,33 @@ run the same code.  Decoding works out all that needs no runtime value:
 each step's function and element type, and the slices an extract reads or a
 glue writes, from the operand's static shape.
 
-A workgroup's warps run in lockstep, as one batch (a workgroup-level
-program is a batch of one warp).  Every value has a leading warp axis: a
-scalar is a per-warp vector, a block pointer holds per-warp offsets, a load
-is one gather, a store one scatter and ``tt.dot`` one batched matmul.  A
-warp-dependent ``scf.if``, or a loop whose trip count differs by warp, runs
-under an active mask; masked-off warps neither load nor store.  A barrier or
-cross-warp reduction is a synchronization point that all warps must reach
-together; the reduction combines warps in id order.
+A launch runs in lockstep, as one batch with a row per warp of each
+workgroup, workgroups in ``wg_order`` and warps in id order (a
+workgroup-level program has one warp).  Every value has a leading row axis:
+a scalar is a per-row vector, a block pointer holds per-row offsets, a load
+is one gather, a store one scatter and ``tt.dot`` one batched matmul.  Each
+workgroup has its own SLM.  A row-dependent ``scf.if``, or a loop whose trip
+count differs by row, runs under an active mask; masked-off rows neither
+load nor store.  A barrier or cross-warp reduction must be reached by all
+warps of each workgroup with an active warp; a reduction adds a workgroup's
+warps in id order.
 
-Between two synchronization points (or the end), two warps must not touch
-one element of a device or SLM buffer when either writes it, unless both
-store the same bits; a run that does fails with a race error.  Only buffers
-some store can reach are checked.  A run that completes thus gives the bits
-of running the warps one after another in id order between synchronization
-points, and ``RunTrace`` records its accesses in that order.
+Two warps of a workgroup must not touch one element of a device or SLM
+buffer between two synchronization points, nor two workgroups one element
+of a device buffer in the launch, when either writes it, unless both store
+equal bits; a run that does fails with a race error.  Only buffers some
+store can reach are checked, reads only where a load can reach them too.  A
+run that completes thus gives the bits of the serial run (workgroups one by
+one in ``wg_order``, warps one by one between synchronization points), and
+``RunTrace`` records accesses in that order; ``wg_order`` also decides
+which workgroup an error names when several fault in one step.
 
 f16 tiles are f32 arrays rounded to f16 after every producing step.  Tiles
-are never written in place, so an extract or broadcast is a view.  Each
-distinct (block shape, strides) pair gets one grid of flat offsets per run;
-an access adds each warp's base offset and bounds-checks the grid's ends.
+are never written in place, so an extract or broadcast is a view, and a load
+whose rows all read one block of a buffer no store reaches gathers it once
+and broadcasts it.  Each distinct (block shape, global shapes and strides)
+gets one grid of flat offsets per run; an access adds each row's base
+offset and bounds-checks the grid's ends.
 """
 
 from __future__ import annotations
@@ -67,8 +74,8 @@ def _coerce(elem: ElemType, data: Any) -> np.ndarray:
 
 @dataclass(frozen=True, slots=True)
 class BlockPointer:
-    """One block pointer per warp into one buffer.  ``dims[w]`` holds warp
-    w's global shape, strides and offsets, in elements, as three rows."""
+    """One block pointer per batch row into one buffer.  ``dims[r]`` holds
+    row r's global shape, strides and offsets, in elements, as three rows."""
 
     base: Any  # a device buffer or SLM allocation name
     dims: np.ndarray
@@ -205,143 +212,153 @@ class RunTrace:
 
 @dataclass
 class _Ctx:
-    """One workgroup's run: its buffers, and the warps active at this step."""
+    """One launch's run: its buffers, and the rows active at this step.  Row
+    r is warp r % nw of the workgroup at schedule position r // nw.  A buffer
+    is its element type, flat data, one workgroup's size, and each row's base
+    offset (None for a device buffer; each workgroup has its own SLM)."""
 
-    bufs: dict[str, tuple[ElemType, np.ndarray]]  # device buffers and this workgroup's SLM, by name
-    pid: tuple[int, int, int]
-    wg_index: int
-    trace: RunTrace | None
+    bufs: dict[str, tuple[ElemType, np.ndarray, int, np.ndarray | None]]
+    order: tuple[int, ...]  # the workgroup index at each schedule position
+    pids: list[tuple[int, int, int]]  # program ids by workgroup index
+    nw: int  # warps per workgroup
     fn_name: str
-    grids: dict[tuple, tuple]  # offset grids by (block shape, base, global shapes and strides), for one run()
-    nw: int  # warps in the batch
-    checked: set[str]  # buffers a store can reach: their accesses are race-checked
-    marks: dict[str, tuple[np.ndarray, np.ndarray]]  # race marks of checked buffers (see _touch), for one run()
-    # this epoch (since the last synchronization point): the marks it set,
-    # and the trace of every access in step order
-    touched: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = field(default_factory=list)
-    loads: list[TraceAccess] = field(default_factory=list)
-    stores: list[TraceAccess] = field(default_factory=list)
+    scales: dict[str, tuple[int, ...]]  # buffers a store can reach, with the scales of their race marks (see _touch)
+    loaded: set[str]  # buffers a load can reach
+    log: tuple[list, list, list] | None  # if tracing: loads, stores, cross-warp reduces, in step order
+    grids: dict[tuple, tuple] = field(default_factory=dict)  # offset grids by (block shape, base, shapes and strides)
+    marks: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)  # by (base, scale)
+    touched: list[tuple] = field(default_factory=list)  # the row marks set since those rows' last synchronization point
 
     def __post_init__(self) -> None:
-        self.mask(np.ones(self.nw, dtype=np.bool_))
+        self.n = len(self.order) * self.nw
+        self.wg, self.warp = np.arange(self.n) // self.nw, np.arange(self.n, dtype=np.int32) % self.nw
+        self.pid = np.array([self.pids[g] for g in self.order], dtype=np.int32).T.repeat(self.nw, axis=1)
+        self.epoch = np.zeros(len(self.order), dtype=np.int64)  # synchronization points passed, per workgroup
+        self.mask(np.ones(self.n, dtype=np.bool_))
 
     def mask(self, act: np.ndarray) -> None:
         self.act, self.ids = act, np.flatnonzero(act)
-        self.full = len(self.ids) == self.nw
+        self.full = len(self.ids) == self.n
 
-    def where(self, what: str, warp: Any = None) -> str:
-        return f"@{self.fn_name} wg={self.wg_index} pid={self.pid} warp={self.ids[0] if warp is None else warp} {what}"
+    def where(self, what: str, row: Any = None) -> str:
+        g, w = divmod(int(self.ids[0] if row is None else row), self.nw)
+        return f"@{self.fn_name} wg={self.order[g]} pid={self.pids[self.order[g]]} warp={w} {what}"
 
 
 # --------------------------------------------------------------------------
 # block pointer access
 
 
-def _access(ctx: _Ctx, s: _Step, bp: BlockPointer, value: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+def _access(ctx: _Ctx, s: _Step, bp: BlockPointer, value: np.ndarray | None = None,
+            one: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """For a load, or a store of `value`: the buffer, and the flat indices of
-    the active warps' blocks (one row per active warp), once the access is
-    checked; the access joins the epoch's trace."""
-    verb, log = ("access expects", ctx.loads) if value is None else ("store provides", ctx.stores)
+    the active rows' blocks (one row per active row, or the first row's block
+    alone if `one`), once the access is checked; a traced access is logged."""
+    verb = "access expects" if value is None else "store provides"
     if bp.base not in ctx.bufs:
         raise SimError(f"unknown buffer {bp.base!r} ({ctx.where(s.name)})")
-    base_elem, buf = ctx.bufs[bp.base]
+    base_elem, buf, size, off = ctx.bufs[bp.base]
     if base_elem != s.elem:
         raise SimError(f"buffer {bp.base!r} holds {base_elem.value}, {verb} {s.elem.value} ({ctx.where(s.name)})")
     if value is not None and value.shape[1:] != bp.block_shape:
         raise SimError(f"store value shape {value.shape[1:]} != block shape {bp.block_shape} ({ctx.where(s.name)})")
     glob, strides, offs = bp.dims[:, 0], bp.dims[:, 1], bp.dims[:, 2]
     if (key := (bp.block_shape, bp.base, bp.dims[:, :2].tobytes())) not in ctx.grids:
-        # per warp, each element's flat offset from the block's first one, and
-        # the range of first offsets that keeps every element in the buffer
-        rel = np.tensordot(strides, np.indices(bp.block_shape, dtype=np.int64), axes=1)
-        flat = rel.reshape(ctx.nw, -1)
-        ctx.grids[key] = (rel, -flat.min(axis=1), buf.size - 1 - flat.max(axis=1))
+        # per row, each element's flat offset from the block's first one, and the range of
+        # first offsets keeping all in one workgroup's buffer; like rows share them
+        u = bp.dims[:1, 1] if (bp.dims[:, :2] == bp.dims[:1, :2]).all() else strides
+        rel = np.tensordot(u, np.indices(bp.block_shape, dtype=np.int64), axes=1)
+        flat = rel.reshape(len(u), -1)
+        ctx.grids[key] = (rel, -flat.min(axis=1), size - 1 - flat.max(axis=1))
     rel, lo, hi = ctx.grids[key]
     bad = (offs < 0) | (offs + bp.block_shape > glob)
     if bad.any() and (bad := bad & ctx.act[:, None]).any():
         w, d = np.argwhere(bad)[0]
         o, b, g = offs[w, d], bp.block_shape[d], glob[w, d]
-        raise SimError(
-            f"out-of-bounds block access: dim {d} window [{o}, {o + b}) outside [0, {g}) ({ctx.where(s.name, w)})"
-        )
+        at = ctx.where(s.name, w)
+        raise SimError(f"out-of-bounds block access: dim {d} window [{o}, {o + b}) outside [0, {g}) ({at})")
     first = (offs * strides).sum(axis=1)
     bad = (first < lo) | (first > hi)
     if bad.any() and (bad := bad & ctx.act).any():
         at = ctx.where(s.name, np.argmax(bad))
-        raise SimError(f"out-of-bounds block access: flat index beyond buffer of {buf.size} ({at})")
-    if ctx.trace is not None:
-        log.extend(TraceAccess(ctx.wg_index, w, bp.base, tuple(o), bp.block_shape)
-                   for w, o in zip(ctx.ids.tolist(), offs[ctx.ids].tolist()))
-    idx = rel + first.reshape(-1, *[1] * len(bp.block_shape))
-    return buf, idx if ctx.full else idx[ctx.ids]
+        raise SimError(f"out-of-bounds block access: flat index beyond buffer of {size} ({at})")
+    if ctx.log is not None:
+        ctx.log[value is not None].append((ctx.ids, ctx.epoch[ctx.wg[ctx.ids]], offs[ctx.ids], bp.base, bp.block_shape))
+    if off is not None:
+        first = first + off
+    idx = rel + first[:1 if one else None].reshape(-1, *[1] * len(bp.block_shape))
+    return buf, idx if one or ctx.full else idx[ctx.ids]
 
 
 def _touch(ctx: _Ctx, base: str, what: str, buf: np.ndarray, idx: np.ndarray, vals: np.ndarray | None) -> None:
-    """Check the active warps' access of a checked buffer against the epoch's
-    earlier ones and mark it; a store (`vals` given) also writes.  An
-    element's marks are the lowest and highest warp that read it in the epoch
-    (row 0 of `lo` and `hi`) and that wrote it (row 1)."""
-    ws, i = ctx.ids.astype(np.int32)[:, None], idx.reshape(len(ctx.ids), -1)  # int32, like the marks
+    """Check the active rows' access against earlier ones and mark it; a
+    store (`vals` given) also writes.  Per element, the marks at scale nw
+    are the lowest and highest workgroup (schedule position) that read it
+    (row 0 of `lo` and `hi`) and wrote it (row 1) in the launch; at scale 1,
+    the same for rows since their last synchronization point."""
+    i = idx.reshape(len(ctx.ids), -1)
     bits = lambda a: a.view(f"u{a.itemsize}")  # noqa: E731
-    if base not in ctx.marks:
-        ctx.marks[base] = np.full((2, buf.size), ctx.nw, dtype=np.int32), np.full((2, buf.size), -1, dtype=np.int32)
-    lo, hi = ctx.marks[base]
-
-    def by_others(k: int) -> np.ndarray:  # per element, whether another warp read (0) or wrote (1) it
-        return (lo[k][i] < ws) | (hi[k][i] > ws)
-
-    # a load clashes with another warp's write; a store with another warp's
-    # read, or with its write of other bits
-    if vals is None:
-        clash = by_others(1)
-    else:
-        read, written = by_others(0), by_others(1)
-        if written.any():
+    for scale in ctx.scales[base]:
+        if (base, scale) not in ctx.marks:
+            ctx.marks[base, scale] = np.full((2, buf.size), ctx.n, np.int32), np.full((2, buf.size), -1, np.int32)
+        lo, hi = ctx.marks[base, scale]
+        ws = (ctx.ids // scale).astype(np.int32)[:, None]  # int32, like the marks
+        # per element, whether another row or workgroup wrote or read it: a load clashes
+        # with another's write; a store with another's read, or its write of other bits
+        written = (lo[1][i] < ws) | (hi[1][i] > ws)
+        if vals is not None and written.any():
             written &= bits(vals) != bits(buf[i])
-        clash = read | written
-    if clash.any():
-        e = i[clash].min()
-        r, c = np.argwhere(clash & (i == e))[0]
-        w, k = ctx.ids[r], 0 if vals is not None and read[r, c] else 1
-        _race(ctx, base, what, e, w, lo[k][e] if lo[k][e] < w else hi[k][e])
-    k, flat, who = int(vals is not None), i.ravel(), np.repeat(ws, i.shape[1])
-    np.minimum.at(lo[k], flat, who)
-    np.maximum.at(hi[k], flat, who)
-    ctx.touched.append((lo[k], hi[k], flat))
+        read = (lo[0][i] < ws) | (hi[0][i] > ws) if vals is not None and base in ctx.loaded else np.zeros_like(written)
+        if (clash := read | written).any():
+            e = i[clash].min()
+            r, c = np.argwhere(clash & (i == e))[0]
+            k, w = int(not read[r, c]), ws[r, 0]
+            _race(ctx, base, what, e, ctx.ids[r], scale * (lo[k][e] if lo[k][e] < w else hi[k][e]))
+        k, flat, who = int(vals is not None), i.ravel(), np.repeat(ws, i.shape[1])
+        np.minimum.at(lo[k], flat, who)
+        np.maximum.at(hi[k], flat, who)
+        if scale < ctx.nw:
+            ctx.touched.append((lo[k], hi[k], i, ctx.ids))
     if vals is None:
         return
     buf[i] = vals
-    # where warps of this step store other bits to one element, some bits do
-    # not land; that is a race when two warps wrote the element
+    # where rows of this step store other bits to one element, some bits do not
+    # land; a race when two rows wrote it (the last scale's marks are per row)
     mixed = bits(vals) != bits(buf[i])
     if mixed.any():
         mixed &= lo[1][i] != hi[1][i]
     if mixed.any():
         e = i[mixed].min()
         rows, cols = np.nonzero(i == e)
-        wid, v = ctx.ids[rows], bits(vals)[rows, cols]
-        pairs = itertools.combinations(range(len(rows)), 2)  # name the first two warps that store other bits
-        _race(ctx, base, what, e, *next((wid[x], wid[y]) for x, y in pairs if wid[x] != wid[y] and v[x] != v[y]))
+        rid, v = ctx.ids[rows], bits(vals)[rows, cols]
+        pairs = itertools.combinations(range(len(rows)), 2)  # name the first two rows that store other bits
+        _race(ctx, base, what, e, *next((rid[x], rid[y]) for x, y in pairs if rid[x] != rid[y] and v[x] != v[y]))
 
 
-def _race(ctx: _Ctx, base: str, what: str, e: int, w: int, other: int) -> None:
-    """Report that warp `w` and warp `other` race on element `e` of `base`."""
-    raise SimError(
-        f"race on buffer {base!r} element {e}: warps {min(w, other)} and {max(w, other)} touch it between two "
-        f"synchronization points, not only reading it or storing the same bits ({ctx.where(what, w)})"
-    )
+def _race(ctx: _Ctx, base: str, what: str, e: int, r: int, other: int) -> None:
+    """Report that row `r` and row `other` race on element `e` of `base`."""
+    (g, w), (h, v) = divmod(int(r), ctx.nw), divmod(int(other), ctx.nw)
+    who = (f"warps {min(w, v)} and {max(w, v)} touch it between two synchronization points" if g == h else
+           "workgroups {} and {} of one launch touch it".format(*sorted((ctx.order[g], ctx.order[h]))))
+    raise SimError(f"race on buffer {base!r} element {e % ctx.bufs[base][2]}: {who}, "
+                   f"not only reading it or storing the same bits ({ctx.where(what, r)})")
 
 
 # buffers hold coerced values and tiles are never written in place, so a
 # load copies out of its buffer (fancy indexing never returns a view) without
 # coercing again, and a store writes the tile's values as they are
 def _load(s: _Step, ctx: _Ctx, a: list) -> np.ndarray:
-    buf, idx = _access(ctx, s, a[0])
-    if a[0].base in ctx.checked:
-        _touch(ctx, a[0].base, s.name, buf, idx, None)
+    bp = a[0]
+    if ctx.n > 1 and ctx.full and bp.base not in ctx.scales and (bp.dims == bp.dims[:1]).all():
+        # every row reads one block that no store changes: gather it once
+        buf, idx = _access(ctx, s, bp, one=True)
+        return np.broadcast_to(buf[idx], (ctx.n, *bp.block_shape))
+    buf, idx = _access(ctx, s, bp)
+    if ctx.scales.get(bp.base):
+        _touch(ctx, bp.base, s.name, buf, idx, None)
     if ctx.full:
         return buf[idx]
-    data = np.zeros((ctx.nw, *a[0].block_shape), dtype=buf.dtype)
+    data = np.zeros((ctx.n, *bp.block_shape), dtype=buf.dtype)
     data[ctx.ids] = buf[idx]
     return data
 
@@ -350,7 +367,7 @@ def _store(s: _Step, ctx: _Ctx, a: list) -> None:
     bp, value = a
     buf, idx = _access(ctx, s, bp, value)
     vals = value if ctx.full else value[ctx.ids]
-    if bp.base in ctx.checked:
+    if ctx.scales.get(bp.base):
         _touch(ctx, bp.base, s.name, buf, idx, vals.reshape(len(idx), -1))
     else:
         buf[idx] = vals
@@ -467,17 +484,18 @@ def _walk(steps: list[_Step]) -> Iterator[_Step]:
         yield from _walk(s.body or [])
 
 
-def _stored_bases(steps: list[_Step], roots: dict[Any, str]) -> set[str]:
+def _bases(steps: list[_Step], roots: dict[Any, str], kind: str) -> set[str]:
     """The buffers of `roots` (bound arguments and SLM allocations) that a
-    store can reach through pointer steps and loop carries."""
+    step of `kind` (a load or a store) can reach through pointer steps and
+    loop carries; `steps` lists every step, nested ones too."""
     src: dict[Any, tuple] = {}
-    for s in _walk(steps):
+    for s in steps:
         if s.kind == "scf.for":
             for j, (it, r) in enumerate(zip(s.attrs["iters"], s.results)):
                 src[it], src[r] = (s.operands[3 + j], s.body[-1].operands[j]), (it,)
         elif s.is_ptr:
             src[s.results[0]] = s.operands[:1]
-    todo, seen = [s.operands[0] for s in _walk(steps) if s.kind == "tt.store"], set()
+    todo, seen = [s.operands[0] for s in steps if s.kind == kind], set()
     while todo:
         if (k := todo.pop()) not in seen:
             seen.add(k)
@@ -490,12 +508,12 @@ def _stored_bases(steps: list[_Step], roots: dict[Any, str]) -> set[str]:
 
 
 def _rows(vals: list) -> np.ndarray:
-    """Scalar operands as one row of int64 values per warp."""
+    """Scalar operands as one row of int64 values per batch row."""
     return np.stack(vals, axis=1, dtype=np.int64)
 
 
 def _moved(p: BlockPointer, by: Any, block: tuple[int, ...]) -> BlockPointer:
-    """`p` with every warp's offsets moved `by`, addressing `block`."""
+    """`p` with every row's offsets moved `by`, addressing `block`."""
     dims = p.dims.copy()
     dims[:, 2] += by
     return BlockPointer(p.base, dims, block)
@@ -508,54 +526,64 @@ def _extract(s: _Step, ctx: _Ctx, a: list) -> np.ndarray | BlockPointer:
 
 
 def _glue(s: _Step, ctx: _Ctx, a: list) -> np.ndarray:
-    out = np.empty((ctx.nw, *s.shape), dtype=a[0].dtype)
+    out = np.empty((ctx.n, *s.shape), dtype=a[0].dtype)
     for sl, piece in zip(s.slices, a):
         out[sl] = piece
     return out
 
 
-def _sync(ctx: _Ctx, what: str) -> None:
-    """A synchronization point, which every warp must reach: ends the epoch."""
-    if not ctx.full:
-        idle = np.flatnonzero(~ctx.act).tolist()
-        raise SimError(f"barrier divergence: warps {idle} do not reach {what} with the others ({ctx.where(what)})")
-    for lo, hi, i in ctx.touched:
-        lo[i], hi[i] = ctx.nw, -1
-    ctx.touched.clear()
-    if ctx.trace is not None:  # in serial order: warp by warp, each in step order
-        for mine, out in ((ctx.loads, ctx.trace.loads), (ctx.stores, ctx.trace.stores)):
-            out.extend(sorted(mine, key=lambda acc: acc.warp))
-            mine.clear()
+def _sync(ctx: _Ctx, what: str) -> np.ndarray:
+    """A synchronization point, which all warps of each workgroup with an
+    active warp must reach: ends those workgroups' epoch, and returns which
+    workgroups they are."""
+    act = ctx.act.reshape(-1, ctx.nw)
+    live = act.any(axis=1)
+    if (part := live & ~act.all(axis=1)).any():
+        g = np.argmax(part)
+        idle = np.flatnonzero(~act[g]).tolist()
+        at = ctx.where(what, g * ctx.nw + np.argmax(act[g]))
+        raise SimError(f"barrier divergence: warps {idle} do not reach {what} with the others ({at})")
+    rows, keep = live.repeat(ctx.nw), []
+    for lo, hi, i, ids in ctx.touched:
+        here = rows[ids]
+        lo[i[here]], hi[i[here]] = ctx.n, -1
+        if not here.all():
+            keep.append((lo, hi, i[~here], ids[~here]))
+    ctx.touched = keep
+    ctx.epoch[live] += 1
+    return live
 
 
 def _cross(s: _Step, ctx: _Ctx, a: list) -> np.ndarray:
-    _sync(ctx, s.name)
+    live = _sync(ctx, s.name)
     kind, dst, x = s.attrs["kind"], s.attrs.get("dst_warps"), a[0]
-    acc = functools.reduce(np.maximum if kind == "max" else np.add, x)  # in warp-id order, as a serial run adds
+    wgs = x.reshape(-1, ctx.nw, *x.shape[1:])
+    acc = functools.reduce(np.maximum if kind == "max" else np.add, wgs.swapaxes(0, 1))  # warps in id order
     to = np.isin(np.arange(ctx.nw), dst) if dst else np.ones(ctx.nw, dtype=np.bool_)
-    out = np.where(to.reshape(-1, *[1] * (x.ndim - 1)), _coerce(s.elem, acc), x)
-    if ctx.trace is not None:  # row views: tiles are never written in place
-        ctx.trace.cross.append(CrossRecord(ctx.wg_index, kind, tuple(dst) if dst else None, tuple(x), tuple(out)))
-    return out
+    out = np.where(to.reshape(-1, *[1] * (x.ndim - 1)), _coerce(s.elem, acc)[:, None], wgs)
+    if ctx.log is not None:  # row views: tiles are never written in place
+        ctx.log[2].extend((g, CrossRecord(ctx.order[g], kind, tuple(dst) if dst else None, tuple(wgs[g]), tuple(out[g])))
+                          for g in np.flatnonzero(live).tolist())
+    return out.reshape(x.shape)
 
 
 # every step kind but loops and branches; each entry maps (step,
 # context, operand values) to the result value
 _SEMANTICS: dict[str, Callable[[_Step, _Ctx, list], Any]] = {
-    "arith.constant": lambda s, ctx, a: _coerce(s.elem, np.full((ctx.nw, *s.shape), s.attrs["value"])),
-    "tt.get_program_id": lambda s, ctx, a: np.full(ctx.nw, ctx.pid[s.attrs["axis"]], dtype=np.int32),
-    "tt.warp_id": lambda s, ctx, a: np.arange(ctx.nw, dtype=np.int32),
-    "tt.make_tensor_ptr": lambda s, ctx, a: BlockPointer(a[0], _rows(a[1:]).reshape(ctx.nw, 3, -1), s.shape),
+    "arith.constant": lambda s, ctx, a: _coerce(s.elem, np.full((ctx.n, *s.shape), s.attrs["value"])),
+    "tt.get_program_id": lambda s, ctx, a: ctx.pid[s.attrs["axis"]],
+    "tt.warp_id": lambda s, ctx, a: ctx.warp,
+    "tt.make_tensor_ptr": lambda s, ctx, a: BlockPointer(a[0], _rows(a[1:]).reshape(ctx.n, 3, -1), s.shape),
     "tt.advance": lambda s, ctx, a: _moved(a[0], _rows(a[1:]), a[0].block_shape),
     "tt.load": _load,
     "tt.store": _store,
     # f16 and f32 tiles both hold float32 data, so this is an f32 matmul
     "tt.dot": lambda s, ctx, a: a[0] @ a[1] + a[2],
     "tt.reduce": lambda s, ctx, a: _coerce(s.elem, _REDUCE[s.attrs["kind"]](a[0], axis=s.attrs["axis"] + 1)),
-    "tt.splat": lambda s, ctx, a: np.repeat(a[0], int(np.prod(s.shape))).reshape(ctx.nw, *s.shape),
+    "tt.splat": lambda s, ctx, a: np.repeat(a[0], int(np.prod(s.shape))).reshape(ctx.n, *s.shape),
     "tt.convert": lambda s, ctx, a: _coerce(s.elem, a[0]),
-    "tt.expand_dims": lambda s, ctx, a: a[0].reshape(ctx.nw, *s.shape),
-    "tt.broadcast": lambda s, ctx, a: np.broadcast_to(a[0], (ctx.nw, *s.shape)),
+    "tt.expand_dims": lambda s, ctx, a: a[0].reshape(ctx.n, *s.shape),
+    "tt.broadcast": lambda s, ctx, a: np.broadcast_to(a[0], (ctx.n, *s.shape)),
     "tt.extract": _extract,
     "tt.glue": _glue,
     "tt.alloc": lambda s, ctx, a: s.attrs["ptr"],
@@ -606,7 +634,7 @@ def _loop(s: _Step, ctx: _Ctx, env: dict) -> None:
 
 
 def _exec(steps: list[_Step], ctx: _Ctx, env: dict) -> None:
-    """Run steps for the active warps of one workgroup."""
+    """Run steps for the active rows."""
     for s in steps:
         if s.sem is not None:
             v = s.sem(s, ctx, [env[k] for k in s.operands])
@@ -625,6 +653,20 @@ def _exec(steps: list[_Step], ctx: _Ctx, env: dict) -> None:
             raise SimError(ctx.where(f"no semantics for op {s.name!r}"))
 
 
+def _record(ctx: _Ctx, trace: RunTrace) -> None:
+    """Add the traced accesses and cross-warp reduces to `trace` in serial order."""
+    for recs, out in zip(ctx.log, (trace.loads, trace.stores)):  # each (rows, epochs, offsets, base, block)
+        if not recs:
+            continue
+        rows = np.concatenate([r[0] for r in recs])
+        seq = np.repeat(np.arange(len(recs)), [len(r[0]) for r in recs])
+        at = np.lexsort((seq, ctx.warp[rows], np.concatenate([r[1] for r in recs]), ctx.wg[rows]))
+        offs = [tuple(o) for r in recs for o in r[2].tolist()]
+        for j, g, w, k in zip(at.tolist(), ctx.wg[rows[at]].tolist(), ctx.warp[rows[at]].tolist(), seq[at].tolist()):
+            out.append(TraceAccess(ctx.order[g], w, recs[k][3], offs[j], recs[k][4]))
+    trace.cross.extend(rec for _, rec in sorted(ctx.log[2], key=lambda c: c[0]))
+
+
 # --------------------------------------------------------------------------
 # top-level run
 
@@ -635,7 +677,7 @@ def run(
     mem: DeviceMemory,
     trace: RunTrace | None = None,
 ) -> DeviceMemory:
-    """Execute every workgroup of the launch; returns the mutated memory copy."""
+    """Execute the launch as one batch; returns the mutated memory copy."""
     out = mem.copy()
     name = prog.name
     if launch.num_warps is not None and launch.num_warps != prog.num_warps:
@@ -661,28 +703,28 @@ def run(
         if out.elem_of(bname) != belem:
             raise SimError(f"@{name}: buffer {bname} holds {out.elem_of(bname).value}, argument wants {belem.value}")
     env = {key: bname for key, bname, _ in bindings}
-    allocs = [s for s in _walk(steps) if s.kind == "tt.alloc"]
-    for i, s in enumerate(allocs):  # a row-major block over the whole allocation
-        dims = [s.shape, [int(np.prod(s.shape[d + 1 :])) for d in range(len(s.shape))], [0] * len(s.shape)]
-        s.attrs = {**s.attrs, "slm": f"%slm{i}", "ptr": BlockPointer(f"%slm{i}", np.tile(dims, (nw, 1, 1)), s.shape)}
-    roots = {**env, **{s.results[0]: s.attrs["slm"] for s in allocs}}
-    checked = _stored_bases(steps, roots) if nw > 1 else set()  # one warp cannot race
-
     gx, gy, gz = launch.grid
     pids = [(x, y, z) for z in range(gz) for y in range(gy) for x in range(gx)]
-    order = launch.wg_order if launch.wg_order is not None else tuple(range(len(pids)))
+    order = tuple(launch.wg_order) if launch.wg_order is not None else tuple(range(len(pids)))
     if sorted(order) != list(range(len(pids))):
         raise SimError(f"wg_order must be a permutation of 0..{len(pids) - 1}")
+    flat = list(_walk(steps))
+    allocs = [s for s in flat if s.kind == "tt.alloc"]
     used = np.cumsum([int(np.prod(s.shape)) * s.elem.nbytes for s in allocs], dtype=np.int64)
     if (over := used[used > launch.slm_budget]).size:  # every workgroup allocates the same
         raise SimError(f"SLM overflow: {over[0]} bytes exceeds budget {launch.slm_budget} (@{name} wg={order[0]})")
 
-    device = {b: (out.elem_of(b), out.raw(b)) for b in out.names()}
-    grids: dict = {}
-    marks: dict = {}
-    for wg_index in order:
-        slm = {s.attrs["slm"]: (s.elem, _coerce(s.elem, np.zeros(s.shape).reshape(-1))) for s in allocs}
-        ctx = _Ctx({**device, **slm}, pids[wg_index], wg_index, trace, name, grids, nw, checked, marks)
-        _exec(steps, ctx, dict(env))
-        _sync(ctx, "the end")
+    ng, bufs = len(order), {b: (out.elem_of(b), out.raw(b), out.raw(b).size, None) for b in out.names()}
+    for i, s in enumerate(allocs):  # a row-major block over the whole allocation, in every workgroup's SLM
+        size, slm = int(np.prod(s.shape)), f"%slm{i}"
+        dims = [s.shape, [int(np.prod(s.shape[d + 1 :])) for d in range(len(s.shape))], [0] * len(s.shape)]
+        s.attrs = {**s.attrs, "ptr": BlockPointer(slm, np.tile(dims, (ng * nw, 1, 1)), s.shape)}
+        bufs[slm] = (s.elem, _coerce(s.elem, np.zeros(ng * size)), size, np.repeat(np.arange(ng) * size, nw))
+    roots = {**env, **{s.results[0]: s.attrs["ptr"].base for s in allocs}}
+    # workgroups race on device buffers, the warps of one workgroup on any
+    scales = {b: (nw,) * (ng > 1 and b in out) + (1,) * (nw > 1) for b in _bases(flat, roots, "tt.store")}
+    ctx = _Ctx(bufs, order, pids, nw, name, scales, _bases(flat, roots, "tt.load"), None if trace is None else ([], [], []))
+    _exec(steps, ctx, dict(env))
+    if trace is not None:
+        _record(ctx, trace)
     return out

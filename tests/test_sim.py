@@ -464,3 +464,188 @@ def test_fault_names_the_lowest_faulting_warp():
     assert str(exc.value) == (
         "out-of-bounds block access: dim 0 window [8, 12) outside [0, 8) (@rows wg=0 pid=(0, 0, 0) warp=2 tt.load)"
     )
+
+
+# -- launches of several workgroups ---------------------------------------------
+
+
+def _shared_tile(num_warps: int, per_wg: bool) -> KernelFn:
+    """Every warp of every workgroup stores a 4x4 block to the top of O: its
+    program id where `per_wg`, else 1."""
+    fb = FunctionBuilder("shared", [("O", PtrType(F32))], num_warps=num_warps, warp_level=True)
+    (o,) = fb.fn.args
+    c0, c1, c4 = (fb.constant(v) for v in (0, 1, 4))
+    ptr = fb.make_tensor_ptr(o, [c4, c4], [c4, c1], [c0, c0], (4, 4), (1, 0))
+    fb.store(ptr, fb.convert(fb.splat(fb.program_id(0) if per_wg else c1, (4, 4)), F32))
+    fb.ret()
+    return fb.build()
+
+
+@pytest.mark.parametrize("num_warps", [1, 2])
+def test_workgroups_storing_one_tile_race_unless_the_bits_agree(num_warps):
+    mem = DeviceMemory()
+    mem.set_tensor("O", np.zeros((4, 4)), F32)
+    with pytest.raises(SimError) as exc:
+        run(_shared_tile(num_warps, per_wg=True), LaunchConfig(grid=(2, 1, 1)), mem)
+    assert str(exc.value) == (
+        "race on buffer 'O' element 0: workgroups 0 and 1 of one launch touch it, "
+        "not only reading it or storing the same bits (@shared wg=0 pid=(0, 0, 0) warp=0 tt.store)"
+    )
+    out = run(_shared_tile(num_warps, per_wg=False), LaunchConfig(grid=(2, 1, 1)), mem)
+    assert np.array_equal(out.tensor("O"), np.ones((4, 4), dtype=np.float32))
+
+
+def test_workgroup_loading_what_another_stored_races():
+    # workgroup 0 stores the top of O; then workgroup 1 loads it
+    fb = FunctionBuilder("handoff", [("O", PtrType(F32))], num_warps=1)
+    (o,) = fb.fn.args
+    c0, c1, c4 = (fb.constant(v) for v in (0, 1, 4))
+    ptr = fb.make_tensor_ptr(o, [c4, c4], [c4, c1], [c0, c0], (4, 4), (1, 0))
+    pid = fb.program_id(0)
+    fb.begin_if(fb.cmpi("eq", pid, c0))
+    fb.store(ptr, fb.splat(fb.constant(1.0), (4, 4)))
+    fb.end_if()
+    fb.begin_if(fb.cmpi("eq", pid, c1))
+    fb.load(ptr)
+    fb.end_if()
+    fb.ret()
+    mem = DeviceMemory()
+    mem.set_tensor("O", np.zeros((4, 4)), F32)
+    with pytest.raises(SimError) as exc:
+        run(fb.build(), LaunchConfig(grid=(2, 1, 1)), mem)
+    assert str(exc.value) == (
+        "race on buffer 'O' element 0: workgroups 0 and 1 of one launch touch it, "
+        "not only reading it or storing the same bits (@handoff wg=1 pid=(1, 0, 0) warp=0 tt.load)"
+    )
+
+
+@pytest.mark.parametrize("name", ["gemm_256", "fa2_d64", "fa2_d128", "paged_wg", "paged_warp"])
+def test_fixtures_do_not_race_and_any_schedule_gives_their_bits(name):
+    res = compile_kernel(parse_module(kernel_text(name)).get(name))
+    prob = make_problem(suite()[name])
+    reverse = tuple(reversed(range(int(np.prod(prob.launch.grid)))))
+    for level in ("workgroup", "warp", "intrinsic", "visa"):
+        out = run(res.at_level(level), prob.launch, prob.mem)
+        perm = run(res.at_level(level), LaunchConfig(grid=prob.launch.grid, wg_order=reverse), prob.mem)
+        assert out.equal_bits(perm), level
+
+
+def _slm_echo(past_end: bool = False) -> KernelFn:
+    """Warp 1 of each workgroup stores its program id plus 1 to an SLM row
+    (one row further down if `past_end`); after a barrier, warp w of
+    workgroup g loads the row and stores it to row 2g + w of O."""
+    fb = FunctionBuilder("echo", [("O", PtrType(F32))], num_warps=2, warp_level=True)
+    (o,) = fb.fn.args
+    c0, c1, c2, c4, c8 = (fb.constant(v) for v in (0, 1, 2, 4, 8))
+    pid, wid = fb.program_id(0), fb.warp_id()
+    slm = fb.alloc((1, 4), F32)
+    fb.begin_if(fb.cmpi("eq", wid, c1))
+    row = fb.convert(fb.splat(fb.binary("arith.addi", pid, c1), (1, 4)), F32)
+    fb.store(fb.advance(slm, [c1, c0]) if past_end else slm, row)
+    fb.end_if()
+    fb.barrier()
+    dst = fb.binary("arith.addi", fb.binary("arith.muli", pid, c2), wid)
+    fb.store(fb.make_tensor_ptr(o, [c8, c4], [c4, c1], [dst, c0], (1, 4), (1, 0)), fb.load(slm))
+    fb.ret()
+    return fb.build()
+
+
+def test_each_workgroup_has_its_own_slm():
+    mem = DeviceMemory()
+    mem.set_tensor("O", np.zeros((8, 4)), F32)
+    out = run(_slm_echo(), LaunchConfig(grid=(3, 1, 1)), mem)
+    want = np.zeros((8, 4), dtype=np.float32)
+    want[:6] = np.repeat(np.arange(1, 4), 2)[:, None]
+    assert np.array_equal(out.tensor("O"), want)
+    with pytest.raises(SimError) as exc:
+        run(_slm_echo(past_end=True), LaunchConfig(grid=(3, 1, 1)), mem)
+    assert str(exc.value) == (
+        "out-of-bounds block access: dim 0 window [1, 2) outside [0, 1) (@echo wg=0 pid=(0, 0, 0) warp=1 tt.store)"
+    )
+
+
+def test_schedule_order_orders_the_trace_and_not_the_bits():
+    mem = DeviceMemory()
+    mem.set_tensor("O", np.zeros((8, 4)), F32)
+    base = run(_slm_echo(), LaunchConfig(grid=(3, 1, 1)), mem)
+    trace = RunTrace()
+    out = run(_slm_echo(), LaunchConfig(grid=(3, 1, 1), wg_order=(2, 0, 1)), mem, trace=trace)
+    assert out.equal_bits(base)
+    # serially, each workgroup in turn: warp 1 stores to SLM; after the
+    # barrier, warp 0 loads SLM and stores to O, then warp 1 does
+    per_wg = [(1, "%slm0"), (0, "O"), (1, "O")]
+    assert [(s.wg, s.warp, s.base) for s in trace.stores] == [(g, w, b) for g in (2, 0, 1) for w, b in per_wg]
+    assert [(s.wg, s.warp) for s in trace.stores if s.base == "O"] == [(2, 0), (2, 1), (0, 0), (0, 1), (1, 0), (1, 1)]
+    assert [s.offsets for s in trace.stores if s.base == "O"] == [(4, 0), (5, 0), (0, 0), (1, 0), (2, 0), (3, 0)]
+    assert [(s.wg, s.warp) for s in trace.loads] == [(2, 0), (2, 1), (0, 0), (0, 1), (1, 0), (1, 1)]
+
+
+def _barrier_in_workgroup_zero() -> KernelFn:
+    """In workgroup 0 only: warp 0 stores 7 to an SLM row, and after a barrier
+    warp w stores the row to row w of O."""
+    fb = FunctionBuilder("first", [("O", PtrType(F32))], num_warps=2, warp_level=True)
+    (o,) = fb.fn.args
+    c0, c1, c4 = (fb.constant(v) for v in (0, 1, 4))
+    wid = fb.warp_id()
+    slm = fb.alloc((1, 4), F32)
+    fb.begin_if(fb.cmpi("eq", fb.program_id(0), c0))
+    fb.begin_if(fb.cmpi("eq", wid, c0))
+    fb.store(slm, fb.splat(fb.constant(7.0), (1, 4)))
+    fb.end_if()
+    fb.barrier()
+    fb.store(fb.make_tensor_ptr(o, [c4, c4], [c4, c1], [wid, c0], (1, 4), (1, 0)), fb.load(slm))
+    fb.end_if()
+    fb.ret()
+    return fb.build()
+
+
+def test_barrier_in_some_workgroups_only():
+    mem = DeviceMemory()
+    mem.set_tensor("O", np.zeros((4, 4)), F32)
+    out = run(_barrier_in_workgroup_zero(), LaunchConfig(grid=(2, 1, 1)), mem)
+    assert np.array_equal(out.tensor("O"), np.repeat([[7.0], [7.0], [0.0], [0.0]], 4, axis=1))
+
+
+def test_barrier_divergence_within_one_of_several_workgroups():
+    fb = FunctionBuilder("diverge", [("O", PtrType(F32))], num_warps=2, warp_level=True)
+    c0, c1 = fb.constant(0), fb.constant(1)
+    fb.begin_if(fb.cmpi("eq", fb.program_id(0), c1))
+    fb.begin_if(fb.cmpi("eq", fb.warp_id(), c0))
+    fb.barrier()
+    fb.end_if()
+    fb.end_if()
+    fb.ret()
+    mem = DeviceMemory()
+    mem.set_tensor("O", np.zeros(4), F32)
+    with pytest.raises(SimError) as exc:
+        run(fb.build(), LaunchConfig(grid=(3, 1, 1)), mem)
+    assert str(exc.value) == (
+        "barrier divergence: warps [1] do not reach tt.barrier with the others "
+        "(@diverge wg=1 pid=(1, 0, 0) warp=0 tt.barrier)"
+    )
+
+
+@pytest.mark.parametrize("dst", [None, [0]])
+def test_cross_warp_reduce_per_workgroup(dst):
+    # warp w of workgroup g loads row 2g + w of X, the warps of each
+    # workgroup add their rows, and each warp stores its result to its row of O
+    fb = FunctionBuilder("xsum", [("X", PtrType(F32)), ("O", PtrType(F32))], num_warps=2, warp_level=True)
+    x, o = fb.fn.args
+    c1, c2, c4 = (fb.constant(v) for v in (1, 2, 4))
+    row = fb.binary("arith.addi", fb.binary("arith.muli", fb.program_id(0), c2), fb.warp_id())
+    tile = fb.load(fb.make_tensor_ptr(x, [c4, c4], [c4, c1], [row, fb.constant(0)], (1, 4), (1, 0)))
+    total = fb.cross_warp_reduce(tile, "sum", dst)
+    fb.store(fb.make_tensor_ptr(o, [c4, c4], [c4, c1], [row, fb.constant(0)], (1, 4), (1, 0)), total)
+    fb.ret()
+    x_val = philox(8).random((4, 4)).astype(np.float32)
+    mem = DeviceMemory()
+    mem.set_tensor("X", x_val, F32)
+    mem.set_tensor("O", np.zeros((4, 4)), F32)
+    trace = RunTrace()
+    out = run(fb.build(), LaunchConfig(grid=(2, 1, 1), wg_order=(1, 0)), mem, trace=trace)
+    want = x_val.copy()
+    for g in range(2):
+        want[2 * g : 2 * g + (1 if dst else 2)] = x_val[2 * g] + x_val[2 * g + 1]
+    assert np.array_equal(out.tensor("O"), want)
+    assert [(c.wg, c.dst) for c in trace.cross] == [(1, (0,) if dst else None), (0, (0,) if dst else None)]
+    assert all(np.array_equal(c.delivered[0], want[2 * c.wg][None]) for c in trace.cross)
