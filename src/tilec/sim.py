@@ -46,7 +46,7 @@ import functools
 import itertools
 import struct
 from dataclasses import InitVar, dataclass, field
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -185,8 +185,7 @@ class LaunchConfig:
         return self.target.slm_bytes if self.target else 131072
 
 
-@dataclass(frozen=True)
-class TraceAccess:
+class TraceAccess(NamedTuple):  # a tuple, cheap to build in bulk
     wg: int
     warp: int
     base: str
