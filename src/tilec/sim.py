@@ -14,12 +14,12 @@ A launch runs in lockstep, as one batch with a row per warp of each
 workgroup, workgroups in ``wg_order`` and warps in id order (a
 workgroup-level program has one warp).  Every value has a leading row axis:
 a scalar is a per-row vector, a block pointer holds per-row offsets, a load
-is one gather, a store one scatter and ``tt.dot`` one batched matmul.  Each
-workgroup has its own SLM.  A row-dependent ``scf.if``, or a loop whose trip
-count differs by row, runs under an active mask; masked-off rows neither
-load nor store.  A barrier or cross-warp reduction must be reached by all
-warps of each workgroup with an active warp; a reduction adds a workgroup's
-warps in id order.
+or a store moves all rows' blocks in one copy and ``tt.dot`` is one batched
+matmul.  Each workgroup has its own SLM.  A row-dependent ``scf.if``, or a
+loop whose trip count differs by row, runs under an active mask; masked-off
+rows neither load nor store.  A barrier or cross-warp reduction must be
+reached by all warps of each workgroup with an active warp; a reduction adds
+a workgroup's warps in id order.
 
 Two warps of a workgroup must not touch one element of a device or SLM
 buffer between two synchronization points, nor two workgroups one element
@@ -34,9 +34,9 @@ which workgroup an error names when several fault in one step.
 f16 tiles are f32 arrays rounded to f16 after every producing step.  Tiles
 are never written in place, so an extract or broadcast is a view, and a load
 whose rows all read one block of a buffer no store reaches gathers it once
-and broadcasts it.  Each distinct (block shape, global shapes and strides)
-gets one grid of flat offsets per run; an access adds each row's base
-offset and bounds-checks the grid's ends.
+and broadcasts it.  A block is one item of a strided window view of its
+buffer, made once per run for each (buffer, block shape, strides): an access
+copies whole blocks, bounds-checked in closed form from the strides.
 """
 
 from __future__ import annotations
@@ -49,6 +49,7 @@ from dataclasses import InitVar, dataclass, field
 from typing import Any, Callable, Iterator, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .ir import CMP_PREDS, ElemType, KernelFn, Operation, PtrType, tile_type
 from .textio import _type_desc
@@ -224,8 +225,7 @@ class _Ctx:
     scales: dict[str, tuple[int, ...]]  # buffers a store can reach, with the scales of their race marks (see _touch)
     loaded: set[str]  # buffers a load can reach
     log: tuple[list, list, list] | None  # if tracing: loads, stores, cross-warp reduces, in step order
-    grids: dict[tuple, tuple] = field(default_factory=dict)  # offset grids by (block shape, base, shapes and strides)
-    marks: dict[tuple[str, int], tuple[np.ndarray, np.ndarray]] = field(default_factory=dict)  # by (base, scale)
+    windows: dict[tuple, tuple] = field(default_factory=dict)  # _geometry's, by (base, block shape, all rows' strides)
     touched: list[tuple] = field(default_factory=list)  # the row marks set since those rows' last synchronization point
 
     def __post_init__(self) -> None:
@@ -233,6 +233,8 @@ class _Ctx:
         self.wg, self.warp = np.arange(self.n) // self.nw, np.arange(self.n, dtype=np.int32) % self.nw
         self.pid = np.array([self.pids[g] for g in self.order], dtype=np.int32).T.repeat(self.nw, axis=1)
         self.epoch = np.zeros(len(self.order), dtype=np.int64)  # synchronization points passed, per workgroup
+        self.marks = {b: np.tile(np.int32([self.n, -1])[:, None, None], (len(sc), 1, 2, self.bufs[b][1].size))
+                      for b, sc in self.scales.items() if sc}  # by base: per scale, lo then hi, for reads then writes
         self.mask(np.ones(self.n, dtype=np.bool_))
 
     def mask(self, act: np.ndarray) -> None:
@@ -248,11 +250,30 @@ class _Ctx:
 # block pointer access
 
 
-def _access(ctx: _Ctx, s: _Step, bp: BlockPointer, value: np.ndarray | None = None,
-            one: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """For a load, or a store of `value`: the buffer, and the flat indices of
-    the active rows' blocks (one row per active row, or the first row's block
-    alone if `one`), once the access is checked; a traced access is logged."""
+def _geometry(ctx: _Ctx, base: str, block: tuple[int, ...], strides: np.ndarray) -> tuple:
+    """Per row of `strides`, the first offsets that keep a block in one
+    workgroup's part of `base`; per distinct strides, the rows with them
+    (None: all), a block element's lowest offset neg (<= 0) from the first,
+    and windows of the buffer and its race marks: item j is the block whose
+    first element is element j - neg.  A window checks nothing: index it
+    with checked items, and with an array (an int gives a view)."""
+    _, buf, size, _ = ctx.bufs[base]
+    ext = (np.array(block) - 1) * strides
+    neg, pos = np.minimum(ext, 0).sum(axis=1), np.maximum(ext, 0).sum(axis=1)
+    groups = []
+    for st in dict.fromkeys(map(tuple, strides.tolist())):  # in first-row order
+        sel = (strides == st).all(axis=1)
+        dn, up = int(neg[sel][0]), int(pos[sel][0])
+        shape, step = (max(0, buf.size - up + dn), *block), np.array((1, *st))
+        win = lambda a: as_strided(a[..., -dn:], (*a.shape[:-1], *shape), (*a.strides[:-1], *(a.itemsize * step)))  # noqa
+        groups.append((None if sel.all() else sel, dn, win(buf), win(ctx.marks[base]) if base in ctx.marks else None))
+    return -neg, size - 1 - pos, groups
+
+
+def _access(ctx: _Ctx, s: _Step, bp: BlockPointer, value: np.ndarray | None = None) -> list[tuple]:
+    """For a load, or a store of `value`, once it is checked (and logged if
+    traced): per distinct strides, the active rows with them, their items and
+    the windows (see _geometry)."""
     verb = "access expects" if value is None else "store provides"
     if bp.base not in ctx.bufs:
         raise SimError(f"unknown buffer {bp.base!r} ({ctx.where(s.name)})")
@@ -262,14 +283,9 @@ def _access(ctx: _Ctx, s: _Step, bp: BlockPointer, value: np.ndarray | None = No
     if value is not None and value.shape[1:] != bp.block_shape:
         raise SimError(f"store value shape {value.shape[1:]} != block shape {bp.block_shape} ({ctx.where(s.name)})")
     glob, strides, offs = bp.dims[:, 0], bp.dims[:, 1], bp.dims[:, 2]
-    if (key := (bp.block_shape, bp.base, bp.dims[:, :2].tobytes())) not in ctx.grids:
-        # per row, each element's flat offset from the block's first one, and the range of
-        # first offsets keeping all in one workgroup's buffer; like rows share them
-        u = bp.dims[:1, 1] if (bp.dims[:, :2] == bp.dims[:1, :2]).all() else strides
-        rel = np.tensordot(u, np.indices(bp.block_shape, dtype=np.int64), axes=1)
-        flat = rel.reshape(len(u), -1)
-        ctx.grids[key] = (rel, -flat.min(axis=1), size - 1 - flat.max(axis=1))
-    rel, lo, hi = ctx.grids[key]
+    if (key := (bp.base, bp.block_shape, strides.tobytes())) not in ctx.windows:
+        ctx.windows[key] = _geometry(ctx, bp.base, bp.block_shape, strides)
+    lo, hi, groups = ctx.windows[key]
     bad = (offs < 0) | (offs + bp.block_shape > glob)
     if bad.any() and (bad := bad & ctx.act[:, None]).any():
         w, d = np.argwhere(bad)[0]
@@ -283,54 +299,57 @@ def _access(ctx: _Ctx, s: _Step, bp: BlockPointer, value: np.ndarray | None = No
         raise SimError(f"out-of-bounds block access: flat index beyond buffer of {size} ({at})")
     if ctx.log is not None:
         ctx.log[value is not None].append((ctx.ids, ctx.epoch[ctx.wg[ctx.ids]], offs[ctx.ids], bp.base, bp.block_shape))
-    if off is not None:
-        first = first + off
-    idx = rel + first[:1 if one else None].reshape(-1, *[1] * len(bp.block_shape))
-    return buf, idx if one or ctx.full else idx[ctx.ids]
+    first = first if off is None else first + off
+    return [(rows := ctx.ids if sel is None else ctx.ids[sel[ctx.ids]], first[rows] + neg, view, marks)
+            for sel, neg, view, marks in groups]
 
 
-def _touch(ctx: _Ctx, base: str, what: str, buf: np.ndarray, idx: np.ndarray, vals: np.ndarray | None) -> None:
-    """Check the active rows' access against earlier ones and mark it; a
-    store (`vals` given) also writes.  Per element, the marks at scale nw
-    are the lowest and highest workgroup (schedule position) that read it
-    (row 0 of `lo` and `hi`) and wrote it (row 1) in the launch; at scale 1,
-    the same for rows since their last synchronization point."""
-    i = idx.reshape(len(ctx.ids), -1)
-    bits = lambda a: a.view(f"u{a.itemsize}")  # noqa: E731
-    for scale in ctx.scales[base]:
-        if (base, scale) not in ctx.marks:
-            ctx.marks[base, scale] = np.full((2, buf.size), ctx.n, np.int32), np.full((2, buf.size), -1, np.int32)
-        lo, hi = ctx.marks[base, scale]
-        ws = (ctx.ids // scale).astype(np.int32)[:, None]  # int32, like the marks
+def _lowest(view: np.ndarray, items: np.ndarray, where: np.ndarray) -> tuple[int, tuple]:
+    """The lowest flat buffer index e of window items `items` where `where`, and where they hold e."""
+    rel = np.tensordot(np.array(view.strides[1:]) // view.itemsize, np.indices(view.shape[1:]), axes=1)
+    flat = (items - rel.min()).reshape(-1, *[1] * rel.ndim) + rel
+    return (e := flat[where].min()), np.nonzero(flat == e)
+
+
+def _touch(ctx: _Ctx, base: str, what: str, rows: np.ndarray, items: np.ndarray, view: np.ndarray,
+           marks: np.ndarray, vals: np.ndarray | None) -> None:
+    """Check the access of `rows` (items `items` of window `view`) against
+    earlier ones and mark it; a store (`vals` given) also writes.  Per
+    element, the marks at scale nw are the lowest and highest workgroup
+    (schedule position) that read it (row 0 of `lo` and `hi`) and wrote it
+    (row 1) in the launch; at scale 1, the same for rows since their last
+    synchronization point."""
+    bits, k = (lambda a: a.view(f"u{a.itemsize}")), int(vals is not None)
+    for scale, (lo, hi) in zip(ctx.scales[base], marks):
+        ws = (rows // scale).astype(np.int32).reshape(-1, *[1] * (view.ndim - 1))  # int32, like the marks
+        wr, rd = (lo[1][items], hi[1][items]), (lo[0][items], hi[0][items]) if vals is None or base in ctx.loaded else None
         # per element, whether another row or workgroup wrote or read it: a load clashes
         # with another's write; a store with another's read, or its write of other bits
-        written = (lo[1][i] < ws) | (hi[1][i] > ws)
+        written = (wr[0] < ws) | (wr[1] > ws)
         if vals is not None and written.any():
-            written &= bits(vals) != bits(buf[i])
-        read = (lo[0][i] < ws) | (hi[0][i] > ws) if vals is not None and base in ctx.loaded else np.zeros_like(written)
+            written &= bits(vals) != bits(view[items])
+        read = (rd[0] < ws) | (rd[1] > ws) if vals is not None and rd else np.zeros_like(written)
         if (clash := read | written).any():
-            e = i[clash].min()
-            r, c = np.argwhere(clash & (i == e))[0]
-            k, w = int(not read[r, c]), ws[r, 0]
-            _race(ctx, base, what, e, ctx.ids[r], scale * (lo[k][e] if lo[k][e] < w else hi[k][e]))
-        k, flat, who = int(vals is not None), i.ravel(), np.repeat(ws, i.shape[1])
-        np.minimum.at(lo[k], flat, who)
-        np.maximum.at(hi[k], flat, who)
+            e, hit = _lowest(view, items, clash)
+            at = next(h for h in zip(*hit) if clash[h])
+            (first, last), w = rd if read[at] else wr, ws[at[0]].item()
+            _race(ctx, base, what, e, rows[at[0]], scale * (first[at] if first[at] < w else last[at]))
+        for m, now, better in ((lo[k], (rd, wr)[k][0], np.minimum), (hi[k], (rd, wr)[k][1], np.maximum)):
+            want, last = better(now, ws), slice(None, None, -1 if better is np.minimum else 1)
+            m[items[last]] = want[last]  # ws rises with the row: the best lands last in numpy's order today
+            if not (better(got := m[items], want) == got).all():  # numpy does not promise it: mend
+                better.at(m, items, want)  # unbuffered, one row after another
         if scale < ctx.nw:
-            ctx.touched.append((lo[k], hi[k], i, ctx.ids))
+            ctx.touched.append((lo[k], hi[k], items, rows))
     if vals is None:
         return
-    buf[i] = vals
+    view[items] = vals
     # where rows of this step store other bits to one element, some bits do not
     # land; a race when two rows wrote it (the last scale's marks are per row)
-    mixed = bits(vals) != bits(buf[i])
-    if mixed.any():
-        mixed &= lo[1][i] != hi[1][i]
-    if mixed.any():
-        e = i[mixed].min()
-        rows, cols = np.nonzero(i == e)
-        rid, v = ctx.ids[rows], bits(vals)[rows, cols]
-        pairs = itertools.combinations(range(len(rows)), 2)  # name the first two rows that store other bits
+    if (mixed := bits(vals) != bits(view[items])).any() and (mixed := mixed & (lo[1][items] != hi[1][items])).any():
+        e, hit = _lowest(view, items, mixed)
+        rid, v = rows[hit[0]], bits(vals)[hit]
+        pairs = itertools.combinations(range(len(rid)), 2)  # name the first two rows that store other bits
         _race(ctx, base, what, e, *next((rid[x], rid[y]) for x, y in pairs if rid[x] != rid[y] and v[x] != v[y]))
 
 
@@ -343,33 +362,32 @@ def _race(ctx: _Ctx, base: str, what: str, e: int, r: int, other: int) -> None:
                    f"not only reading it or storing the same bits ({ctx.where(what, r)})")
 
 
-# buffers hold coerced values and tiles are never written in place, so a
-# load copies out of its buffer (fancy indexing never returns a view) without
-# coercing again, and a store writes the tile's values as they are
+# buffers hold coerced values and tiles are never written in place, so a load copies blocks out of
+# their window (an array index never returns a view) without coercing again, C-ordered whatever the
+# strides since a tile's layout can change tt.dot's bits; a store writes the tile's values as they are
 def _load(s: _Step, ctx: _Ctx, a: list) -> np.ndarray:
-    bp = a[0]
+    bp, parts = a[0], _access(ctx, s, a[0])
     if ctx.n > 1 and ctx.full and bp.base not in ctx.scales and (bp.dims == bp.dims[:1]).all():
         # every row reads one block that no store changes: gather it once
-        buf, idx = _access(ctx, s, bp, one=True)
-        return np.broadcast_to(buf[idx], (ctx.n, *bp.block_shape))
-    buf, idx = _access(ctx, s, bp)
-    if ctx.scales.get(bp.base):
-        _touch(ctx, bp.base, s.name, buf, idx, None)
-    if ctx.full:
-        return buf[idx]
-    data = np.zeros((ctx.n, *bp.block_shape), dtype=buf.dtype)
-    data[ctx.ids] = buf[idx]
+        return np.broadcast_to(np.ascontiguousarray(parts[0][2][parts[0][1][:1]]), (ctx.n, *bp.block_shape))
+    for part in parts if ctx.scales.get(bp.base) else ():
+        _touch(ctx, bp.base, s.name, *part, None)
+    if len(parts[0][0]) == ctx.n:
+        return np.ascontiguousarray(parts[0][2][parts[0][1]])
+    data = np.zeros((ctx.n, *bp.block_shape), dtype=ctx.bufs[bp.base][1].dtype)
+    for rows, items, view, _ in parts:
+        data[rows] = view[items]
     return data
 
 
 def _store(s: _Step, ctx: _Ctx, a: list) -> None:
     bp, value = a
-    buf, idx = _access(ctx, s, bp, value)
-    vals = value if ctx.full else value[ctx.ids]
-    if ctx.scales.get(bp.base):
-        _touch(ctx, bp.base, s.name, buf, idx, vals.reshape(len(idx), -1))
-    else:
-        buf[idx] = vals
+    for rows, items, view, marks in _access(ctx, s, bp, value):
+        vals = value if len(rows) == ctx.n else value[rows]
+        if ctx.scales.get(bp.base):
+            _touch(ctx, bp.base, s.name, rows, items, view, marks, vals)
+        else:
+            view[items] = vals
 
 
 # --------------------------------------------------------------------------
@@ -394,8 +412,11 @@ _REDUCE = {"max": np.max, "sum": np.sum}
 def _piece(whole: tuple[int, ...], piece: tuple[int, ...], index: int) -> tuple[slice, ...]:
     """The slices of a batch of `whole` tiles that hold piece `index` of each,
     pieces numbered row-major."""
-    coord = np.unravel_index(index, tuple(w // p for w, p in zip(whole, piece)))
-    return (slice(None), *(slice(int(c) * p, (int(c) + 1) * p) for c, p in zip(coord, piece)))
+    starts = []
+    for w, p in zip(whole[::-1], piece[::-1]):
+        index, c = divmod(index, w // p)
+        starts.append(c * p)
+    return (slice(None), *(slice(a, a + p) for a, p in zip(starts[::-1], piece)))
 
 
 # --------------------------------------------------------------------------
@@ -543,11 +564,11 @@ def _sync(ctx: _Ctx, what: str) -> np.ndarray:
         at = ctx.where(what, g * ctx.nw + np.argmax(act[g]))
         raise SimError(f"barrier divergence: warps {idle} do not reach {what} with the others ({at})")
     rows, keep = live.repeat(ctx.nw), []
-    for lo, hi, i, ids in ctx.touched:
+    for lo, hi, items, ids in ctx.touched:  # mark windows
         here = rows[ids]
-        lo[i[here]], hi[i[here]] = ctx.n, -1
+        lo[items[here]], hi[items[here]] = ctx.n, -1
         if not here.all():
-            keep.append((lo, hi, i[~here], ids[~here]))
+            keep.append((lo, hi, items[~here], ids[~here]))
     ctx.touched = keep
     ctx.epoch[live] += 1
     return live

@@ -10,6 +10,7 @@ import pytest
 from tilec.ir import ElemType, FunctionBuilder, KernelFn, PtrType, retile, scalar
 from tilec.kernels import kernel_text, make_problem, suite
 from tilec.oracle import philox, rand_f16
+from tilec import sim
 from tilec.passes import compile_kernel
 from tilec.sim import (
     DeviceMemory,
@@ -268,10 +269,10 @@ def test_non_pointer_argument_is_spelled_as_ir():
     assert str(exc.value) == "@f: only buffer pointer arguments are bindable, %X is f32"
 
 
-def _overwrite_after_load() -> KernelFn:
+def _overwrite_after_load(level: str) -> KernelFn:
     """Load X's 16x32 block and take its second 8x16 piece, overwrite the block
     with -1, then store the load to the top of Y and the piece below it."""
-    fb = FunctionBuilder("alias", [("X", PtrType(F32)), ("Y", PtrType(F32))], level="intrinsic")
+    fb = FunctionBuilder("alias", [("X", PtrType(F32)), ("Y", PtrType(F32))], level=level)
     x, y = fb.fn.args
     c0, c1, c16, c32 = (fb.constant(v) for v in (0, 1, 16, 32))
     px = fb.make_tensor_ptr(x, [c32, c32], [c32, c1], [c0, c0], (16, 32), (1, 0))
@@ -284,17 +285,122 @@ def _overwrite_after_load() -> KernelFn:
     return fb.build()
 
 
-@pytest.mark.parametrize("level", ["intrinsic", "visa"])
+@pytest.mark.parametrize("level", ["workgroup", "intrinsic", "visa"])
 def test_loaded_tile_does_not_alias_its_buffer(level):
-    fn = _overwrite_after_load()
+    fn = _overwrite_after_load("workgroup" if level == "workgroup" else "intrinsic")
     x = np.arange(1024).reshape(32, 32)
     mem = DeviceMemory()
     mem.set_tensor("X", x, F32)
     mem.set_tensor("Y", np.zeros((32, 32)), F32)
-    out = run(fn if level == "intrinsic" else lower(fn, PVC), LaunchConfig(), mem)
+    out = run(lower(fn, PVC) if level == "visa" else fn, LaunchConfig(), mem)
     assert np.all(out.tensor("X")[:16] == -1.0) and np.array_equal(out.tensor("X")[16:], x[16:])
     assert np.array_equal(out.tensor("Y")[:16], x[:16])
     assert np.array_equal(out.tensor("Y")[16:24, :16], x[:8, 16:])
+
+
+def _blocks(x: np.ndarray, first: int, strides: tuple[int, ...], block: tuple[int, ...]) -> np.ndarray:
+    """The block of `x` whose first element is flat element `first`, by numpy indexing."""
+    return x.reshape(-1)[first + np.tensordot(strides, np.indices(block), axes=1)]
+
+
+def test_transposed_load_feeds_dot_a_c_ordered_tile(monkeypatch):
+    # B is read from its transpose with strides (1, 32); tt.dot must get a
+    # C-ordered tile, since the layout of a matmul operand can change its bits
+    fb = FunctionBuilder("bt", [("A", PtrType(F32)), ("BT", PtrType(F32)), ("C", PtrType(F32))])
+    a, bt, c = fb.fn.args
+    c0, c1, c32 = (fb.constant(v) for v in (0, 1, 32))
+    tile_a = fb.load(fb.make_tensor_ptr(a, [c32, c32], [c32, c1], [c0, c0], (32, 32), (1, 0)))
+    tile_b = fb.load(fb.make_tensor_ptr(bt, [c32, c32], [c1, c32], [c0, c0], (32, 32), (0, 1)))
+    acc = fb.dot(tile_a, tile_b, fb.splat(fb.constant(0.0), (32, 32)))
+    fb.store(fb.make_tensor_ptr(c, [c32, c32], [c32, c1], [c0, c0], (32, 32), (1, 0)), acc)
+    fb.ret()
+    rng = philox(7)
+    a_val, b_val = (rng.standard_normal((32, 32)).astype(np.float16).astype(np.float32) for _ in range(2))
+    mem = DeviceMemory()
+    mem.set_tensor("A", a_val, F32)
+    mem.set_tensor("BT", b_val.T, F32)
+    mem.set_tensor("C", np.zeros((32, 32)), F32)
+    ordered = []
+    dot = sim._SEMANTICS["tt.dot"]
+    monkeypatch.setitem(sim._SEMANTICS, "tt.dot", lambda s, ctx, a: ordered.append([x.flags.c_contiguous for x in a[:2]]) or dot(s, ctx, a))
+    out = run(fb.build(), LaunchConfig(), mem)
+    assert ordered == [[True, True]]
+    want = a_val[None] @ np.ascontiguousarray(b_val)[None] + np.zeros((1, 32, 32), np.float32)
+    assert out.tensor("C").tobytes() == want[0].tobytes()
+
+
+def _window_copy(glob, strides, offs, block=(4, 4), num_warps=1, masked=False) -> KernelFn:
+    """Each warp loads a block of X through a pointer whose fields are
+    `glob`, `strides` and `offs`, each a function of the warp id w (an i32
+    value) and the builder, and stores it to rows [4w, 4w + 4) of O; warp 2
+    sits out if `masked`."""
+    fb = FunctionBuilder("window", [("X", PtrType(F32)), ("O", PtrType(F32))], num_warps=num_warps, warp_level=True)
+    x, o = fb.fn.args
+    w, c0, c1, c4 = fb.warp_id(), fb.constant(0), fb.constant(1), fb.constant(4)
+    fields = [[f(w, fb) for f in fs] for fs in (glob, strides, offs)]
+    if masked:
+        fb.begin_if(fb.cmpi("ne", w, fb.constant(2)))
+    tile = fb.load(fb.make_tensor_ptr(x, *fields, block, (1, 0)))
+    dst = fb.make_tensor_ptr(o, [fb.constant(4 * num_warps), c4], [c4, c1], [fb.binary("arith.muli", w, c4), c0], block, (1, 0))
+    fb.store(dst, tile)
+    if masked:
+        fb.end_if()
+    fb.ret()
+    return fb.build()
+
+
+def _const(v: int):
+    return lambda w, fb: fb.constant(v)
+
+
+def _window_mem(num_warps: int = 1) -> DeviceMemory:
+    mem = DeviceMemory()
+    mem.set_tensor("X", np.arange(256).reshape(16, 16), F32)
+    mem.set_tensor("O", np.zeros((4 * num_warps, 4)), F32)
+    return mem
+
+
+@pytest.mark.parametrize(("glob", "strides", "offs"), [
+    ((4, 16), (0, 1), (0, 3)),  # a stride-0 dimension replicates its rows
+    ((4, 256), (-16, 1), (0, 60)),  # a negative stride reads rows upwards
+    ((16, 16), (1, 16), (2, 5)),  # transposed
+])
+def test_window_load_matches_numpy_indexing(glob, strides, offs):
+    fn = _window_copy([_const(v) for v in glob], [_const(v) for v in strides], [_const(v) for v in offs])
+    out = run(fn, LaunchConfig(), _window_mem())
+    first = int(np.dot(strides, offs))
+    assert np.array_equal(out.tensor("O"), _blocks(np.arange(256), first, strides, (4, 4)))
+
+
+@pytest.mark.parametrize("masked", [False, True])
+def test_warps_with_their_own_strides_and_global_shape_load_their_blocks(masked):
+    # odd warps read X transposed; warp w sees a global shape of 16 - w rows
+    # and starts at row w, column 2w
+    parity = lambda w, fb: fb.binary("arith.remi", w, fb.constant(2))  # noqa: E731
+    times = lambda k, f: lambda w, fb: fb.binary("arith.muli", f(w, fb), fb.constant(k))  # noqa: E731
+    plus = lambda k, f: lambda w, fb: fb.binary("arith.addi", f(w, fb), fb.constant(k))  # noqa: E731
+    ident = lambda w, fb: w  # noqa: E731
+    glob = [plus(16, times(-1, ident)), _const(16)]
+    strides = [plus(16, times(-15, parity)), plus(1, times(15, parity))]
+    fn = _window_copy(glob, strides, [ident, times(2, ident)], num_warps=4, masked=masked)
+    out = run(fn, LaunchConfig(), _window_mem(4)).tensor("O")
+    for w in range(4):
+        st = (1, 16) if w % 2 else (16, 1)
+        want = np.zeros((4, 4)) if masked and w == 2 else _blocks(np.arange(256), st[0] * w + st[1] * 2 * w, st, (4, 4))
+        assert np.array_equal(out[4 * w : 4 * w + 4], want), w
+
+
+@pytest.mark.parametrize(("glob", "strides", "offs", "msg"), [
+    ((4, 300), (0, 1), (0, 254), "flat index beyond buffer of 256"),
+    ((4, 256), (-16, 1), (0, 40), "flat index beyond buffer of 256"),
+    ((4, 16), (0, 1), (2, 0), "dim 0 window [2, 6) outside [0, 4)"),
+    ((4, 16), (-16, 1), (0, 14), "dim 1 window [14, 18) outside [0, 16)"),
+])
+def test_windows_past_the_buffer_are_out_of_bounds(glob, strides, offs, msg):
+    fn = _window_copy([_const(v) for v in glob], [_const(v) for v in strides], [_const(v) for v in offs])
+    with pytest.raises(SimError) as exc:
+        run(fn, LaunchConfig(), _window_mem())
+    assert str(exc.value) == f"out-of-bounds block access: {msg} (@window wg=0 pid=(0, 0, 0) warp=0 tt.load)"
 
 
 @pytest.mark.parametrize("level", ["workgroup", "warp", "intrinsic", "visa"])
@@ -360,6 +466,31 @@ def test_store_after_loads_by_two_warps_races():
     assert str(exc.value) == (
         "race on buffer 'O' element 0: warps 0 and 1 touch it between two synchronization points, "
         "not only reading it or storing the same bits (@reload wg=0 pid=(0, 0, 0) warp=1 tt.store)"
+    )
+
+
+@pytest.mark.parametrize(("storer", "other"), [(0, 2), (1, 0), (2, 0)])
+def test_store_after_loads_by_three_warps_races(storer, other):
+    # warps 0-2 load the top of O in one step, so their blocks overlap in the
+    # read marks; then one warp stores other bits there.  The marks must hold
+    # the lowest and highest reader whichever of the overlapping writes lands.
+    fb = FunctionBuilder("reload", [("O", PtrType(F32))], num_warps=3, warp_level=True)
+    (o,) = fb.fn.args
+    c0, c1, c4 = (fb.constant(v) for v in (0, 1, 4))
+    ptr = fb.make_tensor_ptr(o, [c4, c4], [c4, c1], [c0, c0], (4, 4), (1, 0))
+    tile = fb.load(ptr)
+    fb.begin_if(fb.cmpi("eq", fb.warp_id(), fb.constant(storer)))
+    fb.store(ptr, fb.binary("arith.addf", tile, fb.splat(fb.constant(1.0), (4, 4))))
+    fb.end_if()
+    fb.ret()
+    mem = DeviceMemory()
+    mem.set_tensor("O", np.zeros((4, 4)), F32)
+    with pytest.raises(SimError) as exc:
+        run(fb.build(), LaunchConfig(), mem)
+    assert str(exc.value) == (
+        f"race on buffer 'O' element 0: warps {min(storer, other)} and {max(storer, other)} touch it between "
+        f"two synchronization points, not only reading it or storing the same bits "
+        f"(@reload wg=0 pid=(0, 0, 0) warp={storer} tt.store)"
     )
 
 
