@@ -251,12 +251,11 @@ class _Ctx:
 
 
 def _geometry(ctx: _Ctx, base: str, block: tuple[int, ...], strides: np.ndarray) -> tuple:
-    """Per row of `strides`, the first offsets that keep a block in one
-    workgroup's part of `base`; per distinct strides, the rows with them
-    (None: all), a block element's lowest offset neg (<= 0) from the first,
-    and windows of the buffer and its race marks: item j is the block whose
-    first element is element j - neg.  A window checks nothing: index it
-    with checked items, and with an array (an int gives a view)."""
+    """Per row of `strides`, the first offsets keeping a block in one
+    workgroup's part of `base`; per distinct strides, its rows (None: all),
+    neg (<= 0), a block element's lowest offset from the first, and windows
+    of the buffer and race marks, whose item j starts at element j - neg.
+    A window checks nothing: index it with checked items, and with an array."""
     _, buf, size, _ = ctx.bufs[base]
     ext = (np.array(block) - 1) * strides
     neg, pos = np.minimum(ext, 0).sum(axis=1), np.maximum(ext, 0).sum(axis=1)
@@ -317,8 +316,7 @@ def _touch(ctx: _Ctx, base: str, what: str, rows: np.ndarray, items: np.ndarray,
     earlier ones and mark it; a store (`vals` given) also writes.  Per
     element, the marks at scale nw are the lowest and highest workgroup
     (schedule position) that read it (row 0 of `lo` and `hi`) and wrote it
-    (row 1) in the launch; at scale 1, the same for rows since their last
-    synchronization point."""
+    (row 1) in the launch; at scale 1, the same per row since its last synchronization point."""
     bits, k = (lambda a: a.view(f"u{a.itemsize}")), int(vals is not None)
     for scale, (lo, hi) in zip(ctx.scales[base], marks):
         ws = (rows // scale).astype(np.int32).reshape(-1, *[1] * (view.ndim - 1))  # int32, like the marks
@@ -412,10 +410,12 @@ _REDUCE = {"max": np.max, "sum": np.sum}
 def _piece(whole: tuple[int, ...], piece: tuple[int, ...], index: int) -> tuple[slice, ...]:
     """The slices of a batch of `whole` tiles that hold piece `index` of each,
     pieces numbered row-major."""
-    starts = []
+    starts, rest = [], index
     for w, p in zip(whole[::-1], piece[::-1]):
-        index, c = divmod(index, w // p)
+        rest, c = divmod(rest, w // p)
         starts.append(c * p)
+    if rest:
+        raise SimError(f"piece {index} lies outside a {whole} tile cut into {piece} pieces")
     return (slice(None), *(slice(a, a + p) for a, p in zip(starts[::-1], piece)))
 
 

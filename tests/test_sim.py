@@ -181,6 +181,14 @@ def test_unmapped_visa_instruction_rejected_at_decode():
         run(VProgram("bogus", (), 1, "simt", 16, body), LaunchConfig(), DeviceMemory())
 
 
+def test_piece_outside_its_tile_rejected_at_decode():
+    fb = FunctionBuilder("cut", [], level="intrinsic")
+    fb.extract(fb.splat(fb.constant(1.0), (8, 8)), 4, (4, 4))
+    fb.ret()
+    with pytest.raises(SimError, match=r"^piece 4 lies outside a \(8, 8\) tile cut into \(4, 4\) pieces$"):
+        run(fb.build(), LaunchConfig(), DeviceMemory())
+
+
 # copies the 8x16 block at row `off` of X, seen as `rows` rows of 16 with row
 # stride 16, to the top of Y; X and Y hold 16x16 f32
 _COPY = """tt.func public @copy(%X: !tt.ptr<f32>, %Y: !tt.ptr<f32>) attributes {{num_warps = 1}} {{
