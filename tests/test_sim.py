@@ -328,17 +328,21 @@ def test_transposed_load_feeds_dot_a_c_ordered_tile(monkeypatch):
     mem.set_tensor("A", a_val, F32)
     mem.set_tensor("BT", b_val.T, F32)
     mem.set_tensor("C", np.zeros((32, 32)), F32)
-    ordered = []
-    dot = sim._SEMANTICS["tt.dot"]
-    monkeypatch.setitem(sim._SEMANTICS, "tt.dot", lambda s, ctx, a: ordered.append([x.flags.c_contiguous for x in a[:2]]) or dot(s, ctx, a))
+    ordered, dot = [], sim._SEMANTICS["tt.dot"]
+
+    def recording_dot(s, ctx, a):
+        ordered.append([x.flags.c_contiguous for x in a[:2]])
+        return dot(s, ctx, a)
+
+    monkeypatch.setitem(sim._SEMANTICS, "tt.dot", recording_dot)
     out = run(fb.build(), LaunchConfig(), mem)
     assert ordered == [[True, True]]
     want = a_val[None] @ np.ascontiguousarray(b_val)[None] + np.zeros((1, 32, 32), np.float32)
     assert out.tensor("C").tobytes() == want[0].tobytes()
 
 
-def _window_copy(glob, strides, offs, block=(4, 4), num_warps=1, masked=False) -> KernelFn:
-    """Each warp loads a block of X through a pointer whose fields are
+def _window_copy(glob, strides, offs, num_warps=1, masked=False) -> KernelFn:
+    """Each warp loads a 4x4 block of X through a pointer whose fields are
     `glob`, `strides` and `offs`, each a function of the warp id w (an i32
     value) and the builder, and stores it to rows [4w, 4w + 4) of O; warp 2
     sits out if `masked`."""
@@ -348,8 +352,8 @@ def _window_copy(glob, strides, offs, block=(4, 4), num_warps=1, masked=False) -
     fields = [[f(w, fb) for f in fs] for fs in (glob, strides, offs)]
     if masked:
         fb.begin_if(fb.cmpi("ne", w, fb.constant(2)))
-    tile = fb.load(fb.make_tensor_ptr(x, *fields, block, (1, 0)))
-    dst = fb.make_tensor_ptr(o, [fb.constant(4 * num_warps), c4], [c4, c1], [fb.binary("arith.muli", w, c4), c0], block, (1, 0))
+    tile = fb.load(fb.make_tensor_ptr(x, *fields, (4, 4), (1, 0)))
+    dst = fb.make_tensor_ptr(o, [fb.constant(4 * num_warps), c4], [c4, c1], [fb.binary("arith.muli", w, c4), c0], (4, 4), (1, 0))
     fb.store(dst, tile)
     if masked:
         fb.end_if()
