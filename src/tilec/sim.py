@@ -334,9 +334,9 @@ def _touch(ctx: _Ctx, base: str, what: str, rows: np.ndarray, items: np.ndarray,
             _race(ctx, base, what, e, rows[at[0]], scale * (first[at] if first[at] < w else last[at]))
         for m, now, better in ((lo[k], (rd, wr)[k][0], np.minimum), (hi[k], (rd, wr)[k][1], np.maximum)):
             want, last = better(now, ws), slice(None, None, -1 if better is np.minimum else 1)
-            m[items[last]] = want[last]  # ws rises with the row: the best lands last in numpy's order today
-            if not (better(got := m[items], want) == got).all():  # numpy does not promise it: mend
-                better.at(m, items, want)  # unbuffered, one row after another
+            m[items[last]] = want[last]  # ws rises with the row: the best lands last in numpy's order today,
+            if not (better(got := m[items], want) == got).all():  # which it does not promise: read back, mend
+                better.at(m, items, want)  # exact alone, but on stores 2-3x dearer through a window
         if scale < ctx.nw:
             ctx.touched.append((lo[k], hi[k], items, rows))
     if vals is None:

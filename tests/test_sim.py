@@ -427,13 +427,15 @@ def test_missing_barrier_is_a_race(level):
         run(prog, prob.launch, prob.mem)
 
 
-def _overlapping_stores(per_warp: bool) -> KernelFn:
+def _overlapping_stores(per_warp: bool, transposed: bool = False) -> KernelFn:
     """Both warps store a 4x4 block to the top of O: their warp id where
-    `per_warp`, else 1."""
+    `per_warp`, else 1; warp 1 with strides (1, 4) if `transposed`."""
     fb = FunctionBuilder("overlap", [("O", PtrType(F32))], num_warps=2, warp_level=True)
     (o,) = fb.fn.args
     c0, c1, c4 = (fb.constant(v) for v in (0, 1, 4))
-    ptr = fb.make_tensor_ptr(o, [c4, c4], [c4, c1], [c0, c0], (4, 4), (1, 0))
+    w3 = fb.binary("arith.muli", fb.warp_id(), fb.constant(3 if transposed else 0))
+    ptr = fb.make_tensor_ptr(o, [c4, c4], [fb.binary("arith.subi", c4, w3), fb.binary("arith.addi", c1, w3)],
+                             [c0, c0], (4, 4), (1, 0))
     fb.store(ptr, fb.convert(fb.splat(fb.warp_id() if per_warp else c1, (4, 4)), F32))
     fb.ret()
     return fb.build()
@@ -456,6 +458,19 @@ def test_overlapping_stores_of_other_bits_race():
     assert str(exc.value) == (
         "race on buffer 'O' element 0: warps 0 and 1 touch it between two synchronization points, "
         "not only reading it or storing the same bits (@overlap wg=0 pid=(0, 0, 0) warp=0 tt.store)"
+    )
+
+
+def test_overlapping_stores_with_other_strides_race():
+    # rows with other strides are checked and stored one strides after
+    # another, so the later warp finds the earlier one's write and is named
+    mem = DeviceMemory()
+    mem.set_tensor("O", np.zeros((8, 4)), F32)
+    with pytest.raises(SimError) as exc:
+        run(_overlapping_stores(per_warp=True, transposed=True), LaunchConfig(), mem)
+    assert str(exc.value) == (
+        "race on buffer 'O' element 0: warps 0 and 1 touch it between two synchronization points, "
+        "not only reading it or storing the same bits (@overlap wg=0 pid=(0, 0, 0) warp=1 tt.store)"
     )
 
 
