@@ -24,8 +24,6 @@ from .layouts import (
     TilingHint,
     equivalent_blocked,
     tile_root,
-    warp_coords,
-    warp_tile_origin,
 )
 from .oracle import OracleError, philox, rand_f16, rel_max_err
 from .passes import (
@@ -109,6 +107,4 @@ __all__ = [
     "run",
     "tile_root",
     "verify_or_raise",
-    "warp_coords",
-    "warp_tile_origin",
 ]

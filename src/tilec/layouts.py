@@ -66,21 +66,6 @@ class SliceEncoding:
 LayoutEncoding = Union[BlockedEncoding, DotOperandEncoding, SliceEncoding]
 
 
-@dataclass(frozen=True, slots=True)
-class WarpGrid:
-    """warps_per_cta plus the linearization order (order[0] fastest)."""
-
-    warps_per_cta: tuple[int, ...]
-    order: tuple[int, ...]
-
-    @property
-    def num_warps(self) -> int:
-        n = 1
-        for w in self.warps_per_cta:
-            n *= w
-        return n
-
-
 def tile_root(shape: Sequence[int], num_warps: int, hint: TilingHint | str | None = None) -> BlockedEncoding:
     """Pick the root Blocked layout for a workgroup-shaped tensor.
 
@@ -180,32 +165,3 @@ def _equiv(enc: LayoutEncoding, shape: tuple[int, ...]) -> BlockedEncoding:
         new_order = tuple(i if i < d else i - 1 for i in p.order if i != d)
         return BlockedEncoding(erase(p.size_per_warp), erase(p.warps_per_cta), new_order)
     raise LayoutError(f"unknown encoding {enc!r}")
-
-
-def warp_coords(warp_id: int, grid: WarpGrid) -> tuple[int, ...]:
-    """Decompose a linear warp id over the grid, order[0] varying fastest."""
-    if not (0 <= warp_id < grid.num_warps):
-        raise LayoutError(f"warp id {warp_id} outside grid of {grid.num_warps}")
-    coords = [0] * len(grid.warps_per_cta)
-    rem = warp_id
-    for d in grid.order:
-        coords[d] = rem % grid.warps_per_cta[d]
-        rem //= grid.warps_per_cta[d]
-    return tuple(coords)
-
-
-def warp_tile_origin(enc: LayoutEncoding, shape: Sequence[int], warp_id: int) -> tuple[int, ...]:
-    """Element offset of a warp's tile, replication folded in: along dims the
-    grid overshoots, coordinates wrap modulo the number of distinct tiles."""
-    shape = tuple(shape)
-    eq = equivalent_blocked(enc, shape)
-    coords = warp_coords(warp_id, WarpGrid(eq.warps_per_cta, eq.order))
-    origin = []
-    for d, c in enumerate(coords):
-        if shape[d] % eq.size_per_warp[d] != 0:
-            raise LayoutError(
-                f"shape {shape} not divisible by per-warp tile {eq.size_per_warp} along dim {d}"
-            )
-        tiles = shape[d] // eq.size_per_warp[d]
-        origin.append((c % tiles) * eq.size_per_warp[d])
-    return tuple(origin)

@@ -24,19 +24,28 @@ a workgroup's warps in id order.
 Two warps of a workgroup must not touch one element of a device or SLM
 buffer between two synchronization points, nor two workgroups one element
 of a device buffer in the launch, when either writes it, unless both store
-equal bits; a run that does fails with a race error.  Only buffers some
-store can reach are checked, reads only where a load can reach them too.  A
-run that completes thus gives the bits of the serial run (workgroups one by
-one in ``wg_order``, warps one by one between synchronization points), and
+equal bits; a run that does fails with a race error.  A run that completes
+thus gives the bits of the serial run (workgroups one by one in
+``wg_order``, warps one by one between synchronization points), and
 ``RunTrace`` records accesses in that order; ``wg_order`` also decides
 which workgroup an error names when several fault in one step.
+
+Before a launch, ``footprints.prove`` works out from the integer and pointer
+steps which accesses stay in bounds on every loop trip and which buffers a
+store can reach no two rows share (one injective geometry, disjoint index
+boxes).  A proven access skips its bounds checks; a proven buffer keeps no
+race marks, like every buffer of a one-row launch.  The rest are checked as
+they run: the bounds of every other access, and the race marks of every other
+buffer a store can reach (reads only where a load can reach it too).  The
+proof raises nothing, so a failing run keeps its first error and message.
 
 f16 tiles are f32 arrays rounded to f16 after every producing step.  Tiles
 are never written in place, so an extract or broadcast is a view, and a load
 whose rows all read one block of a buffer no store reaches gathers it once
 and broadcasts it.  A block is one item of a strided window view of its
 buffer, made once per run for each (buffer, block shape, strides): an access
-copies whole blocks, bounds-checked in closed form from the strides.
+copies whole blocks, bounds-checked (unless proven) in closed form from the
+strides.
 """
 
 from __future__ import annotations
@@ -51,6 +60,7 @@ from typing import Any, Callable, Iterator, NamedTuple
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from . import footprints
 from .ir import CMP_PREDS, ElemType, KernelFn, Operation, PtrType, tile_type
 from .textio import _type_desc
 from .visa import CROSS_WARP_REDUCE, LOWERING, TargetConfig, VInstr, VProgram
@@ -222,7 +232,6 @@ class _Ctx:
     pids: list[tuple[int, int, int]]  # program ids by workgroup index
     nw: int  # warps per workgroup
     fn_name: str
-    scales: dict[str, tuple[int, ...]]  # buffers a store can reach, with the scales of their race marks (see _touch)
     loaded: set[str]  # buffers a load can reach
     log: tuple[list, list, list] | None  # if tracing: loads, stores, cross-warp reduces, in step order
     windows: dict[tuple, tuple] = field(default_factory=dict)  # _geometry's, by (base, block shape, all rows' strides)
@@ -233,9 +242,20 @@ class _Ctx:
         self.wg, self.warp = np.arange(self.n) // self.nw, np.arange(self.n, dtype=np.int32) % self.nw
         self.pid = np.array([self.pids[g] for g in self.order], dtype=np.int32).T.repeat(self.nw, axis=1)
         self.epoch = np.zeros(len(self.order), dtype=np.int64)  # synchronization points passed, per workgroup
+        self.mask(np.ones(self.n, dtype=np.bool_))
+
+    def arm(self, facts: footprints.Footprints) -> None:
+        """Set up the run-time checks that `facts` leave: race marks on each
+        buffer a store can reach and that is not proven race-free (`scales`
+        keeps every such buffer, a proven one with no scales), and bounds
+        checks on each access step not proven in bounds."""
+        # workgroups race on device buffers, the warps of one workgroup on any
+        ng, nw = len(self.order), self.nw
+        self.scales = {b: () if why is None else (nw,) * (ng > 1 and self.bufs[b][3] is None) + (1,) * (nw > 1)
+                       for b, why in facts.races.items()}
         self.marks = {b: np.tile(np.int32([self.n, -1])[:, None, None], (len(sc), 1, 2, self.bufs[b][1].size))
                       for b, sc in self.scales.items() if sc}  # by base: per scale, lo then hi, for reads then writes
-        self.mask(np.ones(self.n, dtype=np.bool_))
+        self.inbounds = {id(s) for s, _, _, why in facts.accesses if why is None}
 
     def mask(self, act: np.ndarray) -> None:
         self.act, self.ids = act, np.flatnonzero(act)
@@ -285,17 +305,18 @@ def _access(ctx: _Ctx, s: _Step, bp: BlockPointer, value: np.ndarray | None = No
     if (key := (bp.base, bp.block_shape, strides.tobytes())) not in ctx.windows:
         ctx.windows[key] = _geometry(ctx, bp.base, bp.block_shape, strides)
     lo, hi, groups = ctx.windows[key]
-    bad = (offs < 0) | (offs + bp.block_shape > glob)
-    if bad.any() and (bad := bad & ctx.act[:, None]).any():
-        w, d = np.argwhere(bad)[0]
-        o, b, g = offs[w, d], bp.block_shape[d], glob[w, d]
-        at = ctx.where(s.name, w)
-        raise SimError(f"out-of-bounds block access: dim {d} window [{o}, {o + b}) outside [0, {g}) ({at})")
     first = (offs * strides).sum(axis=1)
-    bad = (first < lo) | (first > hi)
-    if bad.any() and (bad := bad & ctx.act).any():
-        at = ctx.where(s.name, np.argmax(bad))
-        raise SimError(f"out-of-bounds block access: flat index beyond buffer of {size} ({at})")
+    if id(s) not in ctx.inbounds:  # else no row of the launch leaves its bounds here (see footprints)
+        bad = (offs < 0) | (offs + bp.block_shape > glob)
+        if bad.any() and (bad := bad & ctx.act[:, None]).any():
+            w, d = np.argwhere(bad)[0]
+            o, b, g = offs[w, d], bp.block_shape[d], glob[w, d]
+            at = ctx.where(s.name, w)
+            raise SimError(f"out-of-bounds block access: dim {d} window [{o}, {o + b}) outside [0, {g}) ({at})")
+        bad = (first < lo) | (first > hi)
+        if bad.any() and (bad := bad & ctx.act).any():
+            at = ctx.where(s.name, np.argmax(bad))
+            raise SimError(f"out-of-bounds block access: flat index beyond buffer of {size} ({at})")
     if ctx.log is not None:
         ctx.log[value is not None].append((ctx.ids, ctx.epoch[ctx.wg[ctx.ids]], offs[ctx.ids], bp.base, bp.block_shape))
     first = first if off is None else first + off
@@ -741,9 +762,8 @@ def run(
         s.attrs = {**s.attrs, "ptr": BlockPointer(slm, np.tile(dims, (ng * nw, 1, 1)), s.shape)}
         bufs[slm] = (s.elem, _coerce(s.elem, np.zeros(ng * size)), size, np.repeat(np.arange(ng) * size, nw))
     roots = {**env, **{s.results[0]: s.attrs["ptr"].base for s in allocs}}
-    # workgroups race on device buffers, the warps of one workgroup on any
-    scales = {b: (nw,) * (ng > 1 and b in out) + (1,) * (nw > 1) for b in _bases(flat, roots, "tt.store")}
-    ctx = _Ctx(bufs, order, pids, nw, name, scales, _bases(flat, roots, "tt.load"), None if trace is None else ([], [], []))
+    ctx = _Ctx(bufs, order, pids, nw, name, _bases(flat, roots, "tt.load"), None if trace is None else ([], [], []))
+    ctx.arm(footprints.prove(steps, flat, ctx, roots, _bases(flat, roots, "tt.store")))
     _exec(steps, ctx, dict(env))
     if trace is not None:
         _record(ctx, trace)

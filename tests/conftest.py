@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from tilec import footprints as fp
 from tilec.ir import KernelFn, KernelModule, Operation, walk_fn_ops
 from tilec.kernels import load_fixture, make_problem, suite
 from tilec.passes import CompileResult, compile_kernel
-from tilec.sim import DeviceMemory, RunTrace, run
+from tilec.sim import DeviceMemory, RunTrace, SimError, run
 from tilec.textio import print_module
 from tilec.visa import VInstr, VOpcode, VProgram
 
@@ -98,3 +99,28 @@ def exec_widths(prog: VProgram) -> list[tuple[VOpcode, str, int, bool]]:
 
     return [(i.opcode, i.op, i.width_bytes, i.lane_distributed)
             for i in flat_instrs(prog) if i.opcode in EXECUTION_OPCODES]
+
+
+def prove_nothing(monkeypatch: pytest.MonkeyPatch) -> None:
+    """Make every launch prove nothing before it runs, so that each access
+    keeps its bounds checks and each buffer a store can reach its race marks."""
+    prove = fp.prove
+
+    def nothing(*args):
+        facts = prove(*args)
+        return fp.Footprints(dict.fromkeys(facts.races, "forced"), [(s, b, o, "forced") for s, b, o, _ in facts.accesses])
+
+    monkeypatch.setattr(fp, "prove", nothing)
+
+
+def footprints(monkeypatch: pytest.MonkeyPatch, prog, launch, mem) -> tuple[fp.Footprints, object]:
+    """Run a launch; return what the simulator proved before it ran, and
+    the memory after it, or the SimError it failed with."""
+    got, prove = [], fp.prove
+    with monkeypatch.context() as mp:
+        mp.setattr(fp, "prove", lambda *args: got.append(prove(*args)) or got[-1])
+        try:
+            out = run(prog, launch, mem)
+        except SimError as exc:
+            out = exc
+    return got[0], out

@@ -1,4 +1,4 @@
-"""Layout encoding algebra: roots, partitions, equivalence, warp geometry."""
+"""Layout encoding algebra: roots, partitions, equivalence."""
 
 from __future__ import annotations
 
@@ -10,11 +10,8 @@ from tilec.layouts import (
     DotOperandEncoding,
     LayoutError,
     SliceEncoding,
-    WarpGrid,
     equivalent_blocked,
     tile_root,
-    warp_coords,
-    warp_tile_origin,
 )
 
 BLOCKED = BlockedEncoding((32, 64), (8, 4), (1, 0))
@@ -86,36 +83,3 @@ def test_slice_of_dot_operand_parent_rejected():
         equivalent_blocked(DotOperandEncoding(0, SliceEncoding(1, BLOCKED)), (4, 4))
 
 
-def test_warp_coords_order_fastest_first():
-    grid = WarpGrid((8, 4), (1, 0))
-    assert grid.num_warps == 32
-    assert warp_coords(0, grid) == (0, 0)
-    assert warp_coords(1, grid) == (0, 1)  # order[0] = 1 varies fastest
-    assert warp_coords(4, grid) == (1, 0)
-    assert warp_coords(31, grid) == (7, 3)
-    with pytest.raises(LayoutError):
-        warp_coords(32, grid)
-
-
-def test_warp_tile_origin():
-    # C tile: warp w covers rows 32*(w//4), cols 64*(w%4)
-    assert warp_tile_origin(BLOCKED, (256, 256), 0) == (0, 0)
-    assert warp_tile_origin(BLOCKED, (256, 256), 1) == (0, 64)
-    assert warp_tile_origin(BLOCKED, (256, 256), 4) == (32, 0)
-    assert warp_tile_origin(BLOCKED, (256, 256), 31) == (224, 192)
-
-
-def test_warp_tile_origin_replicates_dot_a():
-    # A operand: columns replicated, rows partitioned; warps 0-3 share (0, 0)
-    enc = DotOperandEncoding(0, BLOCKED)
-    origins = {warp_tile_origin(enc, (256, 32), w) for w in range(4)}
-    assert origins == {(0, 0)}
-    assert warp_tile_origin(enc, (256, 32), 4) == (32, 0)
-
-
-def test_warp_tile_origin_replicates_dot_b():
-    # B operand: rows replicated, columns partitioned; warps 0,4,... share
-    enc = DotOperandEncoding(1, BLOCKED)
-    origins = {warp_tile_origin(enc, (32, 256), w) for w in range(0, 32, 4)}
-    assert origins == {(0, 0)}
-    assert warp_tile_origin(enc, (32, 256), 1) == (0, 64)

@@ -7,6 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
+from conftest import prove_nothing
 from tilec.ir import ElemType, FunctionBuilder, KernelFn, PtrType, retile, scalar
 from tilec.kernels import kernel_text, make_problem, suite
 from tilec.oracle import philox, rand_f16
@@ -807,3 +808,37 @@ def test_cross_warp_reduce_per_workgroup(dst):
     assert np.array_equal(out.tensor("O"), want)
     assert [(c.wg, c.dst) for c in trace.cross] == [(1, (0,) if dst else None), (0, (0,) if dst else None)]
     assert all(np.array_equal(c.delivered[0], want[2 * c.wg][None]) for c in trace.cross)
+
+
+# -- the same faults with every check forced on -----------------------------------
+
+
+def _cases(test) -> list[dict]:
+    """The keyword arguments of each case of a parametrized test."""
+    cases = [{}]
+    for mark in getattr(test, "pytestmark", []):
+        if mark.name == "parametrize":
+            names, values = mark.args
+            names = [n.strip() for n in names.split(",")] if isinstance(names, str) else list(names)
+            cases = [{**c, **dict(zip(names, v if len(names) > 1 else (v,)))} for c in cases for v in values]
+    return cases
+
+
+_FAULT_TESTS = [
+    test_memory_access_errors, test_windows_past_the_buffer_are_out_of_bounds, test_missing_barrier_is_a_race,
+    test_replicated_stores_of_equal_bits_pass, test_overlapping_stores_of_other_bits_race,
+    test_overlapping_stores_with_other_strides_race, test_store_after_loads_by_two_warps_races,
+    test_store_after_loads_by_three_warps_races, test_a_warp_storing_one_element_twice_does_not_race,
+    test_loop_trip_count_may_differ_by_warp, test_fault_names_the_lowest_faulting_warp,
+    test_workgroups_storing_one_tile_race_unless_the_bits_agree, test_workgroup_loading_what_another_stored_races,
+    test_each_workgroup_has_its_own_slm, test_barrier_divergence_detected, test_slm_overflow_detected,
+]
+
+
+@pytest.mark.parametrize(("test", "kwargs"), [pytest.param(t, kw, id=f"{t.__name__[5:]}-{i}")
+                                              for t in _FAULT_TESTS for i, kw in enumerate(_cases(t))])
+def test_faults_read_the_same_with_every_check_forced(test, kwargs, monkeypatch):
+    # the launches above skip the checks their analysis proves can never
+    # fire; with none proven, each must fail (or pass) exactly as before
+    prove_nothing(monkeypatch)
+    test(**kwargs)
