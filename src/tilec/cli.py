@@ -69,8 +69,8 @@ def _build_parser() -> _Parser:
 
 def _parse_grid(text: str) -> tuple[int, int, int]:
     parts = text.split(",")
-    if len(parts) not in (2, 3) or not all(x.strip().isdigit() for x in parts):
-        raise UsageError(f"--grid expects gx,gy[,gz], got {text!r}")
+    if len(parts) not in (2, 3) or not all(x.strip().isdigit() and int(x) > 0 for x in parts):
+        raise UsageError(f"--grid expects positive gx,gy[,gz], got {text!r}")
     dims = tuple(int(x) for x in parts)
     return dims + (1,) * (3 - len(dims))  # type: ignore[return-value]
 

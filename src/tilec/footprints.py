@@ -21,6 +21,8 @@ were taken.  The verdicts:
   geometry (global shape and strides) that maps no two indices to one
   element, and the index boxes the rows touch over the launch (for SLM, the
   rows of one workgroup) are pairwise disjoint: the run keeps no race marks.
+  A store reaches the buffer its pointer is followed to; while one store's
+  pointer is not followed that far, every buffer of the launch counts.
 
 `prove` raises nothing: what it does not prove stays on the run-time checks,
 so a failing run keeps its first error and its message.
@@ -62,10 +64,9 @@ class Footprints(NamedTuple):
     accesses: list[tuple]  # per load or store step: (step, buffer, first-trip offsets (dim, row) if known, in bounds?)
 
 
-def prove(steps: list, flat: list, ctx: Any, roots: dict[Any, str], stored: set[str]) -> Footprints:
+def prove(steps: list, flat: list, ctx: Any, roots: dict[Any, str]) -> Footprints:
     """The verdicts for a launch of `steps` (`flat`: all of them, nested ones
-    too) in run context `ctx`, whose buffer roots are `roots` and whose
-    store-reachable buffers are `stored`."""
+    too) in run context `ctx`, whose buffer roots are `roots`."""
     loops = {id(s): j for j, s in enumerate((s for s in flat if s.kind == "scf.for"), 1)}
     # seen, per access: (step, pointer, span: per form and row the last trip index (1 for the
     # constant), reach: the rows that run it)
@@ -132,10 +133,12 @@ def prove(steps: list, flat: list, ctx: Any, roots: dict[Any, str], stored: set[
 
     def after(x: _Form, d: Any, k: Any) -> _Form:
         """`x` moved by `d` per trip, after each row's `k` trips (None: not known)."""
+        if d is _REBASED:  # even where x's offsets are not known: its buffer is not either
+            return _Form(None, d, x.shape, x.at, x.root)
         if type(x.dims) is str or (type(d) is not str and k is None and not np.count_nonzero(d)):
             return x
         if type(d) is str or k is None:
-            return _Form(None if d is _REBASED else x.base, d if type(d) is str else _BOUNDS, x.shape, x.at, x.root)
+            return _Form(x.base, d if type(d) is str else _BOUNDS, x.shape, x.at, x.root)
         return _Form(x.base, x.dims + d * k, x.shape, x.at, x.root)
 
     def loop(s: Any, a: list, env: dict, span: np.ndarray, reach: np.ndarray) -> None:
@@ -217,6 +220,9 @@ def prove(steps: list, flat: list, ctx: Any, roots: dict[Any, str], stored: set[
             if steady[a]:
                 whys[i] = None if fit[a] else "a block may leave its bounds"
     place = {i: a for a, i in enumerate(known)}  # each known access's place in the batch
+    stored = {p.base for s, p, _, _ in seen if s.kind == "tt.store"}
+    if None in stored:  # a store whose buffer is not known may reach any: more marks, same outcome
+        stored = set(roots.values())
     races = {}
     for b in stored:
         mine = [i for i, (_, p, _, _) in enumerate(seen) if p.base in (b, None)]

@@ -679,23 +679,22 @@ def _verify_op(fn: KernelFn, op: Operation, err: Callable[..., None], warp_ok: b
 # def-use
 
 class DefUse:
-    """Users and producers of every value in a function, with loop-carried
-    values (init operand, body arg, yield operand, loop result) linked into
-    chains so analyses can cross region boundaries."""
+    """Users of every value in a function, with loop-carried values (init
+    operand, body arg, yield operand, loop result) linked into chains so
+    analyses can cross region boundaries.  A value's producer is
+    ``Value.producer``."""
 
     def __init__(self, fn: KernelFn):
         self.fn = fn
         self.users: dict[int, list[Operation]] = {}
-        self.producer: dict[int, Any] = {}
         self._values: dict[int, Value] = {}
         self._chain: dict[int, set[int]] = {}
         for a in fn.args:
-            self._add_value(a, fn)
+            self._add_value(a)
         self._scan(fn.body)
 
-    def _add_value(self, v: Value, producer: Any) -> None:
+    def _add_value(self, v: Value) -> None:
         self._values[id(v)] = v
-        self.producer[id(v)] = producer
         self.users.setdefault(id(v), [])
 
     def _scan(self, region: Region) -> None:
@@ -704,10 +703,10 @@ class DefUse:
                 self.users.setdefault(id(v), []).append(op)
                 self._values.setdefault(id(v), v)
             for r in op.results:
-                self._add_value(r, op)
+                self._add_value(r)
             for sub in op.regions:
                 for a in sub.args:
-                    self._add_value(a, op)
+                    self._add_value(a)
                 self._scan(sub)
             for members in loop_carries(op):
                 group: set[int] = set()
@@ -719,9 +718,6 @@ class DefUse:
     def users_of(self, v: Value) -> list[Operation]:
         return self.users.get(id(v), [])
 
-    def producer_of(self, v: Value) -> Any:
-        return self.producer.get(id(v))
-
     def chain(self, v: Value) -> list[Value]:
         """The loop-carried chain through v (v alone if not loop-carried)."""
         ids = self._chain.get(id(v), {id(v)})
@@ -729,10 +725,6 @@ class DefUse:
 
     def values(self) -> list[Value]:
         return list(self._values.values())
-
-
-def build_defuse(fn: KernelFn) -> DefUse:
-    return DefUse(fn)
 
 
 # --------------------------------------------------------------------------

@@ -31,6 +31,7 @@ from typing import Any, Callable, Iterator, Sequence
 from .ir import (
     ELEMENTWISE_FLOAT,
     ELEMENTWISE_INT,
+    DefUse,
     Diagnostic,
     FunctionBuilder,
     KernelFn,
@@ -40,7 +41,6 @@ from .ir import (
     TilingHint,
     Type,
     Value,
-    build_defuse,
     loop_carries,
     retile,
     tile_type,
@@ -90,7 +90,7 @@ _DEFAULT_HINT = {"gemm": None, "attention": "horizontal", "reduction": "horizont
 
 def _reachable_values(fn: KernelFn, start: Value) -> set[int]:
     """Ids of values data-reachable from start through tile-shaping ops."""
-    du = build_defuse(fn)
+    du = DefUse(fn)
     seen: set[int] = set()
     frontier = [start]
     while frontier:
@@ -440,14 +440,14 @@ def assign_layouts(fn: KernelFn) -> KernelFn:
 
     # tiles the flow never reached: replicate across warps, unless they take
     # part in a dot or store (those must be partitioned deliberately)
-    du = build_defuse(fn)
+    du = DefUse(fn)
     for v in du.values():
         if not _carries_layout(v.type) or id(v) in state.enc:
             continue
         for u in du.users_of(v):
             if u.kind in ("tt.dot", "tt.store"):
                 raise _fail(fn, f"layout assignment left a {u.kind} operand uncovered", u)
-        prod = du.producer_of(v)
+        prod = v.producer
         if isinstance(prod, Operation) and prod.kind == "tt.dot":
             raise _fail(fn, "layout assignment left a tt.dot result uncovered", prod)
         shape = _block_shape(v)

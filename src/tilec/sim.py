@@ -30,14 +30,15 @@ thus gives the bits of the serial run (workgroups one by one in
 ``RunTrace`` records accesses in that order; ``wg_order`` also decides
 which workgroup an error names when several fault in one step.
 
-Before a launch, ``footprints.prove`` works out from the integer and pointer
-steps which accesses stay in bounds on every loop trip and which buffers a
-store can reach no two rows share (one injective geometry, disjoint index
+Before a launch, ``footprints.prove`` follows every load and store pointer
+through the integer and pointer steps to its buffer.  It works out which
+accesses stay in bounds on every loop trip, which buffers a store can reach,
+and which of those no two rows share (one injective geometry, disjoint index
 boxes).  A proven access skips its bounds checks; a proven buffer keeps no
 race marks, like every buffer of a one-row launch.  The rest are checked as
-they run: the bounds of every other access, and the race marks of every other
-buffer a store can reach (reads only where a load can reach it too).  The
-proof raises nothing, so a failing run keeps its first error and message.
+they run: the bounds of every other access, and the reads and writes of every
+other buffer a store can reach.  The proof raises nothing, so a failing run
+keeps its first error and message.
 
 f16 tiles are f32 arrays rounded to f16 after every producing step.  Tiles
 are never written in place, so an extract or broadcast is a view, and a load
@@ -232,7 +233,6 @@ class _Ctx:
     pids: list[tuple[int, int, int]]  # program ids by workgroup index
     nw: int  # warps per workgroup
     fn_name: str
-    loaded: set[str]  # buffers a load can reach
     log: tuple[list, list, list] | None  # if tracing: loads, stores, cross-warp reduces, in step order
     windows: dict[tuple, tuple] = field(default_factory=dict)  # _geometry's, by (base, block shape, all rows' strides)
     touched: list[tuple] = field(default_factory=list)  # the row marks set since those rows' last synchronization point
@@ -245,10 +245,10 @@ class _Ctx:
         self.mask(np.ones(self.n, dtype=np.bool_))
 
     def arm(self, facts: footprints.Footprints) -> None:
-        """Set up the run-time checks that `facts` leave: race marks on each
-        buffer a store can reach and that is not proven race-free (`scales`
-        keeps every such buffer, a proven one with no scales), and bounds
-        checks on each access step not proven in bounds."""
+        """Set up the run-time checks that `facts` leave: read and write marks
+        on each buffer a store can reach and that is not proven race-free
+        (`scales` keeps every buffer a store can reach, a proven one with no
+        scales), and bounds checks on each access step not proven in bounds."""
         # workgroups race on device buffers, the warps of one workgroup on any
         ng, nw = len(self.order), self.nw
         self.scales = {b: () if why is None else (nw,) * (ng > 1 and self.bufs[b][3] is None) + (1,) * (nw > 1)
@@ -337,27 +337,25 @@ def _touch(ctx: _Ctx, base: str, what: str, rows: np.ndarray, items: np.ndarray,
     earlier ones and mark it; a store (`vals` given) also writes.  Per
     element, the marks at scale nw are the lowest and highest workgroup
     (schedule position) that read it (row 0 of `lo` and `hi`) and wrote it
-    (row 1) in the launch; at scale 1, the same per row since its last synchronization point."""
+    (row 1) in the launch; at scale 1, the same per row since its last
+    synchronization point.  A store compares both marks, a load the write marks."""
     bits, k = (lambda a: a.view(f"u{a.itemsize}")), int(vals is not None)
     for scale, (lo, hi) in zip(ctx.scales[base], marks):
         ws = (rows // scale).astype(np.int32).reshape(-1, *[1] * (view.ndim - 1))  # int32, like the marks
-        wr, rd = (lo[1][items], hi[1][items]), (lo[0][items], hi[0][items]) if vals is None or base in ctx.loaded else None
+        wr, rd = (lo[1][items], hi[1][items]), (lo[0][items], hi[0][items]) if vals is not None else None
         # per element, whether another row or workgroup wrote or read it: a load clashes
         # with another's write; a store with another's read, or its write of other bits
         written = (wr[0] < ws) | (wr[1] > ws)
         if vals is not None and written.any():
             written &= bits(vals) != bits(view[items])
-        read = (rd[0] < ws) | (rd[1] > ws) if vals is not None and rd else np.zeros_like(written)
+        read = (rd[0] < ws) | (rd[1] > ws) if rd else np.zeros_like(written)
         if (clash := read | written).any():
             e, hit = _lowest(view, items, clash)
             at = next(h for h in zip(*hit) if clash[h])
             (first, last), w = rd if read[at] else wr, ws[at[0]].item()
             _race(ctx, base, what, e, rows[at[0]], scale * (first[at] if first[at] < w else last[at]))
-        for m, now, better in ((lo[k], (rd, wr)[k][0], np.minimum), (hi[k], (rd, wr)[k][1], np.maximum)):
-            want, last = better(now, ws), slice(None, None, -1 if better is np.minimum else 1)
-            m[items[last]] = want[last]  # ws rises with the row: the best lands last in numpy's order today,
-            if not (better(got := m[items], want) == got).all():  # which it does not promise: read back, mend
-                better.at(m, items, want)  # exact alone, but on stores 2-3x dearer through a window
+        np.minimum.at(lo[k], items, ws)  # exact where items repeat or their blocks overlap
+        np.maximum.at(hi[k], items, ws)
         if scale < ctx.nw:
             ctx.touched.append((lo[k], hi[k], items, rows))
     if vals is None:
@@ -523,25 +521,6 @@ def _walk(steps: list[_Step]) -> Iterator[_Step]:
     for s in steps:
         yield s
         yield from _walk(s.body or [])
-
-
-def _bases(steps: list[_Step], roots: dict[Any, str], kind: str) -> set[str]:
-    """The buffers of `roots` (bound arguments and SLM allocations) that a
-    step of `kind` (a load or a store) can reach through pointer steps and
-    loop carries; `steps` lists every step, nested ones too."""
-    src: dict[Any, tuple] = {}
-    for s in steps:
-        if s.kind == "scf.for":
-            for j, (it, r) in enumerate(zip(s.attrs["iters"], s.results)):
-                src[it], src[r] = (s.operands[3 + j], s.body[-1].operands[j]), (it,)
-        elif s.is_ptr:
-            src[s.results[0]] = s.operands[:1]
-    todo, seen = [s.operands[0] for s in steps if s.kind == kind], set()
-    while todo:
-        if (k := todo.pop()) not in seen:
-            seen.add(k)
-            todo.extend(src.get(k, ()))
-    return {roots[k] for k in seen if k in roots}
 
 
 # --------------------------------------------------------------------------
@@ -762,8 +741,8 @@ def run(
         s.attrs = {**s.attrs, "ptr": BlockPointer(slm, np.tile(dims, (ng * nw, 1, 1)), s.shape)}
         bufs[slm] = (s.elem, _coerce(s.elem, np.zeros(ng * size)), size, np.repeat(np.arange(ng) * size, nw))
     roots = {**env, **{s.results[0]: s.attrs["ptr"].base for s in allocs}}
-    ctx = _Ctx(bufs, order, pids, nw, name, _bases(flat, roots, "tt.load"), None if trace is None else ([], [], []))
-    ctx.arm(footprints.prove(steps, flat, ctx, roots, _bases(flat, roots, "tt.store")))
+    ctx = _Ctx(bufs, order, pids, nw, name, None if trace is None else ([], [], []))
+    ctx.arm(footprints.prove(steps, flat, ctx, roots))
     _exec(steps, ctx, dict(env))
     if trace is not None:
         _record(ctx, trace)

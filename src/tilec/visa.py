@@ -77,6 +77,8 @@ def parse_target(text: str, name: str = "custom") -> TargetConfig:
         key, value = key.strip(), value.strip()
         if key not in _TARGET_KEYS:
             raise ValueError(f"target line {lineno}: unknown key {key!r}")
+        if key in fields:
+            raise ValueError(f"target line {lineno}: repeated key {key}")
         if key in ("max_load", "max_dot"):
             parts = value.split("x")
             want = 2 if key == "max_load" else 3
@@ -268,15 +270,11 @@ def _feeds_dot_b(fn: KernelFn) -> set[int]:
     extract/glue.  Other producers (a splat, a convert) define plain
     registers, and a dot reading one of them reads it unpacked."""
     packed: set[int] = set()
-    producers: dict[int, Operation] = {}
-    for op in walk_fn_ops(fn):
-        for r in op.results:
-            producers[id(r)] = op
     work: list[Value] = [op.operands[1] for op in walk_fn_ops(fn) if op.kind == "tt.dot"]
     while work:
         v = work.pop()
-        p = producers.get(id(v))
-        if id(v) in packed or p is None or p.kind not in ("tt.load", "tt.extract", "tt.glue"):
+        p = v.producer
+        if id(v) in packed or not isinstance(p, Operation) or p.kind not in ("tt.load", "tt.extract", "tt.glue"):
             continue
         packed.add(id(v))
         if p.kind != "tt.load":

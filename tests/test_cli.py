@@ -144,6 +144,7 @@ def test_usage_errors_exit_3(capsys):
     assert main(["compile", "nosuch_kernel"]) == 3
     assert main(["compile", "gemm_256", "--hint", "dot=horizontal"]) == 3
     assert main(["run", "gemm_256", "--grid", "zero,one"]) == 3
+    assert main(["run", "gemm_256", "--grid", "0,1"]) == 3
     assert main(["compile", "gemm_256", "--level", "bogus"]) == 3
     assert main(["compile", "gemm_256", "--dump-after", "frontend"]) == 3
     assert main(["run", "paged_wg", "--num-warps", "0"]) == 3

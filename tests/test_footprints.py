@@ -179,6 +179,69 @@ def test_zero_strides_and_two_geometries_are_not_proven(monkeypatch):
     _both_ways(monkeypatch, _two_geometries(), LaunchConfig(), _zeros(O=(8, 4)))
 
 
+def _rebased_carry() -> KernelFn:
+    """Both warps add their id plus 1 to row 0 of O through a loop-carried
+    pointer, which each trip then moves to row 0 of P."""
+    fb = FunctionBuilder("rebase", [("O", PtrType(F32)), ("P", PtrType(F32))], num_warps=2, warp_level=True)
+    o, p = fb.fn.args
+    c0, c1, c2, c4 = (fb.constant(v) for v in (0, 1, 2, 4))
+    po, pp = (fb.make_tensor_ptr(buf, [c1, c4], [c4, c1], [c0, c0], (1, 4), (1, 0)) for buf in (o, p))
+    _, (ptr,) = fb.begin_for(c0, c2, c1, [po])
+    add = fb.convert(fb.splat(fb.binary("arith.addi", fb.warp_id(), c1), (1, 4)), F32)
+    fb.store(ptr, fb.binary("arith.addf", fb.load(ptr), add))
+    fb.end_for([pp])
+    fb.ret()
+    return fb.build()
+
+
+def test_a_store_not_followed_to_its_buffer_keeps_every_buffer_checked(monkeypatch):
+    # the proof cannot tell which buffer the loop's store reaches, so it
+    # proves no buffer, and the run catches the warps' clash on O
+    mem = _zeros(O=(1, 4), P=(1, 4))
+    facts, exc = footprints(monkeypatch, _rebased_carry(), LaunchConfig(), mem)
+    assert facts.races == dict.fromkeys("OP", "carried pointer may change buffer")
+    want = ("race on buffer 'O' element 0: warps 0 and 1 touch it between two synchronization points, "
+            "not only reading it or storing the same bits (@rebase wg=0 pid=(0, 0, 0) warp=0 tt.store)")
+    assert str(exc) == want
+    assert _both_ways(monkeypatch, _rebased_carry(), LaunchConfig(), mem) == ("error", want)
+
+
+def _rebased_to_slm() -> KernelFn:
+    """One warp per workgroup: a loop-carried pointer starts at row pid + I[0]
+    of O, a row offset read from memory, and each trip moves it to an SLM
+    row.  Trip 0 stores pid + 1 to O, trip 1 to the SLM row; after the loop
+    every workgroup loads its SLM row and stores it to row pid + 2 of O."""
+    fb = FunctionBuilder("reslm", [("O", PtrType(F32)), ("I", PtrType(ElemType.i32))], num_warps=1, warp_level=True)
+    o, i = fb.fn.args
+    c0, c1, c2, c4 = (fb.constant(v) for v in (0, 1, 2, 4))
+    pid, slm = fb.program_id(0), fb.alloc((1, 4), F32)
+    k = fb.reduce(fb.load(fb.make_tensor_ptr(i, [c1], [c1], [c0], (1,), (0,))), "max", 0)
+    start = fb.advance(fb.make_tensor_ptr(o, [c4, c4], [c4, c1], [c0, c0], (1, 4), (1, 0)),
+                       [fb.binary("arith.addi", pid, k), c0])
+    row = fb.convert(fb.splat(fb.binary("arith.addi", pid, c1), (1, 4)), F32)
+    _, (ptr,) = fb.begin_for(c0, c2, c1, [start])
+    fb.store(ptr, row)
+    fb.end_for([slm])
+    fb.barrier()
+    below = fb.make_tensor_ptr(o, [c4, c4], [c4, c1], [fb.binary("arith.addi", pid, c2), c0], (1, 4), (1, 0))
+    fb.store(below, fb.load(slm))
+    fb.ret()
+    return fb.build()
+
+
+def test_a_carry_whose_offsets_are_not_known_still_loses_its_buffer(monkeypatch):
+    # the carry starts in O at an offset read from memory and moves to the
+    # SLM row: the SLM must stay race-checked, or the load after the loop
+    # would gather workgroup 0's SLM row once for every workgroup
+    mem = _zeros(O=(4, 4))
+    mem.set_tensor("I", np.zeros(1), ElemType.i32)
+    launch = LaunchConfig(grid=(2, 1, 1))
+    facts, out = footprints(monkeypatch, _rebased_to_slm(), launch, mem)
+    assert facts.races == dict.fromkeys(("O", "I", "%slm0"), "carried pointer may change buffer")
+    assert np.array_equal(out.tensor("O"), np.repeat([1, 2, 1, 2], 4).reshape(4, 4))
+    _both_ways(monkeypatch, _rebased_to_slm(), launch, mem)
+
+
 def _rows_down(trips: int) -> KernelFn:
     """Warp w of 4 loads rows w, w + 1, ... of a 6-row X, one per trip, through
     a carried pointer: with 4 trips warp 3 reads row 6 on the last trip."""

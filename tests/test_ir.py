@@ -12,7 +12,6 @@ from tilec.ir import (
     PtrType,
     TensorType,
     VerifyError,
-    build_defuse,
     fn_equal,
     module_equal,
     scalar,
@@ -122,9 +121,8 @@ def test_structural_equality():
 
 def test_defuse_chains():
     fn = _add_kernel()
-    du = build_defuse(fn)
-    assert isinstance(du, DefUse)
+    du = DefUse(fn)
     load = next(op for op in walk_fn_ops(fn) if op.kind == "tt.load")
     users = du.users_of(load.results[0])
     assert [u.kind for u in users] == ["arith.mulf"]
-    assert du.producer_of(load.results[0]) is load
+    assert load.results[0].producer is load

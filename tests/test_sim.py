@@ -689,16 +689,16 @@ def test_fixtures_do_not_race_and_any_schedule_gives_their_bits(name):
         assert out.equal_bits(perm), level
 
 
-def _slm_echo(past_end: bool = False) -> KernelFn:
-    """Warp 1 of each workgroup stores its program id plus 1 to an SLM row
-    (one row further down if `past_end`); after a barrier, warp w of
-    workgroup g loads the row and stores it to row 2g + w of O."""
-    fb = FunctionBuilder("echo", [("O", PtrType(F32))], num_warps=2, warp_level=True)
+def _slm_echo(past_end: bool = False, warps: int = 2) -> KernelFn:
+    """The last of `warps` warps of each workgroup stores its program id plus
+    1 to an SLM row (one row further down if `past_end`); after a barrier,
+    warp w of workgroup g loads the row and stores it to row g * warps + w of O."""
+    fb = FunctionBuilder("echo", [("O", PtrType(F32))], num_warps=warps, warp_level=True)
     (o,) = fb.fn.args
-    c0, c1, c2, c4, c8 = (fb.constant(v) for v in (0, 1, 2, 4, 8))
+    c0, c1, c2, c4, c8 = (fb.constant(v) for v in (0, 1, warps, 4, 8))
     pid, wid = fb.program_id(0), fb.warp_id()
     slm = fb.alloc((1, 4), F32)
-    fb.begin_if(fb.cmpi("eq", wid, c1))
+    fb.begin_if(fb.cmpi("eq", wid, fb.constant(warps - 1)))
     row = fb.convert(fb.splat(fb.binary("arith.addi", pid, c1), (1, 4)), F32)
     fb.store(fb.advance(slm, [c1, c0]) if past_end else slm, row)
     fb.end_if()
@@ -709,17 +709,20 @@ def _slm_echo(past_end: bool = False) -> KernelFn:
     return fb.build()
 
 
-def test_each_workgroup_has_its_own_slm():
+@pytest.mark.parametrize("warps", [2, 1])
+def test_each_workgroup_has_its_own_slm(warps):
+    # with one warp, no two rows of a workgroup share the SLM row, so no race
+    # marks are kept on it; its load still reads each workgroup's own row
     mem = DeviceMemory()
     mem.set_tensor("O", np.zeros((8, 4)), F32)
-    out = run(_slm_echo(), LaunchConfig(grid=(3, 1, 1)), mem)
+    out = run(_slm_echo(warps=warps), LaunchConfig(grid=(3, 1, 1)), mem)
     want = np.zeros((8, 4), dtype=np.float32)
-    want[:6] = np.repeat(np.arange(1, 4), 2)[:, None]
+    want[: 3 * warps] = np.repeat(np.arange(1, 4), warps)[:, None]
     assert np.array_equal(out.tensor("O"), want)
     with pytest.raises(SimError) as exc:
-        run(_slm_echo(past_end=True), LaunchConfig(grid=(3, 1, 1)), mem)
+        run(_slm_echo(past_end=True, warps=warps), LaunchConfig(grid=(3, 1, 1)), mem)
     assert str(exc.value) == (
-        "out-of-bounds block access: dim 0 window [1, 2) outside [0, 1) (@echo wg=0 pid=(0, 0, 0) warp=1 tt.store)"
+        f"out-of-bounds block access: dim 0 window [1, 2) outside [0, 1) (@echo wg=0 pid=(0, 0, 0) warp={warps - 1} tt.store)"
     )
 
 

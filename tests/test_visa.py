@@ -57,6 +57,8 @@ def test_parse_target_errors():
         parse_target("clock=9000")
     with pytest.raises(ValueError):
         parse_target("threads_per_warp=many")
+    with pytest.raises(ValueError, match="^target line 2: repeated key max_load$"):
+        parse_target("max_load=32x32\nmax_load=8x8")
 
 
 def test_lower_requires_intrinsic_level():
