@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .ir import KernelFn, KernelModule, PtrType, VerifyError
+from .ir import KernelFn, KernelModule, PtrType, TilingHint, VerifyError
 from .layouts import LayoutError
 from .oracle import rel_max_err
 from .passes import CompileResult, PassError, compile_kernel
@@ -79,8 +79,10 @@ def _parse_hints(items: list[str]) -> dict[int, str]:
     hints: dict[int, str] = {}
     for item in items:
         key, _, val = item.partition("=")
-        if not key.startswith("dot") or not key[3:].isdigit() or not val:
-            raise UsageError(f"--hint expects dotN=TILING, got {item!r}")
+        if not key.startswith("dot") or not key[3:].isdigit() or val not in tuple(TilingHint):
+            raise UsageError(f"--hint expects dotN=TILING with TILING one of {'|'.join(TilingHint)}, got {item!r}")
+        if int(key[3:]) in hints:
+            raise UsageError(f"--hint given twice for {key}")
         hints[int(key[3:])] = val
     return hints
 

@@ -8,7 +8,7 @@ once verified: passes rebuild rather than mutate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterator, Sequence, Union
 
@@ -673,58 +673,6 @@ def _verify_op(fn: KernelFn, op: Operation, err: Callable[..., None], warp_ok: b
             err(f"{k}: body takes no arguments", op)
     else:
         err(f"unknown op kind {k!r}", op)
-
-
-# --------------------------------------------------------------------------
-# def-use
-
-class DefUse:
-    """Users of every value in a function, with loop-carried values (init
-    operand, body arg, yield operand, loop result) linked into chains so
-    analyses can cross region boundaries.  A value's producer is
-    ``Value.producer``."""
-
-    def __init__(self, fn: KernelFn):
-        self.fn = fn
-        self.users: dict[int, list[Operation]] = {}
-        self._values: dict[int, Value] = {}
-        self._chain: dict[int, set[int]] = {}
-        for a in fn.args:
-            self._add_value(a)
-        self._scan(fn.body)
-
-    def _add_value(self, v: Value) -> None:
-        self._values[id(v)] = v
-        self.users.setdefault(id(v), [])
-
-    def _scan(self, region: Region) -> None:
-        for op in region.ops:
-            for v in op.operands:
-                self.users.setdefault(id(v), []).append(op)
-                self._values.setdefault(id(v), v)
-            for r in op.results:
-                self._add_value(r)
-            for sub in op.regions:
-                for a in sub.args:
-                    self._add_value(a)
-                self._scan(sub)
-            for members in loop_carries(op):
-                group: set[int] = set()
-                for m in members:
-                    group |= self._chain.get(id(m), {id(m)})
-                for mid in group:
-                    self._chain[mid] = group
-
-    def users_of(self, v: Value) -> list[Operation]:
-        return self.users.get(id(v), [])
-
-    def chain(self, v: Value) -> list[Value]:
-        """The loop-carried chain through v (v alone if not loop-carried)."""
-        ids = self._chain.get(id(v), {id(v)})
-        return [self._values[i] for i in ids]
-
-    def values(self) -> list[Value]:
-        return list(self._values.values())
 
 
 # --------------------------------------------------------------------------

@@ -102,7 +102,7 @@ def tile_root(shape: Sequence[int], num_warps: int, hint: TilingHint | str | Non
         if best_key is None or key < best_key:
             best, best_key = (w0, w1), key
     if best is None:
-        kind = hint.value if isinstance(hint, TilingHint) else "square"
+        kind = hint.value if isinstance(hint, TilingHint) else hint or "square"
         raise LayoutError(
             f"workgroup shape {shape} not divisible by any {kind} warp grid for {num_warps} warps"
         )

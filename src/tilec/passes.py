@@ -31,7 +31,6 @@ from typing import Any, Callable, Iterator, Sequence
 from .ir import (
     ELEMENTWISE_FLOAT,
     ELEMENTWISE_INT,
-    DefUse,
     Diagnostic,
     FunctionBuilder,
     KernelFn,
@@ -88,22 +87,30 @@ class Workload:
 _DEFAULT_HINT = {"gemm": None, "attention": "horizontal", "reduction": "horizontal", "elementwise": None}
 
 
-def _reachable_values(fn: KernelFn, start: Value) -> set[int]:
-    """Ids of values data-reachable from start through tile-shaping ops."""
-    du = DefUse(fn)
-    seen: set[int] = set()
+def _flow_map(fn: KernelFn) -> dict[int, list[Value]]:
+    """Each value's id to the values its data flows into through
+    tile-shaping ops: the results of every ``_CHAIN_OPS`` op that uses it,
+    and the other members of each loop-carry group it belongs to."""
+    flow: dict[int, list[Value]] = {}
+    for op in walk_fn_ops(fn):
+        if op.kind in _CHAIN_OPS:
+            for v in op.operands:
+                flow.setdefault(id(v), []).extend(op.results)
+        for group in loop_carries(op):
+            for m in group:
+                flow.setdefault(id(m), []).extend(o for o in group if o is not m)
+    return flow
+
+
+def _reachable_values(flow: dict[int, list[Value]], start: Value) -> set[int]:
+    """Ids of the values start's data reaches through ``flow``."""
+    seen = {id(start)}
     frontier = [start]
     while frontier:
-        v = frontier.pop()
-        if id(v) in seen:
-            continue
-        seen.add(id(v))
-        for linked in du.chain(v):
-            if id(linked) not in seen:
-                frontier.append(linked)
-        for u in du.users_of(v):
-            if u.kind in _CHAIN_OPS:
-                frontier.extend(u.results)
+        for w in flow.get(id(frontier.pop()), ()):
+            if id(w) not in seen:
+                seen.add(id(w))
+                frontier.append(w)
     return seen
 
 
@@ -113,22 +120,17 @@ def classify_workload(fn: KernelFn) -> Workload:
     the last reduce, or the last stored tile."""
     dots = [op for op in walk_fn_ops(fn) if op.kind == "tt.dot"]
     if dots:
-        reach = {id(d): _reachable_values(fn, d.results[0]) for d in dots}
-        chained = any(
-            id(a.operands[i]) in reach[id(b)]
-            for a in dots
-            for b in dots
-            if a is not b
-            for i in (0, 1)
-        )
-        if not chained:
-            root = dots[-1]
-            return Workload("gemm", root, root.attrs.get("tiling") or _DEFAULT_HINT["gemm"])
+        flow = _flow_map(fn)
+        reach = {id(d): _reachable_values(flow, d.results[0]) for d in dots}
+        # a final dot's result reaches no other dot's a or b operand
         final = [
             d
             for d in dots
             if not any(id(o.operands[i]) in reach[id(d)] for o in dots if o is not d for i in (0, 1))
         ]
+        if len(final) == len(dots):  # no dot feeds another
+            root = dots[-1]
+            return Workload("gemm", root, root.attrs.get("tiling") or _DEFAULT_HINT["gemm"])
         if len(final) != 1:
             raise _fail(fn, f"attention pattern needs one final dot, found {len(final)}")
         root = final[0]
@@ -364,28 +366,21 @@ class _LayoutState:
             self.diags.append(Diagnostic(f"layout proposal rejected: {e}", self.fn.name, op))
             return False
         cur = self.enc.get(id(v))
-        if cur is None:
+        if cur is None or prio > cur[0]:
             self.enc[id(v)] = (prio, enc)
             return True
         cur_prio, cur_enc = cur
-        cur_eq = equivalent_blocked(cur_enc, shape)
-        if new_eq == cur_eq:
-            if prio > cur_prio:
-                self.enc[id(v)] = (prio, enc)
-                return True
-            return False
-        if prio > cur_prio:
-            self.enc[id(v)] = (prio, enc)
-            return True
         if prio == cur_prio:
-            self.diags.append(
-                Diagnostic(
-                    f"conflicting layouts for {v.type}: {cur_enc} partitions as {cur_eq}, "
-                    f"{enc} partitions as {new_eq}",
-                    self.fn.name,
-                    op,
+            cur_eq = equivalent_blocked(cur_enc, shape)
+            if cur_eq != new_eq:
+                self.diags.append(
+                    Diagnostic(
+                        f"conflicting layouts for {v.type}: {cur_enc} partitions as {cur_eq}, "
+                        f"{enc} partitions as {new_eq}",
+                        self.fn.name,
+                        op,
+                    )
                 )
-            )
         return False
 
 
@@ -438,27 +433,19 @@ def assign_layouts(fn: KernelFn) -> KernelFn:
     if state.diags:
         raise PassError(state.diags)
 
-    # tiles the flow never reached: replicate across warps, unless they take
-    # part in a dot or store (those must be partitioned deliberately)
-    du = DefUse(fn)
-    for v in du.values():
-        if not _carries_layout(v.type) or id(v) in state.enc:
-            continue
-        for u in du.users_of(v):
-            if u.kind in ("tt.dot", "tt.store"):
-                raise _fail(fn, f"layout assignment left a {u.kind} operand uncovered", u)
-        prod = v.producer
-        if isinstance(prod, Operation) and prod.kind == "tt.dot":
-            raise _fail(fn, "layout assignment left a tt.dot result uncovered", prod)
-        shape = _block_shape(v)
-        rank = len(shape)
-        order = tuple(range(rank - 1, -1, -1))
-        state.enc[id(v)] = (_EQ, BlockedEncoding(shape, (1,) * rank, order))
+    def uncovered(v: Value) -> bool:
+        return _carries_layout(v.type) and id(v) not in state.enc
 
-    # loop-carried slots may settle on distinct equivalent aliases; a loop's
-    # init, region arg, and result share one textual type, so unify on the
-    # init's form (outer loops first, since a result can seed a later init)
     for op in walk_fn_ops(fn):
+        # a dot or store must be partitioned deliberately, never replicated
+        if op.kind in ("tt.dot", "tt.store") and any(map(uncovered, op.operands)):
+            raise _fail(fn, f"layout assignment left a {op.kind} operand uncovered", op)
+        if op.kind == "tt.dot" and uncovered(op.results[0]):
+            raise _fail(fn, "layout assignment left a tt.dot result uncovered", op)
+        # loop-carried slots may settle on distinct equivalent aliases; a
+        # loop's init, region arg, and result share one textual type, so
+        # unify on the init's form (outer loops first, since a result can
+        # seed a later init)
         for init, arg, res, *_ in loop_carries(op):
             if _carries_layout(init.type) and id(init) in state.enc:
                 state.enc[id(arg)] = state.enc[id(res)] = state.enc[id(init)]
@@ -466,7 +453,13 @@ def assign_layouts(fn: KernelFn) -> KernelFn:
     def type_of(v: Value) -> Type:
         if not _carries_layout(v.type):
             return v.type
-        return retile(v.type, _block_shape(v), state.enc[id(v)][1])
+        shape = _block_shape(v)
+        if id(v) in state.enc:
+            return retile(v.type, shape, state.enc[id(v)][1])
+        # a tile the flow never reached is replicated across warps
+        rank = len(shape)
+        order = tuple(range(rank - 1, -1, -1))
+        return retile(v.type, shape, BlockedEncoding(shape, (1,) * rank, order))
 
     out = _clone_fn(fn, type_of=type_of)
     verify_or_raise(out)

@@ -143,6 +143,8 @@ def test_target_file_flag(tmp_path):
 def test_usage_errors_exit_3(capsys):
     assert main(["compile", "nosuch_kernel"]) == 3
     assert main(["compile", "gemm_256", "--hint", "dot=horizontal"]) == 3
+    assert main(["compile", "gemm_256", "--hint", "dot0=diagonal"]) == 3
+    assert main(["compile", "gemm_256", "--hint", "dot0=square", "--hint", "dot0=vertical"]) == 3
     assert main(["run", "gemm_256", "--grid", "zero,one"]) == 3
     assert main(["run", "gemm_256", "--grid", "0,1"]) == 3
     assert main(["compile", "gemm_256", "--level", "bogus"]) == 3

@@ -52,6 +52,11 @@ def test_tile_root_rank1():
 def test_tile_root_indivisible():
     with pytest.raises(LayoutError):
         tile_root((100, 256), 32, "horizontal")  # 100 % 32 != 0
+    # the passes hand the hint over as the dot's plain-string attribute
+    with pytest.raises(LayoutError, match="not divisible by any vertical warp grid for 3 warps"):
+        tile_root((256, 256), 3, "vertical")
+    with pytest.raises(LayoutError, match="not divisible by any vertical warp grid for 3 warps"):
+        tile_root((256, 256), 3, TilingHint.vertical)
 
 
 def test_equivalent_blocked_identity():

@@ -45,6 +45,105 @@ def test_classify_workloads():
     assert classify_workload(load_fixture("fa2_d64")).kind == "attention"
 
 
+class _Tiles:
+    """A 64x64 kernel under construction: f16 operand tiles from one buffer,
+    f32 accumulators, and stores to another."""
+
+    def __init__(self, name: str):
+        self.fb = fb = FunctionBuilder(name, [("X", PtrType(F16)), ("O", PtrType(F32))], num_warps=4)
+        self.x_arg, self.o_arg = fb.fn.args
+        self.c0, self.c1, self.c64 = fb.constant(0), fb.constant(1), fb.constant(64)
+
+    def ptr(self, arg):
+        c0, c1, c64 = self.c0, self.c1, self.c64
+        return self.fb.make_tensor_ptr(arg, [c64, c64], [c64, c1], [c0, c0], (64, 64), (1, 0))
+
+    def load(self):
+        return self.fb.load(self.ptr(self.x_arg))
+
+    def dot(self, a, b):
+        return self.fb.dot(a, b, self.fb.splat(self.fb.constant(0.0, F32), (64, 64)))
+
+    def store(self, v):
+        self.fb.store(self.ptr(self.o_arg), v)
+
+    def build(self):
+        self.fb.ret()
+        return self.fb.build()
+
+
+def test_unchained_dots_are_gemm_rooted_at_the_last():
+    k = _Tiles("two_gemms")
+    a, b = k.load(), k.load()
+    k.store(k.dot(a, b))
+    k.store(k.dot(b, a))
+    fn = k.build()
+    work = classify_workload(fn)
+    assert (work.kind, work.root, work.hint) == ("gemm", ops_of(fn, "tt.dot")[1], None)
+
+
+def test_dot_through_exp_and_convert_is_attention():
+    k = _Tiles("chain")
+    q, kt, v = k.load(), k.load(), k.load()
+    p = k.fb.convert(k.fb.exp(k.dot(q, kt)), F16)
+    k.store(k.dot(p, v))
+    fn = k.build()
+    work = classify_workload(fn)
+    assert (work.kind, work.root, work.hint) == ("attention", ops_of(fn, "tt.dot")[1], "horizontal")
+
+
+def test_dot_chained_only_through_a_loop_carry_is_attention():
+    # the first dot reads the carried tile; the second one's result reaches it
+    # only as the next iteration's body arg, never as a direct operand
+    k = _Tiles("carried")
+    a, b = k.load(), k.load()
+    fb = k.fb
+    _, (acc,) = fb.begin_for(k.c0, k.c64, k.c1, [a])
+    k.store(k.dot(acc, b))
+    nxt = fb.convert(k.dot(a, b), F16)
+    fb.end_for([nxt])
+    fn = k.build()
+    work = classify_workload(fn)
+    assert (work.kind, work.root) == ("attention", ops_of(fn, "tt.dot")[0])
+
+
+def test_dot_feeding_two_dots_has_no_single_root():
+    k = _Tiles("fork")
+    q, kt, v = k.load(), k.load(), k.load()
+    p = k.fb.convert(k.dot(q, kt), F16)
+    k.store(k.dot(p, v))
+    k.store(k.dot(v, p))
+    with pytest.raises(PassError) as exc:
+        classify_workload(k.build())
+    assert str(exc.value) == "@fork: attention pattern needs one final dot, found 2"
+
+
+def test_reduce_and_store_only_kernels():
+    k = _Tiles("rowmax")
+    k.fb.reduce(k.fb.convert(k.load(), F32), "max", 1)
+    fn = k.build()
+    work = classify_workload(fn)
+    assert (work.kind, work.root, work.hint) == ("reduction", ops_of(fn, "tt.reduce")[0], "horizontal")
+    k = _Tiles("copy")
+    k.store(k.fb.convert(k.load(), F32))
+    fn = k.build()
+    work = classify_workload(fn)
+    assert (work.kind, work.root, work.hint) == ("elementwise", ops_of(fn, "tt.store")[0], None)
+
+
+def test_dot_disconnected_from_the_root_is_reported():
+    # the first dot shares no tile with the root (the last dot), so no
+    # layout reaches its operands
+    k = _Tiles("apart")
+    k.store(k.dot(k.load(), k.load()))
+    k.store(k.dot(k.load(), k.load()))
+    fn = k.build()
+    with pytest.raises(PassError) as exc:
+        assign_layouts(fn)
+    assert str(exc.value) == "@apart: layout assignment left a tt.dot operand uncovered"
+    assert exc.value.diagnostics[0].op is ops_of(fn, "tt.dot")[0]
+
+
 def test_source_is_not_mutated():
     fn = load_fixture("gemm_256")
     before = [op.kind for op in walk_fn_ops(fn)]
