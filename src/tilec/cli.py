@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import kernels
-from .ir import KernelFn, KernelModule, PtrType, TilingHint, VerifyError
+from .ir import KernelFn, KernelModule, PtrType, TilingHint, VerifyError, walk_fn_ops
 from .layouts import LayoutError
 from .oracle import rel_max_err
 from .passes import CompileResult, PassError, compile_kernel
@@ -120,7 +120,11 @@ def _compile(fn: KernelFn, args, target: TargetConfig, to_level: str) -> Compile
     if args.num_warps is not None:
         fn = copy.copy(fn)  # shares the body, which passes never mutate
         fn.num_warps = args.num_warps
-    return compile_kernel(fn, target=target, to_level=to_level, hints=_parse_hints(args.hint))
+    hints = _parse_hints(args.hint)
+    dots = sum(op.kind == "tt.dot" for op in walk_fn_ops(fn))
+    if any(i >= dots for i in hints):
+        raise UsageError(f"--hint dot{max(hints)} names no dot: the kernel's dot count is {dots}")
+    return compile_kernel(fn, target=target, to_level=to_level, hints=hints)
 
 
 def _memory_for(fn: KernelFn, fx: kernels.Fixture | None, args) -> DeviceMemory:

@@ -34,15 +34,14 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .ir import ElemType
+from .ir import ELEMENTWISE_INT, ElemType
 
 LOADED = "offset depends on a loaded value"
 _TILE = "offset depends on a tile or float value"
 _UNSTEADY = "carried pointer is not advanced by a loop-invariant amount"
 _REBASED = "carried pointer may change buffer"
 _BOUNDS = "loop bounds are not known before the run"
-_PURE = {"arith.constant", "tt.get_program_id", "tt.warp_id", "arith.cmpi",  # scalar kinds without effects
-         "arith.addi", "arith.subi", "arith.muli", "arith.divi", "arith.remi"}
+_PURE = {"arith.constant", "tt.get_program_id", "tt.warp_id", "arith.cmpi"} | ELEMENTWISE_INT  # scalar kinds without effects
 
 
 class _Form(NamedTuple):

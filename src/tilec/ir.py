@@ -378,7 +378,7 @@ def _verify_op(fn: KernelFn, op: Operation, err: Callable[..., None], warp_ok: b
     if k == "tt.get_program_id":
         if op.attrs.get("axis") not in (0, 1, 2):
             err(f"{k}: axis must be 0, 1, or 2", op)
-        if n_in != 0 or not _is_scalar(op.results[0].type, ElemType.i32):
+        if n_in != 0 or n_out != 1 or not _is_scalar(op.results[0].type, ElemType.i32):
             err(f"{k}: signature is () -> i32", op)
     elif k == "tt.warp_id":
         if n_in != 0 or n_out != 1 or not _is_scalar(op.results[0].type, ElemType.i32):

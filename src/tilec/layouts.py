@@ -77,6 +77,8 @@ def tile_root(shape: Sequence[int], num_warps: int, hint: TilingHint | str | Non
     shape = tuple(shape)
     if any(d < 1 for d in shape):
         raise LayoutError(f"bad shape {shape}")
+    if hint is not None and hint not in tuple(TilingHint):
+        raise LayoutError(f"unknown tiling hint {hint!r}")
     if len(shape) == 1:
         if shape[0] % num_warps != 0:
             raise LayoutError(f"shape {shape} not divisible by {num_warps} warps")

@@ -16,16 +16,16 @@ two passes pass it through untouched.
 Every pass rebuilds through one skeleton, ``_Rebuild``: it maps each old
 value to its new values, rebuilds scf.for and scf.if, and hands every other
 op to the pass.  One rule, ``_ties``, says which values share a shape, a
-layout and a split: layout assignment propagates along its pairs and target
-matching splits each tied set alike.  Loop-carry groups come from
-``ir.loop_carries`` and tile types from ``ir.tile_type``.
+layout and a split: layout assignment propagates along its pairs, and target
+matching splits each tied set alike and runs each tying op piece by piece.
+Loop-carry groups come from ``ir.loop_carries``, tile types from ``ir.tile_type``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, repeat
 from typing import Any, Callable, Iterator, Sequence
 
 from .ir import (
@@ -236,7 +236,7 @@ def apply_tiling_hints(fn: KernelFn, hints: dict[int, str]) -> KernelFn:
     dots = [op for op in walk_fn_ops(fn) if op.kind == "tt.dot"]
     for i, hint in hints.items():
         if not (0 <= i < len(dots)):
-            raise _fail(fn, f"tiling hint names dot {i} but the kernel has {len(dots)} dots")
+            raise _fail(fn, f"tiling hint names dot {i} but the kernel's dot count is {len(dots)}")
         if hint not in tuple(TilingHint):
             raise _fail(fn, f"unknown tiling hint {hint!r}")
     index = {id(d): i for i, d in enumerate(dots)}
@@ -594,19 +594,19 @@ def _block_index(offset: Sequence[int], block: Sequence[int], whole: Sequence[in
 
 def _strip(t: Type) -> Type:
     tt = tile_type(t)
-    return retile(t, tt.shape, None) if isinstance(tt, TensorType) else t
+    return retile(t, tt.shape, None) if isinstance(tt, TensorType) and tt.encoding is not None else t
 
 
 def match_target_size(fn: KernelFn, target: TargetConfig = PVC) -> KernelFn:
     """Split warp tiles into target-sized pieces.
 
-    Values tied by ``_ties`` (loads, stores, pointer advances, elementwise
-    math, casts, dot accumulators, loop carries) split together; each group's
-    piece shape is the largest per-dim divisor within every limit imposed on
-    it (load/store block caps, dot result caps).  Dots expand into a grid of
-    unit dots chained over the contraction dim, pulling operand sub-blocks
-    out of whichever pieces cover them.  Reductions, broadcasts, and
-    cross-warp ops run on the glued whole and re-split their results."""
+    Values tied by ``_ties`` split together; each group's piece shape is the
+    largest per-dim divisor within every limit imposed on it (load/store
+    block caps, dot result caps).  A dot becomes unit dots chained over the
+    contraction dim, and an extract a sub-block, each taken from whichever
+    pieces cover it; a splat or an op that ties values runs once per piece;
+    every other op runs on glued wholes, which split block pointers lack.
+    Results are re-split to their piece shape."""
     if fn.level == "workgroup" and not fn.warp_level:
         raise _fail(fn, "target matching expects warp-level input (run distribution first)")
     if fn.level == "intrinsic":
@@ -621,9 +621,11 @@ def match_target_size(fn: KernelFn, target: TargetConfig = PVC) -> KernelFn:
         cur = clamps.get(root)
         clamps[root] = [min(a, b) for a, b in zip(cur, dims)] if cur else list(dims)
 
+    tied: dict[int, set[int]] = {}  # each tying op's id to the ids of the values it ties
     for op in walk_fn_ops(fn):
         for a, b in _ties(op):
             uf.union(id(a), id(b))
+            tied.setdefault(id(op), set()).update((id(a), id(b)))
 
     diags: list[Diagnostic] = []
     for op in walk_fn_ops(fn):
@@ -666,6 +668,8 @@ def match_target_size(fn: KernelFn, target: TargetConfig = PVC) -> KernelFn:
         ps = pieces[id(v)]
         if len(ps) == 1:
             return ps[0]
+        if isinstance(v.type, PtrType):
+            raise _fail(fn, f"{v.type} is split in {len(ps)} pieces, and block pointers do not glue")
         return rb.memo(("whole", id(v)), lambda: fb.glue(ps, _block_shape(v)))
 
     def split_out(v: Value, built: Value) -> None:
@@ -696,18 +700,7 @@ def match_target_size(fn: KernelFn, target: TargetConfig = PVC) -> KernelFn:
 
     def emit(op: Operation) -> None:
         k = op.kind
-        if k in ("tt.make_tensor_ptr", "tt.alloc"):
-            r = op.results[0]
-            split_out(r, fb.op(k, [rb.one(v) for v in op.operands], op.attrs, [_strip(r.type)]).result)
-        elif k == "tt.advance":
-            deltas = [rb.one(v) for v in op.operands[1:]]
-            pieces[id(op.results[0])] = [fb.advance(pp, deltas) for pp in pieces[id(op.operands[0])]]
-        elif k == "tt.load":
-            pieces[id(op.results[0])] = [fb.load(pp) for pp in pieces[id(op.operands[0])]]
-        elif k == "tt.store":
-            for pp, vp in zip(pieces[id(op.operands[0])], pieces[id(op.operands[1])]):
-                fb.store(pp, vp)
-        elif k == "tt.dot":
+        if k == "tt.dot":
             a, b, c = op.operands
             m, kk = a.type.shape
             n = b.type.shape[1]
@@ -723,25 +716,25 @@ def match_target_size(fn: KernelFn, target: TargetConfig = PVC) -> KernelFn:
                         acc = fb.dot(a_sub, b_sub, acc)
                     out.append(acc)
             pieces[id(op.results[0])] = out
+        elif k == "tt.extract":
+            src, r = op.operands[0], op.results[0]
+            block, index = _block_shape(r), op.attrs["index"]
+            coord = divmod(index, _block_shape(src)[1] // block[1]) if len(block) == 2 else (index,)
+            split_out(r, sub_block(src, tuple(c * b for c, b in zip(coord, block)), block))
         elif k == "tt.splat":
             r = op.results[0]
             src = rb.one(op.operands[0])
             pieces[id(r)] = [fb.splat(src, piece_of(r)) for _ in range(math.prod(grid_of(r)))]
-        elif k in ("tt.reduce", "tt.expand_dims", "tt.broadcast"):
+        elif id(op) in tied:  # piece by piece; an untied operand is a scalar
+            ins = [pieces[id(v)] if id(v) in tied[id(op)] else repeat(rb.one(v)) for v in op.operands]
+            types = [retile(r.type, piece_of(r), None) for r in op.results]
+            built = [fb.op(k, list(group), op.attrs, types) for group in zip(*ins)]
+            for j, r in enumerate(op.results):
+                pieces[id(r)] = [b.results[j] for b in built]
+        else:  # on glued wholes; a scalar op is a plain copy
             built = fb.op(k, [whole_of(v) for v in op.operands], op.attrs, [_strip(r.type) for r in op.results])
-            split_out(op.results[0], built.result)
-        elif k == "tt.convert":
-            elem = op.results[0].type.elem
-            pieces[id(op.results[0])] = [fb.convert(pp, elem) for pp in pieces[id(op.operands[0])]]
-        elif k in ELEMENTWISE_FLOAT or k in ELEMENTWISE_INT or k == "arith.cmpi":
-            # piece by piece; a scalar is its own single piece
-            elem = op.results[0].type.elem
-            pieces[id(op.results[0])] = [
-                fb.op(k, list(group), op.attrs, [TensorType(group[0].type.shape, elem)]).result
-                for group in zip(*(pieces[id(v)] for v in op.operands))
-            ]
-        else:  # scalar producers, barriers, returns
-            rb.copy(op, [_strip(r.type) for r in op.results])
+            for r, nr in zip(op.results, built.results):
+                split_out(r, nr)
 
     out = rb.run(emit)
     verify_or_raise(out)

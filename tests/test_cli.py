@@ -145,6 +145,8 @@ def test_usage_errors_exit_3(capsys):
     assert main(["compile", "gemm_256", "--hint", "dot=horizontal"]) == 3
     assert main(["compile", "gemm_256", "--hint", "dot0=diagonal"]) == 3
     assert main(["compile", "gemm_256", "--hint", "dot0=square", "--hint", "dot0=vertical"]) == 3
+    assert main(["compile", "gemm_256", "--hint", "dot3=horizontal"]) == 3
+    assert "the kernel's dot count is 1" in capsys.readouterr().err
     assert main(["run", "gemm_256", "--grid", "zero,one"]) == 3
     assert main(["run", "gemm_256", "--grid", "0,1"]) == 3
     assert main(["compile", "gemm_256", "--level", "bogus"]) == 3
@@ -175,6 +177,17 @@ def test_parse_failure_exits_1(tmp_path, capsys):
     (tmp_path / "broken.ttir").write_text("tt.func public @f() attributes {num_warps = 1} {\n  %0 = ???\n}")
     assert main(["compile", "broken.ttir"]) == 1
     assert "error" in capsys.readouterr().err
+
+
+def test_result_less_program_id_exits_1(tmp_path, capsys):
+    (tmp_path / "noresult.ttir").write_text(
+        "tt.func public @f() attributes {num_warps = 1} {\n"
+        "  tt.get_program_id {axis = 0} : () -> ()\n"
+        "  tt.return : () -> ()\n}\n"
+    )
+    assert main(["compile", "noresult.ttir"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_layout_conflict_exits_1(tmp_path, capsys):

@@ -18,6 +18,7 @@ from tilec.ir import (
     verify_or_raise,
     walk_fn_ops,
 )
+from tilec.textio import parse_module
 
 F16 = ElemType.f16
 F32 = ElemType.f32
@@ -64,6 +65,13 @@ def test_verifier_rejects_shape_mismatch():
     with pytest.raises(VerifyError) as exc:
         verify_or_raise(fn)
     assert "axpy" in str(exc.value)
+
+
+@pytest.mark.parametrize("op", ["tt.get_program_id {axis = 0}", "tt.warp_id", "arith.constant {value = 0}", "tt.alloc"])
+def test_verifier_rejects_a_producer_without_a_result(op):
+    text = f"tt.func public @f() attributes {{num_warps = 1, warp_level = true}} {{\n  {op} : () -> ()\n  tt.return : () -> ()\n}}\n"
+    with pytest.raises(VerifyError):
+        verify_or_raise(parse_module(text).functions[0])
 
 
 def test_verifier_rejects_bad_dot():

@@ -42,6 +42,8 @@ def test_tile_root_hints():
     assert tile_root((256, 256), 32, TilingHint.horizontal).warps_per_cta == (32, 1)
     assert tile_root((256, 256), 32, "vertical").warps_per_cta == (1, 32)
     assert tile_root((256, 256), 32, TilingHint.square) == tile_root((256, 256), 32)
+    with pytest.raises(LayoutError, match="'diagonal'"):
+        tile_root((256, 256), 4, "diagonal")
 
 
 def test_tile_root_rank1():

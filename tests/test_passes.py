@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from conftest import ops_of
@@ -17,6 +18,7 @@ from tilec.passes import (
     distribute_to_warps,
     match_target_size,
 )
+from tilec.sim import DeviceMemory, LaunchConfig, run
 from tilec.visa import PVC
 
 F16 = ElemType.f16
@@ -236,3 +238,96 @@ def test_match_requires_warp_level_input():
 def test_pipeline_rejects_unknown_level():
     with pytest.raises(ValueError):
         compile_kernel(load_fixture("gemm_256"), to_level="nope")
+
+
+def _block_ptr(fb, arg, shape):
+    """A block pointer over all of a row-major buffer of the given shape."""
+    c = fb.constant
+    strides = (shape[1], 1) if len(shape) == 2 else (1,)
+    order = tuple(range(len(shape) - 1, -1, -1))
+    return fb.make_tensor_ptr(arg, [c(d) for d in shape], [c(s) for s in strides], [c(0)] * len(shape), shape, order)
+
+
+def _one_warp(name, x_shape, o_shape, body):
+    """A 1-warp, warp-level kernel that stores body(fb, X's block pointer)
+    to all of O; X and O are f32 buffers."""
+    fb = FunctionBuilder(name, [("X", PtrType(F32)), ("O", PtrType(F32))], num_warps=1, warp_level=True)
+    x_arg, o_arg = fb.fn.args
+    value = body(fb, _block_ptr(fb, x_arg, x_shape))
+    fb.store(_block_ptr(fb, o_arg, o_shape), value)
+    fb.ret()
+    return fb.build()
+
+
+def _outputs(fn, x, o_shape, levels=("warp", "intrinsic", "visa")):
+    """O after a run of fn at each level, with X = x."""
+    res = compile_kernel(fn)
+    mem = DeviceMemory()
+    mem.set_tensor("X", x, F32)
+    mem.set_tensor("O", np.zeros(o_shape), F32)
+    return {level: run(res.at_level(level), LaunchConfig(), mem).tensor("O") for level in levels}
+
+
+_X64 = np.arange(64 * 64, dtype=np.float32).reshape(64, 64)
+
+
+def test_extract_of_a_split_tile_takes_its_own_block():
+    # PVC's 32x32 load cap splits the 64x64 tile in four; block 2 of the
+    # 16x16 grid is rows 0-15, columns 32-47, inside the second piece
+    fn = _one_warp("tile_extract", (64, 64), (16, 16), lambda fb, xp: fb.extract(fb.load(xp), 2, (16, 16)))
+    for level, got in _outputs(fn, _X64, (16, 16)).items():
+        np.testing.assert_array_equal(got, _X64[:16, 32:48], err_msg=level)
+
+
+def test_extract_of_a_split_block_pointer_takes_its_own_block():
+    def body(fb, xp):
+        fb.load(xp)  # which splits xp in four
+        return fb.load(fb.extract(xp, 2, (16, 16)))
+
+    fn = _one_warp("ptr_extract", (64, 64), (16, 16), body)
+    for level, got in _outputs(fn, _X64, (16, 16)).items():
+        np.testing.assert_array_equal(got, _X64[:16, 32:48], err_msg=level)
+
+
+def test_glue_of_extracted_halves_that_span_pieces():
+    def body(fb, xp):
+        x = fb.load(xp)
+        return fb.glue([fb.extract(x, 1, (64, 32)), fb.extract(x, 0, (64, 32))], (64, 64))
+
+    fn = _one_warp("swap_halves", (64, 64), (64, 64), body)
+    for level, got in _outputs(fn, _X64, (64, 64)).items():
+        np.testing.assert_array_equal(got, np.hstack([_X64[:, 32:], _X64[:, :32]]), err_msg=level)
+
+
+def test_reduce_to_a_scalar_of_a_split_tile_covers_every_piece():
+    # the 64-element tile loads as two 32-element pieces
+    fn = _one_warp("total", (64,), (16,), lambda fb, xp: fb.splat(fb.reduce(fb.load(xp), "sum", 0), (16,)))
+    x = np.arange(64, dtype=np.float32)
+    for level, got in _outputs(fn, x, (16,)).items():
+        np.testing.assert_array_equal(got, np.full(16, x.sum()), err_msg=level)
+
+
+def test_pointer_extract_spanning_pieces_is_a_pass_error():
+    def body(fb, xp):
+        fb.load(xp)  # which splits xp in four
+        return fb.load(fb.extract(xp, 0, (64, 32)))
+
+    fn = _one_warp("ptr_straddle", (64, 64), (64, 32), body)
+    compile_kernel(fn, to_level="warp")
+    with pytest.raises(PassError, match="block pointers do not glue"):
+        compile_kernel(fn, to_level="intrinsic")
+
+
+def test_reduction_rooted_kernel_matches_numpy_at_every_level():
+    fb = FunctionBuilder("rowmax_exp", [("X", PtrType(F32)), ("O", PtrType(F32))], num_warps=4)
+    x_arg, o_arg = fb.fn.args
+    fb.store(_block_ptr(fb, o_arg, (128,)), fb.reduce(fb.exp(fb.load(_block_ptr(fb, x_arg, (128, 64)))), "max", 1))
+    fb.ret()
+    fn = fb.build()
+    assert classify_workload(fn).kind == "reduction"
+    x = np.random.default_rng(15).standard_normal((128, 64)).astype(np.float32)
+    got = _outputs(fn, x, (128,), levels=("workgroup", "warp", "intrinsic", "visa"))
+    np.testing.assert_array_equal(got["warp"], got["workgroup"])
+    np.testing.assert_array_equal(got["visa"], got["intrinsic"])
+    for level, out in got.items():
+        np.testing.assert_allclose(out, np.exp(x).max(axis=1), rtol=1e-6, err_msg=level)
