@@ -147,7 +147,7 @@ def _memory_for(fn: KernelFn, fx: kernels.Fixture | None, args) -> DeviceMemory:
 
 def _launch(fx: kernels.Fixture | None, args, target: TargetConfig) -> LaunchConfig:
     grid = _parse_grid(args.grid) if args.grid else (fx.grid if fx else (1, 1, 1))
-    return LaunchConfig(grid=grid, num_warps=args.num_warps, target=target)
+    return LaunchConfig(grid=grid, target=target)
 
 
 # --------------------------------------------------------------------------

@@ -8,6 +8,7 @@ once verified: passes rebuild rather than mutate.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Iterator, Sequence, Union
@@ -88,6 +89,24 @@ def retile(t: Type, shape: Sequence[int], encoding: Any) -> Type:
     """t with its tile's shape and encoding replaced; a pointer stays one."""
     nt = TensorType(tuple(shape), tile_type(t).elem, encoding)
     return PtrType(nt) if isinstance(t, PtrType) else nt
+
+
+def block_origin(whole: Sequence[int], block: Sequence[int], index: int) -> tuple[int, ...] | None:
+    """The origin of block `index` of `whole` cut into `block`-shaped blocks,
+    numbered row-major as tt.extract and tt.glue number them; None past them."""
+    origin, rest = [], index
+    for w, b in zip(whole[::-1], block[::-1]):
+        rest, c = divmod(rest, w // b)
+        origin.append(c * b)
+    return None if rest else tuple(origin[::-1])
+
+
+def block_index(whole: Sequence[int], block: Sequence[int], at: Sequence[int]) -> int:
+    """The number of the block of `whole` that holds element `at`: the inverse of ``block_origin``."""
+    index = 0
+    for w, b, a in zip(whole, block, at):
+        index = index * (w // b) + a // b
+    return index
 
 
 def scalar(elem: ElemType) -> TensorType:
@@ -558,13 +577,10 @@ def _verify_op(fn: KernelFn, op: Operation, err: Callable[..., None], warp_ok: b
         if any(s % r != 0 for s, r in zip(src.shape, res.shape)):
             err(f"{k}: result shape {res.shape} must divide source shape {src.shape}", op)
             return
-        grid = tuple(s // r for s, r in zip(src.shape, res.shape))
-        count = 1
-        for g in grid:
-            count *= g
         idx = op.attrs.get("index")
-        if not isinstance(idx, int) or not (0 <= idx < count):
-            err(f"{k}: index must lie in [0, {count}) for sub-block grid {grid}", op)
+        if not isinstance(idx, int) or block_origin(src.shape, res.shape, idx) is None:
+            grid = tuple(s // r for s, r in zip(src.shape, res.shape))
+            err(f"{k}: index must lie in [0, {math.prod(grid)}) for sub-block grid {grid}", op)
     elif k == "tt.glue":
         if n_in == 0 or n_out != 1:
             err(f"{k}: expected operands and one result", op)
@@ -584,11 +600,8 @@ def _verify_op(fn: KernelFn, op: Operation, err: Callable[..., None], warp_ok: b
             err(f"{k}: piece shape {t0.shape} must divide result shape {res.shape}", op)
             return
         grid = tuple(r // p for r, p in zip(res.shape, t0.shape))
-        count = 1
-        for g in grid:
-            count *= g
-        if count != n_in:
-            err(f"{k}: grid {grid} needs {count} pieces, got {n_in}", op)
+        if math.prod(grid) != n_in:
+            err(f"{k}: grid {grid} needs {math.prod(grid)} pieces, got {n_in}", op)
     elif k == "tt.alloc":
         if n_in != 0 or n_out != 1 or not _is_block_ptr(op.results[0].type):
             err(f"{k}: signature is () -> block pointer", op)

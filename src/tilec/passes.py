@@ -40,6 +40,8 @@ from .ir import (
     TilingHint,
     Type,
     Value,
+    block_index,
+    block_origin,
     loop_carries,
     retile,
     tile_type,
@@ -534,17 +536,18 @@ def distribute_to_warps(fn: KernelFn) -> KernelFn:
             nop = fb.op(k, [base, *dims, *offs], op.attrs, [per_warp(op.results[0].type)])
             rb.vals[id(op.results[0])] = [nop.result]
             return
-        if k == "tt.reduce" and not op.attrs.get("cross_warp"):
-            st = op.operands[0].type
-            eq = equivalent_blocked(st.encoding, st.shape)
-            axis = op.attrs["axis"]
-            if eq.size_per_warp[axis] != st.shape[axis]:
-                raise _fail(
-                    fn,
-                    f"reduce along dim {axis} crosses warps: layout gives each warp "
-                    f"{eq.size_per_warp[axis]} of {st.shape[axis]} elements",
-                    op,
-                )
+        # an op that moves data along a dim the layout splits over warps has
+        # no per-warp form: a reduce along its axis, an extract or a glue
+        # along every dim where its narrow and wide tiles differ
+        if k in ("tt.extract", "tt.glue") or (k == "tt.reduce" and not op.attrs.get("cross_warp")):
+            src, res = tile_type(op.operands[0].type), tile_type(op.results[0].type)
+            wide = res if k == "tt.glue" else src
+            moved = [op.attrs["axis"]] if k == "tt.reduce" else [d for d, n in enumerate(src.shape) if n != res.shape[d]]
+            for d in moved:
+                share = equivalent_blocked(wide.encoding, wide.shape).size_per_warp[d]
+                if share != wide.shape[d]:
+                    raise _fail(fn, f"{k} moves data along dim {d}, which the layout splits over warps: "
+                                f"each warp holds {share} of its {wide.shape[d]} elements", op)
         rb.copy(op, [per_warp(r.type) for r in op.results])
 
     out = rb.run(emit)
@@ -577,19 +580,6 @@ def _largest_divisor(n: int, cap: int) -> int:
         if n % d == 0:
             return d
     return 1
-
-
-def _flat_index(coord: Sequence[int], grid: Sequence[int]) -> int:
-    """Row-major index of coord in grid."""
-    flat = 0
-    for c, g in zip(coord, grid):
-        flat = flat * g + c
-    return flat
-
-
-def _block_index(offset: Sequence[int], block: Sequence[int], whole: Sequence[int]) -> int:
-    """Index of the block at offset among the blocks tiling whole."""
-    return _flat_index([o // b for o, b in zip(offset, block)], [w // b for w, b in zip(whole, block)])
 
 
 def _strip(t: Type) -> Type:
@@ -685,16 +675,15 @@ def match_target_size(fn: KernelFn, target: TargetConfig = PVC) -> KernelFn:
         from the covering piece, or an extract from the glued whole."""
 
         def make() -> Value:
-            p = piece_of(v)
-            coord = tuple(o // q for o, q in zip(offset, p))
-            inside = tuple(o - c * q for o, c, q in zip(offset, coord, p))
+            p, whole = piece_of(v), _block_shape(v)
+            inside = tuple(o % q for o, q in zip(offset, p))
             fits = all(i + s <= q for i, s, q in zip(inside, shape, p))
             if fits and all(i % s == 0 and q % s == 0 for i, s, q in zip(inside, shape, p)):
-                host = pieces[id(v)][_flat_index(coord, grid_of(v))]
+                host = pieces[id(v)][block_index(whole, p, offset)]
                 if shape == p:
                     return host
-                return fb.extract(host, _block_index(inside, shape, p), shape)
-            return fb.extract(whole_of(v), _block_index(offset, shape, _block_shape(v)), shape)
+                return fb.extract(host, block_index(p, shape, inside), shape)
+            return fb.extract(whole_of(v), block_index(whole, shape, offset), shape)
 
         return rb.memo(("sub", id(v), offset, shape), make)
 
@@ -702,25 +691,19 @@ def match_target_size(fn: KernelFn, target: TargetConfig = PVC) -> KernelFn:
         k = op.kind
         if k == "tt.dot":
             a, b, c = op.operands
-            m, kk = a.type.shape
-            n = b.type.shape[1]
-            pm, pn = piece_of(op.results[0])
-            m_t, n_t, k_t = m // pm, n // pn, kk // max_k
+            kk = a.type.shape[1]
+            pm, pn = p = piece_of(op.results[0])
             out: list[Value] = []
-            for i in range(m_t):
-                for j in range(n_t):
-                    acc = pieces[id(c)][i * n_t + j]
-                    for kq in range(k_t):
-                        a_sub = sub_block(a, (i * pm, kq * max_k), (pm, max_k))
-                        b_sub = sub_block(b, (kq * max_k, j * pn), (max_k, pn))
-                        acc = fb.dot(a_sub, b_sub, acc)
-                    out.append(acc)
+            for q, acc in enumerate(pieces[id(c)]):  # the accumulator's pieces, row-major
+                i, j = block_origin(_block_shape(c), p, q)
+                for kq in range(0, kk, max_k):
+                    acc = fb.dot(sub_block(a, (i, kq), (pm, max_k)), sub_block(b, (kq, j), (max_k, pn)), acc)
+                out.append(acc)
             pieces[id(op.results[0])] = out
         elif k == "tt.extract":
             src, r = op.operands[0], op.results[0]
-            block, index = _block_shape(r), op.attrs["index"]
-            coord = divmod(index, _block_shape(src)[1] // block[1]) if len(block) == 2 else (index,)
-            split_out(r, sub_block(src, tuple(c * b for c, b in zip(coord, block)), block))
+            block = _block_shape(r)
+            split_out(r, sub_block(src, block_origin(_block_shape(src), block, op.attrs["index"]), block))
         elif k == "tt.splat":
             r = op.results[0]
             src = rb.one(op.operands[0])

@@ -17,7 +17,8 @@ a scalar is a per-row vector, a block pointer holds per-row offsets, a load
 or a store moves all rows' blocks in one copy and ``tt.dot`` is one batched
 matmul.  Each workgroup has its own SLM.  A row-dependent ``scf.if``, or a
 loop whose trip count differs by row, runs under an active mask; masked-off
-rows neither load nor store.  A barrier or cross-warp reduction must be
+rows neither load nor store, and only an active row fails an integer
+division or remainder by zero.  A barrier or cross-warp reduction must be
 reached by all warps of each workgroup with an active warp; a reduction adds
 a workgroup's warps in id order.
 
@@ -62,7 +63,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import footprints
-from .ir import CMP_PREDS, ElemType, KernelFn, Operation, PtrType, tile_type
+from .ir import CMP_PREDS, ElemType, KernelFn, Operation, PtrType, block_origin, tile_type
 from .textio import _type_desc
 from .visa import CROSS_WARP_REDUCE, LOWERING, TargetConfig, VInstr, VProgram
 
@@ -184,7 +185,6 @@ def load_tensor(path: str) -> tuple[np.ndarray, ElemType]:
 @dataclass(frozen=True)
 class LaunchConfig:
     grid: tuple[int, int, int] = (1, 1, 1)
-    num_warps: int | None = None  # sanity-checked against the program's value
     target: TargetConfig | None = None  # supplies the SLM budget when set
     wg_order: tuple[int, ...] | None = None  # workgroup scheduling permutation
 
@@ -426,16 +426,21 @@ _CMP = dict(zip(CMP_PREDS, (np.equal, np.not_equal, np.less, np.less_equal, np.g
 _REDUCE = {"max": np.max, "sum": np.sum}
 
 
+def _divide(s: _Step, ctx: _Ctx, a: list) -> np.ndarray:
+    """``arith.divi`` or ``arith.remi``, which no active row may do by zero;
+    -2**31 divided by -1 wraps around to itself."""
+    if (zero := ctx.act & (a[1] == 0).reshape(ctx.n, -1).any(axis=1)).any():
+        raise SimError(ctx.where(f"{s.name}: integer division by zero", np.argmax(zero)))
+    with np.errstate(over="ignore"):
+        return _coerce(s.elem, _BINARY[s.kind](a[0], a[1]))
+
+
 def _piece(whole: tuple[int, ...], piece: tuple[int, ...], index: int) -> tuple[slice, ...]:
-    """The slices of a batch of `whole` tiles that hold piece `index` of each,
-    pieces numbered row-major."""
-    starts, rest = [], index
-    for w, p in zip(whole[::-1], piece[::-1]):
-        rest, c = divmod(rest, w // p)
-        starts.append(c * p)
-    if rest:
+    """The slices of a batch of `whole` tiles that hold piece `index` of each."""
+    origin = block_origin(whole, piece, index)
+    if origin is None:
         raise SimError(f"piece {index} lies outside a {whole} tile cut into {piece} pieces")
-    return (slice(None), *(slice(a, a + p) for a, p in zip(starts[::-1], piece)))
+    return (slice(None), *(slice(a, a + p) for a, p in zip(origin, piece)))
 
 
 # --------------------------------------------------------------------------
@@ -612,6 +617,7 @@ _SEMANTICS: dict[str, Callable[[_Step, _Ctx, list], Any]] = {
     _CROSS: _cross,
     "math.exp": lambda s, ctx, a: _coerce(s.elem, np.exp(a[0])),
     **{k: lambda s, ctx, a, f=f: _coerce(s.elem, f(a[0], a[1])) for k, f in _BINARY.items()},
+    **dict.fromkeys(("arith.divi", "arith.remi"), _divide),
     "arith.cmpi": lambda s, ctx, a: _CMP[s.attrs["pred"]](a[0], a[1]),
 }
 
@@ -700,8 +706,6 @@ def run(
     """Execute the launch as one batch; returns the mutated memory copy."""
     out = mem.copy()
     name = prog.name
-    if launch.num_warps is not None and launch.num_warps != prog.num_warps:
-        raise SimError(f"launch num_warps={launch.num_warps} but @{name} was built for {prog.num_warps}")
 
     if isinstance(prog, VProgram):
         nw = prog.num_warps

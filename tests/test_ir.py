@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import pytest
 
 from tilec.ir import (
@@ -11,6 +14,8 @@ from tilec.ir import (
     PtrType,
     TensorType,
     VerifyError,
+    block_index,
+    block_origin,
     fn_equal,
     module_equal,
     scalar,
@@ -101,6 +106,33 @@ def test_verifier_rejects_cross_warp_at_workgroup_level():
     fb.ret()
     diags = verify(fb.build())
     assert any("warp-level" in d.message for d in diags)
+
+
+@pytest.mark.parametrize(("whole", "block"), [((64,), (16,)), ((64,), (64,)), ((64, 32), (16, 8)), ((8, 8), (8, 2))])
+def test_block_numbering_round_trips(whole, block):
+    grid = [w // b for w, b in zip(whole, block)]
+    origins = [block_origin(whole, block, i) for i in range(math.prod(grid))]
+    # row-major: the last dim counts fastest
+    assert origins == [tuple(c * b for c, b in zip(cs, block)) for cs in itertools.product(*map(range, grid))]
+    assert [block_index(whole, block, o) for o in origins] == list(range(len(origins)))
+    assert [block_index(whole, block, [o + b - 1 for o, b in zip(at, block)]) for at in origins] == list(
+        range(len(origins)))  # any element of a block gives its number
+    assert block_origin(whole, block, len(origins)) is None
+    assert block_origin(whole, block, -1) is None
+
+
+def test_verifier_bounds_extract_indices_and_glue_pieces_by_the_block_grid():
+    fb = FunctionBuilder("blocks", [("X", PtrType(F16))], num_warps=1)
+    t = fb.splat(fb.constant(1.0, F32), (8, 8))
+    last = fb.extract(t, 3, (4, 4))
+    fb.extract(t, 4, (4, 4))
+    fb.glue([last] * 4, (8, 8))
+    fb.glue([last] * 3, (8, 8))
+    fb.ret()
+    assert [d.message for d in verify(fb.build())] == [
+        "tt.extract: index must lie in [0, 4) for sub-block grid (2, 2)",
+        "tt.glue: grid (2, 2) needs 4 pieces, got 3",
+    ]
 
 
 def test_walk_enters_loop_regions():

@@ -318,6 +318,45 @@ def test_pointer_extract_spanning_pieces_is_a_pass_error():
         compile_kernel(fn, to_level="intrinsic")
 
 
+def _split_tile(body, o_shape, rooted=True):
+    """A 4-warp kernel that loads a 64x64 tile of X and stores body(fb, tile)
+    to O; when `rooted`, it then stores the tile itself to P, which roots the
+    layout at the tile: 2x2 warps of 32x32."""
+    fb = FunctionBuilder("split", [("X", PtrType(F32)), ("O", PtrType(F32)), ("P", PtrType(F32))], num_warps=4)
+    x_arg, o_arg, p_arg = fb.fn.args
+    tile = fb.load(_block_ptr(fb, x_arg, (64, 64)))
+    fb.store(_block_ptr(fb, o_arg, o_shape), body(fb, tile))
+    if rooted:
+        fb.store(_block_ptr(fb, p_arg, (64, 64)), tile)
+    fb.ret()
+    return fb.build()
+
+
+_ACROSS_WARPS = [
+    # each index of a 16x16 block: 0-3 used to race between warps at run
+    # time, 4-15 to fail in the verifier after the passes
+    *[pytest.param(lambda fb, t, i=i: fb.extract(t, i, (16, 16)), (16, 16), True,
+                   "tt.extract moves data along dim 0, .* each warp holds 32 of its 64", id=f"extract{i}")
+      for i in range(16)],
+    # rooted at the extract, warps hold 8x8 of the tile: block 0 used to be
+    # warp 0's own share, right only by chance
+    pytest.param(lambda fb, t: fb.extract(t, 0, (16, 16)), (16, 16), False,
+                 "tt.extract moves data along dim 0, .* each warp holds 8 of its 64", id="extract0-unrooted"),
+    pytest.param(lambda fb, t: fb.glue([t, t], (64, 128)), (64, 128), True,
+                 "tt.glue moves data along dim 1, .* each warp holds 32 of its 128", id="glue"),
+    # rooted at the reduce, each warp holds 16 rows
+    pytest.param(lambda fb, t: fb.reduce(t, "sum", 0), (64,), False,
+                 "tt.reduce moves data along dim 0, .* each warp holds 16 of its 64", id="reduce"),
+]
+
+
+@pytest.mark.parametrize(("body", "o_shape", "rooted", "message"), _ACROSS_WARPS)
+def test_moving_data_along_a_dim_split_over_warps_is_a_pass_error(body, o_shape, rooted, message):
+    wg = assign_layouts(_split_tile(body, o_shape, rooted))
+    with pytest.raises(PassError, match=message):
+        distribute_to_warps(wg)
+
+
 def test_reduction_rooted_kernel_matches_numpy_at_every_level():
     fb = FunctionBuilder("rowmax_exp", [("X", PtrType(F32)), ("O", PtrType(F32))], num_warps=4)
     x_arg, o_arg = fb.fn.args

@@ -116,12 +116,10 @@ def test_run_validates_bindings():
         run(fn, LaunchConfig(), mem)
 
 
-def test_run_validates_num_warps_and_order():
+def test_run_validates_order():
     fn = _pid_kernel()
     mem = DeviceMemory()
     mem.set_tensor("O", np.zeros((64, 8), dtype=np.float32), F32)
-    with pytest.raises(SimError):
-        run(fn, LaunchConfig(num_warps=2), mem)
     with pytest.raises(SimError):
         run(fn, LaunchConfig(grid=(2, 1, 1), wg_order=(0, 0)), mem)
 
@@ -578,6 +576,57 @@ def test_masked_off_warps_compute_quietly():
     assert np.array_equal(out.tensor("O"), np.repeat([[0.0], [1.0]], 4, axis=0) * np.ones((8, 4)))
 
 
+def _integer_ops(kind: str, pred: str, bound: int) -> KernelFn:
+    """Warp w stores `7 kind w` to element w of the i32 buffer O, inside an
+    scf.if that the warps with `warp_id pred bound` take; warp 0 divides by
+    zero."""
+    fb = FunctionBuilder("idiv", [("O", PtrType(I32))], num_warps=2, warp_level=True)
+    (o,) = fb.fn.args
+    wid = fb.warp_id()
+    fb.begin_if(fb.cmpi(pred, wid, fb.constant(bound)))
+    q = fb.binary(kind, fb.constant(7), wid)
+    c1, c2 = fb.constant(1), fb.constant(2)
+    fb.store(fb.make_tensor_ptr(o, [c2], [c1], [wid], (1,), (0,)), fb.splat(q, (1,)))
+    fb.end_if()
+    fb.ret()
+    return fb.build()
+
+
+@pytest.mark.parametrize("kind", ["arith.divi", "arith.remi"])
+def test_an_active_row_dividing_an_integer_by_zero_fails(kind):
+    mem = DeviceMemory()
+    mem.set_tensor("O", np.zeros(2), I32)
+    with pytest.raises(SimError, match=rf"^@idiv wg=0 pid=\(0, 0, 0\) warp=0 {kind}: integer division by zero$"):
+        run(_integer_ops(kind, "sge", 0), LaunchConfig(), mem)
+    # warp 0 sits out the scf.if, so its division by zero is never made
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = run(_integer_ops(kind, "sge", 1), LaunchConfig(), mem)
+    assert out.tensor("O").tolist() == [0, 7 if kind == "arith.divi" else 0]
+
+
+def test_integer_division_floors_and_the_remainder_takes_the_divisors_sign():
+    fb = FunctionBuilder("ints", [(n, PtrType(I32)) for n in "ABQRW"], num_warps=1, warp_level=True)
+    c0, c1, c5 = fb.constant(0), fb.constant(1), fb.constant(5)
+    ptr = [fb.make_tensor_ptr(arg, [c5], [c1], [c0], (5,), (0,)) for arg in fb.fn.args]
+    a, b = fb.load(ptr[0]), fb.load(ptr[1])
+    fb.store(ptr[2], fb.binary("arith.divi", a, b))
+    fb.store(ptr[3], fb.binary("arith.remi", a, b))
+    fb.store(ptr[4], fb.binary("arith.addi", a, b))
+    fb.ret()
+    mem = DeviceMemory()
+    mem.set_tensor("A", [-7, 7, -7, 7, -(2**31)], I32)
+    mem.set_tensor("B", [2, 2, -2, -2, -1], I32)
+    for name in "QRW":
+        mem.set_tensor(name, np.zeros(5), I32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = run(fb.build(), LaunchConfig(), mem)
+    assert out.tensor("Q").tolist() == [-4, 3, 3, -4, -(2**31)]  # MLIR's divsi would give -3, 3, 3, -3
+    assert out.tensor("R").tolist() == [1, 1, -1, -1, 0]
+    assert out.tensor("W").tolist() == [-5, 9, -9, 5, 2**31 - 1]  # i32 wraps around
+
+
 def _suffix_sums(rows: int, warps: int) -> KernelFn:
     """Warp w adds rows w..rows-1 of X, one per loop trip, reading through a
     carried pointer, while a second carried pointer moves down O one row per
@@ -835,6 +884,7 @@ _FAULT_TESTS = [
     test_loop_trip_count_may_differ_by_warp, test_fault_names_the_lowest_faulting_warp,
     test_workgroups_storing_one_tile_race_unless_the_bits_agree, test_workgroup_loading_what_another_stored_races,
     test_each_workgroup_has_its_own_slm, test_barrier_divergence_detected, test_slm_overflow_detected,
+    test_an_active_row_dividing_an_integer_by_zero_fails,
 ]
 
 

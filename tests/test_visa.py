@@ -48,6 +48,7 @@ def test_parse_shipped_target_file():
     assert t.threads_per_warp == 16
     assert t.slm_bytes == 131072
     assert t.style == "simd"
+    assert t == replace(PVC, style="simd")  # the built-in default differs only in style
 
 
 def test_parse_target_errors():
