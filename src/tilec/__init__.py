@@ -38,11 +38,13 @@ from .passes import (
 )
 from .sim import (
     DeviceMemory,
+    Launch,
     LaunchConfig,
     RunTrace,
     SimError,
     dump_tensor,
     load_tensor,
+    prepare,
     run,
 )
 from .textio import ParseError, parse_module, print_module
@@ -69,6 +71,7 @@ __all__ = [
     "FunctionBuilder",
     "KernelFn",
     "KernelModule",
+    "Launch",
     "LaunchConfig",
     "LayoutError",
     "LoweringError",
@@ -101,6 +104,7 @@ __all__ = [
     "parse_module",
     "parse_target",
     "philox",
+    "prepare",
     "print_module",
     "rand_f16",
     "rel_max_err",

@@ -1,11 +1,17 @@
 """Footprints: what a launch's accesses can touch, proven before it runs.
 
-``sim.run`` calls `prove` once per launch, on the decoded steps.  It follows
-the integer and pointer steps: a scalar is, per row, its value if known at
-launch (worked out by the step's own semantics, as the run does), a form if
-it depends on loop counters (an int64 array (1 + loops, rows) of a constant
-and a multiple of each loop's trip index), or else a str that says why not.
-A block pointer's dims are forms, with the rows last, or such a str.
+``sim.prepare`` calls `prove` on the decoded steps once per launch shape:
+the program object, grid, ``wg_order`` and bound buffers (name, element
+type, size), with the `prove` function and the semantics table in force.
+Every later run of that shape reuses the verdicts, so a program must not be
+edited in place once it has run.
+
+`prove` follows the integer and pointer steps: a scalar is, per row, its
+value if known at launch (worked out by the step's own semantics, as the run
+does), a form if it depends on loop counters (an int64 array (1 + loops,
+rows) of a constant and a multiple of each loop's trip index), or else a str
+that says why not.  A block pointer's dims are forms, with the rows last, or
+such a str; an SLM pointer is the one its ``tt.alloc`` step returns.
 
 Pointer steps only add offsets, so a loop body is walked once, each carry
 at its first trip: what one trip adds to a carry is then a constant per row,
@@ -101,7 +107,7 @@ def prove(steps: list, flat: list, ctx: Any, roots: dict[Any, str]) -> Footprint
     def pointer(s: Any, a: list) -> _Form:
         p = a[0] if a else None
         if s.kind == "tt.alloc":
-            p = s.attrs["ptr"]
+            p = s.sem(s, ctx, a)
             return _Form(p.base, unit[0] * np.moveaxis(p.dims, 0, -1)[:, :, None], s.shape, (0,) * len(s.shape))
         make = s.kind == "tt.make_tensor_ptr"
         if make:
@@ -214,7 +220,7 @@ def prove(steps: list, flat: list, ctx: Any, roots: dict[Any, str]) -> Footprint
         if not reach.all():
             lo, hi = np.where(reach[:, None], lo, 2**62), np.where(reach[:, None], hi, -2**62)
         for a, i in enumerate(known):
-            origins[i] = offs[a, : len(ps[a].shape), 0]
+            origins[i] = offs[a, : len(ps[a].shape), 0].copy()  # not a view that keeps all of dims
             whys[i] = "global shape or strides vary by loop trip"
             if steady[a]:
                 whys[i] = None if fit[a] else "a block may leave its bounds"

@@ -178,7 +178,7 @@ class KernelFn:
     warp_level=True), "intrinsic" after target-size matching.
     """
 
-    __slots__ = ("name", "body", "num_warps", "warp_level", "level")
+    __slots__ = ("name", "body", "num_warps", "warp_level", "level", "__weakref__")
 
     def __init__(
         self,

@@ -474,19 +474,29 @@ def assign_layouts(fn: KernelFn) -> KernelFn:
 def distribute_to_warps(fn: KernelFn) -> KernelFn:
     """Retype every tile to one warp's share and add the warp's tile origin
     to block pointer offsets.  Dims where the warp grid overshoots the tile
-    count wrap around, replicating the tile across those warps."""
+    count wrap around, replicating the tile across those warps; a tile whose
+    warps' shares fall short of it is a PassError."""
     if fn.warp_level:
         return _clone_fn(fn, level="warp")
     if fn.level != "workgroup":
         raise _fail(fn, f"warp distribution expects workgroup-level input, got {fn.level!r}")
 
-    def per_warp(t: Type) -> Type:
+    # the first tile the warps' shares do not cover; raised after the walk, so that a rule
+    # on moved data, which names the cause more closely, comes first
+    short: list[PassError] = []
+
+    def per_warp(t: Type, op: Operation) -> Type:
         tt = tile_type(t)
         if not isinstance(tt, TensorType) or tt.rank == 0:
             return t
         if tt.encoding is None:
             raise _fail(fn, f"distribution needs encodings; {tt} has none (run layout assignment)")
-        return retile(t, equivalent_blocked(tt.encoding, tt.shape).size_per_warp, tt.encoding)
+        eq = equivalent_blocked(tt.encoding, tt.shape)
+        for d, n in enumerate(tt.shape):
+            if not short and (cover := eq.size_per_warp[d] * eq.warps_per_cta[d]) < n:
+                short.append(_fail(fn, f"{op.kind}: the warps' shares cover {cover} of the {n} elements along "
+                                       f"dim {d} of its {tt.shape} tile, and would drop the rest", op))
+        return retile(t, eq.size_per_warp, tt.encoding)
 
     # dims that need an offset term, keyed by the warp grid that owns them
     grids: set[tuple[tuple[int, ...], tuple[int, ...]]] = set()
@@ -533,7 +543,7 @@ def distribute_to_warps(fn: KernelFn) -> KernelFn:
                     c = fb.binary("arith.remi", c, fb.constant(tiles))
                 term = fb.binary("arith.muli", c, fb.constant(eq.size_per_warp[d]))
                 offs[d] = fb.binary("arith.addi", offs[d], term)
-            nop = fb.op(k, [base, *dims, *offs], op.attrs, [per_warp(op.results[0].type)])
+            nop = fb.op(k, [base, *dims, *offs], op.attrs, [per_warp(op.results[0].type, op)])
             rb.vals[id(op.results[0])] = [nop.result]
             return
         # an op that moves data along a dim the layout splits over warps has
@@ -548,9 +558,11 @@ def distribute_to_warps(fn: KernelFn) -> KernelFn:
                 if share != wide.shape[d]:
                     raise _fail(fn, f"{k} moves data along dim {d}, which the layout splits over warps: "
                                 f"each warp holds {share} of its {wide.shape[d]} elements", op)
-        rb.copy(op, [per_warp(r.type) for r in op.results])
+        rb.copy(op, [per_warp(r.type, op) for r in op.results])
 
     out = rb.run(emit)
+    if short:
+        raise short[0]
     verify_or_raise(out)
     return out
 

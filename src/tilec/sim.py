@@ -1,14 +1,26 @@
 """Deterministic virtual GPU: runs a kernel at any pipeline level.
 
-Each run first decodes the program into one step form.  An IR op decodes to
-a step of its own kind; a vISA instruction decodes to the IR kind whose
-semantics it has, by reading the lowering table ``visa.LOWERING`` backwards,
-and keeps its own name for diagnostics.  One executor runs the steps: it
-handles loops and branches itself and calls, for every other kind, the
-function of one semantics table, so an op and the instruction it lowers to
-run the same code.  Decoding works out all that needs no runtime value:
-each step's function and element type, and the slices an extract reads or a
-glue writes, from the operand's static shape.
+A launch is prepared, then run.  `prepare` decodes the program into one step
+form.  An IR op decodes to a step of its own kind; a vISA instruction
+decodes to the IR kind whose semantics it has, by reading the lowering table
+``visa.LOWERING`` backwards, and keeps its own name for diagnostics.  One
+executor runs the steps: it handles loops and branches itself and calls, for
+every other kind, the function of one semantics table, so an op and the
+instruction it lowers to run the same code.  Decoding works out all that
+needs no runtime value: each step's function and element type, and the
+slices an extract reads or a glue writes, from the operand's static shape.
+
+`prepare` also lays out SLM and proves footprints (below), and the
+`Launch` it returns holds all of that; `Launch.run` executes it on any
+memory that binds the same buffers, and nothing it does writes the
+`Launch`.  `run` is `prepare` then `Launch.run`.  `prepare` keeps each
+`Launch` while its program lives (it holds the program weakly) and returns
+it again for the same program object, grid, ``wg_order``, bound buffers
+(name, element type, size), ``footprints.prove`` function and semantics
+table entries, so a program is decoded and proven once per launch shape.
+The bindings, the schedule and the SLM budget are checked on every call.
+So a program must not be edited in place once it has run: a later run
+would execute the steps decoded before the edit.
 
 A launch runs in lockstep, as one batch with a row per warp of each
 workgroup, workgroups in ``wg_order`` and warps in id order (a
@@ -31,15 +43,15 @@ thus gives the bits of the serial run (workgroups one by one in
 ``RunTrace`` records accesses in that order; ``wg_order`` also decides
 which workgroup an error names when several fault in one step.
 
-Before a launch, ``footprints.prove`` follows every load and store pointer
-through the integer and pointer steps to its buffer.  It works out which
-accesses stay in bounds on every loop trip, which buffers a store can reach,
-and which of those no two rows share (one injective geometry, disjoint index
-boxes).  A proven access skips its bounds checks; a proven buffer keeps no
-race marks, like every buffer of a one-row launch.  The rest are checked as
-they run: the bounds of every other access, and the reads and writes of every
-other buffer a store can reach.  The proof raises nothing, so a failing run
-keeps its first error and message.
+When a launch is prepared, ``footprints.prove`` follows every load and
+store pointer through the integer and pointer steps to its buffer.  It works
+out which accesses stay in bounds on every loop trip, which buffers a store
+can reach, and which of those no two rows share (one injective geometry,
+disjoint index boxes).  A proven access skips its bounds checks; a proven
+buffer keeps no race marks, like every buffer of a one-row launch.  The rest
+are checked as they run: the bounds of every other access, and the reads and
+writes of every other buffer a store can reach.  The proof raises nothing,
+so a failing run keeps its first error and message.
 
 f16 tiles are f32 arrays rounded to f16 after every producing step.  Tiles
 are never written in place, so an extract or broadcast is a view, and a load
@@ -56,6 +68,7 @@ import contextlib
 import functools
 import itertools
 import struct
+import weakref
 from dataclasses import InitVar, dataclass, field
 from typing import Any, Callable, Iterator, NamedTuple
 
@@ -221,41 +234,30 @@ class RunTrace:
     cross: list[CrossRecord] = field(default_factory=list)
 
 
-@dataclass
 class _Ctx:
-    """One launch's run: its buffers, and the rows active at this step.  Row
-    r is warp r % nw of the workgroup at schedule position r // nw.  A buffer
-    is its element type, flat data, one workgroup's size, and each row's base
-    offset (None for a device buffer; each workgroup has its own SLM)."""
+    """One run of a prepared launch: its buffers and race marks, and the rows
+    active at this step.  Row r is warp r % nw of the workgroup at schedule
+    position r // nw.  A buffer is its element type, flat data, one
+    workgroup's size, and each row's base offset (None for a device buffer;
+    each workgroup has its own SLM, zeroed for each run).  What holds for
+    every run of the launch is copied from it, and is never written."""
 
-    bufs: dict[str, tuple[ElemType, np.ndarray, int, np.ndarray | None]]
-    order: tuple[int, ...]  # the workgroup index at each schedule position
-    pids: list[tuple[int, int, int]]  # program ids by workgroup index
-    nw: int  # warps per workgroup
-    fn_name: str
-    log: tuple[list, list, list] | None  # if tracing: loads, stores, cross-warp reduces, in step order
-    windows: dict[tuple, tuple] = field(default_factory=dict)  # _geometry's, by (base, block shape, all rows' strides)
-    touched: list[tuple] = field(default_factory=list)  # the row marks set since those rows' last synchronization point
-
-    def __post_init__(self) -> None:
-        self.n = len(self.order) * self.nw
-        self.wg, self.warp = np.arange(self.n) // self.nw, np.arange(self.n, dtype=np.int32) % self.nw
-        self.pid = np.array([self.pids[g] for g in self.order], dtype=np.int32).T.repeat(self.nw, axis=1)
+    def __init__(self, launch: Launch, mem: DeviceMemory, log: tuple[list, list, list] | None) -> None:
+        self.n, self.nw, self.order, self.pids = launch.n, launch.nw, launch.order, launch.pids
+        self.fn_name, self.wg, self.warp, self.pid, self.ptrs = launch.name, launch.wg, launch.warp, launch.pid, launch.ptrs
+        self.scales, self.inbounds = launch.scales, launch.inbounds
+        self.log = log  # if tracing: loads, stores, cross-warp reduces, in step order
+        self.bufs = {b: (e, a, a.size, None) for b, (e, a) in mem._bufs.items()}
+        for b, (elem, size, off) in launch.slm.items():
+            self.bufs[b] = (elem, _coerce(elem, np.zeros(len(self.order) * size)), size, off)
+        # read and write marks on each buffer `scales` keeps with a scale: by base, per scale,
+        # lo then hi, for reads then writes
+        self.marks = {b: np.tile(np.int32([self.n, -1])[:, None, None], (len(sc), 1, 2, self.bufs[b][1].size))
+                      for b, sc in self.scales.items() if sc}
+        self.windows: dict[tuple, tuple] = {}  # _geometry's, by (base, block shape, all rows' strides)
+        self.touched: list[tuple] = []  # the row marks set since those rows' last synchronization point
         self.epoch = np.zeros(len(self.order), dtype=np.int64)  # synchronization points passed, per workgroup
         self.mask(np.ones(self.n, dtype=np.bool_))
-
-    def arm(self, facts: footprints.Footprints) -> None:
-        """Set up the run-time checks that `facts` leave: read and write marks
-        on each buffer a store can reach and that is not proven race-free
-        (`scales` keeps every buffer a store can reach, a proven one with no
-        scales), and bounds checks on each access step not proven in bounds."""
-        # workgroups race on device buffers, the warps of one workgroup on any
-        ng, nw = len(self.order), self.nw
-        self.scales = {b: () if why is None else (nw,) * (ng > 1 and self.bufs[b][3] is None) + (1,) * (nw > 1)
-                       for b, why in facts.races.items()}
-        self.marks = {b: np.tile(np.int32([self.n, -1])[:, None, None], (len(sc), 1, 2, self.bufs[b][1].size))
-                      for b, sc in self.scales.items() if sc}  # by base: per scale, lo then hi, for reads then writes
-        self.inbounds = {id(s) for s, _, _, why in facts.accesses if why is None}
 
     def mask(self, act: np.ndarray) -> None:
         self.act, self.ids = act, np.flatnonzero(act)
@@ -611,7 +613,7 @@ _SEMANTICS: dict[str, Callable[[_Step, _Ctx, list], Any]] = {
     "tt.broadcast": lambda s, ctx, a: np.broadcast_to(a[0], (ctx.n, *s.shape)),
     "tt.extract": _extract,
     "tt.glue": _glue,
-    "tt.alloc": lambda s, ctx, a: s.attrs["ptr"],
+    "tt.alloc": lambda s, ctx, a: ctx.ptrs[id(s)],
     "tt.barrier": lambda s, ctx, a: _sync(ctx, s.name),
     **dict.fromkeys(("scf.yield", "tt.return"), lambda s, ctx, a: None),  # each ends its body
     _CROSS: _cross,
@@ -694,7 +696,128 @@ def _record(ctx: _Ctx, trace: RunTrace) -> None:
 
 
 # --------------------------------------------------------------------------
-# top-level run
+# prepared launches
+
+
+def _bindings(prog: KernelFn | VProgram) -> tuple[int, list[tuple[Any, str, ElemType]]]:
+    """Warps per workgroup, and per argument its env key, buffer name and element type."""
+    if isinstance(prog, VProgram):
+        return prog.num_warps, [(f"%{b}", b, elem) for b, elem in prog.args]
+    bindings = []
+    for a in prog.args:
+        if not isinstance(a.type, PtrType) or a.type.is_block:
+            raise SimError(f"@{prog.name}: only buffer pointer arguments are bindable, %{a.name} is {_type_desc(a.type)}")
+        bindings.append((id(a), a.name, a.type.pointee))
+    return prog.num_warps if prog.warp_level or prog.level != "workgroup" else 1, bindings
+
+
+def _bind(name: str, bindings: list[tuple[Any, str, ElemType]], mem: DeviceMemory) -> tuple:
+    """Check that `mem` binds every argument; per argument, its buffer's name, element type and size."""
+    for _, b, elem in bindings:
+        if b not in mem:
+            raise SimError(f"@{name}: no buffer bound for argument %{b}")
+        if mem.elem_of(b) != elem:
+            raise SimError(f"@{name}: buffer {b} holds {mem.elem_of(b).value}, argument wants {elem.value}")
+    return tuple((b, elem, mem.raw(b).size) for _, b, elem in bindings)
+
+
+class Launch:
+    """A program decoded and proven for one launch shape: a grid, a schedule
+    and the buffers it binds.  It holds the steps, the SLM layout (each
+    ``tt.alloc``'s pointer, the same in every workgroup), the footprint
+    verdicts and the run-time checks they leave.  Nothing in it changes when
+    it runs, so any number of runs may share it."""
+
+    def __init__(self, prog: KernelFn | VProgram, nw: int, bindings: list, buffers: tuple,
+                 order: tuple[int, ...], pids: list[tuple[int, int, int]]) -> None:
+        self.name, self.nw, self.order, self.pids = prog.name, nw, order, pids
+        self.bindings, self.buffers = bindings, buffers
+        self.env = {key: b for key, b, _ in bindings}
+        if isinstance(prog, VProgram):
+            shapes: dict[str, tuple[int, ...]] = {}
+            self.steps = [_decode_vinstr(i, shapes) for i in prog.body]
+        else:
+            self.steps = [_decode_op(op) for op in prog.body.ops]
+        ng = len(order)
+        self.n = ng * nw
+        fixed = lambda a: a.setflags(write=False) or a  # noqa: E731  (shared by every run)
+        self.wg, self.warp = fixed(np.arange(self.n) // nw), fixed(np.arange(self.n, dtype=np.int32) % nw)
+        self.pid = fixed(np.array([pids[g] for g in order], dtype=np.int32).T.repeat(nw, axis=1))
+        allocs = [s for s in _walk(self.steps) if s.kind == "tt.alloc"]
+        self.slm_used = np.cumsum([int(np.prod(s.shape)) * s.elem.nbytes for s in allocs], dtype=np.int64)
+        self.ptrs: dict[int, BlockPointer] = {}  # by tt.alloc step
+        self.slm: dict[str, tuple[ElemType, int, np.ndarray]] = {}  # by name: elem, one workgroup's size, row offsets
+        for i, s in enumerate(allocs):  # a row-major block over the whole allocation, in every workgroup's SLM
+            size, slm = int(np.prod(s.shape)), f"%slm{i}"
+            dims = [s.shape, [int(np.prod(s.shape[d + 1 :])) for d in range(len(s.shape))], [0] * len(s.shape)]
+            self.ptrs[id(s)] = BlockPointer(slm, fixed(np.tile(dims, (self.n, 1, 1))), s.shape)
+            self.slm[slm] = (s.elem, size, fixed(np.repeat(np.arange(ng) * size, nw)))
+        self.facts: footprints.Footprints | None = None  # set by _prove
+        self.scales: dict[str, tuple[int, ...]] = {}
+        self.inbounds: set[int] = set()
+
+    def _prove(self, mem: DeviceMemory) -> None:
+        """Prove the footprints, and keep the run-time checks they leave: race
+        marks on each buffer a store can reach and that is not proven
+        race-free (`scales` keeps every buffer a store can reach, a proven one
+        with no scales), and bounds checks on each access step not proven in bounds."""
+        flat = list(_walk(self.steps))
+        roots = {**self.env, **{s.results[0]: self.ptrs[id(s)].base for s in flat if s.kind == "tt.alloc"}}
+        self.facts = facts = footprints.prove(self.steps, flat, _Ctx(self, mem, None), roots)
+        # workgroups race on device buffers, the warps of one workgroup on any
+        ng, nw = len(self.order), self.nw
+        self.scales = {b: () if why is None else (nw,) * (ng > 1 and b not in self.slm) + (1,) * (nw > 1)
+                       for b, why in facts.races.items()}
+        self.inbounds = {id(s) for s, _, _, why in facts.accesses if why is None}
+
+    def run(self, mem: DeviceMemory, trace: RunTrace | None = None) -> DeviceMemory:
+        """Execute the launch as one batch on `mem`, which must bind the
+        buffers it was prepared for; returns the mutated memory copy."""
+        for (b, _, want), (_, _, size) in zip(self.buffers, _bind(self.name, self.bindings, mem)):
+            if size != want:
+                raise SimError(f"@{self.name}: buffer {b} holds {size} elements, the launch was prepared for {want}")
+        out = mem.copy()
+        ctx = _Ctx(self, out, None if trace is None else ([], [], []))
+        _exec(self.steps, ctx, dict(self.env))
+        if trace is not None:
+            _record(ctx, trace)
+        return out
+
+
+# the launches prepared so far, by program id: a weak reference to the program, and its launches
+# by the rest of prepare's key; an entry goes when its program does
+_PREPARED: dict[int, tuple[weakref.ref, dict[tuple, Launch]]] = {}
+
+
+def _forget(ref: weakref.ref, key: int) -> None:
+    if _PREPARED.get(key, (None,))[0] is ref:
+        del _PREPARED[key]
+
+
+def prepare(prog: KernelFn | VProgram, launch: LaunchConfig, mem: DeviceMemory) -> Launch:
+    """The launch of `prog` with `launch` on memory shaped like `mem`: decoded
+    and proven on the first call, and the same `Launch` on every later call
+    with the same program object, grid, schedule, bound buffers (name,
+    element type, size), `footprints.prove` and semantics table.  The
+    bindings, the schedule and the SLM budget are checked on every call."""
+    nw, bindings = _bindings(prog)
+    buffers = _bind(prog.name, bindings, mem)
+    gx, gy, gz = launch.grid
+    pids = [(x, y, z) for z in range(gz) for y in range(gy) for x in range(gx)]
+    order = tuple(launch.wg_order) if launch.wg_order is not None else tuple(range(len(pids)))
+    if sorted(order) != list(range(len(pids))):
+        raise SimError(f"wg_order must be a permutation of 0..{len(pids) - 1}")
+    if (held := _PREPARED.get(id(prog))) is None or held[0]() is not prog:
+        held = _PREPARED[id(prog)] = (weakref.ref(prog, functools.partial(_forget, key=id(prog))), {})
+    key = (tuple(launch.grid), order, buffers, footprints.prove, tuple(_SEMANTICS.items()))
+    if (ready := held[1].get(key)) is None:
+        ready = Launch(prog, nw, bindings, buffers, order, pids)
+    if (over := ready.slm_used[ready.slm_used > launch.slm_budget]).size:  # every workgroup allocates the same
+        raise SimError(f"SLM overflow: {over[0]} bytes exceeds budget {launch.slm_budget} (@{prog.name} wg={order[0]})")
+    if ready.facts is None:
+        ready._prove(mem)
+        held[1][key] = ready
+    return ready
 
 
 def run(
@@ -704,50 +827,4 @@ def run(
     trace: RunTrace | None = None,
 ) -> DeviceMemory:
     """Execute the launch as one batch; returns the mutated memory copy."""
-    out = mem.copy()
-    name = prog.name
-
-    if isinstance(prog, VProgram):
-        nw = prog.num_warps
-        bindings = [(f"%{bname}", bname, belem) for bname, belem in prog.args]
-        shapes: dict[str, tuple[int, ...]] = {}
-        steps = [_decode_vinstr(i, shapes) for i in prog.body]
-    else:
-        nw = prog.num_warps if prog.warp_level or prog.level != "workgroup" else 1
-        bindings = []
-        for a in prog.args:
-            if not isinstance(a.type, PtrType) or a.type.is_block:
-                raise SimError(f"@{name}: only buffer pointer arguments are bindable, %{a.name} is {_type_desc(a.type)}")
-            bindings.append((id(a), a.name, a.type.pointee))
-        steps = [_decode_op(op) for op in prog.body.ops]
-
-    for _, bname, belem in bindings:
-        if bname not in out:
-            raise SimError(f"@{name}: no buffer bound for argument %{bname}")
-        if out.elem_of(bname) != belem:
-            raise SimError(f"@{name}: buffer {bname} holds {out.elem_of(bname).value}, argument wants {belem.value}")
-    env = {key: bname for key, bname, _ in bindings}
-    gx, gy, gz = launch.grid
-    pids = [(x, y, z) for z in range(gz) for y in range(gy) for x in range(gx)]
-    order = tuple(launch.wg_order) if launch.wg_order is not None else tuple(range(len(pids)))
-    if sorted(order) != list(range(len(pids))):
-        raise SimError(f"wg_order must be a permutation of 0..{len(pids) - 1}")
-    flat = list(_walk(steps))
-    allocs = [s for s in flat if s.kind == "tt.alloc"]
-    used = np.cumsum([int(np.prod(s.shape)) * s.elem.nbytes for s in allocs], dtype=np.int64)
-    if (over := used[used > launch.slm_budget]).size:  # every workgroup allocates the same
-        raise SimError(f"SLM overflow: {over[0]} bytes exceeds budget {launch.slm_budget} (@{name} wg={order[0]})")
-
-    ng, bufs = len(order), {b: (out.elem_of(b), out.raw(b), out.raw(b).size, None) for b in out.names()}
-    for i, s in enumerate(allocs):  # a row-major block over the whole allocation, in every workgroup's SLM
-        size, slm = int(np.prod(s.shape)), f"%slm{i}"
-        dims = [s.shape, [int(np.prod(s.shape[d + 1 :])) for d in range(len(s.shape))], [0] * len(s.shape)]
-        s.attrs = {**s.attrs, "ptr": BlockPointer(slm, np.tile(dims, (ng * nw, 1, 1)), s.shape)}
-        bufs[slm] = (s.elem, _coerce(s.elem, np.zeros(ng * size)), size, np.repeat(np.arange(ng) * size, nw))
-    roots = {**env, **{s.results[0]: s.attrs["ptr"].base for s in allocs}}
-    ctx = _Ctx(bufs, order, pids, nw, name, None if trace is None else ([], [], []))
-    ctx.arm(footprints.prove(steps, flat, ctx, roots))
-    _exec(steps, ctx, dict(env))
-    if trace is not None:
-        _record(ctx, trace)
-    return out
+    return prepare(prog, launch, mem).run(mem, trace)

@@ -357,6 +357,28 @@ def test_moving_data_along_a_dim_split_over_warps_is_a_pass_error(body, o_shape,
         distribute_to_warps(wg)
 
 
+def test_a_tile_the_warps_shares_do_not_cover_is_a_pass_error():
+    # the 1x64 row roots the layout (warps of 1x16), so the 64x64 broadcast of
+    # it has one row per warp; warp, intrinsic and visa used to store row 0 only
+    fb = FunctionBuilder("row_bcast", [("X", PtrType(F32)), ("O", PtrType(F32)), ("P", PtrType(F32))], num_warps=4)
+    x_arg, o_arg, p_arg = fb.fn.args
+    row = fb.load(_block_ptr(fb, x_arg, (1, 64)))
+    wide = fb.broadcast(row, (64, 64))
+    fb.store(_block_ptr(fb, o_arg, (64, 64)), wide)
+    fb.store(_block_ptr(fb, p_arg, (1, 64)), row)
+    fb.ret()
+    fn = fb.build()
+    x = np.arange(64, dtype=np.float32)[None]
+    mem = DeviceMemory()
+    for name, data in (("X", x), ("O", np.zeros((64, 64))), ("P", np.zeros((1, 64)))):
+        mem.set_tensor(name, data, F32)
+    out = run(compile_kernel(fn, to_level="workgroup").at_level("workgroup"), LaunchConfig(), mem)
+    np.testing.assert_array_equal(out.tensor("O"), np.repeat(x, 64, axis=0))
+    with pytest.raises(PassError, match=r"^@row_bcast: tt.broadcast: the warps' shares cover 1 of the 64 elements "
+                                        r"along dim 0 of its \(64, 64\) tile, and would drop the rest"):
+        compile_kernel(fn, to_level="warp")
+
+
 def test_reduction_rooted_kernel_matches_numpy_at_every_level():
     fb = FunctionBuilder("rowmax_exp", [("X", PtrType(F32)), ("O", PtrType(F32))], num_warps=4)
     x_arg, o_arg = fb.fn.args

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import warnings
+import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import prove_nothing
+from tilec import footprints as fp
 from tilec.ir import ElemType, FunctionBuilder, KernelFn, PtrType, retile, scalar
-from tilec.kernels import kernel_text, make_problem, suite
+from tilec.kernels import kernel_text, load_fixture, make_problem, suite
 from tilec.oracle import philox, rand_f16
 from tilec import sim
 from tilec.passes import compile_kernel
@@ -20,6 +25,7 @@ from tilec.sim import (
     SimError,
     dump_tensor,
     load_tensor,
+    prepare,
     run,
 )
 from tilec.textio import parse_module
@@ -886,12 +892,121 @@ _FAULT_TESTS = [
     test_each_workgroup_has_its_own_slm, test_barrier_divergence_detected, test_slm_overflow_detected,
     test_an_active_row_dividing_an_integer_by_zero_fails,
 ]
+_FAULT_CASES = [pytest.param(t, kw, id=f"{t.__name__[5:]}-{i}") for t in _FAULT_TESTS for i, kw in enumerate(_cases(t))]
 
 
-@pytest.mark.parametrize(("test", "kwargs"), [pytest.param(t, kw, id=f"{t.__name__[5:]}-{i}")
-                                              for t in _FAULT_TESTS for i, kw in enumerate(_cases(t))])
+@pytest.mark.parametrize(("test", "kwargs"), _FAULT_CASES)
 def test_faults_read_the_same_with_every_check_forced(test, kwargs, monkeypatch):
     # the launches above skip the checks their analysis proves can never
     # fire; with none proven, each must fail (or pass) exactly as before
     prove_nothing(monkeypatch)
     test(**kwargs)
+
+
+@pytest.mark.parametrize(("test", "kwargs"), _FAULT_CASES)
+def test_faults_read_the_same_with_every_check_forced_after_an_unforced_run(test, kwargs, monkeypatch):
+    # each launch first runs with its proofs, which prepares it; the forced
+    # run must still prepare its own launch with every check kept
+    prove = fp.prove
+
+    def unforced_first(prog, launch, mem, trace=None):
+        with monkeypatch.context() as mp, contextlib.suppress(SimError):
+            mp.setattr(fp, "prove", prove)
+            sim.run(prog, launch, mem)
+        try:
+            ready = prepare(prog, launch, mem)
+        except SimError:
+            pass
+        else:
+            assert not ready.inbounds and set(ready.facts.races.values()) <= {"forced"}
+        return sim.run(prog, launch, mem, trace)
+
+    prove_nothing(monkeypatch)
+    monkeypatch.setitem(globals(), "run", unforced_first)
+    test(**kwargs)
+
+
+# -- prepared launches ----------------------------------------------------------
+
+
+def _outcome(out: DeviceMemory, trace: RunTrace) -> tuple:
+    """A run's buffers, traced accesses and cross-warp reduces, comparable with ==."""
+    cross = [(c.wg, c.kind, c.dst, [a.tobytes() for a in (*c.inputs, *c.delivered)]) for c in trace.cross]
+    return {b: out.raw(b).tobytes() for b in out.names()}, trace.loads, trace.stores, cross
+
+
+def _traced(launch, mem: DeviceMemory) -> tuple:
+    trace = RunTrace()
+    return _outcome(launch.run(mem, trace), trace)
+
+
+@pytest.mark.parametrize("level", ["workgroup", "warp", "intrinsic", "visa"])
+@pytest.mark.parametrize("name", ["gemm_256", "paged_warp"])
+def test_a_launch_run_twice_gives_two_fresh_runs(name, level):
+    fx = suite()[name]
+    first, second = make_problem(fx, 11), make_problem(fx, 12)
+    launch = prepare(compile_kernel(load_fixture(name)).at_level(level), first.launch, first.mem)
+    got = [_traced(launch, first.mem), _traced(launch, second.mem)]
+    fresh = [_traced(prepare(compile_kernel(load_fixture(name)).at_level(level), p.launch, p.mem), p.mem)
+             for p in (first, second)]
+    assert got == fresh
+    assert got[0][0] != got[1][0]  # the seeds give other bits
+
+
+def test_a_launch_is_proven_once_per_grid_order_and_buffer_sizes(monkeypatch):
+    calls, prove = [], fp.prove
+    monkeypatch.setattr(fp, "prove", lambda *args: calls.append(args[0]) or prove(*args))
+    fn, big = _pid_kernel(), DeviceMemory()
+    mem = DeviceMemory()
+    mem.set_tensor("O", np.zeros((64, 8)), F32)
+    big.set_tensor("O", np.zeros((128, 8)), F32)
+    configs = [(LaunchConfig(grid=grid), mem) for grid in ((2, 1, 1), (4, 1, 1), (1, 2, 1))]
+    configs += [(LaunchConfig(grid=(2, 1, 1), wg_order=(1, 0)), mem), (LaunchConfig(grid=(2, 1, 1)), big)]
+    for n, (launch, m) in enumerate(configs, 1):
+        want = run(_pid_kernel(), launch, m)
+        assert run(fn, launch, m).equal_bits(want) and run(fn, launch, m).equal_bits(want)
+        assert len(calls) == 2 * n  # one for the fresh program, one for fn
+    assert prepare(fn, LaunchConfig(grid=(2, 1, 1), target=PVC), mem) is prepare(fn, LaunchConfig(grid=(2, 1, 1)), mem)
+    with pytest.raises(SimError) as exc:
+        prepare(fn, LaunchConfig(grid=(2, 1, 1)), mem).run(big)
+    assert str(exc.value) == "@bands: buffer O holds 1024 elements, the launch was prepared for 512"
+
+
+def test_a_dot_patched_after_a_run_is_reached(monkeypatch):
+    prob = make_problem(suite()["gemm_256"])
+    prog = compile_kernel(load_fixture("gemm_256")).at_level("intrinsic")
+    want = run(prog, prob.launch, prob.mem)
+    calls, dot = [], sim._SEMANTICS["tt.dot"]
+    monkeypatch.setitem(sim._SEMANTICS, "tt.dot", lambda s, ctx, a: calls.append(s) or dot(s, ctx, a))
+    assert run(prog, prob.launch, prob.mem).equal_bits(want)
+    assert calls
+
+
+def test_the_slm_budget_is_checked_on_every_launch():
+    mem = DeviceMemory()
+    mem.set_tensor("O", np.zeros((8, 4)), F32)
+    fn = _slm_echo()
+    run(fn, LaunchConfig(grid=(3, 1, 1)), mem)
+    with pytest.raises(SimError) as exc:
+        run(fn, LaunchConfig(grid=(3, 1, 1), target=replace(PVC, slm_bytes=8)), mem)
+    assert str(exc.value) == "SLM overflow: 16 bytes exceeds budget 8 (@echo wg=0)"
+
+
+def test_an_slm_kernel_prepared_for_other_grids_matches_fresh_runs():
+    mem = DeviceMemory()
+    mem.set_tensor("O", np.zeros((8, 4)), F32)
+    fn = _slm_echo()
+    for grid in ((1, 1, 1), (2, 1, 1), (1, 1, 1)):
+        got, fresh = prepare(fn, LaunchConfig(grid=grid), mem), prepare(_slm_echo(), LaunchConfig(grid=grid), mem)
+        assert got.facts.races == fresh.facts.races and got.scales == fresh.scales
+        assert _traced(got, mem) == _traced(fresh, mem)
+
+
+@pytest.mark.parametrize("level", ["workgroup", "visa"])
+def test_a_program_that_has_run_can_be_freed(level):
+    prog, mem = _copy_at(level), _copy_mem()
+    run(prog, LaunchConfig(), mem)
+    held = weakref.ref(prog), weakref.ref(prepare(prog, LaunchConfig(), mem))
+    del prog
+    gc.collect()
+    assert [r() for r in held] == [None, None]
