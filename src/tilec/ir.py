@@ -4,6 +4,11 @@ Values are tensors of rank 0..2 (rank 0 doubles as the scalar type) or block
 pointers; operations live in a single implicit block per region and regions
 nest only through ``scf.for`` / ``scf.if``.  Modules are treated as immutable
 once verified: passes rebuild rather than mutate.
+
+The IR is a tree: a function owns its body, a region its ops, an op its
+results and regions.  A value does not point to the op, loop or function
+that defines it; a pass that needs a producer map builds one from a walk.
+So a dropped function is freed at once by reference counting.
 """
 
 from __future__ import annotations
@@ -122,12 +127,10 @@ F16 = scalar(ElemType.f16)
 class Value:
     """SSA value.  Identity-based; the printer assigns canonical names."""
 
-    __slots__ = ("type", "producer", "index", "name")
+    __slots__ = ("type", "name")
 
-    def __init__(self, type: Type, producer: Any = None, index: int = 0, name: str | None = None):
+    def __init__(self, type: Type, name: str | None = None):
         self.type = type
-        self.producer = producer  # Operation, Region (block arg) or KernelFn (fn arg)
-        self.index = index
         self.name = name
 
     def __repr__(self) -> str:
@@ -158,7 +161,7 @@ class Operation:
         self.kind = kind
         self.operands: list[Value] = list(operands)
         self.attrs: dict[str, Any] = dict(attrs or {})
-        self.results: list[Value] = [Value(t, self, i) for i, t in enumerate(result_types)]
+        self.results: list[Value] = [Value(t) for t in result_types]
         self.regions: list[Region] = list(regions)
 
     @property
@@ -189,9 +192,7 @@ class KernelFn:
         level: str = "workgroup",
     ):
         self.name = name
-        self.body = Region([Value(t, None, i, name=n) for i, (n, t) in enumerate(args)])
-        for a in self.body.args:
-            a.producer = self
+        self.body = Region([Value(t, n) for n, t in args])
         self.num_warps = num_warps
         self.warp_level = warp_level
         self.level = level
@@ -417,7 +418,7 @@ def _verify_op(fn: KernelFn, op: Operation, err: Callable[..., None], warp_ok: b
         if not isinstance(base, PtrType) or base.is_block:
             err(f"{k}: base must be a buffer pointer", op)
         elif base.pointee != pt.elem:
-            err(f"{k}: base element {base.pointee} != block element {pt.elem}", op)
+            err(f"{k}: base element {base.pointee.value} != block element {pt.elem.value}", op)
         for v in op.operands[1:]:
             if not _is_scalar(v.type, ElemType.i32):
                 err(f"{k}: shape/stride/offset operands must be i32 scalars", op)
@@ -468,7 +469,7 @@ def _verify_op(fn: KernelFn, op: Operation, err: Callable[..., None], warp_ok: b
         if ta.elem != tb.elem or ta.elem not in (ElemType.f16, ElemType.f32):
             err(f"{k}: a/b must share a float element type", op)
         if tc.elem != ElemType.f32:
-            err(f"{k}: accumulates in f32, got accumulator {tc.elem}", op)
+            err(f"{k}: accumulates in f32, got accumulator {tc.elem.value}", op)
         if n_out != 1 or not same_block(op.results[0].type, tc):
             err(f"{k}: result type must equal the accumulator type", op)
         tiling = op.attrs.get("tiling")
@@ -503,7 +504,7 @@ def _verify_op(fn: KernelFn, op: Operation, err: Callable[..., None], warp_ok: b
             want = src.shape[:axis] + src.shape[axis + 1 :]
             res = tensor_result()
             if res is not None and (res.shape != want or res.elem != src.elem):
-                err(f"{k}: result must be {want} of {src.elem}", op)
+                err(f"{k}: result must be {want} of {src.elem.value}", op)
     elif k == "tt.splat":
         if n_in != 1 or not _is_scalar(op.operands[0].type):
             err(f"{k}: operand must be a scalar", op)
@@ -543,7 +544,7 @@ def _verify_op(fn: KernelFn, op: Operation, err: Callable[..., None], warp_ok: b
         res = tensor_result()
         want = src.shape[:axis] + (1,) + src.shape[axis:]
         if res is not None and (res.shape != want or res.elem != src.elem):
-            err(f"{k}: result must be {want} of {src.elem}", op)
+            err(f"{k}: result must be {want} of {src.elem.value}", op)
     elif k == "tt.broadcast":
         if n_in != 1 or not isinstance(op.operands[0].type, TensorType):
             err(f"{k}: operand must be a tensor", op)
@@ -852,10 +853,7 @@ class FunctionBuilder:
     # control flow --------------------------------------------------------
     def begin_for(self, lb: Value, ub: Value, step: Value, inits: Sequence[Value]) -> tuple[Value, list[Value]]:
         body = Region([Value(I32)] + [Value(v.type) for v in inits])
-        loop = self.op("scf.for", [lb, ub, step, *inits], {}, [v.type for v in inits], [body])
-        for a in body.args:
-            a.producer = loop
-        self._loops.append(loop)
+        self._loops.append(self.op("scf.for", [lb, ub, step, *inits], {}, [v.type for v in inits], [body]))
         self._stack.append(body)
         return body.args[0], body.args[1:]
 

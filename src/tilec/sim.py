@@ -14,13 +14,14 @@ slices an extract reads or a glue writes, from the operand's static shape.
 `Launch` it returns holds all of that; `Launch.run` executes it on any
 memory that binds the same buffers, and nothing it does writes the
 `Launch`.  `run` is `prepare` then `Launch.run`.  `prepare` keeps each
-`Launch` while its program lives (it holds the program weakly) and returns
-it again for the same program object, grid, ``wg_order``, bound buffers
-(name, element type, size), ``footprints.prove`` function and semantics
-table entries, so a program is decoded and proven once per launch shape.
-The bindings, the schedule and the SLM budget are checked on every call.
-So a program must not be edited in place once it has run: a later run
-would execute the steps decoded before the edit.
+`Launch` in a map keyed weakly on its program, so a dropped program is
+freed at once with its launches.  It returns the same `Launch` again for
+the same program object, grid, ``wg_order``, bound buffers (name, element
+type, size), ``footprints.prove`` function and semantics table entries, so
+a program is decoded and proven once per launch shape.  The bindings, the
+schedule and the SLM budget are checked on every call.  So a program must
+not be edited in place once it has run: a later run would execute the
+steps decoded before the edit.
 
 A launch runs in lockstep, as one batch with a row per warp of each
 workgroup, workgroups in ``wg_order`` and warps in id order (a
@@ -784,14 +785,8 @@ class Launch:
         return out
 
 
-# the launches prepared so far, by program id: a weak reference to the program, and its launches
-# by the rest of prepare's key; an entry goes when its program does
-_PREPARED: dict[int, tuple[weakref.ref, dict[tuple, Launch]]] = {}
-
-
-def _forget(ref: weakref.ref, key: int) -> None:
-    if _PREPARED.get(key, (None,))[0] is ref:
-        del _PREPARED[key]
+# the launches prepared so far: per program, its launches by the rest of prepare's key
+_PREPARED: weakref.WeakKeyDictionary[KernelFn | VProgram, dict[tuple, Launch]] = weakref.WeakKeyDictionary()
 
 
 def prepare(prog: KernelFn | VProgram, launch: LaunchConfig, mem: DeviceMemory) -> Launch:
@@ -807,16 +802,15 @@ def prepare(prog: KernelFn | VProgram, launch: LaunchConfig, mem: DeviceMemory) 
     order = tuple(launch.wg_order) if launch.wg_order is not None else tuple(range(len(pids)))
     if sorted(order) != list(range(len(pids))):
         raise SimError(f"wg_order must be a permutation of 0..{len(pids) - 1}")
-    if (held := _PREPARED.get(id(prog))) is None or held[0]() is not prog:
-        held = _PREPARED[id(prog)] = (weakref.ref(prog, functools.partial(_forget, key=id(prog))), {})
+    held = _PREPARED.setdefault(prog, {})
     key = (tuple(launch.grid), order, buffers, footprints.prove, tuple(_SEMANTICS.items()))
-    if (ready := held[1].get(key)) is None:
+    if (ready := held.get(key)) is None:
         ready = Launch(prog, nw, bindings, buffers, order, pids)
     if (over := ready.slm_used[ready.slm_used > launch.slm_budget]).size:  # every workgroup allocates the same
         raise SimError(f"SLM overflow: {over[0]} bytes exceeds budget {launch.slm_budget} (@{prog.name} wg={order[0]})")
     if ready.facts is None:
         ready._prove(mem)
-        held[1][key] = ready
+        held[key] = ready
     return ready
 
 

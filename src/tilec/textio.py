@@ -600,8 +600,6 @@ class _Parser:
             raise self.fail("iter_args and result types disagree", iv_tok)
         body = Region([Value(scalar(ElemType.i32))] + [Value(t) for t in res_types])
         op = Operation("scf.for", [lb, ub, step, *inits], {}, res_types, [body])
-        for a in body.args:
-            a.producer = op
         region.ops.append(op)
         inner = dict(env)
         self.define(inner, iv_tok, body.args[0])

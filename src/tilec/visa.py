@@ -146,7 +146,7 @@ class VInstr:
         return self.vector_len * self.unit_bytes
 
 
-@dataclass
+@dataclass(eq=False)
 class VProgram:
     name: str
     args: tuple[tuple[str, ElemType], ...]
@@ -269,12 +269,13 @@ def _feeds_dot_b(fn: KernelFn) -> set[int]:
     loads and register views that reach some dot's B operand through
     extract/glue.  Other producers (a splat, a convert) define plain
     registers, and a dot reading one of them reads it unpacked."""
+    producer = {id(r): op for op in walk_fn_ops(fn) for r in op.results}
     packed: set[int] = set()
     work: list[Value] = [op.operands[1] for op in walk_fn_ops(fn) if op.kind == "tt.dot"]
     while work:
         v = work.pop()
-        p = v.producer
-        if id(v) in packed or not isinstance(p, Operation) or p.kind not in ("tt.load", "tt.extract", "tt.glue"):
+        p = producer.get(id(v))
+        if id(v) in packed or p is None or p.kind not in ("tt.load", "tt.extract", "tt.glue"):
             continue
         packed.add(id(v))
         if p.kind != "tt.load":

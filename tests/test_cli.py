@@ -164,6 +164,18 @@ def test_usage_errors_exit_3(capsys):
     assert main(["compile", "gemm_256", "--target", "adir"]) == 3
     assert main(["compile", "adir"]) == 3
     capsys.readouterr()
+    _write_scale_kernel(Path("one.ttir"))
+    Path("two.ttir").write_text(Path("one.ttir").read_text() * 2)
+    assert main(["compile", "gemm_256", "--target", "nosuch.target"]) == 3
+    assert main(["compile", "two.ttir"]) == 3
+    assert main(["run", "paged_wg", "--input", "Q"]) == 3
+    assert main(["run", "one.ttir"]) == 3
+    assert capsys.readouterr().err.splitlines() == [
+        "usage error: target file not found: nosuch.target",
+        "usage error: two.ttir must hold exactly one function, has 2",
+        "usage error: --input expects NAME=PATH, got 'Q'",
+        "usage error: path kernels need --input NAME=PATH for every buffer",
+    ]
 
 
 def test_num_warps_override_leaves_kernel_unchanged():

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,8 +12,11 @@ from tilec.ir import (
     ElemType,
     FunctionBuilder,
     KernelModule,
+    Operation,
     PtrType,
+    Region,
     TensorType,
+    Value,
     VerifyError,
     block_index,
     block_origin,
@@ -23,10 +27,12 @@ from tilec.ir import (
     verify_or_raise,
     walk_fn_ops,
 )
+from tilec.layouts import BlockedEncoding
 from tilec.textio import parse_module
 
 F16 = ElemType.f16
 F32 = ElemType.f32
+I32 = ElemType.i32
 
 
 def _add_kernel(mul_shape=(64, 64)):
@@ -108,6 +114,183 @@ def test_verifier_rejects_cross_warp_at_workgroup_level():
     assert any("warp-level" in d.message for d in diags)
 
 
+def _t(*shape, elem=F32):
+    return TensorType(shape, elem)
+
+
+def _body(*arg_types, yields=()):
+    """A loop or branch body: block arguments of these types, ending in scf.yield."""
+    body = Region([Value(t) for t in arg_types])
+    body.ops.append(Operation("scf.yield", yields))
+    return body
+
+
+def _diagnose(build) -> str:
+    """The verifier's messages for a warp-level kernel that defines the values
+    named below, then runs `build` on them, then returns."""
+    fb = FunctionBuilder("v", [("X", PtrType(F16)), ("I", PtrType(I32))], num_warps=4, warp_level=True)
+    x, i, f, h = fb.fn.args[0], fb.constant(0), fb.constant(0.0), fb.constant(0.0, F16)
+    v = SimpleNamespace(X=x, I=fb.fn.args[1], i=i, f=f, b=fb.cmpi("eq", i, i),
+                        a=fb.splat(h, (8, 16)), bt=fb.splat(h, (16, 8)), c=fb.splat(f, (8, 8)), n=fb.splat(i, (8, 8)),
+                        p=fb.make_tensor_ptr(x, [i, i], [i, i], [i, i], (8, 16), (1, 0)))
+    build(fb, v)
+    fb.ret()
+    with pytest.raises(VerifyError) as exc:
+        verify_or_raise(fb.fn)
+    return "; ".join(d.message for d in exc.value.diagnostics)
+
+
+# one case per verifier diagnostic: the message, and the ops that draw it
+# (X: f16 buffer, I: i32 buffer, i: i32, f: f32, b: i1, a: 8x16 f16,
+# bt: 16x8 f16, c: 8x8 f32, n: 8x8 i32, p: block pointer to 8x16 f16)
+_VERIFY_CASES = {
+    "unknown_level": ("unknown level 'thread'", lambda fb, v: setattr(fb.fn, "level", "thread")),
+    "num_warps": ("num_warps must be positive, got 0", lambda fb, v: setattr(fb.fn, "num_warps", 0)),
+    "dup_arg": ("duplicate argument name %X", lambda fb, v: setattr(fb.fn.args[1], "name", "X")),
+    "enc_rank": ("encoding rank 2 != tensor rank 1 in TensorType(shape=(8,), elem=<ElemType.f32: 'f32'>, "
+                 "encoding=BlockedEncoding(size_per_warp=(8, 8), warps_per_cta=(1, 1), order=(1, 0)))",
+                 lambda fb, v: fb.splat(v.f, (8,), BlockedEncoding((8, 8), (1, 1), (1, 0)))),
+    "dominance": ("math.exp: operand does not dominate use", lambda fb, v: fb.exp(Value(v.c.type))),
+    "yield_last": ("scf.yield must terminate its region", lambda fb, v: fb.op("scf.yield")),
+    "return_last": ("tt.return must terminate the function body", lambda fb, v: fb.ret()),
+    "no_return": ("function body must end in tt.return", lambda fb, v: fb.begin_if(v.b)),  # tt.return goes in the if
+    "warp_only": ("tt.warp_id is only valid in warp-level functions or pass output",
+                  lambda fb, v: setattr(fb.fn, "warp_level", False) or fb.warp_id()),
+    "pid_axis": ("tt.get_program_id: axis must be 0, 1, or 2", lambda fb, v: fb.program_id(3)),
+    "mtp_not_block": ("tt.make_tensor_ptr: result must be a block pointer",
+                      lambda fb, v: fb.op("tt.make_tensor_ptr", [v.X], {"order": [0]}, [PtrType(F16)])),
+    "mtp_rank0": ("tt.make_tensor_ptr: block rank must be 1 or 2, got 0",
+                  lambda fb, v: fb.op("tt.make_tensor_ptr", [v.X], {"order": []}, [PtrType(_t(elem=F16))])),
+    "mtp_count": ("tt.make_tensor_ptr: expected base + 3 i32 operands for rank 1, got 2",
+                  lambda fb, v: fb.op("tt.make_tensor_ptr", [v.X, v.i], {"order": [0]}, [PtrType(_t(8, elem=F16))])),
+    "mtp_base": ("tt.make_tensor_ptr: base must be a buffer pointer",
+                 lambda fb, v: fb.make_tensor_ptr(v.p, [v.i], [v.i], [v.i], (8,), (0,))),
+    "mtp_base_elem": ("tt.make_tensor_ptr: base element i32 != block element f16",
+                      lambda fb, v: fb.op("tt.make_tensor_ptr", [v.I, v.i, v.i, v.i], {"order": [0]},
+                                          [PtrType(_t(8, elem=F16))])),
+    "mtp_i32": ("tt.make_tensor_ptr: shape/stride/offset operands must be i32 scalars",
+                lambda fb, v: fb.make_tensor_ptr(v.X, [v.f], [v.i], [v.i], (8,), (0,))),
+    "mtp_order": ("tt.make_tensor_ptr: order must be a permutation of 0..0",
+                  lambda fb, v: fb.make_tensor_ptr(v.X, [v.i], [v.i], [v.i], (8,), (1,))),
+    "adv_ptr": ("tt.advance: first operand must be a block pointer",
+                lambda fb, v: fb.op("tt.advance", [v.i], {}, [v.p.type])),
+    "adv_count": ("tt.advance: expected 2 delta operands", lambda fb, v: fb.advance(v.p, [v.i])),
+    "adv_i32": ("tt.advance: deltas must be i32 scalars", lambda fb, v: fb.advance(v.p, [v.f, v.i])),
+    "adv_result": ("tt.advance: result type must equal pointer type (block shape is immutable)",
+                   lambda fb, v: fb.op("tt.advance", [v.p, v.i, v.i], {}, [PtrType(_t(8, 8, elem=F16))])),
+    "load_ptr": ("tt.load: operand must be a block pointer", lambda fb, v: fb.op("tt.load", [v.X], {}, [v.a.type])),
+    "load_result": ("tt.load: result type must equal the pointee block type",
+                    lambda fb, v: fb.op("tt.load", [v.p], {}, [v.c.type])),
+    "store_operands": ("tt.store: operands are (block pointer, value)", lambda fb, v: fb.op("tt.store", [v.p])),
+    "store_value": ("tt.store: stored value type must equal the pointee block type", lambda fb, v: fb.store(v.p, v.c)),
+    "store_results": ("tt.store: has no results", lambda fb, v: fb.op("tt.store", [v.p, v.a], {}, [v.i.type])),
+    "dot_operands": ("tt.dot: expected (a, b, c) operands", lambda fb, v: fb.op("tt.dot", [v.a, v.bt], {}, [v.c.type])),
+    "dot_rank": ("tt.dot: operands must be rank-2 tensors", lambda fb, v: fb.dot(v.i, v.i, v.i)),
+    "dot_acc_shape": ("tt.dot: accumulator shape (8, 8) != (16, 16)", lambda fb, v: fb.dot(v.bt, v.a, v.c)),
+    "dot_ab_float": ("tt.dot: a/b must share a float element type", lambda fb, v: fb.dot(v.n, v.n, v.c)),
+    "dot_acc_f32": ("tt.dot: accumulates in f32, got accumulator i32", lambda fb, v: fb.dot(v.a, v.bt, v.n)),
+    "dot_result": ("tt.dot: result type must equal the accumulator type",
+                   lambda fb, v: fb.op("tt.dot", [v.a, v.bt, v.c], {}, [v.n.type])),
+    "dot_tiling": ("tt.dot: unknown tiling hint 'diagonal'", lambda fb, v: fb.dot(v.a, v.bt, v.c, tiling="diagonal")),
+    "reduce_tensor": ("tt.reduce: operand must be a tensor",
+                      lambda fb, v: fb.op("tt.reduce", [v.p], {"kind": "sum", "axis": 0}, [v.f.type])),
+    "reduce_kind": ("tt.reduce: kind must be 'max' or 'sum'", lambda fb, v: fb.reduce(v.c, "min", 1)),
+    "xreduce_axis": ("tt.reduce: cross_warp reduce keeps the shape; axis not allowed",
+                     lambda fb, v: fb.op("tt.reduce", [v.c], {"kind": "max", "cross_warp": True, "axis": 0},
+                                         [v.c.type])),
+    "xreduce_result": ("tt.reduce: cross_warp result type must equal the operand type",
+                       lambda fb, v: fb.op("tt.reduce", [v.c], {"kind": "max", "cross_warp": True}, [v.n.type])),
+    "xreduce_dst": ("tt.reduce: dst_warps must list warp ids below num_warps=4",
+                    lambda fb, v: fb.cross_warp_reduce(v.c, "max", [4])),
+    "reduce_result": ("tt.reduce: result must be (8,) of f32",
+                      lambda fb, v: fb.op("tt.reduce", [v.c], {"kind": "sum", "axis": 1}, [_t(4)])),
+    "splat_scalar": ("tt.splat: operand must be a scalar", lambda fb, v: fb.op("tt.splat", [v.c], {}, [v.c.type])),
+    "const_float": ("arith.constant: float constant needs a float value attr",
+                    lambda fb, v: fb.op("arith.constant", [], {"value": 1}, [v.f.type])),
+    "const_int": ("arith.constant: integer constant needs an int value attr",
+                  lambda fb, v: fb.op("arith.constant", [], {"value": 1.0}, [v.i.type])),
+    "convert_tensor": ("tt.convert: operand must be a tensor",
+                       lambda fb, v: fb.op("tt.convert", [v.p], {}, [v.c.type])),
+    "convert_float": ("tt.convert: float element cast only; shape must be preserved",
+                      lambda fb, v: fb.convert(v.n, F32)),
+    "expand_tensor": ("tt.expand_dims: operand must be a tensor",
+                      lambda fb, v: fb.op("tt.expand_dims", [v.p], {"axis": 0}, [v.c.type])),
+    "expand_axis": ("tt.expand_dims: axis out of range",
+                    lambda fb, v: fb.op("tt.expand_dims", [v.c], {"axis": 3}, [v.c.type])),
+    "expand_result": ("tt.expand_dims: result must be (1, 8, 8) of f32",
+                      lambda fb, v: fb.op("tt.expand_dims", [v.c], {"axis": 0}, [v.c.type])),
+    "bcast_tensor": ("tt.broadcast: operand must be a tensor",
+                     lambda fb, v: fb.op("tt.broadcast", [v.p], {}, [v.c.type])),
+    "bcast_dims": ("tt.broadcast: source dims must be 1 or match result (8, 8)",
+                   lambda fb, v: fb.broadcast(v.a, (8, 8))),
+    "extract_operand": ("tt.extract: expected one operand",
+                        lambda fb, v: fb.op("tt.extract", [], {"index": 0}, [v.c.type])),
+    "extract_result": ("tt.extract: expected one result", lambda fb, v: fb.op("tt.extract", [v.c], {"index": 0})),
+    "extract_ptrness": ("tt.extract: pointer-ness of source and result must agree",
+                        lambda fb, v: fb.op("tt.extract", [v.p], {"index": 0}, [v.a.type])),
+    "extract_block": ("tt.extract: block-typed source required",
+                      lambda fb, v: fb.op("tt.extract", [v.X], {"index": 0}, [PtrType(F16)])),
+    "extract_elem": ("tt.extract: source/result element and rank must match",
+                     lambda fb, v: fb.op("tt.extract", [v.c], {"index": 0}, [_t(4, 4, elem=F16)])),
+    "extract_divide": ("tt.extract: result shape (3, 8) must divide source shape (8, 8)",
+                       lambda fb, v: fb.extract(v.c, 0, (3, 8))),
+    "glue_operands": ("tt.glue: expected operands and one result", lambda fb, v: fb.op("tt.glue", [], {}, [v.c.type])),
+    "glue_ranked": ("tt.glue: operands must be ranked tensors", lambda fb, v: fb.op("tt.glue", [v.f], {}, [v.c.type])),
+    "glue_pieces": ("tt.glue: all pieces must share one type",
+                    lambda fb, v: fb.op("tt.glue", [v.c, v.n], {}, [_t(16, 8)])),
+    "glue_result": ("tt.glue: result element/rank must match pieces",
+                    lambda fb, v: fb.op("tt.glue", [v.c, v.c], {}, [_t(16, 8, elem=I32)])),
+    "glue_divide": ("tt.glue: piece shape (8, 8) must divide result shape (12, 8)",
+                    lambda fb, v: fb.op("tt.glue", [v.c, v.c], {}, [_t(12, 8)])),
+    "barrier": ("tt.barrier: takes nothing, returns nothing", lambda fb, v: fb.op("tt.barrier", [v.i])),
+    "return_nothing": ("tt.return: kernels return nothing; tt.return must terminate the function body",
+                       lambda fb, v: fb.op("tt.return", [v.i])),
+    "float_arity": ("math.exp: expected 1 operands and one result",
+                    lambda fb, v: fb.op("math.exp", [v.c, v.c], {}, [v.c.type])),
+    "float_operands": ("arith.addf: operands must be float tensors", lambda fb, v: fb.binary("arith.addf", v.n, v.n)),
+    "int_arity": ("arith.addi: expected 2 operands and one result",
+                  lambda fb, v: fb.op("arith.addi", [v.i], {}, [v.i.type])),
+    "int_operands": ("arith.addi: i32 operands required", lambda fb, v: fb.binary("arith.addi", v.c, v.c)),
+    "int_share": ("arith.addi: all operands and the result must share one shape and element",
+                  lambda fb, v: fb.binary("arith.addi", v.i, v.n)),
+    "cmpi_pred": ("arith.cmpi: pred must be one of ('eq', 'ne', 'slt', 'sle', 'sgt', 'sge')",
+                  lambda fb, v: fb.cmpi("lt", v.i, v.i)),
+    "cmpi_sig": ("arith.cmpi: signature is (i32, i32) -> i1", lambda fb, v: fb.cmpi("eq", v.f, v.f)),
+    "for_operands": ("scf.for: expected lb, ub, step operands",
+                     lambda fb, v: fb.op("scf.for", [v.i, v.i], {}, [], [_body(v.i.type)])),
+    "for_bounds": ("scf.for: bounds must be i32 scalars",
+                   lambda fb, v: fb.op("scf.for", [v.f, v.i, v.i], {}, [], [_body(v.i.type)])),
+    "for_regions": ("scf.for: expected one body region", lambda fb, v: fb.op("scf.for", [v.i, v.i, v.i])),
+    "for_body_args": ("scf.for: body must take the induction var plus 0 iter args",
+                      lambda fb, v: fb.op("scf.for", [v.i, v.i, v.i], {}, [], [_body()])),
+    "for_iv": ("scf.for: induction variable must be i32",
+               lambda fb, v: fb.op("scf.for", [v.i, v.i, v.i], {}, [], [_body(v.f.type)])),
+    "for_iter_arg": ("scf.for: iter arg type TensorType(shape=(8, 8), elem=<ElemType.i32: 'i32'>, encoding=None) "
+                     "!= init type TensorType(shape=(8, 8), elem=<ElemType.f32: 'f32'>, encoding=None)",
+                     lambda fb, v: fb.op("scf.for", [v.i, v.i, v.i, v.c], {}, [v.c.type],
+                                         [_body(v.i.type, v.n.type, yields=[v.c])])),
+    "for_results": ("scf.for: results must mirror the iter args",
+                    lambda fb, v: fb.op("scf.for", [v.i, v.i, v.i, v.c], {}, [],
+                                        [_body(v.i.type, v.c.type, yields=[v.c])])),
+    "for_yield_last": ("scf.for: body must end in scf.yield",
+                       lambda fb, v: fb.op("scf.for", [v.i, v.i, v.i], {}, [], [Region([Value(v.i.type)])])),
+    "for_yield": ("scf.yield operands must match the loop's iter args",
+                  lambda fb, v: fb.op("scf.for", [v.i, v.i, v.i], {}, [], [_body(v.i.type, yields=[v.i])])),
+    "if_cond": ("scf.if: condition must be an i1 scalar", lambda fb, v: fb.op("scf.if", [v.i], {}, [], [Region()])),
+    "if_results": ("scf.if: results not supported", lambda fb, v: fb.op("scf.if", [v.b], {}, [v.i.type], [Region()])),
+    "if_regions": ("scf.if: expected one body region", lambda fb, v: fb.op("scf.if", [v.b])),
+    "if_args": ("scf.if: body takes no arguments",
+                lambda fb, v: fb.op("scf.if", [v.b], {}, [], [Region([Value(v.i.type)])])),
+    "unknown_kind": ("unknown op kind 'tt.frobnicate'", lambda fb, v: fb.op("tt.frobnicate")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_VERIFY_CASES))
+def test_verifier_diagnostics(case):
+    message, build = _VERIFY_CASES[case]
+    assert _diagnose(build) == message
+
+
 @pytest.mark.parametrize(("whole", "block"), [((64,), (16,)), ((64,), (64,)), ((64, 32), (16, 8)), ((8, 8), (8, 2))])
 def test_block_numbering_round_trips(whole, block):
     grid = [w // b for w, b in zip(whole, block)]
@@ -135,7 +318,7 @@ def test_verifier_bounds_extract_indices_and_glue_pieces_by_the_block_grid():
     ]
 
 
-def test_walk_enters_loop_regions():
+def _loop_kernel():
     fb = FunctionBuilder("loopy", [("X", PtrType(F16))], num_warps=1)
     c0 = fb.constant(0)
     c8 = fb.constant(8)
@@ -145,9 +328,31 @@ def test_walk_enters_loop_regions():
     nxt = fb.binary("arith.addf", acc, acc)
     fb.end_for([nxt])
     fb.ret()
-    fn = fb.build()
+    return fb.build()
+
+
+def test_walk_enters_loop_regions():
+    fn = _loop_kernel()
     kinds = [op.kind for op in walk_fn_ops(fn)]
     assert "scf.for" in kinds and "arith.addf" in kinds and "scf.yield" in kinds
+
+
+def _first(fn, kind):
+    return next(op for op in walk_fn_ops(fn) if op.kind == kind)
+
+
+# a kernel, and an edit that changes one thing in it
+_EDITS = {
+    "num_warps": (_add_kernel, lambda fn: setattr(fn, "num_warps", 8)),
+    "arg_type": (_add_kernel, lambda fn: setattr(fn.args[1], "type", PtrType(F32))),
+    "op_attr": (_add_kernel, lambda fn: _first(fn, "arith.constant").attrs.update(value=5)),
+    "op_kind": (_add_kernel, lambda fn: setattr(_first(fn, "arith.mulf"), "kind", "arith.addf")),
+    "result_type": (_add_kernel, lambda fn: setattr(_first(fn, "tt.splat").result, "type", _t(64, 64))),
+    "swapped_operands": (_add_kernel, lambda fn: _first(fn, "arith.mulf").operands.reverse()),
+    "loop_arg_type": (_loop_kernel,
+                      lambda fn: setattr(_first(fn, "scf.for").regions[0].args[1], "type", _t(4, 4, elem=F16))),
+    "loop_body_op_kind": (_loop_kernel, lambda fn: setattr(_first(fn, "arith.addf"), "kind", "arith.mulf")),
+}
 
 
 def test_structural_equality():
@@ -155,10 +360,9 @@ def test_structural_equality():
     m2 = KernelModule((_add_kernel(),))
     assert module_equal(m1, m2)
     assert fn_equal(m1.functions[0], m2.functions[0])
+    assert fn_equal(_loop_kernel(), _loop_kernel())
     assert not fn_equal(_add_kernel(), _add_kernel(mul_shape=(64, 32)))
-
-
-def test_defuse_chains():
-    fn = _add_kernel()
-    load = next(op for op in walk_fn_ops(fn) if op.kind == "tt.load")
-    assert load.results[0].producer is load
+    for edit, (make, change) in _EDITS.items():
+        fn = make()
+        change(fn)
+        assert not fn_equal(make(), fn) and not fn_equal(fn, make()), edit

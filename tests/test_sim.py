@@ -13,8 +13,8 @@ import pytest
 
 from conftest import prove_nothing
 from tilec import footprints as fp
-from tilec.ir import ElemType, FunctionBuilder, KernelFn, PtrType, retile, scalar
-from tilec.kernels import kernel_text, load_fixture, make_problem, suite
+from tilec.ir import ElemType, FunctionBuilder, KernelFn, KernelModule, PtrType, retile, scalar
+from tilec.kernels import FIXTURE_NAMES, kernel_text, load_fixture, make_problem, suite
 from tilec.oracle import philox, rand_f16
 from tilec import sim
 from tilec.passes import compile_kernel
@@ -28,7 +28,7 @@ from tilec.sim import (
     prepare,
     run,
 )
-from tilec.textio import parse_module
+from tilec.textio import parse_module, print_module
 from tilec.visa import PVC, VInstr, VOpcode, VProgram, lower
 
 F16 = ElemType.f16
@@ -1002,11 +1002,38 @@ def test_an_slm_kernel_prepared_for_other_grids_matches_fresh_runs():
         assert _traced(got, mem) == _traced(fresh, mem)
 
 
-@pytest.mark.parametrize("level", ["workgroup", "visa"])
-def test_a_program_that_has_run_can_be_freed(level):
-    prog, mem = _copy_at(level), _copy_mem()
-    run(prog, LaunchConfig(), mem)
-    held = weakref.ref(prog), weakref.ref(prepare(prog, LaunchConfig(), mem))
-    del prog
+@contextlib.contextmanager
+def _no_cyclic_collection():
     gc.collect()
-    assert [r() for r in held] == [None, None]
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("level", ["workgroup", "warp", "intrinsic", "visa"])
+def test_a_program_that_has_run_can_be_freed(level):
+    with _no_cyclic_collection():
+        prog, mem = _copy_at(level), _copy_mem()
+        run(prog, LaunchConfig(), mem)
+        held = weakref.ref(prog), weakref.ref(prepare(prog, LaunchConfig(), mem))
+        del prog
+        assert [r() for r in held] == [None, None]
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_a_compiled_fixture_leaves_no_cyclic_garbage(name):
+    # the IR holds no back-pointers, so reference counting alone frees every
+    # stage of a compile, its printed and parsed copies and their launches
+    with _no_cyclic_collection():
+        res, prob = compile_kernel(load_fixture(name)), make_problem(suite()[name])
+        stages = [res.source, res.layouts, res.distribute, res.match]
+        copies = [parse_module(print_module(KernelModule((fn,)))).functions[0] for fn in stages]
+        progs = [res.at_level(level) for level in ("workgroup", "warp", "intrinsic", "visa")]
+        for prog in progs:
+            run(prog, prob.launch, prob.mem)
+        held = [weakref.ref(p) for p in stages + copies + [res.vprog]]
+        del res, prob, stages, copies, progs, prog
+        assert [r() for r in held] == [None] * len(held)
+        assert gc.collect() == 0

@@ -202,6 +202,28 @@ PARSE_CASES = {
         "line 3, col 60: expected , or ) (got '%5')"),
     "zero_dim": (_splat_to("tensor<0x4xf32>"), "line 3, col 31: non-positive dim in shape (0, 4)"),
     "rank_3": (_splat_to("tensor<2x2x2xf32>"), "line 3, col 31: rank 3 tensor not supported (max 2)"),
+    "neither_alias_nor_func": ("tt.kernel @f\n" + _fn(""),
+                               "line 1, col 1: expected encoding alias or tt.func (got 'tt.kernel')"),
+    "unknown_encoding_head": ("#e = #triton_gpu.shared<{vec = 1}>\n" + _fn(""),
+                              "line 1, col 6: unknown encoding #triton_gpu.shared"),
+    "layout_error_in_alias": (_BLOCKED.replace("[4, 4]", "[4]") + _fn(""),
+                              "line 1, col 12: blocked encoding field ranks disagree"),
+    "missing_attr_value": (_fn("  %0 = arith.constant {value = } : () -> i32\n"),
+                           "line 2, col 32: expected attribute value (got '}')"),
+    "unknown_bang_type": (_splat_to("!foo<f32>"), "line 3, col 32: unknown type !foo"),
+    "ptr_to_rank0_tensor": (_splat_to("!tt.ptr<tensor<f32>>"),
+                            "line 3, col 31: pointer pointee must be an element type or ranked tensor"),
+    "if_with_results": (_fn(_I0 + "  %1 = scf.if %0 {\n  }\n"), "line 3, col 8: scf.if has no results"),
+    "operand_count_mismatch": (_fn(_I0 + "  %1 = arith.addi %0, %0 : (i32) -> i32\n"),
+                               "line 3, col 8: arith.addi: 2 operands but 1 operand types"),
+    "result_count_mismatch": (_fn(_I0 + "  %1, %2 = arith.addi %0, %0 : (i32, i32) -> i32\n"),
+                              "line 3, col 12: arith.addi: 2 results named but 1 result types"),
+    "iter_args_vs_result_types": (
+        _fn(_I0 + "  %1 = scf.for %2 = %0 to %0 step %0 iter_args(%3 = %0) -> (i32, i32) {\n    scf.yield %3\n  }\n"),
+        "line 3, col 16: iter_args and result types disagree"),
+    "loop_results_vs_iter_args": (
+        _fn(_I0 + "  %1, %2 = scf.for %3 = %0 to %0 step %0 iter_args(%4 = %0) -> (i32) {\n    scf.yield %4\n  }\n"),
+        "line 3, col 20: loop result names and iter args disagree"),
 }
 
 
