@@ -177,24 +177,22 @@ class KernelFn:
     """A kernel function: named args, one body region, launch metadata.
 
     level tracks the pipeline position: "workgroup" source, "warp" after
-    distribution (or for hand-written warp kernels, which also set
-    warp_level=True), "intrinsic" after target-size matching.
+    distribution or for a kernel written per warp, "intrinsic" after
+    target-size matching.  Every level but "workgroup" runs once per warp.
     """
 
-    __slots__ = ("name", "body", "num_warps", "warp_level", "level", "__weakref__")
+    __slots__ = ("name", "body", "num_warps", "level", "__weakref__")
 
     def __init__(
         self,
         name: str,
         args: Sequence[tuple[str, Type]],
         num_warps: int = 1,
-        warp_level: bool = False,
         level: str = "workgroup",
     ):
         self.name = name
         self.body = Region([Value(t, n) for n, t in args])
         self.num_warps = num_warps
-        self.warp_level = warp_level
         self.level = level
 
     @property
@@ -258,7 +256,7 @@ def loop_carries(op: Operation) -> list[list[Value]]:
 # --------------------------------------------------------------------------
 # verification
 
-WARP_ONLY_OPS = {"tt.warp_id", "tt.alloc", "tt.barrier"}
+WARP_ONLY_OPS = {"tt.warp_id", "tt.alloc", "tt.barrier", "tt.cross_warp_reduce"}
 
 ELEMENTWISE_FLOAT = {"arith.addf", "arith.subf", "arith.mulf", "arith.divf", "arith.maximumf", "math.exp"}
 ELEMENTWISE_INT = {"arith.addi", "arith.subi", "arith.muli", "arith.divi", "arith.remi"}
@@ -334,9 +332,8 @@ def _verify_fn(fn: KernelFn, diags: list[Diagnostic]) -> None:
         seen.add(a.name)
         _check_type(a.type, err)
 
-    warp_ok = fn.warp_level or fn.level != "workgroup"
     defined: set[int] = set(id(a) for a in fn.args)
-    _verify_region(fn, fn.body, defined, diags, warp_ok, in_loop=False, is_fn_body=True)
+    _verify_region(fn, fn.body, defined, diags, is_fn_body=True)
 
 
 def _check_type(t: Type, err: Callable[..., None]) -> None:
@@ -344,7 +341,9 @@ def _check_type(t: Type, err: Callable[..., None]) -> None:
     if isinstance(tt, TensorType) and tt.encoding is not None:
         enc_rank = tt.encoding.rank
         if enc_rank != tt.rank:
-            err(f"encoding rank {enc_rank} != tensor rank {tt.rank} in {tt}")
+            from .textio import _type_desc  # textio imports ir
+
+            err(f"encoding rank {enc_rank} != tensor rank {tt.rank} in {_type_desc(tt)}")
 
 
 def _verify_region(
@@ -352,8 +351,6 @@ def _verify_region(
     region: Region,
     defined: set[int],
     diags: list[Diagnostic],
-    warp_ok: bool,
-    in_loop: bool,
     is_fn_body: bool = False,
 ) -> None:
     def err(msg: str, op: Operation | None = None) -> None:
@@ -367,10 +364,10 @@ def _verify_region(
                 err(f"{op.kind}: operand does not dominate use", op)
         for r in op.results:
             _check_type(r.type, err)
-        _verify_op(fn, op, err, warp_ok)
+        _verify_op(fn, op, err)
         if op.regions:
             for sub in op.regions:
-                _verify_region(fn, sub, local, diags, warp_ok, in_loop or op.kind == "scf.for")
+                _verify_region(fn, sub, local, diags)
         if op.kind == "scf.yield" and i != len(region.ops) - 1:
             err("scf.yield must terminate its region", op)
         if op.kind == "tt.return" and i != len(region.ops) - 1:
@@ -382,7 +379,7 @@ def _verify_region(
             err("function body must end in tt.return")
 
 
-def _verify_op(fn: KernelFn, op: Operation, err: Callable[..., None], warp_ok: bool) -> None:
+def _verify_op(fn: KernelFn, op: Operation, err: Callable[..., None]) -> None:
     k = op.kind
     n_in, n_out = len(op.operands), len(op.results)
 
@@ -392,7 +389,7 @@ def _verify_op(fn: KernelFn, op: Operation, err: Callable[..., None], warp_ok: b
             return None
         return op.results[0].type
 
-    if k in WARP_ONLY_OPS and not warp_ok:
+    if k in WARP_ONLY_OPS and fn.level == "workgroup":
         err(f"{k} is only valid in warp-level functions or pass output", op)
 
     if k == "tt.get_program_id":
@@ -475,36 +472,32 @@ def _verify_op(fn: KernelFn, op: Operation, err: Callable[..., None], warp_ok: b
         tiling = op.attrs.get("tiling")
         if tiling is not None and tiling not in tuple(TilingHint):
             err(f"{k}: unknown tiling hint {tiling!r}", op)
-    elif k == "tt.reduce":
+    elif k in ("tt.reduce", "tt.cross_warp_reduce"):
         if n_in != 1 or not isinstance(op.operands[0].type, TensorType):
             err(f"{k}: operand must be a tensor", op)
             return
         src: TensorType = op.operands[0].type
-        kind = op.attrs.get("kind")
-        if kind not in ("max", "sum"):
+        if op.attrs.get("kind") not in ("max", "sum"):
             err(f"{k}: kind must be 'max' or 'sum'", op)
-        if op.attrs.get("cross_warp", False):
-            if not (fn.warp_level or fn.level != "workgroup"):
-                err(f"{k}: cross_warp form is only valid in warp-level functions or pass output", op)
+        if k == "tt.cross_warp_reduce":
             if "axis" in op.attrs:
-                err(f"{k}: cross_warp reduce keeps the shape; axis not allowed", op)
+                err(f"{k}: keeps the shape; axis not allowed", op)
             if n_out != 1 or not same_block(op.results[0].type, src):
-                err(f"{k}: cross_warp result type must equal the operand type", op)
+                err(f"{k}: result type must equal the operand type", op)
             dst = op.attrs.get("dst_warps")
-            if dst is not None:
-                if not isinstance(dst, list) or not dst or any(
-                    not isinstance(w, int) or w < 0 or w >= fn.num_warps for w in dst
-                ):
-                    err(f"{k}: dst_warps must list warp ids below num_warps={fn.num_warps}", op)
-        else:
-            axis = op.attrs.get("axis")
-            if not isinstance(axis, int) or not (0 <= axis < src.rank):
-                err(f"{k}: axis must name a dim of rank-{src.rank} operand", op)
-                return
-            want = src.shape[:axis] + src.shape[axis + 1 :]
-            res = tensor_result()
-            if res is not None and (res.shape != want or res.elem != src.elem):
-                err(f"{k}: result must be {want} of {src.elem.value}", op)
+            if dst is not None and (not isinstance(dst, list) or not dst or any(
+                not isinstance(w, int) or w < 0 or w >= fn.num_warps for w in dst
+            )):
+                err(f"{k}: dst_warps must list warp ids below num_warps={fn.num_warps}", op)
+            return
+        axis = op.attrs.get("axis")
+        if not isinstance(axis, int) or not (0 <= axis < src.rank):
+            err(f"{k}: axis must name a dim of rank-{src.rank} operand", op)
+            return
+        want = src.shape[:axis] + src.shape[axis + 1 :]
+        res = tensor_result()
+        if res is not None and (res.shape != want or res.elem != src.elem):
+            err(f"{k}: result must be {want} of {src.elem.value}", op)
     elif k == "tt.splat":
         if n_in != 1 or not _is_scalar(op.operands[0].type):
             err(f"{k}: operand must be a scalar", op)
@@ -663,7 +656,9 @@ def _verify_op(fn: KernelFn, op: Operation, err: Callable[..., None], warp_ok: b
             err(f"{k}: induction variable must be i32", op)
         for init, arg in zip(inits, body.args[1:]):
             if not same_block(init.type, arg.type):
-                err(f"{k}: iter arg type {arg.type} != init type {init.type}", op)
+                from .textio import _type_desc  # textio imports ir
+
+                err(f"{k}: iter arg type {_type_desc(arg.type)} != init type {_type_desc(init.type)}", op)
         if n_out != len(inits) or any(not same_block(r.type, i.type) for r, i in zip(op.results, inits)):
             err(f"{k}: results must mirror the iter args", op)
         if not body.ops or body.ops[-1].kind != "scf.yield":
@@ -693,7 +688,7 @@ def _verify_op(fn: KernelFn, op: Operation, err: Callable[..., None], warp_ok: b
 # structural equality
 
 def fn_equal(f1: KernelFn, f2: KernelFn) -> bool:
-    if (f1.name, f1.num_warps, f1.warp_level, f1.level) != (f2.name, f2.num_warps, f2.warp_level, f2.level):
+    if (f1.name, f1.num_warps, f1.level) != (f2.name, f2.num_warps, f2.level):
         return False
     if len(f1.args) != len(f2.args):
         return False
@@ -746,9 +741,8 @@ def module_equal(m1: KernelModule, m2: KernelModule) -> bool:
 class FunctionBuilder:
     """Imperative construction helper; keeps an insertion-region stack."""
 
-    def __init__(self, name: str, args: Sequence[tuple[str, Type]], num_warps: int = 1,
-                 warp_level: bool = False, level: str = "workgroup"):
-        self.fn = KernelFn(name, args, num_warps=num_warps, warp_level=warp_level, level=level)
+    def __init__(self, name: str, args: Sequence[tuple[str, Type]], num_warps: int = 1, level: str = "workgroup"):
+        self.fn = KernelFn(name, args, num_warps=num_warps, level=level)
         self._stack: list[Region] = [self.fn.body]
         self._loops: list[Operation] = []
 
@@ -803,10 +797,10 @@ class FunctionBuilder:
         return self._one("tt.reduce", [src], {"kind": kind, "axis": axis}, [rt])
 
     def cross_warp_reduce(self, src: Value, kind: str, dst_warps: Sequence[int] | None = None) -> Value:
-        attrs: dict[str, Any] = {"kind": kind, "cross_warp": True}
+        attrs: dict[str, Any] = {"kind": kind}
         if dst_warps is not None:
             attrs["dst_warps"] = list(dst_warps)
-        return self._one("tt.reduce", [src], attrs, [src.type])
+        return self._one("tt.cross_warp_reduce", [src], attrs, [src.type])
 
     def splat(self, v: Value, shape: Sequence[int], encoding: Any = None) -> Value:
         return self._one("tt.splat", [v], {}, [TensorType(tuple(shape), v.type.elem, encoding)])

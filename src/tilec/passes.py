@@ -10,8 +10,8 @@ machine-sized ones:
   match_target_size   split tiles into pieces the target's load and dot
                       units accept, chaining dots over the contraction dim
 
-Warp-level source (fn.warp_level) is already written per warp, so the first
-two passes pass it through untouched.
+Source written per warp (level "warp") needs neither layouts nor
+distribution, so the first two passes pass it through untouched.
 
 Every pass rebuilds through one skeleton, ``_Rebuild``: it maps each old
 value to its new values, rebuilds scf.for and scf.if, and hands every other
@@ -75,7 +75,7 @@ def _fail(fn: KernelFn, message: str, op: Operation | None = None) -> PassError:
 _CHAIN_OPS = (
     ELEMENTWISE_FLOAT
     | ELEMENTWISE_INT
-    | {"tt.reduce", "tt.convert", "tt.expand_dims", "tt.broadcast", "tt.splat"}
+    | {"tt.reduce", "tt.cross_warp_reduce", "tt.convert", "tt.expand_dims", "tt.broadcast", "tt.splat"}
 )
 
 
@@ -137,7 +137,7 @@ def classify_workload(fn: KernelFn) -> Workload:
             raise _fail(fn, f"attention pattern needs one final dot, found {len(final)}")
         root = final[0]
         return Workload("attention", root, root.attrs.get("tiling") or _DEFAULT_HINT["attention"])
-    reduces = [op for op in walk_fn_ops(fn) if op.kind == "tt.reduce" and not op.attrs.get("cross_warp")]
+    reduces = [op for op in walk_fn_ops(fn) if op.kind == "tt.reduce"]
     if reduces:
         root = reduces[-1]
         return Workload("reduction", root, _DEFAULT_HINT["reduction"])
@@ -165,7 +165,6 @@ class _Rebuild:
             fn.name,
             [(a.name, t) for a, t in zip(fn.args, types)],
             num_warps=fn.num_warps,
-            warp_level=fn.warp_level,
             level=level,
         )
         self.vals: dict[int, list[Value]] = {id(a): [na] for a, na in zip(fn.args, self.fb.fn.args)}
@@ -319,7 +318,7 @@ def _layout_edges(fn: KernelFn) -> dict[int, list[_Edge]]:
 
     for op in walk_fn_ops(fn):
         k = op.kind
-        if k in ("tt.broadcast", "tt.extract", "tt.glue") or (k == "tt.reduce" and op.attrs.get("cross_warp")):
+        if k in ("tt.broadcast", "tt.extract", "tt.glue", "tt.cross_warp_reduce"):
             for v in op.operands:
                 eq(v, op.results[0], op)
         elif k == "tt.dot":
@@ -393,7 +392,7 @@ def assign_layouts(fn: KernelFn) -> KernelFn:
     operands, reduction results, and broadcast sources receive structurally
     derived encodings; everything else inherits across value equalities.
     Tiles the flow never reaches default to a warp-replicated layout."""
-    if fn.warp_level:
+    if fn.level == "warp":
         return _clone_fn(fn)
     if fn.level != "workgroup":
         raise _fail(fn, f"layout assignment expects workgroup-level input, got {fn.level!r}")
@@ -476,8 +475,8 @@ def distribute_to_warps(fn: KernelFn) -> KernelFn:
     to block pointer offsets.  Dims where the warp grid overshoots the tile
     count wrap around, replicating the tile across those warps; a tile whose
     warps' shares fall short of it is a PassError."""
-    if fn.warp_level:
-        return _clone_fn(fn, level="warp")
+    if fn.level == "warp":
+        return _clone_fn(fn)
     if fn.level != "workgroup":
         raise _fail(fn, f"warp distribution expects workgroup-level input, got {fn.level!r}")
 
@@ -549,7 +548,7 @@ def distribute_to_warps(fn: KernelFn) -> KernelFn:
         # an op that moves data along a dim the layout splits over warps has
         # no per-warp form: a reduce along its axis, an extract or a glue
         # along every dim where its narrow and wide tiles differ
-        if k in ("tt.extract", "tt.glue") or (k == "tt.reduce" and not op.attrs.get("cross_warp")):
+        if k in ("tt.extract", "tt.glue", "tt.reduce"):
             src, res = tile_type(op.operands[0].type), tile_type(op.results[0].type)
             wide = res if k == "tt.glue" else src
             moved = [op.attrs["axis"]] if k == "tt.reduce" else [d for d, n in enumerate(src.shape) if n != res.shape[d]]
@@ -609,7 +608,7 @@ def match_target_size(fn: KernelFn, target: TargetConfig = PVC) -> KernelFn:
     pieces cover it; a splat or an op that ties values runs once per piece;
     every other op runs on glued wholes, which split block pointers lack.
     Results are re-split to their piece shape."""
-    if fn.level == "workgroup" and not fn.warp_level:
+    if fn.level == "workgroup":
         raise _fail(fn, "target matching expects warp-level input (run distribution first)")
     if fn.level == "intrinsic":
         raise _fail(fn, "target matching already ran")

@@ -79,7 +79,7 @@ from numpy.lib.stride_tricks import as_strided
 from . import footprints
 from .ir import CMP_PREDS, ElemType, KernelFn, Operation, PtrType, block_origin, tile_type
 from .textio import _type_desc
-from .visa import CROSS_WARP_REDUCE, LOWERING, TargetConfig, VInstr, VProgram
+from .visa import LOWERING, TargetConfig, VInstr, VProgram
 
 
 class SimError(RuntimeError):
@@ -449,12 +449,9 @@ def _piece(whole: tuple[int, ...], piece: tuple[int, ...], index: int) -> tuple[
 # --------------------------------------------------------------------------
 # step form: what both program forms decode to
 
-_CROSS = CROSS_WARP_REDUCE  # the one step kind that is not an IR op kind
-
-
 @dataclass(slots=True)
 class _Step:
-    kind: str  # IR op kind whose semantics the step has, or _CROSS
+    kind: str  # IR op kind whose semantics the step has
     name: str  # the op as the program spells it, for diagnostics
     operands: tuple  # env keys: value ids in IR, register names in vISA
     results: tuple
@@ -480,8 +477,7 @@ class _Step:
 
 
 def _decode_op(op: Operation) -> _Step:
-    kind = _CROSS if op.kind == "tt.reduce" and op.attrs.get("cross_warp", False) else op.kind
-    attrs, body = op.attrs, None
+    kind, attrs, body = op.kind, op.attrs, None
     if op.regions:
         region = op.regions[0]
         body = [_decode_op(o) for o in region.ops]
@@ -511,7 +507,7 @@ def _decode_vinstr(ins: VInstr, shapes: dict[str, tuple[int, ...]]) -> _Step:
     if kind is None:
         raise SimError(f"no semantics for vISA instruction {name!r}")
     attrs = ins.attrs
-    if kind in ("tt.reduce", _CROSS):  # vISA spells the reduce kind as the sub-op
+    if kind in ("tt.reduce", "tt.cross_warp_reduce"):  # vISA spells the reduce kind as the sub-op
         attrs = {**attrs, "kind": ins.op}
     src = shapes[ins.operands[0]] if kind in ("tt.extract", "tt.glue") else None
     if kind == "scf.for":  # a carry and the loop's result are shaped like the init
@@ -617,7 +613,7 @@ _SEMANTICS: dict[str, Callable[[_Step, _Ctx, list], Any]] = {
     "tt.alloc": lambda s, ctx, a: ctx.ptrs[id(s)],
     "tt.barrier": lambda s, ctx, a: _sync(ctx, s.name),
     **dict.fromkeys(("scf.yield", "tt.return"), lambda s, ctx, a: None),  # each ends its body
-    _CROSS: _cross,
+    "tt.cross_warp_reduce": _cross,
     "math.exp": lambda s, ctx, a: _coerce(s.elem, np.exp(a[0])),
     **{k: lambda s, ctx, a, f=f: _coerce(s.elem, f(a[0], a[1])) for k, f in _BINARY.items()},
     **dict.fromkeys(("arith.divi", "arith.remi"), _divide),
@@ -709,7 +705,7 @@ def _bindings(prog: KernelFn | VProgram) -> tuple[int, list[tuple[Any, str, Elem
         if not isinstance(a.type, PtrType) or a.type.is_block:
             raise SimError(f"@{prog.name}: only buffer pointer arguments are bindable, %{a.name} is {_type_desc(a.type)}")
         bindings.append((id(a), a.name, a.type.pointee))
-    return prog.num_warps if prog.warp_level or prog.level != "workgroup" else 1, bindings
+    return prog.num_warps if prog.level != "workgroup" else 1, bindings
 
 
 def _bind(name: str, bindings: list[tuple[Any, str, ElemType]], mem: DeviceMemory) -> tuple:

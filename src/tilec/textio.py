@@ -145,8 +145,6 @@ class _Printer:
         for a in fn.args:
             self.names[id(a)] = f"%{a.name}"
         attrs: dict[str, Any] = {"num_warps": fn.num_warps}
-        if fn.warp_level:
-            attrs["warp_level"] = True
         if fn.level != "workgroup":
             attrs["level"] = fn.level
         lines = [f"tt.func public @{fn.name}({args}) attributes {_fmt_attrs(attrs)} {{"]
@@ -468,28 +466,31 @@ class _Parser:
 
         args = self.parse_list(")", arg)
         where: dict[str, _Token] = {}
-        attrs = self.parse_attr_dict(where) if self.accept("ident", "attributes") else {}
+        attrs = self.parse_attr_dict(where, ("num_warps", "level")) if self.accept("ident", "attributes") else {}
         num_warps = attrs.get("num_warps", 1)
         if type(num_warps) is not int:
             raise self.fail("num_warps must be an integer", where["num_warps"])
-        warp_level = attrs.get("warp_level", False)
-        if type(warp_level) is not bool:
-            raise self.fail("warp_level must be true or false", where["warp_level"])
-        fn = KernelFn(name, args, num_warps=num_warps, warp_level=warp_level, level=attrs.get("level", "workgroup"))
+        level = attrs.get("level", "workgroup")
+        if type(level) is not str:
+            raise self.fail("level must be a string", where["level"])
+        fn = KernelFn(name, args, num_warps=num_warps, level=level)
         env: dict[str, Value] = {a.name: a for a in fn.args}
         self.expect("punct", "{")
         self.parse_region_ops(fn.body, env)
         self.expect("punct", "}")
         return fn
 
-    def parse_attr_dict(self, where: dict[str, _Token] | None = None) -> dict[str, Any]:
-        """An attribute dict; `where`, when given, gets each value's first token."""
+    def parse_attr_dict(self, where: dict[str, _Token] | None = None, keys: tuple[str, ...] = ()) -> dict[str, Any]:
+        """An attribute dict; `where`, when given, gets each value's first
+        token.  A key outside `keys`, when given, fails at the key."""
         self.expect("punct", "{")
         seen: set[str] = set()
 
         def item() -> tuple[str, Any]:
             key_tok = self.expect("ident")
             key = key_tok[1]
+            if keys and key not in keys:
+                raise self.fail(f"unknown attribute {key}; expected one of {', '.join(keys)}", key_tok)
             if key in seen:
                 raise self.fail(f"repeated attribute {key}", key_tok)
             seen.add(key)

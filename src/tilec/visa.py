@@ -212,8 +212,7 @@ def _view_width(numel: int, elem: ElemType, packed: bool, target: TargetConfig):
 # --------------------------------------------------------------------------
 # lowering
 
-CROSS_WARP_REDUCE = "cross_warp_reduce"  # the table key of the cross-warp tt.reduce form
-_IR_ONLY_ATTRS = ("kind", "cross_warp", "tiling")
+_IR_ONLY_ATTRS = ("kind", "tiling")
 
 
 class Lowering(NamedTuple):
@@ -232,10 +231,10 @@ class Lowering(NamedTuple):
     mnemonic: str | tuple[str, str]
 
 
-# The lowering reads this table forwards and the simulator backwards, so no
-# two rows may share an (opcode, op) pair.  An empty op keys the opcode
-# alone, which leaves the instruction free to fill it (a reduce's kind, a
-# pointer extract's "ptr").
+# Every key is an IR op kind.  The lowering reads this table forwards and
+# the simulator backwards, so no two rows may share an (opcode, op) pair.
+# An empty op keys the opcode alone, which leaves the instruction free to
+# fill it (a reduce's kind, a pointer extract's "ptr").
 LOWERING: dict[str, Lowering] = {
     "tt.load": Lowering(VOpcode.block2d_load, "", "bits", ("2DBlockRead", "load2d.stateless")),
     "tt.store": Lowering(VOpcode.block2d_store, "", "bits", ("2DBlockWrite", "store2d.stateless")),
@@ -243,7 +242,7 @@ LOWERING: dict[str, Lowering] = {
     "tt.extract": Lowering(VOpcode.extract, "", "view", "subregister"),
     "tt.glue": Lowering(VOpcode.glue, "", "view", "subregister"),
     "tt.reduce": Lowering(VOpcode.reduce_lane, "", "typed", "lane_shuffle_reduce"),
-    CROSS_WARP_REDUCE: Lowering(VOpcode.cross_warp_reduce, "", "view", "slm_reduce"),
+    "tt.cross_warp_reduce": Lowering(VOpcode.cross_warp_reduce, "", "view", "slm_reduce"),
     "tt.barrier": Lowering(VOpcode.barrier, "", "none", "slm_fence"),
     "tt.alloc": Lowering(VOpcode.slm_alloc, "", "addr", "slm_alloc"),
     "tt.make_tensor_ptr": Lowering(VOpcode.alu, "mkptr", "addr", "addr"),
@@ -346,7 +345,7 @@ class _Lowerer:
 
     def lower_op(self, op: Operation) -> VInstr:
         k = op.kind
-        row = LOWERING.get(CROSS_WARP_REDUCE if k == "tt.reduce" and op.attrs.get("cross_warp", False) else k)
+        row = LOWERING.get(k)
         if row is None:
             raise LoweringError(f"@{self.fn.name}: no lowering for op {k!r}")
         opcode, sub, rule, mn = row
@@ -367,7 +366,7 @@ class _Lowerer:
             t, ml = (op.results[0] if op.results else op.operands[1]).type, self.target.max_load
             if any(d > m for d, m in zip(t.shape, ml if t.rank == 2 else ml[1:])):
                 raise LoweringError(f"@{self.fn.name}: {k[3:]} block {t.shape} exceeds max load {ml}")
-        elif k == "tt.reduce":
+        elif k in ("tt.reduce", "tt.cross_warp_reduce"):
             sub = op.attrs["kind"]
         elif k == "tt.extract" and isinstance(op.results[0].type, PtrType):
             sub, rule, mn = "ptr", "addr", "subview"

@@ -10,7 +10,7 @@ from tilec.kernels import load_fixture, make_problem, suite
 from tilec.passes import CompileResult, compile_kernel
 from tilec.sim import DeviceMemory, RunTrace, SimError, run
 from tilec.textio import print_module
-from tilec.visa import VInstr, VOpcode, VProgram
+from tilec.visa import VOpcode, VProgram
 
 
 @pytest.fixture(scope="session")
@@ -30,19 +30,6 @@ def fixtures():
 
 def fn_text(fn: KernelFn) -> str:
     return print_module(KernelModule((fn,)))
-
-
-def flat_instrs(prog: VProgram) -> list[VInstr]:
-    out: list[VInstr] = []
-
-    def go(instrs: list[VInstr]) -> None:
-        for i in instrs:
-            out.append(i)
-            if i.body is not None:
-                go(i.body)
-
-    go(prog.body)
-    return out
 
 
 def load_base(fn: KernelFn, load: Operation) -> str:
@@ -98,7 +85,7 @@ def exec_widths(prog: VProgram) -> list[tuple[VOpcode, str, int, bool]]:
     from tilec.visa import EXECUTION_OPCODES
 
     return [(i.opcode, i.op, i.width_bytes, i.lane_distributed)
-            for i in flat_instrs(prog) if i.opcode in EXECUTION_OPCODES]
+            for i in prog.walk() if i.opcode in EXECUTION_OPCODES]
 
 
 def prove_nothing(monkeypatch: pytest.MonkeyPatch) -> None:

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from conftest import exec_widths, flat_instrs, fn_text, load_base, ops_of, run_fixture
+from conftest import exec_widths, fn_text, load_base, ops_of, run_fixture
 from tilec.kernels import FIXTURE_NAMES, kernel_text, load_fixture
 from tilec.layouts import BlockedEncoding, DotOperandEncoding, SliceEncoding
 from tilec.oracle import rel_max_err
@@ -167,8 +167,8 @@ def test_criterion_5_vector_widths(gemm_compiled):
     simt = lower(gemm_compiled.match, PVC)
     simd = lower(gemm_compiled.match, replace(PVC, style="simd"))
 
-    ti = flat_instrs(simt)
-    di = flat_instrs(simd)
+    ti = list(simt.walk())
+    di = list(simd.walk())
     _check(failures, len(ti) == len(di), "instruction streams diverge")
     _check(failures, all(a.opcode == b.opcode for a, b in zip(ti, di)),
            "opcode sequences diverge")

@@ -202,6 +202,19 @@ def test_result_less_program_id_exits_1(tmp_path, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_reduce_with_the_old_cross_warp_attr_exits_1(tmp_path, capsys):
+    # a cross-warp reduce is its own op kind; a tt.reduce needs an axis
+    (tmp_path / "old.ttir").write_text(
+        'tt.func public @f() attributes {level = "warp", num_warps = 2} {\n'
+        "  %0 = arith.constant {value = 0.0} : () -> f32\n"
+        "  %1 = tt.splat %0 : (f32) -> tensor<4xf32>\n"
+        '  %2 = tt.reduce %1 {cross_warp = true, kind = "max"} : (tensor<4xf32>) -> tensor<4xf32>\n'
+        "  tt.return\n}\n"
+    )
+    assert main(["compile", "old.ttir"]) == 1
+    assert capsys.readouterr().err == "error: @f: tt.reduce: axis must name a dim of rank-1 operand\n"
+
+
 def test_layout_conflict_exits_1(tmp_path, capsys):
     fb = FunctionBuilder("selfdot", [("X", PtrType(F16)), ("O", PtrType(F32))], num_warps=4)
     x_arg, o_arg = fb.fn.args

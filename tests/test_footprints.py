@@ -114,7 +114,7 @@ def _quadrants() -> KernelFn:
     """Warp w of 4 stores its id to the 4x4 quadrant (w // 2, w % 2) of an
     8x8 O: the quadrants are disjoint, but the flat ranges of warps 0 and 1
     ([0, 28) and [4, 32)) overlap."""
-    fb = FunctionBuilder("quads", [("O", PtrType(F32))], num_warps=4, warp_level=True)
+    fb = FunctionBuilder("quads", [("O", PtrType(F32))], num_warps=4, level="warp")
     (o,) = fb.fn.args
     c0, c1, c2, c4, c8 = (fb.constant(v) for v in (0, 1, 2, 4, 8))
     w = fb.warp_id()
@@ -140,7 +140,7 @@ def test_disjoint_tiles_whose_flat_ranges_overlap_are_race_free(monkeypatch):
 
 def _zero_stride_alias() -> KernelFn:
     """As in test_sim: a row stride of 0 maps each column of a warp's 4x4 block to one element of O."""
-    fb = FunctionBuilder("alias", [("X", PtrType(F32)), ("O", PtrType(F32))], num_warps=2, warp_level=True)
+    fb = FunctionBuilder("alias", [("X", PtrType(F32)), ("O", PtrType(F32))], num_warps=2, level="warp")
     x, o = fb.fn.args
     c0, c1, c4, c8 = (fb.constant(v) for v in (0, 1, 4, 8))
     tile = fb.load(fb.make_tensor_ptr(x, [c4, c4], [c4, c1], [c0, c0], (4, 4), (1, 0)))
@@ -154,7 +154,7 @@ def _two_geometries() -> KernelFn:
     """Warp 0 stores 16 to rows 0-3 of an 8x4 O, as an 8x4 tensor with
     strides (4, 1); warp 1 stores 17 to rows 4-7, as columns 4-7 of a 4x8
     tensor with strides (1, 4)."""
-    fb = FunctionBuilder("views", [("O", PtrType(F32))], num_warps=2, warp_level=True)
+    fb = FunctionBuilder("views", [("O", PtrType(F32))], num_warps=2, level="warp")
     (o,) = fb.fn.args
     c0, c1, c3, c4, c8, c16 = (fb.constant(v) for v in (0, 1, 3, 4, 8, 16))
     w = fb.warp_id()
@@ -182,7 +182,7 @@ def test_zero_strides_and_two_geometries_are_not_proven(monkeypatch):
 def _rebased_carry() -> KernelFn:
     """Both warps add their id plus 1 to row 0 of O through a loop-carried
     pointer, which each trip then moves to row 0 of P."""
-    fb = FunctionBuilder("rebase", [("O", PtrType(F32)), ("P", PtrType(F32))], num_warps=2, warp_level=True)
+    fb = FunctionBuilder("rebase", [("O", PtrType(F32)), ("P", PtrType(F32))], num_warps=2, level="warp")
     o, p = fb.fn.args
     c0, c1, c2, c4 = (fb.constant(v) for v in (0, 1, 2, 4))
     po, pp = (fb.make_tensor_ptr(buf, [c1, c4], [c4, c1], [c0, c0], (1, 4), (1, 0)) for buf in (o, p))
@@ -211,7 +211,7 @@ def _rebased_to_slm() -> KernelFn:
     of O, a row offset read from memory, and each trip moves it to an SLM
     row.  Trip 0 stores pid + 1 to O, trip 1 to the SLM row; after the loop
     every workgroup loads its SLM row and stores it to row pid + 2 of O."""
-    fb = FunctionBuilder("reslm", [("O", PtrType(F32)), ("I", PtrType(ElemType.i32))], num_warps=1, warp_level=True)
+    fb = FunctionBuilder("reslm", [("O", PtrType(F32)), ("I", PtrType(ElemType.i32))], num_warps=1, level="warp")
     o, i = fb.fn.args
     c0, c1, c2, c4 = (fb.constant(v) for v in (0, 1, 2, 4))
     pid, slm = fb.program_id(0), fb.alloc((1, 4), F32)
@@ -245,7 +245,7 @@ def test_a_carry_whose_offsets_are_not_known_still_loses_its_buffer(monkeypatch)
 def _rows_down(trips: int) -> KernelFn:
     """Warp w of 4 loads rows w, w + 1, ... of a 6-row X, one per trip, through
     a carried pointer: with 4 trips warp 3 reads row 6 on the last trip."""
-    fb = FunctionBuilder("down", [("X", PtrType(F32)), ("O", PtrType(F32))], num_warps=4, warp_level=True)
+    fb = FunctionBuilder("down", [("X", PtrType(F32)), ("O", PtrType(F32))], num_warps=4, level="warp")
     x, o = fb.fn.args
     c0, c1, c4, c6 = (fb.constant(v) for v in (0, 1, 4, 6))
     w = fb.warp_id()
@@ -276,7 +276,7 @@ def _masked_past_the_end(flagged: bool) -> KernelFn:
     condition is warp_id == 0, or if `flagged`, warp w's entry of F being
     nonzero, which is not known before the run."""
     fb = FunctionBuilder("masked", [("X", PtrType(F32)), ("O", PtrType(F32)), ("F", PtrType(ElemType.i32))],
-                         num_warps=2, warp_level=True)
+                         num_warps=2, level="warp")
     x, o, f = fb.fn.args
     c0, c1, c2, c4 = (fb.constant(v) for v in (0, 1, 2, 4))
     w = fb.warp_id()

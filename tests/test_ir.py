@@ -80,7 +80,7 @@ def test_verifier_rejects_shape_mismatch():
 
 @pytest.mark.parametrize("op", ["tt.get_program_id {axis = 0}", "tt.warp_id", "arith.constant {value = 0}", "tt.alloc"])
 def test_verifier_rejects_a_producer_without_a_result(op):
-    text = f"tt.func public @f() attributes {{num_warps = 1, warp_level = true}} {{\n  {op} : () -> ()\n  tt.return : () -> ()\n}}\n"
+    text = f'tt.func public @f() attributes {{level = "warp", num_warps = 1}} {{\n  {op} : () -> ()\n  tt.return : () -> ()\n}}\n'
     with pytest.raises(VerifyError):
         verify_or_raise(parse_module(text).functions[0])
 
@@ -128,7 +128,7 @@ def _body(*arg_types, yields=()):
 def _diagnose(build) -> str:
     """The verifier's messages for a warp-level kernel that defines the values
     named below, then runs `build` on them, then returns."""
-    fb = FunctionBuilder("v", [("X", PtrType(F16)), ("I", PtrType(I32))], num_warps=4, warp_level=True)
+    fb = FunctionBuilder("v", [("X", PtrType(F16)), ("I", PtrType(I32))], num_warps=4, level="warp")
     x, i, f, h = fb.fn.args[0], fb.constant(0), fb.constant(0.0), fb.constant(0.0, F16)
     v = SimpleNamespace(X=x, I=fb.fn.args[1], i=i, f=f, b=fb.cmpi("eq", i, i),
                         a=fb.splat(h, (8, 16)), bt=fb.splat(h, (16, 8)), c=fb.splat(f, (8, 8)), n=fb.splat(i, (8, 8)),
@@ -147,15 +147,14 @@ _VERIFY_CASES = {
     "unknown_level": ("unknown level 'thread'", lambda fb, v: setattr(fb.fn, "level", "thread")),
     "num_warps": ("num_warps must be positive, got 0", lambda fb, v: setattr(fb.fn, "num_warps", 0)),
     "dup_arg": ("duplicate argument name %X", lambda fb, v: setattr(fb.fn.args[1], "name", "X")),
-    "enc_rank": ("encoding rank 2 != tensor rank 1 in TensorType(shape=(8,), elem=<ElemType.f32: 'f32'>, "
-                 "encoding=BlockedEncoding(size_per_warp=(8, 8), warps_per_cta=(1, 1), order=(1, 0)))",
+    "enc_rank": ("encoding rank 2 != tensor rank 1 in tensor<8xf32, #blocked>",
                  lambda fb, v: fb.splat(v.f, (8,), BlockedEncoding((8, 8), (1, 1), (1, 0)))),
     "dominance": ("math.exp: operand does not dominate use", lambda fb, v: fb.exp(Value(v.c.type))),
     "yield_last": ("scf.yield must terminate its region", lambda fb, v: fb.op("scf.yield")),
     "return_last": ("tt.return must terminate the function body", lambda fb, v: fb.ret()),
     "no_return": ("function body must end in tt.return", lambda fb, v: fb.begin_if(v.b)),  # tt.return goes in the if
     "warp_only": ("tt.warp_id is only valid in warp-level functions or pass output",
-                  lambda fb, v: setattr(fb.fn, "warp_level", False) or fb.warp_id()),
+                  lambda fb, v: setattr(fb.fn, "level", "workgroup") or fb.warp_id()),
     "pid_axis": ("tt.get_program_id: axis must be 0, 1, or 2", lambda fb, v: fb.program_id(3)),
     "mtp_not_block": ("tt.make_tensor_ptr: result must be a block pointer",
                       lambda fb, v: fb.op("tt.make_tensor_ptr", [v.X], {"order": [0]}, [PtrType(F16)])),
@@ -195,12 +194,14 @@ _VERIFY_CASES = {
     "reduce_tensor": ("tt.reduce: operand must be a tensor",
                       lambda fb, v: fb.op("tt.reduce", [v.p], {"kind": "sum", "axis": 0}, [v.f.type])),
     "reduce_kind": ("tt.reduce: kind must be 'max' or 'sum'", lambda fb, v: fb.reduce(v.c, "min", 1)),
-    "xreduce_axis": ("tt.reduce: cross_warp reduce keeps the shape; axis not allowed",
-                     lambda fb, v: fb.op("tt.reduce", [v.c], {"kind": "max", "cross_warp": True, "axis": 0},
-                                         [v.c.type])),
-    "xreduce_result": ("tt.reduce: cross_warp result type must equal the operand type",
-                       lambda fb, v: fb.op("tt.reduce", [v.c], {"kind": "max", "cross_warp": True}, [v.n.type])),
-    "xreduce_dst": ("tt.reduce: dst_warps must list warp ids below num_warps=4",
+    "xreduce_tensor": ("tt.cross_warp_reduce: operand must be a tensor",
+                       lambda fb, v: fb.op("tt.cross_warp_reduce", [v.p], {"kind": "sum"}, [v.p.type])),
+    "xreduce_kind": ("tt.cross_warp_reduce: kind must be 'max' or 'sum'", lambda fb, v: fb.cross_warp_reduce(v.c, "min")),
+    "xreduce_axis": ("tt.cross_warp_reduce: keeps the shape; axis not allowed",
+                     lambda fb, v: fb.op("tt.cross_warp_reduce", [v.c], {"kind": "max", "axis": 0}, [v.c.type])),
+    "xreduce_result": ("tt.cross_warp_reduce: result type must equal the operand type",
+                       lambda fb, v: fb.op("tt.cross_warp_reduce", [v.c], {"kind": "max"}, [v.n.type])),
+    "xreduce_dst": ("tt.cross_warp_reduce: dst_warps must list warp ids below num_warps=4",
                     lambda fb, v: fb.cross_warp_reduce(v.c, "max", [4])),
     "reduce_result": ("tt.reduce: result must be (8,) of f32",
                       lambda fb, v: fb.op("tt.reduce", [v.c], {"kind": "sum", "axis": 1}, [_t(4)])),
@@ -265,8 +266,7 @@ _VERIFY_CASES = {
                       lambda fb, v: fb.op("scf.for", [v.i, v.i, v.i], {}, [], [_body()])),
     "for_iv": ("scf.for: induction variable must be i32",
                lambda fb, v: fb.op("scf.for", [v.i, v.i, v.i], {}, [], [_body(v.f.type)])),
-    "for_iter_arg": ("scf.for: iter arg type TensorType(shape=(8, 8), elem=<ElemType.i32: 'i32'>, encoding=None) "
-                     "!= init type TensorType(shape=(8, 8), elem=<ElemType.f32: 'f32'>, encoding=None)",
+    "for_iter_arg": ("scf.for: iter arg type tensor<8x8xi32> != init type tensor<8x8xf32>",
                      lambda fb, v: fb.op("scf.for", [v.i, v.i, v.i, v.c], {}, [v.c.type],
                                          [_body(v.i.type, v.n.type, yields=[v.c])])),
     "for_results": ("scf.for: results must mirror the iter args",

@@ -86,11 +86,10 @@ def test_every_fixture_checks_at_every_level(name, level):
 def test_paged_warp_covers_all_extensions():
     fn = load_fixture("paged_warp")
     kinds = [op.kind for op in walk_fn_ops(fn)]
-    assert fn.warp_level
+    assert fn.level == "warp"
     assert "tt.warp_id" in kinds
     assert "tt.alloc" in kinds
     assert "tt.barrier" in kinds
-    crosses = [op for op in walk_fn_ops(fn)
-               if op.kind == "tt.reduce" and op.attrs.get("cross_warp")]
+    crosses = [op for op in walk_fn_ops(fn) if op.kind == "tt.cross_warp_reduce"]
     assert sorted(op.attrs["kind"] for op in crosses) == ["max", "sum", "sum"]
     assert sorted((op.attrs.get("dst_warps") is not None for op in crosses)) == [False, False, True]

@@ -155,15 +155,23 @@ def test_source_is_not_mutated():
                for v in op.results if hasattr(v.type, "encoding"))
 
 
-def test_warp_level_source_passes_through_layouts():
+def test_per_warp_source_passes_through_layouts_and_distribution():
     fn = load_fixture("paged_warp")
-    assert fn.warp_level
+    assert fn.level == "warp"
     out = assign_layouts(fn)
     assert out is not fn
     assert fn_equal(out, fn)
     dist = distribute_to_warps(out)
-    assert dist.level == "warp"
-    assert fn_equal(dist, fn) is False or dist.level != fn.level
+    assert dist is not out
+    assert fn_equal(dist, fn)
+
+
+@pytest.mark.parametrize("run", [assign_layouts, distribute_to_warps])
+def test_first_two_passes_reject_intrinsic_input(run):
+    fn = match_target_size(load_fixture("paged_warp"), PVC)
+    assert fn.level == "intrinsic"
+    with pytest.raises(PassError, match="expects workgroup-level input, got 'intrinsic'"):
+        run(fn)
 
 
 def test_tiling_hint_overrides_root():
@@ -230,7 +238,7 @@ def test_match_introduces_extract_glue(gemm_compiled, fa2_compiled):
         assert op.operands[0].type.shape == (m, k)
 
 
-def test_match_requires_warp_level_input():
+def test_match_requires_per_warp_input():
     with pytest.raises(PassError):
         match_target_size(load_fixture("gemm_256"), PVC)
 
@@ -251,7 +259,7 @@ def _block_ptr(fb, arg, shape):
 def _one_warp(name, x_shape, o_shape, body):
     """A 1-warp, warp-level kernel that stores body(fb, X's block pointer)
     to all of O; X and O are f32 buffers."""
-    fb = FunctionBuilder(name, [("X", PtrType(F32)), ("O", PtrType(F32))], num_warps=1, warp_level=True)
+    fb = FunctionBuilder(name, [("X", PtrType(F32)), ("O", PtrType(F32))], num_warps=1, level="warp")
     x_arg, o_arg = fb.fn.args
     value = body(fb, _block_ptr(fb, x_arg, x_shape))
     fb.store(_block_ptr(fb, o_arg, o_shape), value)
@@ -377,6 +385,28 @@ def test_a_tile_the_warps_shares_do_not_cover_is_a_pass_error():
     with pytest.raises(PassError, match=r"^@row_bcast: tt.broadcast: the warps' shares cover 1 of the 64 elements "
                                         r"along dim 0 of its \(64, 64\) tile, and would drop the rest"):
         compile_kernel(fn, to_level="warp")
+
+
+def test_expand_dims_of_a_blocked_row_inserts_a_unit_dim():
+    # the row, stored last, roots the layout at four warps of 16 elements;
+    # its 1x64 expansion takes that split with a unit dim in front
+    fb = FunctionBuilder("row_up", [("X", PtrType(F32)), ("O", PtrType(F32)), ("P", PtrType(F32))], num_warps=4)
+    x_arg, o_arg, p_arg = fb.fn.args
+    row = fb.load(_block_ptr(fb, x_arg, (64,)))
+    fb.store(_block_ptr(fb, o_arg, (1, 64)), fb.expand_dims(row, 0))
+    fb.store(_block_ptr(fb, p_arg, (64,)), row)
+    fb.ret()
+    res = compile_kernel(fb.build())
+    (up,) = ops_of(res.layouts, "tt.expand_dims")
+    assert up.results[0].type.encoding == BlockedEncoding((1, 16), (1, 4), (1, 0))
+    x = np.arange(64, dtype=np.float32)
+    mem = DeviceMemory()
+    for name, data in (("X", x), ("O", np.zeros((1, 64))), ("P", np.zeros(64))):
+        mem.set_tensor(name, data, F32)
+    for level in ("workgroup", "warp", "intrinsic", "visa"):
+        out = run(res.at_level(level), LaunchConfig(), mem)
+        np.testing.assert_array_equal(out.tensor("O"), x[None], err_msg=level)
+        np.testing.assert_array_equal(out.tensor("P"), x, err_msg=level)
 
 
 def test_reduction_rooted_kernel_matches_numpy_at_every_level():

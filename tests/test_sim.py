@@ -131,7 +131,7 @@ def test_run_validates_order():
 
 
 def test_barrier_divergence_detected():
-    fb = FunctionBuilder("diverge", [("O", PtrType(F32))], num_warps=2, warp_level=True)
+    fb = FunctionBuilder("diverge", [("O", PtrType(F32))], num_warps=2, level="warp")
     wid = fb.warp_id()
     cond = fb.cmpi("eq", wid, fb.constant(0))
     fb.begin_if(cond)
@@ -146,7 +146,7 @@ def test_barrier_divergence_detected():
 
 
 def test_slm_overflow_detected():
-    fb = FunctionBuilder("hog", [("O", PtrType(F32))], num_warps=1, warp_level=True)
+    fb = FunctionBuilder("hog", [("O", PtrType(F32))], num_warps=1, level="warp")
     fb.alloc((512, 512), F32)  # 1 MiB, over the 128 KiB default budget
     fb.ret()
     mem = DeviceMemory()
@@ -351,7 +351,7 @@ def _window_copy(glob, strides, offs, num_warps=1, masked=False) -> KernelFn:
     `glob`, `strides` and `offs`, each a function of the warp id w (an i32
     value) and the builder, and stores it to rows [4w, 4w + 4) of O; warp 2
     sits out if `masked`."""
-    fb = FunctionBuilder("window", [("X", PtrType(F32)), ("O", PtrType(F32))], num_warps=num_warps, warp_level=True)
+    fb = FunctionBuilder("window", [("X", PtrType(F32)), ("O", PtrType(F32))], num_warps=num_warps, level="warp")
     x, o = fb.fn.args
     w, c0, c1, c4 = fb.warp_id(), fb.constant(0), fb.constant(1), fb.constant(4)
     fields = [[f(w, fb) for f in fs] for fs in (glob, strides, offs)]
@@ -435,7 +435,7 @@ def test_missing_barrier_is_a_race(level):
 def _overlapping_stores(per_warp: bool, transposed: bool = False) -> KernelFn:
     """Both warps store a 4x4 block to the top of O: their warp id where
     `per_warp`, else 1; warp 1 with strides (1, 4) if `transposed`."""
-    fb = FunctionBuilder("overlap", [("O", PtrType(F32))], num_warps=2, warp_level=True)
+    fb = FunctionBuilder("overlap", [("O", PtrType(F32))], num_warps=2, level="warp")
     (o,) = fb.fn.args
     c0, c1, c4 = (fb.constant(v) for v in (0, 1, 4))
     w3 = fb.binary("arith.muli", fb.warp_id(), fb.constant(3 if transposed else 0))
@@ -482,7 +482,7 @@ def test_overlapping_stores_with_other_strides_race():
 def test_store_after_loads_by_two_warps_races():
     # warps 0 and 1 both load the top of O in one step; then warp 1 alone
     # stores other bits there
-    fb = FunctionBuilder("reload", [("O", PtrType(F32))], num_warps=2, warp_level=True)
+    fb = FunctionBuilder("reload", [("O", PtrType(F32))], num_warps=2, level="warp")
     (o,) = fb.fn.args
     c0, c1, c4 = (fb.constant(v) for v in (0, 1, 4))
     ptr = fb.make_tensor_ptr(o, [c4, c4], [c4, c1], [c0, c0], (4, 4), (1, 0))
@@ -506,7 +506,7 @@ def test_store_after_loads_by_three_warps_races(storer, other):
     # warps 0-2 load the top of O in one step, so their blocks overlap in the
     # read marks; then one warp stores other bits there.  The marks must hold
     # the lowest and highest reader whichever of the overlapping writes lands.
-    fb = FunctionBuilder("reload", [("O", PtrType(F32))], num_warps=3, warp_level=True)
+    fb = FunctionBuilder("reload", [("O", PtrType(F32))], num_warps=3, level="warp")
     (o,) = fb.fn.args
     c0, c1, c4 = (fb.constant(v) for v in (0, 1, 4))
     ptr = fb.make_tensor_ptr(o, [c4, c4], [c4, c1], [c0, c0], (4, 4), (1, 0))
@@ -529,7 +529,7 @@ def test_store_after_loads_by_three_warps_races(storer, other):
 def test_a_warp_storing_one_element_twice_does_not_race():
     # a row stride of 0 maps each column of a warp's 4x4 block to one element
     # of O, so each warp stores four rows of X over its own four elements
-    fb = FunctionBuilder("alias", [("X", PtrType(F32)), ("O", PtrType(F32))], num_warps=2, warp_level=True)
+    fb = FunctionBuilder("alias", [("X", PtrType(F32)), ("O", PtrType(F32))], num_warps=2, level="warp")
     x, o = fb.fn.args
     c0, c1, c4, c8 = (fb.constant(v) for v in (0, 1, 4, 8))
     tile = fb.load(fb.make_tensor_ptr(x, [c4, c4], [c4, c1], [c0, c0], (4, 4), (1, 0)))
@@ -548,7 +548,7 @@ def test_a_warp_storing_one_element_twice_does_not_race():
 def _reciprocals(pred: str, bound: int) -> KernelFn:
     """Warp w stores 1/x of row block w (4x4) of X to O, inside an scf.if
     that the warps with `warp_id pred bound` take."""
-    fb = FunctionBuilder("recip", [("X", PtrType(F32)), ("O", PtrType(F32))], num_warps=2, warp_level=True)
+    fb = FunctionBuilder("recip", [("X", PtrType(F32)), ("O", PtrType(F32))], num_warps=2, level="warp")
     x, o = fb.fn.args
     c0, c1, c4, c8 = (fb.constant(v) for v in (0, 1, 4, 8))
     row = fb.binary("arith.muli", fb.warp_id(), c4)
@@ -586,7 +586,7 @@ def _integer_ops(kind: str, pred: str, bound: int) -> KernelFn:
     """Warp w stores `7 kind w` to element w of the i32 buffer O, inside an
     scf.if that the warps with `warp_id pred bound` take; warp 0 divides by
     zero."""
-    fb = FunctionBuilder("idiv", [("O", PtrType(I32))], num_warps=2, warp_level=True)
+    fb = FunctionBuilder("idiv", [("O", PtrType(I32))], num_warps=2, level="warp")
     (o,) = fb.fn.args
     wid = fb.warp_id()
     fb.begin_if(fb.cmpi(pred, wid, fb.constant(bound)))
@@ -612,7 +612,7 @@ def test_an_active_row_dividing_an_integer_by_zero_fails(kind):
 
 
 def test_integer_division_floors_and_the_remainder_takes_the_divisors_sign():
-    fb = FunctionBuilder("ints", [(n, PtrType(I32)) for n in "ABQRW"], num_warps=1, warp_level=True)
+    fb = FunctionBuilder("ints", [(n, PtrType(I32)) for n in "ABQRW"], num_warps=1, level="warp")
     c0, c1, c5 = fb.constant(0), fb.constant(1), fb.constant(5)
     ptr = [fb.make_tensor_ptr(arg, [c5], [c1], [c0], (5,), (0,)) for arg in fb.fn.args]
     a, b = fb.load(ptr[0]), fb.load(ptr[1])
@@ -638,7 +638,7 @@ def _suffix_sums(rows: int, warps: int) -> KernelFn:
     carried pointer, while a second carried pointer moves down O one row per
     trip; the sum goes where that pointer ends, row rows - w of O.  The trip
     count is rows - w, and a warp that is done would read past X's end."""
-    fb = FunctionBuilder("suffix", [("X", PtrType(F32)), ("O", PtrType(F32))], num_warps=warps, warp_level=True)
+    fb = FunctionBuilder("suffix", [("X", PtrType(F32)), ("O", PtrType(F32))], num_warps=warps, level="warp")
     x, o = fb.fn.args
     c0, c1, c4, cr = (fb.constant(v) for v in (0, 1, 4, rows))
     wid = fb.warp_id()
@@ -666,7 +666,7 @@ def test_loop_trip_count_may_differ_by_warp():
 
 def test_fault_names_the_lowest_faulting_warp():
     # warp w loads rows 4w..4w+3 of an 8-row X: warps 2 and 3 are out of bounds
-    fb = FunctionBuilder("rows", [("X", PtrType(F32))], num_warps=4, warp_level=True)
+    fb = FunctionBuilder("rows", [("X", PtrType(F32))], num_warps=4, level="warp")
     (x,) = fb.fn.args
     c0, c1, c4, c8 = (fb.constant(v) for v in (0, 1, 4, 8))
     fb.load(fb.make_tensor_ptr(x, [c8, c4], [c4, c1], [fb.binary("arith.muli", fb.warp_id(), c4), c0], (4, 4), (1, 0)))
@@ -686,7 +686,7 @@ def test_fault_names_the_lowest_faulting_warp():
 def _shared_tile(num_warps: int, per_wg: bool) -> KernelFn:
     """Every warp of every workgroup stores a 4x4 block to the top of O: its
     program id where `per_wg`, else 1."""
-    fb = FunctionBuilder("shared", [("O", PtrType(F32))], num_warps=num_warps, warp_level=True)
+    fb = FunctionBuilder("shared", [("O", PtrType(F32))], num_warps=num_warps, level="warp")
     (o,) = fb.fn.args
     c0, c1, c4 = (fb.constant(v) for v in (0, 1, 4))
     ptr = fb.make_tensor_ptr(o, [c4, c4], [c4, c1], [c0, c0], (4, 4), (1, 0))
@@ -748,7 +748,7 @@ def _slm_echo(past_end: bool = False, warps: int = 2) -> KernelFn:
     """The last of `warps` warps of each workgroup stores its program id plus
     1 to an SLM row (one row further down if `past_end`); after a barrier,
     warp w of workgroup g loads the row and stores it to row g * warps + w of O."""
-    fb = FunctionBuilder("echo", [("O", PtrType(F32))], num_warps=warps, warp_level=True)
+    fb = FunctionBuilder("echo", [("O", PtrType(F32))], num_warps=warps, level="warp")
     (o,) = fb.fn.args
     c0, c1, c2, c4, c8 = (fb.constant(v) for v in (0, 1, warps, 4, 8))
     pid, wid = fb.program_id(0), fb.warp_id()
@@ -800,7 +800,7 @@ def test_schedule_order_orders_the_trace_and_not_the_bits():
 def _barrier_in_workgroup_zero() -> KernelFn:
     """In workgroup 0 only: warp 0 stores 7 to an SLM row, and after a barrier
     warp w stores the row to row w of O."""
-    fb = FunctionBuilder("first", [("O", PtrType(F32))], num_warps=2, warp_level=True)
+    fb = FunctionBuilder("first", [("O", PtrType(F32))], num_warps=2, level="warp")
     (o,) = fb.fn.args
     c0, c1, c4 = (fb.constant(v) for v in (0, 1, 4))
     wid = fb.warp_id()
@@ -824,7 +824,7 @@ def test_barrier_in_some_workgroups_only():
 
 
 def test_barrier_divergence_within_one_of_several_workgroups():
-    fb = FunctionBuilder("diverge", [("O", PtrType(F32))], num_warps=2, warp_level=True)
+    fb = FunctionBuilder("diverge", [("O", PtrType(F32))], num_warps=2, level="warp")
     c0, c1 = fb.constant(0), fb.constant(1)
     fb.begin_if(fb.cmpi("eq", fb.program_id(0), c1))
     fb.begin_if(fb.cmpi("eq", fb.warp_id(), c0))
@@ -846,7 +846,7 @@ def test_barrier_divergence_within_one_of_several_workgroups():
 def test_cross_warp_reduce_per_workgroup(dst):
     # warp w of workgroup g loads row 2g + w of X, the warps of each
     # workgroup add their rows, and each warp stores its result to its row of O
-    fb = FunctionBuilder("xsum", [("X", PtrType(F32)), ("O", PtrType(F32))], num_warps=2, warp_level=True)
+    fb = FunctionBuilder("xsum", [("X", PtrType(F32)), ("O", PtrType(F32))], num_warps=2, level="warp")
     x, o = fb.fn.args
     c1, c2, c4 = (fb.constant(v) for v in (1, 2, 4))
     row = fb.binary("arith.addi", fb.binary("arith.muli", fb.program_id(0), c2), fb.warp_id())

@@ -9,7 +9,7 @@ import pytest
 from tilec.ir import ElemType, FunctionBuilder, KernelModule, PtrType, module_equal, verify, walk_fn_ops
 from tilec.kernels import load_fixture
 from tilec.textio import ParseError, parse_module, print_module
-from tilec.visa import CROSS_WARP_REDUCE, LOWERING
+from tilec.visa import LOWERING
 
 F16 = ElemType.f16
 F32 = ElemType.f32
@@ -35,7 +35,7 @@ def _every_builder_method() -> KernelModule:
     a 16x16 tile of X in SLM, each warp multiplies it (halves swapped) into
     a strip of X, softmax-normalizes the rows across warps, and warp 0
     stores Y."""
-    fb = FunctionBuilder("tour", [("X", PtrType(F16)), ("Y", PtrType(F16))], num_warps=2, warp_level=True)
+    fb = FunctionBuilder("tour", [("X", PtrType(F16)), ("Y", PtrType(F16))], num_warps=2, level="warp")
     x_arg, y_arg = fb.fn.args
     c0, c1, c2, c16, c64 = (fb.constant(v) for v in (0, 1, 2, 16, 64))
     wid = fb.warp_id()
@@ -73,11 +73,10 @@ def test_builder_output_roundtrips_and_covers_lowering():
     assert verify(fn) == []
     assert module_equal(parse_module(print_module(m)), m)
     ops = list(walk_fn_ops(fn))
-    crosses = [op for op in ops if op.attrs.get("cross_warp")]
+    crosses = [op for op in ops if op.kind == "tt.cross_warp_reduce"]
     assert sorted("dst_warps" in op.attrs for op in crosses) == [False, True]
     assert any(op.attrs.get("tiling") for op in ops)
-    kinds = {CROSS_WARP_REDUCE if op.attrs.get("cross_warp") else op.kind for op in ops}
-    assert set(LOWERING) - kinds == set()
+    assert set(LOWERING) - {op.kind for op in ops} == set()
 
 
 def test_roundtrip_preserves_structure():
@@ -180,10 +179,13 @@ PARSE_CASES = {
                           "line 1, col 86: expected an integer, got 1.5"),
     "args_without_comma": (_fn("", _HEAD.replace("%X: !tt.ptr<f16>", "%X: !tt.ptr<f16> %Y: !tt.ptr<f16>")),
                            "line 1, col 36: expected , or ) (got '%Y')"),
-    "attrs_without_comma": (_fn("", _HEAD.replace("= 1", "= 1 warp_level = true")),
-                            "line 1, col 63: expected , or } (got 'warp_level')"),
-    "warp_level_int": (_fn("", _HEAD.replace("= 1", "= 1, warp_level = 7")),
-                       "line 1, col 77: warp_level must be true or false"),
+    "attrs_without_comma": (_fn("", _HEAD.replace("= 1", '= 1 level = "warp"')),
+                            "line 1, col 63: expected , or } (got 'level')"),
+    "level_int": (_fn("", _HEAD.replace("= 1", "= 1, level = 7")), "line 1, col 72: level must be a string"),
+    "misspelled_fn_attr": (_fn("", _HEAD.replace("num_warps = 1", "num_warp = 4")),
+                           "line 1, col 49: unknown attribute num_warp; expected one of num_warps, level"),
+    "old_per_warp_flag": (_fn("", _HEAD.replace("= 1", "= 1, warp_level = true")),
+                          "line 1, col 64: unknown attribute warp_level; expected one of num_warps, level"),
     "types_without_comma": (_fn(_I0 + "  %1 = arith.addi %0, %0 : (i32 i32) -> i32\n"),
                             "line 3, col 33: expected , or ) (got 'i32')"),
     "trailing_comma_in_types": (_fn(_I0 + "  %1 = arith.addi %0, %0 : (i32, i32,) -> i32\n"),

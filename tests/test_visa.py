@@ -7,8 +7,8 @@ from importlib.resources import files
 
 import pytest
 
-from conftest import flat_instrs
-from tilec.ir import ElemType, FunctionBuilder, PtrType, scalar
+from tilec import sim
+from tilec.ir import WARP_ONLY_OPS, ElemType, FunctionBuilder, PtrType, scalar, verify
 from tilec.kernels import load_fixture
 from tilec.passes import compile_kernel
 from tilec.visa import (
@@ -74,6 +74,22 @@ def test_lowering_table_inverts():
     assert len(set(pairs)) == len(pairs)
 
 
+def test_one_table_of_op_kinds():
+    # the simulator runs every kind the lowering knows, loops and branches
+    # in its executor, and the verifier knows each of them
+    assert set(LOWERING) == set(sim._SEMANTICS) | {"scf.for", "scf.if"}
+    for kind in LOWERING:
+        fb = FunctionBuilder("known", [], level="intrinsic")
+        fb.op(kind)
+        fb.ret()
+        assert not any(d.message.startswith("unknown op kind") for d in verify(fb.build())), kind
+    for kind in WARP_ONLY_OPS:
+        fb = FunctionBuilder("wg", [])
+        fb.op(kind)
+        fb.ret()
+        assert f"{kind} is only valid in warp-level functions or pass output" in [d.message for d in verify(fb.build())]
+
+
 def test_unknown_op_has_no_lowering():
     fb = FunctionBuilder("bogus", [], level="intrinsic")
     fb.op("tt.bogus")
@@ -137,7 +153,7 @@ def test_paged_warp_uses_slm_and_barrier():
     stats = count_stats(res.vprog)
     assert stats.slm_bytes_used == 64 * 2  # one (1, 64) f16 staging tile
     assert stats.barriers >= 1
-    ops = [i.opcode for i in flat_instrs(res.vprog)]
+    ops = [i.opcode for i in res.vprog.walk()]
     assert VOpcode.slm_alloc in ops
     assert VOpcode.cross_warp_reduce in ops
 
