@@ -379,9 +379,28 @@ def _verify_region(
             err("function body must end in tt.return")
 
 
+# the attributes each op kind may carry, all read by its check below
+_OP_ATTRS: dict[str, frozenset[str]] = {
+    **dict.fromkeys(ELEMENTWISE_FLOAT | ELEMENTWISE_INT, frozenset()),
+    **dict.fromkeys(("tt.warp_id", "tt.advance", "tt.load", "tt.store", "tt.splat", "tt.convert", "tt.broadcast",
+                     "tt.glue", "tt.alloc", "tt.barrier", "tt.return", "scf.for", "scf.yield", "scf.if"), frozenset()),
+    "tt.get_program_id": frozenset({"axis"}),
+    "tt.make_tensor_ptr": frozenset({"order"}),
+    "tt.dot": frozenset({"tiling"}),
+    "tt.reduce": frozenset({"kind", "axis"}),
+    "tt.cross_warp_reduce": frozenset({"kind", "dst_warps"}),
+    "arith.constant": frozenset({"value"}),
+    "tt.expand_dims": frozenset({"axis"}),
+    "tt.extract": frozenset({"index"}),
+    "arith.cmpi": frozenset({"pred"}),
+}
+
+
 def _verify_op(fn: KernelFn, op: Operation, err: Callable[..., None]) -> None:
     k = op.kind
     n_in, n_out = len(op.operands), len(op.results)
+    if k in _OP_ATTRS and (unknown := sorted(set(op.attrs) - _OP_ATTRS[k])):
+        err(f"{k}: unknown attribute {unknown[0]}; expected {', '.join(sorted(_OP_ATTRS[k])) or 'none'}", op)
 
     def tensor_result() -> TensorType | None:
         if n_out != 1 or not isinstance(op.results[0].type, TensorType):
@@ -480,8 +499,6 @@ def _verify_op(fn: KernelFn, op: Operation, err: Callable[..., None]) -> None:
         if op.attrs.get("kind") not in ("max", "sum"):
             err(f"{k}: kind must be 'max' or 'sum'", op)
         if k == "tt.cross_warp_reduce":
-            if "axis" in op.attrs:
-                err(f"{k}: keeps the shape; axis not allowed", op)
             if n_out != 1 or not same_block(op.results[0].type, src):
                 err(f"{k}: result type must equal the operand type", op)
             dst = op.attrs.get("dst_warps")

@@ -65,9 +65,12 @@ strides.
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import functools
+import heapq
 import itertools
+import operator
 import struct
 import weakref
 from dataclasses import InitVar, dataclass, field
@@ -77,7 +80,7 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import footprints
-from .ir import CMP_PREDS, ElemType, KernelFn, Operation, PtrType, block_origin, tile_type
+from .ir import CMP_PREDS, ELEMENTWISE_FLOAT, ELEMENTWISE_INT, ElemType, KernelFn, Operation, PtrType, block_index, block_origin, tile_type
 from .textio import _type_desc
 from .visa import LOWERING, TargetConfig, VInstr, VProgram
 
@@ -320,8 +323,10 @@ def _access(ctx: _Ctx, s: _Step, bp: BlockPointer, value: np.ndarray | None = No
         if bad.any() and (bad := bad & ctx.act).any():
             at = ctx.where(s.name, np.argmax(bad))
             raise SimError(f"out-of-bounds block access: flat index beyond buffer of {size} ({at})")
-    if ctx.log is not None:
-        ctx.log[value is not None].append((ctx.ids, ctx.epoch[ctx.wg[ctx.ids]], offs[ctx.ids], bp.base, bp.block_shape))
+    if ctx.log is not None:  # a group logs each member's access, in member order
+        epochs = ctx.epoch[ctx.wg[ctx.ids]]
+        for o, block in s.slices or ((0, bp.block_shape),):
+            ctx.log[value is not None].append((ctx.ids, epochs, offs[ctx.ids] + o, bp.base, block))
     first = first if off is None else first + off
     return [(rows := ctx.ids if sel is None else ctx.ids[sel[ctx.ids]], first[rows] + neg, view, marks)
             for sel, neg, view, marks in groups]
@@ -466,10 +471,13 @@ class _Step:
     # an extract's slices of its operand (for a pointer, their starts offset
     # the block); a glue's slices of its result, one per piece
     slices: tuple = field(init=False)
+    # a group's: per member whose result some step reads, that key and the
+    # member's index into the group's result (None: a step of one op)
+    binds: tuple | None = field(init=False)
 
     def __post_init__(self, src: tuple[int, ...] | None) -> None:
         self.sem = _SEMANTICS.get(self.kind)
-        self.slices = ()
+        self.slices, self.binds = (), None
         if self.kind == "tt.extract":
             self.slices = _piece(src, self.shape, self.attrs["index"])
         elif self.kind == "tt.glue":
@@ -525,6 +533,428 @@ def _walk(steps: list[_Step]) -> Iterator[_Step]:
     for s in steps:
         yield s
         yield from _walk(s.body or [])
+
+
+# --------------------------------------------------------------------------
+# piece groups: the pieces match_target_size cut from one tile, as one step
+
+# kinds whose steps on the pieces of a tile give the bits of one step on the
+# whole tile: numpy works out each result element from the same operand
+# elements in the same order (tt.dot: each k chunk's products summed by one
+# BLAS kernel, then added to the accumulator), and their semantics cannot raise
+_GROUPED = (ELEMENTWISE_FLOAT | ELEMENTWISE_INT | {"arith.cmpi", "tt.convert", "tt.splat", "arith.constant", "tt.dot"}) - {
+    "arith.divi", "arith.remi"}
+# kinds whose steps may run earlier, later or not at all: they touch no
+# buffer, do not synchronize and cannot raise; every other step keeps its
+# place among those
+_MOVABLE = _GROUPED | {"tt.extract", "tt.glue", "tt.reduce", "tt.expand_dims", "tt.broadcast", "tt.make_tensor_ptr",
+                       "tt.advance", "tt.get_program_id", "tt.warp_id", "tt.alloc"}
+
+
+class _Key(NamedTuple):
+    """A group's operand that every member reads: one value as it is."""
+
+    key: Any
+
+    def get(self, env: dict) -> Any:
+        return env[self.key]
+
+
+class _Box(NamedTuple):
+    """A group's operand that is one box of one value."""
+
+    key: Any
+    index: tuple
+
+    def get(self, env: dict) -> np.ndarray:
+        return env[self.key][self.index]
+
+
+class _Glue(NamedTuple):
+    """A group's operand glued from its members' values as it runs: per
+    member a key, an index into its value and the box it fills."""
+
+    parts: tuple
+    shape: tuple
+
+    def get(self, env: dict) -> np.ndarray:
+        pieces = [(env[k][ix], box) for k, ix, box in self.parts]
+        out = np.empty((len(pieces[0][0]), *self.shape), dtype=pieces[0][0].dtype)
+        for piece, box in pieces:
+            out[box] = piece
+        return out
+
+
+def _box(origin: tuple, shape: tuple) -> tuple:
+    """The index of the block at `origin` of each row's tile."""
+    return (slice(None), *map(slice, origin, map(operator.add, origin, shape)))
+
+
+def _read(p: Any) -> list:
+    """The keys an operand reads."""
+    return [k for k, _, _ in p.parts] if type(p) is _Glue else [p.key] if type(p) in (_Key, _Box) else [p]
+
+
+def _group(steps: list[_Step], bases: dict[int, Any], inbounds: set[int], marked: set) -> list[_Step]:
+    """`steps` with the piece groups of each block run as one step each, and
+    every movable step whose results no step reads left out.  `bases` holds
+    each access step's buffer where the proof found it, `inbounds` the access
+    steps proven in bounds (it gains the access groups), `marked` the buffers
+    that keep race marks."""
+    flat = list(_walk(steps))
+    types: dict[Any, tuple] = {}  # per key: (shape, elem, is_ptr) of its value
+    for s in flat:  # a loop's carries and results are typed like its inits
+        if s.kind == "scf.for":
+            inits = [types.get(k) for k in s.operands[3:]]
+            types.update(zip(s.attrs["iters"], inits))
+            types.update(zip(s.results, inits))
+        elif s.results:
+            types[s.results[0]] = (s.shape, s.elem, s.is_ptr)
+    plan = _Plan({s.results[0]: s for s in flat if s.results}, collections.Counter(k for s in flat for k in s.operands),
+                 types, bases, inbounds, marked)
+    out, n = plan.block(steps), -1
+    while n:  # until no step is left out
+        out, n = _prune(out, {k for s in _walk(out) for p in s.operands for k in _read(p)})
+    return out
+
+
+def _prune(steps: list[_Step], live: set) -> tuple[list[_Step], int]:
+    """`steps` without the movable ones whose results no step reads, and how many those were."""
+    out, n = [], 0
+    for s in steps:
+        if s.binds is not None:
+            s.binds = tuple(b for b in s.binds if b[0] in live)
+        if s.kind in _MOVABLE and s.results and s.results[0] not in live and not s.binds:
+            n += 1
+            continue
+        if s.body is not None:
+            s.body, m = _prune(s.body, live)
+            n += m
+        out.append(s)
+    return out, n
+
+
+@dataclass
+class _Plan:
+    """What `_group` knows of the whole program, and what its groups made."""
+
+    steps: dict[Any, _Step]  # each step by its first result
+    uses: collections.Counter  # how many operands read each key
+    types: dict[Any, tuple]
+    bases: dict[int, Any]
+    inbounds: set[int]
+    marked: set
+    made: dict[Any, _Step] = field(default_factory=dict)  # each group by its key
+    pos: dict[Any, tuple] = field(default_factory=dict)  # a group member's result: the group's key, its origin
+
+    def where(self, k: Any) -> tuple | None:
+        """(key, origin) if `k`'s value is the block of that key's value at
+        that origin: a group member's result, or a piece of a value by extracts."""
+        if k in self.pos:
+            return self.pos[k]
+        s = self.steps.get(k)
+        if s is None or s.kind != "tt.extract" or s.is_ptr:
+            return None
+        at = tuple(sl.start for sl in s.slices[1:])
+        if (up := self.where(s.operands[0])) is None:
+            return s.operands[0], at
+        return up[0], tuple(a + b for a, b in zip(up[1], at))
+    def place(self, k: Any) -> tuple | None:
+        """(block, origin) if pointer `k` is a piece of that block by an extract."""
+        s = self.steps.get(k)
+        if s is None or s.kind != "tt.extract" or not s.is_ptr:
+            return None
+        return s.operands[0], tuple(sl.start for sl in s.slices[1:])
+
+    def same(self, s: _Step, t: _Step) -> bool:
+        """Whether `s` and `t` do one thing to equally typed operands."""
+        return (s.kind == t.kind and s.shape == t.shape and s.elem == t.elem and s.attrs == t.attrs
+                and [self.types.get(k) for k in s.operands] == [self.types.get(k) for k in t.operands]
+                and (s.kind != "tt.splat" or s.operands == t.operands))
+
+    def block(self, body: list[_Step]) -> list[_Step]:
+        """`body` as it runs: its groups and every other step, each after
+        what it reads and the steps that are not movable in their own order;
+        nested bodies planned in turn."""
+        at = {k: i for i, s in enumerate(body) for k in s.results}
+        reads = [{j for k in (s.operands if s.body is None else (k for t in _walk([s]) for k in t.operands))
+                  if (j := at.get(k, i)) < i} for i, s in enumerate(body)]  # a loop or branch reads what its body reads
+        deps: list[int] = []  # per step, a bit mask of the steps it reads from, directly or not
+        for r in reads:
+            deps.append(functools.reduce(operator.or_, (deps[j] | 1 << j for j in r), 0))
+        groups = [g for g in self.runs(body, deps) + self.chains(body, at) + self.accesses(body)
+                  if not any(deps[i] & functools.reduce(operator.or_, (1 << j for j in g)) for i in g)]
+        while (order := _order(body, groups, reads)) is None:
+            groups.pop(0)  # groups that wait on each other: run the first as written
+        return [x for g in order for x in ([self.packed([body[i] for i in g])] if len(g) > 1 else self.single(body[g[0]]))]
+
+    def runs(self, body: list[_Step], deps: list[int]) -> list[list[int]]:
+        """Runs of steps in a row that do one thing and do not read each other."""
+        out, run, mask = [], [], 0
+        for i, s in enumerate(body):
+            if run and not deps[i] & mask and self.same(body[run[0]], s):
+                run.append(i)
+                mask |= 1 << i
+                continue
+            if len(run) > 1:
+                out.append(run)
+            ok = s.kind in _GROUPED and s.kind != "tt.dot" and s.shape and all(
+                (self.types.get(k) or ((),))[0] == (() if s.kind == "tt.splat" else s.shape) for k in s.operands)
+            run, mask = ([i], 1 << i) if ok else ([], 0)
+        return out + [run] * (len(run) > 1)
+
+    def chains(self, body: list[_Step], at: dict) -> list[list[int]]:
+        """Per k, the k-th dots of equal chains, which add one k chunk to a
+        tile whose rows one A piece and whose columns one B piece give: a
+        chain is a run of dots each of which adds to the one before, which
+        nothing else reads."""
+        dots = [i for i, s in enumerate(body) if s.kind == "tt.dot" and len(s.shape) == 2
+                and None not in [self.types.get(k) for k in s.operands]]
+        nxt, ok = {}, set(dots)
+        for i in dots:
+            c = body[i].operands[2]
+            if (j := at.get(c)) in ok and self.uses[c] == 1:
+                nxt[j] = i
+        classes: list[list[list[int]]] = []  # chains alike whose first dots share an A or a B piece, transitively
+        for h in sorted(ok - set(nxt.values())):
+            chain = [h]
+            while chain[-1] in nxt:
+                chain.append(nxt[chain[-1]])
+            near = [cs for cs in classes if len(cs[0]) == len(chain) and self.same(body[cs[0][0]], body[h])
+                    and any(body[c[0]].operands[j] == body[h].operands[j] for c in cs for j in (0, 1))]
+            classes = [cs for cs in classes if cs not in near] + [[c for cs in near for c in cs] + [chain]]
+        groups = []
+        for cs in classes:
+            rows, cols = ({body[c[0]].operands[j]: None for c in cs} for j in (0, 1))
+            cs.sort(key=lambda c: (list(rows).index(body[c[0]].operands[0]), list(cols).index(body[c[0]].operands[1])))
+            ks = [[body[c[k]] for c in cs] for k in range(len(cs[0]))]
+            if len(cs) > 1 and all(self.grid(g) is not None for g in ks):
+                groups += [[c[k] for c in cs] for k in range(len(cs[0]))]
+        return groups
+
+    def grid(self, dots: list[_Step]) -> tuple | None:
+        """(rows, columns) if `dots`, in row-major order, read one A piece per
+        row and one B piece per column of a grid, and each one of its pieces."""
+        rows, cols = (list(dict.fromkeys(d.operands[j] for d in dots)) for j in (0, 1))
+        ix = [(rows.index(d.operands[0]), cols.index(d.operands[1])) for d in dots]
+        return (len(rows), len(cols)) if ix == list(np.ndindex(len(rows), len(cols))) else None
+
+    def accesses(self, body: list[_Step]) -> list[list[int]]:
+        """Runs of loads or of stores, with no other step that is not movable
+        between them, of the pieces that cover one block of a buffer that keeps
+        no race marks, each proven in bounds."""
+        out, run, key = [], [], None
+        for i, s in enumerate(body + [body[-1]]):  # a pass more, to end the last run
+            if s.kind in _MOVABLE:
+                continue
+            p = self.place(s.operands[0]) if s.kind in ("tt.load", "tt.store") and id(s) in self.inbounds else None
+            ok = i < len(body) and p is not None and self.bases.get(id(s)) not in self.marked | {None}
+            if ok and run and (s.kind, p[0], s.shape, s.elem) == key:
+                run.append(i)
+                continue
+            if len(run) > 1 and _covers([self.place(body[j].operands[0])[1] for j in run], self.types[key[1]][0],
+                                        body[run[0]].shape):
+                out.append(run)
+            run, key = ([i], (s.kind, p[0], s.shape, s.elem)) if ok else ([], None)
+        return out
+
+    def single(self, s: _Step) -> list[_Step]:
+        """`s` as it runs, as a list of steps: none for a glue of the pieces
+        of one group's result in place, which that group binds instead."""
+        if s.kind == "tt.glue":
+            at = [self.where(k) for k in s.operands]
+            if None not in at and len({k for k, _ in at}) == 1 and at[0][0] in self.made:
+                base = [tuple(o - sl.start for o, sl in zip(o, box[1:])) for (_, o), box in zip(at, s.slices)]
+                if len(set(base)) == 1:
+                    g = self.made[at[0][0]]
+                    g.binds += ((s.results[0], _box(base[0], s.shape)),)
+                    self.pos[s.results[0]] = (at[0][0], base[0])
+                    return []
+        if s.kind == "scf.for":
+            return self.loop(s)
+        if s.body is not None:
+            s.body = self.block(s.body)
+        return [s]
+
+    def loop(self, s: _Step) -> list[_Step]:
+        """The loop `s`, with each set of its carries that are the pieces of
+        one tile or block carried as that whole, and cut into those pieces
+        by extracts at the start of each trip and after the loop: block
+        pieces that one ``tt.advance`` moves, or the results of the last dots
+        of dot chains, glued before the loop and at the end of each trip."""
+        body, iters, inits = s.body, list(s.attrs["iters"]), list(s.operands[3:])
+        yields, results = list(body[-1].operands), list(s.results)
+        at = {k: i for i, t in enumerate(body) for k in t.results}
+        sets, moves = [], {}  # (carries, whole, origins, block pointer or None); pointer carries by what moves them
+        for c, (it, init, y) in enumerate(zip(iters, inits, yields)):
+            t = body[at[y]] if y in at else None
+            if (p := self.place(init)) is not None and t is not None and t.kind == "tt.advance" and t.operands[0] == it:
+                moves.setdefault((p[0], t.operands[1:]), []).append(c)
+        for (q, _), cs in moves.items():
+            origins = [self.place(inits[c])[1] for c in cs]
+            if len(cs) > 1 and _covers(origins, self.types[q][0], self.types[iters[cs[0]]][0]):
+                sets.append((cs, self.types[q][0], origins, q))
+        for g in self.chains(body, at):
+            keys = [body[i].results[0] for i in g]
+            if all(self.uses[k] == 1 and k in yields for k in keys):
+                whole, origins = self.layout([body[i] for i in g])
+                sets.append(([yields.index(k) for k in keys], whole, origins, None))
+        head, tail, before, after, new = [], [], [], [], ([], [], [], [])  # new inits, carries, yields, results
+        for cs, whole, origins, q in sets:
+            shape, elem, is_ptr = self.types[iters[cs[0]]]
+            x, x2, r = (self.fresh((whole, elem, is_ptr)) for _ in range(3))
+            head += [self.cut(x, iters[c], o, shape) for c, o in zip(cs, origins)]
+            after += [self.cut(r, results[c], o, shape) for c, o in zip(cs, origins)]
+            if q is not None:
+                t = body[at[yields[cs[0]]]]
+                tail.append(_Step(t.kind, t.name, (x, *t.operands[1:]), (x2,), t.attrs, whole, elem, True, None, None))
+            else:
+                q = self.fresh((whole, elem, is_ptr))
+                before.append(self.glued(q, [inits[c] for c in cs], origins, whole))
+                tail.append(self.glued(x2, [yields[c] for c in cs], origins, whole))
+            for ks, k in zip(new, (q, x, x2, r)):
+                ks.append(k)
+        if sets:
+            gone = {c for cs, _, _, _ in sets for c in cs}
+            inits, iters, yields, results = ([k for c, k in enumerate(ks) if c not in gone] + more
+                                             for ks, more in zip((inits, iters, yields, results), new))
+            s.operands, s.attrs, s.results = (*s.operands[:3], *inits), {**s.attrs, "iters": iters}, tuple(results)
+            body[-1].operands = tuple(yields)
+        s.body = self.block(head + body[:-1] + tail + body[-1:])
+        return [*(x for t in before for x in self.single(t)), s, *after]
+
+    def fresh(self, typ: tuple) -> object:
+        """A new key, for a value of type `typ`."""
+        self.types[k := object()] = typ
+        return k
+
+    def cut(self, whole: Any, key: Any, origin: tuple, shape: tuple) -> _Step:
+        """An extract step that cuts the piece at `origin` of `whole` as `key`."""
+        w, elem, is_ptr = self.types[whole]
+        s = _Step("tt.extract", "tt.extract", (whole,), (key,), {"index": block_index(w, shape, origin)}, shape, elem,
+                  is_ptr, None, w)
+        self.steps[key] = s
+        return s
+
+    def glued(self, key: Any, keys: list, origins: list[tuple], whole: tuple) -> _Step:
+        """A glue step of the pieces `keys` at `origins` of `whole` as `key`."""
+        shape, elem, _ = self.types[keys[0]]
+        order = sorted(range(len(keys)), key=lambda i: block_index(whole, shape, origins[i]))
+        return _Step("tt.glue", "tt.glue", tuple(keys[i] for i in order), (key,), {}, whole, elem, False, None, shape)
+
+    def packed(self, members: list[_Step]) -> _Step:
+        """One step for `members` on the tile their results are pieces of,
+        which binds each member's result as a view of its own."""
+        m0 = members[0]
+        if m0.kind in ("tt.load", "tt.store"):
+            return self.access(members)
+        whole, origins = self.layout(members)
+        if m0.kind == "tt.dot":  # a row of A pieces and a column of B pieces per k chunk
+            (r, c), k = whole, self.types[m0.operands[0]][0][1]
+            ops = [self.pack([m.operands[0] for m in members], [(o[0], 0) for o in origins], (r, k)),
+                   self.pack([m.operands[1] for m in members], [(0, o[1]) for o in origins], (k, c)),
+                   self.pack([m.operands[2] for m in members], origins, whole)]
+        elif m0.kind == "tt.splat":
+            ops = [_Key(m0.operands[0])]
+        else:
+            ops = [self.pack([m.operands[j] for m in members], origins, whole) for j in range(len(m0.operands))]
+        return self.bind(members, _Step(m0.kind, m0.name, tuple(ops), (object(),), m0.attrs, whole, m0.elem, False,
+                                        None, None), origins)
+
+    def bind(self, members: list[_Step], g: _Step, origins: list[tuple]) -> _Step:
+        g.binds = tuple((m.results[0], _box(o, m.shape)) for m, o in zip(members, origins) if m.results)
+        if g.results:
+            self.made[g.results[0]] = g
+            self.pos.update((m.results[0], (g.results[0], o)) for m, o in zip(members, origins))
+        return g
+
+    def layout(self, members: list[_Step]) -> tuple[tuple, list[tuple]]:
+        """The shape of the tile the members' results are pieces of, and each
+        one's origin: a dot grid's, else that of an operand whose pieces cover
+        a box of one value once, else a column of pieces."""
+        m0, piece = members[0], members[0].shape
+        if m0.kind == "tt.dot":
+            (r, c), (pr, pc) = self.grid(members), piece
+            return (r * pr, c * pc), [(i * pr, j * pc) for i, j in np.ndindex(r, c)]
+        for j in range(len(m0.operands)):
+            at = [self.where(m.operands[j]) for m in members]
+            if None in at or len({k for k, _ in at}) > 1 or self.types[members[0].operands[j]][0] != piece:
+                continue
+            lo = tuple(np.min([o for _, o in at], axis=0))
+            origins = [tuple(int(x) for x in np.subtract(o, lo)) for _, o in at]
+            whole = tuple(int(x) for x in np.max(origins, axis=0) + piece)
+            grid = [w // p for w, p in zip(whole, piece)]
+            if sorted(origins) == [tuple(g * p for g, p in zip(ix, piece)) for ix in np.ndindex(*grid)]:
+                return whole, origins
+        return (len(members) * piece[0], *piece[1:]), [(i * piece[0], *[0] * (len(piece) - 1)) for i in range(len(members))]
+
+    def pack(self, keys: list, targets: list[tuple], shape: tuple) -> Any:
+        """An operand of `shape` whose block at `targets[i]` is the value of
+        `keys[i]`: a box of one value where they are its pieces in place, else
+        glued as it runs."""
+        piece, at = self.types[keys[0]][0], [self.where(k) for k in keys]
+        if None not in at and len({k for k, _ in at}) == 1:
+            base = {tuple(map(operator.sub, o, t)) for (_, o), t in zip(at, targets)}
+            if len(base) == 1:
+                return _Box(at[0][0], _box(base.pop(), shape))
+        return _Glue(tuple((k, (), _box(t, piece)) if w is None else (w[0], _box(w[1], piece), _box(t, piece))
+                           for k, w, t in zip(keys, at, targets)), shape)
+
+    def access(self, members: list[_Step]) -> _Step:
+        """One access of the block the members' pointers are pieces of,
+        logged per member, in their order."""
+        places = [self.place(m.operands[0]) for m in members]
+        m0, block, origins = members[0], places[0][0], [p[1] for p in places]
+        whole, ops = self.types[block][0], [_Key(block)]
+        if m0.kind == "tt.store":
+            ops.append(self.pack([m.operands[1] for m in members], origins, whole))
+        g = _Step(m0.kind, m0.name, tuple(ops), (object(),) * bool(m0.results), m0.attrs, whole, m0.elem, False,
+                  None, None)
+        g.slices = tuple((np.array(o), m.shape) for m, o in zip(members, origins))
+        self.inbounds.add(id(g))
+        return self.bind(members, g, origins)
+
+
+def _covers(origins: list[tuple], whole: tuple, piece: tuple) -> bool:
+    """Whether the pieces at `origins` cover `whole`, each block once."""
+    if any(w % p for w, p in zip(whole, piece)):
+        return False
+    return sorted(origins) == [tuple(g * p for g, p in zip(ix, piece)) for ix in np.ndindex(*np.floor_divide(whole, piece))]
+
+
+def _order(body: list[_Step], groups: list[list[int]], reads: list[set[int]]) -> list[list[int]] | None:
+    """The groups and other steps of `body` in the order they run: each as
+    soon as the steps it reads from have run, earliest first, and the steps
+    that are not movable in their own order, the terminator last; None if two
+    groups wait on each other."""
+    nodes = groups + [[i] for i in sorted(set(range(len(body))) - {i for g in groups for i in g})]
+    node = {i: n for n, g in enumerate(nodes) for i in g}
+    waits = [set() for _ in nodes]
+    for i, r in enumerate(reads):
+        waits[node[i]].update(node[j] for j in r)
+    fixed = [i for i, s in enumerate(body) if s.kind not in _MOVABLE]
+    for a, b in zip(fixed, fixed[1:]):
+        waits[node[b]].add(node[a])
+    if body and body[-1].kind in ("scf.yield", "tt.return"):
+        waits[node[len(body) - 1]].update(range(len(nodes)))
+    for n, w in enumerate(waits):
+        w.discard(n)
+    blocking = [set() for _ in nodes]
+    for n, w in enumerate(waits):
+        for m in w:
+            blocking[m].add(n)
+    left = [len(w) for w in waits]
+    ready = [(min(g), n) for n, g in enumerate(nodes) if not left[n]]
+    heapq.heapify(ready)
+    order = []
+    while ready:
+        _, n = heapq.heappop(ready)
+        order.append(nodes[n])
+        for m in blocking[n]:
+            left[m] -= 1
+            if not left[m]:
+                heapq.heappush(ready, (min(nodes[m]), m))
+    return order if len(order) == len(nodes) else None
 
 
 # --------------------------------------------------------------------------
@@ -662,7 +1092,12 @@ def _exec(steps: list[_Step], ctx: _Ctx, env: dict) -> None:
     """Run steps for the active rows."""
     for s in steps:
         if s.sem is not None:
-            v = s.sem(s, ctx, [env[k] for k in s.operands])
+            if s.binds is None:
+                v = s.sem(s, ctx, [env[k] for k in s.operands])
+            else:  # a group
+                v = s.sem(s, ctx, [p.get(env) for p in s.operands])
+                for k, ix in s.binds:
+                    env[k] = v[ix]
             if s.results:
                 env[s.results[0]] = v
         elif s.kind == "scf.for":
@@ -694,6 +1129,13 @@ def _record(ctx: _Ctx, trace: RunTrace) -> None:
 
 # --------------------------------------------------------------------------
 # prepared launches
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """A view of `a` that cannot be written through."""
+    view = a.view()
+    view.setflags(write=False)
+    return view
 
 
 def _bindings(prog: KernelFn | VProgram) -> tuple[int, list[tuple[Any, str, ElemType]]]:
@@ -737,9 +1179,8 @@ class Launch:
             self.steps = [_decode_op(op) for op in prog.body.ops]
         ng = len(order)
         self.n = ng * nw
-        fixed = lambda a: a.setflags(write=False) or a  # noqa: E731  (shared by every run)
-        self.wg, self.warp = fixed(np.arange(self.n) // nw), fixed(np.arange(self.n, dtype=np.int32) % nw)
-        self.pid = fixed(np.array([pids[g] for g in order], dtype=np.int32).T.repeat(nw, axis=1))
+        self.wg, self.warp = _read_only(np.arange(self.n) // nw), _read_only(np.arange(self.n, dtype=np.int32) % nw)
+        self.pid = _read_only(np.array([pids[g] for g in order], dtype=np.int32).T.repeat(nw, axis=1))
         allocs = [s for s in _walk(self.steps) if s.kind == "tt.alloc"]
         self.slm_used = np.cumsum([int(np.prod(s.shape)) * s.elem.nbytes for s in allocs], dtype=np.int64)
         self.ptrs: dict[int, BlockPointer] = {}  # by tt.alloc step
@@ -747,8 +1188,8 @@ class Launch:
         for i, s in enumerate(allocs):  # a row-major block over the whole allocation, in every workgroup's SLM
             size, slm = int(np.prod(s.shape)), f"%slm{i}"
             dims = [s.shape, [int(np.prod(s.shape[d + 1 :])) for d in range(len(s.shape))], [0] * len(s.shape)]
-            self.ptrs[id(s)] = BlockPointer(slm, fixed(np.tile(dims, (self.n, 1, 1))), s.shape)
-            self.slm[slm] = (s.elem, size, fixed(np.repeat(np.arange(ng) * size, nw)))
+            self.ptrs[id(s)] = BlockPointer(slm, _read_only(np.tile(dims, (self.n, 1, 1))), s.shape)
+            self.slm[slm] = (s.elem, size, _read_only(np.repeat(np.arange(ng) * size, nw)))
         self.facts: footprints.Footprints | None = None  # set by _prove
         self.scales: dict[str, tuple[int, ...]] = {}
         self.inbounds: set[int] = set()
@@ -766,14 +1207,20 @@ class Launch:
         self.scales = {b: () if why is None else (nw,) * (ng > 1 and b not in self.slm) + (1,) * (nw > 1)
                        for b, why in facts.races.items()}
         self.inbounds = {id(s) for s, _, _, why in facts.accesses if why is None}
+        marked = {b for b, sc in self.scales.items() if sc}
+        self.steps = _group(self.steps, {id(s): b for s, b, _, _ in facts.accesses}, self.inbounds, marked)
 
     def run(self, mem: DeviceMemory, trace: RunTrace | None = None) -> DeviceMemory:
         """Execute the launch as one batch on `mem`, which must bind the
-        buffers it was prepared for; returns the mutated memory copy."""
+        buffers it was prepared for, and return the memory after it: a copy
+        of each buffer a store can reach (each of `scales`), and a read-only
+        view of each other buffer of `mem`, which the run cannot change."""
         for (b, _, want), (_, _, size) in zip(self.buffers, _bind(self.name, self.bindings, mem)):
             if size != want:
                 raise SimError(f"@{self.name}: buffer {b} holds {size} elements, the launch was prepared for {want}")
-        out = mem.copy()
+        out = DeviceMemory()
+        out.shapes = dict(mem.shapes)
+        out._bufs = {b: (e, a.copy() if b in self.scales else _read_only(a)) for b, (e, a) in mem._bufs.items()}
         ctx = _Ctx(self, out, None if trace is None else ([], [], []))
         _exec(self.steps, ctx, dict(self.env))
         if trace is not None:
@@ -799,7 +1246,7 @@ def prepare(prog: KernelFn | VProgram, launch: LaunchConfig, mem: DeviceMemory) 
     if sorted(order) != list(range(len(pids))):
         raise SimError(f"wg_order must be a permutation of 0..{len(pids) - 1}")
     held = _PREPARED.setdefault(prog, {})
-    key = (tuple(launch.grid), order, buffers, footprints.prove, tuple(_SEMANTICS.items()))
+    key = (tuple(launch.grid), order, buffers, footprints.prove, _group, tuple(_SEMANTICS.items()))
     if (ready := held.get(key)) is None:
         ready = Launch(prog, nw, bindings, buffers, order, pids)
     if (over := ready.slm_used[ready.slm_used > launch.slm_budget]).size:  # every workgroup allocates the same
@@ -816,5 +1263,5 @@ def run(
     mem: DeviceMemory,
     trace: RunTrace | None = None,
 ) -> DeviceMemory:
-    """Execute the launch as one batch; returns the mutated memory copy."""
+    """Execute the launch as one batch; returns the memory after it (see `Launch.run`)."""
     return prepare(prog, launch, mem).run(mem, trace)

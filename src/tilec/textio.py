@@ -263,6 +263,12 @@ def _lex(text: str) -> list[_Token]:
 _ELEMS = {e.value: e for e in ElemType}
 _T = TypeVar("_T")
 _KIND_NAMES = {int: "an integer", list: "a list of integers", str: "an alias"}
+# the parameters of each encoding, as the printer writes them
+_ENCODING_KEYS = {
+    "#triton_gpu.blocked": ("sizePerWarp", "warpsPerCTA", "order"),
+    "#triton_gpu.dot_op": ("opIdx", "parent"),
+    "#triton_gpu.slice": ("dim", "parent"),
+}
 
 
 class _Parser:
@@ -338,9 +344,11 @@ class _Parser:
         name = self.bump()[1][1:]
         self.expect("punct", "=")
         head = self.expect("alias")
+        if head[1] not in _ENCODING_KEYS:
+            raise self.fail(f"unknown encoding {head[1]}", head)
         self.expect("punct", "<")
         where: dict[str, _Token] = {}
-        params = self.parse_attr_dict(where)
+        params = self.parse_attr_dict(where, _ENCODING_KEYS[head[1]])
         self.expect("punct", ">")
 
         def param(key: str, kind: type) -> Any:
@@ -357,10 +365,8 @@ class _Parser:
                 )
             elif head[1] == "#triton_gpu.dot_op":
                 enc = DotOperandEncoding(param("opIdx", int), self.resolve_alias(param("parent", str), head))
-            elif head[1] == "#triton_gpu.slice":
-                enc = SliceEncoding(param("dim", int), self.resolve_alias(param("parent", str), head))
             else:
-                raise self.fail(f"unknown encoding {head[1]}", head)
+                enc = SliceEncoding(param("dim", int), self.resolve_alias(param("parent", str), head))
         except LayoutError as e:
             raise self.fail(str(e), head) from None
         self.aliases[name] = enc

@@ -212,7 +212,8 @@ def test_reduce_with_the_old_cross_warp_attr_exits_1(tmp_path, capsys):
         "  tt.return\n}\n"
     )
     assert main(["compile", "old.ttir"]) == 1
-    assert capsys.readouterr().err == "error: @f: tt.reduce: axis must name a dim of rank-1 operand\n"
+    assert capsys.readouterr().err == ("error: @f: tt.reduce: unknown attribute cross_warp; expected axis, kind; "
+                                       "@f: tt.reduce: axis must name a dim of rank-1 operand\n")
 
 
 def test_layout_conflict_exits_1(tmp_path, capsys):

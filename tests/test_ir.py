@@ -191,13 +191,17 @@ _VERIFY_CASES = {
     "dot_result": ("tt.dot: result type must equal the accumulator type",
                    lambda fb, v: fb.op("tt.dot", [v.a, v.bt, v.c], {}, [v.n.type])),
     "dot_tiling": ("tt.dot: unknown tiling hint 'diagonal'", lambda fb, v: fb.dot(v.a, v.bt, v.c, tiling="diagonal")),
+    "dot_attr": ("tt.dot: unknown attribute tilling; expected tiling",
+                 lambda fb, v: fb.op("tt.dot", [v.a, v.bt, v.c], {"tilling": "diagonal"}, [v.c.type])),
+    "load_attr": ("tt.load: unknown attribute cache; expected none",
+                  lambda fb, v: fb.op("tt.load", [v.p], {"cache": "ca"}, [v.a.type])),
     "reduce_tensor": ("tt.reduce: operand must be a tensor",
                       lambda fb, v: fb.op("tt.reduce", [v.p], {"kind": "sum", "axis": 0}, [v.f.type])),
     "reduce_kind": ("tt.reduce: kind must be 'max' or 'sum'", lambda fb, v: fb.reduce(v.c, "min", 1)),
     "xreduce_tensor": ("tt.cross_warp_reduce: operand must be a tensor",
                        lambda fb, v: fb.op("tt.cross_warp_reduce", [v.p], {"kind": "sum"}, [v.p.type])),
     "xreduce_kind": ("tt.cross_warp_reduce: kind must be 'max' or 'sum'", lambda fb, v: fb.cross_warp_reduce(v.c, "min")),
-    "xreduce_axis": ("tt.cross_warp_reduce: keeps the shape; axis not allowed",
+    "xreduce_axis": ("tt.cross_warp_reduce: unknown attribute axis; expected dst_warps, kind",
                      lambda fb, v: fb.op("tt.cross_warp_reduce", [v.c], {"kind": "max", "axis": 0}, [v.c.type])),
     "xreduce_result": ("tt.cross_warp_reduce: result type must equal the operand type",
                        lambda fb, v: fb.op("tt.cross_warp_reduce", [v.c], {"kind": "max"}, [v.n.type])),

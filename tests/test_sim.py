@@ -926,6 +926,13 @@ def test_faults_read_the_same_with_every_check_forced_after_an_unforced_run(test
     test(**kwargs)
 
 
+@pytest.mark.parametrize(("test", "kwargs"), _FAULT_CASES)
+def test_faults_read_the_same_with_no_piece_groups(test, kwargs, monkeypatch):
+    # each case pins its SimError text; run with every step as written, it must not change
+    monkeypatch.setattr(sim, "_group", lambda steps, *rest: steps)
+    test(**kwargs)
+
+
 # -- prepared launches ----------------------------------------------------------
 
 
@@ -951,6 +958,21 @@ def test_a_launch_run_twice_gives_two_fresh_runs(name, level):
              for p in (first, second)]
     assert got == fresh
     assert got[0][0] != got[1][0]  # the seeds give other bits
+
+
+def test_a_run_copies_only_the_buffers_a_store_can_reach():
+    prob = make_problem(suite()["gemm_256"])
+    launch = prepare(compile_kernel(load_fixture("gemm_256")).at_level("intrinsic"), prob.launch, prob.mem)
+    assert set(launch.scales) == {"C"}
+    first, second = launch.run(prob.mem), launch.run(prob.mem)
+    for b in ("A", "B"):  # only loaded: the input's own data, which the result cannot write
+        assert np.shares_memory(first.raw(b), prob.mem.raw(b)) and prob.mem.raw(b).flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            first.raw(b)[0] = 1.0
+    want = second.raw("C").copy()
+    first.raw("C")[:] = -1.0  # each run stores into a copy of its own
+    assert second.raw("C").tobytes() == want.tobytes() and not np.shares_memory(first.raw("C"), prob.mem.raw("C"))
+    assert not (prob.mem.raw("C") == -1.0).any()
 
 
 def test_a_launch_is_proven_once_per_grid_order_and_buffer_sizes(monkeypatch):

@@ -208,6 +208,11 @@ PARSE_CASES = {
                                "line 1, col 1: expected encoding alias or tt.func (got 'tt.kernel')"),
     "unknown_encoding_head": ("#e = #triton_gpu.shared<{vec = 1}>\n" + _fn(""),
                               "line 1, col 6: unknown encoding #triton_gpu.shared"),
+    "unknown_encoding_param": (_BLOCKED.replace("}>", ", threadsPerWarp = [2, 8]}>") + _fn(""),
+                               "line 1, col 93: unknown attribute threadsPerWarp; "
+                               "expected one of sizePerWarp, warpsPerCTA, order"),
+    "unknown_dot_op_param": (_BLOCKED + "#dot0 = #triton_gpu.dot_op<{opIdx = 0, parent = #blocked, kWidth = 2}>\n"
+                             + _fn(""), "line 2, col 59: unknown attribute kWidth; expected one of opIdx, parent"),
     "layout_error_in_alias": (_BLOCKED.replace("[4, 4]", "[4]") + _fn(""),
                               "line 1, col 12: blocked encoding field ranks disagree"),
     "missing_attr_value": (_fn("  %0 = arith.constant {value = } : () -> i32\n"),
