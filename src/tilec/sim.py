@@ -585,6 +585,20 @@ class _Glue(NamedTuple):
         return out
 
 
+class _Grid(NamedTuple):
+    """A dot group's operand: whole tiles of `shape` (rows, piece rows,
+    columns, piece columns) cut into their grid of pieces, on grid axes
+    before the piece axes, as a view; a grid axis of 1 serves every piece
+    along it."""
+
+    whole: Any
+    shape: tuple
+
+    def get(self, env: dict) -> np.ndarray:
+        x = self.whole.get(env)
+        return x.reshape(len(x), *self.shape).transpose(0, 1, 3, 2, 4)
+
+
 def _box(origin: tuple, shape: tuple) -> tuple:
     """The index of the block at `origin` of each row's tile."""
     return (slice(None), *map(slice, origin, map(operator.add, origin, shape)))
@@ -592,6 +606,8 @@ def _box(origin: tuple, shape: tuple) -> tuple:
 
 def _read(p: Any) -> list:
     """The keys an operand reads."""
+    if type(p) is _Grid:
+        return _read(p.whole)
     return [k for k, _, _ in p.parts] if type(p) is _Glue else [p.key] if type(p) in (_Key, _Box) else [p]
 
 
@@ -849,10 +865,10 @@ class _Plan:
         if m0.kind in ("tt.load", "tt.store"):
             return self.access(members)
         whole, origins = self.layout(members)
-        if m0.kind == "tt.dot":  # a row of A pieces and a column of B pieces per k chunk
-            (r, c), k = whole, self.types[m0.operands[0]][0][1]
-            ops = [self.pack([m.operands[0] for m in members], [(o[0], 0) for o in origins], (r, k)),
-                   self.pack([m.operands[1] for m in members], [(0, o[1]) for o in origins], (k, c)),
+        if m0.kind == "tt.dot":  # per piece, its row of A pieces and its column of B pieces, on grid axes
+            (r, c), (pr, pc), k = whole, m0.shape, self.types[m0.operands[0]][0][1]
+            ops = [self.pack([m.operands[0] for m in members], [(o[0], 0) for o in origins], (r, k), (r // pr, pr, 1, k)),
+                   self.pack([m.operands[1] for m in members], [(0, o[1]) for o in origins], (k, c), (1, k, c // pc, pc)),
                    self.pack([m.operands[2] for m in members], origins, whole)]
         elif m0.kind == "tt.splat":
             ops = [_Key(m0.operands[0])]
@@ -888,17 +904,19 @@ class _Plan:
                 return whole, origins
         return (len(members) * piece[0], *piece[1:]), [(i * piece[0], *[0] * (len(piece) - 1)) for i in range(len(members))]
 
-    def pack(self, keys: list, targets: list[tuple], shape: tuple) -> Any:
+    def pack(self, keys: list, targets: list[tuple], shape: tuple, cut: tuple | None = None) -> Any:
         """An operand of `shape` whose block at `targets[i]` is the value of
         `keys[i]`: a box of one value where they are its pieces in place, else
-        glued as it runs."""
+        glued as it runs; with `cut`, as a dot group reads it (see _Grid)."""
         piece, at = self.types[keys[0]][0], [self.where(k) for k in keys]
         if None not in at and len({k for k, _ in at}) == 1:
             base = {tuple(map(operator.sub, o, t)) for (_, o), t in zip(at, targets)}
             if len(base) == 1:
-                return _Box(at[0][0], _box(base.pop(), shape))
-        return _Glue(tuple((k, (), _box(t, piece)) if w is None else (w[0], _box(w[1], piece), _box(t, piece))
-                           for k, w, t in zip(keys, at, targets)), shape)
+                box = _Box(at[0][0], _box(base.pop(), shape))
+                return box if cut is None else _Grid(box, cut)
+        glued = _Glue(tuple((k, (), _box(t, piece)) if w is None else (w[0], _box(w[1], piece), _box(t, piece))
+                            for k, w, t in zip(keys, at, targets)), shape)
+        return glued if cut is None else _Grid(glued, cut)
 
     def access(self, members: list[_Step]) -> _Step:
         """One access of the block the members' pointers are pieces of,
@@ -986,6 +1004,20 @@ def _glue(s: _Step, ctx: _Ctx, a: list) -> np.ndarray:
     return out
 
 
+def _dot(s: _Step, ctx: _Ctx, a: list) -> np.ndarray:
+    """``a @ b + c``, an f32 matmul, as f16 and f32 tiles both hold float32
+    data.  A group's A and B hold its pieces on grid axes (see _Grid): each
+    piece is one matmul, as when the pieces run one by one, whose product
+    lands in place in the group's whole tiles before c is added."""
+    if a[0].ndim == 3:
+        return a[0] @ a[1] + a[2]
+    out = np.empty((ctx.n, *s.shape), dtype=np.float32)
+    r, c = a[0].shape[1], a[1].shape[2]
+    np.matmul(a[0], a[1], out=out.reshape(ctx.n, r, s.shape[0] // r, c, s.shape[1] // c).transpose(0, 1, 3, 2, 4))
+    out += a[2]
+    return out
+
+
 def _sync(ctx: _Ctx, what: str) -> np.ndarray:
     """A synchronization point, which all warps of each workgroup with an
     active warp must reach: ends those workgroups' epoch, and returns which
@@ -1031,8 +1063,7 @@ _SEMANTICS: dict[str, Callable[[_Step, _Ctx, list], Any]] = {
     "tt.advance": lambda s, ctx, a: _moved(a[0], _rows(a[1:]), a[0].block_shape),
     "tt.load": _load,
     "tt.store": _store,
-    # f16 and f32 tiles both hold float32 data, so this is an f32 matmul
-    "tt.dot": lambda s, ctx, a: a[0] @ a[1] + a[2],
+    "tt.dot": _dot,
     "tt.reduce": lambda s, ctx, a: _coerce(s.elem, _REDUCE[s.attrs["kind"]](a[0], axis=s.attrs["axis"] + 1)),
     "tt.splat": lambda s, ctx, a: np.repeat(a[0], int(np.prod(s.shape))).reshape(ctx.n, *s.shape),
     "tt.convert": lambda s, ctx, a: _coerce(s.elem, a[0]),
