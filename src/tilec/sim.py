@@ -10,15 +10,17 @@ instruction it lowers to run the same code.  Decoding works out all that
 needs no runtime value: each step's function and element type, and the
 slices an extract reads or a glue writes, from the operand's static shape.
 
-`prepare` also lays out SLM and proves footprints (below), and the
-`Launch` it returns holds all of that; `Launch.run` executes it on any
-memory that binds the same buffers, and nothing it does writes the
-`Launch`.  `run` is `prepare` then `Launch.run`.  `prepare` keeps each
-`Launch` in a map keyed weakly on its program, so a dropped program is
-freed at once with its launches.  It returns the same `Launch` again for
-the same program object, grid, ``wg_order``, bound buffers (name, element
-type, size), ``footprints.prove`` function and semantics table entries, so
-a program is decoded and proven once per launch shape.  The bindings, the
+`prepare` also lays out SLM, proves footprints and groups pieces (below),
+and the `Launch` it returns holds all of that; `Launch.run` executes it on
+any memory that binds the same buffers, and nothing it does writes the
+`Launch`.  The memory a run returns copies each buffer a store can reach
+and holds a read-only view of each other one.  `run` is `prepare` then
+`Launch.run`.  `prepare` keeps each `Launch` in a map keyed weakly on its
+program, so a dropped program is freed at once with its launches.  It
+returns the same `Launch` again for the same program object, grid,
+``wg_order``, bound buffers (name, element type, size), ``footprints.prove``
+and grouping functions and semantics table entries, so a program is decoded,
+proven and grouped once per launch shape.  The bindings, the
 schedule and the SLM budget are checked on every call.  So a program must
 not be edited in place once it has run: a later run would execute the
 steps decoded before the edit.
@@ -53,6 +55,38 @@ buffer keeps no race marks, like every buffer of a one-row launch.  The rest
 are checked as they run: the bounds of every other access, and the reads and
 writes of every other buffer a store can reach.  The proof raises nothing,
 so a failing run keeps its first error and message.
+
+When a launch is prepared, after the proof, the steps that work on the
+pieces ``match_target_size`` cut from one tile become one step each, which
+runs its kind's semantics once on the whole tile and binds each piece's
+result as a view of its own, for the steps that read it (any other step is a
+group of one, and one executor runs both).  A group is found from static
+facts only, per block:
+
+- a run of steps in a row that do one thing (an elementwise op, a compare,
+  a convert, a splat, a constant) and do not read each other;
+- the k-th dots of dot chains whose first dots share their A and B pieces
+  by rows and columns of a grid: one matmul per piece, as the pieces would
+  run, whose products land in the whole accumulator;
+- a run of loads, or of stores, with no other step that is not movable
+  between them, through the pointer extracts that cover one block once,
+  each proven in bounds, on a buffer that keeps no race marks: one access
+  of the block, which a traced run logs per piece, in the pieces' order;
+- a loop's carries that are the pieces of one block that one
+  ``tt.advance`` moves, or the results of its dot chains: carried whole.
+
+A group reads an operand as a box of one value where its pieces sit in
+place in it (through extract indices, read through ``ir.block_origin``, or
+as another group's results), and glues it as it runs otherwise.  Bits,
+trace order and errors cannot move: a grouped kind works out each element
+from the same operand elements by the same operation as its pieces do; steps
+move only past movable ones (which touch no buffer, do not synchronize and
+cannot raise), and every other step keeps its place among those; an access
+group skips no check its pieces would make.  So nothing that can raise
+groups (an integer division or remainder), nor an access that is not proven
+or keeps marks, nor pieces that do not cover one block once (a wrong or
+repeated extract index), nor dots off a grid: those run as written.  A
+movable step whose result no step reads any more is left out.
 
 f16 tiles are f32 arrays rounded to f16 after every producing step.  Tiles
 are never written in place, so an extract or broadcast is a view, and a load
@@ -540,8 +574,8 @@ def _walk(steps: list[_Step]) -> Iterator[_Step]:
 
 # kinds whose steps on the pieces of a tile give the bits of one step on the
 # whole tile: numpy works out each result element from the same operand
-# elements in the same order (tt.dot: each k chunk's products summed by one
-# BLAS kernel, then added to the accumulator), and their semantics cannot raise
+# elements by the same operation (tt.dot: one matmul per piece, see _dot),
+# and their semantics cannot raise
 _GROUPED = (ELEMENTWISE_FLOAT | ELEMENTWISE_INT | {"arith.cmpi", "tt.convert", "tt.splat", "arith.constant", "tt.dot"}) - {
     "arith.divi", "arith.remi"}
 # kinds whose steps may run earlier, later or not at all: they touch no
@@ -675,6 +709,7 @@ class _Plan:
         if (up := self.where(s.operands[0])) is None:
             return s.operands[0], at
         return up[0], tuple(a + b for a, b in zip(up[1], at))
+
     def place(self, k: Any) -> tuple | None:
         """(block, origin) if pointer `k` is a piece of that block by an extract."""
         s = self.steps.get(k)
@@ -744,7 +779,7 @@ class _Plan:
             rows, cols = ({body[c[0]].operands[j]: None for c in cs} for j in (0, 1))
             cs.sort(key=lambda c: (list(rows).index(body[c[0]].operands[0]), list(cols).index(body[c[0]].operands[1])))
             ks = [[body[c[k]] for c in cs] for k in range(len(cs[0]))]
-            if len(cs) > 1 and all(self.grid(g) is not None for g in ks):
+            if len(cs) > 1 and all(self.grid(g) is not None and all(self.same(g[0], d) for d in g) for g in ks):
                 groups += [[c[k] for c in cs] for k in range(len(cs[0]))]
         return groups
 
@@ -759,20 +794,20 @@ class _Plan:
         """Runs of loads or of stores, with no other step that is not movable
         between them, of the pieces that cover one block of a buffer that keeps
         no race marks, each proven in bounds."""
-        out, run, key = [], [], None
-        for i, s in enumerate(body + [body[-1]]):  # a pass more, to end the last run
+        runs, run, key = [], [], None
+        for i, s in enumerate(body):
             if s.kind in _MOVABLE:
                 continue
             p = self.place(s.operands[0]) if s.kind in ("tt.load", "tt.store") and id(s) in self.inbounds else None
-            ok = i < len(body) and p is not None and self.bases.get(id(s)) not in self.marked | {None}
+            ok = p is not None and self.bases.get(id(s)) not in self.marked | {None}
             if ok and run and (s.kind, p[0], s.shape, s.elem) == key:
                 run.append(i)
                 continue
-            if len(run) > 1 and _covers([self.place(body[j].operands[0])[1] for j in run], self.types[key[1]][0],
-                                        body[run[0]].shape):
-                out.append(run)
+            runs.append(run)
             run, key = ([i], (s.kind, p[0], s.shape, s.elem)) if ok else ([], None)
-        return out
+        return [r for r in runs + [run] if len(r) > 1 and _covers(
+            [self.place(body[i].operands[0])[1] for i in r], self.types[self.place(body[r[0]].operands[0])[0]][0],
+            body[r[0]].shape)]
 
     def single(self, s: _Step) -> list[_Step]:
         """`s` as it runs, as a list of steps: none for a glue of the pieces
@@ -805,8 +840,8 @@ class _Plan:
         for c, (it, init, y) in enumerate(zip(iters, inits, yields)):
             t = body[at[y]] if y in at else None
             if (p := self.place(init)) is not None and t is not None and t.kind == "tt.advance" and t.operands[0] == it:
-                moves.setdefault((p[0], t.operands[1:]), []).append(c)
-        for (q, _), cs in moves.items():
+                moves.setdefault((p[0], t.operands[1:], self.types[it]), []).append(c)
+        for (q, _, _), cs in moves.items():
             origins = [self.place(inits[c])[1] for c in cs]
             if len(cs) > 1 and _covers(origins, self.types[q][0], self.types[iters[cs[0]]][0]):
                 sets.append((cs, self.types[q][0], origins, q))
@@ -1193,7 +1228,8 @@ def _bind(name: str, bindings: list[tuple[Any, str, ElemType]], mem: DeviceMemor
 
 class Launch:
     """A program decoded and proven for one launch shape: a grid, a schedule
-    and the buffers it binds.  It holds the steps, the SLM layout (each
+    and the buffers it binds.  It holds the steps, with the pieces of each
+    tile grouped (see the module docstring), the SLM layout (each
     ``tt.alloc``'s pointer, the same in every workgroup), the footprint
     verdicts and the run-time checks they leave.  Nothing in it changes when
     it runs, so any number of runs may share it."""
@@ -1229,7 +1265,8 @@ class Launch:
         """Prove the footprints, and keep the run-time checks they leave: race
         marks on each buffer a store can reach and that is not proven
         race-free (`scales` keeps every buffer a store can reach, a proven one
-        with no scales), and bounds checks on each access step not proven in bounds."""
+        with no scales), and bounds checks on each access step not proven in
+        bounds.  Then group the steps, which the verdicts decide in part."""
         flat = list(_walk(self.steps))
         roots = {**self.env, **{s.results[0]: self.ptrs[id(s)].base for s in flat if s.kind == "tt.alloc"}}
         self.facts = facts = footprints.prove(self.steps, flat, _Ctx(self, mem, None), roots)
@@ -1264,11 +1301,11 @@ _PREPARED: weakref.WeakKeyDictionary[KernelFn | VProgram, dict[tuple, Launch]] =
 
 
 def prepare(prog: KernelFn | VProgram, launch: LaunchConfig, mem: DeviceMemory) -> Launch:
-    """The launch of `prog` with `launch` on memory shaped like `mem`: decoded
-    and proven on the first call, and the same `Launch` on every later call
-    with the same program object, grid, schedule, bound buffers (name,
-    element type, size), `footprints.prove` and semantics table.  The
-    bindings, the schedule and the SLM budget are checked on every call."""
+    """The launch of `prog` with `launch` on memory shaped like `mem`: decoded,
+    proven and grouped on the first call, and the same `Launch` on every later
+    call with the same program object, grid, schedule, bound buffers (name,
+    element type, size), `footprints.prove`, `_group` and semantics table.
+    The bindings, the schedule and the SLM budget are checked on every call."""
     nw, bindings = _bindings(prog)
     buffers = _bind(prog.name, bindings, mem)
     gx, gy, gz = launch.grid
