@@ -63,8 +63,8 @@ result as a view of its own, for the steps that read it (any other step is a
 group of one, and one executor runs both).  A group is found from static
 facts only, per block:
 
-- a run of steps in a row that do one thing (an elementwise op, a compare,
-  a convert, a splat, a constant) and do not read each other;
+- a run of steps in a row that do one thing (an elementwise op, a convert,
+  a splat) and do not read each other;
 - the k-th dots of dot chains whose first dots share their A and B pieces
   by rows and columns of a grid: one matmul per piece, as the pieces would
   run, whose products land in the whole accumulator;
@@ -576,13 +576,12 @@ def _walk(steps: list[_Step]) -> Iterator[_Step]:
 # whole tile: numpy works out each result element from the same operand
 # elements by the same operation (tt.dot: one matmul per piece, see _dot),
 # and their semantics cannot raise
-_GROUPED = (ELEMENTWISE_FLOAT | ELEMENTWISE_INT | {"arith.cmpi", "tt.convert", "tt.splat", "arith.constant", "tt.dot"}) - {
-    "arith.divi", "arith.remi"}
+_GROUPED = (ELEMENTWISE_FLOAT | ELEMENTWISE_INT | {"tt.convert", "tt.splat", "tt.dot"}) - {"arith.divi", "arith.remi"}
 # kinds whose steps may run earlier, later or not at all: they touch no
 # buffer, do not synchronize and cannot raise; every other step keeps its
 # place among those
 _MOVABLE = _GROUPED | {"tt.extract", "tt.glue", "tt.reduce", "tt.expand_dims", "tt.broadcast", "tt.make_tensor_ptr",
-                       "tt.advance", "tt.get_program_id", "tt.warp_id", "tt.alloc"}
+                       "tt.advance", "tt.get_program_id", "tt.warp_id", "tt.alloc", "arith.constant", "arith.cmpi"}
 
 
 class _Key(NamedTuple):
@@ -734,7 +733,7 @@ class _Plan:
         for r in reads:
             deps.append(functools.reduce(operator.or_, (deps[j] | 1 << j for j in r), 0))
         groups = [g for g in self.runs(body, deps) + self.chains(body, at) + self.accesses(body)
-                  if not any(deps[i] & functools.reduce(operator.or_, (1 << j for j in g)) for i in g)]
+                  if not functools.reduce(operator.or_, (deps[i] for i in g)) & sum(1 << i for i in g)]
         while (order := _order(body, groups, reads)) is None:
             groups.pop(0)  # groups that wait on each other: run the first as written
         return [x for g in order for x in ([self.packed([body[i] for i in g])] if len(g) > 1 else self.single(body[g[0]]))]
