@@ -114,7 +114,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import footprints
-from .ir import CMP_PREDS, ELEMENTWISE_FLOAT, ELEMENTWISE_INT, ElemType, KernelFn, Operation, PtrType, block_index, block_origin, tile_type
+from .ir import (CMP_PREDS, ELEMENTWISE_FLOAT, ELEMENTWISE_INT, ElemType, KernelFn, Operation, PtrType, block_index,
+                 block_origin, tile_type)
 from .textio import _type_desc
 from .visa import LOWERING, TargetConfig, VInstr, VProgram
 
@@ -503,7 +504,8 @@ class _Step:
     # computed once at decode, from the fields above:
     sem: Callable[[_Step, _Ctx, list], Any] | None = field(init=False)  # None: the executor's own kinds
     # an extract's slices of its operand (for a pointer, their starts offset
-    # the block); a glue's slices of its result, one per piece
+    # the block); a glue's slices of its result, one per piece; an access
+    # group's origin and block shape of each member, to log its accesses
     slices: tuple = field(init=False)
     # a group's: per member whose result some step reads, that key and the
     # member's index into the group's result (None: a step of one op)
@@ -1245,6 +1247,7 @@ class Launch:
             self.steps = [_decode_op(op) for op in prog.body.ops]
         ng = len(order)
         self.n = ng * nw
+        # shared by every run, so read-only
         self.wg, self.warp = _read_only(np.arange(self.n) // nw), _read_only(np.arange(self.n, dtype=np.int32) % nw)
         self.pid = _read_only(np.array([pids[g] for g in order], dtype=np.int32).T.repeat(nw, axis=1))
         allocs = [s for s in _walk(self.steps) if s.kind == "tt.alloc"]
