@@ -359,9 +359,9 @@ def _access(ctx: _Ctx, s: _Step, bp: BlockPointer, value: np.ndarray | None = No
             at = ctx.where(s.name, np.argmax(bad))
             raise SimError(f"out-of-bounds block access: flat index beyond buffer of {size} ({at})")
     if ctx.log is not None:  # a group logs each member's access, in member order
-        epochs = ctx.epoch[ctx.wg[ctx.ids]]
+        rows, epochs = offs[ctx.ids], ctx.epoch[ctx.wg[ctx.ids]]
         for o, block in s.slices or ((0, bp.block_shape),):
-            ctx.log[value is not None].append((ctx.ids, epochs, offs[ctx.ids] + o, bp.base, block))
+            ctx.log[value is not None].append((ctx.ids, epochs, rows + o, bp.base, block))
     first = first if off is None else first + off
     return [(rows := ctx.ids if sel is None else ctx.ids[sel[ctx.ids]], first[rows] + neg, view, marks)
             for sel, neg, view, marks in groups]
@@ -697,6 +697,7 @@ class _Plan:
     marked: set
     made: dict[Any, _Step] = field(default_factory=dict)  # each group by its key
     pos: dict[Any, tuple] = field(default_factory=dict)  # a group member's result: the group's key, its origin
+    splats: list[_Step] = field(default_factory=list)  # the splats the group being made reads, made for it
 
     def where(self, k: Any) -> tuple | None:
         """(key, origin) if `k`'s value is the block of that key's value at
@@ -738,7 +739,8 @@ class _Plan:
                   if not functools.reduce(operator.or_, (deps[i] for i in g)) & sum(1 << i for i in g)]
         while (order := _order(body, groups, reads)) is None:
             groups.pop(0)  # groups that wait on each other: run the first as written
-        return [x for g in order for x in ([self.packed([body[i] for i in g])] if len(g) > 1 else self.single(body[g[0]]))]
+        return [x for g in order for x in (self.packed([body[i] for i in g]) if len(g) > 1
+                                           else self.single(body[g[0]]))]
 
     def runs(self, body: list[_Step], deps: list[int]) -> list[list[int]]:
         """Runs of steps in a row that do one thing and do not read each other."""
@@ -862,7 +864,8 @@ class _Plan:
                 tail.append(_Step(t.kind, t.name, (x, *t.operands[1:]), (x2,), t.attrs, whole, elem, True, None, None))
             else:
                 q = self.fresh((whole, elem, is_ptr))
-                before.append(self.glued(q, [inits[c] for c in cs], origins, whole))
+                pieces = [inits[c] for c in cs]
+                before.append(self.splat(pieces, q, whole) or self.glued(q, pieces, origins, whole))
                 tail.append(self.glued(x2, [yields[c] for c in cs], origins, whole))
             for ks, k in zip(new, (q, x, x2, r)):
                 ks.append(k)
@@ -894,24 +897,27 @@ class _Plan:
         order = sorted(range(len(keys)), key=lambda i: block_index(whole, shape, origins[i]))
         return _Step("tt.glue", "tt.glue", tuple(keys[i] for i in order), (key,), {}, whole, elem, False, None, shape)
 
-    def packed(self, members: list[_Step]) -> _Step:
+    def packed(self, members: list[_Step]) -> list[_Step]:
         """One step for `members` on the tile their results are pieces of,
-        which binds each member's result as a view of its own."""
-        m0 = members[0]
+        which binds each member's result as a view of its own, after the
+        splats its operands need."""
+        m0, self.splats = members[0], []
         if m0.kind in ("tt.load", "tt.store"):
-            return self.access(members)
+            g = self.access(members)
+            return [*self.splats, g]
         whole, origins = self.layout(members)
         if m0.kind == "tt.dot":  # per piece, its row of A pieces and its column of B pieces, on grid axes
             (r, c), (pr, pc), k = whole, m0.shape, self.types[m0.operands[0]][0][1]
-            ops = [self.pack([m.operands[0] for m in members], [(o[0], 0) for o in origins], (r, k), (r // pr, pr, 1, k)),
-                   self.pack([m.operands[1] for m in members], [(0, o[1]) for o in origins], (k, c), (1, k, c // pc, pc)),
-                   self.pack([m.operands[2] for m in members], origins, whole)]
+            a, b, acc = ([m.operands[j] for m in members] for j in range(3))
+            ops = [self.pack(a, [(o[0], 0) for o in origins], (r, k), (r // pr, pr, 1, k)),
+                   self.pack(b, [(0, o[1]) for o in origins], (k, c), (1, k, c // pc, pc)),
+                   self.pack(acc, origins, whole)]
         elif m0.kind == "tt.splat":
             ops = [_Key(m0.operands[0])]
         else:
             ops = [self.pack([m.operands[j] for m in members], origins, whole) for j in range(len(m0.operands))]
-        return self.bind(members, _Step(m0.kind, m0.name, tuple(ops), (object(),), m0.attrs, whole, m0.elem, False,
-                                        None, None), origins)
+        g = _Step(m0.kind, m0.name, tuple(ops), (object(),), m0.attrs, whole, m0.elem, False, None, None)
+        return [*self.splats, self.bind(members, g, origins)]
 
     def bind(self, members: list[_Step], g: _Step, origins: list[tuple]) -> _Step:
         g.binds = tuple((m.results[0], _box(o, m.shape)) for m, o in zip(members, origins) if m.results)
@@ -938,13 +944,18 @@ class _Plan:
             grid = [w // p for w, p in zip(whole, piece)]
             if sorted(origins) == [tuple(g * p for g, p in zip(ix, piece)) for ix in np.ndindex(*grid)]:
                 return whole, origins
-        return (len(members) * piece[0], *piece[1:]), [(i * piece[0], *[0] * (len(piece) - 1)) for i in range(len(members))]
+        return (len(members) * piece[0], *piece[1:]), [(i * piece[0], *[0] * (len(piece) - 1))
+                                                        for i in range(len(members))]
 
     def pack(self, keys: list, targets: list[tuple], shape: tuple, cut: tuple | None = None) -> Any:
         """An operand of `shape` whose block at `targets[i]` is the value of
         `keys[i]`: a box of one value where they are its pieces in place, else
-        glued as it runs; with `cut`, as a dot group reads it (see _Grid)."""
+        glued as it runs, or splat whole where they all splat one scalar; with
+        `cut`, as a dot group reads it (see _Grid)."""
         piece, at = self.types[keys[0]][0], [self.where(k) for k in keys]
+        if (s := self.splat(keys, object(), shape)) is not None:
+            self.splats.append(s)
+            return _Key(s.results[0]) if cut is None else _Grid(_Key(s.results[0]), cut)
         if None not in at and len({k for k, _ in at}) == 1:
             base = {tuple(map(operator.sub, o, t)) for (_, o), t in zip(at, targets)}
             if len(base) == 1:
@@ -953,6 +964,14 @@ class _Plan:
         glued = _Glue(tuple((k, (), _box(t, piece)) if w is None else (w[0], _box(w[1], piece), _box(t, piece))
                             for k, w, t in zip(keys, at, targets)), shape)
         return glued if cut is None else _Grid(glued, cut)
+
+    def splat(self, keys: list, key: Any, shape: tuple) -> _Step | None:
+        """A splat step of `shape` as `key`, if `keys` all splat one scalar."""
+        s = self.steps.get(keys[0])
+        if s is None or s.kind != "tt.splat" or any(getattr(self.steps.get(k), "operands", None) != s.operands
+                                                      or self.steps[k].kind != "tt.splat" for k in keys):
+            return None
+        return _Step(s.kind, s.name, s.operands, (key,), s.attrs, shape, s.elem, False, None, None)
 
     def access(self, members: list[_Step]) -> _Step:
         """One access of the block the members' pointers are pieces of,
@@ -973,7 +992,8 @@ def _covers(origins: list[tuple], whole: tuple, piece: tuple) -> bool:
     """Whether the pieces at `origins` cover `whole`, each block once."""
     if any(w % p for w, p in zip(whole, piece)):
         return False
-    return sorted(origins) == [tuple(g * p for g, p in zip(ix, piece)) for ix in np.ndindex(*np.floor_divide(whole, piece))]
+    grid = [w // p for w, p in zip(whole, piece)]
+    return sorted(origins) == [tuple(g * p for g, p in zip(ix, piece)) for ix in np.ndindex(*grid)]
 
 
 def _order(body: list[_Step], groups: list[list[int]], reads: list[set[int]]) -> list[list[int]] | None:
@@ -1188,9 +1208,12 @@ def _record(ctx: _Ctx, trace: RunTrace) -> None:
         rows = np.concatenate([r[0] for r in recs])
         seq = np.repeat(np.arange(len(recs)), [len(r[0]) for r in recs])
         at = np.lexsort((seq, ctx.warp[rows], np.concatenate([r[1] for r in recs]), ctx.wg[rows]))
-        offs = [tuple(o) for r in recs for o in r[2].tolist()]
-        for j, g, w, k in zip(at.tolist(), ctx.wg[rows[at]].tolist(), ctx.warp[rows[at]].tolist(), seq[at].tolist()):
-            out.append(TraceAccess(ctx.order[g], w, recs[k][3], offs[j], recs[k][4]))
+        offs = [o for r in recs for o in zip(*r[2].T.tolist())]
+        ks, rows = seq[at].tolist(), rows[at]
+        # each TraceAccess made by tuple.__new__, which skips a NamedTuple's Python-level __new__
+        out.extend(map(tuple.__new__, itertools.repeat(TraceAccess), zip(
+            np.array(ctx.order)[ctx.wg[rows]].tolist(), ctx.warp[rows].tolist(), [recs[k][3] for k in ks],
+            [offs[j] for j in at.tolist()], [recs[k][4] for k in ks])))
     trace.cross.extend(rec for _, rec in sorted(ctx.log[2], key=lambda c: c[0]))
 
 

@@ -64,7 +64,7 @@ def _steps(launch: sim.Launch) -> tuple[int, list[int]]:
 def test_fa2_d128_runs_as_few_steps(level):
     # ungrouped, 149 steps at the top level and 326 in the loop body
     prob = make_problem(suite()["fa2_d128"])
-    assert _steps(prepare(_compiled("fa2_d128").at_level(level), prob.launch, prob.mem)) == (35, [33])
+    assert _steps(prepare(_compiled("fa2_d128").at_level(level), prob.launch, prob.mem)) == (34, [33])
 
 
 def test_a_wrong_extract_index_runs_as_written(monkeypatch):
@@ -72,7 +72,8 @@ def test_a_wrong_extract_index_runs_as_written(monkeypatch):
     # second the first one's index, so both loads read one piece
     def duplicated(fn, target=passes.PVC):
         out = match(fn, target)
-        q = next(op.results[0] for op in walk_fn_ops(out) if op.kind == "tt.make_tensor_ptr" and op.operands[0].name == "Q")
+        q = next(op.results[0] for op in walk_fn_ops(out)
+                 if op.kind == "tt.make_tensor_ptr" and op.operands[0].name == "Q")
         cuts = [op for op in walk_fn_ops(out) if op.kind == "tt.extract" and op.operands[0] is q]
         assert [op.attrs["index"] for op in cuts] == [0, 1]
         cuts[1].attrs["index"] = 0
