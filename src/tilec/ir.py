@@ -399,8 +399,9 @@ _OP_ATTRS: dict[str, frozenset[str]] = {
 def _verify_op(fn: KernelFn, op: Operation, err: Callable[..., None]) -> None:
     k = op.kind
     n_in, n_out = len(op.operands), len(op.results)
-    if k in _OP_ATTRS and (unknown := sorted(set(op.attrs) - _OP_ATTRS[k])):
-        err(f"{k}: unknown attribute {unknown[0]}; expected {', '.join(sorted(_OP_ATTRS[k])) or 'none'}", op)
+    if k in _OP_ATTRS and not _OP_ATTRS[k].issuperset(op.attrs):
+        unknown = min(set(op.attrs) - _OP_ATTRS[k])
+        err(f"{k}: unknown attribute {unknown}; expected {', '.join(sorted(_OP_ATTRS[k])) or 'none'}", op)
 
     def tensor_result() -> TensorType | None:
         if n_out != 1 or not isinstance(op.results[0].type, TensorType):
