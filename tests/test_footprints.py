@@ -239,6 +239,8 @@ def test_a_carry_whose_offsets_are_not_known_still_loses_its_buffer(monkeypatch)
     facts, out = footprints(monkeypatch, _rebased_to_slm(), launch, mem)
     assert facts.races == dict.fromkeys(("O", "I", "%slm0"), "carried pointer may change buffer")
     assert np.array_equal(out.tensor("O"), np.repeat([1, 2, 1, 2], 4).reshape(4, 4))
+    # a store may reach every buffer, so the run copies I too, though it only loads it
+    assert out.raw("I").flags.writeable and not np.shares_memory(out.raw("I"), mem.raw("I"))
     _both_ways(monkeypatch, _rebased_to_slm(), launch, mem)
 
 

@@ -14,7 +14,7 @@ import pytest
 
 from conftest import prove_nothing
 from tilec import passes, sim
-from tilec.ir import walk_fn_ops
+from tilec.ir import ElemType, walk_fn_ops
 from tilec.kernels import FIXTURE_NAMES, load_fixture, make_problem, suite
 from tilec.passes import compile_kernel
 from tilec.sim import RunTrace, prepare, run
@@ -95,3 +95,12 @@ def test_a_wrong_extract_index_runs_as_written(monkeypatch):
         right = _compiled("fa2_d64").at_level(level)
         assert [s.kind for s in prepare(right, prob.launch, prob.mem).steps].count("tt.load") == 1  # one group
         assert grouped[0] != _outcome(right, "fa2_d64", suite()["fa2_d64"].seed)[0]  # the index changes the output
+
+
+def test_groups_that_wait_on_each_other_are_not_ordered():
+    # steps 1 and 3 read steps 0 and 2: groups {0, 3} and {1, 2} would each have to run before the other
+    body = [sim._Step("arith.addf", "arith.addf", (), (i,), {}, (8,), ElemType.f32, False, None, None) for i in range(4)]
+    reads = [set(), {0}, set(), {2}]
+    assert sim._order(body, [[0, 3], [1, 2]], reads) is None
+    assert sim._order(body, [[0, 2]], reads) == [[0, 2], [1], [3]]
+    assert sim._order(body, [], reads) == [[0], [1], [2], [3]]
