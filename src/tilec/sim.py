@@ -730,11 +730,16 @@ class _Plan:
         what it reads and the steps that are not movable in their own order;
         nested bodies planned in turn."""
         at = {k: i for i, s in enumerate(body) for k in s.results}
-        reads = [{j for k in (s.operands if s.body is None else (k for t in _walk([s]) for k in t.operands))
-                  if (j := at.get(k, i)) < i} for i, s in enumerate(body)]  # a loop or branch reads what its body reads
-        deps: list[int] = []  # per step, a bit mask of the steps it reads from, directly or not
-        for r in reads:
-            deps.append(functools.reduce(operator.or_, (deps[j] | 1 << j for j in r), 0))
+        reads: list[set[int]] = []  # per step, the steps it reads from (a loop or branch: what its body reads)
+        deps: list[int] = []  # the same, directly or not, as a bit mask
+        for i, s in enumerate(body):
+            r = {j for k in (s.operands if s.body is None else [k for t in _walk(s.body) for k in t.operands] + [
+                *s.operands]) if (j := at.get(k, i)) < i}
+            d = 0
+            for j in r:
+                d |= deps[j] | 1 << j
+            reads.append(r)
+            deps.append(d)
         groups = [g for g in self.runs(body, deps) + self.chains(body, at) + self.accesses(body)
                   if not functools.reduce(operator.or_, (deps[i] for i in g)) & sum(1 << i for i in g)]
         while (order := _order(body, groups, reads)) is None:
