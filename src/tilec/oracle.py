@@ -8,7 +8,9 @@ simulator against genuinely separate arithmetic.
 The attention reference is dual-path: the blockwise online-softmax and a
 monolithic softmax are both computed and cross-checked before either is
 trusted.  A divergence between the two indicates a bug in the reference
-itself, not in the kernel under test.
+itself, not in the kernel under test.  Both read one f64 score matrix
+Q Kᵀ, and each takes its own row max from it: the blockwise path a running
+max over its column blocks, the monolithic path the max of each whole row.
 """
 
 from __future__ import annotations
@@ -24,12 +26,19 @@ class OracleError(ValueError):
 
 def rel_max_err(got: np.ndarray, want: np.ndarray, floor: float = 1e-6) -> float:
     """Max elementwise relative error with an absolute floor on the scale."""
-    got = np.asarray(got, dtype=np.float64)
-    want = np.asarray(want, dtype=np.float64)
+    got = np.asarray(got)
+    want = np.asarray(want)
     if got.shape != want.shape:
         raise ValueError(f"shape mismatch: {got.shape} vs {want.shape}")
-    scale = np.maximum(np.abs(want), floor)
-    return float(np.max(np.abs(got - want) / scale)) if got.size else 0.0
+    if not got.size:
+        return 0.0
+    # |got - want| / max(|want|, floor), all in f64, in two arrays
+    err = np.subtract(got, want, out=np.empty(got.shape), dtype=np.float64)
+    np.abs(err, out=err)
+    scale = np.abs(want, out=np.empty(want.shape), dtype=np.float64)
+    np.maximum(scale, floor, out=scale)
+    err /= scale
+    return float(err.max())
 
 
 def philox(seed: int) -> np.random.Generator:
@@ -92,6 +101,16 @@ def _softmax_rows(s: np.ndarray) -> np.ndarray:
     return p / p.sum(axis=-1, keepdims=True)
 
 
+def _softmax_pv(s: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """softmax(s) @ v, each row shifted by its own max and divided by its
+    sum after the matmul."""
+    e = s - s.max(axis=1, keepdims=True)
+    np.exp(e, out=e)
+    out = e @ v
+    out /= e.sum(axis=1, keepdims=True)
+    return out
+
+
 def attention_ref(p: AttentionProblem) -> np.ndarray:
     """Blockwise online-softmax attention at f64, self-checked against a
     monolithic softmax; returns the blockwise result (N, D)."""
@@ -100,27 +119,28 @@ def attention_ref(p: AttentionProblem) -> np.ndarray:
     v = p.v.astype(np.float64)
     n, d = q.shape
     bs = p.block_size
+    scores = q @ k.T
 
     m = np.full(n, -np.inf)
     l = np.zeros(n)
     acc = np.zeros((n, d))
     for j in range(0, n, bs):
-        kj = k[j : j + bs]
-        vj = v[j : j + bs]
-        s = q @ kj.T
+        s = scores[:, j : j + bs]
         m_new = np.maximum(m, s.max(axis=1))
         alpha = np.exp(m - m_new)
-        pj = np.exp(s - m_new[:, None])
-        l = l * alpha + pj.sum(axis=1)
-        acc = acc * alpha[:, None] + pj @ vj
+        pj = s - m_new[:, None]
+        np.exp(pj, out=pj)
+        l *= alpha
+        l += pj.sum(axis=1)
+        acc *= alpha[:, None]
+        acc += pj @ v[j : j + bs]
         m = m_new
-    online = acc / l[:, None]
+    acc /= l[:, None]
 
-    monolithic = _softmax_rows(q @ k.T) @ v
-    err = rel_max_err(online, monolithic)
+    err = rel_max_err(acc, _softmax_pv(scores, v))
     if err > 1e-3:
         raise OracleError(f"online vs monolithic softmax diverged: rel err {err:.3e}")
-    return online
+    return acc
 
 
 # --------------------------------------------------------------------------

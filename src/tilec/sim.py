@@ -88,7 +88,9 @@ or keeps marks, nor pieces that do not cover one block once (a wrong or
 repeated extract index), nor dots off a grid: those run as written.  A
 movable step whose result no step reads any more is left out.
 
-f16 tiles are f32 arrays rounded to f16 after every producing step.  Tiles
+f16 tiles are f32 arrays rounded to binary16, ties to even, after every
+producing step: from 65520 up they round to inf, below 2**-14 to multiples of
+2**-24, and NaN follows numpy's conversion (docs/grammar.md).  Tiles
 are never written in place, so an extract or broadcast is a view, and a load
 whose rows all read one block of a buffer no store reaches gathers it once
 and broadcasts it.  A block is one item of a strided window view of its
@@ -130,11 +132,57 @@ class SimError(RuntimeError):
 _DTYPE = {ElemType.f32: np.float32, ElemType.i32: np.int32, ElemType.i1: np.bool_}
 
 
+# f32 magnitude bits of 2**-14, the least normal f16, and of 65520, the least
+# magnitude that rounds to an f16 inf
+_F16_NORMAL_MIN = 0x38800000
+_F16_OVERFLOW = 0x477FF000
+# below this many elements the numpy round trip beats the bit path
+_F16_BITS_MIN = 2048
+
+
 def _coerce(elem: ElemType, data: Any) -> np.ndarray:
     arr = np.asarray(data)
     if elem == ElemType.f16:
-        return arr.astype(np.float16).astype(np.float32)
+        return _round_f16(arr)
     return arr.astype(_DTYPE[elem], copy=False)
+
+
+def _round_f16(arr: np.ndarray) -> np.ndarray:
+    """``arr`` rounded to binary16, ties to even, as float32: the bits of
+    ``arr.astype(float16).astype(float32)``.
+
+    A float32 input rounds on its bits: add half an f16 unit less one, plus
+    the kept lowest bit, and clear the 13 bits f16 drops.  That is exact for
+    zeros and for magnitudes in [2**-14, 65520).  The rest are taken by
+    index: an f16 subnormal is a multiple of 2**-24, so it rounds as
+    ``rint(x * 2**24) * 2**-24`` in float32, every step exact (numpy's cast
+    costs some 100 ns for each such element); overflow, inf and NaN take the
+    numpy round trip.  Any other input dtype is rounded once, from its own
+    value, by numpy."""
+    if arr.dtype != np.float32 or arr.size < _F16_BITS_MIN:
+        return arr.astype(np.float16).astype(np.float32)
+    bits = arr.view(np.uint32)
+    # twice the magnitude bits less twice 2**-14's: one compare finds all
+    # magnitudes outside [2**-14, 65520), and one more spares the zeros
+    r = np.left_shift(bits, 1, out=np.empty(arr.shape, np.uint32))
+    r -= 2 * _F16_NORMAL_MIN
+    rest = r >= 2 * (_F16_OVERFLOW - _F16_NORMAL_MIN)
+    rest &= r != 2**32 - 2 * _F16_NORMAL_MIN
+    rest = np.flatnonzero(rest)
+    np.right_shift(bits, 13, out=r)
+    r &= 1
+    r += 0x0FFF
+    r += bits
+    r &= 0xFFFFE000
+    out = r.view(np.float32)
+    if rest.size:
+        x = arr.reshape(-1)[rest]
+        tiny = np.abs(x) < 2.0**-14
+        big = ~tiny
+        x[tiny] = np.rint(x[tiny] * 2.0**24) * 2.0**-24
+        x[big] = x[big].astype(np.float16).astype(np.float32)
+        out.reshape(-1)[rest] = x
+    return out
 
 
 @dataclass(frozen=True, slots=True)

@@ -5,8 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from tilec import oracle
 from tilec.oracle import (
     AttentionProblem,
+    OracleError,
     PagedKV,
     attention_ref,
     gemm_ref,
@@ -47,6 +49,38 @@ def test_rel_max_err_shape_mismatch():
         rel_max_err(np.zeros(3), np.zeros(4))
 
 
+def _rel_max_err_by_formula(got, want, floor=1e-6):
+    got = np.asarray(got, dtype=np.float64)
+    want = np.asarray(want, dtype=np.float64)
+    return float(np.max(np.abs(got - want) / np.maximum(np.abs(want), floor)))
+
+
+@pytest.mark.parametrize("got_dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("want_dtype", [np.float32, np.float64])
+def test_rel_max_err_has_the_formulas_bits(got_dtype, want_dtype):
+    rng = philox(19)
+    for seed in range(20):
+        want = rng.standard_normal((64, 48)) * 10.0 ** rng.integers(-9, 3, size=(64, 48))
+        want[rng.random((64, 48)) < 0.05] = 0.0  # under the floor too
+        got = want * (1 + rng.standard_normal((64, 48)) * 1e-3) + rng.standard_normal((64, 48)) * 1e-8
+        got, want = got.astype(got_dtype), want.astype(want_dtype)
+        err = rel_max_err(got, want)
+        assert np.float64(err).view(np.uint64) == np.float64(_rel_max_err_by_formula(got, want)).view(np.uint64)
+    assert rel_max_err(np.float32(2.0), np.float32(1.0)) == 1.0  # 0-d operands
+
+
+def test_rel_max_err_of_a_nan_is_nan():
+    want = np.ones((4, 4), dtype=np.float64)
+    got = want.astype(np.float32)
+    got[2, 1] = np.nan
+    err = rel_max_err(got, want)
+    assert np.isnan(err) and not err <= 1.0  # a tolerance check fails it
+
+
+def test_rel_max_err_of_nothing_is_zero():
+    assert rel_max_err(np.zeros((0, 3), np.float32), np.zeros((0, 3))) == 0.0
+
+
 def test_gemm_ref_matches_f32_matmul():
     rng = philox(11)
     a = rand_f16(rng, 8, 12)
@@ -72,6 +106,17 @@ def test_attention_ref_agrees_with_monolithic():
     p = np.exp(s - s.max(axis=1, keepdims=True))
     mono = (p / p.sum(axis=1, keepdims=True)) @ v.astype(np.float64)
     assert rel_max_err(out, mono) <= 1e-3
+
+
+def test_attention_ref_self_check_fires(monkeypatch):
+    rng = philox(13)
+    p = AttentionProblem(*(rand_f16(rng, 32, 16) for _ in range(3)), block_size=8)
+    attention_ref(p)
+    # only the monolithic path calls _softmax_pv: make it disagree
+    softmax_pv = oracle._softmax_pv
+    monkeypatch.setattr(oracle, "_softmax_pv", lambda s, v: softmax_pv(s, v) * 1.01)
+    with pytest.raises(OracleError, match="online vs monolithic softmax diverged: rel err 9.9"):
+        attention_ref(p)
 
 
 def test_attention_problem_validation():
