@@ -59,7 +59,7 @@ def _rel_max_err_by_formula(got, want, floor=1e-6):
 @pytest.mark.parametrize("want_dtype", [np.float32, np.float64])
 def test_rel_max_err_has_the_formulas_bits(got_dtype, want_dtype):
     rng = philox(19)
-    for seed in range(20):
+    for _ in range(20):
         want = rng.standard_normal((64, 48)) * 10.0 ** rng.integers(-9, 3, size=(64, 48))
         want[rng.random((64, 48)) < 0.05] = 0.0  # under the floor too
         got = want * (1 + rng.standard_normal((64, 48)) * 1e-3) + rng.standard_normal((64, 48)) * 1e-8
