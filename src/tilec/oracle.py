@@ -138,7 +138,7 @@ def attention_ref(p: AttentionProblem) -> np.ndarray:
     acc /= l[:, None]
 
     err = rel_max_err(acc, _softmax_pv(scores, v))
-    if err > 1e-3:
+    if not err <= 1e-3:
         raise OracleError(f"online vs monolithic softmax diverged: rel err {err:.3e}")
     return acc
 

@@ -604,8 +604,11 @@ def match_target_size(fn: KernelFn, target: TargetConfig = PVC) -> KernelFn:
     Values tied by ``_ties`` split together; each group's piece shape is the
     largest per-dim divisor within every limit imposed on it (load/store
     block caps, dot result caps).  A dot becomes unit dots chained over the
-    contraction dim, and an extract a sub-block, each taken from whichever
-    pieces cover it; a splat or an op that ties values runs once per piece;
+    contraction dim, emitted per k chunk: every piece's dot of chunk 0
+    (pieces row-major), then every piece's dot of chunk 1, and so on, so the
+    dots of one chunk, which read no other, sit back to back.  An extract
+    becomes a sub-block, taken like a dot's operands from whichever pieces
+    cover it; a splat or an op that ties values runs once per piece;
     every other op runs on glued wholes, which split block pointers lack.
     Results are re-split to their piece shape."""
     if fn.level == "workgroup":
@@ -704,12 +707,11 @@ def match_target_size(fn: KernelFn, target: TargetConfig = PVC) -> KernelFn:
             a, b, c = op.operands
             kk = a.type.shape[1]
             pm, pn = p = piece_of(op.results[0])
-            out: list[Value] = []
-            for q, acc in enumerate(pieces[id(c)]):  # the accumulator's pieces, row-major
-                i, j = block_origin(_block_shape(c), p, q)
-                for kq in range(0, kk, max_k):
-                    acc = fb.dot(sub_block(a, (i, kq), (pm, max_k)), sub_block(b, (kq, j), (max_k, pn)), acc)
-                out.append(acc)
+            out = list(pieces[id(c)])
+            for kq in range(0, kk, max_k):  # per k chunk, the accumulator's pieces, row-major
+                for q, acc in enumerate(out):
+                    i, j = block_origin(_block_shape(c), p, q)
+                    out[q] = fb.dot(sub_block(a, (i, kq), (pm, max_k)), sub_block(b, (kq, j), (max_k, pn)), acc)
             pieces[id(op.results[0])] = out
         elif k == "tt.extract":
             src, r = op.operands[0], op.results[0]

@@ -61,27 +61,34 @@ pieces ``match_target_size`` cut from one tile become one step each, which
 runs its kind's semantics once on the whole tile and binds each piece's
 result as a view of its own, for the steps that read it (any other step is a
 group of one, and one executor runs both).  A group is found from static
-facts only, per block:
+facts only, in one scan per block.  It is a run of steps that do one thing
+to equally typed operands, with only movable steps that read no member
+between them; any other step closes the run, and so does one that could
+start a run of its own.  Its members are
 
-- a run of steps in a row that do one thing (an elementwise op, a convert,
-  a splat) and do not read each other;
-- the k-th dots of dot chains whose first dots share their A and B pieces
-  by rows and columns of a grid: one matmul per piece, as the pieces would
-  run, whose products land in the whole accumulator;
-- a run of loads, or of stores, with no other step that is not movable
-  between them, through the pointer extracts that cover one block once,
+- elementwise ops, converts or splats on operands shaped like their result
+  (a splat: on one scalar);
+- dots whose A and B pieces form the rows and columns of a grid, in
+  row-major order: one matmul per piece, as the pieces would run, whose
+  products land in the whole accumulator.  ``match_target_size`` emits the
+  unit dots of one k chunk of all pieces back to back, so each k chunk of a
+  dot is one run;
+- loads, or stores, through the pointer extracts that cover one block once,
   each proven in bounds, on a buffer that keeps no race marks: one access
-  of the block, which a traced run logs per piece, in the pieces' order;
-- a loop's carries that are the pieces of one block that one
-  ``tt.advance`` moves, or the results of its dot chains: carried whole.
+  of the block, which a traced run logs per piece, in the pieces' order.
+
+A loop's carries that are the pieces of one block that one ``tt.advance``
+moves, or the results of a dot group that only the yield reads, are carried
+whole.
 
 A group reads an operand as a box of one value where its pieces sit in
 place in it (through extract indices, read through ``ir.block_origin``, or
 as another group's results), and glues it as it runs otherwise.  Bits,
 trace order and errors cannot move: a grouped kind works out each element
-from the same operand elements by the same operation as its pieces do; steps
-move only past movable ones (which touch no buffer, do not synchronize and
-cannot raise), and every other step keeps its place among those; an access
+from the same operand elements by the same operation as its pieces do; a
+group runs at its last member's place and every other step at its own, so
+its other members run later only past movable steps (which touch no buffer,
+do not synchronize and cannot raise) that read none of them; an access
 group skips no check its pieces would make.  So nothing that can raise
 groups (an integer division or remainder), nor an access that is not proven
 or keeps marks, nor pieces that do not cover one block once (a wrong or
@@ -104,7 +111,6 @@ from __future__ import annotations
 import collections
 import contextlib
 import functools
-import heapq
 import itertools
 import operator
 import struct
@@ -627,9 +633,9 @@ def _walk(steps: list[_Step]) -> Iterator[_Step]:
 # elements by the same operation (tt.dot: one matmul per piece, see _dot),
 # and their semantics cannot raise
 _GROUPED = (ELEMENTWISE_FLOAT | ELEMENTWISE_INT | {"tt.convert", "tt.splat", "tt.dot"}) - {"arith.divi", "arith.remi"}
-# kinds whose steps may run earlier, later or not at all: they touch no
-# buffer, do not synchronize and cannot raise; every other step keeps its
-# place among those
+# kinds whose steps may sit between a group's members, which then run after
+# them, and are left out when no step reads them: they touch no buffer, do
+# not synchronize and cannot raise
 _MOVABLE = _GROUPED | {"tt.extract", "tt.glue", "tt.reduce", "tt.expand_dims", "tt.broadcast", "tt.make_tensor_ptr",
                        "tt.advance", "tt.get_program_id", "tt.warp_id", "tt.alloc", "arith.constant", "arith.cmpi"}
 
@@ -711,7 +717,7 @@ def _group(steps: list[_Step], bases: dict[int, Any], inbounds: set[int], marked
             types[s.results[0]] = (s.shape, s.elem, s.is_ptr)
     plan = _Plan({s.results[0]: s for s in flat if s.results}, collections.Counter(k for s in flat for k in s.operands),
                  types, bases, inbounds, marked)
-    out, n = plan.block(steps), -1
+    out, n = plan.block(steps, plan.runs(steps)), -1
     while n:  # until no step is left out
         out, n = _prune(out, {k for s in _walk(out) for p in s.operands for k in _read(p)})
     return out
@@ -773,71 +779,57 @@ class _Plan:
                 and [self.types.get(k) for k in s.operands] == [self.types.get(k) for k in t.operands]
                 and (s.kind != "tt.splat" or s.operands == t.operands))
 
-    def block(self, body: list[_Step]) -> list[_Step]:
-        """`body` as it runs: its groups and every other step, each after
-        what it reads and the steps that are not movable in their own order;
-        nested bodies planned in turn."""
-        at = {k: i for i, s in enumerate(body) for k in s.results}
-        reads: list[set[int]] = []  # per step, the steps it reads from (a loop or branch: what its body reads)
-        deps: list[int] = []  # the same, directly or not, as a bit mask
-        for i, s in enumerate(body):
-            r = {j for k in (s.operands if s.body is None else [k for t in _walk(s.body) for k in t.operands] + [
-                *s.operands]) if (j := at.get(k, i)) < i}
-            d = 0
-            for j in r:
-                d |= deps[j] | 1 << j
-            reads.append(r)
-            deps.append(d)
-        groups = [g for g in self.runs(body, deps) + self.chains(body, at) + self.accesses(body)
-                  if not functools.reduce(operator.or_, (deps[i] for i in g)) & sum(1 << i for i in g)]
-        while (order := _order(body, groups, reads)) is None:
-            groups.pop(0)  # groups that wait on each other: run the first as written
-        return [x for g in order for x in (self.packed([body[i] for i in g]) if len(g) > 1
-                                           else self.single(body[g[0]]))]
+    def block(self, body: list[_Step], groups: list[list[_Step]]) -> list[_Step]:
+        """`body` as it runs: each of its `groups` at its last member's place
+        and every other step at its own; nested bodies planned in turn."""
+        last = {id(g[-1]): g for g in groups}
+        moved = {id(m) for g in groups for m in g[:-1]}
+        return [x for s in body if id(s) not in moved
+                for x in (self.packed(last[id(s)]) if id(s) in last else self.single(s))]
 
-    def runs(self, body: list[_Step], deps: list[int]) -> list[list[int]]:
-        """Runs of steps in a row that do one thing and do not read each other."""
-        out, run, mask = [], [], 0
-        for i, s in enumerate(body):
-            if run and not deps[i] & mask and self.same(body[run[0]], s):
-                run.append(i)
-                mask |= 1 << i
-                continue
-            if len(run) > 1:
-                out.append(run)
-            ok = s.kind in _GROUPED and s.kind != "tt.dot" and s.shape and all(
-                (self.types.get(k) or ((),))[0] == (() if s.kind == "tt.splat" else s.shape) for k in s.operands)
-            run, mask = ([i], 1 << i) if ok else ([], 0)
-        return out + [run] * (len(run) > 1)
+    def runs(self, body: list[_Step]) -> list[list[_Step]]:
+        """The groups of `body`, found in one scan: runs of steps that each
+        could start one and do one thing to equally typed operands (an access:
+        to pieces of one block), with only movable steps that read no member
+        between them, whose members are one whole (see `complete`)."""
+        out, run, read = [], [], set()  # read: the results of the run's members
+        for s in body:
+            starts = self.starts(s)
+            if run and read.isdisjoint(s.operands):
+                if starts and self.same(run[0], s) and (s.kind not in ("tt.load", "tt.store") or self.place(
+                        s.operands[0])[0] == self.place(run[0].operands[0])[0]):
+                    run.append(s)
+                    read.update(s.results)
+                    continue
+                if not starts and s.kind in _MOVABLE:
+                    continue
+            out.append(run)
+            run, read = ([s], set(s.results)) if starts else ([], set())
+        return [r for r in out + [run] if len(r) > 1 and self.complete(r)]
 
-    def chains(self, body: list[_Step], at: dict) -> list[list[int]]:
-        """Per k, the k-th dots of equal chains, which add one k chunk to a
-        tile whose rows one A piece and whose columns one B piece give: a
-        chain is a run of dots each of which adds to the one before, which
-        nothing else reads."""
-        dots = [i for i, s in enumerate(body) if s.kind == "tt.dot" and len(s.shape) == 2
-                and None not in [self.types.get(k) for k in s.operands]]
-        nxt, ok = {}, set(dots)
-        for i in dots:
-            c = body[i].operands[2]
-            if (j := at.get(c)) in ok and self.uses[c] == 1:
-                nxt[j] = i
-        classes: list[list[list[int]]] = []  # chains alike whose first dots share an A or a B piece, transitively
-        for h in sorted(ok - set(nxt.values())):
-            chain = [h]
-            while chain[-1] in nxt:
-                chain.append(nxt[chain[-1]])
-            near = [cs for cs in classes if len(cs[0]) == len(chain) and self.same(body[cs[0][0]], body[h])
-                    and any(body[c[0]].operands[j] == body[h].operands[j] for c in cs for j in (0, 1))]
-            classes = [cs for cs in classes if cs not in near] + [[c for cs in near for c in cs] + [chain]]
-        groups = []
-        for cs in classes:
-            rows, cols = ({body[c[0]].operands[j]: None for c in cs} for j in (0, 1))
-            cs.sort(key=lambda c: (list(rows).index(body[c[0]].operands[0]), list(cols).index(body[c[0]].operands[1])))
-            ks = [[body[c[k]] for c in cs] for k in range(len(cs[0]))]
-            if len(cs) > 1 and all(self.grid(g) is not None and all(self.same(g[0], d) for d in g) for g in ks):
-                groups += [[c[k] for c in cs] for k in range(len(cs[0]))]
-        return groups
+    def complete(self, run: list[_Step]) -> bool:
+        """Whether a run's members are the pieces of one whole: a dot run's
+        a grid, an access run's their block, each once."""
+        if run[0].kind == "tt.dot":
+            return self.grid(run) is not None
+        if run[0].kind in ("tt.load", "tt.store"):
+            places = [self.place(m.operands[0]) for m in run]
+            return _covers([o for _, o in places], self.types[places[0][0]][0], run[0].shape)
+        return True
+
+    def starts(self, s: _Step) -> bool:
+        """Whether `s` could start a group: an elementwise op, a convert or a
+        splat on operands shaped like its result (a splat: on a scalar); a
+        dot of typed operands on 2-D pieces; a load or store of a piece of a
+        block by an extract, proven in bounds, on a buffer that keeps no race
+        marks."""
+        if s.kind in ("tt.load", "tt.store"):
+            return (id(s) in self.inbounds and self.place(s.operands[0]) is not None
+                    and self.bases.get(id(s)) not in self.marked | {None})
+        if s.kind == "tt.dot":
+            return len(s.shape) == 2 and None not in [self.types.get(k) for k in s.operands]
+        return s.kind in _GROUPED and bool(s.shape) and all(
+            (self.types.get(k) or ((),))[0] == (() if s.kind == "tt.splat" else s.shape) for k in s.operands)
 
     def grid(self, dots: list[_Step]) -> tuple | None:
         """(rows, columns) if `dots`, in row-major order, read one A piece per
@@ -845,25 +837,6 @@ class _Plan:
         rows, cols = (list(dict.fromkeys(d.operands[j] for d in dots)) for j in (0, 1))
         ix = [(rows.index(d.operands[0]), cols.index(d.operands[1])) for d in dots]
         return (len(rows), len(cols)) if ix == list(np.ndindex(len(rows), len(cols))) else None
-
-    def accesses(self, body: list[_Step]) -> list[list[int]]:
-        """Runs of loads or of stores, with no other step that is not movable
-        between them, of the pieces that cover one block of a buffer that keeps
-        no race marks, each proven in bounds."""
-        runs, run, key = [], [], None
-        for i, s in enumerate(body):
-            if s.kind in _MOVABLE:
-                continue
-            p = self.place(s.operands[0]) if s.kind in ("tt.load", "tt.store") and id(s) in self.inbounds else None
-            ok = p is not None and self.bases.get(id(s)) not in self.marked | {None}
-            if ok and run and (s.kind, p[0], s.shape, s.elem) == key:
-                run.append(i)
-                continue
-            runs.append(run)
-            run, key = ([i], (s.kind, p[0], s.shape, s.elem)) if ok else ([], None)
-        return [r for r in runs + [run] if len(r) > 1 and _covers(
-            [self.place(body[i].operands[0])[1] for i in r], self.types[self.place(body[r[0]].operands[0])[0]][0],
-            body[r[0]].shape)]
 
     def single(self, s: _Step) -> list[_Step]:
         """`s` as it runs, as a list of steps: none for a glue of the pieces
@@ -880,40 +853,37 @@ class _Plan:
         if s.kind == "scf.for":
             return self.loop(s)
         if s.body is not None:
-            s.body = self.block(s.body)
+            s.body = self.block(s.body, self.runs(s.body))
         return [s]
 
     def loop(self, s: _Step) -> list[_Step]:
         """The loop `s`, with each set of its carries that are the pieces of
         one tile or block carried as that whole, and cut into those pieces
         by extracts at the start of each trip and after the loop: block
-        pieces that one ``tt.advance`` moves, or the results of the last dots
-        of dot chains, glued before the loop and at the end of each trip."""
+        pieces that one ``tt.advance`` moves, or the results of a dot group
+        that only the yield reads, glued before the loop and at the end of
+        each trip.  The body's groups are found once, after the pointer cuts,
+        through which the loads and stores of carried pieces group."""
         body, iters, inits = s.body, list(s.attrs["iters"]), list(s.operands[3:])
         yields, results = list(body[-1].operands), list(s.results)
-        at = {k: i for i, t in enumerate(body) for k in t.results}
-        sets, moves = [], {}  # (carries, whole, origins, block pointer or None); pointer carries by what moves them
+        at = {k: t for t in body for k in t.results}
+        moves = {}  # pointer carries by what moves them
         for c, (it, init, y) in enumerate(zip(iters, inits, yields)):
-            t = body[at[y]] if y in at else None
+            t = at.get(y)
             if (p := self.place(init)) is not None and t is not None and t.kind == "tt.advance" and t.operands[0] == it:
                 moves.setdefault((p[0], t.operands[1:], self.types[it]), []).append(c)
-        for (q, _, _), cs in moves.items():
-            origins = [self.place(inits[c])[1] for c in cs]
-            if len(cs) > 1 and _covers(origins, self.types[q][0], self.types[iters[cs[0]]][0]):
-                sets.append((cs, self.types[q][0], origins, q))
-        for g in self.chains(body, at):
-            keys = [body[i].results[0] for i in g]
-            if all(self.uses[k] == 1 and k in yields for k in keys):
-                whole, origins = self.layout([body[i] for i in g])
-                sets.append(([yields.index(k) for k in keys], whole, origins, None))
         head, tail, before, after, new = [], [], [], [], ([], [], [], [])  # new inits, carries, yields, results
-        for cs, whole, origins, q in sets:
+        gone: set[int] = set()  # the carries carried whole
+
+        def carry(cs: list[int], whole: tuple, origins: list[tuple], q: Any) -> None:
+            """Carry the carries `cs`, the pieces at `origins` of `whole`, as
+            that whole: block pointer `q` moved, or (None) glued pieces."""
             shape, elem, is_ptr = self.types[iters[cs[0]]]
             x, x2, r = (self.fresh((whole, elem, is_ptr)) for _ in range(3))
-            head += [self.cut(x, iters[c], o, shape) for c, o in zip(cs, origins)]
-            after += [self.cut(r, results[c], o, shape) for c, o in zip(cs, origins)]
+            head.extend(self.cut(x, iters[c], o, shape) for c, o in zip(cs, origins))
+            after.extend(self.cut(r, results[c], o, shape) for c, o in zip(cs, origins))
             if q is not None:
-                t = body[at[yields[cs[0]]]]
+                t = at[yields[cs[0]]]
                 tail.append(_Step(t.kind, t.name, (x, *t.operands[1:]), (x2,), t.attrs, whole, elem, True, None, None))
             else:
                 q = self.fresh((whole, elem, is_ptr))
@@ -922,13 +892,23 @@ class _Plan:
                 tail.append(self.glued(x2, [yields[c] for c in cs], origins, whole))
             for ks, k in zip(new, (q, x, x2, r)):
                 ks.append(k)
-        if sets:
-            gone = {c for cs, _, _, _ in sets for c in cs}
+            gone.update(cs)
+
+        for (q, _, _), cs in moves.items():
+            origins = [self.place(inits[c])[1] for c in cs]
+            if len(cs) > 1 and _covers(origins, self.types[q][0], self.types[iters[cs[0]]][0]):
+                carry(cs, self.types[q][0], origins, q)
+        groups = self.runs(body)
+        for g in groups:
+            keys = [m.results[0] for m in g]
+            if g[0].kind == "tt.dot" and all(self.uses[k] == 1 and k in yields for k in keys):
+                carry([yields.index(k) for k in keys], *self.layout(g), None)
+        if gone:
             inits, iters, yields, results = ([k for c, k in enumerate(ks) if c not in gone] + more
                                              for ks, more in zip((inits, iters, yields, results), new))
             s.operands, s.attrs, s.results = (*s.operands[:3], *inits), {**s.attrs, "iters": iters}, tuple(results)
             body[-1].operands = tuple(yields)
-        s.body = self.block(head + body[:-1] + tail + body[-1:])
+        s.body = self.block(head + body[:-1] + tail + body[-1:], groups)
         return [*(x for t in before for x in self.single(t)), s, *after]
 
     def fresh(self, typ: tuple) -> object:
@@ -994,8 +974,7 @@ class _Plan:
             lo = tuple(np.min([o for _, o in at], axis=0))
             origins = [tuple(int(x) for x in np.subtract(o, lo)) for _, o in at]
             whole = tuple(int(x) for x in np.max(origins, axis=0) + piece)
-            grid = [w // p for w, p in zip(whole, piece)]
-            if sorted(origins) == [tuple(g * p for g, p in zip(ix, piece)) for ix in np.ndindex(*grid)]:
+            if _covers(origins, whole, piece):
                 return whole, origins
         return (len(members) * piece[0], *piece[1:]), [(i * piece[0], *[0] * (len(piece) - 1))
                                                         for i in range(len(members))]
@@ -1047,41 +1026,6 @@ def _covers(origins: list[tuple], whole: tuple, piece: tuple) -> bool:
         return False
     grid = [w // p for w, p in zip(whole, piece)]
     return sorted(origins) == [tuple(g * p for g, p in zip(ix, piece)) for ix in np.ndindex(*grid)]
-
-
-def _order(body: list[_Step], groups: list[list[int]], reads: list[set[int]]) -> list[list[int]] | None:
-    """The groups and other steps of `body` in the order they run: each as
-    soon as the steps it reads from have run, earliest first, and the steps
-    that are not movable in their own order, the terminator last; None if two
-    groups wait on each other."""
-    nodes = groups + [[i] for i in sorted(set(range(len(body))) - {i for g in groups for i in g})]
-    node = {i: n for n, g in enumerate(nodes) for i in g}
-    waits = [set() for _ in nodes]
-    for i, r in enumerate(reads):
-        waits[node[i]].update(node[j] for j in r)
-    fixed = [i for i, s in enumerate(body) if s.kind not in _MOVABLE]
-    for a, b in zip(fixed, fixed[1:]):
-        waits[node[b]].add(node[a])
-    if body and body[-1].kind in ("scf.yield", "tt.return"):
-        waits[node[len(body) - 1]].update(range(len(nodes)))
-    for n, w in enumerate(waits):
-        w.discard(n)
-    blocking = [set() for _ in nodes]
-    for n, w in enumerate(waits):
-        for m in w:
-            blocking[m].add(n)
-    left = [len(w) for w in waits]
-    ready = [(min(g), n) for n, g in enumerate(nodes) if not left[n]]
-    heapq.heapify(ready)
-    order = []
-    while ready:
-        _, n = heapq.heappop(ready)
-        order.append(nodes[n])
-        for m in blocking[n]:
-            left[m] -= 1
-            if not left[m]:
-                heapq.heappush(ready, (min(nodes[m]), m))
-    return order if len(order) == len(nodes) else None
 
 
 # --------------------------------------------------------------------------

@@ -9,15 +9,18 @@ monkeypatch here (the product has no switch).
 from __future__ import annotations
 
 import functools
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from conftest import prove_nothing
 from tilec import passes, sim
-from tilec.ir import ElemType, walk_fn_ops
+from tilec.ir import ElemType, FunctionBuilder, KernelFn, PtrType, walk_fn_ops
 from tilec.kernels import FIXTURE_NAMES, load_fixture, make_problem, suite
 from tilec.passes import compile_kernel
-from tilec.sim import RunTrace, prepare, run
+from tilec.sim import DeviceMemory, RunTrace, prepare, run
+from tilec.visa import PVC
 
 LEVELS = ("workgroup", "warp", "intrinsic", "visa")
 
@@ -33,10 +36,14 @@ def _compiled(name: str):
 
 
 def _outcome(prog, name: str, seed: int) -> tuple:
-    """A run's buffers, traced loads and stores, and cross-warp records, comparable with ==."""
+    """A suite run's buffers, traced loads and stores, and cross-warp records, comparable with ==."""
     prob = make_problem(suite()[name], seed)
+    return _traced(prog, prob.launch, prob.mem)
+
+
+def _traced(prog, launch, mem: DeviceMemory) -> tuple:
     trace = RunTrace()
-    out = run(prog, prob.launch, prob.mem, trace=trace)
+    out = run(prog, launch, mem, trace=trace)
     cross = [(c.wg, c.kind, c.dst, [a.tobytes() for a in (*c.inputs, *c.delivered)]) for c in trace.cross]
     return {b: out.raw(b).tobytes() for b in out.names()}, trace.loads, trace.stores, cross
 
@@ -55,16 +62,50 @@ def test_grouped_runs_give_the_bits_and_trace_of_ungrouped_runs(name, forced, mo
                 assert _outcome(prog, name, seed) == grouped, f"{level} seed {seed}"
 
 
+# perfbench's target profiles other than PVC itself, which is its pvc_simt:
+# the shipped simd profile, and that profile with another load block, dot
+# unit or lane count
+TARGETS = {
+    "pvc_simd": replace(PVC, style="simd"),
+    "load16": replace(PVC, style="simd", max_load=(16, 16)),
+    "dot8": replace(PVC, style="simd", max_dot=(8, 8, 16)),
+    "lanes32": replace(PVC, style="simd", threads_per_warp=32, max_load=(32, 64)),
+}
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("target", TARGETS)
+def test_grouped_runs_give_the_bits_and_trace_of_ungrouped_runs_on_other_targets(target, name, monkeypatch):
+    # other piece shapes give other groups
+    res, seed = compile_kernel(load_fixture(name), TARGETS[target]), suite()[name].seed
+    for level in ("intrinsic", "visa"):
+        grouped = _outcome(res.at_level(level), name, seed)
+        with monkeypatch.context() as mp:
+            ungrouped(mp)
+            assert _outcome(res.at_level(level), name, seed) == grouped, level
+
+
 def _steps(launch: sim.Launch) -> tuple[int, list[int]]:
-    """The number of top-level steps of a launch, and of the steps of each loop body."""
-    return len(launch.steps), [len(s.body) for s in launch.steps if s.kind == "scf.for"]
+    """The number of top-level steps of a launch, and of the steps of each body."""
+    return len(launch.steps), [len(s.body) for s in launch.steps if s.body is not None]
+
+
+# per fixture, the steps of its intrinsic and visa launches; ungrouped,
+# fa2_d128 runs 149 steps at the top level and 326 in the loop body
+STEPS = {
+    "gemm_256": (35, [7]),
+    "fa2_d64": (34, [29]),
+    "fa2_d128": (34, [33]),
+    "paged_wg": (13, [45]),
+    "paged_warp": (33, [4, 51, 5]),
+}
 
 
 @pytest.mark.parametrize("level", ["intrinsic", "visa"])
-def test_fa2_d128_runs_as_few_steps(level):
-    # ungrouped, 149 steps at the top level and 326 in the loop body
-    prob = make_problem(suite()["fa2_d128"])
-    assert _steps(prepare(_compiled("fa2_d128").at_level(level), prob.launch, prob.mem)) == (34, [33])
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_fixtures_run_as_few_steps(name, level):
+    prob = make_problem(suite()[name])
+    assert _steps(prepare(_compiled(name).at_level(level), prob.launch, prob.mem)) == STEPS[name]
 
 
 def test_a_wrong_extract_index_runs_as_written(monkeypatch):
@@ -97,10 +138,35 @@ def test_a_wrong_extract_index_runs_as_written(monkeypatch):
         assert grouped[0] != _outcome(right, "fa2_d64", suite()["fa2_d64"].seed)[0]  # the index changes the output
 
 
-def test_groups_that_wait_on_each_other_are_not_ordered():
-    # steps 1 and 3 read steps 0 and 2: groups {0, 3} and {1, 2} would each have to run before the other
-    body = [sim._Step("arith.addf", "arith.addf", (), (i,), {}, (8,), ElemType.f32, False, None, None) for i in range(4)]
-    reads = [set(), {0}, set(), {2}]
-    assert sim._order(body, [[0, 3], [1, 2]], reads) is None
-    assert sim._order(body, [[0, 2]], reads) == [[0, 2], [1], [3]]
-    assert sim._order(body, [], reads) == [[0], [1], [2], [3]]
+def _halves(read: bool) -> KernelFn:
+    """Exp each 8x16 half of X's 16x16 tile and store the halves glued to Y;
+    with `read`, the first half's row maxima, broadcast back, sit between the
+    two exps and take that half's place in Y."""
+    fb = FunctionBuilder("halves", [("X", PtrType(ElemType.f32)), ("Y", PtrType(ElemType.f32))], level="intrinsic")
+    x, y = fb.fn.args
+    c0, c1, c16 = (fb.constant(v) for v in (0, 1, 16))
+    tile = fb.load(fb.make_tensor_ptr(x, [c16, c16], [c16, c1], [c0, c0], (16, 16), (1, 0)))
+    top, bottom = (fb.extract(tile, i, (8, 16)) for i in range(2))
+    first = fb.exp(top)
+    if read:
+        first = fb.broadcast(fb.expand_dims(fb.reduce(first, "max", 1), 1), (8, 16))
+    second = fb.exp(bottom)
+    out = fb.make_tensor_ptr(y, [c16, c16], [c16, c1], [c0, c0], (16, 16), (1, 0))
+    fb.store(out, fb.glue([first, second], (16, 16)))
+    fb.ret()
+    return fb.build()
+
+
+@pytest.mark.parametrize("read", [False, True], ids=["adjacent", "read_between"])
+def test_a_step_that_reads_a_piece_ends_its_run(read, monkeypatch):
+    # the reduce between the exps reads the first one, so the second one cannot join it
+    prog, launch = _halves(read), sim.LaunchConfig()
+    mem = DeviceMemory()
+    mem.set_tensor("X", np.arange(256).reshape(16, 16) / 64, ElemType.f32)
+    mem.set_tensor("Y", np.zeros((16, 16)), ElemType.f32)
+    groups = [s.kind for s in sim._walk(prepare(prog, launch, mem).steps) if s.binds is not None]
+    assert groups == ([] if read else ["math.exp"])
+    grouped = _traced(prog, launch, mem)
+    with monkeypatch.context() as mp:
+        ungrouped(mp)
+        assert _traced(prog, launch, mem) == grouped

@@ -119,6 +119,14 @@ def test_attention_ref_self_check_fires(monkeypatch):
         attention_ref(p)
 
 
+def test_attention_ref_self_check_rejects_a_nan():
+    rng = philox(13)
+    q, k, v = (rand_f16(rng, 16, 8) for _ in range(3))
+    q[3, 5] = np.nan  # one NaN row in both paths, so their error is NaN
+    with pytest.raises(OracleError, match="rel err nan"):
+        attention_ref(AttentionProblem(q, k, v, block_size=4))
+
+
 def test_attention_problem_validation():
     q = np.zeros((8, 4))
     with pytest.raises(ValueError):
