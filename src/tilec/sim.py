@@ -69,10 +69,11 @@ start a run of its own.  Its members are
 - elementwise ops, converts or splats on operands shaped like their result
   (a splat: on one scalar);
 - dots whose A and B pieces form the rows and columns of a grid, in
-  row-major order: one matmul per piece, as the pieces would run, whose
-  products land in the whole accumulator.  ``match_target_size`` emits the
-  unit dots of one k chunk of all pieces back to back, so each k chunk of a
-  dot is one run;
+  row-major order: the group reads whole A, B and accumulator tiles, and
+  ``_dot`` cuts them by its piece shape into views of that grid, one matmul
+  per piece, as the pieces would run, whose products land in the whole
+  result.  ``match_target_size`` emits the unit dots of one k chunk of all
+  pieces back to back, so each k chunk of a dot is one run;
 - loads, or stores, through the pointer extracts that cover one block once,
   each proven in bounds, on a buffer that keeps no race marks: one access
   of the block, which a traced run logs per piece, in the pieces' order.
@@ -125,7 +126,7 @@ from . import footprints
 from .ir import (CMP_PREDS, ELEMENTWISE_FLOAT, ELEMENTWISE_INT, ElemType, KernelFn, Operation, PtrType, block_index,
                  block_origin, tile_type)
 from .textio import _type_desc
-from .visa import LOWERING, TargetConfig, VInstr, VProgram
+from .visa import LOWERING, PVC, TargetConfig, VInstr, VProgram
 
 
 class SimError(RuntimeError):
@@ -291,7 +292,7 @@ def load_tensor(path: str) -> tuple[np.ndarray, ElemType]:
 @dataclass(frozen=True)
 class LaunchConfig:
     grid: tuple[int, int, int] = (1, 1, 1)
-    target: TargetConfig | None = None  # supplies the SLM budget when set
+    target: TargetConfig | None = None  # supplies the SLM budget; None: PVC
     wg_order: tuple[int, ...] | None = None  # workgroup scheduling permutation
 
     def __post_init__(self) -> None:
@@ -300,7 +301,7 @@ class LaunchConfig:
 
     @property
     def slm_budget(self) -> int:
-        return self.target.slm_bytes if self.target else 131072
+        return (self.target or PVC).slm_bytes
 
 
 class TraceAccess(NamedTuple):  # a tuple, cheap to build in bulk
@@ -559,7 +560,8 @@ class _Step:
     sem: Callable[[_Step, _Ctx, list], Any] | None = field(init=False)  # None: the executor's own kinds
     # an extract's slices of its operand (for a pointer, their starts offset
     # the block); a glue's slices of its result, one per piece; an access
-    # group's origin and block shape of each member, to log its accesses
+    # group's origin and block shape of each member, to log its accesses; a
+    # dot group's piece shape
     slices: tuple = field(init=False)
     # a group's: per member whose result some step reads, that key and the
     # member's index into the group's result (None: a step of one op)
@@ -674,20 +676,6 @@ class _Glue(NamedTuple):
         return out
 
 
-class _Grid(NamedTuple):
-    """A dot group's operand: whole tiles of `shape` (rows, piece rows,
-    columns, piece columns) cut into their grid of pieces, on grid axes
-    before the piece axes, as a view; a grid axis of 1 serves every piece
-    along it."""
-
-    whole: Any
-    shape: tuple
-
-    def get(self, env: dict) -> np.ndarray:
-        x = self.whole.get(env)
-        return x.reshape(len(x), *self.shape).transpose(0, 1, 3, 2, 4)
-
-
 def _box(origin: tuple, shape: tuple) -> tuple:
     """The index of the block at `origin` of each row's tile."""
     return (slice(None), *map(slice, origin, map(operator.add, origin, shape)))
@@ -695,18 +683,17 @@ def _box(origin: tuple, shape: tuple) -> tuple:
 
 def _read(p: Any) -> list:
     """The keys an operand reads."""
-    if type(p) is _Grid:
-        return _read(p.whole)
     return [k for k, _, _ in p.parts] if type(p) is _Glue else [p.key] if type(p) in (_Key, _Box) else [p]
 
 
-def _group(steps: list[_Step], bases: dict[int, Any], inbounds: set[int], marked: set) -> list[_Step]:
-    """`steps` with the piece groups of each block run as one step each, and
-    every movable step whose results no step reads left out.  `bases` holds
-    each access step's buffer where the proof found it, `inbounds` the access
-    steps proven in bounds (it gains the access groups), `marked` the buffers
-    that keep race marks."""
-    flat = list(_walk(steps))
+def _group(steps: list[_Step], flat: list[_Step], bases: dict[int, Any], inbounds: set[int],
+           marked: set) -> list[_Step]:
+    """`steps` (`flat`: all of them, nested ones included, in walk order) with
+    the piece groups of each block run as one step each, and every movable
+    step whose results no step reads left out.  `bases` holds each access
+    step's buffer where the proof found it, `inbounds` the access steps proven
+    in bounds (it gains the access groups), `marked` the buffers that keep
+    race marks."""
     types: dict[Any, tuple] = {}  # per key: (shape, elem, is_ptr) of its value
     for s in flat:  # a loop's carries and results are typed like its inits
         if s.kind == "scf.for":
@@ -717,26 +704,27 @@ def _group(steps: list[_Step], bases: dict[int, Any], inbounds: set[int], marked
             types[s.results[0]] = (s.shape, s.elem, s.is_ptr)
     plan = _Plan({s.results[0]: s for s in flat if s.results}, collections.Counter(k for s in flat for k in s.operands),
                  types, bases, inbounds, marked)
-    out, n = plan.block(steps, plan.runs(steps)), -1
-    while n:  # until no step is left out
-        out, n = _prune(out, {k for s in _walk(out) for p in s.operands for k in _read(p)})
-    return out
+    return _prune(plan.block(steps, plan.runs(steps)), set())
 
 
-def _prune(steps: list[_Step], live: set) -> tuple[list[_Step], int]:
-    """`steps` without the movable ones whose results no step reads, and how many those were."""
-    out, n = [], 0
-    for s in steps:
+def _prune(steps: list[_Step], live: set) -> list[_Step]:
+    """`steps` without the movable ones whose results no later step reads, in
+    one walk from the last step to the first.  `live` holds the keys that
+    the steps after `steps` read, and gains those that the kept ones read; a
+    nested body shares it, as every use follows its definition (a loop's
+    carries are keys of the loop, not of a step)."""
+    out = []
+    for s in reversed(steps):
         if s.binds is not None:
             s.binds = tuple(b for b in s.binds if b[0] in live)
         if s.kind in _MOVABLE and s.results and s.results[0] not in live and not s.binds:
-            n += 1
             continue
         if s.body is not None:
-            s.body, m = _prune(s.body, live)
-            n += m
+            s.body = _prune(s.body, live)
+        live.update(k for p in s.operands for k in _read(p))
         out.append(s)
-    return out, n
+    out.reverse()
+    return out
 
 
 @dataclass
@@ -750,34 +738,53 @@ class _Plan:
     inbounds: set[int]
     marked: set
     made: dict[Any, _Step] = field(default_factory=dict)  # each group by its key
-    pos: dict[Any, tuple] = field(default_factory=dict)  # a group member's result: the group's key, its origin
+    # per key placed so far (a group member's result, a glue a group binds,
+    # or a piece that `where` found): the key and origin of `where`
+    pos: dict[Any, tuple] = field(default_factory=dict)
     splats: list[_Step] = field(default_factory=list)  # the splats the group being made reads, made for it
 
     def where(self, k: Any) -> tuple | None:
-        """(key, origin) if `k`'s value is the block of that key's value at
-        that origin: a group member's result, or a piece of a value by extracts."""
-        if k in self.pos:
-            return self.pos[k]
-        s = self.steps.get(k)
-        if s is None or s.kind != "tt.extract" or s.is_ptr:
-            return None
-        at = tuple(sl.start for sl in s.slices[1:])
-        if (up := self.where(s.operands[0])) is None:
-            return s.operands[0], at
-        return up[0], tuple(a + b for a, b in zip(up[1], at))
+        """(key, origin) if `k`'s value is the block of that key's value (a
+        tile or a block) at that origin: a group member's result, or a piece
+        of a value by extracts.  Only an answer found is kept, as a key that
+        has none may gain one: `loop` cuts the carries it carries whole."""
+        if (at := self.pos.get(k)) is None and (s := self.steps.get(k)) is not None and s.kind == "tt.extract":
+            at, up = tuple(sl.start for sl in s.slices[1:]), self.where(s.operands[0])
+            at = self.pos[k] = (s.operands[0], at) if up is None else (up[0], tuple(map(operator.add, up[1], at)))
+        return at
 
-    def place(self, k: Any) -> tuple | None:
-        """(block, origin) if pointer `k` is a piece of that block by an extract."""
-        s = self.steps.get(k)
-        if s is None or s.kind != "tt.extract" or not s.is_ptr:
+    def inplace(self, keys: list, targets: list[tuple]) -> tuple | None:
+        """(key, origin) if the values of `keys` sit in place in that key's
+        value, at `targets` of a box at that origin."""
+        at = [self.where(k) for k in keys]
+        if None in at or len({k for k, _ in at}) > 1:
             return None
-        return s.operands[0], tuple(sl.start for sl in s.slices[1:])
+        base = {tuple(map(operator.sub, o, t)) for (_, o), t in zip(at, targets)}
+        return (at[0][0], base.pop()) if len(base) == 1 else None
 
-    def same(self, s: _Step, t: _Step) -> bool:
-        """Whether `s` and `t` do one thing to equally typed operands."""
-        return (s.kind == t.kind and s.shape == t.shape and s.elem == t.elem and s.attrs == t.attrs
-                and [self.types.get(k) for k in s.operands] == [self.types.get(k) for k in t.operands]
-                and (s.kind != "tt.splat" or s.operands == t.operands))
+    def signature(self, s: _Step) -> tuple | None:
+        """What every member of a run that `s` is in shares, or None if `s`
+        cannot start one: an elementwise op, a convert or a splat on operands
+        shaped like its result (a splat: on a scalar); a dot of typed operands
+        on 2-D pieces; a load or store of a piece of a block by an extract,
+        proven in bounds, on a buffer that keeps no race marks.  Members do
+        one thing to equally typed operands; splats splat one scalar, and an
+        access reads pieces of one block."""
+        types, one = tuple(self.types.get(k) for k in s.operands), None
+        if s.kind in ("tt.load", "tt.store"):
+            if (id(s) not in self.inbounds or (at := self.where(s.operands[0])) is None
+                    or (base := self.bases.get(id(s))) is None or base in self.marked):
+                return None
+            one = at[0]
+        elif s.kind == "tt.dot":
+            if len(s.shape) != 2 or None in types:
+                return None
+        elif s.kind not in _GROUPED or not s.shape or any(
+                (t or ((),))[0] != (() if s.kind == "tt.splat" else s.shape) for t in types):
+            return None
+        elif s.kind == "tt.splat":
+            one = s.operands
+        return s.kind, s.shape, s.elem, s.attrs, types, one
 
     def block(self, body: list[_Step], groups: list[list[_Step]]) -> list[_Step]:
         """`body` as it runs: each of its `groups` at its last member's place
@@ -788,23 +795,21 @@ class _Plan:
                 for x in (self.packed(last[id(s)]) if id(s) in last else self.single(s))]
 
     def runs(self, body: list[_Step]) -> list[list[_Step]]:
-        """The groups of `body`, found in one scan: runs of steps that each
-        could start one and do one thing to equally typed operands (an access:
-        to pieces of one block), with only movable steps that read no member
-        between them, whose members are one whole (see `complete`)."""
-        out, run, read = [], [], set()  # read: the results of the run's members
+        """The groups of `body`, found in one scan: runs of steps of one
+        signature, with only movable steps that read no member between them,
+        whose members are one whole (see `complete`)."""
+        out, run, sig, read = [], [], None, set()  # read: the results of the run's members
         for s in body:
-            starts = self.starts(s)
+            t = self.signature(s)
             if run and read.isdisjoint(s.operands):
-                if starts and self.same(run[0], s) and (s.kind not in ("tt.load", "tt.store") or self.place(
-                        s.operands[0])[0] == self.place(run[0].operands[0])[0]):
+                if t is not None and t == sig:
                     run.append(s)
                     read.update(s.results)
                     continue
-                if not starts and s.kind in _MOVABLE:
+                if t is None and s.kind in _MOVABLE:
                     continue
             out.append(run)
-            run, read = ([s], set(s.results)) if starts else ([], set())
+            run, sig, read = ([s], t, set(s.results)) if t is not None else ([], None, set())
         return [r for r in out + [run] if len(r) > 1 and self.complete(r)]
 
     def complete(self, run: list[_Step]) -> bool:
@@ -813,43 +818,26 @@ class _Plan:
         if run[0].kind == "tt.dot":
             return self.grid(run) is not None
         if run[0].kind in ("tt.load", "tt.store"):
-            places = [self.place(m.operands[0]) for m in run]
-            return _covers([o for _, o in places], self.types[places[0][0]][0], run[0].shape)
+            at = [self.where(m.operands[0]) for m in run]
+            return _covers([o for _, o in at], self.types[at[0][0]][0], run[0].shape)
         return True
-
-    def starts(self, s: _Step) -> bool:
-        """Whether `s` could start a group: an elementwise op, a convert or a
-        splat on operands shaped like its result (a splat: on a scalar); a
-        dot of typed operands on 2-D pieces; a load or store of a piece of a
-        block by an extract, proven in bounds, on a buffer that keeps no race
-        marks."""
-        if s.kind in ("tt.load", "tt.store"):
-            return (id(s) in self.inbounds and self.place(s.operands[0]) is not None
-                    and self.bases.get(id(s)) not in self.marked | {None})
-        if s.kind == "tt.dot":
-            return len(s.shape) == 2 and None not in [self.types.get(k) for k in s.operands]
-        return s.kind in _GROUPED and bool(s.shape) and all(
-            (self.types.get(k) or ((),))[0] == (() if s.kind == "tt.splat" else s.shape) for k in s.operands)
 
     def grid(self, dots: list[_Step]) -> tuple | None:
         """(rows, columns) if `dots`, in row-major order, read one A piece per
         row and one B piece per column of a grid, and each one of its pieces."""
         rows, cols = (list(dict.fromkeys(d.operands[j] for d in dots)) for j in (0, 1))
         ix = [(rows.index(d.operands[0]), cols.index(d.operands[1])) for d in dots]
-        return (len(rows), len(cols)) if ix == list(np.ndindex(len(rows), len(cols))) else None
+        return (len(rows), len(cols)) if ix == list(itertools.product(range(len(rows)), range(len(cols)))) else None
 
     def single(self, s: _Step) -> list[_Step]:
         """`s` as it runs, as a list of steps: none for a glue of the pieces
         of one group's result in place, which that group binds instead."""
         if s.kind == "tt.glue":
-            at = [self.where(k) for k in s.operands]
-            if None not in at and len({k for k, _ in at}) == 1 and at[0][0] in self.made:
-                base = [tuple(o - sl.start for o, sl in zip(o, box[1:])) for (_, o), box in zip(at, s.slices)]
-                if len(set(base)) == 1:
-                    g = self.made[at[0][0]]
-                    g.binds += ((s.results[0], _box(base[0], s.shape)),)
-                    self.pos[s.results[0]] = (at[0][0], base[0])
-                    return []
+            at = self.inplace(s.operands, [tuple(sl.start for sl in box[1:]) for box in s.slices])
+            if at is not None and at[0] in self.made:
+                self.made[at[0]].binds += ((s.results[0], _box(at[1], s.shape)),)
+                self.pos[s.results[0]] = at
+                return []
         if s.kind == "scf.for":
             return self.loop(s)
         if s.body is not None:
@@ -866,11 +854,10 @@ class _Plan:
         through which the loads and stores of carried pieces group."""
         body, iters, inits = s.body, list(s.attrs["iters"]), list(s.operands[3:])
         yields, results = list(body[-1].operands), list(s.results)
-        at = {k: t for t in body for k in t.results}
         moves = {}  # pointer carries by what moves them
         for c, (it, init, y) in enumerate(zip(iters, inits, yields)):
-            t = at.get(y)
-            if (p := self.place(init)) is not None and t is not None and t.kind == "tt.advance" and t.operands[0] == it:
+            t = self.steps.get(y)
+            if (p := self.where(init)) is not None and t is not None and t.kind == "tt.advance" and t.operands[0] == it:
                 moves.setdefault((p[0], t.operands[1:], self.types[it]), []).append(c)
         head, tail, before, after, new = [], [], [], [], ([], [], [], [])  # new inits, carries, yields, results
         gone: set[int] = set()  # the carries carried whole
@@ -883,7 +870,7 @@ class _Plan:
             head.extend(self.cut(x, iters[c], o, shape) for c, o in zip(cs, origins))
             after.extend(self.cut(r, results[c], o, shape) for c, o in zip(cs, origins))
             if q is not None:
-                t = at[yields[cs[0]]]
+                t = self.steps[yields[cs[0]]]
                 tail.append(_Step(t.kind, t.name, (x, *t.operands[1:]), (x2,), t.attrs, whole, elem, True, None, None))
             else:
                 q = self.fresh((whole, elem, is_ptr))
@@ -895,7 +882,7 @@ class _Plan:
             gone.update(cs)
 
         for (q, _, _), cs in moves.items():
-            origins = [self.place(inits[c])[1] for c in cs]
+            origins = [self.where(inits[c])[1] for c in cs]
             if len(cs) > 1 and _covers(origins, self.types[q][0], self.types[iters[cs[0]]][0]):
                 carry(cs, self.types[q][0], origins, q)
         groups = self.runs(body)
@@ -939,17 +926,18 @@ class _Plan:
             g = self.access(members)
             return [*self.splats, g]
         whole, origins = self.layout(members)
-        if m0.kind == "tt.dot":  # per piece, its row of A pieces and its column of B pieces, on grid axes
-            (r, c), (pr, pc), k = whole, m0.shape, self.types[m0.operands[0]][0][1]
+        if m0.kind == "tt.dot":  # whole A, B and C: the rows of A pieces, the columns of B pieces
+            (r, c), k = whole, self.types[m0.operands[0]][0][1]
             a, b, acc = ([m.operands[j] for m in members] for j in range(3))
-            ops = [self.pack(a, [(o[0], 0) for o in origins], (r, k), (r // pr, pr, 1, k)),
-                   self.pack(b, [(0, o[1]) for o in origins], (k, c), (1, k, c // pc, pc)),
-                   self.pack(acc, origins, whole)]
+            ops = [self.pack(a, [(o[0], 0) for o in origins], (r, k)),
+                   self.pack(b, [(0, o[1]) for o in origins], (k, c)), self.pack(acc, origins, whole)]
         elif m0.kind == "tt.splat":
             ops = [_Key(m0.operands[0])]
         else:
             ops = [self.pack([m.operands[j] for m in members], origins, whole) for j in range(len(m0.operands))]
         g = _Step(m0.kind, m0.name, tuple(ops), (object(),), m0.attrs, whole, m0.elem, False, None, None)
+        if m0.kind == "tt.dot":
+            g.slices = m0.shape
         return [*self.splats, self.bind(members, g, origins)]
 
     def bind(self, members: list[_Step], g: _Step, origins: list[tuple]) -> _Step:
@@ -966,36 +954,31 @@ class _Plan:
         m0, piece = members[0], members[0].shape
         if m0.kind == "tt.dot":
             (r, c), (pr, pc) = self.grid(members), piece
-            return (r * pr, c * pc), [(i * pr, j * pc) for i, j in np.ndindex(r, c)]
+            return (r * pr, c * pc), [(i * pr, j * pc) for i, j in itertools.product(range(r), range(c))]
         for j in range(len(m0.operands)):
             at = [self.where(m.operands[j]) for m in members]
             if None in at or len({k for k, _ in at}) > 1 or self.types[members[0].operands[j]][0] != piece:
                 continue
-            lo = tuple(np.min([o for _, o in at], axis=0))
-            origins = [tuple(int(x) for x in np.subtract(o, lo)) for _, o in at]
-            whole = tuple(int(x) for x in np.max(origins, axis=0) + piece)
+            lo = tuple(map(min, zip(*(o for _, o in at))))
+            origins = [tuple(map(operator.sub, o, lo)) for _, o in at]
+            whole = tuple(map(operator.add, map(max, zip(*origins)), piece))
             if _covers(origins, whole, piece):
                 return whole, origins
         return (len(members) * piece[0], *piece[1:]), [(i * piece[0], *[0] * (len(piece) - 1))
                                                         for i in range(len(members))]
 
-    def pack(self, keys: list, targets: list[tuple], shape: tuple, cut: tuple | None = None) -> Any:
+    def pack(self, keys: list, targets: list[tuple], shape: tuple) -> Any:
         """An operand of `shape` whose block at `targets[i]` is the value of
-        `keys[i]`: a box of one value where they are its pieces in place, else
-        glued as it runs, or splat whole where they all splat one scalar; with
-        `cut`, as a dot group reads it (see _Grid)."""
-        piece, at = self.types[keys[0]][0], [self.where(k) for k in keys]
+        `keys[i]`: a box of one value where they sit in place in it, else
+        glued as it runs, or splat whole where they all splat one scalar."""
         if (s := self.splat(keys, object(), shape)) is not None:
             self.splats.append(s)
-            return _Key(s.results[0]) if cut is None else _Grid(_Key(s.results[0]), cut)
-        if None not in at and len({k for k, _ in at}) == 1:
-            base = {tuple(map(operator.sub, o, t)) for (_, o), t in zip(at, targets)}
-            if len(base) == 1:
-                box = _Box(at[0][0], _box(base.pop(), shape))
-                return box if cut is None else _Grid(box, cut)
-        glued = _Glue(tuple((k, (), _box(t, piece)) if w is None else (w[0], _box(w[1], piece), _box(t, piece))
-                            for k, w, t in zip(keys, at, targets)), shape)
-        return glued if cut is None else _Grid(glued, cut)
+            return _Key(s.results[0])
+        if (at := self.inplace(keys, targets)) is not None:
+            return _Box(at[0], _box(at[1], shape))
+        piece, at = self.types[keys[0]][0], [self.where(k) for k in keys]
+        return _Glue(tuple((k, (), _box(t, piece)) if w is None else (w[0], _box(w[1], piece), _box(t, piece))
+                           for k, w, t in zip(keys, at, targets)), shape)
 
     def splat(self, keys: list, key: Any, shape: tuple) -> _Step | None:
         """A splat step of `shape` as `key`, if `keys` all splat one scalar."""
@@ -1008,8 +991,8 @@ class _Plan:
     def access(self, members: list[_Step]) -> _Step:
         """One access of the block the members' pointers are pieces of,
         logged per member, in their order."""
-        places = [self.place(m.operands[0]) for m in members]
-        m0, block, origins = members[0], places[0][0], [p[1] for p in places]
+        at = [self.where(m.operands[0]) for m in members]
+        m0, block, origins = members[0], at[0][0], [o for _, o in at]
         whole, ops = self.types[block][0], [_Key(block)]
         if m0.kind == "tt.store":
             ops.append(self.pack([m.operands[1] for m in members], origins, whole))
@@ -1025,7 +1008,7 @@ def _covers(origins: list[tuple], whole: tuple, piece: tuple) -> bool:
     if any(w % p for w, p in zip(whole, piece)):
         return False
     grid = [w // p for w, p in zip(whole, piece)]
-    return sorted(origins) == [tuple(g * p for g, p in zip(ix, piece)) for ix in np.ndindex(*grid)]
+    return sorted(origins) == [tuple(g * p for g, p in zip(ix, piece)) for ix in itertools.product(*map(range, grid))]
 
 
 # --------------------------------------------------------------------------
@@ -1059,14 +1042,18 @@ def _glue(s: _Step, ctx: _Ctx, a: list) -> np.ndarray:
 
 def _dot(s: _Step, ctx: _Ctx, a: list) -> np.ndarray:
     """``a @ b + c``, an f32 matmul, as f16 and f32 tiles both hold float32
-    data.  A group's A and B hold its pieces on grid axes (see _Grid): each
-    piece is one matmul, as when the pieces run one by one, whose product
-    lands in place in the group's whole tiles before c is added."""
-    if a[0].ndim == 3:
+    data.  A dot group reads whole tiles and cuts them by its piece shape (its
+    `slices`) into views with grid axes before the piece axes: A into its
+    rows of pieces, B into its columns, the result into its grid, where a
+    grid axis of 1 serves every piece along it.  Each piece is one matmul, as
+    when the pieces run one by one, whose product lands in place in the
+    result before c is added."""
+    if not s.slices:
         return a[0] @ a[1] + a[2]
-    out = np.empty((ctx.n, *s.shape), dtype=np.float32)
-    r, c = a[0].shape[1], a[1].shape[2]
-    np.matmul(a[0], a[1], out=out.reshape(ctx.n, r, s.shape[0] // r, c, s.shape[1] // c).transpose(0, 1, 3, 2, 4))
+    (pr, pc), (r, c), k = s.slices, s.shape, a[0].shape[2]
+    out = np.empty((ctx.n, r, c), dtype=np.float32)
+    grid = lambda x, *shape: x.reshape(ctx.n, *shape).transpose(0, 1, 3, 2, 4)  # noqa
+    np.matmul(grid(a[0], r // pr, pr, 1, k), grid(a[1], 1, k, c // pc, pc), out=grid(out, r // pr, pr, c // pc, pc))
     out += a[2]
     return out
 
@@ -1298,7 +1285,7 @@ class Launch:
                        for b, why in facts.races.items()}
         self.inbounds = {id(s) for s, _, _, why in facts.accesses if why is None}
         marked = {b for b, sc in self.scales.items() if sc}
-        self.steps = _group(self.steps, {id(s): b for s, b, _, _ in facts.accesses}, self.inbounds, marked)
+        self.steps = _group(self.steps, flat, {id(s): b for s, b, _, _ in facts.accesses}, self.inbounds, marked)
 
     def run(self, mem: DeviceMemory, trace: RunTrace | None = None) -> DeviceMemory:
         """Execute the launch as one batch on `mem`, which must bind the

@@ -31,8 +31,9 @@ def ungrouped(mp: pytest.MonkeyPatch) -> None:
 
 
 @functools.cache
-def _compiled(name: str):
-    return compile_kernel(load_fixture(name))
+def _compiled(name: str, target: str | None = None):
+    """`name` compiled for PVC, or for the `TARGETS` entry `target`."""
+    return compile_kernel(load_fixture(name), TARGETS[target] if target else PVC)
 
 
 def _outcome(prog, name: str, seed: int) -> tuple:
@@ -77,7 +78,7 @@ TARGETS = {
 @pytest.mark.parametrize("target", TARGETS)
 def test_grouped_runs_give_the_bits_and_trace_of_ungrouped_runs_on_other_targets(target, name, monkeypatch):
     # other piece shapes give other groups
-    res, seed = compile_kernel(load_fixture(name), TARGETS[target]), suite()[name].seed
+    res, seed = _compiled(name, target), suite()[name].seed
     for level in ("intrinsic", "visa"):
         grouped = _outcome(res.at_level(level), name, seed)
         with monkeypatch.context() as mp:
@@ -101,11 +102,29 @@ STEPS = {
 }
 
 
+# the same on each of `TARGETS`, where they differ from STEPS
+TARGET_STEPS = {
+    "pvc_simd": STEPS,
+    "load16": {**STEPS, "paged_wg": (13, [93]), "paged_warp": (37, [6, 99, 5])},
+    "dot8": STEPS,
+    "lanes32": {**STEPS, "paged_wg": (13, [37]), "paged_warp": (30, [3, 43, 5])},
+}
+
+
 @pytest.mark.parametrize("level", ["intrinsic", "visa"])
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_fixtures_run_as_few_steps(name, level):
     prob = make_problem(suite()[name])
     assert _steps(prepare(_compiled(name).at_level(level), prob.launch, prob.mem)) == STEPS[name]
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("target", TARGETS)
+def test_fixtures_run_as_few_steps_on_other_targets(target, name):
+    prob = make_problem(suite()[name])
+    for level in ("intrinsic", "visa"):
+        launch = prepare(_compiled(name, target).at_level(level), prob.launch, prob.mem)
+        assert _steps(launch) == TARGET_STEPS[target][name], level
 
 
 def test_a_wrong_extract_index_runs_as_written(monkeypatch):
@@ -166,6 +185,45 @@ def test_a_step_that_reads_a_piece_ends_its_run(read, monkeypatch):
     mem.set_tensor("Y", np.zeros((16, 16)), ElemType.f32)
     groups = [s.kind for s in sim._walk(prepare(prog, launch, mem).steps) if s.binds is not None]
     assert groups == ([] if read else ["math.exp"])
+    grouped = _traced(prog, launch, mem)
+    with monkeypatch.context() as mp:
+        ungrouped(mp)
+        assert _traced(prog, launch, mem) == grouped
+
+
+def _dead_and_loop_read() -> KernelFn:
+    """Cut X's 16x16 tile into 8x16 halves.  Exp the top half, take its row
+    maxima and broadcast them back, which nothing reads; take the bottom
+    half's row maxima the same way, and add them to the top half on each of
+    two loop trips; store the loop's result and the bottom half glued to Y."""
+    fb = FunctionBuilder("dead", [("X", PtrType(ElemType.f32)), ("Y", PtrType(ElemType.f32))], level="intrinsic")
+    x, y = fb.fn.args
+    c0, c1, c2, c16 = (fb.constant(v) for v in (0, 1, 2, 16))
+    tile = fb.load(fb.make_tensor_ptr(x, [c16, c16], [c16, c1], [c0, c0], (16, 16), (1, 0)))
+    top, bottom = (fb.extract(tile, i, (8, 16)) for i in range(2))
+
+    def rows(v):
+        return fb.broadcast(fb.expand_dims(fb.reduce(v, "max", 1), 1), (8, 16))
+
+    rows(fb.exp(top))
+    maxima = rows(bottom)
+    _, (acc,) = fb.begin_for(c0, c2, c1, [top])
+    (out,) = fb.end_for([fb.binary("arith.addf", acc, maxima)])
+    fb.store(fb.make_tensor_ptr(y, [c16, c16], [c16, c1], [c0, c0], (16, 16), (1, 0)), fb.glue([out, bottom], (16, 16)))
+    fb.ret()
+    return fb.build()
+
+
+def test_a_chain_no_step_reads_is_left_out_in_full(monkeypatch):
+    # the dead chain goes in full, though each of its steps but the last has a reader until
+    # that reader goes; the other chain stays, though only a loop body reads its end
+    prog, launch = _dead_and_loop_read(), sim.LaunchConfig()
+    mem = DeviceMemory()
+    mem.set_tensor("X", np.arange(256).reshape(16, 16) / 64, ElemType.f32)
+    mem.set_tensor("Y", np.zeros((16, 16)), ElemType.f32)
+    kinds = [s.kind for s in sim._walk(prepare(prog, launch, mem).steps)]
+    assert "math.exp" not in kinds
+    assert [kinds.count(k) for k in ("tt.reduce", "tt.expand_dims", "tt.broadcast", "arith.addf")] == [1, 1, 1, 1]
     grouped = _traced(prog, launch, mem)
     with monkeypatch.context() as mp:
         ungrouped(mp)
