@@ -635,6 +635,9 @@ def _walk(steps: list[_Step]) -> Iterator[_Step]:
 # elements by the same operation (tt.dot: one matmul per piece, see _dot),
 # and their semantics cannot raise
 _GROUPED = (ELEMENTWISE_FLOAT | ELEMENTWISE_INT | {"tt.convert", "tt.splat", "tt.dot"}) - {"arith.divi", "arith.remi"}
+# kinds whose runs group only where their members are the pieces of one
+# whole (a dot grid, the block of an access), each once
+_PLACED = {"tt.dot", "tt.load", "tt.store"}
 # kinds whose steps may sit between a group's members, which then run after
 # them, and are left out when no step reads them: they touch no buffer, do
 # not synchronize and cannot raise
@@ -770,6 +773,8 @@ class _Plan:
         proven in bounds, on a buffer that keeps no race marks.  Members do
         one thing to equally typed operands; splats splat one scalar, and an
         access reads pieces of one block."""
+        if s.kind not in _GROUPED and s.kind not in _PLACED:
+            return None
         types, one = tuple(self.types.get(k) for k in s.operands), None
         if s.kind in ("tt.load", "tt.store"):
             if (id(s) not in self.inbounds or (at := self.where(s.operands[0])) is None
@@ -779,25 +784,27 @@ class _Plan:
         elif s.kind == "tt.dot":
             if len(s.shape) != 2 or None in types:
                 return None
-        elif s.kind not in _GROUPED or not s.shape or any(
-                (t or ((),))[0] != (() if s.kind == "tt.splat" else s.shape) for t in types):
+        elif not s.shape or any((t or ((),))[0] != (() if s.kind == "tt.splat" else s.shape) for t in types):
             return None
         elif s.kind == "tt.splat":
             one = s.operands
         return s.kind, s.shape, s.elem, s.attrs, types, one
 
-    def block(self, body: list[_Step], groups: list[list[_Step]]) -> list[_Step]:
+    def block(self, body: list[_Step], groups: list[tuple]) -> list[_Step]:
         """`body` as it runs: each of its `groups` at its last member's place
         and every other step at its own; nested bodies planned in turn."""
-        last = {id(g[-1]): g for g in groups}
-        moved = {id(m) for g in groups for m in g[:-1]}
+        last = {id(g[-1]): (g, at) for g, at in groups}
+        moved = {id(m) for g, _ in groups for m in g[:-1]}
         return [x for s in body if id(s) not in moved
-                for x in (self.packed(last[id(s)]) if id(s) in last else self.single(s))]
+                for x in (self.packed(*last[id(s)]) if id(s) in last else self.single(s))]
 
-    def runs(self, body: list[_Step]) -> list[list[_Step]]:
+    def runs(self, body: list[_Step]) -> list[tuple]:
         """The groups of `body`, found in one scan: runs of steps of one
         signature, with only movable steps that read no member between them,
-        whose members are one whole (see `complete`)."""
+        each with its layout.  A dot or access run is placed as it is found
+        and kept only where it has a layout (see `layout`).  Any other run
+        comes with `()`: its layout is worked out when it is packed, after
+        `loop` has cut the carries that can put its operands in place."""
         out, run, sig, read = [], [], None, set()  # read: the results of the run's members
         for s in body:
             t = self.signature(s)
@@ -810,24 +817,8 @@ class _Plan:
                     continue
             out.append(run)
             run, sig, read = ([s], t, set(s.results)) if t is not None else ([], None, set())
-        return [r for r in out + [run] if len(r) > 1 and self.complete(r)]
-
-    def complete(self, run: list[_Step]) -> bool:
-        """Whether a run's members are the pieces of one whole: a dot run's
-        a grid, an access run's their block, each once."""
-        if run[0].kind == "tt.dot":
-            return self.grid(run) is not None
-        if run[0].kind in ("tt.load", "tt.store"):
-            at = [self.where(m.operands[0]) for m in run]
-            return _covers([o for _, o in at], self.types[at[0][0]][0], run[0].shape)
-        return True
-
-    def grid(self, dots: list[_Step]) -> tuple | None:
-        """(rows, columns) if `dots`, in row-major order, read one A piece per
-        row and one B piece per column of a grid, and each one of its pieces."""
-        rows, cols = (list(dict.fromkeys(d.operands[j] for d in dots)) for j in (0, 1))
-        ix = [(rows.index(d.operands[0]), cols.index(d.operands[1])) for d in dots]
-        return (len(rows), len(cols)) if ix == list(itertools.product(range(len(rows)), range(len(cols)))) else None
+        found = [(r, self.layout(r) if r[0].kind in _PLACED else ()) for r in out + [run] if len(r) > 1]
+        return [(r, at) for r, at in found if at is not None]
 
     def single(self, s: _Step) -> list[_Step]:
         """`s` as it runs, as a list of steps: none for a glue of the pieces
@@ -851,7 +842,8 @@ class _Plan:
         pieces that one ``tt.advance`` moves, or the results of a dot group
         that only the yield reads, glued before the loop and at the end of
         each trip.  The body's groups are found once, after the pointer cuts,
-        through which the loads and stores of carried pieces group."""
+        through which the loads and stores of carried pieces group; a dot
+        group is carried as the whole of the layout found with it."""
         body, iters, inits = s.body, list(s.attrs["iters"]), list(s.operands[3:])
         yields, results = list(body[-1].operands), list(s.results)
         moves = {}  # pointer carries by what moves them
@@ -886,10 +878,10 @@ class _Plan:
             if len(cs) > 1 and _covers(origins, self.types[q][0], self.types[iters[cs[0]]][0]):
                 carry(cs, self.types[q][0], origins, q)
         groups = self.runs(body)
-        for g in groups:
+        for g, at in groups:
             keys = [m.results[0] for m in g]
             if g[0].kind == "tt.dot" and all(self.uses[k] == 1 and k in yields for k in keys):
-                carry([yields.index(k) for k in keys], *self.layout(g), None)
+                carry([yields.index(k) for k in keys], *at, None)
         if gone:
             inits, iters, yields, results = ([k for c, k in enumerate(ks) if c not in gone] + more
                                              for ks, more in zip((inits, iters, yields, results), new))
@@ -917,44 +909,58 @@ class _Plan:
         order = sorted(range(len(keys)), key=lambda i: block_index(whole, shape, origins[i]))
         return _Step("tt.glue", "tt.glue", tuple(keys[i] for i in order), (key,), {}, whole, elem, False, None, shape)
 
-    def packed(self, members: list[_Step]) -> list[_Step]:
-        """One step for `members` on the tile their results are pieces of,
-        which binds each member's result as a view of its own, after the
-        splats its operands need."""
+    def packed(self, members: list[_Step], at: tuple) -> list[_Step]:
+        """One step for `members` on the whole their results are pieces of,
+        placed by `at` (their layout, or `()` to work it out now), after the
+        splats its operands need.  It binds each member's result as a view of
+        its own.  An access group accesses the block once and logs it per
+        member, in their order."""
         m0, self.splats = members[0], []
-        if m0.kind in ("tt.load", "tt.store"):
-            g = self.access(members)
-            return [*self.splats, g]
-        whole, origins = self.layout(members)
+        whole, origins = at or self.layout(members)
         if m0.kind == "tt.dot":  # whole A, B and C: the rows of A pieces, the columns of B pieces
             (r, c), k = whole, self.types[m0.operands[0]][0][1]
             a, b, acc = ([m.operands[j] for m in members] for j in range(3))
             ops = [self.pack(a, [(o[0], 0) for o in origins], (r, k)),
                    self.pack(b, [(0, o[1]) for o in origins], (k, c)), self.pack(acc, origins, whole)]
+        elif m0.kind in ("tt.load", "tt.store"):  # the block, and a store's value
+            ops = [_Key(self.where(m0.operands[0])[0])]
+            if m0.kind == "tt.store":
+                ops.append(self.pack([m.operands[1] for m in members], origins, whole))
         elif m0.kind == "tt.splat":
             ops = [_Key(m0.operands[0])]
         else:
             ops = [self.pack([m.operands[j] for m in members], origins, whole) for j in range(len(m0.operands))]
-        g = _Step(m0.kind, m0.name, tuple(ops), (object(),), m0.attrs, whole, m0.elem, False, None, None)
+        g = _Step(m0.kind, m0.name, tuple(ops), (object(),) * bool(m0.results), m0.attrs, whole, m0.elem, False,
+                  None, None)
+        g.binds = tuple((m.results[0], _box(o, m.shape)) for m, o in zip(members, origins) if m.results)
         if m0.kind == "tt.dot":
             g.slices = m0.shape
-        return [*self.splats, self.bind(members, g, origins)]
-
-    def bind(self, members: list[_Step], g: _Step, origins: list[tuple]) -> _Step:
-        g.binds = tuple((m.results[0], _box(o, m.shape)) for m, o in zip(members, origins) if m.results)
+        elif m0.kind in ("tt.load", "tt.store"):
+            g.slices = tuple((np.array(o), m.shape) for m, o in zip(members, origins))
+            self.inbounds.add(id(g))
         if g.results:
             self.made[g.results[0]] = g
             self.pos.update((m.results[0], (g.results[0], o)) for m, o in zip(members, origins))
-        return g
+        return [*self.splats, g]
 
-    def layout(self, members: list[_Step]) -> tuple[tuple, list[tuple]]:
-        """The shape of the tile the members' results are pieces of, and each
-        one's origin: a dot grid's, else that of an operand whose pieces cover
+    def layout(self, members: list[_Step]) -> tuple[tuple, list[tuple]] | None:
+        """The shape of the whole the members' results are pieces of, and
+        each one's origin in it, or None if they are not its pieces, each
+        once.  A dot run's whole is a grid of A rows by B columns, which the
+        dots read in row-major order; an access run's, the block its pointer
+        pieces cover; any other run's, that of an operand whose pieces cover
         a box of one value once, else a column of pieces."""
         m0, piece = members[0], members[0].shape
         if m0.kind == "tt.dot":
-            (r, c), (pr, pc) = self.grid(members), piece
-            return (r * pr, c * pc), [(i * pr, j * pc) for i, j in itertools.product(range(r), range(c))]
+            rows, cols = (list(dict.fromkeys(m.operands[j] for m in members)) for j in (0, 1))
+            if [m.operands[:2] for m in members] != [(a, b) for a in rows for b in cols]:
+                return None
+            (pr, pc), grid = piece, itertools.product(range(len(rows)), range(len(cols)))
+            return (len(rows) * pr, len(cols) * pc), [(i * pr, j * pc) for i, j in grid]
+        if m0.kind in ("tt.load", "tt.store"):
+            at = [self.where(m.operands[0]) for m in members]
+            whole, origins = self.types[at[0][0]][0], [o for _, o in at]
+            return (whole, origins) if _covers(origins, whole, piece) else None
         for j in range(len(m0.operands)):
             at = [self.where(m.operands[j]) for m in members]
             if None in at or len({k for k, _ in at}) > 1 or self.types[members[0].operands[j]][0] != piece:
@@ -987,20 +993,6 @@ class _Plan:
                                                       or self.steps[k].kind != "tt.splat" for k in keys):
             return None
         return _Step(s.kind, s.name, s.operands, (key,), s.attrs, shape, s.elem, False, None, None)
-
-    def access(self, members: list[_Step]) -> _Step:
-        """One access of the block the members' pointers are pieces of,
-        logged per member, in their order."""
-        at = [self.where(m.operands[0]) for m in members]
-        m0, block, origins = members[0], at[0][0], [o for _, o in at]
-        whole, ops = self.types[block][0], [_Key(block)]
-        if m0.kind == "tt.store":
-            ops.append(self.pack([m.operands[1] for m in members], origins, whole))
-        g = _Step(m0.kind, m0.name, tuple(ops), (object(),) * bool(m0.results), m0.attrs, whole, m0.elem, False,
-                  None, None)
-        g.slices = tuple((np.array(o), m.shape) for m, o in zip(members, origins))
-        self.inbounds.add(id(g))
-        return self.bind(members, g, origins)
 
 
 def _covers(origins: list[tuple], whole: tuple, piece: tuple) -> bool:

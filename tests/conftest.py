@@ -5,10 +5,11 @@ from __future__ import annotations
 import pytest
 
 from tilec import footprints as fp
+from tilec import sim
 from tilec.ir import KernelFn, KernelModule, Operation, walk_fn_ops
 from tilec.kernels import load_fixture, make_problem, suite
 from tilec.passes import CompileResult, compile_kernel
-from tilec.sim import DeviceMemory, RunTrace, SimError, run
+from tilec.sim import DeviceMemory, LaunchConfig, RunTrace, SimError, prepare, run
 from tilec.textio import print_module
 from tilec.visa import VOpcode, VProgram
 
@@ -111,3 +112,21 @@ def footprints(monkeypatch: pytest.MonkeyPatch, prog, launch, mem) -> tuple[fp.F
         except SimError as exc:
             out = exc
     return got[0], out
+
+
+def ungrouped(mp: pytest.MonkeyPatch) -> None:
+    """Make every launch prepared from now on run each step as written."""
+    mp.setattr(sim, "_group", lambda steps, *rest: steps)
+
+
+def outcome(prog, launch: LaunchConfig | None, mem: DeviceMemory) -> tuple:
+    """A run's buffers, traced loads and stores, and cross-warp records,
+    comparable with ==, or ("error", its message) if it fails.  `prog` is a
+    program prepared here for `launch`, or (`launch` None) a `sim.Launch`."""
+    trace = RunTrace()
+    try:
+        out = (prog if launch is None else prepare(prog, launch, mem)).run(mem, trace)
+    except SimError as exc:
+        return "error", str(exc)
+    cross = [(c.wg, c.kind, c.dst, [a.tobytes() for a in (*c.inputs, *c.delivered)]) for c in trace.cross]
+    return {b: out.raw(b).tobytes() for b in out.names()}, trace.loads, trace.stores, cross

@@ -15,13 +15,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import footprints, prove_nothing
+from conftest import footprints, outcome, prove_nothing
 from tilec.footprints import LOADED
 from tilec.ir import ElemType, FunctionBuilder, KernelFn, PtrType
 from tilec.kernels import FIXTURE_NAMES, load_fixture, make_problem, suite
 from tilec.oracle import philox
 from tilec.passes import compile_kernel
-from tilec.sim import DeviceMemory, LaunchConfig, RunTrace, SimError, run
+from tilec.sim import DeviceMemory, LaunchConfig, run
 
 F32 = ElemType.f32
 LEVELS = ("workgroup", "warp", "intrinsic", "visa")
@@ -31,22 +31,11 @@ def _compiled(name: str):
     return compile_kernel(load_fixture(name))
 
 
-def _outcome(prog, launch: LaunchConfig, mem: DeviceMemory) -> tuple:
-    """A run's buffers, traced accesses and cross-warp reduces, or its error."""
-    trace = RunTrace()
-    try:
-        out = run(prog, launch, mem, trace=trace)
-    except SimError as exc:
-        return ("error", str(exc))
-    cross = [(c.wg, c.kind, c.dst, [a.tobytes() for a in (*c.inputs, *c.delivered)]) for c in trace.cross]
-    return {b: out.raw(b).tobytes() for b in out.names()}, trace.loads, trace.stores, cross
-
-
 def _both_ways(monkeypatch, prog, launch: LaunchConfig, mem: DeviceMemory) -> tuple:
-    proven = _outcome(prog, launch, mem)
+    proven = outcome(prog, launch, mem)
     with monkeypatch.context() as mp:
         prove_nothing(mp)
-        forced = _outcome(prog, launch, mem)
+        forced = outcome(prog, launch, mem)
     assert proven == forced
     return proven
 

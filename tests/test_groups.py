@@ -2,32 +2,28 @@
 from one tile as one step.
 
 Grouping must not move a bit, a traced access or a cross-warp record: every
-suite run is compared with the same run with grouping switched off by a
-monkeypatch here (the product has no switch).
+suite run is compared with the same run with grouping switched off by
+``conftest.ungrouped``, a monkeypatch (the product has no switch).
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import prove_nothing
+from conftest import outcome, prove_nothing, ungrouped
 from tilec import passes, sim
 from tilec.ir import ElemType, FunctionBuilder, KernelFn, PtrType, walk_fn_ops
 from tilec.kernels import FIXTURE_NAMES, load_fixture, make_problem, suite
 from tilec.passes import compile_kernel
-from tilec.sim import DeviceMemory, RunTrace, prepare, run
+from tilec.sim import DeviceMemory, prepare
 from tilec.visa import PVC
 
 LEVELS = ("workgroup", "warp", "intrinsic", "visa")
-
-
-def ungrouped(mp: pytest.MonkeyPatch) -> None:
-    """Make every launch prepared from now on run each step as written."""
-    mp.setattr(sim, "_group", lambda steps, *rest: steps)
 
 
 @functools.cache
@@ -37,16 +33,9 @@ def _compiled(name: str, target: str | None = None):
 
 
 def _outcome(prog, name: str, seed: int) -> tuple:
-    """A suite run's buffers, traced loads and stores, and cross-warp records, comparable with ==."""
+    """A suite run's outcome (see `conftest.outcome`)."""
     prob = make_problem(suite()[name], seed)
-    return _traced(prog, prob.launch, prob.mem)
-
-
-def _traced(prog, launch, mem: DeviceMemory) -> tuple:
-    trace = RunTrace()
-    out = run(prog, launch, mem, trace=trace)
-    cross = [(c.wg, c.kind, c.dst, [a.tobytes() for a in (*c.inputs, *c.delivered)]) for c in trace.cross]
-    return {b: out.raw(b).tobytes() for b in out.names()}, trace.loads, trace.stores, cross
+    return outcome(prog, prob.launch, prob.mem)
 
 
 @pytest.mark.parametrize("forced", [False, True], ids=["proven", "forced"])
@@ -86,9 +75,11 @@ def test_grouped_runs_give_the_bits_and_trace_of_ungrouped_runs_on_other_targets
             assert _outcome(res.at_level(level), name, seed) == grouped, level
 
 
-def _steps(launch: sim.Launch) -> tuple[int, list[int]]:
-    """The number of top-level steps of a launch, and of the steps of each body."""
-    return len(launch.steps), [len(s.body) for s in launch.steps if s.body is not None]
+def _steps(launch: sim.Launch) -> tuple[int, list[int], dict[str, int]]:
+    """The number of top-level steps of a launch, of the steps of each body,
+    and of the group steps of each kind."""
+    groups = collections.Counter(s.kind for s in sim._walk(launch.steps) if s.binds is not None)
+    return len(launch.steps), [len(s.body) for s in launch.steps if s.body is not None], dict(groups)
 
 
 # per fixture, the steps of its intrinsic and visa launches; ungrouped,
@@ -102,12 +93,38 @@ STEPS = {
 }
 
 
-# the same on each of `TARGETS`, where they differ from STEPS
+# per fixture, the group steps of each kind of its intrinsic and visa launches
+GROUPS = {
+    "gemm_256": {"tt.dot": 2, "tt.load": 1, "tt.store": 1},
+    "fa2_d64": {"arith.divf": 1, "arith.mulf": 1, "arith.subf": 1, "math.exp": 1, "tt.convert": 2, "tt.dot": 8,
+                "tt.load": 3, "tt.store": 1},
+    "fa2_d128": {"arith.divf": 1, "arith.mulf": 1, "arith.subf": 1, "math.exp": 1, "tt.convert": 2, "tt.dot": 12,
+                 "tt.load": 3, "tt.store": 1},
+    "paged_wg": {"arith.divf": 1, "arith.subf": 1, "math.exp": 1, "tt.convert": 1, "tt.dot": 8, "tt.load": 1,
+                 "tt.store": 1},
+    "paged_warp": {"arith.divf": 1, "arith.mulf": 2, "arith.subf": 1, "math.exp": 1, "tt.convert": 1, "tt.dot": 8,
+                   "tt.load": 1, "tt.store": 1},
+}
+
+
+# the same on each of `TARGETS`, where they differ from STEPS and GROUPS
 TARGET_STEPS = {
     "pvc_simd": STEPS,
     "load16": {**STEPS, "paged_wg": (13, [93]), "paged_warp": (37, [6, 99, 5])},
     "dot8": STEPS,
     "lanes32": {**STEPS, "paged_wg": (13, [37]), "paged_warp": (30, [3, 43, 5])},
+}
+TARGET_GROUPS = {
+    "pvc_simd": GROUPS,
+    "load16": {**GROUPS, "gemm_256": {"tt.dot": 2, "tt.load": 2, "tt.store": 1}},
+    "dot8": GROUPS,
+    "lanes32": {
+        **GROUPS,
+        "gemm_256": {"tt.dot": 2, "tt.store": 1},
+        "fa2_d64": {**GROUPS["fa2_d64"], "tt.load": 2},
+        "paged_wg": {"arith.divf": 1, "arith.subf": 1, "math.exp": 1, "tt.convert": 1, "tt.dot": 8, "tt.store": 1},
+        "paged_warp": {"arith.mulf": 2, "arith.subf": 1, "math.exp": 1, "tt.convert": 1, "tt.dot": 8},
+    },
 }
 
 
@@ -115,7 +132,7 @@ TARGET_STEPS = {
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_fixtures_run_as_few_steps(name, level):
     prob = make_problem(suite()[name])
-    assert _steps(prepare(_compiled(name).at_level(level), prob.launch, prob.mem)) == STEPS[name]
+    assert _steps(prepare(_compiled(name).at_level(level), prob.launch, prob.mem)) == (*STEPS[name], GROUPS[name])
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
@@ -124,7 +141,7 @@ def test_fixtures_run_as_few_steps_on_other_targets(target, name):
     prob = make_problem(suite()[name])
     for level in ("intrinsic", "visa"):
         launch = prepare(_compiled(name, target).at_level(level), prob.launch, prob.mem)
-        assert _steps(launch) == TARGET_STEPS[target][name], level
+        assert _steps(launch) == (*TARGET_STEPS[target][name], TARGET_GROUPS[target][name]), level
 
 
 def test_a_wrong_extract_index_runs_as_written(monkeypatch):
@@ -157,6 +174,41 @@ def test_a_wrong_extract_index_runs_as_written(monkeypatch):
         assert grouped[0] != _outcome(right, "fa2_d64", suite()["fa2_d64"].seed)[0]  # the index changes the output
 
 
+def _two_dots(pairs: list[tuple[int, int]]) -> KernelFn:
+    """Two unit dots of one k chunk on a zero accumulator: per (i, j) of
+    `pairs`, the i-th 8x16 row piece of A's 16x16 tile by the j-th 16x16
+    column piece of B's 16x32 tile; store their results glued to O."""
+    f16, f32 = PtrType(ElemType.f16), PtrType(ElemType.f32)
+    fb = FunctionBuilder("two_dots", [("A", f16), ("B", f16), ("O", f32)], level="intrinsic")
+    a, b, o = fb.fn.args
+    c0, c1, c16, c32 = (fb.constant(v) for v in (0, 1, 16, 32))
+    ta = fb.load(fb.make_tensor_ptr(a, [c16, c16], [c16, c1], [c0, c0], (16, 16), (1, 0)))
+    tb = fb.load(fb.make_tensor_ptr(b, [c16, c32], [c32, c1], [c0, c0], (16, 32), (1, 0)))
+    acc = fb.splat(fb.constant(0.0), (8, 16))
+    rows, cols = [fb.extract(ta, i, (8, 16)) for i in range(2)], [fb.extract(tb, j, (16, 16)) for j in range(2)]
+    dots = [fb.dot(rows[i], cols[j], acc) for i, j in pairs]
+    fb.store(fb.make_tensor_ptr(o, [c16, c16], [c16, c1], [c0, c0], (16, 16), (1, 0)), fb.glue(dots, (16, 16)))
+    fb.ret()
+    return fb.build()
+
+
+@pytest.mark.parametrize(("pairs", "grouped"), [([(0, 0), (1, 1)], False), ([(0, 0), (0, 1)], True)],
+                         ids=["diagonal", "one_row"])
+def test_dots_off_a_grid_run_as_written(pairs, grouped, monkeypatch):
+    # (A0, B0) then (A1, B1) are no rows and columns of a grid; (A0, B0) then (A0, B1) are one row
+    prog, launch = _two_dots(pairs), sim.LaunchConfig()
+    mem = DeviceMemory()
+    mem.set_tensor("A", np.arange(256).reshape(16, 16) % 7 / 4, ElemType.f16)
+    mem.set_tensor("B", np.arange(512).reshape(16, 32) % 5 / 8, ElemType.f16)
+    mem.set_tensor("O", np.zeros((16, 16)), ElemType.f32)
+    dots = [s for s in sim._walk(prepare(prog, launch, mem).steps) if s.kind == "tt.dot"]
+    assert [s.binds is not None for s in dots] == ([True] if grouped else [False, False])
+    want = outcome(prog, launch, mem)
+    with monkeypatch.context() as mp:
+        ungrouped(mp)
+        assert outcome(prog, launch, mem) == want
+
+
 def _halves(read: bool) -> KernelFn:
     """Exp each 8x16 half of X's 16x16 tile and store the halves glued to Y;
     with `read`, the first half's row maxima, broadcast back, sit between the
@@ -185,10 +237,10 @@ def test_a_step_that_reads_a_piece_ends_its_run(read, monkeypatch):
     mem.set_tensor("Y", np.zeros((16, 16)), ElemType.f32)
     groups = [s.kind for s in sim._walk(prepare(prog, launch, mem).steps) if s.binds is not None]
     assert groups == ([] if read else ["math.exp"])
-    grouped = _traced(prog, launch, mem)
+    grouped = outcome(prog, launch, mem)
     with monkeypatch.context() as mp:
         ungrouped(mp)
-        assert _traced(prog, launch, mem) == grouped
+        assert outcome(prog, launch, mem) == grouped
 
 
 def _dead_and_loop_read() -> KernelFn:
@@ -224,7 +276,7 @@ def test_a_chain_no_step_reads_is_left_out_in_full(monkeypatch):
     kinds = [s.kind for s in sim._walk(prepare(prog, launch, mem).steps)]
     assert "math.exp" not in kinds
     assert [kinds.count(k) for k in ("tt.reduce", "tt.expand_dims", "tt.broadcast", "arith.addf")] == [1, 1, 1, 1]
-    grouped = _traced(prog, launch, mem)
+    grouped = outcome(prog, launch, mem)
     with monkeypatch.context() as mp:
         ungrouped(mp)
-        assert _traced(prog, launch, mem) == grouped
+        assert outcome(prog, launch, mem) == grouped

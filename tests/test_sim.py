@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import prove_nothing
+from conftest import outcome, prove_nothing, ungrouped
 from tilec import footprints as fp
 from tilec.ir import ElemType, FunctionBuilder, KernelFn, KernelModule, PtrType, retile, scalar
 from tilec.kernels import FIXTURE_NAMES, kernel_text, load_fixture, make_problem, suite
@@ -929,22 +929,11 @@ def test_faults_read_the_same_with_every_check_forced_after_an_unforced_run(test
 @pytest.mark.parametrize(("test", "kwargs"), _FAULT_CASES)
 def test_faults_read_the_same_with_no_piece_groups(test, kwargs, monkeypatch):
     # each case pins its SimError text; run with every step as written, it must not change
-    monkeypatch.setattr(sim, "_group", lambda steps, *rest: steps)
+    ungrouped(monkeypatch)
     test(**kwargs)
 
 
 # -- prepared launches ----------------------------------------------------------
-
-
-def _outcome(out: DeviceMemory, trace: RunTrace) -> tuple:
-    """A run's buffers, traced accesses and cross-warp reduces, comparable with ==."""
-    cross = [(c.wg, c.kind, c.dst, [a.tobytes() for a in (*c.inputs, *c.delivered)]) for c in trace.cross]
-    return {b: out.raw(b).tobytes() for b in out.names()}, trace.loads, trace.stores, cross
-
-
-def _traced(launch, mem: DeviceMemory) -> tuple:
-    trace = RunTrace()
-    return _outcome(launch.run(mem, trace), trace)
 
 
 @pytest.mark.parametrize("level", ["workgroup", "warp", "intrinsic", "visa"])
@@ -953,9 +942,8 @@ def test_a_launch_run_twice_gives_two_fresh_runs(name, level):
     fx = suite()[name]
     first, second = make_problem(fx, 11), make_problem(fx, 12)
     launch = prepare(compile_kernel(load_fixture(name)).at_level(level), first.launch, first.mem)
-    got = [_traced(launch, first.mem), _traced(launch, second.mem)]
-    fresh = [_traced(prepare(compile_kernel(load_fixture(name)).at_level(level), p.launch, p.mem), p.mem)
-             for p in (first, second)]
+    got = [outcome(launch, None, first.mem), outcome(launch, None, second.mem)]
+    fresh = [outcome(compile_kernel(load_fixture(name)).at_level(level), p.launch, p.mem) for p in (first, second)]
     assert got == fresh
     assert got[0][0] != got[1][0]  # the seeds give other bits
 
@@ -1021,7 +1009,7 @@ def test_an_slm_kernel_prepared_for_other_grids_matches_fresh_runs():
     for grid in ((1, 1, 1), (2, 1, 1), (1, 1, 1)):
         got, fresh = prepare(fn, LaunchConfig(grid=grid), mem), prepare(_slm_echo(), LaunchConfig(grid=grid), mem)
         assert got.facts.races == fresh.facts.races and got.scales == fresh.scales
-        assert _traced(got, mem) == _traced(fresh, mem)
+        assert outcome(got, None, mem) == outcome(fresh, None, mem)
 
 
 @contextlib.contextmanager
