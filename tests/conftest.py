@@ -121,12 +121,9 @@ def ungrouped(mp: pytest.MonkeyPatch) -> None:
 
 def outcome(prog, launch: LaunchConfig | None, mem: DeviceMemory) -> tuple:
     """A run's buffers, traced loads and stores, and cross-warp records,
-    comparable with ==, or ("error", its message) if it fails.  `prog` is a
+    comparable with ==; a failing run raises its SimError.  `prog` is a
     program prepared here for `launch`, or (`launch` None) a `sim.Launch`."""
     trace = RunTrace()
-    try:
-        out = (prog if launch is None else prepare(prog, launch, mem)).run(mem, trace)
-    except SimError as exc:
-        return "error", str(exc)
+    out = (prog if launch is None else prepare(prog, launch, mem)).run(mem, trace)
     cross = [(c.wg, c.kind, c.dst, [a.tobytes() for a in (*c.inputs, *c.delivered)]) for c in trace.cross]
     return {b: out.raw(b).tobytes() for b in out.names()}, trace.loads, trace.stores, cross

@@ -21,7 +21,7 @@ from tilec.ir import ElemType, FunctionBuilder, KernelFn, PtrType
 from tilec.kernels import FIXTURE_NAMES, load_fixture, make_problem, suite
 from tilec.oracle import philox
 from tilec.passes import compile_kernel
-from tilec.sim import DeviceMemory, LaunchConfig, run
+from tilec.sim import DeviceMemory, LaunchConfig, SimError, run
 
 F32 = ElemType.f32
 LEVELS = ("workgroup", "warp", "intrinsic", "visa")
@@ -31,11 +31,19 @@ def _compiled(name: str):
     return compile_kernel(load_fixture(name))
 
 
+def _outcome(prog, launch: LaunchConfig, mem: DeviceMemory) -> tuple:
+    """A run's `conftest.outcome`, or ("error", its message) if it fails."""
+    try:
+        return outcome(prog, launch, mem)
+    except SimError as exc:
+        return "error", str(exc)
+
+
 def _both_ways(monkeypatch, prog, launch: LaunchConfig, mem: DeviceMemory) -> tuple:
-    proven = outcome(prog, launch, mem)
+    proven = _outcome(prog, launch, mem)
     with monkeypatch.context() as mp:
         prove_nothing(mp)
-        forced = outcome(prog, launch, mem)
+        forced = _outcome(prog, launch, mem)
     assert proven == forced
     return proven
 
