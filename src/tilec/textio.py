@@ -9,13 +9,22 @@ print(m) for any verified module.  The grammar ships in docs/grammar.md.
 
 The parser lexes the whole text in one regex pass into (kind, text, offset)
 tokens; a ParseError turns its offset into a line and column only when it
-is raised.  Within one parse_module call, each distinct spelling of a tensor
-or pointer type is parsed once and the (immutable) type is shared by every
-later use of that spelling; an alias definition empties this memo.
+is raised.  A whole `tensor<...>` or `!tt.ptr<...>` spelling is one `type`
+token when its body holds only letters, digits, `_`, `.`, `,`, `#` and
+whitespace, so a type with a comment inside lexes token by token.  The type
+memo is keyed on a type token's text: within one parse_module call, each
+distinct text is parsed once, by lexing its slice into tokens in place, and
+the (immutable) type is shared by every later token with that text; an alias
+definition empties the memo.  A type token met where no type may stand is
+cut into its tokens before the parser reads it, so errors name the same
+token as if it had been lexed token by token; only a character the lexer
+rejects inside a type token is reported late, when that token is parsed.
+The printer keeps one string per type object for one print_module call.
 """
 
 from __future__ import annotations
 
+import math
 import re
 from typing import Any, Callable, TypeVar
 
@@ -114,9 +123,15 @@ def _fmt_attrs(attrs: dict[str, Any]) -> str:
 class _Printer:
     def __init__(self) -> None:
         self.enc = _EncodingTable()
-        self.lines: list[str] = []
+        self.spelled: dict[int, str] = {}  # id of a type -> its text
 
     def type_str(self, t: Type) -> str:
+        text = self.spelled.get(id(t))
+        if text is None:
+            text = self.spelled[id(t)] = self._spell(t)
+        return text
+
+    def _spell(self, t: Type) -> str:
         if isinstance(t, PtrType):
             if t.is_block:
                 return f"!tt.ptr<{self.type_str(t.pointee)}>"
@@ -224,11 +239,14 @@ def print_module(m: KernelModule) -> str:
 # Whitespace and comments are folded into the match of the token after them.
 # A `dim` is an integer with the `x` that follows it: `256x32xf16` lexes as
 # dim 256, dim 32, ident f16.  The `x` must touch an identifier character,
-# except where the integer itself directly follows a dim's `x`.
+# except where the integer itself directly follows a dim's `x`.  A `type` is a
+# whole tensor or pointer type spelled with only the characters a type holds.
 _SKIP = r"(?:[ \t\n]|//[^\n]*)*"
+_TYPE_BODY = r"[A-Za-z0-9_.,# \t\n]*"
 _TOKEN_RE = re.compile(
     rf"""{_SKIP}(?:
-        (?P<punct>[()\[\]{{}}<>,=:!])
+        (?P<type>tensor<{_TYPE_BODY}>|!tt\.ptr<(?:tensor<{_TYPE_BODY}>|{_TYPE_BODY})>)
+      | (?P<punct>[()\[\]{{}}<>,=:!])
       | (?P<ident>[A-Za-z_][A-Za-z0-9_.]*)
       | (?P<dim>-?\d+(?={_SKIP}x[A-Za-z0-9_.])|(?<=x)\d+(?=x)){_SKIP}x
       | (?P<value>%[A-Za-z0-9_]+)
@@ -242,14 +260,13 @@ _TOKEN_RE = re.compile(
     )""",
     re.VERBOSE,
 )
-# The source slice of a tensor or pointer type, the key of the type memo.
-_TYPE_SLICE = re.compile(r"tensor<[^<>/]*>|!tt\.ptr<(?:tensor<[^<>/]*>|[^<>/]*)>")
-
 _Token = tuple[str, str, int]  # kind, text, offset into the source
 
 
-def _lex(text: str) -> list[_Token]:
-    toks = [(k, m[k], m.start(k)) for m in _TOKEN_RE.finditer(text) for k in (m.lastgroup,)]
+def _lex(text: str, start: int = 0, end: int | None = None) -> list[_Token]:
+    """The tokens of text[start:end], the last one `eof` at `end`."""
+    found = _TOKEN_RE.finditer(text, start, len(text) if end is None else end)
+    toks = [(k, m[k], m.start(k)) for m in found for k in (m.lastgroup,)]
     for kind, tok, off in toks:
         if kind == "bad":
             raise ParseError(f"unexpected character {tok!r}", text, off)
@@ -277,24 +294,38 @@ class _Parser:
         self.toks = _lex(text)
         self.pos = 0
         self.aliases: dict[str, LayoutEncoding] = {}
-        # exact source slice of a type -> (type, its token count); emptied by an alias definition
-        self.types: dict[str, tuple[Type, int]] = {}
+        # text of a type token -> its type; emptied by an alias definition
+        self.types: dict[str, Type] = {}
 
     # token plumbing ------------------------------------------------------
     def bump(self) -> _Token:
         self.pos += 1
         return self.toks[self.pos - 1]
 
+    def split(self) -> None:
+        """Replace the type token at pos by the tokens of its slice: those
+        before its closing `>`, which cannot lex as that one type again,
+        then the `>`.  `accept` never needs it: outside `_type`, nothing it
+        asks for is the first token of a type."""
+        _, text, off = self.toks[self.pos]
+        end = off + len(text) - 1
+        self.toks[self.pos:self.pos + 1] = _lex(self.text, off, end)[:-1] + [("punct", ">", end)]
+
     def fail(self, msg: str, tok: _Token) -> ParseError:
         return ParseError(msg, self.text, tok[2])
 
     def error(self, msg: str) -> ParseError:
+        if self.toks[self.pos][0] == "type":
+            self.split()
         t = self.toks[self.pos]
         return self.fail(f"{msg} (got {t[1] or '<eof>'!r})", t)
 
     def expect(self, kind: str, text: str | None = None) -> _Token:
         t = self.toks[self.pos]
         if t[0] != kind or (text is not None and t[1] != text):
+            if t[0] == "type":
+                self.split()
+                return self.expect(kind, text)
             raise self.error(f"expected {text or kind}")
         self.pos += 1
         return t
@@ -378,9 +409,13 @@ class _Parser:
         return self.aliases[name]
 
     def parse_attr_value(self) -> Any:
-        kind, text, _ = self.bump()
+        kind, text, _ = tok = self.bump()
         if kind == "number":
-            return int(text) if text.lstrip("-").isdigit() else float(text)
+            if text.lstrip("-").isdigit():
+                return int(text)
+            if math.isinf(value := float(text)):
+                raise self.fail(f"float literal {text} overflows f64", tok)
+            return value
         if kind == "string":
             return text[1:-1]
         if kind == "alias":
@@ -400,19 +435,18 @@ class _Parser:
 
     # types ---------------------------------------------------------------
     def parse_type(self) -> Type:
-        """A type.  A tensor or pointer type whose exact text was parsed
-        before in this module, since the last alias definition, is reused."""
-        m = _TYPE_SLICE.match(self.text, self.toks[self.pos][2])
-        if m is None:
+        """A type.  A type token whose text was parsed before in this
+        module, since the last alias definition, is reused."""
+        kind, text, _ = self.toks[self.pos]
+        if kind != "type":
             return self._type()
-        hit = self.types.get(m[0])
+        hit = self.types.get(text)
         if hit is None:
-            start = self.pos
-            hit = self._type(), self.pos - start
-            self.types[m[0]] = hit
+            self.split()
+            hit = self.types[text] = self._type()
         else:
-            self.pos += hit[1]
-        return hit[0]
+            self.pos += 1
+        return hit
 
     def parse_types(self) -> list[Type]:
         self.expect("punct", "(")

@@ -231,6 +231,22 @@ PARSE_CASES = {
     "loop_results_vs_iter_args": (
         _fn(_I0 + "  %1, %2 = scf.for %3 = %0 to %0 step %0 iter_args(%4 = %0) -> (i32) {\n    scf.yield %4\n  }\n"),
         "line 3, col 20: loop result names and iter args disagree"),
+    "float_overflow": (_fn("  %0 = arith.constant {value = 1e999} : () -> f32\n"),
+                       "line 2, col 32: float literal 1e999 overflows f64"),
+    "negative_float_overflow": (_fn("  %0 = arith.constant {value = -1e999} : () -> f32\n"),
+                                "line 2, col 32: float literal -1e999 overflows f64"),
+    # a type spelled where no type may stand reads as its separate tokens
+    "type_as_op": (_fn("  %0 = tensor<4xf32>\n"), "line 2, col 8: tensor: 1 results named but 0 result types"),
+    "type_as_attr_value": (_fn("  %0 = arith.constant {value = tensor<4xf32>} : () -> i32\n"),
+                           "line 2, col 32: expected attribute value (got 'tensor')"),
+    "type_as_attr_key": (_fn("  %0 = arith.constant {!tt.ptr<f16> = 1} : () -> i32\n"),
+                         "line 2, col 24: expected ident (got '!')"),
+    "type_as_fn_attr": (_fn("", _HEAD.replace("= 1", "= tensor<4xf32>")),
+                        "line 1, col 61: expected attribute value (got 'tensor')"),
+    "type_at_module_level": ("tensor<4xf32>\n" + _fn(""),
+                             "line 1, col 1: expected encoding alias or tt.func (got 'tensor')"),
+    "error_in_pointee": (_splat_to("!tt.ptr<tensor<4xf32>, f16>"), "line 3, col 52: expected > (got ',')"),
+    "bad_char_in_type": (_splat_to("tensor<4x.f32>"), "line 3, col 40: unexpected character '.'"),
 }
 
 
@@ -315,3 +331,26 @@ def test_alias_redefined_between_functions():
     assert first.warps_per_cta == (1, 1)
     assert second.warps_per_cta == (2, 1)
 
+
+
+def test_each_type_spelling_is_one_type_object():
+    body = (_C0 + "  %1 = tt.splat %0 : (f32) -> tensor<4x4xf32, #blocked>\n"
+            "  %2 = arith.addf %1, %1 : (tensor<4x4xf32, #blocked>, tensor<4x4xf32, #blocked>) -> tensor<4x4xf32, #blocked>\n"
+            "  %3 = tt.splat %0 : (f32) -> tensor<4x4xf32>\n"
+            "  %4 = tt.make_tensor_ptr %X : (!tt.ptr<f16>) -> !tt.ptr<tensor<4x4xf32>>\n"
+            "  %5 = tt.make_tensor_ptr %X : (!tt.ptr<f16>) -> !tt.ptr<tensor<4x4xf32>>\n")
+    (fn,) = parse_module(_BLOCKED + _fn(body)).functions
+    ops = fn.body.ops
+    blocked = ops[1].result.type
+    assert all(t is blocked for t in (ops[2].result.type, *(v.type for v in ops[2].operands)))
+    assert ops[4].result.type is ops[5].result.type
+    assert ops[4].result.type.pointee is ops[3].result.type
+
+
+def test_equal_but_distinct_types_print_the_same():
+    f = _fn(_C0 + "  %1 = tt.splat %0 : (f32) -> tensor<4x4xf32, #blocked>\n")
+    (one,), (two,) = (parse_module(_BLOCKED + f).functions, parse_module(_BLOCKED + f.replace("@f", "@g")).functions)
+    a, b = one.body.ops[1].result.type, two.body.ops[1].result.type
+    assert a == b and a is not b
+    text = _BLOCKED + f + "\n" + f.replace("@f", "@g")
+    assert print_module(KernelModule((one, two))) == print_module(parse_module(text))
