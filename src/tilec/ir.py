@@ -531,6 +531,8 @@ def _verify_op(fn: KernelFn, op: Operation, err: Callable[..., None]) -> None:
             return
         if res.elem.is_float and not isinstance(v, float):
             err(f"{k}: float constant needs a float value attr", op)
+        elif res.elem.is_float and not math.isfinite(v):  # the text form spells finite floats only
+            err(f"{k}: float constant must be finite, got {v}", op)
         if not res.elem.is_float and not isinstance(v, int):
             err(f"{k}: integer constant needs an int value attr", op)
     elif k == "tt.convert":

@@ -1,9 +1,9 @@
 """Deterministic virtual GPU: runs a kernel at any pipeline level.
 
 A launch is prepared, then run.  `prepare` decodes the program into one step
-form.  An IR op decodes to a step of its own kind; a vISA instruction
-decodes to the IR kind whose semantics it has, by reading the lowering table
-``visa.LOWERING`` backwards, and keeps its own name for diagnostics.  One
+form: each IR op decodes to a step of its own kind.  A vISA program is first
+raised to the intrinsic-level IR it spells (``visa.raise_program``), and
+each of its steps keeps its instruction's name for diagnostics.  One
 executor runs the steps: it handles loops and branches itself and calls, for
 every other kind, the function of one semantics table, so an op and the
 instruction it lowers to run the same code.  Decoding works out all that
@@ -117,7 +117,7 @@ import operator
 import struct
 import weakref
 from dataclasses import InitVar, dataclass, field
-from typing import Any, Callable, Iterator, NamedTuple
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -126,7 +126,7 @@ from . import footprints
 from .ir import (CMP_PREDS, ELEMENTWISE_FLOAT, ELEMENTWISE_INT, ElemType, KernelFn, Operation, PtrType, block_index,
                  block_origin, tile_type)
 from .textio import _type_desc
-from .visa import LOWERING, PVC, TargetConfig, VInstr, VProgram
+from .visa import PVC, LoweringError, TargetConfig, VProgram, raise_program
 
 
 class SimError(RuntimeError):
@@ -542,13 +542,13 @@ def _piece(whole: tuple[int, ...], piece: tuple[int, ...], index: int) -> tuple[
 
 
 # --------------------------------------------------------------------------
-# step form: what both program forms decode to
+# step form: what a program decodes to
 
 @dataclass(slots=True)
 class _Step:
     kind: str  # IR op kind whose semantics the step has
     name: str  # the op as the program spells it, for diagnostics
-    operands: tuple  # env keys: value ids in IR, register names in vISA
+    operands: tuple  # env keys: the ids of the values the op reads
     results: tuple
     attrs: dict[str, Any]
     shape: tuple[int, ...]  # the (pointee) block shape of the result, or of a store's value
@@ -576,49 +576,22 @@ class _Step:
             self.slices = tuple(_piece(self.shape, src, i) for i in range(len(self.operands)))
 
 
-def _decode_op(op: Operation) -> _Step:
+def _decode_op(op: Operation, names: dict[Operation, str]) -> _Step:
+    """Decode one op; `names` holds the name of each op that is spelled
+    other than by its kind."""
     kind, attrs, body = op.kind, op.attrs, None
     if op.regions:
         region = op.regions[0]
-        body = [_decode_op(o) for o in region.ops]
+        body = [_decode_op(o, names) for o in region.ops]
         if region.args:  # scf.for: the induction variable, then the carries
             attrs = {"iv": id(region.args[0]), "iters": [id(a) for a in region.args[1:]]}
     rt = op.results[0].type if op.results else op.operands[1].type if kind == "tt.store" else None
     tile = tile_type(rt) if rt is not None else None
     src = tile_type(op.operands[0].type).shape if kind in ("tt.extract", "tt.glue") else None
     return _Step(
-        kind, op.kind, tuple(id(v) for v in op.operands), tuple(id(r) for r in op.results), attrs,
+        kind, names.get(op, kind), tuple(id(v) for v in op.operands), tuple(id(r) for r in op.results), attrs,
         tile.shape if tile else (), tile.elem if tile else None, isinstance(rt, PtrType), body, src,
     )
-
-
-# the lowering table read backwards: the IR kind of each vISA instruction,
-# keyed on (opcode, sub-op), or on the opcode alone where the row leaves
-# the sub-op empty
-_VISA_KINDS: dict[Any, str] = {(r.opcode, r.op) if r.op else r.opcode: k for k, r in LOWERING.items()}
-_PTR_KINDS = {k for k, r in LOWERING.items() if r.width == "addr"}
-
-
-def _decode_vinstr(ins: VInstr, shapes: dict[str, tuple[int, ...]]) -> _Step:
-    """Decode one instruction; `shapes` maps every register defined so far to
-    its (pointee) block shape and gains the instruction's results."""
-    name = ins.opcode.value + (f".{ins.op}" if ins.op else "")
-    kind = _VISA_KINDS.get((ins.opcode, ins.op)) or _VISA_KINDS.get(ins.opcode)
-    if kind is None:
-        raise SimError(f"no semantics for vISA instruction {name!r}")
-    attrs = ins.attrs
-    if kind in ("tt.reduce", "tt.cross_warp_reduce"):  # vISA spells the reduce kind as the sub-op
-        attrs = {**attrs, "kind": ins.op}
-    src = shapes[ins.operands[0]] if kind in ("tt.extract", "tt.glue") else None
-    if kind == "scf.for":  # a carry and the loop's result are shaped like the init
-        carried = [shapes.get(r) for r in ins.operands[3:]]
-        shapes.update(zip(attrs["iters"], carried))
-        shapes.update(zip(ins.results, carried))
-    elif ins.results:
-        shapes[ins.results[0]] = ins.shape
-    body = None if ins.body is None else [_decode_vinstr(i, shapes) for i in ins.body]
-    is_ptr = kind in _PTR_KINDS or ins.op == "ptr"
-    return _Step(kind, name, ins.operands, ins.results, attrs, ins.shape, ins.elem, is_ptr, body, src)
 
 
 def _walk(steps: list[_Step]) -> Iterator[_Step]:
@@ -1204,26 +1177,26 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
-def _bindings(prog: KernelFn | VProgram) -> tuple[int, list[tuple[Any, str, ElemType]]]:
-    """Warps per workgroup, and per argument its env key, buffer name and element type."""
+def _bindings(prog: KernelFn | VProgram) -> tuple[int, Sequence[tuple[str, ElemType]]]:
+    """Warps per workgroup, and per argument its buffer name and element type."""
     if isinstance(prog, VProgram):
-        return prog.num_warps, [(f"%{b}", b, elem) for b, elem in prog.args]
+        return prog.num_warps, prog.args
     bindings = []
     for a in prog.args:
         if not isinstance(a.type, PtrType) or a.type.is_block:
             raise SimError(f"@{prog.name}: only buffer pointer arguments are bindable, %{a.name} is {_type_desc(a.type)}")
-        bindings.append((id(a), a.name, a.type.pointee))
+        bindings.append((a.name, a.type.pointee))
     return prog.num_warps if prog.level != "workgroup" else 1, bindings
 
 
-def _bind(name: str, bindings: list[tuple[Any, str, ElemType]], mem: DeviceMemory) -> tuple:
+def _bind(name: str, bindings: Sequence[tuple[str, ElemType]], mem: DeviceMemory) -> tuple:
     """Check that `mem` binds every argument; per argument, its buffer's name, element type and size."""
-    for _, b, elem in bindings:
+    for b, elem in bindings:
         if b not in mem:
             raise SimError(f"@{name}: no buffer bound for argument %{b}")
         if mem.elem_of(b) != elem:
             raise SimError(f"@{name}: buffer {b} holds {mem.elem_of(b).value}, argument wants {elem.value}")
-    return tuple((b, elem, mem.raw(b).size) for _, b, elem in bindings)
+    return tuple((b, elem, mem.raw(b).size) for b, elem in bindings)
 
 
 class Launch:
@@ -1234,16 +1207,18 @@ class Launch:
     verdicts and the run-time checks they leave.  Nothing in it changes when
     it runs, so any number of runs may share it."""
 
-    def __init__(self, prog: KernelFn | VProgram, nw: int, bindings: list, buffers: tuple,
+    def __init__(self, prog: KernelFn | VProgram, nw: int, bindings: Sequence, buffers: tuple,
                  order: tuple[int, ...], pids: list[tuple[int, int, int]]) -> None:
         self.name, self.nw, self.order, self.pids = prog.name, nw, order, pids
         self.bindings, self.buffers = bindings, buffers
-        self.env = {key: b for key, b, _ in bindings}
-        if isinstance(prog, VProgram):
-            shapes: dict[str, tuple[int, ...]] = {}
-            self.steps = [_decode_vinstr(i, shapes) for i in prog.body]
-        else:
-            self.steps = [_decode_op(op) for op in prog.body.ops]
+        names: dict[Operation, str] = {}
+        if isinstance(prog, VProgram):  # run the IR it spells, under its instructions' names
+            try:
+                prog, names = raise_program(prog)
+            except LoweringError as exc:
+                raise SimError(str(exc)) from None
+        self.env = {id(a): a.name for a in prog.args}
+        self.steps = [_decode_op(op, names) for op in prog.body.ops]
         ng = len(order)
         self.n = ng * nw
         # shared by every run, so read-only

@@ -1,12 +1,15 @@
-"""Virtual intrinsic ISA and the lowering from intrinsic-level IR.
+"""Virtual intrinsic ISA, the lowering from intrinsic-level IR, and the
+raising back to it.
 
 The mapping is mechanical and 1-to-1: every IR operation becomes exactly one
 virtual instruction (loop control included), so structural counts carry over.
 One table, ``LOWERING``, names for each IR kind the opcode, sub-op, width
-rule and mnemonic; the lowering reads it forwards and the simulator's
-decoder backwards.  What the lowering adds is vector-width selection: in
-SIMT style widths are per lane (block elements divided by threadsPerWarp),
-in SIMD style per warp.
+rule and mnemonic; ``lower`` reads it forwards and ``raise_program``
+backwards, so a program raises to the IR it spells.  The simulator runs
+that IR, and ``ir.fn_equal`` of it and the lowered function checks a
+lowering (translation validation).  What the lowering adds is vector-width
+selection: in SIMT style widths are per lane (block elements divided by
+threadsPerWarp), in SIMD style per warp.
 f16 data is packed two-per-32-bit-unit when the target is SIMD or when the
 value feeds the B side of an MMA, mirroring the hardware's operand formats,
 so displayed widths are in register units (v64i16, v32i32, ...) while the
@@ -23,11 +26,13 @@ from typing import Any, NamedTuple
 from .ir import (
     ELEMENTWISE_FLOAT,
     ELEMENTWISE_INT,
+    I32,
     ElemType,
     KernelFn,
     Operation,
     PtrType,
     Region,
+    TensorType,
     Value,
     tile_type,
     walk_fn_ops,
@@ -231,8 +236,8 @@ class Lowering(NamedTuple):
     mnemonic: str | tuple[str, str]
 
 
-# Every key is an IR op kind.  The lowering reads this table forwards and
-# the simulator backwards, so no two rows may share an (opcode, op) pair.
+# Every key is an IR op kind.  `lower` reads this table forwards and
+# `raise_program` backwards, so no two rows may share an (opcode, op) pair.
 # An empty op keys the opcode alone, which leaves the instruction free to
 # fill it (a reduce's kind, a pointer extract's "ptr").
 LOWERING: dict[str, Lowering] = {
@@ -393,6 +398,69 @@ class _Lowerer:
 
 def lower(fn: KernelFn, target: TargetConfig) -> VProgram:
     return _Lowerer(fn, target).run()
+
+
+# --------------------------------------------------------------------------
+# raising
+
+# LOWERING read backwards: the IR kind of each (opcode, sub-op), or of the
+# opcode alone where the row leaves the sub-op to the instruction
+_RAISING: dict[Any, str] = {(r.opcode, r.op) if r.op else r.opcode: k for k, r in LOWERING.items()}
+# attrs the lowering adds: a loop's registers, which raise to its body's
+# arguments, and an SLM allocation's size, which its type holds
+_VISA_ONLY_ATTRS = ("iv", "iters", "bytes")
+
+
+def raise_program(prog: VProgram) -> tuple[KernelFn, dict[Operation, str]]:
+    """The intrinsic-level function that `prog` spells, and per op the name
+    of its instruction (``block2d_load``, ``alu.divi``).
+
+    Each instruction raises to the IR kind whose ``LOWERING`` row it has,
+    its results typed by its shape and element type (a loop's by its inits)
+    and its registers bound to the values they name.  Nothing is verified,
+    so an edited program raises to what it says; ``ir.verify`` checks the
+    result.  An instruction that no row spells, that reads a register no
+    earlier instruction defines, or whose shape no tensor type has, raises
+    ``LoweringError``."""
+    fn = KernelFn(prog.name, [(b, PtrType(elem)) for b, elem in prog.args], prog.num_warps, "intrinsic")
+    names: dict[Operation, str] = {}
+    _raise_region(prog, prog.body, fn.body, {f"%{a.name}": a for a in fn.args}, names)
+    return fn, names
+
+
+def _raise_region(prog: VProgram, instrs: list[VInstr], region: Region, regs: dict[str, Value],
+                  names: dict[Operation, str]) -> None:
+    """Append to `region` the ops that `instrs` spell; `regs` maps every
+    register defined so far to its value and gains the instructions' own."""
+    for ins in instrs:
+        name = ins.opcode.value + (f".{ins.op}" if ins.op else "")
+        kind = _RAISING.get((ins.opcode, ins.op)) or _RAISING.get(ins.opcode)
+        if kind is None:
+            raise LoweringError(f"@{prog.name}: vISA instruction {name!r} spells no IR op")
+        try:
+            operands = [regs[r] for r in ins.operands]
+        except KeyError as e:
+            raise LoweringError(f"@{prog.name}: {name} reads register {e.args[0]} before it is defined") from None
+        attrs = {a: v for a, v in ins.attrs.items() if a not in _VISA_ONLY_ATTRS}
+        if kind in ("tt.reduce", "tt.cross_warp_reduce"):  # vISA spells the reduce kind as the sub-op
+            attrs["kind"] = ins.op
+        if kind == "scf.for":  # the carries and the loop's results are typed like the inits
+            types = [v.type for v in operands[3:]]
+            body = Region([Value(I32), *map(Value, types)])
+            regs.update(zip((ins.attrs["iv"], *ins.attrs["iters"]), body.args))
+        else:
+            try:
+                tile = TensorType(ins.shape, ins.elem)
+            except ValueError as e:  # a shape no tensor type has
+                raise LoweringError(f"@{prog.name}: {name}: {e}") from None
+            types = [PtrType(tile) if LOWERING[kind].width == "addr" or ins.op == "ptr" else tile] * len(ins.results)
+            body = Region()
+        if ins.body is not None:
+            _raise_region(prog, ins.body, body, regs, names)
+        op = Operation(kind, operands, attrs, types, () if ins.body is None else (body,))
+        regs.update(zip(ins.results, op.results))
+        names[op] = name
+        region.ops.append(op)
 
 
 # --------------------------------------------------------------------------

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from tilec import footprints as fp
@@ -11,7 +13,17 @@ from tilec.kernels import load_fixture, make_problem, suite
 from tilec.passes import CompileResult, compile_kernel
 from tilec.sim import DeviceMemory, LaunchConfig, RunTrace, SimError, prepare, run
 from tilec.textio import print_module
-from tilec.visa import VOpcode, VProgram
+from tilec.visa import PVC, VOpcode, VProgram
+
+# perfbench's target profiles other than PVC itself, which is its pvc_simt:
+# the shipped simd profile, and that profile with another load block, dot
+# unit or lane count
+TARGETS = {
+    "pvc_simd": replace(PVC, style="simd"),
+    "load16": replace(PVC, style="simd", max_load=(16, 16)),
+    "dot8": replace(PVC, style="simd", max_dot=(8, 8, 16)),
+    "lanes32": replace(PVC, style="simd", threads_per_warp=32, max_load=(32, 64)),
+}
 
 
 @pytest.fixture(scope="session")

@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import collections
 import functools
-from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from conftest import outcome, prove_nothing, ungrouped
+from conftest import TARGETS, outcome, prove_nothing, ungrouped
 from tilec import passes, sim
 from tilec.ir import ElemType, FunctionBuilder, KernelFn, PtrType, walk_fn_ops
 from tilec.kernels import FIXTURE_NAMES, load_fixture, make_problem, suite
@@ -50,17 +49,6 @@ def test_grouped_runs_give_the_bits_and_trace_of_ungrouped_runs(name, forced, mo
             with monkeypatch.context() as mp:
                 ungrouped(mp)
                 assert _outcome(prog, name, seed) == grouped, f"{level} seed {seed}"
-
-
-# perfbench's target profiles other than PVC itself, which is its pvc_simt:
-# the shipped simd profile, and that profile with another load block, dot
-# unit or lane count
-TARGETS = {
-    "pvc_simd": replace(PVC, style="simd"),
-    "load16": replace(PVC, style="simd", max_load=(16, 16)),
-    "dot8": replace(PVC, style="simd", max_dot=(8, 8, 16)),
-    "lanes32": replace(PVC, style="simd", threads_per_warp=32, max_load=(32, 64)),
-}
 
 
 @pytest.mark.parametrize("name", FIXTURE_NAMES)

@@ -214,6 +214,8 @@ _VERIFY_CASES = {
                     lambda fb, v: fb.op("arith.constant", [], {"value": 1}, [v.f.type])),
     "const_int": ("arith.constant: integer constant needs an int value attr",
                   lambda fb, v: fb.op("arith.constant", [], {"value": 1.0}, [v.i.type])),
+    **{f"const_{x}": (f"arith.constant: float constant must be finite, got {x}",
+                      lambda fb, v, x=x: fb.constant(float(x))) for x in ("inf", "-inf", "nan")},
     "convert_tensor": ("tt.convert: operand must be a tensor",
                        lambda fb, v: fb.op("tt.convert", [v.p], {}, [v.c.type])),
     "convert_float": ("tt.convert: float element cast only; shape must be preserved",

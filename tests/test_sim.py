@@ -186,6 +186,21 @@ def test_unmapped_visa_instruction_rejected_at_decode():
         run(VProgram("bogus", (), 1, "simt", 16, body), LaunchConfig(), DeviceMemory())
 
 
+@pytest.mark.parametrize(("instr", "message"), [
+    (VInstr(VOpcode.extract, "", ("%1",), ("%0",), {"index": 0}, (8, 8), F32),
+     "extract reads register %0 before it is defined"),
+    (VInstr(VOpcode.alu, "addf", ("%1",), ("%0", "%0"), {}, (8, 8), F32),  # read by no step
+     "alu.addf reads register %0 before it is defined"),
+    (VInstr(VOpcode.mov, "const", ("%0",), (), {"value": 1.0}, (2, 2, 2), F32),
+     "mov.const: rank 3 tensor not supported (max 2)"),
+], ids=["extract", "unread_addf", "rank3"])
+def test_malformed_visa_instruction_rejected_at_decode(instr, message):
+    body = [instr, VInstr(VOpcode.loop_ctl, "ret")]
+    with pytest.raises(SimError) as exc:
+        run(VProgram("bogus", (), 1, "simt", 16, body), LaunchConfig(), DeviceMemory())
+    assert str(exc.value) == f"@bogus: {message}"
+
+
 def test_piece_outside_its_tile_rejected_at_decode():
     fb = FunctionBuilder("cut", [], level="intrinsic")
     fb.extract(fb.splat(fb.constant(1.0), (8, 8)), 4, (4, 4))

@@ -4,9 +4,11 @@ Each config is a suite fixture, a lowering style and at most one tiling
 hint.  For every config that compiles, the sha256 of the printed layouts,
 distribute and match stages, of the disassembled vISA and of every
 ``VInstr`` field must equal the digests in ``snapshots.json``, and every
-printed stage must parse back to an equal module; the configs that do not
-compile must keep raising the same diagnostic.  A change meant to alter the output rewrites
-the file with ``PYTHONPATH=src python tests/test_snapshots.py``.
+printed stage must parse back to an equal module, and the vISA program must
+raise back to a function equal to the one it was lowered from, which
+verifies (translation validation); the configs that do not compile must
+keep raising the same diagnostic.  A change meant to alter the output
+rewrites the file with ``PYTHONPATH=src python tests/test_snapshots.py``.
 """
 
 from __future__ import annotations
@@ -18,11 +20,13 @@ from pathlib import Path
 
 import pytest
 
-from tilec.ir import KernelModule, module_equal, walk_fn_ops
+from conftest import TARGETS
+from tilec import visa
+from tilec.ir import KernelModule, fn_equal, module_equal, verify, walk_fn_ops
 from tilec.kernels import FIXTURE_NAMES, load_fixture
 from tilec.passes import PassError, compile_kernel
 from tilec.textio import parse_module, print_module
-from tilec.visa import PVC, disassemble
+from tilec.visa import PVC, disassemble, raise_program
 
 SNAPSHOTS = Path(__file__).with_name("snapshots.json")
 TILINGS = ("square", "horizontal", "vertical")
@@ -88,6 +92,40 @@ def test_printed_stages_parse_back_equal(config):
     for stage in ("layouts", "distribute", "match"):
         module = KernelModule([getattr(res, stage)])
         assert module_equal(parse_module(print_module(module)), module), stage
+
+
+def _raises_back(res) -> bool:
+    """Whether the vISA program raises to a function equal to the one it was
+    lowered from, and that function verifies."""
+    raised, _ = raise_program(res.vprog)
+    return fn_equal(raised, res.match) and not verify(raised)
+
+
+@pytest.mark.parametrize("config", COMPILING)
+def test_lowering_raises_back_to_its_input(config):
+    assert _raises_back(_compile(config))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("target", TARGETS)
+def test_lowering_raises_back_to_its_input_on_other_targets(target, name):
+    assert _raises_back(compile_kernel(load_fixture(name), TARGETS[target]))
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_a_wrong_lowering_does_not_raise_back(name, monkeypatch):
+    # the fault is in the lowering only: raising reads the table it leaves as is
+    lower_op = visa._Lowerer.lower_op
+
+    def wrong(self, op):
+        instr = lower_op(self, op)
+        if op.kind == "arith.subf":
+            instr.op = "addf"
+        return instr
+
+    monkeypatch.setattr(visa._Lowerer, "lower_op", wrong)
+    res = _compile(f"{name}/simt/none")
+    assert _raises_back(res) != any(op.kind == "arith.subf" for op in walk_fn_ops(res.match))
 
 
 @pytest.mark.parametrize("config", sorted(KNOWN_FAILURES))

@@ -69,7 +69,7 @@ def test_lower_requires_intrinsic_level():
 
 
 def test_lowering_table_inverts():
-    # the simulator decodes an instruction by its (opcode, op) pair
+    # raise_program reads an instruction's IR kind off its (opcode, op) pair
     pairs = [(row.opcode, row.op) for row in LOWERING.values()]
     assert len(set(pairs)) == len(pairs)
 
