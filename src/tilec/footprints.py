@@ -2,12 +2,12 @@
 
 ``sim.prepare`` calls `prove` on the decoded steps once per launch shape:
 the program object, grid, ``wg_order`` and bound buffers (name, element
-type, size), with the `prove` function and the semantics table in force.
-Every later run of that shape reuses the verdicts, so a program must not be
-edited in place once it has run.
+type, size), with the `prove` function in force.  Every later run of that
+shape reuses the verdicts, so a program must not be edited in place once it
+has run.
 
 `prove` follows the integer and pointer steps: a scalar is, per row, its
-value if known at launch (worked out by the step's own semantics, as the run
+value if known at launch (worked out by its kind's semantics, as the run
 does), a form if it depends on loop counters (an int64 array (1 + loops,
 rows) of a constant and a multiple of each loop's trip index), or else a str
 that says why not.  A block pointer's dims are forms, with the rows last, or
@@ -72,6 +72,8 @@ class Footprints(NamedTuple):
 def prove(steps: list, flat: list, ctx: Any, roots: dict[Any, str]) -> Footprints:
     """The verdicts for a launch of `steps` (`flat`: all of them, nested ones
     too) in run context `ctx`, whose buffer roots are `roots`."""
+    from .sim import _SEMANTICS  # sim imports this module
+
     loops = {id(s): j for j, s in enumerate((s for s in flat if s.kind == "scf.for"), 1)}
     # seen, per access: (step, pointer, span: per form and row the last trip index (1 for the
     # constant), reach: the rows that run it)
@@ -94,7 +96,7 @@ def prove(steps: list, flat: list, ctx: Any, roots: dict[Any, str]) -> Footprint
             return _TILE
         if known:
             try:
-                return s.sem(s, ctx, a)
+                return _SEMANTICS[s.kind](s, ctx, a)
             except Exception:  # the run reports it where it runs
                 return "offset is not known before the run"
         x, y = map(lift, a)
@@ -107,7 +109,7 @@ def prove(steps: list, flat: list, ctx: Any, roots: dict[Any, str]) -> Footprint
     def pointer(s: Any, a: list) -> _Form:
         p = a[0] if a else None
         if s.kind == "tt.alloc":
-            p = s.sem(s, ctx, a)
+            p = ctx.ptrs[id(s)]
             return _Form(p.base, unit[0] * np.moveaxis(p.dims, 0, -1)[:, :, None], s.shape, (0,) * len(s.shape))
         make = s.kind == "tt.make_tensor_ptr"
         if make:

@@ -791,10 +791,8 @@ class FunctionBuilder:
         return self._one("tt.warp_id", (), {}, [I32])
 
     def make_tensor_ptr(self, base: Value, global_shape: Sequence[Value], strides: Sequence[Value],
-                        offsets: Sequence[Value], block_shape: Sequence[int],
-                        order: Sequence[int], encoding: Any = None) -> Value:
-        elem = base.type.pointee
-        pt = TensorType(tuple(block_shape), elem, encoding)
+                        offsets: Sequence[Value], block_shape: Sequence[int], order: Sequence[int]) -> Value:
+        pt = TensorType(tuple(block_shape), base.type.pointee)
         ops = [base, *global_shape, *strides, *offsets]
         return self._one("tt.make_tensor_ptr", ops, {"order": list(order)}, [PtrType(pt)])
 
@@ -834,9 +832,9 @@ class FunctionBuilder:
         rt = TensorType(t.shape[:axis] + (1,) + t.shape[axis:], t.elem)
         return self._one("tt.expand_dims", [v], {"axis": axis}, [rt])
 
-    def broadcast(self, v: Value, shape: Sequence[int], encoding: Any = None) -> Value:
+    def broadcast(self, v: Value, shape: Sequence[int]) -> Value:
         t: TensorType = v.type
-        return self._one("tt.broadcast", [v], {}, [TensorType(tuple(shape), t.elem, encoding if encoding is not None else t.encoding)])
+        return self._one("tt.broadcast", [v], {}, [TensorType(tuple(shape), t.elem, t.encoding)])
 
     def binary(self, kind: str, a: Value, b: Value) -> Value:
         return self._one(kind, [a, b], {}, [a.type])

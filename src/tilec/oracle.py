@@ -24,7 +24,11 @@ class OracleError(ValueError):
     """Internal inconsistency in a reference computation."""
 
 
-def rel_max_err(got: np.ndarray, want: np.ndarray, floor: float = 1e-6) -> float:
+# the least scale `rel_max_err` divides by
+_FLOOR = 1e-6
+
+
+def rel_max_err(got: np.ndarray, want: np.ndarray) -> float:
     """Max elementwise relative error with an absolute floor on the scale."""
     got = np.asarray(got)
     want = np.asarray(want)
@@ -32,11 +36,11 @@ def rel_max_err(got: np.ndarray, want: np.ndarray, floor: float = 1e-6) -> float
         raise ValueError(f"shape mismatch: {got.shape} vs {want.shape}")
     if not got.size:
         return 0.0
-    # |got - want| / max(|want|, floor), all in f64, in two arrays
+    # |got - want| / max(|want|, _FLOOR), all in f64, in two arrays
     err = np.subtract(got, want, out=np.empty(got.shape), dtype=np.float64)
     np.abs(err, out=err)
     scale = np.abs(want, out=np.empty(want.shape), dtype=np.float64)
-    np.maximum(scale, floor, out=scale)
+    np.maximum(scale, _FLOOR, out=scale)
     err /= scale
     return float(err.max())
 

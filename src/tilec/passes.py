@@ -223,12 +223,11 @@ class _Rebuild:
 
 def _clone_fn(
     fn: KernelFn,
-    level: str | None = None,
     type_of: Callable[[Value], Type] = lambda v: v.type,
     attrs_of: Callable[[Operation], dict[str, Any]] = lambda op: op.attrs,
 ) -> KernelFn:
     """Structure-preserving clone with per-value retyping and attr rewriting."""
-    rb = _Rebuild(fn, level or fn.level, [type_of(a) for a in fn.args])
+    rb = _Rebuild(fn, fn.level, [type_of(a) for a in fn.args])
     return rb.run(lambda op: rb.copy(op, [type_of(r) for r in op.results], attrs_of(op)))
 
 

@@ -3,12 +3,13 @@
 A launch is prepared, then run.  `prepare` decodes the program into one step
 form: each IR op decodes to a step of its own kind.  A vISA program is first
 raised to the intrinsic-level IR it spells (``visa.raise_program``), and
-each of its steps keeps its instruction's name for diagnostics.  One
-executor runs the steps: it handles loops and branches itself and calls, for
-every other kind, the function of one semantics table, so an op and the
-instruction it lowers to run the same code.  Decoding works out all that
-needs no runtime value: each step's function and element type, and the
-slices an extract reads or a glue writes, from the operand's static shape.
+each of its steps keeps its instruction's name for diagnostics.  A step is a
+plain record that its maker fills in: decoding works out all that needs no
+runtime value, each step's shape and element type and the slices an extract
+reads or a glue writes, from the operand's static shape.  One executor runs
+the steps: it handles loops and branches itself and, for every other kind,
+calls the function that one semantics table holds for it when the step runs,
+so an op and the instruction it lowers to run the same code.
 
 `prepare` also lays out SLM, proves footprints and groups pieces (below),
 and the `Launch` it returns holds all of that; `Launch.run` executes it on
@@ -19,11 +20,10 @@ and holds a read-only view of each other one.  `run` is `prepare` then
 program, so a dropped program is freed at once with its launches.  It
 returns the same `Launch` again for the same program object, grid,
 ``wg_order``, bound buffers (name, element type, size), ``footprints.prove``
-and grouping functions and semantics table entries, so a program is decoded,
-proven and grouped once per launch shape.  The bindings, the
-schedule and the SLM budget are checked on every call.  So a program must
-not be edited in place once it has run: a later run would execute the
-steps decoded before the edit.
+and grouping functions, so a program is decoded, proven and grouped once per
+launch shape.  The bindings, the schedule and the SLM budget are checked on
+every call.  So a program must not be edited in place once it has run: a
+later run would execute the steps decoded before the edit.
 
 A launch runs in lockstep, as one batch with a row per warp of each
 workgroup, workgroups in ``wg_order`` and warps in id order (a
@@ -116,15 +116,15 @@ import itertools
 import operator
 import struct
 import weakref
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import footprints
-from .ir import (CMP_PREDS, ELEMENTWISE_FLOAT, ELEMENTWISE_INT, ElemType, KernelFn, Operation, PtrType, block_index,
-                 block_origin, tile_type)
+from .ir import (CMP_PREDS, ELEMENTWISE_FLOAT, ELEMENTWISE_INT, ElemType, KernelFn, Operation, PtrType, block_origin,
+                 tile_type)
 from .textio import _type_desc
 from .visa import PVC, LoweringError, TargetConfig, VProgram, raise_program
 
@@ -538,7 +538,7 @@ def _piece(whole: tuple[int, ...], piece: tuple[int, ...], index: int) -> tuple[
     origin = block_origin(whole, piece, index)
     if origin is None:
         raise SimError(f"piece {index} lies outside a {whole} tile cut into {piece} pieces")
-    return (slice(None), *(slice(a, a + p) for a, p in zip(origin, piece)))
+    return _box(origin, piece)
 
 
 # --------------------------------------------------------------------------
@@ -546,7 +546,9 @@ def _piece(whole: tuple[int, ...], piece: tuple[int, ...], index: int) -> tuple[
 
 @dataclass(slots=True)
 class _Step:
-    kind: str  # IR op kind whose semantics the step has
+    """One step of a prepared launch, filled in by whoever makes it."""
+
+    kind: str  # IR op kind, which finds the step's semantics
     name: str  # the op as the program spells it, for diagnostics
     operands: tuple  # env keys: the ids of the values the op reads
     results: tuple
@@ -555,31 +557,20 @@ class _Step:
     elem: ElemType | None  # the element type of the same
     is_ptr: bool
     body: list[_Step] | None
-    src: InitVar[tuple[int, ...] | None]  # static shape of an extract's or glue's first operand
-    # computed once at decode, from the fields above:
-    sem: Callable[[_Step, _Ctx, list], Any] | None = field(init=False)  # None: the executor's own kinds
     # an extract's slices of its operand (for a pointer, their starts offset
     # the block); a glue's slices of its result, one per piece; an access
     # group's origin and block shape of each member, to log its accesses; a
     # dot group's piece shape
-    slices: tuple = field(init=False)
+    slices: tuple = ()
     # a group's: per member whose result some step reads, that key and the
     # member's index into the group's result (None: a step of one op)
-    binds: tuple | None = field(init=False)
-
-    def __post_init__(self, src: tuple[int, ...] | None) -> None:
-        self.sem = _SEMANTICS.get(self.kind)
-        self.slices, self.binds = (), None
-        if self.kind == "tt.extract":
-            self.slices = _piece(src, self.shape, self.attrs["index"])
-        elif self.kind == "tt.glue":
-            self.slices = tuple(_piece(self.shape, src, i) for i in range(len(self.operands)))
+    binds: tuple | None = None
 
 
 def _decode_op(op: Operation, names: dict[Operation, str]) -> _Step:
     """Decode one op; `names` holds the name of each op that is spelled
     other than by its kind."""
-    kind, attrs, body = op.kind, op.attrs, None
+    kind, attrs, body, slices = op.kind, op.attrs, None, ()
     if op.regions:
         region = op.regions[0]
         body = [_decode_op(o, names) for o in region.ops]
@@ -587,10 +578,14 @@ def _decode_op(op: Operation, names: dict[Operation, str]) -> _Step:
             attrs = {"iv": id(region.args[0]), "iters": [id(a) for a in region.args[1:]]}
     rt = op.results[0].type if op.results else op.operands[1].type if kind == "tt.store" else None
     tile = tile_type(rt) if rt is not None else None
-    src = tile_type(op.operands[0].type).shape if kind in ("tt.extract", "tt.glue") else None
+    if kind == "tt.extract":
+        slices = _piece(tile_type(op.operands[0].type).shape, tile.shape, attrs["index"])
+    elif kind == "tt.glue":
+        piece = tile_type(op.operands[0].type).shape
+        slices = tuple(_piece(tile.shape, piece, i) for i in range(len(op.operands)))
     return _Step(
         kind, names.get(op, kind), tuple(id(v) for v in op.operands), tuple(id(r) for r in op.results), attrs,
-        tile.shape if tile else (), tile.elem if tile else None, isinstance(rt, PtrType), body, src,
+        tile.shape if tile else (), tile.elem if tile else None, isinstance(rt, PtrType), body, slices,
     )
 
 
@@ -836,7 +831,7 @@ class _Plan:
             after.extend(self.cut(r, results[c], o, shape) for c, o in zip(cs, origins))
             if q is not None:
                 t = self.steps[yields[cs[0]]]
-                tail.append(_Step(t.kind, t.name, (x, *t.operands[1:]), (x2,), t.attrs, whole, elem, True, None, None))
+                tail.append(_Step(t.kind, t.name, (x, *t.operands[1:]), (x2,), t.attrs, whole, elem, True, None))
             else:
                 q = self.fresh((whole, elem, is_ptr))
                 pieces = [inits[c] for c in cs]
@@ -870,17 +865,16 @@ class _Plan:
 
     def cut(self, whole: Any, key: Any, origin: tuple, shape: tuple) -> _Step:
         """An extract step that cuts the piece at `origin` of `whole` as `key`."""
-        w, elem, is_ptr = self.types[whole]
-        s = _Step("tt.extract", "tt.extract", (whole,), (key,), {"index": block_index(w, shape, origin)}, shape, elem,
-                  is_ptr, None, w)
+        _, elem, is_ptr = self.types[whole]
+        s = _Step("tt.extract", "tt.extract", (whole,), (key,), {}, shape, elem, is_ptr, None, _box(origin, shape))
         self.steps[key] = s
         return s
 
     def glued(self, key: Any, keys: list, origins: list[tuple], whole: tuple) -> _Step:
         """A glue step of the pieces `keys` at `origins` of `whole` as `key`."""
         shape, elem, _ = self.types[keys[0]]
-        order = sorted(range(len(keys)), key=lambda i: block_index(whole, shape, origins[i]))
-        return _Step("tt.glue", "tt.glue", tuple(keys[i] for i in order), (key,), {}, whole, elem, False, None, shape)
+        return _Step("tt.glue", "tt.glue", tuple(keys), (key,), {}, whole, elem, False, None,
+                     tuple(_box(o, shape) for o in origins))
 
     def packed(self, members: list[_Step], at: tuple) -> list[_Step]:
         """One step for `members` on the whole their results are pieces of,
@@ -888,28 +882,27 @@ class _Plan:
         splats its operands need.  It binds each member's result as a view of
         its own.  An access group accesses the block once and logs it per
         member, in their order."""
-        m0, self.splats = members[0], []
+        m0, self.splats, slices = members[0], [], ()
         whole, origins = at or self.layout(members)
+        access = m0.kind in ("tt.load", "tt.store")
         if m0.kind == "tt.dot":  # whole A, B and C: the rows of A pieces, the columns of B pieces
-            (r, c), k = whole, self.types[m0.operands[0]][0][1]
+            (r, c), k, slices = whole, self.types[m0.operands[0]][0][1], m0.shape
             a, b, acc = ([m.operands[j] for m in members] for j in range(3))
             ops = [self.pack(a, [(o[0], 0) for o in origins], (r, k)),
                    self.pack(b, [(0, o[1]) for o in origins], (k, c)), self.pack(acc, origins, whole)]
-        elif m0.kind in ("tt.load", "tt.store"):  # the block, and a store's value
+        elif access:  # the block, and a store's value
             ops = [_Key(self.where(m0.operands[0])[0])]
             if m0.kind == "tt.store":
                 ops.append(self.pack([m.operands[1] for m in members], origins, whole))
+            slices = tuple((np.array(o), m.shape) for m, o in zip(members, origins))
         elif m0.kind == "tt.splat":
             ops = [_Key(m0.operands[0])]
         else:
             ops = [self.pack([m.operands[j] for m in members], origins, whole) for j in range(len(m0.operands))]
+        binds = tuple((m.results[0], _box(o, m.shape)) for m, o in zip(members, origins) if m.results)
         g = _Step(m0.kind, m0.name, tuple(ops), (object(),) * bool(m0.results), m0.attrs, whole, m0.elem, False,
-                  None, None)
-        g.binds = tuple((m.results[0], _box(o, m.shape)) for m, o in zip(members, origins) if m.results)
-        if m0.kind == "tt.dot":
-            g.slices = m0.shape
-        elif m0.kind in ("tt.load", "tt.store"):
-            g.slices = tuple((np.array(o), m.shape) for m, o in zip(members, origins))
+                  None, slices, binds)
+        if access:
             self.inbounds.add(id(g))
         if g.results:
             self.made[g.results[0]] = g
@@ -965,7 +958,7 @@ class _Plan:
         if s is None or s.kind != "tt.splat" or any(getattr(self.steps.get(k), "operands", None) != s.operands
                                                       or self.steps[k].kind != "tt.splat" for k in keys):
             return None
-        return _Step(s.kind, s.name, s.operands, (key,), s.attrs, shape, s.elem, False, None, None)
+        return _Step(s.kind, s.name, s.operands, (key,), s.attrs, shape, s.elem, False, None)
 
 
 def _covers(origins: list[tuple], whole: tuple, piece: tuple) -> bool:
@@ -1089,9 +1082,7 @@ _SEMANTICS: dict[str, Callable[[_Step, _Ctx, list], Any]] = {
 
 def _select(live: np.ndarray, new: Any, old: Any) -> Any:
     """Per warp, `new` where `live`, else `old`."""
-    if isinstance(new, BlockPointer):
-        if new.base != old.base:
-            raise SimError(f"warps leave a loop holding pointers into different buffers {old.base!r} and {new.base!r}")
+    if isinstance(new, BlockPointer):  # one buffer: `_loop` checks it
         return BlockPointer(new.base, _select(live, new.dims, old.dims), new.block_shape)
     return np.where(live.reshape(-1, *[1] * (new.ndim - 1)), new, old)
 
@@ -1119,7 +1110,13 @@ def _loop(s: _Step, ctx: _Ctx, env: dict) -> None:
         with _quiet(ctx):
             _exec(s.body, ctx, env)
         new = [env[k] for k in s.body[-1].operands]  # the body ends in scf.yield
-        vals = new if ctx.full else [_select(ctx.act, x, y) for x, y in zip(new, vals)]
+        if not ctx.full:
+            for x, y in zip(new, vals):
+                if isinstance(x, BlockPointer) and x.base != y.base:
+                    why = f"warps leave the loop holding pointers into different buffers {y.base!r} and {x.base!r}"
+                    raise SimError(ctx.where(f"{s.name}: {why}"))
+            new = [_select(ctx.act, x, y) for x, y in zip(new, vals)]
+        vals = new
     ctx.mask(outer)
     env.update(zip(s.results, vals))
 
@@ -1127,11 +1124,11 @@ def _loop(s: _Step, ctx: _Ctx, env: dict) -> None:
 def _exec(steps: list[_Step], ctx: _Ctx, env: dict) -> None:
     """Run steps for the active rows."""
     for s in steps:
-        if s.sem is not None:
+        if (sem := _SEMANTICS.get(s.kind)) is not None:
             if s.binds is None:
-                v = s.sem(s, ctx, [env[k] for k in s.operands])
+                v = sem(s, ctx, [env[k] for k in s.operands])
             else:  # a group
-                v = s.sem(s, ctx, [p.get(env) for p in s.operands])
+                v = sem(s, ctx, [p.get(env) for p in s.operands])
                 for k, ix in s.binds:
                     env[k] = v[ix]
             if s.results:
@@ -1280,8 +1277,7 @@ def prepare(prog: KernelFn | VProgram, launch: LaunchConfig, mem: DeviceMemory) 
     """The launch of `prog` with `launch` on memory shaped like `mem`: decoded,
     proven and grouped on the first call, and the same `Launch` on every later
     call with the same program object, grid, schedule, bound buffers (name,
-    element type, size), `footprints.prove`, `_group` and semantics table.
-    The bindings, the schedule and the SLM budget are checked on every call."""
+    element type, size), `footprints.prove` and `_group`.  The bindings, the schedule and the SLM budget are checked on every call."""
     nw, bindings = _bindings(prog)
     buffers = _bind(prog.name, bindings, mem)
     gx, gy, gz = launch.grid
@@ -1290,7 +1286,7 @@ def prepare(prog: KernelFn | VProgram, launch: LaunchConfig, mem: DeviceMemory) 
     if sorted(order) != list(range(len(pids))):
         raise SimError(f"wg_order must be a permutation of 0..{len(pids) - 1}")
     held = _PREPARED.setdefault(prog, {})
-    key = (tuple(launch.grid), order, buffers, footprints.prove, _group, tuple(_SEMANTICS.items()))
+    key = (tuple(launch.grid), order, buffers, footprints.prove, _group)
     if (ready := held.get(key)) is None:
         ready = Launch(prog, nw, bindings, buffers, order, pids)
     if (over := ready.slm_used[ready.slm_used > launch.slm_budget]).size:  # every workgroup allocates the same

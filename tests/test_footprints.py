@@ -319,6 +319,82 @@ def test_suffix_sums_are_proven_and_keep_their_bits(monkeypatch):
     _both_ways(monkeypatch, _suffix_sums(rows=6, warps=4), LaunchConfig(), mem)
 
 
+def _row_per_trip(trips: int, row, rows: int) -> KernelFn:
+    """On trip t of `trips`, one warp per workgroup stores t + 1 to row
+    `row(fb, t, pid)` of a `rows`x4 O."""
+    fb = FunctionBuilder("rows", [("O", PtrType(F32))], num_warps=1, level="warp")
+    (o,) = fb.fn.args
+    c0, c1, c4 = (fb.constant(v) for v in (0, 1, 4))
+    pid = fb.program_id(0)
+    t, _ = fb.begin_for(c0, fb.constant(trips), c1, [])
+    ptr = fb.make_tensor_ptr(o, [fb.constant(rows), c4], [c4, c1], [row(fb, t, pid), c0], (1, 4), (1, 0))
+    fb.store(ptr, fb.convert(fb.splat(fb.binary("arith.addi", t, c1), (1, 4)), F32))
+    fb.end_for([])
+    fb.ret()
+    return fb.build()
+
+
+def test_a_row_quadratic_in_the_trip_is_not_affine(monkeypatch):
+    fn = _row_per_trip(4, lambda fb, t, pid: fb.binary("arith.muli", t, t), rows=10)
+    facts, out = footprints(monkeypatch, fn, LaunchConfig(), _zeros(O=(10, 4)))
+    assert [why for _, _, _, why in facts.accesses] == ["offset is not affine in the loop counters"]
+    assert facts.races == {"O": "offset is not affine in the loop counters"}
+    assert out.tensor("O")[[0, 1, 4, 9], 0].tolist() == [1, 2, 3, 4]
+    _both_ways(monkeypatch, fn, LaunchConfig(), _zeros(O=(10, 4)))
+
+
+def test_a_row_that_may_overflow_i32_is_checked(monkeypatch):
+    fn = _row_per_trip(16, lambda fb, t, pid: fb.binary("arith.muli", t, fb.constant(2**28)), rows=16)
+    facts, exc = footprints(monkeypatch, fn, LaunchConfig(), _zeros(O=(16, 4)))
+    assert [why for _, _, _, why in facts.accesses] == ["offset may overflow i32"]
+    assert str(exc) == ("out-of-bounds block access: dim 0 window [268435456, 268435457) outside [0, 16) "
+                        "(@rows wg=0 pid=(0, 0, 0) warp=0 tt.store)")
+    assert _both_ways(monkeypatch, fn, LaunchConfig(), _zeros(O=(16, 4))) == ("error", str(exc))
+
+
+def test_a_trip_times_a_per_row_value_is_affine(monkeypatch):
+    # workgroup g stores rows g and 2g + 2: in bounds, but the two
+    # workgroups' row ranges meet, so O keeps its race marks
+    def row(fb, t, pid):
+        return fb.binary("arith.addi", fb.binary("arith.muli", t, fb.binary("arith.addi", pid, fb.constant(2))), pid)
+
+    fn, launch = _row_per_trip(2, row, rows=5), LaunchConfig(grid=(2, 1, 1))
+    facts, out = footprints(monkeypatch, fn, launch, _zeros(O=(5, 4)))
+    assert [why for _, _, _, why in facts.accesses] == [None]
+    assert facts.races == {"O": "rows 0 and 1 may touch one element"}
+    assert out.tensor("O")[:, 0].tolist() == [1, 1, 2, 0, 2]
+    _both_ways(monkeypatch, fn, launch, _zeros(O=(5, 4)))
+
+
+def _carried_past_a_loop(loaded: str) -> KernelFn:
+    """A pointer to row `start` of a 4x4 O moves one row per trip of a loop of
+    `trips` trips; after the loop, 7 is stored through it.  `loaded` names
+    what is read from I[0]: "trips" (start 0) or "start" (2 trips)."""
+    fb = FunctionBuilder("carry", [("O", PtrType(F32)), ("I", PtrType(ElemType.i32))], num_warps=1, level="warp")
+    o, i = fb.fn.args
+    c0, c1, c2, c4 = (fb.constant(v) for v in (0, 1, 2, 4))
+    first = fb.reduce(fb.load(fb.make_tensor_ptr(i, [c1], [c1], [c0], (1,), (0,))), "max", 0)
+    start, trips = (first, c2) if loaded == "start" else (c0, first)
+    ptr = fb.make_tensor_ptr(o, [c4, c4], [c4, c1], [start, c0], (1, 4), (1, 0))
+    _, (ptr,) = fb.begin_for(c0, trips, c1, [ptr])
+    (ptr,) = fb.end_for([fb.advance(ptr, [c1, c0])])
+    fb.store(ptr, fb.splat(fb.constant(7.0), (1, 4)))
+    fb.ret()
+    return fb.build()
+
+
+@pytest.mark.parametrize(("loaded", "first", "why"), [("trips", 3, "loop bounds are not known before the run"),
+                                                      ("start", 1, LOADED)])
+def test_a_pointer_carried_past_a_loop_not_known_at_launch_is_checked(loaded, first, why, monkeypatch):
+    # either way the store lands on row 3
+    mem = _zeros(O=(4, 4))
+    mem.set_tensor("I", np.array([first]), ElemType.i32)
+    facts, out = footprints(monkeypatch, _carried_past_a_loop(loaded), LaunchConfig(), mem)
+    assert [(s.kind, base, w) for s, base, _, w in facts.accesses] == [("tt.load", "I", None), ("tt.store", "O", why)]
+    assert out.tensor("O")[:, 0].tolist() == [0, 0, 0, 7]
+    _both_ways(monkeypatch, _carried_past_a_loop(loaded), LaunchConfig(), mem)
+
+
 def test_a_run_leaves_no_cycles_to_collect():
     # the analysis's helpers call each other; left linked, they would keep
     # the launch and its buffers alive until the next cyclic collection

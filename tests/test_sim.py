@@ -857,6 +857,71 @@ def test_barrier_divergence_within_one_of_several_workgroups():
     )
 
 
+def _barrier_in_workgroup_zero_only(then_all: bool) -> KernelFn:
+    """Warp 0 of each of 2 workgroups stores pid + 1 to an SLM row; only
+    workgroup 0 reaches a barrier (and then, if `then_all`, every workgroup a
+    second one); then warp 1 loads the row and stores it to row pid of O."""
+    fb = FunctionBuilder("part", [("O", PtrType(F32))], num_warps=2, level="warp")
+    (o,) = fb.fn.args
+    c0, c1, c2, c4 = (fb.constant(v) for v in (0, 1, 2, 4))
+    pid, wid = fb.program_id(0), fb.warp_id()
+    slm = fb.alloc((1, 4), F32)
+    fb.begin_if(fb.cmpi("eq", wid, c0))
+    fb.store(slm, fb.convert(fb.splat(fb.binary("arith.addi", pid, c1), (1, 4)), F32))
+    fb.end_if()
+    fb.begin_if(fb.cmpi("eq", pid, c0))
+    fb.barrier()
+    fb.end_if()
+    if then_all:
+        fb.barrier()
+    fb.begin_if(fb.cmpi("eq", wid, c1))
+    fb.store(fb.make_tensor_ptr(o, [c2, c4], [c4, c1], [pid, c0], (1, 4), (1, 0)), fb.load(slm))
+    fb.end_if()
+    fb.ret()
+    return fb.build()
+
+
+@pytest.mark.parametrize("forced", [False, True])
+@pytest.mark.parametrize("then_all", [False, True])
+def test_a_barrier_keeps_the_race_marks_of_workgroups_not_at_it(then_all, forced, monkeypatch):
+    # workgroup 1's warps meet no barrier between the SLM store and load
+    # until one that every workgroup reaches
+    if forced:
+        prove_nothing(monkeypatch)
+    mem = DeviceMemory()
+    mem.set_tensor("O", np.zeros((2, 4)), F32)
+    launch = LaunchConfig(grid=(2, 1, 1))
+    if then_all:
+        out = run(_barrier_in_workgroup_zero_only(then_all), launch, mem)
+        assert np.array_equal(out.tensor("O"), np.repeat([[1.0], [2.0]], 4, axis=1))
+        return
+    with pytest.raises(SimError) as exc:
+        run(_barrier_in_workgroup_zero_only(then_all), launch, mem)
+    assert str(exc.value) == (
+        "race on buffer '%slm0' element 0: warps 0 and 1 touch it between two synchronization points, "
+        "not only reading it or storing the same bits (@part wg=1 pid=(1, 0, 0) warp=1 tt.load)"
+    )
+
+
+def test_warps_leaving_a_loop_with_pointers_into_different_buffers_are_named():
+    # warp 0 runs no trip and keeps its pointer into O; warp 1's trip yields one into P
+    fb = FunctionBuilder("sel", [("O", PtrType(F32)), ("P", PtrType(F32))], num_warps=2, level="warp")
+    o, p = fb.fn.args
+    c0, c1, c4 = (fb.constant(v) for v in (0, 1, 4))
+    po, pp = (fb.make_tensor_ptr(buf, [c1, c4], [c4, c1], [c0, c0], (1, 4), (1, 0)) for buf in (o, p))
+    fb.begin_for(c0, fb.warp_id(), c1, [po])
+    (ptr,) = fb.end_for([pp])
+    fb.store(ptr, fb.splat(fb.constant(1.0), (1, 4)))
+    fb.ret()
+    mem = DeviceMemory()
+    for name in "OP":
+        mem.set_tensor(name, np.zeros((1, 4)), F32)
+    with pytest.raises(SimError) as exc:
+        run(fb.build(), LaunchConfig(), mem)
+    assert str(exc.value) == ("@sel wg=0 pid=(0, 0, 0) warp=1 scf.for: warps leave the loop holding pointers into "
+                              "different buffers 'O' and 'P'")
+
+
 @pytest.mark.parametrize("dst", [None, [0]])
 def test_cross_warp_reduce_per_workgroup(dst):
     # warp w of workgroup g loads row 2g + w of X, the warps of each
