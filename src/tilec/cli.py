@@ -162,23 +162,25 @@ def _artifact_text(res: CompileResult, pass_name: str) -> str | None:
 
 
 def cmd_compile(args) -> int:
-    fn, _, stem = _resolve_kernel(args.kernel)
-    res = _compile(fn, args, _load_target(args), args.level)
     wanted = args.dump_after
     if wanted is None:
         names = [p for p, lvl in _PASS_ARTIFACTS if lvl == args.level]
     elif wanted == "all":
         names = [p for p, _ in _PASS_ARTIFACTS]
-    elif wanted in _LEVEL_OF_PASS:
-        names = [wanted]
-    else:
+    elif wanted not in _LEVEL_OF_PASS:
         raise UsageError(f"--dump-after expects a pass name or 'all', got {wanted!r}")
+    elif _LEVELS.index(_LEVEL_OF_PASS[wanted]) > _LEVELS.index(args.level):
+        raise UsageError(f"--dump-after {wanted} names a pass past --level {args.level}")
+    else:
+        names = [wanted]
+    fn, _, stem = _resolve_kernel(args.kernel)
+    res = _compile(fn, args, _load_target(args), args.level)
     out_dir = _dump_dir()
     out_dir.mkdir(parents=True, exist_ok=True)
     for name in names:
         text = _artifact_text(res, name)
         if text is None:
-            continue  # pipeline stopped before this pass
+            continue  # --dump-after all: the pipeline stopped before this pass
         ext = "vasm" if name == "visa" else f"{name}.ttir"
         path = out_dir / f"{stem}.{ext}"
         path.write_text(text)

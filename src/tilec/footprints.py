@@ -1,10 +1,9 @@
 """Footprints: what a launch's accesses can touch, proven before it runs.
 
-``sim.prepare`` calls `prove` on the decoded steps once per launch shape:
-the program object, grid, ``wg_order`` and bound buffers (name, element
-type, size), with the `prove` function in force.  Every later run of that
-shape reuses the verdicts, so a program must not be edited in place once it
-has run.
+``sim.prepare`` calls `prove` on the decoded steps of a verified program
+once per launch shape: the program object, grid, ``wg_order`` and bound
+buffers (name, element type, size).  Every later run of that shape reuses
+the verdicts, so a program must not be edited in place once it has run.
 
 `prove` follows the integer and pointer steps: a scalar is, per row, its
 value if known at launch (worked out by its kind's semantics, as the run
@@ -107,15 +106,11 @@ def prove(steps: list, flat: list, ctx: Any, roots: dict[Any, str]) -> Footprint
         return "offset is not affine in the loop counters"
 
     def pointer(s: Any, a: list) -> _Form:
-        p = a[0] if a else None
         if s.kind == "tt.alloc":
             p = ctx.ptrs[id(s)]
             return _Form(p.base, unit[0] * np.moveaxis(p.dims, 0, -1)[:, :, None], s.shape, (0,) * len(s.shape))
-        make = s.kind == "tt.make_tensor_ptr"
-        if make:
-            p = _Form(roots.get(s.operands[0]), None, s.shape, (0,) * len(s.shape))
-        if type(p) is not _Form or not make and s.kind != "tt.advance":  # an extract of a pointer not followed, say
-            return _Form(None, f"no footprint for {s.name}", s.shape)
+        make = s.kind == "tt.make_tensor_ptr"  # else tt.advance
+        p = _Form(roots.get(s.operands[0]), None, s.shape, (0,) * len(s.shape)) if make else a[0]
         if type(w := p.dims) is str or (w := next((x for x in a[1:] if type(x) is str), None)):
             return _Form(p.base, w, s.shape, p.at, p.root)
         if (by := added.get(s.operands[1:])) is None:  # make: global shape, strides, offsets; advance: offsets
@@ -134,8 +129,6 @@ def prove(steps: list, flat: list, ctx: Any, roots: dict[Any, str]) -> Footprint
         if type(x.dims) is str or type(y.dims) is str or y.root != x.root:
             return x.dims if type(x.dims) is str else y.dims if type(y.dims) is str else _UNSTEADY
         d = y.dims - x.dims
-        if y.at != x.at:
-            d[2, :, 0] += np.subtract(y.at, x.at)[:, None]
         return _UNSTEADY if np.count_nonzero(d[:, :, 1:]) else d
 
     def after(x: _Form, d: Any, k: Any) -> _Form:
@@ -175,12 +168,11 @@ def prove(steps: list, flat: list, ctx: Any, roots: dict[Any, str]) -> Footprint
         for s in body:
             kind = s.kind
             if kind == "tt.load" or kind == "tt.store":
-                if type(p := env.get(s.operands[0])) is not _Form:
-                    p = _Form(None, "pointer is not followed", s.shape)
-                seen.append((s, p, span, reach))
+                seen.append((s, env[s.operands[0]], span, reach))
                 if s.results:
                     env[s.results[0]] = LOADED
-            elif kind == "tt.extract" and s.is_ptr and type(p := env.get(s.operands[0])) is _Form:
+            elif kind == "tt.extract" and s.is_ptr:
+                p = env[s.operands[0]]
                 at = tuple([o + sl.start for o, sl in zip(p.at, s.slices[1:])])
                 env[s.results[0]] = _Form(p.base, p.dims, s.shape, at, p.root)
             elif s.shape and not s.is_ptr and kind != "scf.for" and kind != "scf.if":

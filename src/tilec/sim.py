@@ -1,9 +1,12 @@
 """Deterministic virtual GPU: runs a kernel at any pipeline level.
 
-A launch is prepared, then run.  `prepare` decodes the program into one step
-form: each IR op decodes to a step of its own kind.  A vISA program is first
-raised to the intrinsic-level IR it spells (``visa.raise_program``), and
-each of its steps keeps its instruction's name for diagnostics.  A step is a
+A launch is prepared, then run.  `prepare` verifies the program
+(``ir.verify``) and decodes it into one step form: each IR op decodes to a
+step of its own kind.  A vISA program is first raised to the intrinsic-level
+IR it spells (``visa.raise_program``), which is verified in its place, and
+each of its steps keeps its instruction's name for diagnostics.  A program
+that does not raise or verify fails with a `SimError` that carries the
+diagnostics, so every step the executor runs is well formed.  A step is a
 plain record that its maker fills in: decoding works out all that needs no
 runtime value, each step's shape and element type and the slices an extract
 reads or a glue writes, from the operand's static shape.  One executor runs
@@ -19,11 +22,11 @@ and holds a read-only view of each other one.  `run` is `prepare` then
 `Launch.run`.  `prepare` keeps each `Launch` in a map keyed weakly on its
 program, so a dropped program is freed at once with its launches.  It
 returns the same `Launch` again for the same program object, grid,
-``wg_order``, bound buffers (name, element type, size), ``footprints.prove``
-and grouping functions, so a program is decoded, proven and grouped once per
-launch shape.  The bindings, the schedule and the SLM budget are checked on
-every call.  So a program must not be edited in place once it has run: a
-later run would execute the steps decoded before the edit.
+``wg_order`` and bound buffers (name, element type, size), so a program is
+verified, decoded, proven and grouped once per launch shape.  The bindings,
+the schedule and the SLM budget are checked on every call.  So a program
+must not be edited in place once it has run: a later run would execute the
+steps decoded before the edit.
 
 A launch runs in lockstep, as one batch with a row per warp of each
 workgroup, workgroups in ``wg_order`` and warps in id order (a
@@ -92,9 +95,9 @@ its other members run later only past movable steps (which touch no buffer,
 do not synchronize and cannot raise) that read none of them; an access
 group skips no check its pieces would make.  So nothing that can raise
 groups (an integer division or remainder), nor an access that is not proven
-or keeps marks, nor pieces that do not cover one block once (a wrong or
-repeated extract index), nor dots off a grid: those run as written.  A
-movable step whose result no step reads any more is left out.
+or keeps marks, nor pieces that do not cover one block once (a repeated
+extract index), nor dots off a grid: those run as written.  A movable step
+whose result no step reads any more is left out.
 
 f16 tiles are f32 arrays rounded to binary16, ties to even, after every
 producing step: from 65520 up they round to inf, below 2**-14 to multiples of
@@ -123,8 +126,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from . import footprints
-from .ir import (CMP_PREDS, ELEMENTWISE_FLOAT, ELEMENTWISE_INT, ElemType, KernelFn, Operation, PtrType, block_origin,
-                 tile_type)
+from .ir import (CMP_PREDS, ELEMENTWISE_FLOAT, ELEMENTWISE_INT, ElemType, KernelFn, Operation, PtrType, VerifyError,
+                 block_origin, tile_type, verify_or_raise)
 from .textio import _type_desc
 from .visa import PVC, LoweringError, TargetConfig, VProgram, raise_program
 
@@ -389,14 +392,7 @@ def _access(ctx: _Ctx, s: _Step, bp: BlockPointer, value: np.ndarray | None = No
     """For a load, or a store of `value`, once it is checked (and logged if
     traced): per distinct strides, the active rows with them, their items and
     the windows (see _geometry)."""
-    verb = "access expects" if value is None else "store provides"
-    if bp.base not in ctx.bufs:
-        raise SimError(f"unknown buffer {bp.base!r} ({ctx.where(s.name)})")
-    base_elem, buf, size, off = ctx.bufs[bp.base]
-    if base_elem != s.elem:
-        raise SimError(f"buffer {bp.base!r} holds {base_elem.value}, {verb} {s.elem.value} ({ctx.where(s.name)})")
-    if value is not None and value.shape[1:] != bp.block_shape:
-        raise SimError(f"store value shape {value.shape[1:]} != block shape {bp.block_shape} ({ctx.where(s.name)})")
+    _, buf, size, off = ctx.bufs[bp.base]
     glob, strides, offs = bp.dims[:, 0], bp.dims[:, 1], bp.dims[:, 2]
     if (key := (bp.base, bp.block_shape, strides.tobytes())) not in ctx.windows:
         ctx.windows[key] = _geometry(ctx, bp.base, bp.block_shape, strides)
@@ -533,14 +529,6 @@ def _divide(s: _Step, ctx: _Ctx, a: list) -> np.ndarray:
         return _coerce(s.elem, _BINARY[s.kind](a[0], a[1]))
 
 
-def _piece(whole: tuple[int, ...], piece: tuple[int, ...], index: int) -> tuple[slice, ...]:
-    """The slices of a batch of `whole` tiles that hold piece `index` of each."""
-    origin = block_origin(whole, piece, index)
-    if origin is None:
-        raise SimError(f"piece {index} lies outside a {whole} tile cut into {piece} pieces")
-    return _box(origin, piece)
-
-
 # --------------------------------------------------------------------------
 # step form: what a program decodes to
 
@@ -579,10 +567,10 @@ def _decode_op(op: Operation, names: dict[Operation, str]) -> _Step:
     rt = op.results[0].type if op.results else op.operands[1].type if kind == "tt.store" else None
     tile = tile_type(rt) if rt is not None else None
     if kind == "tt.extract":
-        slices = _piece(tile_type(op.operands[0].type).shape, tile.shape, attrs["index"])
+        slices = _box(block_origin(tile_type(op.operands[0].type).shape, tile.shape, attrs["index"]), tile.shape)
     elif kind == "tt.glue":
         piece = tile_type(op.operands[0].type).shape
-        slices = tuple(_piece(tile.shape, piece, i) for i in range(len(op.operands)))
+        slices = tuple(_box(block_origin(tile.shape, piece, i), piece) for i in range(len(op.operands)))
     return _Step(
         kind, names.get(op, kind), tuple(id(v) for v in op.operands), tuple(id(r) for r in op.results), attrs,
         tile.shape if tile else (), tile.elem if tile else None, isinstance(rt, PtrType), body, slices,
@@ -736,11 +724,11 @@ class _Plan:
     def signature(self, s: _Step) -> tuple | None:
         """What every member of a run that `s` is in shares, or None if `s`
         cannot start one: an elementwise op, a convert or a splat on operands
-        shaped like its result (a splat: on a scalar); a dot of typed operands
-        on 2-D pieces; a load or store of a piece of a block by an extract,
-        proven in bounds, on a buffer that keeps no race marks.  Members do
-        one thing to equally typed operands; splats splat one scalar, and an
-        access reads pieces of one block."""
+        shaped like its result (a splat: on a scalar); a dot; a load or store
+        of a piece of a block by an extract, proven in bounds, on a buffer
+        that keeps no race marks.  Members do one thing to equally typed
+        operands; splats splat one scalar, and an access reads pieces of one
+        block."""
         if s.kind not in _GROUPED and s.kind not in _PLACED:
             return None
         types, one = tuple(self.types.get(k) for k in s.operands), None
@@ -749,10 +737,8 @@ class _Plan:
                     or (base := self.bases.get(id(s))) is None or base in self.marked):
                 return None
             one = at[0]
-        elif s.kind == "tt.dot":
-            if len(s.shape) != 2 or None in types:
-                return None
-        elif not s.shape or any((t or ((),))[0] != (() if s.kind == "tt.splat" else s.shape) for t in types):
+        elif s.kind != "tt.dot" and (not s.shape or any(t[0] != (() if s.kind == "tt.splat" else s.shape)
+                                                        for t in types)):
             return None
         elif s.kind == "tt.splat":
             one = s.operands
@@ -1135,15 +1121,13 @@ def _exec(steps: list[_Step], ctx: _Ctx, env: dict) -> None:
                 env[s.results[0]] = v
         elif s.kind == "scf.for":
             _loop(s, ctx, env)
-        elif s.kind == "scf.if":
+        else:  # scf.if
             outer, taken = ctx.act, env[s.operands[0]] & ctx.act
             if taken.any():
                 ctx.mask(taken)
                 with _quiet(ctx):
                     _exec(s.body, ctx, env)
                 ctx.mask(outer)
-        else:
-            raise SimError(ctx.where(f"no semantics for op {s.name!r}"))
 
 
 def _record(ctx: _Ctx, trace: RunTrace) -> None:
@@ -1209,11 +1193,12 @@ class Launch:
         self.name, self.nw, self.order, self.pids = prog.name, nw, order, pids
         self.bindings, self.buffers = bindings, buffers
         names: dict[Operation, str] = {}
-        if isinstance(prog, VProgram):  # run the IR it spells, under its instructions' names
-            try:
+        try:
+            if isinstance(prog, VProgram):  # run the IR it spells, under its instructions' names
                 prog, names = raise_program(prog)
-            except LoweringError as exc:
-                raise SimError(str(exc)) from None
+            verify_or_raise(prog)
+        except (LoweringError, VerifyError) as exc:
+            raise SimError(str(exc)) from None
         self.env = {id(a): a.name for a in prog.args}
         self.steps = [_decode_op(op, names) for op in prog.body.ops]
         ng = len(order)
@@ -1274,10 +1259,11 @@ _PREPARED: weakref.WeakKeyDictionary[KernelFn | VProgram, dict[tuple, Launch]] =
 
 
 def prepare(prog: KernelFn | VProgram, launch: LaunchConfig, mem: DeviceMemory) -> Launch:
-    """The launch of `prog` with `launch` on memory shaped like `mem`: decoded,
-    proven and grouped on the first call, and the same `Launch` on every later
-    call with the same program object, grid, schedule, bound buffers (name,
-    element type, size), `footprints.prove` and `_group`.  The bindings, the schedule and the SLM budget are checked on every call."""
+    """The launch of `prog` with `launch` on memory shaped like `mem`:
+    verified, decoded, proven and grouped on the first call, and the same
+    `Launch` on every later call with the same program object, grid, schedule
+    and bound buffers (name, element type, size).  The bindings, the schedule
+    and the SLM budget are checked on every call."""
     nw, bindings = _bindings(prog)
     buffers = _bind(prog.name, bindings, mem)
     gx, gy, gz = launch.grid
@@ -1286,7 +1272,7 @@ def prepare(prog: KernelFn | VProgram, launch: LaunchConfig, mem: DeviceMemory) 
     if sorted(order) != list(range(len(pids))):
         raise SimError(f"wg_order must be a permutation of 0..{len(pids) - 1}")
     held = _PREPARED.setdefault(prog, {})
-    key = (tuple(launch.grid), order, buffers, footprints.prove, _group)
+    key = (tuple(launch.grid), order, buffers)
     if (ready := held.get(key)) is None:
         ready = Launch(prog, nw, bindings, buffers, order, pids)
     if (over := ready.slm_used[ready.slm_used > launch.slm_budget]).size:  # every workgroup allocates the same

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import replace
 
 import pytest
@@ -103,7 +104,8 @@ def exec_widths(prog: VProgram) -> list[tuple[VOpcode, str, int, bool]]:
 
 def prove_nothing(monkeypatch: pytest.MonkeyPatch) -> None:
     """Make every launch prove nothing before it runs, so that each access
-    keeps its bounds checks and each buffer a store can reach its race marks."""
+    keeps its bounds checks and each buffer a store can reach its race marks.
+    Launches prepared before are set aside while the patch holds."""
     prove = fp.prove
 
     def nothing(*args):
@@ -111,6 +113,7 @@ def prove_nothing(monkeypatch: pytest.MonkeyPatch) -> None:
         return fp.Footprints(dict.fromkeys(facts.races, "forced"), [(s, b, o, "forced") for s, b, o, _ in facts.accesses])
 
     monkeypatch.setattr(fp, "prove", nothing)
+    monkeypatch.setattr(sim, "_PREPARED", weakref.WeakKeyDictionary())
 
 
 def footprints(monkeypatch: pytest.MonkeyPatch, prog, launch, mem) -> tuple[fp.Footprints, object]:
@@ -119,6 +122,7 @@ def footprints(monkeypatch: pytest.MonkeyPatch, prog, launch, mem) -> tuple[fp.F
     got, prove = [], fp.prove
     with monkeypatch.context() as mp:
         mp.setattr(fp, "prove", lambda *args: got.append(prove(*args)) or got[-1])
+        mp.setattr(sim, "_PREPARED", weakref.WeakKeyDictionary())
         try:
             out = run(prog, launch, mem)
         except SimError as exc:
@@ -129,6 +133,7 @@ def footprints(monkeypatch: pytest.MonkeyPatch, prog, launch, mem) -> tuple[fp.F
 def ungrouped(mp: pytest.MonkeyPatch) -> None:
     """Make every launch prepared from now on run each step as written."""
     mp.setattr(sim, "_group", lambda steps, *rest: steps)
+    mp.setattr(sim, "_PREPARED", weakref.WeakKeyDictionary())
 
 
 def outcome(prog, launch: LaunchConfig | None, mem: DeviceMemory) -> tuple:

@@ -54,6 +54,16 @@ def test_compile_dump_all(tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 4
 
 
+def test_dump_after_a_pass_past_the_level_is_a_usage_error(tmp_path, capsys):
+    assert main(["compile", "gemm_256", "--level", "intrinsic", "--dump-after", "visa"]) == 3
+    assert capsys.readouterr().err == "usage error: --dump-after visa names a pass past --level intrinsic\n"
+    assert not list(tmp_path.iterdir())
+    # all dumps what the pipeline reached
+    assert main(["compile", "gemm_256", "--level", "intrinsic", "--dump-after", "all"]) == 0
+    dumped = sorted(p.name for p in tmp_path.iterdir())
+    assert dumped == [f"gemm_256.{s}.ttir" for s in ("distribute", "layouts", "match")]
+
+
 def test_compile_hint_changes_root(tmp_path):
     assert main(["compile", "gemm_256", "--level", "workgroup",
                  "--hint", "dot0=horizontal", "--dump-after", "layouts"]) == 0

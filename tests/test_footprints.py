@@ -24,6 +24,7 @@ from tilec.passes import compile_kernel
 from tilec.sim import DeviceMemory, LaunchConfig, SimError, run
 
 F32 = ElemType.f32
+I32 = ElemType.i32
 LEVELS = ("workgroup", "warp", "intrinsic", "visa")
 
 
@@ -111,28 +112,28 @@ def _quadrants() -> KernelFn:
     """Warp w of 4 stores its id to the 4x4 quadrant (w // 2, w % 2) of an
     8x8 O: the quadrants are disjoint, but the flat ranges of warps 0 and 1
     ([0, 28) and [4, 32)) overlap."""
-    fb = FunctionBuilder("quads", [("O", PtrType(F32))], num_warps=4, level="warp")
+    fb = FunctionBuilder("quads", [("O", PtrType(I32))], num_warps=4, level="warp")
     (o,) = fb.fn.args
     c0, c1, c2, c4, c8 = (fb.constant(v) for v in (0, 1, 2, 4, 8))
     w = fb.warp_id()
     row, col = (fb.binary("arith.muli", fb.binary(op, w, c2), c4) for op in ("arith.divi", "arith.remi"))
-    fb.store(fb.make_tensor_ptr(o, [c8, c8], [c8, c1], [row, col], (4, 4), (1, 0)), fb.convert(fb.splat(w, (4, 4)), F32))
+    fb.store(fb.make_tensor_ptr(o, [c8, c8], [c8, c1], [row, col], (4, 4), (1, 0)), fb.splat(w, (4, 4)))
     fb.ret()
     return fb.build()
 
 
-def _zeros(**shapes) -> DeviceMemory:
+def _zeros(elem: ElemType = F32, **shapes) -> DeviceMemory:
     mem = DeviceMemory()
     for name, shape in shapes.items():
-        mem.set_tensor(name, np.zeros(shape), F32)
+        mem.set_tensor(name, np.zeros(shape), elem)
     return mem
 
 
 def test_disjoint_tiles_whose_flat_ranges_overlap_are_race_free(monkeypatch):
-    facts, out = footprints(monkeypatch, _quadrants(), LaunchConfig(), _zeros(O=(8, 8)))
+    facts, out = footprints(monkeypatch, _quadrants(), LaunchConfig(), _zeros(I32, O=(8, 8)))
     assert facts.races == {"O": None}
     assert np.array_equal(out.tensor("O"), np.kron([[0, 1], [2, 3]], np.ones((4, 4))))
-    _both_ways(monkeypatch, _quadrants(), LaunchConfig(), _zeros(O=(8, 8)))
+    _both_ways(monkeypatch, _quadrants(), LaunchConfig(), _zeros(I32, O=(8, 8)))
 
 
 def _zero_stride_alias() -> KernelFn:
@@ -151,14 +152,14 @@ def _two_geometries() -> KernelFn:
     """Warp 0 stores 16 to rows 0-3 of an 8x4 O, as an 8x4 tensor with
     strides (4, 1); warp 1 stores 17 to rows 4-7, as columns 4-7 of a 4x8
     tensor with strides (1, 4)."""
-    fb = FunctionBuilder("views", [("O", PtrType(F32))], num_warps=2, level="warp")
+    fb = FunctionBuilder("views", [("O", PtrType(I32))], num_warps=2, level="warp")
     (o,) = fb.fn.args
     c0, c1, c3, c4, c8, c16 = (fb.constant(v) for v in (0, 1, 3, 4, 8, 16))
     w = fb.warp_id()
     w3, w4 = fb.binary("arith.muli", w, c3), fb.binary("arith.muli", w, c4)
     ptr = fb.make_tensor_ptr(o, [fb.binary("arith.subi", c8, w4), fb.binary("arith.addi", c4, w4)],
                              [fb.binary("arith.subi", c4, w3), fb.binary("arith.addi", c1, w3)], [c0, w4], (4, 4), (1, 0))
-    fb.store(ptr, fb.convert(fb.splat(fb.binary("arith.addi", w, c16), (4, 4)), F32))
+    fb.store(ptr, fb.splat(fb.binary("arith.addi", w, c16), (4, 4)))
     fb.ret()
     return fb.build()
 
@@ -170,22 +171,22 @@ def test_zero_strides_and_two_geometries_are_not_proven(monkeypatch):
     facts, _ = footprints(monkeypatch, _zero_stride_alias(), LaunchConfig(), mem)
     assert facts.races == {"O": "its geometry maps two indices to one element"}
     _both_ways(monkeypatch, _zero_stride_alias(), LaunchConfig(), mem)
-    facts, out = footprints(monkeypatch, _two_geometries(), LaunchConfig(), _zeros(O=(8, 4)))
+    facts, out = footprints(monkeypatch, _two_geometries(), LaunchConfig(), _zeros(I32, O=(8, 4)))
     assert facts.races == {"O": "accesses use more than one geometry"}
-    assert np.array_equal(out.tensor("O"), np.repeat([16.0, 17.0], 16).reshape(8, 4))
-    _both_ways(monkeypatch, _two_geometries(), LaunchConfig(), _zeros(O=(8, 4)))
+    assert np.array_equal(out.tensor("O"), np.repeat([16, 17], 16).reshape(8, 4))
+    _both_ways(monkeypatch, _two_geometries(), LaunchConfig(), _zeros(I32, O=(8, 4)))
 
 
 def _rebased_carry() -> KernelFn:
     """Both warps add their id plus 1 to row 0 of O through a loop-carried
     pointer, which each trip then moves to row 0 of P."""
-    fb = FunctionBuilder("rebase", [("O", PtrType(F32)), ("P", PtrType(F32))], num_warps=2, level="warp")
+    fb = FunctionBuilder("rebase", [("O", PtrType(I32)), ("P", PtrType(I32))], num_warps=2, level="warp")
     o, p = fb.fn.args
     c0, c1, c2, c4 = (fb.constant(v) for v in (0, 1, 2, 4))
     po, pp = (fb.make_tensor_ptr(buf, [c1, c4], [c4, c1], [c0, c0], (1, 4), (1, 0)) for buf in (o, p))
     _, (ptr,) = fb.begin_for(c0, c2, c1, [po])
-    add = fb.convert(fb.splat(fb.binary("arith.addi", fb.warp_id(), c1), (1, 4)), F32)
-    fb.store(ptr, fb.binary("arith.addf", fb.load(ptr), add))
+    add = fb.splat(fb.binary("arith.addi", fb.warp_id(), c1), (1, 4))
+    fb.store(ptr, fb.binary("arith.addi", fb.load(ptr), add))
     fb.end_for([pp])
     fb.ret()
     return fb.build()
@@ -194,7 +195,7 @@ def _rebased_carry() -> KernelFn:
 def test_a_store_not_followed_to_its_buffer_keeps_every_buffer_checked(monkeypatch):
     # the proof cannot tell which buffer the loop's store reaches, so it
     # proves no buffer, and the run catches the warps' clash on O
-    mem = _zeros(O=(1, 4), P=(1, 4))
+    mem = _zeros(I32, O=(1, 4), P=(1, 4))
     facts, exc = footprints(monkeypatch, _rebased_carry(), LaunchConfig(), mem)
     assert facts.races == dict.fromkeys("OP", "carried pointer may change buffer")
     want = ("race on buffer 'O' element 0: warps 0 and 1 touch it between two synchronization points, "
@@ -208,14 +209,14 @@ def _rebased_to_slm() -> KernelFn:
     of O, a row offset read from memory, and each trip moves it to an SLM
     row.  Trip 0 stores pid + 1 to O, trip 1 to the SLM row; after the loop
     every workgroup loads its SLM row and stores it to row pid + 2 of O."""
-    fb = FunctionBuilder("reslm", [("O", PtrType(F32)), ("I", PtrType(ElemType.i32))], num_warps=1, level="warp")
+    fb = FunctionBuilder("reslm", [("O", PtrType(I32)), ("I", PtrType(I32))], num_warps=1, level="warp")
     o, i = fb.fn.args
     c0, c1, c2, c4 = (fb.constant(v) for v in (0, 1, 2, 4))
-    pid, slm = fb.program_id(0), fb.alloc((1, 4), F32)
+    pid, slm = fb.program_id(0), fb.alloc((1, 4), I32)
     k = fb.reduce(fb.load(fb.make_tensor_ptr(i, [c1], [c1], [c0], (1,), (0,))), "max", 0)
     start = fb.advance(fb.make_tensor_ptr(o, [c4, c4], [c4, c1], [c0, c0], (1, 4), (1, 0)),
                        [fb.binary("arith.addi", pid, k), c0])
-    row = fb.convert(fb.splat(fb.binary("arith.addi", pid, c1), (1, 4)), F32)
+    row = fb.splat(fb.binary("arith.addi", pid, c1), (1, 4))
     _, (ptr,) = fb.begin_for(c0, c2, c1, [start])
     fb.store(ptr, row)
     fb.end_for([slm])
@@ -230,7 +231,7 @@ def test_a_carry_whose_offsets_are_not_known_still_loses_its_buffer(monkeypatch)
     # the carry starts in O at an offset read from memory and moves to the
     # SLM row: the SLM must stay race-checked, or the load after the loop
     # would gather workgroup 0's SLM row once for every workgroup
-    mem = _zeros(O=(4, 4))
+    mem = _zeros(I32, O=(4, 4))
     mem.set_tensor("I", np.zeros(1), ElemType.i32)
     launch = LaunchConfig(grid=(2, 1, 1))
     facts, out = footprints(monkeypatch, _rebased_to_slm(), launch, mem)
@@ -322,13 +323,13 @@ def test_suffix_sums_are_proven_and_keep_their_bits(monkeypatch):
 def _row_per_trip(trips: int, row, rows: int) -> KernelFn:
     """On trip t of `trips`, one warp per workgroup stores t + 1 to row
     `row(fb, t, pid)` of a `rows`x4 O."""
-    fb = FunctionBuilder("rows", [("O", PtrType(F32))], num_warps=1, level="warp")
+    fb = FunctionBuilder("rows", [("O", PtrType(I32))], num_warps=1, level="warp")
     (o,) = fb.fn.args
     c0, c1, c4 = (fb.constant(v) for v in (0, 1, 4))
     pid = fb.program_id(0)
     t, _ = fb.begin_for(c0, fb.constant(trips), c1, [])
     ptr = fb.make_tensor_ptr(o, [fb.constant(rows), c4], [c4, c1], [row(fb, t, pid), c0], (1, 4), (1, 0))
-    fb.store(ptr, fb.convert(fb.splat(fb.binary("arith.addi", t, c1), (1, 4)), F32))
+    fb.store(ptr, fb.splat(fb.binary("arith.addi", t, c1), (1, 4)))
     fb.end_for([])
     fb.ret()
     return fb.build()
@@ -336,20 +337,20 @@ def _row_per_trip(trips: int, row, rows: int) -> KernelFn:
 
 def test_a_row_quadratic_in_the_trip_is_not_affine(monkeypatch):
     fn = _row_per_trip(4, lambda fb, t, pid: fb.binary("arith.muli", t, t), rows=10)
-    facts, out = footprints(monkeypatch, fn, LaunchConfig(), _zeros(O=(10, 4)))
+    facts, out = footprints(monkeypatch, fn, LaunchConfig(), _zeros(I32, O=(10, 4)))
     assert [why for _, _, _, why in facts.accesses] == ["offset is not affine in the loop counters"]
     assert facts.races == {"O": "offset is not affine in the loop counters"}
     assert out.tensor("O")[[0, 1, 4, 9], 0].tolist() == [1, 2, 3, 4]
-    _both_ways(monkeypatch, fn, LaunchConfig(), _zeros(O=(10, 4)))
+    _both_ways(monkeypatch, fn, LaunchConfig(), _zeros(I32, O=(10, 4)))
 
 
 def test_a_row_that_may_overflow_i32_is_checked(monkeypatch):
     fn = _row_per_trip(16, lambda fb, t, pid: fb.binary("arith.muli", t, fb.constant(2**28)), rows=16)
-    facts, exc = footprints(monkeypatch, fn, LaunchConfig(), _zeros(O=(16, 4)))
+    facts, exc = footprints(monkeypatch, fn, LaunchConfig(), _zeros(I32, O=(16, 4)))
     assert [why for _, _, _, why in facts.accesses] == ["offset may overflow i32"]
     assert str(exc) == ("out-of-bounds block access: dim 0 window [268435456, 268435457) outside [0, 16) "
                         "(@rows wg=0 pid=(0, 0, 0) warp=0 tt.store)")
-    assert _both_ways(monkeypatch, fn, LaunchConfig(), _zeros(O=(16, 4))) == ("error", str(exc))
+    assert _both_ways(monkeypatch, fn, LaunchConfig(), _zeros(I32, O=(16, 4))) == ("error", str(exc))
 
 
 def test_a_trip_times_a_per_row_value_is_affine(monkeypatch):
@@ -359,11 +360,11 @@ def test_a_trip_times_a_per_row_value_is_affine(monkeypatch):
         return fb.binary("arith.addi", fb.binary("arith.muli", t, fb.binary("arith.addi", pid, fb.constant(2))), pid)
 
     fn, launch = _row_per_trip(2, row, rows=5), LaunchConfig(grid=(2, 1, 1))
-    facts, out = footprints(monkeypatch, fn, launch, _zeros(O=(5, 4)))
+    facts, out = footprints(monkeypatch, fn, launch, _zeros(I32, O=(5, 4)))
     assert [why for _, _, _, why in facts.accesses] == [None]
     assert facts.races == {"O": "rows 0 and 1 may touch one element"}
     assert out.tensor("O")[:, 0].tolist() == [1, 1, 2, 0, 2]
-    _both_ways(monkeypatch, fn, launch, _zeros(O=(5, 4)))
+    _both_ways(monkeypatch, fn, launch, _zeros(I32, O=(5, 4)))
 
 
 def _carried_past_a_loop(loaded: str) -> KernelFn:

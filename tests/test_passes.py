@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import ops_of
-from tilec.ir import ElemType, FunctionBuilder, PtrType, fn_equal, walk_fn_ops
+from tilec.ir import ElemType, FunctionBuilder, KernelFn, PtrType, fn_equal, walk_fn_ops
 from tilec.kernels import load_fixture
 from tilec.layouts import BlockedEncoding, DotOperandEncoding
 from tilec.passes import (
@@ -241,6 +241,31 @@ def test_match_introduces_extract_glue(gemm_compiled, fa2_compiled):
 def test_match_requires_per_warp_input():
     with pytest.raises(PassError):
         match_target_size(load_fixture("gemm_256"), PVC)
+
+
+def _one_dot(level: str, k: int) -> KernelFn:
+    """An 8xkx16 dot of splats at `level`, whose result is read by no op."""
+    fb = FunctionBuilder("f", [], level=level)
+    one = fb.constant(1.0, F16)
+    fb.dot(fb.splat(one, (8, k)), fb.splat(one, (k, 16)), fb.splat(fb.constant(0.0), (8, 16)))
+    fb.ret()
+    return fb.build()
+
+
+@pytest.mark.parametrize(("fn", "message"), [
+    (_one_dot("warp", 8), "@f: dot k=8 is not a multiple of the unit k=16"),
+    (_one_dot("intrinsic", 16), "@f: target matching already ran"),
+], ids=["k_off_the_unit", "intrinsic_input"])
+def test_match_rejects(fn, message):
+    with pytest.raises(PassError) as exc:
+        match_target_size(fn, PVC)
+    assert str(exc.value) == message
+
+
+def test_apply_tiling_hints_rejects_an_unknown_hint():
+    with pytest.raises(PassError) as exc:
+        apply_tiling_hints(_one_dot("workgroup", 16), {0: "diagonal"})
+    assert str(exc.value) == "@f: unknown tiling hint 'diagonal'"
 
 
 def test_pipeline_rejects_unknown_level():

@@ -13,7 +13,8 @@ import pytest
 
 from conftest import outcome, prove_nothing, ungrouped
 from tilec import footprints as fp
-from tilec.ir import ElemType, FunctionBuilder, KernelFn, KernelModule, PtrType, retile, scalar
+from tilec.ir import (ElemType, FunctionBuilder, KernelFn, KernelModule, PtrType, Region, TensorType, Value, retile,
+                      scalar)
 from tilec.kernels import FIXTURE_NAMES, kernel_text, load_fixture, make_problem, suite
 from tilec.oracle import philox, rand_f16
 from tilec import sim
@@ -84,7 +85,7 @@ def test_launch_config_validation():
 
 def _pid_kernel():
     """Each workgroup stores its program id into its own 16-row band."""
-    fb = FunctionBuilder("bands", [("O", PtrType(F32))], num_warps=1)
+    fb = FunctionBuilder("bands", [("O", PtrType(I32))], num_warps=1)
     (o_arg,) = fb.fn.args
     c0 = fb.constant(0)
     c1 = fb.constant(1)
@@ -94,8 +95,7 @@ def _pid_kernel():
     pid = fb.program_id(0)
     row = fb.binary("arith.muli", pid, c16)
     ptr = fb.make_tensor_ptr(o_arg, [c64, c8], [c8, c1], [row, c0], (16, 8), (1, 0))
-    val = fb.convert(fb.splat(pid, (16, 8)), F32)
-    fb.store(ptr, val)
+    fb.store(ptr, fb.splat(pid, (16, 8)))
     fb.ret()
     return fb.build()
 
@@ -103,13 +103,13 @@ def _pid_kernel():
 def test_grid_covers_all_workgroups():
     fn = _pid_kernel()
     mem = DeviceMemory()
-    mem.set_tensor("O", np.full((64, 8), -1.0, dtype=np.float32), F32)
+    mem.set_tensor("O", np.full((64, 8), -1), I32)
     out = run(fn, LaunchConfig(grid=(4, 1, 1)), mem)
     o = out.tensor("O")
     for g in range(4):
-        assert np.all(o[16 * g : 16 * (g + 1)] == float(g))
+        assert np.all(o[16 * g : 16 * (g + 1)] == g)
     # input memory is never mutated in place
-    assert np.all(mem.tensor("O") == -1.0)
+    assert np.all(mem.tensor("O") == -1)
 
 
 def test_run_validates_bindings():
@@ -125,7 +125,7 @@ def test_run_validates_bindings():
 def test_run_validates_order():
     fn = _pid_kernel()
     mem = DeviceMemory()
-    mem.set_tensor("O", np.zeros((64, 8), dtype=np.float32), F32)
+    mem.set_tensor("O", np.zeros((64, 8)), I32)
     with pytest.raises(SimError):
         run(fn, LaunchConfig(grid=(2, 1, 1), wg_order=(0, 0)), mem)
 
@@ -159,7 +159,7 @@ def test_slm_overflow_detected():
 def test_trace_records_accesses():
     fn = _pid_kernel()
     mem = DeviceMemory()
-    mem.set_tensor("O", np.zeros((64, 8), dtype=np.float32), F32)
+    mem.set_tensor("O", np.zeros((64, 8)), I32)
     trace = RunTrace()
     run(fn, LaunchConfig(grid=(2, 1, 1)), mem, trace=trace)
     assert not trace.loads
@@ -205,8 +205,67 @@ def test_piece_outside_its_tile_rejected_at_decode():
     fb = FunctionBuilder("cut", [], level="intrinsic")
     fb.extract(fb.splat(fb.constant(1.0), (8, 8)), 4, (4, 4))
     fb.ret()
-    with pytest.raises(SimError, match=r"^piece 4 lies outside a \(8, 8\) tile cut into \(4, 4\) pieces$"):
+    with pytest.raises(SimError, match=r"^@cut: tt.extract: index must lie in \[0, 4\) for sub-block grid \(2, 2\)$"):
         run(fb.build(), LaunchConfig(), DeviceMemory())
+
+
+def _malformed_ir(build) -> KernelFn:
+    """A warp-level kernel on an f32 buffer X whose body `build(fb, X)` writes."""
+    fb = FunctionBuilder("bad", [("X", PtrType(F32))], level="warp")
+    build(fb, fb.fn.args[0])
+    fb.ret()
+    return fb.build()
+
+
+def _tile_base(fb, x) -> None:
+    c0, c1, c4 = (fb.constant(v) for v in (0, 1, 4))
+    tile = fb.splat(fb.constant(1.0), (4, 4))
+    ptr = fb.op("tt.make_tensor_ptr", [tile, c4, c4, c4, c1, c0, c0], {"order": [1, 0]},
+                [PtrType(TensorType((4, 4), F32))]).result
+    fb.load(ptr)
+
+
+def _for_without_yield(fb, x) -> None:
+    c0, c1 = fb.constant(0), fb.constant(1)
+    fb.op("scf.for", [c0, c1, c1], {}, [], [Region([Value(scalar(I32))])])
+
+
+def _rank_1_dot(fb, x) -> None:
+    a = fb.splat(fb.constant(1.0), (4,))
+    fb.dot(a, a, a)  # its result is read by no step
+
+
+def _malformed_visa(*body: VInstr) -> VProgram:
+    return VProgram("bad", (("X", F32),), 1, "simt", 16, [*body, VInstr(VOpcode.loop_ctl, "ret")])
+
+
+def _const(reg: str, value, elem: ElemType) -> VInstr:
+    return VInstr(VOpcode.mov, "const", (reg,), (), {"value": value}, (), elem)
+
+
+@pytest.mark.parametrize(("prog", "message"), [
+    (_malformed_ir(_tile_base), "tt.make_tensor_ptr: base must be a buffer pointer"),
+    (_malformed_ir(_for_without_yield), "scf.for: body must end in scf.yield"),
+    (_malformed_ir(lambda fb, x: fb.op("tt.load", [fb.constant(0)], {}, [scalar(I32)])),
+     "tt.load: operand must be a block pointer"),
+    (_malformed_ir(_rank_1_dot), "tt.dot: operands must be rank-2 tensors"),
+    (_malformed_ir(lambda fb, x: fb.extract(fb.splat(fb.constant(1.0), (8, 8)), 4, (4, 4))),
+     "tt.extract: index must lie in [0, 4) for sub-block grid (2, 2)"),
+    (_malformed_visa(VInstr(VOpcode.extract, "ptr", ("%0",), ("%X",), {"index": 0}, (8, 8), F32)),
+     "tt.extract: block-typed source required"),
+    (_malformed_visa(_const("%0", 1.0, F32), VInstr(VOpcode.mma, "", ("%1",), ("%0", "%0", "%0"), {}, (), F32)),
+     "tt.dot: operands must be rank-2 tensors"),
+    (_malformed_visa(_const("%0", 0, I32), _const("%1", 1, I32),
+                     VInstr(VOpcode.loop_ctl, "for", (), ("%0", "%1", "%1"), {"iv": "%2", "iters": []}, body=[])),
+     "scf.for: body must end in scf.yield"),
+], ids=["tile_base", "for_without_yield", "load_of_a_scalar", "rank_1_dot", "extract_out_of_grid",
+        "visa_extract_ptr_of_an_argument", "visa_mma_of_scalars", "visa_for_with_empty_body"])
+def test_a_malformed_program_fails_verification_as_a_sim_error(prog, message):
+    mem = DeviceMemory()
+    mem.set_tensor("X", np.zeros((8, 8)), F32)
+    with pytest.raises(SimError) as exc:
+        run(prog, LaunchConfig(), mem)
+    assert str(exc.value) == f"@bad: {message}"
 
 
 # copies the 8x16 block at row `off` of X, seen as `rows` rows of 16 with row
@@ -257,7 +316,7 @@ def _narrow_y_block(prog) -> None:
 
 @pytest.mark.parametrize("level", ["workgroup", "visa"])
 def test_memory_access_errors(level):
-    load, store = ("tt.load", "tt.store") if level == "workgroup" else ("block2d_load", "block2d_store")
+    load = "tt.load" if level == "workgroup" else "block2d_load"
     at = "@copy wg=0 pid=(0, 0, 0) warp=0"
 
     def fails(prog, mem, msg):
@@ -271,13 +330,13 @@ def test_memory_access_errors(level):
           f"out-of-bounds block access: flat index beyond buffer of 256 ({at} {load})")
     prog = _copy_at(level)
     _declare(prog, "X", F16)
-    fails(prog, _copy_mem(x=F16), f"buffer 'X' holds f16, access expects f32 ({at} {load})")
+    fails(prog, _copy_mem(x=F16), "@copy: tt.make_tensor_ptr: base element f16 != block element f32")
     prog = _copy_at(level)
     _declare(prog, "Y", F16)
-    fails(prog, _copy_mem(y=F16), f"buffer 'Y' holds f16, store provides f32 ({at} {store})")
+    fails(prog, _copy_mem(y=F16), "@copy: tt.make_tensor_ptr: base element f16 != block element f32")
     prog = _copy_at(level)
     _narrow_y_block(prog)
-    fails(prog, _copy_mem(), f"store value shape (8, 16) != block shape (8, 8) ({at} {store})")
+    fails(prog, _copy_mem(), "@copy: tt.store: stored value type must equal the pointee block type")
     out = run(_copy_at(level), LaunchConfig(), _copy_mem())
     assert np.array_equal(out.tensor("Y")[:8], np.arange(128).reshape(8, 16))
 
@@ -450,29 +509,29 @@ def test_missing_barrier_is_a_race(level):
 def _overlapping_stores(per_warp: bool, transposed: bool = False) -> KernelFn:
     """Both warps store a 4x4 block to the top of O: their warp id where
     `per_warp`, else 1; warp 1 with strides (1, 4) if `transposed`."""
-    fb = FunctionBuilder("overlap", [("O", PtrType(F32))], num_warps=2, level="warp")
+    fb = FunctionBuilder("overlap", [("O", PtrType(I32))], num_warps=2, level="warp")
     (o,) = fb.fn.args
     c0, c1, c4 = (fb.constant(v) for v in (0, 1, 4))
     w3 = fb.binary("arith.muli", fb.warp_id(), fb.constant(3 if transposed else 0))
     ptr = fb.make_tensor_ptr(o, [c4, c4], [fb.binary("arith.subi", c4, w3), fb.binary("arith.addi", c1, w3)],
                              [c0, c0], (4, 4), (1, 0))
-    fb.store(ptr, fb.convert(fb.splat(fb.warp_id() if per_warp else c1, (4, 4)), F32))
+    fb.store(ptr, fb.splat(fb.warp_id() if per_warp else c1, (4, 4)))
     fb.ret()
     return fb.build()
 
 
 def test_replicated_stores_of_equal_bits_pass():
     mem = DeviceMemory()
-    mem.set_tensor("O", np.zeros((8, 4)), F32)
+    mem.set_tensor("O", np.zeros((8, 4)), I32)
     trace = RunTrace()
     out = run(_overlapping_stores(per_warp=False), LaunchConfig(), mem, trace=trace)
-    assert np.array_equal(out.tensor("O"), np.repeat([[1.0], [0.0]], 4, axis=0) * np.ones((8, 4)))
+    assert np.array_equal(out.tensor("O"), np.repeat([[1], [0]], 4, axis=0) * np.ones((8, 4)))
     assert [s.warp for s in trace.stores] == [0, 1]
 
 
 def test_overlapping_stores_of_other_bits_race():
     mem = DeviceMemory()
-    mem.set_tensor("O", np.zeros((8, 4)), F32)
+    mem.set_tensor("O", np.zeros((8, 4)), I32)
     with pytest.raises(SimError) as exc:
         run(_overlapping_stores(per_warp=True), LaunchConfig(), mem)
     assert str(exc.value) == (
@@ -485,7 +544,7 @@ def test_overlapping_stores_with_other_strides_race():
     # rows with other strides are checked and stored one strides after
     # another, so the later warp finds the earlier one's write and is named
     mem = DeviceMemory()
-    mem.set_tensor("O", np.zeros((8, 4)), F32)
+    mem.set_tensor("O", np.zeros((8, 4)), I32)
     with pytest.raises(SimError) as exc:
         run(_overlapping_stores(per_warp=True, transposed=True), LaunchConfig(), mem)
     assert str(exc.value) == (
@@ -701,11 +760,11 @@ def test_fault_names_the_lowest_faulting_warp():
 def _shared_tile(num_warps: int, per_wg: bool) -> KernelFn:
     """Every warp of every workgroup stores a 4x4 block to the top of O: its
     program id where `per_wg`, else 1."""
-    fb = FunctionBuilder("shared", [("O", PtrType(F32))], num_warps=num_warps, level="warp")
+    fb = FunctionBuilder("shared", [("O", PtrType(I32))], num_warps=num_warps, level="warp")
     (o,) = fb.fn.args
     c0, c1, c4 = (fb.constant(v) for v in (0, 1, 4))
     ptr = fb.make_tensor_ptr(o, [c4, c4], [c4, c1], [c0, c0], (4, 4), (1, 0))
-    fb.store(ptr, fb.convert(fb.splat(fb.program_id(0) if per_wg else c1, (4, 4)), F32))
+    fb.store(ptr, fb.splat(fb.program_id(0) if per_wg else c1, (4, 4)))
     fb.ret()
     return fb.build()
 
@@ -713,7 +772,7 @@ def _shared_tile(num_warps: int, per_wg: bool) -> KernelFn:
 @pytest.mark.parametrize("num_warps", [1, 2])
 def test_workgroups_storing_one_tile_race_unless_the_bits_agree(num_warps):
     mem = DeviceMemory()
-    mem.set_tensor("O", np.zeros((4, 4)), F32)
+    mem.set_tensor("O", np.zeros((4, 4)), I32)
     with pytest.raises(SimError) as exc:
         run(_shared_tile(num_warps, per_wg=True), LaunchConfig(grid=(2, 1, 1)), mem)
     assert str(exc.value) == (
@@ -721,7 +780,7 @@ def test_workgroups_storing_one_tile_race_unless_the_bits_agree(num_warps):
         "not only reading it or storing the same bits (@shared wg=0 pid=(0, 0, 0) warp=0 tt.store)"
     )
     out = run(_shared_tile(num_warps, per_wg=False), LaunchConfig(grid=(2, 1, 1)), mem)
-    assert np.array_equal(out.tensor("O"), np.ones((4, 4), dtype=np.float32))
+    assert np.array_equal(out.tensor("O"), np.ones((4, 4)))
 
 
 def test_workgroup_loading_what_another_stored_races():
@@ -763,13 +822,13 @@ def _slm_echo(past_end: bool = False, warps: int = 2) -> KernelFn:
     """The last of `warps` warps of each workgroup stores its program id plus
     1 to an SLM row (one row further down if `past_end`); after a barrier,
     warp w of workgroup g loads the row and stores it to row g * warps + w of O."""
-    fb = FunctionBuilder("echo", [("O", PtrType(F32))], num_warps=warps, level="warp")
+    fb = FunctionBuilder("echo", [("O", PtrType(I32))], num_warps=warps, level="warp")
     (o,) = fb.fn.args
     c0, c1, c2, c4, c8 = (fb.constant(v) for v in (0, 1, warps, 4, 8))
     pid, wid = fb.program_id(0), fb.warp_id()
-    slm = fb.alloc((1, 4), F32)
+    slm = fb.alloc((1, 4), I32)
     fb.begin_if(fb.cmpi("eq", wid, fb.constant(warps - 1)))
-    row = fb.convert(fb.splat(fb.binary("arith.addi", pid, c1), (1, 4)), F32)
+    row = fb.splat(fb.binary("arith.addi", pid, c1), (1, 4))
     fb.store(fb.advance(slm, [c1, c0]) if past_end else slm, row)
     fb.end_if()
     fb.barrier()
@@ -784,9 +843,9 @@ def test_each_workgroup_has_its_own_slm(warps):
     # with one warp, no two rows of a workgroup share the SLM row, so no race
     # marks are kept on it; its load still reads each workgroup's own row
     mem = DeviceMemory()
-    mem.set_tensor("O", np.zeros((8, 4)), F32)
+    mem.set_tensor("O", np.zeros((8, 4)), I32)
     out = run(_slm_echo(warps=warps), LaunchConfig(grid=(3, 1, 1)), mem)
-    want = np.zeros((8, 4), dtype=np.float32)
+    want = np.zeros((8, 4), dtype=np.int32)
     want[: 3 * warps] = np.repeat(np.arange(1, 4), warps)[:, None]
     assert np.array_equal(out.tensor("O"), want)
     with pytest.raises(SimError) as exc:
@@ -798,7 +857,7 @@ def test_each_workgroup_has_its_own_slm(warps):
 
 def test_schedule_order_orders_the_trace_and_not_the_bits():
     mem = DeviceMemory()
-    mem.set_tensor("O", np.zeros((8, 4)), F32)
+    mem.set_tensor("O", np.zeros((8, 4)), I32)
     base = run(_slm_echo(), LaunchConfig(grid=(3, 1, 1)), mem)
     trace = RunTrace()
     out = run(_slm_echo(), LaunchConfig(grid=(3, 1, 1), wg_order=(2, 0, 1)), mem, trace=trace)
@@ -861,13 +920,13 @@ def _barrier_in_workgroup_zero_only(then_all: bool) -> KernelFn:
     """Warp 0 of each of 2 workgroups stores pid + 1 to an SLM row; only
     workgroup 0 reaches a barrier (and then, if `then_all`, every workgroup a
     second one); then warp 1 loads the row and stores it to row pid of O."""
-    fb = FunctionBuilder("part", [("O", PtrType(F32))], num_warps=2, level="warp")
+    fb = FunctionBuilder("part", [("O", PtrType(I32))], num_warps=2, level="warp")
     (o,) = fb.fn.args
     c0, c1, c2, c4 = (fb.constant(v) for v in (0, 1, 2, 4))
     pid, wid = fb.program_id(0), fb.warp_id()
-    slm = fb.alloc((1, 4), F32)
+    slm = fb.alloc((1, 4), I32)
     fb.begin_if(fb.cmpi("eq", wid, c0))
-    fb.store(slm, fb.convert(fb.splat(fb.binary("arith.addi", pid, c1), (1, 4)), F32))
+    fb.store(slm, fb.splat(fb.binary("arith.addi", pid, c1), (1, 4)))
     fb.end_if()
     fb.begin_if(fb.cmpi("eq", pid, c0))
     fb.barrier()
@@ -889,11 +948,11 @@ def test_a_barrier_keeps_the_race_marks_of_workgroups_not_at_it(then_all, forced
     if forced:
         prove_nothing(monkeypatch)
     mem = DeviceMemory()
-    mem.set_tensor("O", np.zeros((2, 4)), F32)
+    mem.set_tensor("O", np.zeros((2, 4)), I32)
     launch = LaunchConfig(grid=(2, 1, 1))
     if then_all:
         out = run(_barrier_in_workgroup_zero_only(then_all), launch, mem)
-        assert np.array_equal(out.tensor("O"), np.repeat([[1.0], [2.0]], 4, axis=1))
+        assert np.array_equal(out.tensor("O"), np.repeat([[1], [2]], 4, axis=1))
         return
     with pytest.raises(SimError) as exc:
         run(_barrier_in_workgroup_zero_only(then_all), launch, mem)
@@ -992,6 +1051,7 @@ def test_faults_read_the_same_with_every_check_forced_after_an_unforced_run(test
     def unforced_first(prog, launch, mem, trace=None):
         with monkeypatch.context() as mp, contextlib.suppress(SimError):
             mp.setattr(fp, "prove", prove)
+            mp.setattr(sim, "_PREPARED", weakref.WeakKeyDictionary())
             sim.run(prog, launch, mem)
         try:
             ready = prepare(prog, launch, mem)
@@ -1048,8 +1108,8 @@ def test_a_launch_is_proven_once_per_grid_order_and_buffer_sizes(monkeypatch):
     monkeypatch.setattr(fp, "prove", lambda *args: calls.append(args[0]) or prove(*args))
     fn, big = _pid_kernel(), DeviceMemory()
     mem = DeviceMemory()
-    mem.set_tensor("O", np.zeros((64, 8)), F32)
-    big.set_tensor("O", np.zeros((128, 8)), F32)
+    mem.set_tensor("O", np.zeros((64, 8)), I32)
+    big.set_tensor("O", np.zeros((128, 8)), I32)
     configs = [(LaunchConfig(grid=grid), mem) for grid in ((2, 1, 1), (4, 1, 1), (1, 2, 1))]
     configs += [(LaunchConfig(grid=(2, 1, 1), wg_order=(1, 0)), mem), (LaunchConfig(grid=(2, 1, 1)), big)]
     for n, (launch, m) in enumerate(configs, 1):
@@ -1074,7 +1134,7 @@ def test_a_dot_patched_after_a_run_is_reached(monkeypatch):
 
 def test_the_slm_budget_is_checked_on_every_launch():
     mem = DeviceMemory()
-    mem.set_tensor("O", np.zeros((8, 4)), F32)
+    mem.set_tensor("O", np.zeros((8, 4)), I32)
     fn = _slm_echo()
     run(fn, LaunchConfig(grid=(3, 1, 1)), mem)
     with pytest.raises(SimError) as exc:
@@ -1084,7 +1144,7 @@ def test_the_slm_budget_is_checked_on_every_launch():
 
 def test_an_slm_kernel_prepared_for_other_grids_matches_fresh_runs():
     mem = DeviceMemory()
-    mem.set_tensor("O", np.zeros((8, 4)), F32)
+    mem.set_tensor("O", np.zeros((8, 4)), I32)
     fn = _slm_echo()
     for grid in ((1, 1, 1), (2, 1, 1), (1, 1, 1)):
         got, fresh = prepare(fn, LaunchConfig(grid=grid), mem), prepare(_slm_echo(), LaunchConfig(grid=grid), mem)

@@ -8,7 +8,7 @@ from importlib.resources import files
 import pytest
 
 from tilec import sim
-from tilec.ir import WARP_ONLY_OPS, ElemType, FunctionBuilder, PtrType, scalar, verify
+from tilec.ir import WARP_ONLY_OPS, ElemType, FunctionBuilder, KernelFn, PtrType, scalar, verify
 from tilec.kernels import load_fixture
 from tilec.passes import compile_kernel
 from tilec.visa import (
@@ -23,6 +23,9 @@ from tilec.visa import (
     lower,
     parse_target,
 )
+
+F16 = ElemType.f16
+F32 = ElemType.f32
 
 
 def test_pvc_profile():
@@ -104,6 +107,53 @@ def test_non_pointer_argument_is_spelled_as_ir():
     with pytest.raises(LoweringError) as exc:
         lower(fb.build(), PVC)
     assert str(exc.value) == "@f: only buffer pointer arguments lower, %X is f32"
+
+
+def _intrinsic(build) -> KernelFn:
+    """An intrinsic-level kernel on an f32 buffer X whose body `build(fb, X)` writes."""
+    fb = FunctionBuilder("f", [("X", PtrType(F32))], level="intrinsic")
+    build(fb, fb.fn.args[0])
+    fb.ret()
+    return fb.build()
+
+
+def _load_64x64(fb, x) -> None:
+    c0, c1, c64 = (fb.constant(v) for v in (0, 1, 64))
+    fb.load(fb.make_tensor_ptr(x, [c64, c64], [c64, c1], [c0, c0], (64, 64), (1, 0)))
+
+
+def _dot_16x16x16(fb, x) -> None:
+    a = fb.splat(fb.constant(1.0, F16), (16, 16))
+    fb.dot(a, a, fb.splat(fb.constant(0.0), (16, 16)))
+
+
+@pytest.mark.parametrize(("build", "target", "message"), [
+    (_load_64x64, PVC, "@f: load block (64, 64) exceeds max load (32, 32)"),
+    (_dot_16x16x16, PVC, "@f: mma 16x16x16 violates max dot 8x16x16 (m may be smaller, n and k must match)"),
+    (lambda fb, x: fb.alloc((1, 4), F32), replace(PVC, slm_bytes=8), "@f: SLM use 16 bytes exceeds target budget 8"),
+    (lambda fb, x: fb.splat(fb.constant(1.0), (1, 24)), PVC, "vector length 24 not divisible by threadsPerWarp 16"),
+    (lambda fb, x: fb.splat(fb.constant(1.0, F16), (1, 3)), replace(PVC, style="simd"),
+     "odd f16 element count 3 cannot be packed"),
+], ids=["over_max_load", "over_max_dot", "slm_over_budget", "simt_lanes", "odd_packed_f16"])
+def test_lowering_rejects_what_the_target_cannot_run(build, target, message):
+    with pytest.raises(LoweringError) as exc:
+        lower(_intrinsic(build), target)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(("ub", "step", "message"), [
+    (lambda fb: fb.program_id(0), 1, "stats require constant loop bounds"),
+    (lambda fb: fb.constant(4), 0, "non-positive loop step 0"),
+], ids=["bounds_not_constant", "step_zero"])
+def test_stats_reject_a_loop_without_a_static_trip_count(ub, step, message):
+    def loop(fb, x):
+        fb.begin_for(fb.constant(0), ub(fb), fb.constant(step), [])
+        fb.end_for([])
+
+    prog = lower(_intrinsic(loop), PVC)
+    with pytest.raises(LoweringError) as exc:
+        count_stats(prog)
+    assert str(exc.value) == message
 
 
 def test_gemm_mnemonics(gemm_compiled):
