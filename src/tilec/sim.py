@@ -6,13 +6,13 @@ step of its own kind.  A vISA program is first raised to the intrinsic-level
 IR it spells (``visa.raise_program``), which is verified in its place, and
 each of its steps keeps its instruction's name for diagnostics.  A program
 that does not raise or verify fails with a `SimError` that carries the
-diagnostics, so every step the executor runs is well formed.  A step is a
-plain record that its maker fills in: decoding works out all that needs no
-runtime value, each step's shape and element type and the slices an extract
-reads or a glue writes, from the operand's static shape.  One executor runs
-the steps: it handles loops and branches itself and, for every other kind,
-calls the function that one semantics table holds for it when the step runs,
-so an op and the instruction it lowers to run the same code.
+diagnostics, so the executor runs nothing that ``ir.verify`` rejects.  A
+step is a plain record that its maker fills in: decoding works out all that
+needs no runtime value, each step's shape and element type and the slices
+an extract reads or a glue writes, from the operand's static shape.  One
+executor runs the steps: it handles loops and branches itself and, for every
+other kind, calls the function that one semantics table holds for it when
+the step runs, so an op and the instruction it lowers to run the same code.
 
 `prepare` also lays out SLM, proves footprints and groups pieces (below),
 and the `Launch` it returns holds all of that; `Launch.run` executes it on
@@ -737,7 +737,7 @@ class _Plan:
                     or (base := self.bases.get(id(s))) is None or base in self.marked):
                 return None
             one = at[0]
-        elif s.kind != "tt.dot" and (not s.shape or any(t[0] != (() if s.kind == "tt.splat" else s.shape)
+        elif s.kind != "tt.dot" and (not s.shape or any((t or ((),))[0] != (() if s.kind == "tt.splat" else s.shape)
                                                         for t in types)):
             return None
         elif s.kind == "tt.splat":

@@ -100,6 +100,31 @@ def _pid_kernel():
     return fb.build()
 
 
+def _counter_rows() -> KernelFn:
+    """On trip t of 4, stores t to row t, columns 0-1, of a 4x4 O, and from
+    a one-trip inner loop whose carry starts at t, t to columns 2-3."""
+    fb = FunctionBuilder("counter", [("O", PtrType(I32))], level="warp")
+    (o,) = fb.fn.args
+    c0, c1, c2, c4 = (fb.constant(v) for v in (0, 1, 2, 4))
+    t, _ = fb.begin_for(c0, c4, c1, [])
+    fb.store(fb.make_tensor_ptr(o, [c4, c4], [c4, c1], [t, c0], (1, 2), (1, 0)), fb.splat(t, (1, 2)))
+    _, (c,) = fb.begin_for(c0, c1, c1, [t])
+    fb.store(fb.make_tensor_ptr(o, [c4, c4], [c4, c1], [t, c2], (1, 2), (1, 0)), fb.splat(c, (1, 2)))
+    fb.end_for([c])
+    fb.end_for([])
+    fb.ret()
+    return fb.build()
+
+
+@pytest.mark.parametrize("grouped", [True, False])
+def test_a_splat_of_a_loop_counter_or_of_a_carry_it_starts_runs(grouped, monkeypatch):
+    if not grouped:
+        ungrouped(monkeypatch)
+    mem = DeviceMemory()
+    mem.set_tensor("O", np.full((4, 4), -1), I32)
+    assert run(_counter_rows(), LaunchConfig(), mem).tensor("O").tolist() == [[t] * 4 for t in range(4)]
+
+
 def test_grid_covers_all_workgroups():
     fn = _pid_kernel()
     mem = DeviceMemory()
@@ -201,17 +226,9 @@ def test_malformed_visa_instruction_rejected_at_decode(instr, message):
     assert str(exc.value) == f"@bogus: {message}"
 
 
-def test_piece_outside_its_tile_rejected_at_decode():
-    fb = FunctionBuilder("cut", [], level="intrinsic")
-    fb.extract(fb.splat(fb.constant(1.0), (8, 8)), 4, (4, 4))
-    fb.ret()
-    with pytest.raises(SimError, match=r"^@cut: tt.extract: index must lie in \[0, 4\) for sub-block grid \(2, 2\)$"):
-        run(fb.build(), LaunchConfig(), DeviceMemory())
-
-
-def _malformed_ir(build) -> KernelFn:
-    """A warp-level kernel on an f32 buffer X whose body `build(fb, X)` writes."""
-    fb = FunctionBuilder("bad", [("X", PtrType(F32))], level="warp")
+def _malformed_ir(build, level: str = "warp") -> KernelFn:
+    """A kernel at `level` on an f32 buffer X whose body `build(fb, X)` writes."""
+    fb = FunctionBuilder("bad", [("X", PtrType(F32))], level=level)
     build(fb, fb.fn.args[0])
     fb.ret()
     return fb.build()
@@ -249,7 +266,7 @@ def _const(reg: str, value, elem: ElemType) -> VInstr:
     (_malformed_ir(lambda fb, x: fb.op("tt.load", [fb.constant(0)], {}, [scalar(I32)])),
      "tt.load: operand must be a block pointer"),
     (_malformed_ir(_rank_1_dot), "tt.dot: operands must be rank-2 tensors"),
-    (_malformed_ir(lambda fb, x: fb.extract(fb.splat(fb.constant(1.0), (8, 8)), 4, (4, 4))),
+    (_malformed_ir(lambda fb, x: fb.extract(fb.splat(fb.constant(1.0), (8, 8)), 4, (4, 4)), "intrinsic"),
      "tt.extract: index must lie in [0, 4) for sub-block grid (2, 2)"),
     (_malformed_visa(VInstr(VOpcode.extract, "ptr", ("%0",), ("%X",), {"index": 0}, (8, 8), F32)),
      "tt.extract: block-typed source required"),
