@@ -674,11 +674,14 @@ def _verify_op(fn: KernelFn, op: Operation, err: Callable[..., None]) -> None:
             return
         if not _is_scalar(body.args[0].type, ElemType.i32):
             err(f"{k}: induction variable must be i32", op)
-        for init, arg in zip(inits, body.args[1:]):
-            if not same_block(init.type, arg.type):
-                from .textio import _type_desc  # textio imports ir
+        from .textio import _type_desc  # textio imports ir
 
+        for i, (init, arg) in enumerate(zip(inits, body.args[1:])):
+            if not same_block(init.type, arg.type):
                 err(f"{k}: iter arg type {_type_desc(arg.type)} != init type {_type_desc(init.type)}", op)
+            elif isinstance(init.type, PtrType) and not init.type.is_block:
+                err(f"{k}: iter arg {i} carries buffer pointer {_type_desc(init.type)}; a loop carries tiles, "
+                    "scalars and block pointers", op)
         if n_out != len(inits) or any(not same_block(r.type, i.type) for r, i in zip(op.results, inits)):
             err(f"{k}: results must mirror the iter args", op)
         if not body.ops or body.ops[-1].kind != "scf.yield":

@@ -78,8 +78,11 @@ start a run of its own.  Its members are
   result.  ``match_target_size`` emits the unit dots of one k chunk of all
   pieces back to back, so each k chunk of a dot is one run;
 - loads, or stores, through the pointer extracts that cover one block once,
-  each proven in bounds, on a buffer that keeps no race marks: one access
-  of the block, which a traced run logs per piece, in the pieces' order.
+  on a buffer that keeps no race marks: one access of the block, which a
+  traced run logs per piece, in the pieces' order.  Any bounds check the
+  pieces need is made once on the whole block, which leaves its bounds
+  exactly where some piece does; a failure names the piece, as the first
+  piece to fail would on its own.
 
 A loop's carries that are the pieces of one block that one ``tt.advance``
 moves, or the results of a dot group that only the yield reads, are carried
@@ -93,11 +96,11 @@ from the same operand elements by the same operation as its pieces do; a
 group runs at its last member's place and every other step at its own, so
 its other members run later only past movable steps (which touch no buffer,
 do not synchronize and cannot raise) that read none of them; an access
-group skips no check its pieces would make.  So nothing that can raise
-groups (an integer division or remainder), nor an access that is not proven
-or keeps marks, nor pieces that do not cover one block once (a repeated
-extract index), nor dots off a grid: those run as written.  A movable step
-whose result no step reads any more is left out.
+group skips no check its pieces would make, and fails as they would.  So
+nothing else that can raise groups (an integer division or remainder), nor
+an access that keeps marks, nor pieces that do not cover one block once (a
+repeated extract index), nor dots off a grid: those run as written.  A
+movable step whose result no step reads any more is left out.
 
 f16 tiles are f32 arrays rounded to binary16, ties to even, after every
 producing step: from 65520 up they round to inf, below 2**-14 to multiples of
@@ -388,27 +391,45 @@ def _geometry(ctx: _Ctx, base: str, block: tuple[int, ...], strides: np.ndarray)
     return -neg, size - 1 - pos, groups
 
 
+def _window(ctx: _Ctx, bp: BlockPointer) -> tuple:
+    """`_geometry` of `bp`'s buffer, block shape and strides, made once per run."""
+    if (key := (bp.base, bp.block_shape, bp.dims[:, 1].tobytes())) not in ctx.windows:
+        ctx.windows[key] = _geometry(ctx, bp.base, bp.block_shape, bp.dims[:, 1])
+    return ctx.windows[key]
+
+
+def _bounds(ctx: _Ctx, name: str, bp: BlockPointer, lo: np.ndarray, hi: np.ndarray, first: np.ndarray) -> None:
+    """Fail if an active row's block leaves its global shape in some dim, or
+    if its first element's offset `first` is outside [`lo`, `hi`], where the
+    block leaves the row's workgroup's part of the buffer (see _geometry)."""
+    glob, offs = bp.dims[:, 0], bp.dims[:, 2]
+    bad = (offs < 0) | (offs + bp.block_shape > glob)
+    if bad.any() and (bad := bad & ctx.act[:, None]).any():
+        w, d = np.argwhere(bad)[0]
+        o, b, g = offs[w, d], bp.block_shape[d], glob[w, d]
+        raise SimError(f"out-of-bounds block access: dim {d} window [{o}, {o + b}) outside [0, {g}) "
+                       f"({ctx.where(name, w)})")
+    bad = (first < lo) | (first > hi)
+    if bad.any() and (bad := bad & ctx.act).any():
+        raise SimError(f"out-of-bounds block access: flat index beyond buffer of {ctx.bufs[bp.base][2]} "
+                       f"({ctx.where(name, np.argmax(bad))})")
+
+
 def _access(ctx: _Ctx, s: _Step, bp: BlockPointer, value: np.ndarray | None = None) -> list[tuple]:
     """For a load, or a store of `value`, once it is checked (and logged if
     traced): per distinct strides, the active rows with them, their items and
     the windows (see _geometry)."""
-    _, buf, size, off = ctx.bufs[bp.base]
-    glob, strides, offs = bp.dims[:, 0], bp.dims[:, 1], bp.dims[:, 2]
-    if (key := (bp.base, bp.block_shape, strides.tobytes())) not in ctx.windows:
-        ctx.windows[key] = _geometry(ctx, bp.base, bp.block_shape, strides)
-    lo, hi, groups = ctx.windows[key]
+    off, strides, offs = ctx.bufs[bp.base][3], bp.dims[:, 1], bp.dims[:, 2]
+    lo, hi, groups = _window(ctx, bp)
     first = (offs * strides).sum(axis=1)
     if id(s) not in ctx.inbounds:  # else no row of the launch leaves its bounds here (see footprints)
-        bad = (offs < 0) | (offs + bp.block_shape > glob)
-        if bad.any() and (bad := bad & ctx.act[:, None]).any():
-            w, d = np.argwhere(bad)[0]
-            o, b, g = offs[w, d], bp.block_shape[d], glob[w, d]
-            at = ctx.where(s.name, w)
-            raise SimError(f"out-of-bounds block access: dim {d} window [{o}, {o + b}) outside [0, {g}) ({at})")
-        bad = (first < lo) | (first > hi)
-        if bad.any() and (bad := bad & ctx.act).any():
-            at = ctx.where(s.name, np.argmax(bad))
-            raise SimError(f"out-of-bounds block access: flat index beyond buffer of {size} ({at})")
+        try:
+            _bounds(ctx, s.name, bp, lo, hi, first)
+        except SimError:  # a group's pieces cover its block once, so some piece leaves where the block
+            for o, block in s.slices:  # does: fail as the first of them would, run on its own
+                p = _moved(bp, o, block)
+                _bounds(ctx, s.name, p, *_window(ctx, p)[:2], (p.dims[:, 2] * strides).sum(axis=1))
+            raise
     if ctx.log is not None:  # a group logs each member's access, in member order
         rows, epochs = offs[ctx.ids], ctx.epoch[ctx.wg[ctx.ids]]
         for o, block in s.slices or ((0, bp.block_shape),):
@@ -725,16 +746,15 @@ class _Plan:
         """What every member of a run that `s` is in shares, or None if `s`
         cannot start one: an elementwise op, a convert or a splat on operands
         shaped like its result (a splat: on a scalar); a dot; a load or store
-        of a piece of a block by an extract, proven in bounds, on a buffer
-        that keeps no race marks.  Members do one thing to equally typed
-        operands; splats splat one scalar, and an access reads pieces of one
-        block."""
+        of a piece of a block by an extract on a buffer that keeps no race
+        marks.  Members do one thing to equally typed operands; splats splat
+        one scalar, and an access reads pieces of one block."""
         if s.kind not in _GROUPED and s.kind not in _PLACED:
             return None
         types, one = tuple(self.types.get(k) for k in s.operands), None
         if s.kind in ("tt.load", "tt.store"):
-            if (id(s) not in self.inbounds or (at := self.where(s.operands[0])) is None
-                    or (base := self.bases.get(id(s))) is None or base in self.marked):
+            if ((at := self.where(s.operands[0])) is None or (base := self.bases.get(id(s))) is None
+                    or base in self.marked):
                 return None
             one = at[0]
         elif s.kind != "tt.dot" and (not s.shape or any((t or ((),))[0] != (() if s.kind == "tt.splat" else s.shape)
@@ -867,7 +887,7 @@ class _Plan:
         placed by `at` (their layout, or `()` to work it out now), after the
         splats its operands need.  It binds each member's result as a view of
         its own.  An access group accesses the block once and logs it per
-        member, in their order."""
+        member, in their order; it is proven in bounds if they all are."""
         m0, self.splats, slices = members[0], [], ()
         whole, origins = at or self.layout(members)
         access = m0.kind in ("tt.load", "tt.store")
@@ -888,7 +908,7 @@ class _Plan:
         binds = tuple((m.results[0], _box(o, m.shape)) for m, o in zip(members, origins) if m.results)
         g = _Step(m0.kind, m0.name, tuple(ops), (object(),) * bool(m0.results), m0.attrs, whole, m0.elem, False,
                   None, slices, binds)
-        if access:
+        if access and all(id(m) in self.inbounds for m in members):
             self.inbounds.add(id(g))
         if g.results:
             self.made[g.results[0]] = g

@@ -185,11 +185,11 @@ def _unit_name(elem: ElemType, pack: int, as_bits: bool) -> str:
     return elem.value
 
 
-def _width(numel: int, elem: ElemType, packed: bool, target: TargetConfig, as_bits: bool):
-    """(vector_len, unit, unit_bytes, lane_distributed) for one block."""
+def _width(fn: str, numel: int, elem: ElemType, packed: bool, target: TargetConfig, as_bits: bool):
+    """(vector_len, unit, unit_bytes, lane_distributed) for one block of function `fn`."""
     pack = 2 if elem == ElemType.f16 and (target.style == "simd" or packed) else 1
     if numel % pack:
-        raise LoweringError(f"odd f16 element count {numel} cannot be packed")
+        raise LoweringError(f"@{fn}: odd f16 element count {numel} cannot be packed")
     units = numel // pack
     unit = _unit_name(elem, pack, as_bits)
     ub = _UNIT_BYTES[unit]
@@ -200,7 +200,7 @@ def _width(numel: int, elem: ElemType, packed: bool, target: TargetConfig, as_bi
             return units // tpw, unit, ub, True
         if units < tpw:
             return units, unit, ub, False  # warp-uniform small block
-        raise LoweringError(f"vector length {units} not divisible by threadsPerWarp {tpw}")
+        raise LoweringError(f"@{fn}: vector length {units} not divisible by threadsPerWarp {tpw}")
     return units, unit, ub, lane_ok
 
 
@@ -346,7 +346,7 @@ class _Lowerer:
         packed = bool(op.results) and id(op.results[0]) in self.packed
         if rule == "view":
             return (t.shape, t.elem, *_view_width(src.numel, src.elem, packed, self.target))
-        return (t.shape, t.elem, *_width(src.numel, src.elem, packed, self.target, rule == "bits"))
+        return (t.shape, t.elem, *_width(self.fn.name, src.numel, src.elem, packed, self.target, rule == "bits"))
 
     def lower_op(self, op: Operation) -> VInstr:
         k = op.kind
@@ -390,8 +390,8 @@ class _Lowerer:
                 )
         widths = self._widths(op, rule)
         if k == "tt.dot":  # result, a and b widths; a and b as raw bits
-            wa = _width(ta.numel, ta.elem, id(op.operands[0]) in self.packed, self.target, True)
-            wb = _width(tb.numel, tb.elem, id(op.operands[1]) in self.packed, self.target, True)
+            wa = _width(self.fn.name, ta.numel, ta.elem, id(op.operands[0]) in self.packed, self.target, True)
+            wb = _width(self.fn.name, tb.numel, tb.elem, id(op.operands[1]) in self.packed, self.target, True)
             mn = f"{mn}.v{widths[2]}{widths[3]}.v{wa[0]}{wa[1]}.v{wb[0]}{wb[1]}"
         return VInstr(opcode, sub, res, opnd, attrs, *widths, mn, body)
 
@@ -561,11 +561,11 @@ def count_stats(prog: VProgram) -> Stats:
         vals = []
         for r in instr.operands[:3]:
             if r not in consts:
-                raise LoweringError("stats require constant loop bounds")
+                raise LoweringError(f"@{prog.name}: stats require constant loop bounds")
             vals.append(consts[r])
         lb, ub, step = vals
         if step <= 0:
-            raise LoweringError(f"non-positive loop step {step}")
+            raise LoweringError(f"@{prog.name}: non-positive loop step {step}")
         return max(0, -(-(ub - lb) // step))
 
     def scan(instrs: list[VInstr], mult: int) -> None:

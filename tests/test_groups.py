@@ -40,7 +40,7 @@ def _outcome(prog, name: str, seed: int) -> tuple:
 @pytest.mark.parametrize("forced", [False, True], ids=["proven", "forced"])
 @pytest.mark.parametrize("name", FIXTURE_NAMES)
 def test_grouped_runs_give_the_bits_and_trace_of_ungrouped_runs(name, forced, monkeypatch):
-    if forced:  # no access is proven, so no access groups; value groups still form
+    if forced:  # nothing is proven: access groups form only on buffers no store reaches, and check bounds
         prove_nothing(monkeypatch)
     for seed in (suite()[name].seed, 7):
         for level in LEVELS:
@@ -76,8 +76,8 @@ STEPS = {
     "gemm_256": (35, [7]),
     "fa2_d64": (34, [29]),
     "fa2_d128": (34, [33]),
-    "paged_wg": (13, [45]),
-    "paged_warp": (33, [4, 51, 5]),
+    "paged_wg": (13, [31]),
+    "paged_warp": (33, [4, 37, 5]),
 }
 
 
@@ -88,19 +88,19 @@ GROUPS = {
                 "tt.load": 3, "tt.store": 1},
     "fa2_d128": {"arith.divf": 1, "arith.mulf": 1, "arith.subf": 1, "math.exp": 1, "tt.convert": 2, "tt.dot": 12,
                  "tt.load": 3, "tt.store": 1},
-    "paged_wg": {"arith.divf": 1, "arith.subf": 1, "math.exp": 1, "tt.convert": 1, "tt.dot": 8, "tt.load": 1,
+    "paged_wg": {"arith.divf": 1, "arith.subf": 1, "math.exp": 1, "tt.convert": 1, "tt.dot": 8, "tt.load": 3,
                  "tt.store": 1},
     "paged_warp": {"arith.divf": 1, "arith.mulf": 2, "arith.subf": 1, "math.exp": 1, "tt.convert": 1, "tt.dot": 8,
-                   "tt.load": 1, "tt.store": 1},
+                   "tt.load": 3, "tt.store": 1},
 }
 
 
 # the same on each of `TARGETS`, where they differ from STEPS and GROUPS
 TARGET_STEPS = {
     "pvc_simd": STEPS,
-    "load16": {**STEPS, "paged_wg": (13, [93]), "paged_warp": (37, [6, 99, 5])},
+    "load16": {**STEPS, "paged_warp": (37, [6, 37, 5])},
     "dot8": STEPS,
-    "lanes32": {**STEPS, "paged_wg": (13, [37]), "paged_warp": (30, [3, 43, 5])},
+    "lanes32": {**STEPS, "paged_warp": (30, [3, 37, 5])},
 }
 TARGET_GROUPS = {
     "pvc_simd": GROUPS,
@@ -110,8 +110,9 @@ TARGET_GROUPS = {
         **GROUPS,
         "gemm_256": {"tt.dot": 2, "tt.store": 1},
         "fa2_d64": {**GROUPS["fa2_d64"], "tt.load": 2},
-        "paged_wg": {"arith.divf": 1, "arith.subf": 1, "math.exp": 1, "tt.convert": 1, "tt.dot": 8, "tt.store": 1},
-        "paged_warp": {"arith.mulf": 2, "arith.subf": 1, "math.exp": 1, "tt.convert": 1, "tt.dot": 8},
+        "paged_wg": {"arith.divf": 1, "arith.subf": 1, "math.exp": 1, "tt.convert": 1, "tt.dot": 8, "tt.load": 2,
+                     "tt.store": 1},
+        "paged_warp": {"arith.mulf": 2, "arith.subf": 1, "math.exp": 1, "tt.convert": 1, "tt.dot": 8, "tt.load": 2},
     },
 }
 
@@ -268,3 +269,74 @@ def test_a_chain_no_step_reads_is_left_out_in_full(monkeypatch):
     with monkeypatch.context() as mp:
         ungrouped(mp)
         assert outcome(prog, launch, mem) == grouped
+
+
+def _gather(x_rows: int, y_rows: int) -> KernelFn:
+    """Two warps: warp w loads the 16x16 block of X (16 columns, `x_rows`
+    rows by its global shape) at the row that OFF holds at w, as its two 8x16
+    pieces, and stores them at row 16*w of Y (`y_rows` rows)."""
+    f32 = PtrType(ElemType.f32)
+    fb = FunctionBuilder("gather", [("X", f32), ("OFF", PtrType(ElemType.i32)), ("Y", f32)], num_warps=2,
+                         level="intrinsic")
+    x, off, y = fb.fn.args
+    w, (c0, c1, c2, c16) = fb.warp_id(), (fb.constant(v) for v in (0, 1, 2, 16))
+    row = fb.reduce(fb.load(fb.make_tensor_ptr(off, [c2], [c1], [w], (1,), (0,))), "max", 0)
+    src = fb.make_tensor_ptr(x, [fb.constant(x_rows), c16], [c16, c1], [row, c0], (16, 16), (1, 0))
+    pieces = [fb.load(fb.extract(src, i, (8, 16))) for i in range(2)]
+    dst = fb.make_tensor_ptr(y, [fb.constant(y_rows), c16], [c16, c1], [fb.binary("arith.muli", w, c16), c0],
+                             (16, 16), (1, 0))
+    for i, piece in enumerate(pieces):
+        fb.store(fb.extract(dst, i, (8, 16)), piece)
+    fb.ret()
+    return fb.build()
+
+
+# X and Y hold 24 rows of 16 but for `y_held`; per case: the kernel's global
+# rows of X and Y, OFF, Y's rows held, and the message (None: the run passes)
+_GATHERS = {
+    "in_bounds": (24, 32, [0, 8], 32, None),
+    # warp 1's second piece, rows [20, 28); the whole block's window is [12, 28)
+    "load_leaves_its_shape": (24, 32, [0, 12], 32,
+                              "dim 0 window [20, 28) outside [0, 24) (@gather wg=0 pid=(0, 0, 0) warp=1 tt.load)"),
+    # warp 1's first piece, rows [20, 28) of 32, overruns X; the whole block also leaves its shape there
+    "load_overruns_its_buffer": (32, 32, [12, 20], 32,
+                                 "flat index beyond buffer of 384 (@gather wg=0 pid=(0, 0, 0) warp=1 tt.load)"),
+    # warp 1's second piece, rows [24, 32) of 32, overruns Y
+    "store_overruns_its_buffer": (24, 32, [0, 8], 24,
+                                  "flat index beyond buffer of 384 (@gather wg=0 pid=(0, 0, 0) warp=1 tt.store)"),
+}
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["proven", "forced"])
+@pytest.mark.parametrize("case", _GATHERS)
+def test_an_unproven_access_group_checks_its_block_and_fails_as_its_pieces_do(case, forced, monkeypatch):
+    # the loads' offsets are loaded, so no load of a piece is proven in
+    # bounds; an unproven group checks its whole block, then fails as the
+    # first piece that leaves its bounds would on its own
+    x_rows, y_rows, offs, y_held, message = _GATHERS[case]
+    prog, launch, mem = _gather(x_rows, y_rows), sim.LaunchConfig(), DeviceMemory()
+    mem.set_tensor("X", np.arange(384).reshape(24, 16) / 8, ElemType.f32)
+    mem.set_tensor("OFF", np.array(offs), ElemType.i32)
+    mem.set_tensor("Y", np.zeros((y_held, 16)), ElemType.f32)
+    if forced:  # Y then keeps race marks, so its stores run as written
+        prove_nothing(monkeypatch)
+    ready = prepare(prog, launch, mem)
+    groups = [s for s in sim._walk(ready.steps) if s.binds is not None]
+    assert [s.kind for s in groups] == ["tt.load"] + ["tt.store"] * (not forced)
+    # a store that stays inside Y's global shape is proven in bounds, and its group with it
+    assert [id(s) in ready.inbounds for s in groups] == [False] + [y_held == y_rows] * (not forced)
+
+    def run() -> object:
+        try:
+            return outcome(prog, launch, mem)
+        except sim.SimError as exc:
+            return str(exc)
+
+    got, x = run(), mem.tensor("X")
+    if message is None:  # warp 0 copies X's rows [0, 16), warp 1 its rows [8, 24)
+        assert np.array_equal(np.frombuffer(got[0]["Y"], np.float32).reshape(32, 16), np.vstack([x[:16], x[8:]]))
+    else:
+        assert got == f"out-of-bounds block access: {message}"
+    with monkeypatch.context() as mp:
+        ungrouped(mp)
+        assert run() == got

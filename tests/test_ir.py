@@ -275,6 +275,8 @@ _VERIFY_CASES = {
     "for_iter_arg": ("scf.for: iter arg type tensor<8x8xi32> != init type tensor<8x8xf32>",
                      lambda fb, v: fb.op("scf.for", [v.i, v.i, v.i, v.c], {}, [v.c.type],
                                          [_body(v.i.type, v.n.type, yields=[v.c])])),
+    "for_buffer_ptr": ("scf.for: iter arg 0 carries buffer pointer !tt.ptr<f16>; a loop carries tiles, scalars and "
+                       "block pointers", lambda fb, v: fb.end_for(list(fb.begin_for(v.i, v.i, v.i, [v.X])[1]))),
     "for_results": ("scf.for: results must mirror the iter args",
                     lambda fb, v: fb.op("scf.for", [v.i, v.i, v.i, v.c], {}, [],
                                         [_body(v.i.type, v.c.type, yields=[v.c])])),

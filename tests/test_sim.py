@@ -252,6 +252,13 @@ def _rank_1_dot(fb, x) -> None:
     fb.dot(a, a, a)  # its result is read by no step
 
 
+def _buffer_pointer_carry(fb, x) -> None:
+    c0, c1, c4 = (fb.constant(v) for v in (0, 1, 4))
+    _, (p,) = fb.begin_for(c0, c4, c1, [x])
+    (q,) = fb.end_for([p])
+    fb.store(fb.make_tensor_ptr(q, [c4, c4], [c4, c1], [c0, c0], (4, 4), (1, 0)), fb.splat(fb.constant(1.0), (4, 4)))
+
+
 def _malformed_visa(*body: VInstr) -> VProgram:
     return VProgram("bad", (("X", F32),), 1, "simt", 16, [*body, VInstr(VOpcode.loop_ctl, "ret")])
 
@@ -275,8 +282,10 @@ def _const(reg: str, value, elem: ElemType) -> VInstr:
     (_malformed_visa(_const("%0", 0, I32), _const("%1", 1, I32),
                      VInstr(VOpcode.loop_ctl, "for", (), ("%0", "%1", "%1"), {"iv": "%2", "iters": []}, body=[])),
      "scf.for: body must end in scf.yield"),
+    (_malformed_ir(_buffer_pointer_carry),
+     "scf.for: iter arg 0 carries buffer pointer !tt.ptr<f32>; a loop carries tiles, scalars and block pointers"),
 ], ids=["tile_base", "for_without_yield", "load_of_a_scalar", "rank_1_dot", "extract_out_of_grid",
-        "visa_extract_ptr_of_an_argument", "visa_mma_of_scalars", "visa_for_with_empty_body"])
+        "visa_extract_ptr_of_an_argument", "visa_mma_of_scalars", "visa_for_with_empty_body", "buffer_pointer_carry"])
 def test_a_malformed_program_fails_verification_as_a_sim_error(prog, message):
     mem = DeviceMemory()
     mem.set_tensor("X", np.zeros((8, 8)), F32)

@@ -131,9 +131,9 @@ def _dot_16x16x16(fb, x) -> None:
     (_load_64x64, PVC, "@f: load block (64, 64) exceeds max load (32, 32)"),
     (_dot_16x16x16, PVC, "@f: mma 16x16x16 violates max dot 8x16x16 (m may be smaller, n and k must match)"),
     (lambda fb, x: fb.alloc((1, 4), F32), replace(PVC, slm_bytes=8), "@f: SLM use 16 bytes exceeds target budget 8"),
-    (lambda fb, x: fb.splat(fb.constant(1.0), (1, 24)), PVC, "vector length 24 not divisible by threadsPerWarp 16"),
+    (lambda fb, x: fb.splat(fb.constant(1.0), (1, 24)), PVC, "@f: vector length 24 not divisible by threadsPerWarp 16"),
     (lambda fb, x: fb.splat(fb.constant(1.0, F16), (1, 3)), replace(PVC, style="simd"),
-     "odd f16 element count 3 cannot be packed"),
+     "@f: odd f16 element count 3 cannot be packed"),
 ], ids=["over_max_load", "over_max_dot", "slm_over_budget", "simt_lanes", "odd_packed_f16"])
 def test_lowering_rejects_what_the_target_cannot_run(build, target, message):
     with pytest.raises(LoweringError) as exc:
@@ -142,8 +142,8 @@ def test_lowering_rejects_what_the_target_cannot_run(build, target, message):
 
 
 @pytest.mark.parametrize(("ub", "step", "message"), [
-    (lambda fb: fb.program_id(0), 1, "stats require constant loop bounds"),
-    (lambda fb: fb.constant(4), 0, "non-positive loop step 0"),
+    (lambda fb: fb.program_id(0), 1, "@f: stats require constant loop bounds"),
+    (lambda fb: fb.constant(4), 0, "@f: non-positive loop step 0"),
 ], ids=["bounds_not_constant", "step_zero"])
 def test_stats_reject_a_loop_without_a_static_trip_count(ub, step, message):
     def loop(fb, x):
