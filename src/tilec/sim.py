@@ -672,8 +672,8 @@ def _group(steps: list[_Step], flat: list[_Step], bases: dict[int, Any], inbound
     the piece groups of each block run as one step each, and every movable
     step whose results no step reads left out.  `bases` holds each access
     step's buffer where the proof found it, `inbounds` the access steps proven
-    in bounds (it gains the access groups), `marked` the buffers that keep
-    race marks."""
+    in bounds (it gains each access group whose members all are), `marked`
+    the buffers that keep race marks."""
     types: dict[Any, tuple] = {}  # per key: (shape, elem, is_ptr) of its value
     for s in flat:  # a loop's carries and results are typed like its inits
         if s.kind == "scf.for":
