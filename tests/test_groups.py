@@ -291,8 +291,8 @@ def _gather(x_rows: int, y_rows: int) -> KernelFn:
     return fb.build()
 
 
-# X and Y hold 24 rows of 16 but for `y_held`; per case: the kernel's global
-# rows of X and Y, OFF, Y's rows held, and the message (None: the run passes)
+# X holds 24 rows of 16; per case: the kernel's global rows of X and Y, OFF,
+# the rows of 16 that Y holds, and the message (None: the run passes)
 _GATHERS = {
     "in_bounds": (24, 32, [0, 8], 32, None),
     # warp 1's second piece, rows [20, 28); the whole block's window is [12, 28)
