@@ -39,7 +39,7 @@ from typing import Any, NamedTuple
 
 import numpy as np
 
-from .ir import ELEMENTWISE_INT, ElemType
+from .ir import ELEMENTWISE_INT, ElemType, trip_count
 
 LOADED = "offset depends on a loaded value"
 _TILE = "offset depends on a tile or float value"
@@ -145,7 +145,7 @@ def prove(steps: list, flat: list, ctx: Any, roots: dict[Any, str]) -> Footprint
         (lb, ub, st), init, j, k, inner = a[:3], a[3:], loops[id(s)], None, span.copy()
         env[s.attrs["iv"]] = _BOUNDS
         if all(type(x) is np.ndarray and x.ndim == 1 for x in a[:3]) and (st > 0).all():
-            k = np.maximum(0, -((lb.astype(np.int64) - ub) // st))  # each row's trip count, as the run counts it
+            k = trip_count(lb.astype(np.int64), ub, st)  # each row's trip count
             inner[j], reach = np.maximum(k - 1, 0), reach & (k > 0)
             env[s.attrs["iv"]] = i32(lift(lb) + unit[j] * st, inner)
         carried = [x._replace(root=(*x.root, (id(s), c))) if type(x) is _Form else x if type(x) is str

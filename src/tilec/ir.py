@@ -253,6 +253,14 @@ def loop_carries(op: Operation) -> list[list[Value]]:
     return groups
 
 
+def trip_count(lb: Any, ub: Any, step: Any) -> Any:
+    """The trips of ``scf.for %i = lb to ub step step`` for a positive
+    step: ceil((ub - lb) / step), and 0 where that is negative.  On Python
+    ints, or elementwise on numpy integer arrays."""
+    n = -((lb - ub) // step)
+    return n * (n > 0)
+
+
 # --------------------------------------------------------------------------
 # verification
 

@@ -69,8 +69,7 @@ to equally typed operands, with only movable steps that read no member
 between them; any other step closes the run, and so does one that could
 start a run of its own.  Its members are
 
-- elementwise ops, converts or splats on operands shaped like their result
-  (a splat: on one scalar);
+- elementwise ops or converts on operands shaped like their result;
 - dots whose A and B pieces form the rows and columns of a grid, in
   row-major order: the group reads whole A, B and accumulator tiles, and
   ``_dot`` cuts them by its piece shape into views of that grid, one matmul
@@ -88,18 +87,22 @@ A loop's carries that are the pieces of one block that one ``tt.advance``
 moves, or the results of a dot group that only the yield reads, are carried
 whole.
 
-A group reads an operand as a box of one value where its pieces sit in
-place in it (through extract indices, read through ``ir.block_origin``, or
-as another group's results), and glues it as it runs otherwise.  Bits,
-trace order and errors cannot move: a grouped kind works out each element
-from the same operand elements by the same operation as its pieces do; a
-group runs at its last member's place and every other step at its own, so
-its other members run later only past movable steps (which touch no buffer,
-do not synchronize and cannot raise) that read none of them; an access
-group skips no check its pieces would make, and fails as they would.  So
-nothing else that can raise groups (an integer division or remainder), nor
-an access that keeps marks, nor pieces that do not cover one block once (a
-repeated extract index), nor dots off a grid: those run as written.  A
+A group reads each operand in one of three ways: one value as it is (also
+where every member reads that value and it is shaped like the whole), a box
+of one value where its pieces sit in place in it (through extract indices,
+read through ``ir.block_origin``, or as another group's results), or a
+splat of one scalar to the whole where its pieces all splat that scalar.
+A run with an operand read none of these ways, or whose pieces form no
+whole, runs as written: its members in order, at its last member's place.
+Bits, trace order and errors cannot move: a grouped kind works out each
+element from the same operand elements by the same operation as its pieces
+do; a group runs at its last member's place and every other step at its
+own, so its other members run later only past movable steps (which touch no
+buffer, do not synchronize and cannot raise) that read none of them; an
+access group skips no check its pieces would make, and fails as they would.
+So nothing else that can raise groups (an integer division or remainder),
+nor an access that keeps marks, nor pieces that do not cover one block once
+(a repeated extract index), nor dots off a grid: those run as written.  A
 movable step whose result no step reads any more is left out.
 
 f16 tiles are f32 arrays rounded to binary16, ties to even, after every
@@ -130,7 +133,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from . import footprints
 from .ir import (CMP_PREDS, ELEMENTWISE_FLOAT, ELEMENTWISE_INT, ElemType, KernelFn, Operation, PtrType, VerifyError,
-                 block_origin, tile_type, verify_or_raise)
+                 block_origin, tile_type, trip_count, verify_or_raise)
 from .textio import _type_desc
 from .visa import PVC, LoweringError, TargetConfig, VProgram, raise_program
 
@@ -559,7 +562,9 @@ class _Step:
 
     kind: str  # IR op kind, which finds the step's semantics
     name: str  # the op as the program spells it, for diagnostics
-    operands: tuple  # env keys: the ids of the values the op reads
+    # env keys: the ids of the values the op reads; a group's are (key,
+    # index) pairs like its binds, with index None for the whole value
+    operands: tuple
     results: tuple
     attrs: dict[str, Any]
     shape: tuple[int, ...]  # the (pointee) block shape of the result, or of a store's value
@@ -611,59 +616,21 @@ def _walk(steps: list[_Step]) -> Iterator[_Step]:
 # whole tile: numpy works out each result element from the same operand
 # elements by the same operation (tt.dot: one matmul per piece, see _dot),
 # and their semantics cannot raise
-_GROUPED = (ELEMENTWISE_FLOAT | ELEMENTWISE_INT | {"tt.convert", "tt.splat", "tt.dot"}) - {"arith.divi", "arith.remi"}
+_GROUPED = (ELEMENTWISE_FLOAT | ELEMENTWISE_INT | {"tt.convert", "tt.dot"}) - {"arith.divi", "arith.remi"}
 # kinds whose runs group only where their members are the pieces of one
 # whole (a dot grid, the block of an access), each once
 _PLACED = {"tt.dot", "tt.load", "tt.store"}
 # kinds whose steps may sit between a group's members, which then run after
 # them, and are left out when no step reads them: they touch no buffer, do
 # not synchronize and cannot raise
-_MOVABLE = _GROUPED | {"tt.extract", "tt.glue", "tt.reduce", "tt.expand_dims", "tt.broadcast", "tt.make_tensor_ptr",
-                       "tt.advance", "tt.get_program_id", "tt.warp_id", "tt.alloc", "arith.constant", "arith.cmpi"}
-
-
-class _Key(NamedTuple):
-    """A group's operand that every member reads: one value as it is."""
-
-    key: Any
-
-    def get(self, env: dict) -> Any:
-        return env[self.key]
-
-
-class _Box(NamedTuple):
-    """A group's operand that is one box of one value."""
-
-    key: Any
-    index: tuple
-
-    def get(self, env: dict) -> np.ndarray:
-        return env[self.key][self.index]
-
-
-class _Glue(NamedTuple):
-    """A group's operand glued from its members' values as it runs: per
-    member a key, an index into its value and the box it fills."""
-
-    parts: tuple
-    shape: tuple
-
-    def get(self, env: dict) -> np.ndarray:
-        pieces = [(env[k][ix], box) for k, ix, box in self.parts]
-        out = np.empty((len(pieces[0][0]), *self.shape), dtype=pieces[0][0].dtype)
-        for piece, box in pieces:
-            out[box] = piece
-        return out
+_MOVABLE = _GROUPED | {"tt.splat", "tt.extract", "tt.glue", "tt.reduce", "tt.expand_dims", "tt.broadcast",
+                       "tt.make_tensor_ptr", "tt.advance", "tt.get_program_id", "tt.warp_id", "tt.alloc",
+                       "arith.constant", "arith.cmpi"}
 
 
 def _box(origin: tuple, shape: tuple) -> tuple:
     """The index of the block at `origin` of each row's tile."""
     return (slice(None), *map(slice, origin, map(operator.add, origin, shape)))
-
-
-def _read(p: Any) -> list:
-    """The keys an operand reads."""
-    return [k for k, _, _ in p.parts] if type(p) is _Glue else [p.key] if type(p) in (_Key, _Box) else [p]
 
 
 def _group(steps: list[_Step], flat: list[_Step], bases: dict[int, Any], inbounds: set[int],
@@ -701,7 +668,7 @@ def _prune(steps: list[_Step], live: set) -> list[_Step]:
             continue
         if s.body is not None:
             s.body = _prune(s.body, live)
-        live.update(k for p in s.operands for k in _read(p))
+        live.update(s.operands if s.binds is None else (k for k, _ in s.operands))
         out.append(s)
     out.reverse()
     return out
@@ -744,11 +711,10 @@ class _Plan:
 
     def signature(self, s: _Step) -> tuple | None:
         """What every member of a run that `s` is in shares, or None if `s`
-        cannot start one: an elementwise op, a convert or a splat on operands
-        shaped like its result (a splat: on a scalar); a dot; a load or store
-        of a piece of a block by an extract on a buffer that keeps no race
-        marks.  Members do one thing to equally typed operands; splats splat
-        one scalar, and an access reads pieces of one block."""
+        cannot start one: an elementwise op or a convert on operands shaped
+        like its result; a dot; a load or store of a piece of a block by an
+        extract on a buffer that keeps no race marks.  Members do one thing
+        to equally typed operands, and an access reads pieces of one block."""
         if s.kind not in _GROUPED and s.kind not in _PLACED:
             return None
         types, one = tuple(self.types.get(k) for k in s.operands), None
@@ -757,11 +723,8 @@ class _Plan:
                     or base in self.marked):
                 return None
             one = at[0]
-        elif s.kind != "tt.dot" and (not s.shape or any((t or ((),))[0] != (() if s.kind == "tt.splat" else s.shape)
-                                                        for t in types)):
+        elif s.kind != "tt.dot" and (not s.shape or any((t or ((),))[0] != s.shape for t in types)):
             return None
-        elif s.kind == "tt.splat":
-            one = s.operands
         return s.kind, s.shape, s.elem, s.attrs, types, one
 
     def block(self, body: list[_Step], groups: list[tuple]) -> list[_Step]:
@@ -778,7 +741,8 @@ class _Plan:
         each with its layout.  A dot or access run is placed as it is found
         and kept only where it has a layout (see `layout`).  Any other run
         comes with `()`: its layout is worked out when it is packed, after
-        `loop` has cut the carries that can put its operands in place."""
+        `loop` has cut the carries that can put its operands in place, and
+        it runs as written if it has none."""
         out, run, sig, read = [], [], None, set()  # read: the results of the run's members
         for s in body:
             t = self.signature(s)
@@ -887,9 +851,13 @@ class _Plan:
         placed by `at` (their layout, or `()` to work it out now), after the
         splats its operands need.  It binds each member's result as a view of
         its own.  An access group accesses the block once and logs it per
-        member, in their order; it is proven in bounds if they all are."""
+        member, in their order; it is proven in bounds if they all are.  If
+        they have no layout, or `pack` reads some operand in none of its
+        ways, the members as written."""
         m0, self.splats, slices = members[0], [], ()
-        whole, origins = at or self.layout(members)
+        if not (at := at or self.layout(members)):
+            return members
+        whole, origins = at
         access = m0.kind in ("tt.load", "tt.store")
         if m0.kind == "tt.dot":  # whole A, B and C: the rows of A pieces, the columns of B pieces
             (r, c), k, slices = whole, self.types[m0.operands[0]][0][1], m0.shape
@@ -897,14 +865,14 @@ class _Plan:
             ops = [self.pack(a, [(o[0], 0) for o in origins], (r, k)),
                    self.pack(b, [(0, o[1]) for o in origins], (k, c)), self.pack(acc, origins, whole)]
         elif access:  # the block, and a store's value
-            ops = [_Key(self.where(m0.operands[0])[0])]
+            ops = [(self.where(m0.operands[0])[0], None)]
             if m0.kind == "tt.store":
                 ops.append(self.pack([m.operands[1] for m in members], origins, whole))
             slices = tuple((np.array(o), m.shape) for m, o in zip(members, origins))
-        elif m0.kind == "tt.splat":
-            ops = [_Key(m0.operands[0])]
         else:
             ops = [self.pack([m.operands[j] for m in members], origins, whole) for j in range(len(m0.operands))]
+        if None in ops:
+            return members
         binds = tuple((m.results[0], _box(o, m.shape)) for m, o in zip(members, origins) if m.results)
         g = _Step(m0.kind, m0.name, tuple(ops), (object(),) * bool(m0.results), m0.attrs, whole, m0.elem, False,
                   None, slices, binds)
@@ -921,7 +889,7 @@ class _Plan:
         once.  A dot run's whole is a grid of A rows by B columns, which the
         dots read in row-major order; an access run's, the block its pointer
         pieces cover; any other run's, that of an operand whose pieces cover
-        a box of one value once, else a column of pieces."""
+        a box of one value once."""
         m0, piece = members[0], members[0].shape
         if m0.kind == "tt.dot":
             rows, cols = (list(dict.fromkeys(m.operands[j] for m in members)) for j in (0, 1))
@@ -942,21 +910,22 @@ class _Plan:
             whole = tuple(map(operator.add, map(max, zip(*origins)), piece))
             if _covers(origins, whole, piece):
                 return whole, origins
-        return (len(members) * piece[0], *piece[1:]), [(i * piece[0], *[0] * (len(piece) - 1))
-                                                        for i in range(len(members))]
+        return None
 
-    def pack(self, keys: list, targets: list[tuple], shape: tuple) -> Any:
+    def pack(self, keys: list, targets: list[tuple], shape: tuple) -> tuple | None:
         """An operand of `shape` whose block at `targets[i]` is the value of
-        `keys[i]`: a box of one value where they sit in place in it, else
-        glued as it runs, or splat whole where they all splat one scalar."""
+        `keys[i]`, as a (key, index) pair: a splat of one scalar to the whole
+        where they all splat it, a box of one value where they sit in place
+        in it, or one value as it is where they all are that value, shaped
+        like the whole and at its origin; None if it is none of these."""
         if (s := self.splat(keys, object(), shape)) is not None:
             self.splats.append(s)
-            return _Key(s.results[0])
+            return s.results[0], None
         if (at := self.inplace(keys, targets)) is not None:
-            return _Box(at[0], _box(at[1], shape))
-        piece, at = self.types[keys[0]][0], [self.where(k) for k in keys]
-        return _Glue(tuple((k, (), _box(t, piece)) if w is None else (w[0], _box(w[1], piece), _box(t, piece))
-                           for k, w, t in zip(keys, at, targets)), shape)
+            return at[0], _box(at[1], shape)
+        if len(set(keys)) == 1 and self.types[keys[0]][0] == shape and not any(map(any, targets)):
+            return keys[0], None
+        return None
 
     def splat(self, keys: list, key: Any, shape: tuple) -> _Step | None:
         """A splat step of `shape` as `key`, if `keys` all splat one scalar."""
@@ -1107,7 +1076,7 @@ def _loop(s: _Step, ctx: _Ctx, env: dict) -> None:
     if (bad := outer & (step < 1)).any():
         w = np.argmax(bad)
         raise SimError(ctx.where(f"{s.name}: non-positive loop step {step[w]}", w))
-    trips = np.where(outer, -((lb - ub) // np.maximum(step, 1)), 0).clip(0)
+    trips = np.where(outer, trip_count(lb, ub, np.maximum(step, 1)), 0)
     vals = [env[k] for k in s.operands[3:]]
     for k in range(int(trips.max())):
         ctx.mask(trips > k)
@@ -1134,7 +1103,7 @@ def _exec(steps: list[_Step], ctx: _Ctx, env: dict) -> None:
             if s.binds is None:
                 v = sem(s, ctx, [env[k] for k in s.operands])
             else:  # a group
-                v = sem(s, ctx, [p.get(env) for p in s.operands])
+                v = sem(s, ctx, [env[k] if ix is None else env[k][ix] for k, ix in s.operands])
                 for k, ix in s.binds:
                     env[k] = v[ix]
             if s.results:

@@ -35,6 +35,7 @@ from .ir import (
     TensorType,
     Value,
     tile_type,
+    trip_count,
     walk_fn_ops,
 )
 from .textio import _type_desc
@@ -566,7 +567,7 @@ def count_stats(prog: VProgram) -> Stats:
         lb, ub, step = vals
         if step <= 0:
             raise LoweringError(f"@{prog.name}: non-positive loop step {step}")
-        return max(0, -(-(ub - lb) // step))
+        return trip_count(lb, ub, step)
 
     def scan(instrs: list[VInstr], mult: int) -> None:
         nonlocal bytes_loaded

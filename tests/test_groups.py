@@ -26,9 +26,10 @@ LEVELS = ("workgroup", "warp", "intrinsic", "visa")
 
 
 @functools.cache
-def _compiled(name: str, target: str | None = None):
-    """`name` compiled for PVC, or for the `TARGETS` entry `target`."""
-    return compile_kernel(load_fixture(name), TARGETS[target] if target else PVC)
+def _compiled(name: str, target: str | None = None, hint: str | None = None):
+    """`name` compiled for PVC, or for the `TARGETS` entry `target`, with
+    `hint` (if any) on its first dot."""
+    return compile_kernel(load_fixture(name), TARGETS[target] if target else PVC, hints={0: hint} if hint else None)
 
 
 def _outcome(prog, name: str, seed: int) -> tuple:
@@ -51,16 +52,33 @@ def test_grouped_runs_give_the_bits_and_trace_of_ungrouped_runs(name, forced, mo
                 assert _outcome(prog, name, seed) == grouped, f"{level} seed {seed}"
 
 
-@pytest.mark.parametrize("name", FIXTURE_NAMES)
-@pytest.mark.parametrize("target", TARGETS)
-def test_grouped_runs_give_the_bits_and_trace_of_ungrouped_runs_on_other_targets(target, name, monkeypatch):
-    # other piece shapes give other groups
-    res, seed = _compiled(name, target), suite()[name].seed
+def _grouped_as_ungrouped(res, name: str, monkeypatch) -> None:
+    """Check that `res`'s intrinsic and visa runs of the suite problem of
+    `name` give the outcome of ungrouped runs."""
+    seed = suite()[name].seed
     for level in ("intrinsic", "visa"):
         grouped = _outcome(res.at_level(level), name, seed)
         with monkeypatch.context() as mp:
             ungrouped(mp)
             assert _outcome(res.at_level(level), name, seed) == grouped, level
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+@pytest.mark.parametrize("target", TARGETS)
+def test_grouped_runs_give_the_bits_and_trace_of_ungrouped_runs_on_other_targets(target, name, monkeypatch):
+    # other piece shapes give other groups
+    _grouped_as_ungrouped(_compiled(name, target), name, monkeypatch)
+
+
+# every hinted compile but gemm_256's under "vertical", whose warp tile PVC's dot unit rejects
+_HINTED = [(name, hint) for hint in ("horizontal", "vertical", "square") for name in FIXTURE_NAMES
+           if (name, hint) != ("gemm_256", "vertical")]
+
+
+@pytest.mark.parametrize(("name", "hint"), _HINTED)
+def test_grouped_runs_give_the_bits_and_trace_of_ungrouped_runs_under_hints(name, hint, monkeypatch):
+    # a hint changes every warp tile, and so every group
+    _grouped_as_ungrouped(_compiled(name, hint=hint), name, monkeypatch)
 
 
 def _steps(launch: sim.Launch) -> tuple[int, list[int], dict[str, int]]:
@@ -163,10 +181,11 @@ def test_a_wrong_extract_index_runs_as_written(monkeypatch):
         assert grouped[0] != _outcome(right, "fa2_d64", suite()["fa2_d64"].seed)[0]  # the index changes the output
 
 
-def _two_dots(pairs: list[tuple[int, int]]) -> KernelFn:
+def _two_dots(pairs: list[tuple[int, int]], plain: bool) -> KernelFn:
     """Two unit dots of one k chunk on a zero accumulator: per (i, j) of
-    `pairs`, the i-th 8x16 row piece of A's 16x16 tile by the j-th 16x16
-    column piece of B's 16x32 tile; store their results glued to O."""
+    `pairs`, the i-th 8x16 row piece of A's 16x16 tile (with `plain`, a load
+    of its own) by the j-th 16x16 column piece of B's 16x32 tile; store
+    their results glued to O."""
     f16, f32 = PtrType(ElemType.f16), PtrType(ElemType.f32)
     fb = FunctionBuilder("two_dots", [("A", f16), ("B", f16), ("O", f32)], level="intrinsic")
     a, b, o = fb.fn.args
@@ -174,24 +193,36 @@ def _two_dots(pairs: list[tuple[int, int]]) -> KernelFn:
     ta = fb.load(fb.make_tensor_ptr(a, [c16, c16], [c16, c1], [c0, c0], (16, 16), (1, 0)))
     tb = fb.load(fb.make_tensor_ptr(b, [c16, c32], [c32, c1], [c0, c0], (16, 32), (1, 0)))
     acc = fb.splat(fb.constant(0.0), (8, 16))
-    rows, cols = [fb.extract(ta, i, (8, 16)) for i in range(2)], [fb.extract(tb, j, (16, 16)) for j in range(2)]
+    if plain:
+        rows = [fb.load(fb.make_tensor_ptr(a, [c16, c16], [c16, c1], [fb.constant(8 * i), c0], (8, 16), (1, 0)))
+                for i in range(2)]
+    else:
+        rows = [fb.extract(ta, i, (8, 16)) for i in range(2)]
+    cols = [fb.extract(tb, j, (16, 16)) for j in range(2)]
     dots = [fb.dot(rows[i], cols[j], acc) for i, j in pairs]
     fb.store(fb.make_tensor_ptr(o, [c16, c16], [c16, c1], [c0, c0], (16, 16), (1, 0)), fb.glue(dots, (16, 16)))
     fb.ret()
     return fb.build()
 
 
-@pytest.mark.parametrize(("pairs", "grouped"), [([(0, 0), (1, 1)], False), ([(0, 0), (0, 1)], True)],
-                         ids=["diagonal", "one_row"])
-def test_dots_off_a_grid_run_as_written(pairs, grouped, monkeypatch):
-    # (A0, B0) then (A1, B1) are no rows and columns of a grid; (A0, B0) then (A0, B1) are one row
-    prog, launch = _two_dots(pairs), sim.LaunchConfig()
+@pytest.mark.parametrize(("pairs", "plain", "grouped"),
+                         [([(0, 0), (1, 1)], False, False), ([(0, 0), (0, 1)], False, True),
+                          ([(0, 0), (0, 1)], True, True)],
+                         ids=["diagonal", "one_row", "one_row_of_a_plain_load"])
+def test_dots_off_a_grid_run_as_written(pairs, plain, grouped, monkeypatch):
+    # (A0, B0) then (A1, B1) are no rows and columns of a grid; (A0, B0) then (A0, B1) are one row,
+    # and where A0 is a load of its own, the group reads that value as it is
+    prog, launch = _two_dots(pairs, plain), sim.LaunchConfig()
     mem = DeviceMemory()
     mem.set_tensor("A", np.arange(256).reshape(16, 16) % 7 / 4, ElemType.f16)
     mem.set_tensor("B", np.arange(512).reshape(16, 32) % 5 / 8, ElemType.f16)
     mem.set_tensor("O", np.zeros((16, 16)), ElemType.f32)
-    dots = [s for s in sim._walk(prepare(prog, launch, mem).steps) if s.kind == "tt.dot"]
+    steps = list(sim._walk(prepare(prog, launch, mem).steps))
+    dots = [s for s in steps if s.kind == "tt.dot"]
     assert [s.binds is not None for s in dots] == ([True] if grouped else [False, False])
+    if plain:
+        a0 = next(s.results[0] for s in steps if s.kind == "tt.load" and s.shape == (8, 16))
+        assert dots[0].operands[0] == (a0, None)
     want = outcome(prog, launch, mem)
     with monkeypatch.context() as mp:
         ungrouped(mp)
@@ -226,6 +257,41 @@ def test_a_step_that_reads_a_piece_ends_its_run(read, monkeypatch):
     mem.set_tensor("Y", np.zeros((16, 16)), ElemType.f32)
     groups = [s.kind for s in sim._walk(prepare(prog, launch, mem).steps) if s.binds is not None]
     assert groups == ([] if read else ["math.exp"])
+    grouped = outcome(prog, launch, mem)
+    with monkeypatch.context() as mp:
+        ungrouped(mp)
+        assert outcome(prog, launch, mem) == grouped
+
+
+def _unplaced(kind: str) -> KernelFn:
+    """Load an 8x16 block of X and one of Z.  For math.exp, exp each; for
+    arith.addf, add each to one 8x16 half of Y's 16x16 tile.  Store the two
+    results glued to O."""
+    f32 = PtrType(ElemType.f32)
+    fb = FunctionBuilder("unplaced", [("X", f32), ("Z", f32), ("Y", f32), ("O", f32)], level="intrinsic")
+    x, z, y, o = fb.fn.args
+    c0, c1, c8, c16 = (fb.constant(v) for v in (0, 1, 8, 16))
+    loads = [fb.load(fb.make_tensor_ptr(b, [c8, c16], [c16, c1], [c0, c0], (8, 16), (1, 0))) for b in (x, z)]
+    if kind == "math.exp":
+        out = [fb.exp(v) for v in loads]
+    else:
+        tile = fb.load(fb.make_tensor_ptr(y, [c16, c16], [c16, c1], [c0, c0], (16, 16), (1, 0)))
+        out = [fb.binary(kind, fb.extract(tile, i, (8, 16)), v) for i, v in enumerate(loads)]
+    fb.store(fb.make_tensor_ptr(o, [c16, c16], [c16, c1], [c0, c0], (16, 16), (1, 0)), fb.glue(out, (16, 16)))
+    fb.ret()
+    return fb.build()
+
+
+@pytest.mark.parametrize("kind", ["math.exp", "arith.addf"])
+def test_a_run_whose_operand_is_not_in_place_runs_as_written(kind, monkeypatch):
+    # the loads of X and Z are no pieces of one value: the exps read no operand in place, and
+    # the adds read the halves of Y's tile in place but not the loads
+    prog, launch = _unplaced(kind), sim.LaunchConfig()
+    mem = DeviceMemory()
+    for b, rows in (("X", 8), ("Z", 8), ("Y", 16), ("O", 16)):
+        mem.set_tensor(b, np.arange(rows * 16).reshape(rows, 16) / (rows * 4), ElemType.f32)
+    steps = [s for s in sim._walk(prepare(prog, launch, mem).steps) if s.kind == kind]
+    assert [s.binds for s in steps] == [None, None]
     grouped = outcome(prog, launch, mem)
     with monkeypatch.context() as mp:
         ungrouped(mp)

@@ -6,6 +6,7 @@ import itertools
 import math
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from tilec.ir import (
@@ -23,10 +24,12 @@ from tilec.ir import (
     fn_equal,
     module_equal,
     scalar,
+    trip_count,
     verify,
     verify_or_raise,
     walk_fn_ops,
 )
+from tilec.kernels import load_fixture
 from tilec.layouts import BlockedEncoding
 from tilec.textio import parse_module
 
@@ -374,3 +377,34 @@ def test_structural_equality():
         fn = make()
         change(fn)
         assert not fn_equal(make(), fn) and not fn_equal(fn, make()), edit
+
+
+# a mismatch that each length check of `fn_equal` and `module_equal` finds,
+# made in a module that holds one clone of a fixture function
+_COUNTS = {
+    "arg_count": lambda m: m.functions[0].args.append(Value(PtrType(F32), "Z")),
+    "op_count": lambda m: m.functions[0].body.ops.pop(0),
+    "operand_count": lambda m: _first(m.functions[0], "tt.advance").operands.pop(),
+    "result_count": lambda m: _first(m.functions[0], "tt.dot").results.append(Value(TensorType((256, 256), F32))),
+    "region_count": lambda m: _first(m.functions[0], "scf.for").regions.append(Region()),
+    "region_arg_count": lambda m: _first(m.functions[0], "scf.for").regions[0].args.append(Value(scalar(I32))),
+    "function_count": lambda m: m.functions.append(load_fixture("gemm_256")),
+}
+
+
+@pytest.mark.parametrize("change", _COUNTS)
+def test_structural_equality_tells_apart_counts(change):
+    fn, clone = load_fixture("gemm_256"), load_fixture("gemm_256")
+    assert fn_equal(fn, clone) and module_equal(KernelModule([fn]), KernelModule([clone]))
+    changed = KernelModule([clone])
+    _COUNTS[change](changed)
+    assert not module_equal(KernelModule([fn]), changed) and not module_equal(changed, KernelModule([fn]))
+    if change != "function_count":  # else the functions themselves still match
+        assert not fn_equal(fn, clone) and not fn_equal(clone, fn)
+
+
+def test_trip_count_is_the_length_of_the_range():
+    bounds = list(itertools.product(range(-4, 5), range(-4, 5), range(1, 6)))
+    want = [len(range(*b)) for b in bounds]
+    assert [trip_count(*b) for b in bounds] == want
+    assert trip_count(*np.array(bounds, dtype=np.int64).T).tolist() == want
