@@ -421,7 +421,8 @@ def _verify_op(fn: KernelFn, op: Operation, err: Callable[..., None]) -> None:
         err(f"{k} is only valid in warp-level functions or pass output", op)
 
     if k == "tt.get_program_id":
-        if op.attrs.get("axis") not in (0, 1, 2):
+        axis = op.attrs.get("axis")
+        if type(axis) is not int or axis not in (0, 1, 2):
             err(f"{k}: axis must be 0, 1, or 2", op)
         if n_in != 0 or n_out != 1 or not _is_scalar(op.results[0].type, ElemType.i32):
             err(f"{k}: signature is () -> i32", op)
@@ -448,7 +449,7 @@ def _verify_op(fn: KernelFn, op: Operation, err: Callable[..., None]) -> None:
             if not _is_scalar(v.type, ElemType.i32):
                 err(f"{k}: shape/stride/offset operands must be i32 scalars", op)
         order = op.attrs.get("order")
-        if not isinstance(order, list) or sorted(order) != list(range(r)):
+        if not isinstance(order, list) or any(type(d) is not int for d in order) or sorted(order) != list(range(r)):
             err(f"{k}: order must be a permutation of 0..{r - 1}", op)
     elif k == "tt.advance":
         if n_in < 1 or not _is_block_ptr(op.operands[0].type):
@@ -512,12 +513,12 @@ def _verify_op(fn: KernelFn, op: Operation, err: Callable[..., None]) -> None:
                 err(f"{k}: result type must equal the operand type", op)
             dst = op.attrs.get("dst_warps")
             if dst is not None and (not isinstance(dst, list) or not dst or any(
-                not isinstance(w, int) or w < 0 or w >= fn.num_warps for w in dst
+                type(w) is not int or w < 0 or w >= fn.num_warps for w in dst
             )):
                 err(f"{k}: dst_warps must list warp ids below num_warps={fn.num_warps}", op)
             return
         axis = op.attrs.get("axis")
-        if not isinstance(axis, int) or not (0 <= axis < src.rank):
+        if type(axis) is not int or not (0 <= axis < src.rank):
             err(f"{k}: axis must name a dim of rank-{src.rank} operand", op)
             return
         want = src.shape[:axis] + src.shape[axis + 1 :]
@@ -559,7 +560,7 @@ def _verify_op(fn: KernelFn, op: Operation, err: Callable[..., None]) -> None:
             return
         src = op.operands[0].type
         axis = op.attrs.get("axis")
-        if not isinstance(axis, int) or not (0 <= axis <= src.rank):
+        if type(axis) is not int or not (0 <= axis <= src.rank):
             err(f"{k}: axis out of range", op)
             return
         res = tensor_result()
@@ -600,7 +601,7 @@ def _verify_op(fn: KernelFn, op: Operation, err: Callable[..., None]) -> None:
             err(f"{k}: result shape {res.shape} must divide source shape {src.shape}", op)
             return
         idx = op.attrs.get("index")
-        if not isinstance(idx, int) or block_origin(src.shape, res.shape, idx) is None:
+        if type(idx) is not int or block_origin(src.shape, res.shape, idx) is None:
             grid = tuple(s // r for s, r in zip(src.shape, res.shape))
             err(f"{k}: index must lie in [0, {math.prod(grid)}) for sub-block grid {grid}", op)
     elif k == "tt.glue":

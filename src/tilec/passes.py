@@ -56,6 +56,7 @@ from .layouts import (
     equivalent_blocked,
     tile_root,
 )
+from .textio import _type_desc
 from .visa import PVC, TargetConfig, VProgram, lower
 
 
@@ -421,10 +422,7 @@ def assign_layouts(fn: KernelFn) -> KernelFn:
 
     while worklist:
         v = worklist.pop(0)
-        got = state.enc.get(id(v))
-        if got is None:
-            continue
-        _, form = got
+        _, form = state.enc[id(v)]  # propose stored it before queueing v
         for dst, xf, prio, op in edges.get(id(v), ()):
             out = xf(form)
             if out is not None and state.propose(dst, out, prio, op):
@@ -483,13 +481,16 @@ def distribute_to_warps(fn: KernelFn) -> KernelFn:
     # on moved data, which names the cause more closely, comes first
     short: list[PassError] = []
 
+    def blocked(tt: TensorType) -> BlockedEncoding:
+        if tt.encoding is None:
+            raise _fail(fn, f"distribution needs encodings; {_type_desc(tt)} has none (run layout assignment)")
+        return equivalent_blocked(tt.encoding, tt.shape)
+
     def per_warp(t: Type, op: Operation) -> Type:
         tt = tile_type(t)
         if not isinstance(tt, TensorType) or tt.rank == 0:
             return t
-        if tt.encoding is None:
-            raise _fail(fn, f"distribution needs encodings; {tt} has none (run layout assignment)")
-        eq = equivalent_blocked(tt.encoding, tt.shape)
+        eq = blocked(tt)
         for d, n in enumerate(tt.shape):
             if not short and (cover := eq.size_per_warp[d] * eq.warps_per_cta[d]) < n:
                 short.append(_fail(fn, f"{op.kind}: the warps' shares cover {cover} of the {n} elements along "
@@ -502,7 +503,7 @@ def distribute_to_warps(fn: KernelFn) -> KernelFn:
         if op.kind != "tt.make_tensor_ptr":
             continue
         pt = op.results[0].type.pointee
-        eq = equivalent_blocked(pt.encoding, pt.shape)
+        eq = blocked(pt)
         for d in range(pt.rank):
             if eq.warps_per_cta[d] > 1 and pt.shape[d] // eq.size_per_warp[d] > 1:
                 grids.add((eq.warps_per_cta, eq.order))
@@ -586,10 +587,9 @@ class _UnionFind:
 
 
 def _largest_divisor(n: int, cap: int) -> int:
-    for d in range(min(n, cap), 0, -1):
+    for d in range(min(n, cap), 0, -1):  # reaches d = 1, which divides every n
         if n % d == 0:
             return d
-    return 1
 
 
 def _strip(t: Type) -> Type:

@@ -581,26 +581,33 @@ class _Step:
     binds: tuple | None = None
 
 
-def _decode_op(op: Operation, names: dict[Operation, str]) -> _Step:
+def _typing(t: Any) -> tuple:
+    """(shape, elem, is_ptr) of a value of type `t`: its (pointee) block."""
+    tile = tile_type(t)
+    return tile.shape, tile.elem, isinstance(t, PtrType)
+
+
+def _decode_op(op: Operation, names: dict[Operation, str], types: dict[int, tuple]) -> _Step:
     """Decode one op; `names` holds the name of each op that is spelled
-    other than by its kind."""
+    other than by its kind, and `types` gains the `_typing` of each value
+    that the op and its region define."""
     kind, attrs, body, slices = op.kind, op.attrs, None, ()
     if op.regions:
         region = op.regions[0]
-        body = [_decode_op(o, names) for o in region.ops]
+        types.update((id(a), _typing(a.type)) for a in region.args)
+        body = [_decode_op(o, names, types) for o in region.ops]
         if region.args:  # scf.for: the induction variable, then the carries
             attrs = {"iv": id(region.args[0]), "iters": [id(a) for a in region.args[1:]]}
+    types.update((id(r), _typing(r.type)) for r in op.results)
     rt = op.results[0].type if op.results else op.operands[1].type if kind == "tt.store" else None
-    tile = tile_type(rt) if rt is not None else None
+    shape, elem, is_ptr = ((), None, False) if rt is None else _typing(rt)
     if kind == "tt.extract":
-        slices = _box(block_origin(tile_type(op.operands[0].type).shape, tile.shape, attrs["index"]), tile.shape)
+        slices = _box(block_origin(tile_type(op.operands[0].type).shape, shape, attrs["index"]), shape)
     elif kind == "tt.glue":
         piece = tile_type(op.operands[0].type).shape
-        slices = tuple(_box(block_origin(tile.shape, piece, i), piece) for i in range(len(op.operands)))
-    return _Step(
-        kind, names.get(op, kind), tuple(id(v) for v in op.operands), tuple(id(r) for r in op.results), attrs,
-        tile.shape if tile else (), tile.elem if tile else None, isinstance(rt, PtrType), body, slices,
-    )
+        slices = tuple(_box(block_origin(shape, piece, i), piece) for i in range(len(op.operands)))
+    return _Step(kind, names.get(op, kind), tuple(id(v) for v in op.operands), tuple(id(r) for r in op.results), attrs,
+                 shape, elem, is_ptr, body, slices)
 
 
 def _walk(steps: list[_Step]) -> Iterator[_Step]:
@@ -633,22 +640,15 @@ def _box(origin: tuple, shape: tuple) -> tuple:
     return (slice(None), *map(slice, origin, map(operator.add, origin, shape)))
 
 
-def _group(steps: list[_Step], flat: list[_Step], bases: dict[int, Any], inbounds: set[int],
-           marked: set) -> list[_Step]:
+def _group(steps: list[_Step], flat: list[_Step], types: dict[Any, tuple], bases: dict[int, Any],
+           inbounds: set[int], marked: set) -> list[_Step]:
     """`steps` (`flat`: all of them, nested ones included, in walk order) with
     the piece groups of each block run as one step each, and every movable
-    step whose results no step reads left out.  `bases` holds each access
+    step whose results no step reads left out.  `types` holds the `_typing`
+    of each key the steps define (it gains the groups'), `bases` each access
     step's buffer where the proof found it, `inbounds` the access steps proven
     in bounds (it gains each access group whose members all are), `marked`
     the buffers that keep race marks."""
-    types: dict[Any, tuple] = {}  # per key: (shape, elem, is_ptr) of its value
-    for s in flat:  # a loop's carries and results are typed like its inits
-        if s.kind == "scf.for":
-            inits = [types.get(k) for k in s.operands[3:]]
-            types.update(zip(s.attrs["iters"], inits))
-            types.update(zip(s.results, inits))
-        elif s.results:
-            types[s.results[0]] = (s.shape, s.elem, s.is_ptr)
     plan = _Plan({s.results[0]: s for s in flat if s.results}, collections.Counter(k for s in flat for k in s.operands),
                  types, bases, inbounds, marked)
     return _prune(plan.block(steps, plan.runs(steps)), set())
@@ -717,13 +717,13 @@ class _Plan:
         to equally typed operands, and an access reads pieces of one block."""
         if s.kind not in _GROUPED and s.kind not in _PLACED:
             return None
-        types, one = tuple(self.types.get(k) for k in s.operands), None
+        types, one = tuple(self.types[k] for k in s.operands), None
         if s.kind in ("tt.load", "tt.store"):
             if ((at := self.where(s.operands[0])) is None or (base := self.bases.get(id(s))) is None
                     or base in self.marked):
                 return None
             one = at[0]
-        elif s.kind != "tt.dot" and (not s.shape or any((t or ((),))[0] != s.shape for t in types)):
+        elif s.kind != "tt.dot" and (not s.shape or any(t[0] != s.shape for t in types)):
             return None
         return s.kind, s.shape, s.elem, s.attrs, types, one
 
@@ -1189,7 +1189,8 @@ class Launch:
         except (LoweringError, VerifyError) as exc:
             raise SimError(str(exc)) from None
         self.env = {id(a): a.name for a in prog.args}
-        self.steps = [_decode_op(op, names) for op in prog.body.ops]
+        self.types: dict[int, tuple] = {}  # see _decode_op
+        self.steps = [_decode_op(op, names, self.types) for op in prog.body.ops]
         ng = len(order)
         self.n = ng * nw
         # shared by every run, so read-only
@@ -1223,7 +1224,8 @@ class Launch:
                        for b, why in facts.races.items()}
         self.inbounds = {id(s) for s, _, _, why in facts.accesses if why is None}
         marked = {b for b, sc in self.scales.items() if sc}
-        self.steps = _group(self.steps, flat, {id(s): b for s, b, _, _ in facts.accesses}, self.inbounds, marked)
+        bases = {id(s): b for s, b, _, _ in facts.accesses}
+        self.steps = _group(self.steps, flat, self.types, bases, self.inbounds, marked)
 
     def run(self, mem: DeviceMemory, trace: RunTrace | None = None) -> DeviceMemory:
         """Execute the launch as one batch on `mem`, which must bind the

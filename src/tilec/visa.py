@@ -7,19 +7,16 @@ One table, ``LOWERING``, names for each IR kind the opcode, sub-op, width
 rule and mnemonic; ``lower`` reads it forwards and ``raise_program``
 backwards, so a program raises to the IR it spells.  The simulator runs
 that IR, and ``ir.fn_equal`` of it and the lowered function checks a
-lowering (translation validation).  What the lowering adds is vector-width
-selection: in SIMT style widths are per lane (block elements divided by
-threadsPerWarp), in SIMD style per warp.
-f16 data is packed two-per-32-bit-unit when the target is SIMD or when the
-value feeds the B side of an MMA, mirroring the hardware's operand formats,
-so displayed widths are in register units (v64i16, v32i32, ...) while the
-underlying element count is retained for cross-style invariants.
+lowering (translation validation).  What the lowering adds is each
+instruction's register width (v64i16, v32i32, ...), which ``_width``
+computes by the row's width rule; ``Lowering`` names the rules.
 """
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
 from typing import Any, NamedTuple
 
@@ -141,13 +138,6 @@ class VInstr:
     body: list[VInstr] | None = None
 
     @property
-    def elems(self) -> int:
-        n = 1
-        for d in self.shape:
-            n *= d
-        return n
-
-    @property
     def width_bytes(self) -> int:
         return self.vector_len * self.unit_bytes
 
@@ -176,24 +166,39 @@ class VProgram:
 # width computation
 
 _UNIT_BYTES = {"i16": 2, "i32": 4, "f16": 2, "f32": 4}
+_BITS_UNIT = {"f16": "i16", "f32": "i32", "i32": "i32", "i1": "i16"}  # i1 has no typed unit of its own
 
 
-def _unit_name(elem: ElemType, pack: int, as_bits: bool) -> str:
-    if pack == 2:
-        return "i32"
-    if as_bits or elem == ElemType.i1:  # i1 has no register unit of its own
-        return {"f16": "i16", "f32": "i32", "i32": "i32", "i1": "i16"}[elem.value]
-    return elem.value
+def _width(fn: str, rule: str, numel: int, elem: ElemType, packed: bool, target: TargetConfig):
+    """(vector_len, unit, unit_bytes, lane_distributed) of one block of
+    `numel` elements of function `fn`, by a ``Lowering`` width rule other
+    than ``none``:
 
-
-def _width(fn: str, numel: int, elem: ElemType, packed: bool, target: TargetConfig, as_bits: bool):
-    """(vector_len, unit, unit_bytes, lane_distributed) for one block of function `fn`."""
-    pack = 2 if elem == ElemType.f16 and (target.style == "simd" or packed) else 1
+    - ``addr``: one i32 address register.
+    - f16 packs two to an i32 unit, as the hardware's operand formats do,
+      when the target is SIMD or the value is in the MMA B format
+      (`packed`), under every rule but ``scalar``.  An odd f16 count cannot
+      pack: that raises, except under ``view``, which stays unpacked.
+    - An unpacked unit is the raw bits (i16, i32) under ``bits`` and the
+      typed element otherwise; i1 takes i16.
+    - ``view`` and ``scalar``: all the units, never lane-distributed.
+    - ``bits`` and ``typed``: in SIMT style per lane (the units divided by
+      threadsPerWarp, or all of them for a warp-uniform block of fewer
+      units than lanes), in SIMD style per warp; lane-distributed where
+      threadsPerWarp divides the units.
+    """
+    if rule == "addr":
+        return 1, "i32", 4, False
+    pack = 2 if elem == ElemType.f16 and rule != "scalar" and (target.style == "simd" or packed) else 1
     if numel % pack:
-        raise LoweringError(f"@{fn}: odd f16 element count {numel} cannot be packed")
+        if rule != "view":
+            raise LoweringError(f"@{fn}: odd f16 element count {numel} cannot be packed")
+        pack = 1
     units = numel // pack
-    unit = _unit_name(elem, pack, as_bits)
+    unit = "i32" if pack == 2 else _BITS_UNIT[elem.value] if rule == "bits" or elem == ElemType.i1 else elem.value
     ub = _UNIT_BYTES[unit]
+    if rule in ("view", "scalar"):
+        return units, unit, ub, False
     tpw = target.threads_per_warp
     lane_ok = units >= tpw and units % tpw == 0
     if target.style == "simt":
@@ -205,16 +210,6 @@ def _width(fn: str, numel: int, elem: ElemType, packed: bool, target: TargetConf
     return units, unit, ub, lane_ok
 
 
-def _view_width(numel: int, elem: ElemType, packed: bool, target: TargetConfig):
-    """Register views (extract/glue/shape movs) carry unit-level width and are
-    never lane-distributed for duality purposes."""
-    pack = 2 if elem == ElemType.f16 and (target.style == "simd" or packed) else 1
-    if numel % pack:
-        pack = 1
-    unit = _unit_name(elem, pack, False)
-    return numel // pack, unit, _UNIT_BYTES[unit], False
-
-
 # --------------------------------------------------------------------------
 # lowering
 
@@ -224,11 +219,12 @@ _IR_ONLY_ATTRS = ("kind", "tiling")
 class Lowering(NamedTuple):
     """One row of the IR-op to vISA table.
 
-    ``width`` names the rule for the register width: ``bits`` and ``typed``
-    are lane-distributed execution over raw bits or typed units, ``view`` a
-    register view, ``addr`` one address register, ``scalar`` one scalar
-    register, ``none`` no register at all.  ``mnemonic`` is one string or a
-    (simt, simd) pair.
+    ``width`` names the rule for the register width, which ``_width``
+    computes: ``bits`` and ``typed`` are lane-distributed execution over raw
+    bits or typed units, ``view`` a register view, ``addr`` one address
+    register, ``scalar`` one scalar register, ``none`` no register at all.
+    A dot's A and B operands take ``bits`` widths.  ``mnemonic`` is one
+    string or a (simt, simd) pair.
     """
 
     opcode: VOpcode
@@ -338,16 +334,9 @@ class _Lowerer:
         if rule == "none":
             return (), None, 0, "", 0, False
         t = tile_type((op.results[0] if op.results else op.operands[1]).type)  # a store: the stored value
-        if rule == "addr":
-            return t.shape, t.elem, 1, "i32", 4, False
-        if rule == "scalar":
-            unit = _unit_name(t.elem, 1, False)
-            return t.shape, t.elem, 1, unit, _UNIT_BYTES[unit], False
         src = op.operands[0].type if op.kind == "tt.reduce" else t  # a reduce is as wide as its source
         packed = bool(op.results) and id(op.results[0]) in self.packed
-        if rule == "view":
-            return (t.shape, t.elem, *_view_width(src.numel, src.elem, packed, self.target))
-        return (t.shape, t.elem, *_width(self.fn.name, src.numel, src.elem, packed, self.target, rule == "bits"))
+        return (t.shape, t.elem, *_width(self.fn.name, rule, src.numel, src.elem, packed, self.target))
 
     def lower_op(self, op: Operation) -> VInstr:
         k = op.kind
@@ -391,8 +380,8 @@ class _Lowerer:
                 )
         widths = self._widths(op, rule)
         if k == "tt.dot":  # result, a and b widths; a and b as raw bits
-            wa = _width(self.fn.name, ta.numel, ta.elem, id(op.operands[0]) in self.packed, self.target, True)
-            wb = _width(self.fn.name, tb.numel, tb.elem, id(op.operands[1]) in self.packed, self.target, True)
+            wa = _width(self.fn.name, "bits", ta.numel, ta.elem, id(op.operands[0]) in self.packed, self.target)
+            wb = _width(self.fn.name, "bits", tb.numel, tb.elem, id(op.operands[1]) in self.packed, self.target)
             mn = f"{mn}.v{widths[2]}{widths[3]}.v{wa[0]}{wa[1]}.v{wb[0]}{wb[1]}"
         return VInstr(opcode, sub, res, opnd, attrs, *widths, mn, body)
 
@@ -537,14 +526,12 @@ class Stats:
     slm_bytes_used: int = 0
 
     def as_lines(self) -> list[str]:
-        return [
-            f"loads={self.loads}",
-            f"stores={self.stores}",
-            f"mmas={self.mmas}",
-            f"barriers={self.barriers}",
-            f"bytes_loaded={self.bytes_loaded}",
-            f"slm_bytes_used={self.slm_bytes_used}",
-        ]
+        return [f"{f.name}={getattr(self, f.name)}" for f in fields(self)]
+
+
+# the Stats field that counts each counted opcode
+_COUNTED = {VOpcode.block2d_load: "loads", VOpcode.block2d_store: "stores", VOpcode.mma: "mmas",
+            VOpcode.barrier: "barriers"}
 
 
 def count_stats(prog: VProgram) -> Stats:
@@ -555,7 +542,7 @@ def count_stats(prog: VProgram) -> Stats:
     total.
     """
     consts: dict[str, int] = {}
-    counts = {"loads": 0, "stores": 0, "mmas": 0, "barriers": 0}
+    counts = dict.fromkeys(_COUNTED.values(), 0)
     bytes_loaded = 0
 
     def trip(instr: VInstr) -> int:
@@ -574,24 +561,12 @@ def count_stats(prog: VProgram) -> Stats:
         for i in instrs:
             if i.opcode == VOpcode.mov and i.op == "const" and isinstance(i.attrs.get("value"), int):
                 consts[i.results[0]] = i.attrs["value"]
+            if i.opcode in _COUNTED:
+                counts[_COUNTED[i.opcode]] += 1
             if i.opcode == VOpcode.block2d_load:
-                counts["loads"] += 1
-                bytes_loaded += mult * i.elems * (i.elem.nbytes if i.elem else 0)
-            elif i.opcode == VOpcode.block2d_store:
-                counts["stores"] += 1
-            elif i.opcode == VOpcode.mma:
-                counts["mmas"] += 1
-            elif i.opcode == VOpcode.barrier:
-                counts["barriers"] += 1
+                bytes_loaded += mult * math.prod(i.shape) * (i.elem.nbytes if i.elem else 0)
             if i.body is not None:
                 scan(i.body, mult * (trip(i) if i.op == "for" else 1))
 
     scan(prog.body, 1)
-    return Stats(
-        loads=counts["loads"],
-        stores=counts["stores"],
-        mmas=counts["mmas"],
-        barriers=counts["barriers"],
-        bytes_loaded=bytes_loaded,
-        slm_bytes_used=prog.slm_bytes_used,
-    )
+    return Stats(**counts, bytes_loaded=bytes_loaded, slm_bytes_used=prog.slm_bytes_used)

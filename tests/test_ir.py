@@ -302,6 +302,31 @@ def test_verifier_diagnostics(case):
     assert _diagnose(build) == message
 
 
+# integer attributes, each with the message that `true` or `1.0` in it
+# draws: both compare equal to 1, but neither is an integer
+_INT_ATTRS = {
+    "pid_axis": ("tt.get_program_id: axis must be 0, 1, or 2",
+                 lambda fb, v, x: fb.op("tt.get_program_id", [], {"axis": x}, [v.i.type])),
+    "reduce_axis": ("tt.reduce: axis must name a dim of rank-2 operand",
+                    lambda fb, v, x: fb.op("tt.reduce", [v.c], {"kind": "sum", "axis": x}, [_t(8)])),
+    "expand_axis": ("tt.expand_dims: axis out of range",
+                    lambda fb, v, x: fb.op("tt.expand_dims", [fb.splat(v.f, (8,))], {"axis": x}, [_t(8, 1)])),
+    "extract_index": ("tt.extract: index must lie in [0, 2) for sub-block grid (2, 1)",
+                      lambda fb, v, x: fb.op("tt.extract", [v.c], {"index": x}, [_t(4, 8)])),
+    "mtp_order": ("tt.make_tensor_ptr: order must be a permutation of 0..1",
+                  lambda fb, v, x: fb.make_tensor_ptr(v.X, [v.i] * 2, [v.i] * 2, [v.i] * 2, (8, 16), (x, 0))),
+    "xreduce_dst": ("tt.cross_warp_reduce: dst_warps must list warp ids below num_warps=4",
+                    lambda fb, v, x: fb.cross_warp_reduce(v.c, "max", [x])),
+}
+
+
+@pytest.mark.parametrize("value", [True, 1.0], ids=["true", "float"])
+@pytest.mark.parametrize("case", sorted(_INT_ATTRS))
+def test_integer_attributes_reject_bools_and_floats(case, value):
+    message, build = _INT_ATTRS[case]
+    assert _diagnose(lambda fb, v: build(fb, v, value)) == message
+
+
 @pytest.mark.parametrize(("whole", "block"), [((64,), (16,)), ((64,), (64,)), ((64, 32), (16, 8)), ((8, 8), (8, 2))])
 def test_block_numbering_round_trips(whole, block):
     grid = [w // b for w, b in zip(whole, block)]

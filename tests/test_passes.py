@@ -18,7 +18,8 @@ from tilec.passes import (
     distribute_to_warps,
     match_target_size,
 )
-from tilec.sim import DeviceMemory, LaunchConfig, run
+from tilec.sim import DeviceMemory, LaunchConfig, RunTrace, run
+from tilec.textio import parse_module
 from tilec.visa import PVC
 
 F16 = ElemType.f16
@@ -410,6 +411,50 @@ def test_a_tile_the_warps_shares_do_not_cover_is_a_pass_error():
     with pytest.raises(PassError, match=r"^@row_bcast: tt.broadcast: the warps' shares cover 1 of the 64 elements "
                                         r"along dim 0 of its \(64, 64\) tile, and would drop the rest"):
         compile_kernel(fn, to_level="warp")
+
+
+# a workgroup kernel annotated by hand: four warps of 16 full rows each over
+# a tile of 32 rows, so the warp grid overshoots the tile
+_WRAP = """\
+#blocked = #triton_gpu.blocked<{sizePerWarp = [16, 64], warpsPerCTA = [4, 1], order = [1, 0]}>
+
+tt.func public @wrap(%X: !tt.ptr<f32>, %O: !tt.ptr<f32>) attributes {num_warps = 4} {
+  %0 = arith.constant {value = 0} : () -> i32
+  %1 = arith.constant {value = 1} : () -> i32
+  %2 = arith.constant {value = 32} : () -> i32
+  %3 = arith.constant {value = 64} : () -> i32
+  %4 = tt.make_tensor_ptr %X, %2, %3, %3, %1, %0, %0 {order = [1, 0]} : (!tt.ptr<f32>, i32, i32, i32, i32, i32, i32) \
+-> !tt.ptr<tensor<32x64xf32, #blocked>>
+  %5 = tt.load %4 : (!tt.ptr<tensor<32x64xf32, #blocked>>) -> tensor<32x64xf32, #blocked>
+  %6 = tt.make_tensor_ptr %O, %2, %3, %3, %1, %0, %0 {order = [1, 0]} : (!tt.ptr<f32>, i32, i32, i32, i32, i32, i32) \
+-> !tt.ptr<tensor<32x64xf32, #blocked>>
+  tt.store %6, %5 : (!tt.ptr<tensor<32x64xf32, #blocked>>, tensor<32x64xf32, #blocked>) -> ()
+  tt.return
+}
+"""
+
+
+def test_a_warp_grid_that_overshoots_the_tile_wraps_around():
+    # warps 2 and 3 take the rows of warps 0 and 1 again, and store the same
+    # bits there, which the race check lets pass
+    wg = parse_module(_WRAP).get("wrap")
+    warp = distribute_to_warps(wg)
+    x = np.arange(32 * 64, dtype=np.float32).reshape(32, 64)
+    mem = DeviceMemory()
+    for name, data in (("X", x), ("O", np.zeros((32, 64)))):
+        mem.set_tensor(name, data, F32)
+    np.testing.assert_array_equal(run(wg, LaunchConfig(), mem).tensor("O"), x)
+    trace = RunTrace()
+    np.testing.assert_array_equal(run(warp, LaunchConfig(), mem, trace=trace).tensor("O"), x)
+    for accesses in (trace.loads, trace.stores):
+        assert sorted((a.warp, a.offsets, a.block) for a in accesses) == [
+            (0, (0, 0), (16, 64)), (1, (16, 0), (16, 64)), (2, (0, 0), (16, 64)), (3, (16, 0), (16, 64))]
+
+
+def test_distribution_of_a_kernel_without_encodings_is_a_pass_error():
+    with pytest.raises(PassError, match=r"^@gemm_256: distribution needs encodings; tensor<256x32xf16> has none "
+                                        r"\(run layout assignment\)$"):
+        distribute_to_warps(load_fixture("gemm_256"))
 
 
 def test_expand_dims_of_a_blocked_row_inserts_a_unit_dim():

@@ -13,8 +13,8 @@ import pytest
 
 from conftest import outcome, prove_nothing, ungrouped
 from tilec import footprints as fp
-from tilec.ir import (ElemType, FunctionBuilder, KernelFn, KernelModule, PtrType, Region, TensorType, Value, retile,
-                      scalar)
+from tilec.ir import (ElemType, FunctionBuilder, KernelFn, KernelModule, PtrType, Region, TensorType, Value,
+                      VerifyError, retile, scalar)
 from tilec.kernels import FIXTURE_NAMES, kernel_text, load_fixture, make_problem, suite
 from tilec.oracle import philox, rand_f16
 from tilec import sim
@@ -203,6 +203,21 @@ def test_non_positive_loop_step_rejected(level, step):
     prob = make_problem(suite()["paged_wg"])
     with pytest.raises(SimError, match=rf"@paged_wg wg=0 .*for: non-positive loop step {step}$"):
         run(res.at_level(level), prob.launch, prob.mem)
+
+
+@pytest.mark.parametrize("axis", ["true", "1.0"])
+def test_a_program_id_axis_that_is_no_integer_is_rejected_before_the_run(axis):
+    text = kernel_text("gemm_256").replace("tt.get_program_id {axis = 0}", f"tt.get_program_id {{axis = {axis}}}")
+    prob = make_problem(suite()["gemm_256"])
+    with pytest.raises(SimError, match=r"tt.get_program_id: axis must be 0, 1, or 2"):
+        run(parse_module(text).get("gemm_256"), prob.launch, prob.mem)
+
+
+def test_a_reduce_axis_that_is_no_integer_is_rejected_before_the_passes():
+    # a bool axis would reach the slice encodings, which print it as `dim = True`
+    text = kernel_text("fa2_d64").replace('%30 {axis = 1, kind = "max"}', '%30 {axis = true, kind = "max"}')
+    with pytest.raises(VerifyError, match="tt.reduce: axis must name a dim of rank-2 operand"):
+        compile_kernel(parse_module(text).get("fa2_d64"))
 
 
 def test_unmapped_visa_instruction_rejected_at_decode():

@@ -177,6 +177,21 @@ def test_dot_reads_b_in_the_format_its_producer_wrote():
     assert "dpas.v8f32.v8i16.v16i16" in text
 
 
+def test_a_view_of_an_odd_f16_count_stays_unpacked():
+    # SIMD style packs f16 in pairs; a 1x3 piece of a 1x6 tile cannot pack,
+    # so a register view of it is three f16 units rather than an error
+    def pieces(fb, x):
+        whole = fb.splat(fb.constant(1.0, F16), (1, 6))
+        fb.glue([fb.extract(whole, i, (1, 3)) for i in range(2)], (1, 6))
+
+    prog = lower(_intrinsic(pieces), replace(PVC, style="simd"))
+    text = disassemble(prog)
+    assert "%1 = mov.splat.v3i32 %0" in text
+    assert "%2 = extract.v3f16 %1 {index = 0}  ; subregister" in text
+    assert "%4 = glue.v3i32 %2, %3  ; subregister" in text
+    assert not any(i.lane_distributed for i in prog.walk())
+
+
 def test_simd_style_widths(gemm_compiled):
     simd = lower(gemm_compiled.match, replace(PVC, style="simd"))
     text = disassemble(simd)
