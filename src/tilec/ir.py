@@ -542,7 +542,8 @@ def _verify_op(fn: KernelFn, op: Operation, err: Callable[..., None]) -> None:
             err(f"{k}: float constant needs a float value attr", op)
         elif res.elem.is_float and not math.isfinite(v):  # the text form spells finite floats only
             err(f"{k}: float constant must be finite, got {v}", op)
-        if not res.elem.is_float and not isinstance(v, int):
+        # an i1 constant takes an int or a bool, an i32 constant an int only
+        if not res.elem.is_float and not (isinstance(v, int) if res.elem == ElemType.i1 else type(v) is int):
             err(f"{k}: integer constant needs an int value attr", op)
     elif k == "tt.convert":
         if n_in != 1 or not isinstance(op.operands[0].type, TensorType):

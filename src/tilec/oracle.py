@@ -1,9 +1,13 @@
 """Brute-force reference computations for the kernel suite.
 
 Everything here is plain numpy, single threaded, and independent of the
-compiler and simulator: references accumulate in f64 (f32 for gemm_ref, which
-mirrors the kernel's own accumulator width) so differential tests compare the
-simulator against genuinely separate arithmetic.
+compiler and simulator, but for the inputs: `rand_f16` rounds its f64 draws
+to f16 by ``sim._round_f16``, the rounding every f16 buffer binds with, which
+gives the bits of numpy's ``astype(float16).astype(float32)``.  References
+accumulate in f64 (f32 for gemm_ref, which mirrors the kernel's own
+accumulator width), the attention reference along both its paths, so
+differential tests compare the simulator against genuinely separate
+arithmetic.
 
 The attention reference is dual-path: the blockwise online-softmax and a
 monolithic softmax are both computed and cross-checked before either is
@@ -18,6 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from .sim import _round_f16
 
 
 class OracleError(ValueError):
@@ -51,13 +57,13 @@ def philox(seed: int) -> np.random.Generator:
 
 
 def rand_f16(rng: np.random.Generator, *shape: int) -> np.ndarray:
-    """Uniform [0, 1) samples rounded to f16 precision, held as f32.
+    """Uniform [0, 1) samples rounded to f16 precision, held as f32: each
+    f64 draw rounded once, to the nearest f16, ties to even.
 
     Positive inputs keep matmul and attention outputs away from zero, so
     a max-relative-error comparison measures rounding, not cancellation.
     """
-    x = rng.uniform(0.0, 1.0, size=shape)
-    return x.astype(np.float16).astype(np.float32)
+    return _round_f16(rng.uniform(0.0, 1.0, size=shape))
 
 
 # --------------------------------------------------------------------------

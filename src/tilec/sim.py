@@ -14,19 +14,19 @@ executor runs the steps: it handles loops and branches itself and, for every
 other kind, calls the function that one semantics table holds for it when
 the step runs, so an op and the instruction it lowers to run the same code.
 
-`prepare` also lays out SLM, proves footprints and groups pieces (below),
-and the `Launch` it returns holds all of that; `Launch.run` executes it on
-any memory that binds the same buffers, and nothing it does writes the
-`Launch`.  The memory a run returns copies each buffer a store can reach
-and holds a read-only view of each other one.  `run` is `prepare` then
-`Launch.run`.  `prepare` keeps each `Launch` in a map keyed weakly on its
-program, so a dropped program is freed at once with its launches.  It
-returns the same `Launch` again for the same program object, grid,
-``wg_order`` and bound buffers (name, element type, size), so a program is
-verified, decoded, proven and grouped once per launch shape.  The bindings,
-the schedule and the SLM budget are checked on every call.  So a program
-must not be edited in place once it has run: a later run would execute the
-steps decoded before the edit.
+`prepare` also lays out SLM, proves footprints, groups pieces and folds
+launch-known steps (below), and the `Launch` it returns holds all of that;
+`Launch.run` executes it on any memory that binds the same buffers, and
+nothing it does writes the `Launch`.  The memory a run returns copies each
+buffer a store can reach and holds a read-only view of each other one.
+`run` is `prepare` then `Launch.run`.  `prepare` keeps each `Launch` in a
+map keyed weakly on its program, so a dropped program is freed at once with
+its launches.  It returns the same `Launch` again for the same program
+object, grid, ``wg_order`` and bound buffers (name, element type, size), so
+a program is verified, decoded, proven, grouped and folded once per launch
+shape.  The bindings, the schedule and the SLM budget are checked on every
+call.  So a program must not be edited in place once it has run: a later
+run would execute the steps decoded before the edit.
 
 A launch runs in lockstep, as one batch with a row per warp of each
 workgroup, workgroups in ``wg_order`` and warps in id order (a
@@ -105,6 +105,21 @@ nor an access that keeps marks, nor pieces that do not cover one block once
 (a repeated extract index), nor dots off a grid: those run as written.  A
 movable step whose result no step reads any more is left out.
 
+Last, the steps whose results are known at launch are folded.  A step
+folds when its kind gives every row its value whatever the mask and touches
+no buffer (constants, program and warp ids, integer and float elementwise
+ops, compares, splats, broadcasts, expand_dims, extracts, glues, converts,
+and block pointers made or advanced) and every value it reads is an argument
+or the result of a folded step, in a loop or branch body too.  It runs once,
+by its own semantics, on every row of the launch with all rows active; the
+`Launch` keeps its results read-only, and every run binds them at its start
+and skips the step.  A fold never raises: a step whose evaluation raises or
+would warn (an integer division or remainder by zero on some row, a float
+overflow) is not folded, and does so where it runs, as it would unfolded,
+under that run's mask.  A folded splat is a broadcast view of its scalar,
+unless some dot reads its data as A or B, whose matmul takes its path by
+the operands' strides.
+
 f16 tiles are f32 arrays rounded to binary16, ties to even, after every
 producing step: from 65520 up they round to inf, below 2**-14 to multiples of
 2**-24, and NaN follows numpy's conversion (docs/grammar.md).  Tiles
@@ -173,10 +188,22 @@ def _round_f16(arr: np.ndarray) -> np.ndarray:
     index: an f16 subnormal is a multiple of 2**-24, so it rounds as
     ``rint(x * 2**24) * 2**-24`` in float32, every step exact (numpy's cast
     costs some 100 ns for each such element); overflow, inf and NaN take the
-    numpy round trip.  Any other input dtype is rounded once, from its own
+    numpy round trip.
+
+    A float64 input is cast to float32 first, then rounds on those bits.
+    The cast rounds to nearest, and every f16 midpoint is an f32 value, so it
+    keeps each input on its side of every midpoint, unless it lands on one:
+    an element whose low 13 bits are then 0x1000, an f16 tie the cast may
+    have made, and every element outside [2**-14, 65520), are taken from the
+    float64 input by the numpy round trip.  Any other input dtype, and any
+    input shorter than ``_F16_BITS_MIN``, is rounded once, from its own
     value, by numpy."""
-    if arr.dtype != np.float32 or arr.size < _F16_BITS_MIN:
+    if arr.dtype not in (np.float32, np.float64) or arr.size < _F16_BITS_MIN:
         return arr.astype(np.float16).astype(np.float32)
+    src = arr
+    if arr.dtype == np.float64:
+        with np.errstate(over="ignore"):  # beyond f32: inf, taken from src
+            arr = arr.astype(np.float32)
     bits = arr.view(np.uint32)
     # twice the magnitude bits less twice 2**-14's: one compare finds all
     # magnitudes outside [2**-14, 65520), and one more spares the zeros
@@ -184,6 +211,9 @@ def _round_f16(arr: np.ndarray) -> np.ndarray:
     r -= 2 * _F16_NORMAL_MIN
     rest = r >= 2 * (_F16_OVERFLOW - _F16_NORMAL_MIN)
     rest &= r != 2**32 - 2 * _F16_NORMAL_MIN
+    if src is not arr:
+        np.bitwise_and(bits, 0x1FFF, out=r)
+        rest |= r == 0x1000
     rest = np.flatnonzero(rest)
     np.right_shift(bits, 13, out=r)
     r &= 1
@@ -191,7 +221,9 @@ def _round_f16(arr: np.ndarray) -> np.ndarray:
     r += bits
     r &= 0xFFFFE000
     out = r.view(np.float32)
-    if rest.size:
+    if rest.size and src is not arr:
+        out.reshape(-1)[rest] = src.reshape(-1)[rest].astype(np.float16).astype(np.float32)
+    elif rest.size:
         x = arr.reshape(-1)[rest]
         tiny = np.abs(x) < 2.0**-14
         big = ~tiny
@@ -222,9 +254,11 @@ class DeviceMemory:
         return list(self._bufs)
 
     def set_tensor(self, name: str, data: Any, elem: ElemType) -> None:
+        """Bind `data`, coerced to `elem`, to `name`, as a buffer of its own."""
         arr = _coerce(elem, data)
+        flat = arr.reshape(-1)
         self.shapes[name] = arr.shape
-        self._bufs[name] = (elem, arr.reshape(-1).copy())
+        self._bufs[name] = (elem, flat.copy() if np.may_share_memory(flat, data) else flat)
 
     def tensor(self, name: str) -> np.ndarray:
         elem, flat = self._bufs[name]
@@ -579,6 +613,7 @@ class _Step:
     # a group's: per member whose result some step reads, that key and the
     # member's index into the group's result (None: a step of one op)
     binds: tuple | None = None
+    folded: bool = False  # whether its results are known at launch and bound before the run (see _fold)
 
 
 def _typing(t: Any) -> tuple:
@@ -614,6 +649,11 @@ def _walk(steps: list[_Step]) -> Iterator[_Step]:
     for s in steps:
         yield s
         yield from _walk(s.body or [])
+
+
+def _keys(s: _Step) -> Sequence:
+    """The keys of the values `s` reads."""
+    return s.operands if s.binds is None else [k for k, _ in s.operands]
 
 
 # --------------------------------------------------------------------------
@@ -668,7 +708,7 @@ def _prune(steps: list[_Step], live: set) -> list[_Step]:
             continue
         if s.body is not None:
             s.body = _prune(s.body, live)
-        live.update(s.operands if s.binds is None else (k for k, _ in s.operands))
+        live.update(_keys(s))
         out.append(s)
     out.reverse()
     return out
@@ -1099,6 +1139,8 @@ def _loop(s: _Step, ctx: _Ctx, env: dict) -> None:
 def _exec(steps: list[_Step], ctx: _Ctx, env: dict) -> None:
     """Run steps for the active rows."""
     for s in steps:
+        if s.folded:  # its results are in env from the start
+            continue
         if (sem := _SEMANTICS.get(s.kind)) is not None:
             if s.binds is None:
                 v = sem(s, ctx, [env[k] for k in s.operands])
@@ -1137,7 +1179,17 @@ def _record(ctx: _Ctx, trace: RunTrace) -> None:
 
 
 # --------------------------------------------------------------------------
-# prepared launches
+# launch-known steps: run once per launch
+
+# kinds whose steps give every run of a launch one value when their operands
+# are known at launch: they touch no buffer, do not synchronize and give
+# every row its value whatever the mask, except that a division raises where
+# an active row divides by zero, so it folds only where no row does
+_FOLDED = ELEMENTWISE_FLOAT | ELEMENTWISE_INT | {"arith.constant", "tt.get_program_id", "tt.warp_id", "arith.cmpi",
+                                                 "tt.splat", "tt.broadcast", "tt.expand_dims", "tt.make_tensor_ptr",
+                                                 "tt.advance", "tt.extract", "tt.glue", "tt.convert"}
+# kinds whose result may be a view of their operand's data
+_VIEWS = {"tt.extract", "tt.expand_dims", "tt.broadcast", "tt.convert"}
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -1145,6 +1197,59 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     view = a.view()
     view.setflags(write=False)
     return view
+
+
+def _dot_read(flat: list[_Step]) -> set:
+    """The keys whose data some dot reads as its A or B operand: directly,
+    through views (a group's binds included) or through loop carries."""
+    dense = {_keys(s)[j] for s in flat if s.kind == "tt.dot" for j in (0, 1)}
+    links = []  # (key, a key whose data its value may be)
+    for s in flat:
+        if s.kind in _VIEWS:
+            links.append((s.results[0], _keys(s)[0]))
+        if s.binds:
+            links.extend((k, s.results[0]) for k, _ in s.binds)
+        if s.kind == "scf.for":
+            for it, r, init, y in zip(s.attrs["iters"], s.results, s.operands[3:], s.body[-1].operands):
+                links.extend((v, w) for v in (it, r) for w in (init, y))
+    while more := {w for v, w in links if v in dense} - dense:
+        dense |= more
+    return dense
+
+
+def _fold(steps: list[_Step], ctx: _Ctx, env: dict) -> None:
+    """Fold the launch-known steps of `steps`, nested ones included: each
+    step of a `_FOLDED` kind whose operands are all in `env` (the launch's
+    arguments and the results folded before it) runs once, by its
+    semantics, in `ctx`, a run context of the launch.  `env` gains its
+    results, read-only, and the step is marked folded.  A step that raises,
+    or would warn, is not folded: it does so where it runs.  A folded splat
+    is a broadcast view of its scalar unless some dot reads its data as A or
+    B, whose matmul takes its path by the operands' strides."""
+    flat = list(_walk(steps))
+    dense = _dot_read(flat)
+    for s in flat:
+        if s.kind not in _FOLDED or any(k not in env for k in _keys(s)):
+            continue
+        a = [env[k] for k in s.operands] if s.binds is None else [env[k] if ix is None else env[k][ix]
+                                                                   for k, ix in s.operands]
+        try:
+            with np.errstate(all="raise"):
+                if s.kind == "tt.splat" and s.results[0] not in dense:
+                    v = np.broadcast_to(a[0].reshape(ctx.n, *[1] * len(s.shape)), (ctx.n, *s.shape))
+                else:
+                    v = _SEMANTICS[s.kind](s, ctx, a)
+        except Exception:  # it raises, or warns, where it runs
+            continue
+        v = BlockPointer(v.base, _read_only(v.dims), v.block_shape) if isinstance(v, BlockPointer) else _read_only(v)
+        env[s.results[0]] = v
+        for k, ix in s.binds or ():
+            env[k] = v[ix]
+        s.folded = True
+
+
+# --------------------------------------------------------------------------
+# prepared launches
 
 
 def _bindings(prog: KernelFn | VProgram) -> tuple[int, Sequence[tuple[str, ElemType]]]:
@@ -1174,8 +1279,10 @@ class Launch:
     and the buffers it binds.  It holds the steps, with the pieces of each
     tile grouped (see the module docstring), the SLM layout (each
     ``tt.alloc``'s pointer, the same in every workgroup), the footprint
-    verdicts and the run-time checks they leave.  Nothing in it changes when
-    it runs, so any number of runs may share it."""
+    verdicts and the run-time checks they leave, and in `env` the values a
+    run starts with: a buffer name per argument and the results of the
+    folded steps.  Nothing in it changes when it runs, so any number of runs
+    may share it."""
 
     def __init__(self, prog: KernelFn | VProgram, nw: int, bindings: Sequence, buffers: tuple,
                  order: tuple[int, ...], pids: list[tuple[int, int, int]]) -> None:
@@ -1214,10 +1321,12 @@ class Launch:
         marks on each buffer a store can reach and that is not proven
         race-free (`scales` keeps every buffer a store can reach, a proven one
         with no scales), and bounds checks on each access step not proven in
-        bounds.  Then group the steps, which the verdicts decide in part."""
+        bounds.  Then group the steps, which the verdicts decide in part, and
+        fold the launch-known ones."""
         flat = list(_walk(self.steps))
         roots = {**self.env, **{s.results[0]: self.ptrs[id(s)].base for s in flat if s.kind == "tt.alloc"}}
-        self.facts = facts = footprints.prove(self.steps, flat, _Ctx(self, mem, None), roots)
+        ctx = _Ctx(self, mem, None)
+        self.facts = facts = footprints.prove(self.steps, flat, ctx, roots)
         # workgroups race on device buffers, the warps of one workgroup on any
         ng, nw = len(self.order), self.nw
         self.scales = {b: () if why is None else (nw,) * (ng > 1 and b not in self.slm) + (1,) * (nw > 1)
@@ -1226,6 +1335,7 @@ class Launch:
         marked = {b for b, sc in self.scales.items() if sc}
         bases = {id(s): b for s, b, _, _ in facts.accesses}
         self.steps = _group(self.steps, flat, self.types, bases, self.inbounds, marked)
+        _fold(self.steps, ctx, self.env)
 
     def run(self, mem: DeviceMemory, trace: RunTrace | None = None) -> DeviceMemory:
         """Execute the launch as one batch on `mem`, which must bind the

@@ -136,6 +136,13 @@ def ungrouped(mp: pytest.MonkeyPatch) -> None:
     mp.setattr(sim, "_PREPARED", weakref.WeakKeyDictionary())
 
 
+def unfolded(mp: pytest.MonkeyPatch) -> None:
+    """Make every launch prepared from now on run its launch-known steps on
+    every run, as written, instead of once when it is prepared."""
+    mp.setattr(sim, "_fold", lambda *args: None)
+    mp.setattr(sim, "_PREPARED", weakref.WeakKeyDictionary())
+
+
 def outcome(prog, launch: LaunchConfig | None, mem: DeviceMemory) -> tuple:
     """A run's buffers, traced loads and stores, and cross-warp records,
     comparable with ==; a failing run raises its SimError.  `prog` is a

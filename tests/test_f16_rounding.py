@@ -2,10 +2,12 @@
 the bits of numpy's ``astype(float16).astype(float32)``.
 
 Large float32 arrays round on their bits (``sim._round_f16``), f16
-subnormals by scaling, and small arrays and other dtypes take the numpy
-round trip.  Each case below is compared as uint32 bits, on an array at
-least ``sim._F16_BITS_MIN`` long, so that it runs the bit path, unless the
-case is about the other path.
+subnormals by scaling; large float64 arrays are cast to float32 and round
+on those bits, but for the ties the cast may make and the values outside
+[2**-14, 65520), which take numpy's round trip from float64, as small
+arrays and other dtypes do.  Each case below is compared as uint32 bits,
+on an array at least ``sim._F16_BITS_MIN`` long, so that it runs the bit
+path, unless the case is about the other path.
 """
 
 from __future__ import annotations
@@ -112,3 +114,57 @@ def test_device_memory_rounds_what_it_binds():
         mem.set_tensor("X", x, F16)
         want = x.astype(np.float16).astype(np.float32)
     assert np.array_equal(mem.tensor("X").view(np.uint32), want.view(np.uint32))
+
+
+# -- float64 inputs: cast to float32, then rounded on those bits --------------
+
+_NON_NEGATIVE = np.unique(FINITE[FINITE >= 0].astype(np.float64))
+F16_MIDPOINTS = _NON_NEGATIVE[:-1] + np.diff(_NON_NEGATIVE) / 2  # every non-negative tie, exact in float64
+
+
+def _sides(x: np.ndarray) -> list[np.ndarray]:
+    """`x` and the float64 values one ulp below and above each element."""
+    return [x, np.nextafter(x, -np.inf), np.nextafter(x, np.inf)]
+
+
+def test_float64_ties_and_their_neighbours():
+    # the cast to float32 puts a value one float64 ulp off a tie on the tie
+    for sign in (1, -1):
+        for x in _sides(sign * F16_MIDPOINTS):
+            assert x.dtype == np.float64
+            _assert_rounds_like_numpy(_long(x))
+    # and a value just off a tie, by less than half a float32 ulp, also
+    off = F16_MIDPOINTS * (1 + np.ldexp(np.linspace(-1, 1, 7), -25)[:, None])
+    _assert_rounds_like_numpy(off.reshape(-1))
+
+
+def test_float64_subnormals_and_the_least_normal():
+    sub = np.ldexp(np.arange(1, 1024, dtype=np.float64), -24)  # every positive f16 subnormal
+    for x in (*_sides(sub), *_sides(F16_MIDPOINTS[F16_MIDPOINTS < 2.0**-14]), sub * 1.37):
+        _assert_rounds_like_numpy(_long(np.concatenate([x, -x])))
+    near = 2.0**-14 * (1 + np.linspace(-2.0**-9, 2.0**-9, 4097))
+    _assert_rounds_like_numpy(np.concatenate([*_sides(near), *_sides(-near)]))
+    _assert_rounds_like_numpy(_long(np.array([2.0**-25, 2.0**-26, 1e-300, 5e-324, 2.0**-149, 2.0**-150])))
+
+
+def test_float64_overflow_edge_and_specials():
+    edge = np.array([65504, 65519.99, 65519.999999999, 65520, 65536, 1e6, 3.5e38, 1e300], dtype=np.float64)
+    for x in _sides(edge):
+        _assert_rounds_like_numpy(_long(np.concatenate([x, -x])))
+    specials = np.array([np.inf, -np.inf, np.nan, -np.nan, 0.0, -0.0])
+    _assert_rounds_like_numpy(_long(specials))
+    with np.errstate(over="ignore"):
+        got = sim._coerce(F16, _long(edge))[: edge.size]
+    assert list(got[:3]) == [65504] * 3 and np.all(np.isposinf(got[3:]))
+
+
+def test_float64_arrays_below_the_bit_path_cut_over():
+    for x in (F16_MIDPOINTS[:: 97], np.nextafter(F16_MIDPOINTS[:: 89], np.inf), np.array([65519.99, 2.0**-24 * 1.5])):
+        assert x.size < sim._F16_BITS_MIN
+        _assert_rounds_like_numpy(x)
+
+
+def test_random_float64_inputs():
+    rng = np.random.Generator(np.random.Philox(3))
+    _assert_rounds_like_numpy(rng.uniform(0.0, 1.0, size=(64, 1000)))
+    _assert_rounds_like_numpy(np.exp(rng.uniform(-40, 12, size=50_000)) * rng.choice([-1.0, 1.0], size=50_000))

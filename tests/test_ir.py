@@ -317,6 +317,8 @@ _INT_ATTRS = {
                   lambda fb, v, x: fb.make_tensor_ptr(v.X, [v.i] * 2, [v.i] * 2, [v.i] * 2, (8, 16), (x, 0))),
     "xreduce_dst": ("tt.cross_warp_reduce: dst_warps must list warp ids below num_warps=4",
                     lambda fb, v, x: fb.cross_warp_reduce(v.c, "max", [x])),
+    "const_i32": ("arith.constant: integer constant needs an int value attr",
+                  lambda fb, v, x: fb.op("arith.constant", [], {"value": x}, [v.i.type])),
 }
 
 
@@ -325,6 +327,16 @@ _INT_ATTRS = {
 def test_integer_attributes_reject_bools_and_floats(case, value):
     message, build = _INT_ATTRS[case]
     assert _diagnose(lambda fb, v: build(fb, v, value)) == message
+
+
+@pytest.mark.parametrize("value", [True, False, 0, 1, 5])
+def test_an_i1_constant_takes_a_bool_or_an_int(value):
+    fb = FunctionBuilder("k", [("X", PtrType(F32))])
+    fb.constant(value, ElemType.i1)
+    fb.ret()
+    verify_or_raise(fb.fn)
+    assert _diagnose(lambda fb, v: fb.op("arith.constant", [], {"value": 1.0}, [v.b.type])) == (
+        "arith.constant: integer constant needs an int value attr")
 
 
 @pytest.mark.parametrize(("whole", "block"), [((64,), (16,)), ((64,), (64,)), ((64, 32), (16, 8)), ((8, 8), (8, 2))])

@@ -7,7 +7,8 @@ from importlib.resources import files
 import numpy as np
 import pytest
 
-from tilec.ir import walk_fn_ops
+from tilec import kernels
+from tilec.ir import ElemType, walk_fn_ops
 from tilec.kernels import FIXTURE_NAMES, kernel_text, load_fixture, make_problem, suite
 from tilec.oracle import rel_max_err
 from tilec.passes import compile_kernel
@@ -60,6 +61,37 @@ def test_make_problem_gemm():
     assert again.mem.equal_bits(prob.mem)
     other = make_problem(suite()["gemm_256"], seed=99)
     assert not other.mem.equal_bits(prob.mem)
+
+
+def _numpy_rand_f16(rng: np.random.Generator, *shape: int) -> np.ndarray:
+    """``oracle.rand_f16`` as numpy spells it: each f64 draw cast to f16, then to f32."""
+    return rng.uniform(0.0, 1.0, size=shape).astype(np.float16).astype(np.float32)
+
+
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_make_problem_draws_the_bits_of_numpys_rounding(name, monkeypatch):
+    fx = suite()[name]
+    for seed in (None, 0, 1, 2, 3):
+        got = make_problem(fx, seed)
+        with monkeypatch.context() as mp:
+            mp.setattr(kernels, "rand_f16", _numpy_rand_f16)
+            want = make_problem(fx, seed)
+        assert got.mem.equal_bits(want.mem), seed
+        assert got.expected.keys() == want.expected.keys()
+        for k, v in want.expected.items():
+            assert got.expected[k].dtype == v.dtype and got.expected[k].tobytes() == v.tobytes(), (seed, k)
+
+
+@pytest.mark.parametrize("elem", [ElemType.f32, ElemType.i32, ElemType.f16])
+def test_a_bound_tensor_is_a_buffer_of_its_own(elem):
+    data = np.arange(4096, dtype=np.float32 if elem != ElemType.i32 else np.int32).reshape(64, 64)
+    mem = kernels.DeviceMemory()
+    mem.set_tensor("X", data, elem)
+    want = mem.raw("X").copy()
+    data[:] = 7  # later writes to the caller's array do not reach the buffer
+    assert mem.raw("X").tobytes() == want.tobytes() and not np.shares_memory(mem.raw("X"), data)
+    mem.set_tensor("T", data.T, elem)  # nor to the array a transposed one was copied from
+    assert not np.shares_memory(mem.raw("T"), data)
 
 
 def test_make_problem_paged():

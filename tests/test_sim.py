@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from conftest import outcome, prove_nothing, ungrouped
+from conftest import outcome, prove_nothing, ungrouped, unfolded
 from tilec import footprints as fp
 from tilec.ir import (ElemType, FunctionBuilder, KernelFn, KernelModule, PtrType, Region, TensorType, Value,
                       VerifyError, retile, scalar)
@@ -697,15 +697,15 @@ def test_masked_off_warps_compute_quietly():
     assert np.array_equal(out.tensor("O"), np.repeat([[0.0], [1.0]], 4, axis=0) * np.ones((8, 4)))
 
 
-def _integer_ops(kind: str, pred: str, bound: int) -> KernelFn:
-    """Warp w stores `7 kind w` to element w of the i32 buffer O, inside an
-    scf.if that the warps with `warp_id pred bound` take; warp 0 divides by
-    zero."""
+def _integer_ops(kind: str, pred: str, bound: int, by: int | None = None) -> KernelFn:
+    """Warp w stores `7 kind w` (or `7 kind by`) to element w of the i32
+    buffer O, inside an scf.if that the warps with `warp_id pred bound`
+    take; warp 0 divides by zero."""
     fb = FunctionBuilder("idiv", [("O", PtrType(I32))], num_warps=2, level="warp")
     (o,) = fb.fn.args
     wid = fb.warp_id()
     fb.begin_if(fb.cmpi(pred, wid, fb.constant(bound)))
-    q = fb.binary(kind, fb.constant(7), wid)
+    q = fb.binary(kind, fb.constant(7), wid if by is None else fb.constant(by))
     c1, c2 = fb.constant(1), fb.constant(2)
     fb.store(fb.make_tensor_ptr(o, [c2], [c1], [wid], (1,), (0,)), fb.splat(q, (1,)))
     fb.end_if()
@@ -724,6 +724,34 @@ def test_an_active_row_dividing_an_integer_by_zero_fails(kind):
         warnings.simplefilter("error")
         out = run(_integer_ops(kind, "sge", 1), LaunchConfig(), mem)
     assert out.tensor("O").tolist() == [0, 7 if kind == "arith.divi" else 0]
+
+
+def _folded(prog, launch: LaunchConfig, mem: DeviceMemory) -> list[str]:
+    """The kinds of the steps that the launch of `prog` folds."""
+    return [s.kind for s in sim._walk(prepare(prog, launch, mem).steps) if s.folded]
+
+
+@pytest.mark.parametrize("kind", ["arith.divi", "arith.remi"])
+def test_a_launch_known_division_by_zero_fails_only_where_a_row_makes_it(kind, monkeypatch):
+    mem = DeviceMemory()
+    mem.set_tensor("O", np.zeros(2), I32)
+    never = _integer_ops(kind, "sge", 2, by=0)  # no warp takes the scf.if
+    assert kind not in _folded(never, LaunchConfig(), mem)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert run(never, LaunchConfig(), mem).tensor("O").tolist() == [0, 0]
+    errors = []
+    for fold in (True, False):  # warp 1 takes it
+        with monkeypatch.context() as mp, pytest.raises(SimError) as exc:
+            if not fold:
+                unfolded(mp)
+            run(_integer_ops(kind, "sge", 1, by=0), LaunchConfig(), mem)
+        errors.append(str(exc.value))
+    assert errors == [f"@idiv wg=0 pid=(0, 0, 0) warp=1 {kind}: integer division by zero"] * 2
+    # by a divisor that no row makes zero, it folds
+    prog = _integer_ops(kind, "sge", 1, by=3)
+    assert kind in _folded(prog, LaunchConfig(), mem)
+    assert run(prog, LaunchConfig(), mem).tensor("O").tolist() == [0, 2 if kind == "arith.divi" else 1]
 
 
 def test_integer_division_floors_and_the_remainder_takes_the_divisors_sign():
@@ -1114,7 +1142,86 @@ def test_faults_read_the_same_with_no_piece_groups(test, kwargs, monkeypatch):
     test(**kwargs)
 
 
+@pytest.mark.parametrize(("test", "kwargs"), _FAULT_CASES)
+def test_faults_read_the_same_with_no_folding(test, kwargs, monkeypatch):
+    # nor with every launch-known step run on every run
+    unfolded(monkeypatch)
+    test(**kwargs)
+
+
 # -- prepared launches ----------------------------------------------------------
+
+
+_LEVELS = ("workgroup", "warp", "intrinsic", "visa")
+
+
+@pytest.mark.parametrize("forced", [False, True], ids=["proven", "forced"])
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_folded_runs_give_the_outcome_of_unfolded_runs(name, forced, monkeypatch):
+    # a launch-known step runs once per launch, not once per run; that moves
+    # no bit, traced access or cross-warp record, on a second run of one
+    # launch, under the reverse schedule, or with nothing proven
+    if forced:
+        prove_nothing(monkeypatch)
+    prob, res = make_problem(suite()[name]), compile_kernel(load_fixture(name))
+    launches = [prob.launch, replace(prob.launch, wg_order=tuple(reversed(range(int(np.prod(prob.launch.grid))))))]
+    for level in _LEVELS:
+        prog = res.at_level(level)
+        folded = [prepare(prog, launch, prob.mem) for launch in launches]
+        assert all(any(s.folded for s in sim._walk(ready.steps)) for ready in folded)
+        got = [[outcome(ready, None, prob.mem) for _ in range(2)] for ready in folded]
+        with monkeypatch.context() as mp:
+            unfolded(mp)
+            assert not _folded(prog, prob.launch, prob.mem)
+            want = [[outcome(prog, launch, prob.mem)] * 2 for launch in launches]
+        assert got == want, level
+
+
+def _data(v) -> np.ndarray:
+    """The array a value holds: a block pointer's dims, or the tile itself."""
+    return v.dims if isinstance(v, sim.BlockPointer) else v
+
+
+@pytest.mark.parametrize("level", _LEVELS)
+@pytest.mark.parametrize("name", FIXTURE_NAMES)
+def test_folded_values_are_read_only_and_runs_leave_them_as_they_are(name, level):
+    prob = make_problem(suite()[name])
+    launch = prepare(compile_kernel(load_fixture(name)).at_level(level), prob.launch, prob.mem)
+    keys = [k for s in sim._walk(launch.steps) if s.folded for k in (*s.results, *(b for b, _ in s.binds or ()))]
+    assert keys and not any(_data(launch.env[k]).flags.writeable for k in keys)
+    before, want = dict(launch.env), {k: _data(launch.env[k]).tobytes() for k in keys}
+    launch.run(prob.mem)
+    assert launch.env == before and {k: _data(launch.env[k]).tobytes() for k in keys} == want
+
+
+def _splat_dot(a_of: str) -> KernelFn:
+    """O = A @ B + 1, where A or B (`a_of`) is a splat of 0.5 and the other
+    is loaded from X; the accumulator is a splat of 0."""
+    fb = FunctionBuilder("splat_dot", [("X", PtrType(F16)), ("O", PtrType(F32))])
+    x, o = fb.fn.args
+    c0, c1, c16 = fb.constant(0), fb.constant(1), fb.constant(16)
+    ptr = lambda arg: fb.make_tensor_ptr(arg, [c16, c16], [c16, c1], [c0, c0], (16, 16), (1, 0))  # noqa: E731
+    half, loaded = fb.splat(fb.constant(0.5, F16), (16, 16)), fb.load(ptr(x))
+    a, b = (half, loaded) if a_of == "a" else (loaded, half)
+    d = fb.dot(a, b, fb.splat(fb.constant(0.0), (16, 16)))
+    fb.store(ptr(o), fb.binary("arith.addf", d, fb.splat(fb.constant(1.0), (16, 16))))
+    fb.ret()
+    return fb.build()
+
+
+@pytest.mark.parametrize("a_of", ["a", "b"])
+def test_a_folded_splat_is_a_broadcast_view_unless_a_dot_reads_it_as_a_or_b(a_of, monkeypatch):
+    mem = DeviceMemory()
+    mem.set_tensor("X", philox(5).uniform(0, 1, size=(16, 16)), F16)
+    mem.set_tensor("O", np.zeros((16, 16)), F32)
+    launch = prepare(_splat_dot(a_of), LaunchConfig(), mem)
+    views = [launch.env[s.results[0]] for s in sim._walk(launch.steps) if s.kind == "tt.splat"]
+    assert [v.strides[-1] == 0 for v in views] == [False, True, True]  # 0.5 (dot-read), 0.0 (accumulator), 1.0
+    assert views[0].flags.c_contiguous
+    with monkeypatch.context() as mp:
+        unfolded(mp)
+        want = outcome(_splat_dot(a_of), LaunchConfig(), mem)
+    assert outcome(launch, None, mem) == want
 
 
 @pytest.mark.parametrize("level", ["workgroup", "warp", "intrinsic", "visa"])
