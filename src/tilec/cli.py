@@ -69,7 +69,7 @@ def _build_parser() -> _Parser:
 
 def _parse_grid(text: str) -> tuple[int, int, int]:
     parts = text.split(",")
-    if len(parts) not in (2, 3) or not all(x.strip().isdigit() and int(x) > 0 for x in parts):
+    if len(parts) not in (2, 3) or not all(x.strip().isdecimal() and int(x) > 0 for x in parts):
         raise UsageError(f"--grid expects positive gx,gy[,gz], got {text!r}")
     dims = tuple(int(x) for x in parts)
     return dims + (1,) * (3 - len(dims))  # type: ignore[return-value]
@@ -79,7 +79,7 @@ def _parse_hints(items: list[str]) -> dict[int, str]:
     hints: dict[int, str] = {}
     for item in items:
         key, _, val = item.partition("=")
-        if not key.startswith("dot") or not key[3:].isdigit() or val not in tuple(TilingHint):
+        if not key.startswith("dot") or not key[3:].isdecimal() or val not in tuple(TilingHint):
             raise UsageError(f"--hint expects dotN=TILING with TILING one of {'|'.join(TilingHint)}, got {item!r}")
         if int(key[3:]) in hints:
             raise UsageError(f"--hint given twice for {key}")

@@ -2,15 +2,16 @@
 
 ``sim.prepare`` calls `prove` on the decoded steps of a verified program
 once per launch shape: the program object, grid, ``wg_order`` and bound
-buffers (name, element type, size).  Every later run of that shape reuses
-the verdicts, so a program must not be edited in place once it has run.
+buffers (name, element type, size), after it has folded the steps whose
+results are known at launch.  Every later run of that shape reuses the
+verdicts, so a program must not be edited in place once it has run.
 
 `prove` follows the integer and pointer steps: a scalar is, per row, its
-value if known at launch (worked out by its kind's semantics, as the run
-does), a form if it depends on loop counters (an int64 array (1 + loops,
-rows) of a constant and a multiple of each loop's trip index), or else a str
-that says why not.  A block pointer's dims are forms, with the rows last, or
-such a str; an SLM pointer is the one its ``tt.alloc`` step returns.
+folded value if known at launch, a form if it depends on loop counters (an
+int64 array (1 + loops, rows) of a constant and a multiple of each loop's
+trip index), or else a str that says why not.  A block pointer's dims are
+forms, with the rows last, or such a str; a folded block pointer (an SLM
+pointer among them) has its folded dims, as forms of a constant.
 
 Pointer steps only add offsets, so a loop body is walked once, each carry
 at its first trip: what one trip adds to a carry is then a constant per row,
@@ -46,7 +47,6 @@ _TILE = "offset depends on a tile or float value"
 _UNSTEADY = "carried pointer is not advanced by a loop-invariant amount"
 _REBASED = "carried pointer may change buffer"
 _BOUNDS = "loop bounds are not known before the run"
-_PURE = {"arith.constant", "tt.get_program_id", "tt.warp_id", "arith.cmpi"} | ELEMENTWISE_INT  # scalar kinds without effects
 
 
 class _Form(NamedTuple):
@@ -68,11 +68,10 @@ class Footprints(NamedTuple):
     accesses: list[tuple]  # per load or store step: (step, buffer, first-trip offsets (dim, row) if known, in bounds?)
 
 
-def prove(steps: list, flat: list, ctx: Any, roots: dict[Any, str]) -> Footprints:
+def prove(steps: list, flat: list, ctx: Any, values: dict) -> Footprints:
     """The verdicts for a launch of `steps` (`flat`: all of them, nested ones
-    too) in run context `ctx`, whose buffer roots are `roots`."""
-    from .sim import _SEMANTICS  # sim imports this module
-
+    too) in run context `ctx`, whose values known at launch are `values`: a
+    buffer name per argument and the result of each folded step."""
     loops = {id(s): j for j, s in enumerate((s for s in flat if s.kind == "scf.for"), 1)}
     # seen, per access: (step, pointer, span: per form and row the last trip index (1 for the
     # constant), reach: the rows that run it)
@@ -86,18 +85,13 @@ def prove(steps: list, flat: list, ctx: Any, roots: dict[Any, str]) -> Footprint
         return f if f[1:].any() else f[0].astype(np.int32)
 
     def scalar(s: Any, a: list, span: np.ndarray) -> Any:
-        known = True
         for x in a:
             if type(x) is not np.ndarray:
                 return x if type(x) is str else _TILE
-            known = known and x.ndim == 1
-        if s.kind not in _PURE or s.shape or s.elem not in (ElemType.i32, ElemType.i1):
+        if s.shape or s.elem not in (ElemType.i32, ElemType.i1) or s.kind not in ELEMENTWISE_INT | {"arith.cmpi"}:
             return _TILE
-        if known:
-            try:
-                return _SEMANTICS[s.kind](s, ctx, a)
-            except Exception:  # the run reports it where it runs
-                return "offset is not known before the run"
+        if all(k in values for k in s.operands):  # and yet not folded: it raises where it runs
+            return "offset is not known before the run"
         x, y = map(lift, a)
         if s.kind in ("arith.addi", "arith.subi"):
             return i32(x + y if s.kind == "arith.addi" else x - y, span)
@@ -106,16 +100,12 @@ def prove(steps: list, flat: list, ctx: Any, roots: dict[Any, str]) -> Footprint
         return "offset is not affine in the loop counters"
 
     def pointer(s: Any, a: list) -> _Form:
-        if s.kind == "tt.alloc":
-            p = ctx.ptrs[id(s)]
-            return _Form(p.base, unit[0] * np.moveaxis(p.dims, 0, -1)[:, :, None], s.shape, (0,) * len(s.shape))
         make = s.kind == "tt.make_tensor_ptr"  # else tt.advance
-        p = _Form(roots.get(s.operands[0]), None, s.shape, (0,) * len(s.shape)) if make else a[0]
+        p = _Form(values.get(s.operands[0]), None, s.shape, (0,) * len(s.shape)) if make else a[0]
         if type(w := p.dims) is str or (w := next((x for x in a[1:] if type(x) is str), None)):
             return _Form(p.base, w, s.shape, p.at, p.root)
         if (by := added.get(s.operands[1:])) is None:  # make: global shape, strides, offsets; advance: offsets
-            by = unit[0] * np.array(a[1:])[:, None] if all(x.ndim == 1 for x in a[1:]) else np.array([*map(lift, a[1:])])
-            added[s.operands[1:]] = by
+            by = added[s.operands[1:]] = np.array([*map(lift, a[1:])])
         if make:
             return p._replace(dims=by.reshape(3, -1, *by.shape[1:]))
         dims = p.dims.copy()
@@ -171,12 +161,16 @@ def prove(steps: list, flat: list, ctx: Any, roots: dict[Any, str]) -> Footprint
                 seen.append((s, env[s.operands[0]], span, reach))
                 if s.results:
                     env[s.results[0]] = LOADED
+            elif s.shape and not s.is_ptr and kind != "scf.for" and kind != "scf.if":
+                continue  # a tile: an offset that reads one is _TILE
+            elif s.results and s.results[0] in values:  # folded
+                v = values[s.results[0]]
+                env[s.results[0]] = _Form(v.base, unit[0] * np.moveaxis(v.dims, 0, -1)[:, :, None], s.shape,
+                                          (0,) * len(s.shape)) if s.is_ptr else v
             elif kind == "tt.extract" and s.is_ptr:
                 p = env[s.operands[0]]
                 at = tuple([o + sl.start for o, sl in zip(p.at, s.slices[1:])])
                 env[s.results[0]] = _Form(p.base, p.dims, s.shape, at, p.root)
-            elif s.shape and not s.is_ptr and kind != "scf.for" and kind != "scf.if":
-                continue  # a tile: an offset that reads one is _TILE
             elif kind == "scf.for":
                 loop(s, [env.get(v, _TILE) for v in s.operands], env, span, reach)
             elif kind == "scf.if":  # rows whose condition is known to be false at launch skip the body
@@ -221,7 +215,8 @@ def prove(steps: list, flat: list, ctx: Any, roots: dict[Any, str]) -> Footprint
     place = {i: a for a, i in enumerate(known)}  # each known access's place in the batch
     stored = {p.base for s, p, _, _ in seen if s.kind == "tt.store"}
     if None in stored:  # a store whose buffer is not known may reach any: more marks, same outcome
-        stored = set(roots.values())
+        args = {v for v in values.values() if type(v) is str}
+        stored = {b for b, buf in ctx.bufs.items() if b in args or buf[3] is not None}  # an argument's, or SLM
     races = {}
     for b in stored:
         mine = [i for i, (_, p, _, _) in enumerate(seen) if p.base in (b, None)]

@@ -14,19 +14,19 @@ executor runs the steps: it handles loops and branches itself and, for every
 other kind, calls the function that one semantics table holds for it when
 the step runs, so an op and the instruction it lowers to run the same code.
 
-`prepare` also lays out SLM, proves footprints, groups pieces and folds
-launch-known steps (below), and the `Launch` it returns holds all of that;
-`Launch.run` executes it on any memory that binds the same buffers, and
-nothing it does writes the `Launch`.  The memory a run returns copies each
-buffer a store can reach and holds a read-only view of each other one.
-`run` is `prepare` then `Launch.run`.  `prepare` keeps each `Launch` in a
-map keyed weakly on its program, so a dropped program is freed at once with
-its launches.  It returns the same `Launch` again for the same program
-object, grid, ``wg_order`` and bound buffers (name, element type, size), so
-a program is verified, decoded, proven, grouped and folded once per launch
+`prepare` also lays out SLM, folds launch-known steps, proves footprints and
+groups pieces (below), in that order, and the `Launch` it returns holds all
+of that; `Launch.run` executes it on any memory that binds the same buffers,
+and nothing it does writes the `Launch`.  The memory a run returns copies
+each buffer a store can reach and holds a read-only view of each other one.
+`run` is `prepare` then `Launch.run`.  `prepare` keeps each `Launch` in a map
+keyed weakly on its program, so a dropped program is freed at once with its
+launches.  It returns the same `Launch` again for the same program object,
+grid, ``wg_order`` and bound buffers (name, element type, size), so a
+program is verified, decoded, folded, proven and grouped once per launch
 shape.  The bindings, the schedule and the SLM budget are checked on every
-call.  So a program must not be edited in place once it has run: a later
-run would execute the steps decoded before the edit.
+call.  So a program must not be edited in place once it has run: a later run
+would execute the steps decoded before the edit.
 
 A launch runs in lockstep, as one batch with a row per warp of each
 workgroup, workgroups in ``wg_order`` and warps in id order (a
@@ -49,25 +49,42 @@ thus gives the bits of the serial run (workgroups one by one in
 ``RunTrace`` records accesses in that order; ``wg_order`` also decides
 which workgroup an error names when several fault in one step.
 
-When a launch is prepared, ``footprints.prove`` follows every load and
-store pointer through the integer and pointer steps to its buffer.  It works
-out which accesses stay in bounds on every loop trip, which buffers a store
-can reach, and which of those no two rows share (one injective geometry,
-disjoint index boxes).  A proven access skips its bounds checks; a proven
-buffer keeps no race marks, like every buffer of a one-row launch.  The rest
-are checked as they run: the bounds of every other access, and the reads and
-writes of every other buffer a store can reach.  The proof raises nothing,
-so a failing run keeps its first error and message.
+When a launch is prepared, the steps whose results are known at launch are
+folded first.  A step folds when its kind touches no buffer, does not
+synchronize and gives every row its value whatever the mask (constants,
+program and warp ids, integer and float elementwise ops, compares, converts,
+splats, broadcasts, expand_dims, extracts, glues, dots, reductions, SLM
+allocations, and block pointers made or advanced) and every value it reads
+is an argument or the result of a folded step, in a loop or branch body too.
+It runs once, by its own semantics, on every row of the launch with all rows
+active; the `Launch` keeps its results read-only, and every run binds them
+at its start and skips the step.  A fold never raises: a step whose
+evaluation raises or would warn (an integer division or remainder by zero on
+some row, a float overflow) is not folded, and does so where it runs, as it
+would unfolded, under that run's mask.  The fold sees the decoded steps only:
+a step that grouping makes later (a splat or glue to a whole tile) runs on
+every run.
 
-When a launch is prepared, after the proof, the steps that work on the
-pieces ``match_target_size`` cut from one tile become one step each, which
-runs its kind's semantics once on the whole tile and binds each piece's
-result as a view of its own, for the steps that read it (any other step is a
-group of one, and one executor runs both).  A group is found from static
-facts only, in one scan per block.  It is a run of steps that do one thing
-to equally typed operands, with only movable steps that read no member
-between them; any other step closes the run, and so does one that could
-start a run of its own.  Its members are
+Then ``footprints.prove`` follows every load and store pointer through the
+integer and pointer steps to its buffer, and takes each value that the fold
+knows from it.  It works out which accesses stay in bounds on every loop
+trip, which buffers a store can reach, and which of those no two rows share
+(one injective geometry, disjoint index boxes).  A proven access skips its
+bounds checks; a proven buffer keeps no race marks, like every buffer of a
+one-row launch.  The rest are checked as they run: the bounds of every other
+access, and the reads and writes of every other buffer a store can reach.
+The proof raises nothing, so a failing run keeps its first error and
+message.
+
+Last, after the proof, the steps that work on the pieces
+``match_target_size`` cut from one tile become one step each, which runs its
+kind's semantics once on the whole tile and binds each piece's result as a
+view of its own, for the steps that read it (any other step is a group of
+one, and one executor runs both).  A group is found from static facts only,
+in one scan per block.  It is a run of steps that do one thing to equally
+typed operands, with only movable steps that read no member between them;
+any other step closes the run, and so does one that could start a run of its
+own.  Its members are
 
 - elementwise ops or converts on operands shaped like their result;
 - dots whose A and B pieces form the rows and columns of a grid, in
@@ -105,30 +122,19 @@ nor an access that keeps marks, nor pieces that do not cover one block once
 (a repeated extract index), nor dots off a grid: those run as written.  A
 movable step whose result no step reads any more is left out.
 
-Last, the steps whose results are known at launch are folded.  A step
-folds when its kind gives every row its value whatever the mask and touches
-no buffer (constants, program and warp ids, integer and float elementwise
-ops, compares, splats, broadcasts, expand_dims, extracts, glues, converts,
-and block pointers made or advanced) and every value it reads is an argument
-or the result of a folded step, in a loop or branch body too.  It runs once,
-by its own semantics, on every row of the launch with all rows active; the
-`Launch` keeps its results read-only, and every run binds them at its start
-and skips the step.  A fold never raises: a step whose evaluation raises or
-would warn (an integer division or remainder by zero on some row, a float
-overflow) is not folded, and does so where it runs, as it would unfolded,
-under that run's mask.  A folded splat is a broadcast view of its scalar,
-unless some dot reads its data as A or B, whose matmul takes its path by
-the operands' strides.
-
 f16 tiles are f32 arrays rounded to binary16, ties to even, after every
-producing step: from 65520 up they round to inf, below 2**-14 to multiples of
-2**-24, and NaN follows numpy's conversion (docs/grammar.md).  Tiles
-are never written in place, so an extract or broadcast is a view, and a load
-whose rows all read one block of a buffer no store reaches gathers it once
-and broadcasts it.  A block is one item of a strided window view of its
-buffer, made once per run for each (buffer, block shape, strides): an access
-copies whole blocks, bounds-checked (unless proven) in closed form from the
-strides.
+producing step: from 65520 up they round to inf, below 2**-14 to multiples
+of 2**-24, and NaN follows numpy's conversion (docs/grammar.md).  Tiles are
+never written in place, so an extract, broadcast or splat is a view, and a
+load whose rows all read one block of a buffer no store reaches gathers it
+once and broadcasts it.  Only ``tt.dot`` cares about strides: matmul takes
+its path, and so its order of sums, by the strides of each row's matrices,
+so `_dot` makes an A or B operand with a zero stride on a tile axis (a
+splat) dense; one with a zero stride on the row axis only (a load gathered
+once) keeps it, as a dense one would run.  A block is one item of a strided
+window view of its buffer, made once per run for each (buffer, block shape,
+strides): an access copies whole blocks, bounds-checked (unless proven) in
+closed form from the strides.
 """
 
 from __future__ import annotations
@@ -137,6 +143,7 @@ import collections
 import contextlib
 import functools
 import itertools
+import math
 import operator
 import struct
 import weakref
@@ -321,7 +328,7 @@ def load_tensor(path: str) -> tuple[np.ndarray, ElemType]:
         raise ValueError(f"{path}: header truncated: rank {rank} needs {4 * rank} bytes of dims")
     dims = struct.unpack(f"<{rank}I", blob[8 : 8 + 4 * rank])
     payload = np.frombuffer(blob[8 + 4 * rank :], dtype=_DISK_DTYPE[elem])
-    n = int(np.prod(dims)) if rank else 1
+    n = math.prod(dims)
     if payload.size != n:
         raise ValueError(f"{path}: payload holds {payload.size} elements, header says {n}")
     # the payload is a read-only view of the file bytes; the caller gets its own array
@@ -613,7 +620,7 @@ class _Step:
     # a group's: per member whose result some step reads, that key and the
     # member's index into the group's result (None: a step of one op)
     binds: tuple | None = None
-    folded: bool = False  # whether its results are known at launch and bound before the run (see _fold)
+    folded: bool = False  # whether _fold ran it once, when the launch was prepared: runs skip it
 
 
 def _typing(t: Any) -> tuple:
@@ -659,6 +666,12 @@ def _keys(s: _Step) -> Sequence:
 # --------------------------------------------------------------------------
 # piece groups: the pieces match_target_size cut from one tile, as one step
 
+# kinds whose steps touch no buffer, do not synchronize and give every row
+# its value whatever the mask; only a division raises, where an active row
+# divides by zero
+_PURE = ELEMENTWISE_FLOAT | ELEMENTWISE_INT | {
+    "tt.convert", "tt.dot", "tt.splat", "tt.extract", "tt.glue", "tt.reduce", "tt.expand_dims", "tt.broadcast",
+    "tt.make_tensor_ptr", "tt.advance", "tt.get_program_id", "tt.warp_id", "tt.alloc", "arith.constant", "arith.cmpi"}
 # kinds whose steps on the pieces of a tile give the bits of one step on the
 # whole tile: numpy works out each result element from the same operand
 # elements by the same operation (tt.dot: one matmul per piece, see _dot),
@@ -668,11 +681,8 @@ _GROUPED = (ELEMENTWISE_FLOAT | ELEMENTWISE_INT | {"tt.convert", "tt.dot"}) - {"
 # whole (a dot grid, the block of an access), each once
 _PLACED = {"tt.dot", "tt.load", "tt.store"}
 # kinds whose steps may sit between a group's members, which then run after
-# them, and are left out when no step reads them: they touch no buffer, do
-# not synchronize and cannot raise
-_MOVABLE = _GROUPED | {"tt.splat", "tt.extract", "tt.glue", "tt.reduce", "tt.expand_dims", "tt.broadcast",
-                       "tt.make_tensor_ptr", "tt.advance", "tt.get_program_id", "tt.warp_id", "tt.alloc",
-                       "arith.constant", "arith.cmpi"}
+# them, and are left out when no step reads them: pure ones that cannot raise
+_MOVABLE = _PURE - {"arith.divi", "arith.remi"}
 
 
 def _box(origin: tuple, shape: tuple) -> tuple:
@@ -1020,14 +1030,21 @@ def _dot(s: _Step, ctx: _Ctx, a: list) -> np.ndarray:
     rows of pieces, B into its columns, the result into its grid, where a
     grid axis of 1 serves every piece along it.  Each piece is one matmul, as
     when the pieces run one by one, whose product lands in place in the
-    result before c is added."""
+    result before c is added.  An A or B operand with a zero stride on a tile
+    axis (a splat, a broadcast) is made dense first, as matmul takes its path,
+    and so its order of sums, by the strides of each row's matrices."""
+    x, y, acc = a
+    if 0 in x.strides[1:]:
+        x = np.ascontiguousarray(x)
+    if 0 in y.strides[1:]:
+        y = np.ascontiguousarray(y)
     if not s.slices:
-        return a[0] @ a[1] + a[2]
-    (pr, pc), (r, c), k = s.slices, s.shape, a[0].shape[2]
+        return x @ y + acc
+    (pr, pc), (r, c), k = s.slices, s.shape, x.shape[2]
     out = np.empty((ctx.n, r, c), dtype=np.float32)
-    grid = lambda x, *shape: x.reshape(ctx.n, *shape).transpose(0, 1, 3, 2, 4)  # noqa
-    np.matmul(grid(a[0], r // pr, pr, 1, k), grid(a[1], 1, k, c // pc, pc), out=grid(out, r // pr, pr, c // pc, pc))
-    out += a[2]
+    grid = lambda v, *shape: v.reshape(ctx.n, *shape).transpose(0, 1, 3, 2, 4)  # noqa
+    np.matmul(grid(x, r // pr, pr, 1, k), grid(y, 1, k, c // pc, pc), out=grid(out, r // pr, pr, c // pc, pc))
+    out += acc
     return out
 
 
@@ -1078,7 +1095,7 @@ _SEMANTICS: dict[str, Callable[[_Step, _Ctx, list], Any]] = {
     "tt.store": _store,
     "tt.dot": _dot,
     "tt.reduce": lambda s, ctx, a: _coerce(s.elem, _REDUCE[s.attrs["kind"]](a[0], axis=s.attrs["axis"] + 1)),
-    "tt.splat": lambda s, ctx, a: np.repeat(a[0], int(np.prod(s.shape))).reshape(ctx.n, *s.shape),
+    "tt.splat": lambda s, ctx, a: np.broadcast_to(a[0].reshape(ctx.n, *[1] * len(s.shape)), (ctx.n, *s.shape)),
     "tt.convert": lambda s, ctx, a: _coerce(s.elem, a[0]),
     "tt.expand_dims": lambda s, ctx, a: a[0].reshape(ctx.n, *s.shape),
     "tt.broadcast": lambda s, ctx, a: np.broadcast_to(a[0], (ctx.n, *s.shape)),
@@ -1181,16 +1198,6 @@ def _record(ctx: _Ctx, trace: RunTrace) -> None:
 # --------------------------------------------------------------------------
 # launch-known steps: run once per launch
 
-# kinds whose steps give every run of a launch one value when their operands
-# are known at launch: they touch no buffer, do not synchronize and give
-# every row its value whatever the mask, except that a division raises where
-# an active row divides by zero, so it folds only where no row does
-_FOLDED = ELEMENTWISE_FLOAT | ELEMENTWISE_INT | {"arith.constant", "tt.get_program_id", "tt.warp_id", "arith.cmpi",
-                                                 "tt.splat", "tt.broadcast", "tt.expand_dims", "tt.make_tensor_ptr",
-                                                 "tt.advance", "tt.extract", "tt.glue", "tt.convert"}
-# kinds whose result may be a view of their operand's data
-_VIEWS = {"tt.extract", "tt.expand_dims", "tt.broadcast", "tt.convert"}
-
 
 def _read_only(a: np.ndarray) -> np.ndarray:
     """A view of `a` that cannot be written through."""
@@ -1199,52 +1206,23 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return view
 
 
-def _dot_read(flat: list[_Step]) -> set:
-    """The keys whose data some dot reads as its A or B operand: directly,
-    through views (a group's binds included) or through loop carries."""
-    dense = {_keys(s)[j] for s in flat if s.kind == "tt.dot" for j in (0, 1)}
-    links = []  # (key, a key whose data its value may be)
+def _fold(flat: list[_Step], ctx: _Ctx, env: dict) -> None:
+    """Fold the launch-known steps of `flat`, a launch's decoded steps in walk
+    order with nested ones included: each step of a `_PURE` kind whose
+    operands are all in `env` (the launch's arguments and the results folded
+    before it) runs once, by its semantics, in `ctx`, a run context of the
+    launch with all rows active.  `env` gains its result, read-only, and the
+    step is marked folded.  A step that raises, or would warn, is not folded:
+    it does so where it runs."""
     for s in flat:
-        if s.kind in _VIEWS:
-            links.append((s.results[0], _keys(s)[0]))
-        if s.binds:
-            links.extend((k, s.results[0]) for k, _ in s.binds)
-        if s.kind == "scf.for":
-            for it, r, init, y in zip(s.attrs["iters"], s.results, s.operands[3:], s.body[-1].operands):
-                links.extend((v, w) for v in (it, r) for w in (init, y))
-    while more := {w for v, w in links if v in dense} - dense:
-        dense |= more
-    return dense
-
-
-def _fold(steps: list[_Step], ctx: _Ctx, env: dict) -> None:
-    """Fold the launch-known steps of `steps`, nested ones included: each
-    step of a `_FOLDED` kind whose operands are all in `env` (the launch's
-    arguments and the results folded before it) runs once, by its
-    semantics, in `ctx`, a run context of the launch.  `env` gains its
-    results, read-only, and the step is marked folded.  A step that raises,
-    or would warn, is not folded: it does so where it runs.  A folded splat
-    is a broadcast view of its scalar unless some dot reads its data as A or
-    B, whose matmul takes its path by the operands' strides."""
-    flat = list(_walk(steps))
-    dense = _dot_read(flat)
-    for s in flat:
-        if s.kind not in _FOLDED or any(k not in env for k in _keys(s)):
+        if s.kind not in _PURE or any(k not in env for k in s.operands):
             continue
-        a = [env[k] for k in s.operands] if s.binds is None else [env[k] if ix is None else env[k][ix]
-                                                                   for k, ix in s.operands]
         try:
             with np.errstate(all="raise"):
-                if s.kind == "tt.splat" and s.results[0] not in dense:
-                    v = np.broadcast_to(a[0].reshape(ctx.n, *[1] * len(s.shape)), (ctx.n, *s.shape))
-                else:
-                    v = _SEMANTICS[s.kind](s, ctx, a)
+                v = _SEMANTICS[s.kind](s, ctx, [env[k] for k in s.operands])
         except Exception:  # it raises, or warns, where it runs
             continue
-        v = BlockPointer(v.base, _read_only(v.dims), v.block_shape) if isinstance(v, BlockPointer) else _read_only(v)
-        env[s.results[0]] = v
-        for k, ix in s.binds or ():
-            env[k] = v[ix]
+        env[s.results[0]] = BlockPointer(v.base, _read_only(v.dims), v.block_shape) if s.is_ptr else _read_only(v)
         s.folded = True
 
 
@@ -1280,9 +1258,9 @@ class Launch:
     tile grouped (see the module docstring), the SLM layout (each
     ``tt.alloc``'s pointer, the same in every workgroup), the footprint
     verdicts and the run-time checks they leave, and in `env` the values a
-    run starts with: a buffer name per argument and the results of the
-    folded steps.  Nothing in it changes when it runs, so any number of runs
-    may share it."""
+    run starts with, where some step reads them: a buffer name per argument
+    and the results of the folded steps.  Nothing in it changes when it runs,
+    so any number of runs may share it."""
 
     def __init__(self, prog: KernelFn | VProgram, nw: int, bindings: Sequence, buffers: tuple,
                  order: tuple[int, ...], pids: list[tuple[int, int, int]]) -> None:
@@ -1317,16 +1295,16 @@ class Launch:
         self.inbounds: set[int] = set()
 
     def _prove(self, mem: DeviceMemory) -> None:
-        """Prove the footprints, and keep the run-time checks they leave: race
-        marks on each buffer a store can reach and that is not proven
-        race-free (`scales` keeps every buffer a store can reach, a proven one
-        with no scales), and bounds checks on each access step not proven in
-        bounds.  Then group the steps, which the verdicts decide in part, and
-        fold the launch-known ones."""
-        flat = list(_walk(self.steps))
-        roots = {**self.env, **{s.results[0]: self.ptrs[id(s)].base for s in flat if s.kind == "tt.alloc"}}
-        ctx = _Ctx(self, mem, None)
-        self.facts = facts = footprints.prove(self.steps, flat, ctx, roots)
+        """Fold the launch-known steps, then prove the footprints from the
+        folded values, and keep the run-time checks they leave: race marks on
+        each buffer a store can reach and that is not proven race-free
+        (`scales` keeps every buffer a store can reach, a proven one with no
+        scales), and bounds checks on each access step not proven in bounds.
+        Then group the steps, which the verdicts decide in part, and drop
+        the folded values that no step left reads."""
+        flat, ctx = list(_walk(self.steps)), _Ctx(self, mem, None)
+        _fold(flat, ctx, self.env)
+        self.facts = facts = footprints.prove(self.steps, flat, ctx, self.env)
         # workgroups race on device buffers, the warps of one workgroup on any
         ng, nw = len(self.order), self.nw
         self.scales = {b: () if why is None else (nw,) * (ng > 1 and b not in self.slm) + (1,) * (nw > 1)
@@ -1335,7 +1313,9 @@ class Launch:
         marked = {b for b, sc in self.scales.items() if sc}
         bases = {id(s): b for s, b, _, _ in facts.accesses}
         self.steps = _group(self.steps, flat, self.types, bases, self.inbounds, marked)
-        _fold(self.steps, ctx, self.env)
+        # the fold ran before grouping left steps out: keep the values some step still reads
+        live = {k for s in _walk(self.steps) for k in _keys(s)}
+        self.env = {k: v for k, v in self.env.items() if k in live}
 
     def run(self, mem: DeviceMemory, trace: RunTrace | None = None) -> DeviceMemory:
         """Execute the launch as one batch on `mem`, which must bind the
@@ -1361,10 +1341,10 @@ _PREPARED: weakref.WeakKeyDictionary[KernelFn | VProgram, dict[tuple, Launch]] =
 
 def prepare(prog: KernelFn | VProgram, launch: LaunchConfig, mem: DeviceMemory) -> Launch:
     """The launch of `prog` with `launch` on memory shaped like `mem`:
-    verified, decoded, proven and grouped on the first call, and the same
-    `Launch` on every later call with the same program object, grid, schedule
-    and bound buffers (name, element type, size).  The bindings, the schedule
-    and the SLM budget are checked on every call."""
+    verified, decoded, folded, proven and grouped on the first call, and the
+    same `Launch` on every later call with the same program object, grid,
+    schedule and bound buffers (name, element type, size).  The bindings, the
+    schedule and the SLM budget are checked on every call."""
     nw, bindings = _bindings(prog)
     buffers = _bind(prog.name, bindings, mem)
     gx, gy, gz = launch.grid

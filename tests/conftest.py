@@ -138,8 +138,16 @@ def ungrouped(mp: pytest.MonkeyPatch) -> None:
 
 def unfolded(mp: pytest.MonkeyPatch) -> None:
     """Make every launch prepared from now on run its launch-known steps on
-    every run, as written, instead of once when it is prepared."""
-    mp.setattr(sim, "_fold", lambda *args: None)
+    every run, as written, instead of once when it is prepared.  The fold
+    still works out their values, which the proof reads."""
+    fold = sim._fold
+
+    def keep_values(flat, *rest):
+        fold(flat, *rest)
+        for s in flat:
+            s.folded = False
+
+    mp.setattr(sim, "_fold", keep_values)
     mp.setattr(sim, "_PREPARED", weakref.WeakKeyDictionary())
 
 

@@ -157,8 +157,10 @@ def test_usage_errors_exit_3(capsys):
     assert main(["compile", "gemm_256", "--hint", "dot0=square", "--hint", "dot0=vertical"]) == 3
     assert main(["compile", "gemm_256", "--hint", "dot3=horizontal"]) == 3
     assert "the kernel's dot count is 1" in capsys.readouterr().err
+    assert main(["compile", "gemm_256", "--hint", "dot\u00b2=square"]) == 3  # a digit, but not a decimal one
     assert main(["run", "gemm_256", "--grid", "zero,one"]) == 3
     assert main(["run", "gemm_256", "--grid", "0,1"]) == 3
+    assert main(["run", "gemm_256", "--grid", "\u00b2,1"]) == 3
     assert main(["compile", "gemm_256", "--level", "bogus"]) == 3
     assert main(["compile", "gemm_256", "--dump-after", "frontend"]) == 3
     assert main(["run", "paged_wg", "--num-warps", "0"]) == 3

@@ -74,6 +74,10 @@ def test_tensor_file_rejects_garbage(tmp_path):
         p.write_bytes(blob)
         with pytest.raises(ValueError):
             load_tensor(str(p))
+    # dims 65536**4 and no payload: 2**64 elements, a count that int64 arithmetic wraps to 0
+    p.write_bytes(b"TTNS" + bytes([1, 0, 4, 0]) + (65536).to_bytes(4, "little") * 4)
+    with pytest.raises(ValueError, match=r"payload holds 0 elements, header says 18446744073709551616$"):
+        load_tensor(str(p))
 
 
 def test_launch_config_validation():
@@ -1194,34 +1198,81 @@ def test_folded_values_are_read_only_and_runs_leave_them_as_they_are(name, level
     assert launch.env == before and {k: _data(launch.env[k]).tobytes() for k in keys} == want
 
 
-def _splat_dot(a_of: str) -> KernelFn:
-    """O = A @ B + 1, where A or B (`a_of`) is a splat of 0.5 and the other
-    is loaded from X; the accumulator is a splat of 0."""
-    fb = FunctionBuilder("splat_dot", [("X", PtrType(F16)), ("O", PtrType(F32))])
-    x, o = fb.fn.args
-    c0, c1, c16 = fb.constant(0), fb.constant(1), fb.constant(16)
-    ptr = lambda arg: fb.make_tensor_ptr(arg, [c16, c16], [c16, c1], [c0, c0], (16, 16), (1, 0))  # noqa: E731
-    half, loaded = fb.splat(fb.constant(0.5, F16), (16, 16)), fb.load(ptr(x))
-    a, b = (half, loaded) if a_of == "a" else (loaded, half)
-    d = fb.dot(a, b, fb.splat(fb.constant(0.0), (16, 16)))
-    fb.store(ptr(o), fb.binary("arith.addf", d, fb.splat(fb.constant(1.0), (16, 16))))
+def _splat_dot(a_of: str, splat: bool) -> KernelFn:
+    """O = A @ B, 64 deep, where A (1 x 64) or B (64 x 1), as `a_of` says,
+    holds 0.3 everywhere, as a splat or (not `splat`) loaded from C, and the
+    other is loaded from X; the accumulator is a splat of 0."""
+    fb = FunctionBuilder("splat_dot", [(n, PtrType(F16)) for n in "XC"] + [("O", PtrType(F32))])
+    x, c, o = fb.fn.args
+    (m, k), (_, n) = ((1, 64), (64, 16)) if a_of == "a" else ((16, 64), (64, 1))
+    ptr = lambda arg, r, cols: fb.make_tensor_ptr(arg, [fb.constant(r), fb.constant(cols)],  # noqa: E731
+                                                  [fb.constant(cols), fb.constant(1)], [fb.constant(0)] * 2,
+                                                  (r, cols), (1, 0))
+    shape = (m, k) if a_of == "a" else (k, n)
+    same = fb.splat(fb.constant(0.3, F16), shape) if splat else fb.load(ptr(c, *shape))
+    loaded = fb.load(ptr(x, k, n) if a_of == "a" else ptr(x, m, k))
+    a, b = (same, loaded) if a_of == "a" else (loaded, same)
+    fb.store(ptr(o, m, n), fb.dot(a, b, fb.splat(fb.constant(0.0), (m, n))))
     fb.ret()
     return fb.build()
 
 
 @pytest.mark.parametrize("a_of", ["a", "b"])
-def test_a_folded_splat_is_a_broadcast_view_unless_a_dot_reads_it_as_a_or_b(a_of, monkeypatch):
+def test_a_dot_reading_a_splat_as_a_or_b_gives_the_bits_of_a_dense_load(a_of, monkeypatch):
+    # matmul takes its path, and so its order of sums, by its operands'
+    # strides: a one-row A or one-column B, 64 deep, over values of many
+    # exponents, sums in another order when it has a zero stride
+    rng = philox(5)
+    shape = (64, 16) if a_of == "a" else (16, 64)
     mem = DeviceMemory()
-    mem.set_tensor("X", philox(5).uniform(0, 1, size=(16, 16)), F16)
-    mem.set_tensor("O", np.zeros((16, 16)), F32)
-    launch = prepare(_splat_dot(a_of), LaunchConfig(), mem)
-    views = [launch.env[s.results[0]] for s in sim._walk(launch.steps) if s.kind == "tt.splat"]
-    assert [v.strides[-1] == 0 for v in views] == [False, True, True]  # 0.5 (dot-read), 0.0 (accumulator), 1.0
-    assert views[0].flags.c_contiguous
+    mem.set_tensor("X", rng.uniform(-1, 1, shape) * 2.0 ** rng.integers(-6, 7, shape), F16)
+    mem.set_tensor("C", np.full(shape[::-1], 0.3), F16)
+    mem.set_tensor("O", np.zeros((1, 16) if a_of == "a" else (16, 1)), F32)
+    want = run(_splat_dot(a_of, splat=False), LaunchConfig(), mem).raw("O").tobytes()
+    assert "tt.splat" in _folded(_splat_dot(a_of, splat=True), LaunchConfig(), mem)
+    got = [run(_splat_dot(a_of, splat=True), LaunchConfig(), mem).raw("O").tobytes()]
     with monkeypatch.context() as mp:
         unfolded(mp)
-        want = outcome(_splat_dot(a_of), LaunchConfig(), mem)
-    assert outcome(launch, None, mem) == want
+        assert not _folded(_splat_dot(a_of, splat=True), LaunchConfig(), mem)
+        got.append(run(_splat_dot(a_of, splat=True), LaunchConfig(), mem).raw("O").tobytes())
+    assert got == [want, want]
+
+
+def _known_dot() -> KernelFn:
+    """O = A @ B + C and R = the row sums of O, where A, B and C are splats
+    of constants: every tile the dot and the reduce read is known at launch."""
+    fb = FunctionBuilder("known_dot", [("O", PtrType(F32)), ("R", PtrType(F32))])
+    o, r = fb.fn.args
+    c0, c1, c16 = fb.constant(0), fb.constant(1), fb.constant(16)
+    a, b = (fb.splat(fb.constant(v, F16), (16, 64)[::d]) for v, d in ((0.3, 1), (0.7, -1)))
+    d = fb.dot(a, b, fb.splat(fb.constant(0.1), (16, 16)))
+    fb.store(fb.make_tensor_ptr(o, [c16, c16], [c16, c1], [c0, c0], (16, 16), (1, 0)), d)
+    fb.store(fb.make_tensor_ptr(r, [c16], [c1], [c0], (16,), (0,)), fb.reduce(d, "sum", 1))
+    fb.ret()
+    return fb.build()
+
+
+def test_a_dot_and_a_reduce_on_launch_known_tiles_fold_and_give_the_unfolded_bits(monkeypatch):
+    mem = DeviceMemory()
+    mem.set_tensor("O", np.zeros((16, 16)), F32)
+    mem.set_tensor("R", np.zeros(16), F32)
+    assert {"tt.dot", "tt.reduce"} <= set(_folded(_known_dot(), LaunchConfig(), mem))
+    got = outcome(_known_dot(), LaunchConfig(), mem)
+    with monkeypatch.context() as mp:
+        unfolded(mp)
+        assert outcome(_known_dot(), LaunchConfig(), mem) == got
+
+
+@pytest.mark.parametrize("level", _LEVELS)
+def test_slm_pointers_fold(level):
+    # the tt.alloc of paged_warp, and at intrinsic and visa the pointer
+    # extracts that cut its block, are known at launch
+    prob = make_problem(suite()["paged_warp"])
+    launch = prepare(compile_kernel(load_fixture("paged_warp")).at_level(level), prob.launch, prob.mem)
+    allocs = [s for s in sim._walk(launch.steps) if s.kind == "tt.alloc"]
+    cuts = [s for s in sim._walk(launch.steps) if s.kind == "tt.extract" and s.operands[0] == allocs[0].results[0]]
+    assert [s.folded for s in allocs] == [True]
+    assert [s.folded for s in cuts] == [True] * (2 if level in ("intrinsic", "visa") else 0)
 
 
 @pytest.mark.parametrize("level", ["workgroup", "warp", "intrinsic", "visa"])
